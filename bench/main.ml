@@ -202,11 +202,9 @@ let write_json ctx ~file ~tick ~quick ~seed ~jobs =
 
 let scale_partitions_arg =
   let doc =
-    "Run the $(b,scale) experiment on the partitioned conservative-parallel \
-     engine with $(docv) topology partitions (one worker domain each; 1 = the \
-     plain single-domain engine). Simulation results are bit-identical for any \
-     partition count $(i,>= 2); partitioned runs use different transport RNG \
-     streams than the plain engine, so compare like with like."
+    "Run the $(b,scale) experiment with $(docv) topology partitions (one \
+     worker domain each). Simulation results are bit-identical for every \
+     partition count; only wall time changes."
   in
   Arg.(value & opt int 1 & info [ "scale-partitions" ] ~docv:"N" ~doc)
 

@@ -8,7 +8,11 @@
    figure to be attributable to that size (each point reports the max over
    itself and everything smaller, which ascending order makes equal to
    itself). On platforms without procfs the field is reported as 0 and the
-   CI regression guard skips. *)
+   CI regression guard skips.
+
+   Event counts are the same for every [--scale-partitions] value, so
+   BENCH_scale.json points taken at different partition counts compare
+   directly; only wall time and peak RSS depend on the partitioning. *)
 
 module Scenario = Rfd.Scenario
 module Runner = Rfd.Runner
@@ -22,7 +26,7 @@ let paper_sizes = [ 1_000; 10_000 ]
 type point = {
   nodes : int;  (** requested BA graph size (the run adds one origin stub) *)
   num_edges : int;
-  partitions : int;  (** 1 = plain single-domain engine *)
+  partitions : int;  (** effective topology partition count *)
   wall_seconds : float;
   sim_events : int;
   events_per_sec : float;
@@ -30,7 +34,7 @@ type point = {
   routes_interned : int;
   paths_interned : int;
   peak_rss_kb : int;
-  per_partition_events : int list;  (** raw counts; [] on the plain engine *)
+  per_partition_events : int list;  (** raw executed events, per partition *)
 }
 
 let run_point (opts : Context.opts) ~partitions n =
@@ -51,49 +55,21 @@ let run_point (opts : Context.opts) ~partitions n =
   in
   let edges = ref 0 in
   let observe net = edges := Rfd.Graph.num_edges (Rfd.Network.graph net) in
-  let result, routes, paths, per_partition_events =
-    if partitions <= 1 then begin
-      (* The plain engine stays the baseline: its transport RNG streams —
-         and therefore its exact event counts — predate the partitioned
-         engine, and BENCH_scale.json history is continuous with them. *)
-      let table = ref None in
-      let result =
-        Runner.run
-          ~observe:(fun net ->
-            table := Some (Rfd.Network.route_table net);
-            observe net)
-          scenario
-      in
-      let routes, paths =
-        match !table with
-        | Some tbl ->
-            (Rfd.Route.table_size tbl, Rfd.As_path.table_size (Rfd.Route.path_table tbl))
-        | None -> (0, 0)
-      in
-      (result, routes, paths, [])
-    end
-    else begin
-      let result, stats = Runner.run_partitioned ~observe ~partitions scenario in
-      ( result,
-        stats.Runner.routes_interned_total,
-        stats.Runner.paths_interned_total,
-        Array.to_list stats.Runner.per_partition_events )
-    end
-  in
+  let result, stats = Runner.run_partitioned ~observe ~partitions scenario in
   let wall = result.Runner.wall_seconds in
   {
     nodes = n;
     num_edges = !edges;
-    partitions = (if partitions <= 1 then 1 else partitions);
+    partitions = stats.Runner.partitions;
     wall_seconds = wall;
     sim_events = result.Runner.sim_events;
     events_per_sec =
       (if wall > 0. then float_of_int result.Runner.sim_events /. wall else 0.);
     message_count = result.Runner.message_count;
-    routes_interned = routes;
-    paths_interned = paths;
+    routes_interned = stats.Runner.routes_interned_total;
+    paths_interned = stats.Runner.paths_interned_total;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
-    per_partition_events;
+    per_partition_events = Array.to_list stats.Runner.per_partition_events;
   }
 
 let point_to_json p =

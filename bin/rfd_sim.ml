@@ -326,12 +326,17 @@ let transcript_arg =
 
 let partitions_arg =
   let doc =
-    "Run on the partitioned conservative-parallel engine with $(docv) topology \
-     partitions (one worker domain each). Results are bit-identical for any \
-     partition count, but use different transport RNG streams than the default \
-     single-network engine — compare partitioned runs with partitioned runs."
+    "Split the topology into $(docv) partitions, simulated on one worker domain \
+     each in conservative lockstep epochs. Results are bit-identical for every \
+     partition count, so this changes only wall time."
   in
-  Arg.(value & opt (some int) None & info [ "partitions" ] ~docv:"N" ~doc)
+  Arg.(value & opt int 1 & info [ "partitions" ] ~docv:"N" ~doc)
+
+let pp_par_stats s =
+  Format.printf "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
+    s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
+    (String.concat "/"
+       (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events)))
 
 let print_digest_arg =
   let doc =
@@ -348,28 +353,15 @@ let run_cmd =
         ~workload topology damping mode policy pulses interval mrai seed isp probe
     in
     let trace = Rfd.Trace.create ~enabled:(transcript <> None) () in
-    let observe net = Rfd.Tracing.attach trace (Rfd.Network.hooks net) in
     let on_bus hooks = Rfd.Tracing.attach trace hooks in
     let r, par_stats =
-      try
-        match partitions with
-        | None -> (Rfd.Runner.run ~budget ~observe scenario, None)
-        | Some partitions ->
-            let r, stats = Rfd.Runner.run_partitioned ~budget ~on_bus ~partitions scenario in
-            (r, Some stats)
+      try Rfd.Runner.run_partitioned ~budget ~on_bus ~partitions scenario
       with e ->
         Format.eprintf "rfd-sim run: crashed: %s@." (Printexc.to_string e);
         exit exit_crashed
     in
     Format.printf "%a@.@." Rfd.Runner.pp_result r;
-    (match par_stats with
-    | None -> ()
-    | Some s ->
-        Format.printf
-          "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
-          s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
-          (String.concat "/"
-             (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events))));
+    pp_par_stats par_stats;
     (match
        ( Rfd.Collector.dropped_updates r.Rfd.Runner.collector,
          Rfd.Collector.duplicated_updates r.Rfd.Runner.collector )
@@ -575,12 +567,7 @@ let replay_cmd =
         exit exit_crashed
     in
     let r, par_stats =
-      try
-        match partitions with
-        | None -> (Rfd.Runner.run ~budget scenario, None)
-        | Some partitions ->
-            let r, stats = Rfd.Runner.run_partitioned ~budget ~partitions scenario in
-            (r, Some stats)
+      try Rfd.Runner.run_partitioned ~budget ~partitions scenario
       with e ->
         Format.eprintf "rfd-sim replay: crashed: %s@." (Printexc.to_string e);
         exit exit_crashed
@@ -589,14 +576,7 @@ let replay_cmd =
       (Rfd.Update_trace.event_count trace)
       (Rfd.Update_trace.max_prefix trace);
     Format.printf "%a@." Rfd.Runner.pp_result r;
-    (match par_stats with
-    | None -> ()
-    | Some s ->
-        Format.printf
-          "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
-          s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
-          (String.concat "/"
-             (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events))));
+    pp_par_stats par_stats;
     Format.printf "oracle: time-to-stable=%.1fs time-to-quiet=%.1fs final=%s@."
       r.Rfd.Runner.time_to_stable r.Rfd.Runner.time_to_quiet
       (Rfd.Runner.status_to_string r.Rfd.Runner.final_status);
@@ -1028,7 +1008,7 @@ let journal_compact_cmd =
     Arg.(value & flag & info [ "check" ] ~doc)
   in
   let file_arg =
-    let doc = "The rfd-journal/1 file to compact (or, with --check, verify)." in
+    let doc = "The rfd-journal/2 file to compact (or, with --check, verify)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let doc =

@@ -22,19 +22,13 @@ type remote = {
   remote_update : Update.t;
 }
 
-(* Transport randomness comes in two flavours. [Shared] is the historical
-   layout: one delay stream and one fault stream consumed in global send
-   order — cheapest, and bit-identical to every pre-partitioning result.
-   [Per_edge] gives each directed link its own seed-derived streams, so the
-   draws a link sees depend only on that link's own send sequence, never on
-   how sends interleave across links. That is what makes a partitioned run
-   independent of the partition count: each directed link is owned (sampled)
-   by exactly one partition, in the same per-link order as any other
-   partitioning. *)
-type link_rngs =
-  | Shared of { delay : Rng.t; fault : Rng.t }
-  | Per_edge of { delay : Rng.t array; fault : Rng.t array (* by directed slot *) }
-
+(* Transport randomness is per directed link: each link draws delay jitter
+   and loss/duplication from its own seed-derived streams, so the draws a
+   link sees depend only on that link's own send sequence, never on how
+   sends interleave across links. That is what makes a partitioned run
+   independent of the partition count: each directed link is owned
+   (sampled) by exactly one partition, in the same per-link order as any
+   other partitioning. *)
 type t = {
   sim : Sim.t;
   graph : Graph.t;
@@ -48,7 +42,6 @@ type t = {
   damping_deployed : bool array;
   links : link_state array; (* indexed by Graph edge id *)
   directed : directed_link array; (* 2*eid + (0 if src < dst else 1) *)
-  link_rngs : link_rngs;
   mutable in_flight : int;
 }
 
@@ -108,6 +101,12 @@ let deployment_flags config rng n =
             nodes));
   flags
 
+(* Seed-derived per-directed-slot stream, decorrelated by slot with the
+   SplitMix64 increment. Independent of the master split chain, so adding
+   streams never perturbs router jitter. *)
+let stream_rng config ~salt slot =
+  Rng.create ((config.Config.seed lxor salt) + ((slot + 1) * 0x9E37_79B9))
+
 (* The transport for direction src -> dst: sample a delay, keep per-direction
    FIFO order, and drop the message if the link failed (or an endpoint
    crashed) either before sending or while in flight (epoch check).
@@ -128,13 +127,13 @@ let make_sender t src dst =
   let ls = t.links.(eid) in
   let slot = directed_slot eid ~src ~dst in
   let dl = t.directed.(slot) in
-  let delay_rng, fault_rng =
-    match t.link_rngs with
-    | Shared { delay; fault } -> (delay, fault)
-    | Per_edge { delay; fault } -> (delay.(slot), fault.(slot))
-  in
+  let delay_rng = stream_rng t.config ~salt:0x2d35_8dcc slot in
+  (* Fault draws happen only on degraded links, so most links never need
+     their fault stream; it is a pure function of (seed, slot), so creating
+     it on first use draws exactly what an eager stream would. *)
+  let fault_rng = lazy (stream_rng t.config ~salt:0x7fa9_1e55 slot) in
   let send_copy update =
-    if dl.loss > 0. && Rng.float fault_rng 1.0 < dl.loss then
+    if dl.loss > 0. && Rng.float (Lazy.force fault_rng) 1.0 < dl.loss then
       t.hooks.Hooks.on_drop ~time:(Sim.now t.sim) ~src ~dst update
     else begin
       let now = Sim.now t.sim in
@@ -177,16 +176,11 @@ let make_sender t src dst =
   fun update ->
     if operational t ls src dst then begin
       send_copy update;
-      if dl.duplication > 0. && Rng.float fault_rng 1.0 < dl.duplication then begin
+      if dl.duplication > 0. && Rng.float (Lazy.force fault_rng) 1.0 < dl.duplication then begin
         t.hooks.Hooks.on_duplicate ~time:(Sim.now t.sim) ~src ~dst update;
         send_copy update
       end
     end
-
-(* Seed-derived per-directed-slot stream, decorrelated by slot with the
-   SplitMix64 increment. Independent of the master split chain, so adding
-   streams never perturbs router jitter. *)
-let stream_rng base slot = Rng.create (base + ((slot + 1) * 0x9E37_79B9))
 
 let create ?policy ?ownership ~config sim graph =
   (match Config.validate config with
@@ -204,7 +198,9 @@ let create ?policy ?ownership ~config sim graph =
   in
   let master = Rng.create config.Config.seed in
   let deploy_rng = Rng.split master in
-  let delay_rng = Rng.split master in
+  (* The second split is reserved (nothing draws from it), so every
+     router's stream keeps its position in the split chain. *)
+  ignore (Rng.split master);
   let hooks = Hooks.create () in
   let damping_deployed = deployment_flags config deploy_rng n in
   let params_at node =
@@ -236,23 +232,6 @@ let create ?policy ?ownership ~config sim graph =
   in
   build 0;
   let m = Graph.num_edges graph in
-  (* The fault RNG is derived from the seed without consuming a split of the
-     master stream, so runs without fault injection are bit-identical to
-     historical (pre-fault) results. Partitioned mode swaps both transport
-     streams for per-directed-link ones (see [link_rngs] above). *)
-  let link_rngs =
-    match ownership with
-    | None ->
-        Shared { delay = delay_rng; fault = Rng.create (config.Config.seed lxor 0x7fa9_1e55) }
-    | Some _ ->
-        let delay_base = config.Config.seed lxor 0x2d35_8dcc in
-        let fault_base = config.Config.seed lxor 0x7fa9_1e55 in
-        Per_edge
-          {
-            delay = Array.init (2 * m) (stream_rng delay_base);
-            fault = Array.init (2 * m) (stream_rng fault_base);
-          }
-  in
   let t =
     {
       sim;
@@ -268,7 +247,6 @@ let create ?policy ?ownership ~config sim graph =
       links = Array.init m (fun _ -> { up = true; epoch = 0 });
       directed =
         Array.init (2 * m) (fun _ -> { last_delivery = 0.; loss = 0.; duplication = 0. });
-      link_rngs;
       in_flight = 0;
     }
   in

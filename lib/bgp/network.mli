@@ -34,11 +34,10 @@ val create :
     [ownership] puts the network in partitioned mode: only nodes flagged
     [true] get routers; messages to unowned destinations are handed —
     fully timestamped — to the given outbox function instead of the local
-    event queue. Partitioned mode also switches transport randomness to
-    per-directed-link seed-derived streams, so delay jitter and
-    loss/duplication draws depend only on each link's own send sequence —
-    the property that makes results independent of the partition count.
-    Administrative operations (link fail/restore, router crash/restart,
+    event queue. Transport randomness is per directed link in every mode:
+    delay jitter and loss/duplication draws depend only on each link's own
+    send sequence, which is what makes results independent of the partition
+    count. Administrative operations (link fail/restore, router crash/restart,
     degradation) must be replicated to {e every} partition by the caller;
     each replica applies the state change and signals only its own routers.
     Raises [Invalid_argument] when the ownership array length differs from

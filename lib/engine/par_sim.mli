@@ -28,8 +28,7 @@ val lockstep :
     - [`Drained]: no partition has pending events and [exchange] produced
       none — global quiescence.
     - [`Horizon]: the globally next event lies strictly beyond [until]
-      (events at exactly [until] still run, matching
-      {!Sim.run_budgeted}).
+      (events at exactly [until] still run).
     - [`Budget]: [executed ()] (the caller's corrected global event count)
       reached [max_events], checked at each barrier.
 

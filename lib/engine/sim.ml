@@ -198,45 +198,12 @@ let run ?until t =
 
 let events_executed t = t.executed
 
-let run_budgeted ?until ?max_events t =
-  (match max_events with
-  | Some m when m < 0 -> invalid_arg "Sim.run_budgeted: negative max_events"
-  | Some _ | None -> ());
-  (match until with
-  | Some h when Float.is_nan h -> invalid_arg "Sim.run_budgeted: NaN horizon"
-  | Some _ | None -> ());
-  let out_of_events () =
-    match max_events with Some m -> t.executed >= m | None -> false
-  in
-  let verdict = ref `Drained in
-  let continue = ref true in
-  while !continue do
-    if out_of_events () then begin
-      verdict := `Budget;
-      continue := false
-    end
-    else
-      match next_time t with
-      | None ->
-          verdict := `Drained;
-          continue := false
-      | Some time -> (
-          match until with
-          | Some horizon when time > horizon ->
-              verdict := `Horizon;
-              continue := false
-          | Some _ | None -> ignore (step t))
-  done;
-  (* Unlike [run ~until], the clock is never advanced past the last executed
-     event: a budget verdict must leave the clock at the point where the run
-     actually stopped, so partial-result metrics stay truthful. *)
-  !verdict
-
 (* Epoch primitive for conservative parallel simulation: execute every event
    strictly before [horizon] (and, when [until] is given, at or before
    [until]), including events scheduled mid-epoch that still land inside the
-   window. The clock is left at the last executed event, exactly like
-   [run_budgeted]. *)
+   window. Unlike [run ~until], the clock is left at the last executed
+   event, so a run cut short by a budget reports the time it actually
+   reached. *)
 let run_before ?until ~horizon t =
   if Float.is_nan horizon then invalid_arg "Sim.run_before: NaN horizon";
   (match until with

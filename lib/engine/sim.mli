@@ -73,23 +73,6 @@ val run : ?until:float -> t -> unit
 val events_executed : t -> int
 (** Number of event actions executed so far (excludes cancelled events). *)
 
-val run_budgeted :
-  ?until:float -> ?max_events:int -> t -> [ `Drained | `Horizon | `Budget ]
-(** Run guardrails: execute events in order until one of three outcomes.
-
-    - [`Drained]: no live event remains — the normal quiescent finish.
-    - [`Horizon]: the next live event lies strictly beyond [until]. Unlike
-      {!run}[ ~until], the clock is {e not} advanced to the horizon — it
-      stays at the last executed event, so a budget-terminated run reports
-      the time it actually reached.
-    - [`Budget]: {!events_executed} reached [max_events] (a total cap, not
-      an increment — callers running multiple phases share one budget by
-      passing the same cap each time).
-
-    Both limits optional; with neither, behaves as {!run} and returns
-    [`Drained]. Raises [Invalid_argument] on a negative [max_events] or a
-    NaN [until]. *)
-
 (** {2 Conservative parallel-simulation primitives}
 
     Building blocks for lockstep-epoch execution over several simulators
@@ -100,9 +83,8 @@ val run_before : ?until:float -> horizon:float -> t -> unit
 (** [run_before ~horizon sim] executes every event with time strictly below
     [horizon] — including events scheduled during the pass that still land
     inside the window. With [until], events beyond it are additionally left
-    unexecuted (inclusive cap, matching {!run_budgeted}'s horizon
-    semantics). The clock stays at the last executed event. Raises
-    [Invalid_argument] on NaN bounds. *)
+    unexecuted (an inclusive cap). Unlike {!run}[ ~until], the clock stays
+    at the last executed event. Raises [Invalid_argument] on NaN bounds. *)
 
 val advance_clock : t -> time:float -> unit
 (** [advance_clock sim ~time] jumps an idle simulator's clock forward to

@@ -26,6 +26,10 @@ let add t ~time value =
   t.values.(t.size) <- value;
   t.size <- t.size + 1
 
+let set_level t ~time value =
+  if t.size > 0 && time = t.times.(t.size - 1) then t.values.(t.size - 1) <- value
+  else add t ~time value
+
 let length t = t.size
 let is_empty t = t.size = 0
 let points t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))

@@ -14,6 +14,13 @@ val add : t -> time:float -> float -> unit
 (** Append a sample. Raises [Invalid_argument] if [time] precedes the last
     sample's time. *)
 
+val set_level : t -> time:float -> float -> unit
+(** Record a gauge's value at [time]. Like {!add}, except that a sample at
+    the same time as the last one replaces it: the series keeps one sample
+    per instant, the gauge's value after every change at that instant. That
+    value does not depend on the order in which same-instant changes
+    arrive. *)
+
 val length : t -> int
 val is_empty : t -> bool
 

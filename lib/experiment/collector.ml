@@ -10,13 +10,12 @@ type t = {
   update_series : Timeseries.t;
   damped_series : Timeseries.t;
   mutable damped_now : int;
-  mutable peak_damped : int;
   mutable suppress_events : int;
   mutable reuse_events : int;
   mutable noisy_reuse_events : int;
   mutable peak_penalty : float;
   mutable first_reuse : float option;
-  mutable reuse_log : (float * int * int * bool) list; (* newest first *)
+  mutable reuse_log : (float * int * int * bool) list; (* newest first, see [log_reuse] *)
   reuse_series : Timeseries.t;
   probes : (int * int, Timeseries.t) Hashtbl.t;
   (* Oracle-state accounting: running balances of the timer machinery,
@@ -49,7 +48,6 @@ let create ?(probe_pairs = []) () =
     update_series = Timeseries.create ~name:"updates" ();
     damped_series = Timeseries.create ~name:"damped-links" ();
     damped_now = 0;
-    peak_damped = 0;
     suppress_events = 0;
     reuse_events = 0;
     noisy_reuse_events = 0;
@@ -70,6 +68,17 @@ let create ?(probe_pairs = []) () =
     reuse_timer_series = Timeseries.create ~name:"reuse-timers" ();
   }
 
+(* Observers see same-instant events of different routers in execution
+   order with one partition and in router-id order with several (see
+   Par_net); tick-wheel reuses make such ties common. Everything collected
+   is therefore insensitive to that order: gauges keep one sample per
+   instant ([Timeseries.set_level]), and the reuse log is kept in
+   (time, router) order, each router's own releases in arrival order. *)
+let rec log_reuse ((time, router, _, _) as entry) = function
+  | ((time', router', _, _) as newer) :: older when time' = time && router' > router ->
+      newer :: log_reuse entry older
+  | log -> entry :: log
+
 let attach t (hooks : Hooks.t) =
   hooks.Hooks.on_deliver <-
     (fun ~time ~src:_ ~dst:_ _ ->
@@ -84,25 +93,24 @@ let attach t (hooks : Hooks.t) =
     (fun ~time ~router:_ ~peer:_ ~prefix:_ ->
       t.suppress_events <- t.suppress_events + 1;
       t.damped_now <- t.damped_now + 1;
-      if t.damped_now > t.peak_damped then t.peak_damped <- t.damped_now;
-      Timeseries.add t.damped_series ~time (float_of_int t.damped_now));
+      Timeseries.set_level t.damped_series ~time (float_of_int t.damped_now));
   hooks.Hooks.on_reuse <-
     (fun ~time ~router ~peer ~prefix:_ ~noisy ->
-      t.reuse_log <- (time, router, peer, noisy) :: t.reuse_log;
+      t.reuse_log <- log_reuse (time, router, peer, noisy) t.reuse_log;
       t.reuse_events <- t.reuse_events + 1;
       if noisy then t.noisy_reuse_events <- t.noisy_reuse_events + 1;
       if t.first_reuse = None then t.first_reuse <- Some time;
       Timeseries.add t.reuse_series ~time 1.;
       t.damped_now <- t.damped_now - 1;
-      Timeseries.add t.damped_series ~time (float_of_int t.damped_now);
+      Timeseries.set_level t.damped_series ~time (float_of_int t.damped_now);
       t.reuse_timers_now <- t.reuse_timers_now - 1;
       t.last_timer <- Some time;
-      Timeseries.add t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
+      Timeseries.set_level t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
   hooks.Hooks.on_reuse_schedule <-
     (fun ~time ~router:_ ~peer:_ ~prefix:_ ~at:_ ->
       t.reuse_timers_now <- t.reuse_timers_now + 1;
       t.last_timer <- Some time;
-      Timeseries.add t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
+      Timeseries.set_level t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
   hooks.Hooks.on_mrai <-
     (fun ~time ~router:_ ~peer:_ ~prefix:_ action ->
       t.last_mrai <- Some time;
@@ -121,9 +129,9 @@ let attach t (hooks : Hooks.t) =
       match action with
       | Hooks.Mrai_queued | Hooks.Mrai_sent | Hooks.Mrai_superseded | Hooks.Mrai_cancelled
         ->
-          Timeseries.add t.mrai_pending_series ~time (float_of_int t.mrai_pending_now)
+          Timeseries.set_level t.mrai_pending_series ~time (float_of_int t.mrai_pending_now)
       | Hooks.Flush_armed | Hooks.Flush_fired | Hooks.Flush_cancelled ->
-          Timeseries.add t.flush_armed_series ~time (float_of_int t.flush_armed_now));
+          Timeseries.set_level t.flush_armed_series ~time (float_of_int t.flush_armed_now));
   hooks.Hooks.on_penalty <-
     (fun ~time ~router ~peer ~prefix:_ ~penalty ->
       if penalty > t.peak_penalty then t.peak_penalty <- penalty;
@@ -149,7 +157,10 @@ let last_update_time t = t.last_update
 let update_series t = t.update_series
 let damped_series t = t.damped_series
 let damped_now t = t.damped_now
-let peak_damped t = t.peak_damped
+let peak_damped t =
+  match Timeseries.max_value t.damped_series with
+  | Some v -> max 0 (int_of_float v)
+  | None -> 0
 let suppress_events t = t.suppress_events
 let reuse_events t = t.reuse_events
 let noisy_reuse_events t = t.noisy_reuse_events

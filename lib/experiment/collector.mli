@@ -33,10 +33,13 @@ val update_series : t -> Rfd_engine.Timeseries.t
     {!Rfd_engine.Timeseries.bin_sum}. *)
 
 val damped_series : t -> Rfd_engine.Timeseries.t
-(** Step series of the number of currently damped (suppressed) links. *)
+(** Step series of the number of currently damped (suppressed) links, one
+    sample per instant (see {!Rfd_engine.Timeseries.set_level}). *)
 
 val damped_now : t -> int
 val peak_damped : t -> int
+(** Largest value of {!damped_series} (0 if never positive). *)
+
 val suppress_events : t -> int
 val reuse_events : t -> int
 val noisy_reuse_events : t -> int
@@ -47,7 +50,10 @@ val reuse_series : t -> Rfd_engine.Timeseries.t
 (** One [(time, 1.)] sample per reuse-timer release (noisy or silent). *)
 
 val reuse_log : t -> (float * int * int * bool) list
-(** Every reuse release as [(time, router, peer, noisy)], oldest first. *)
+(** Every reuse release as [(time, router, peer, noisy)], oldest first.
+    Releases at one instant are ordered by router, and each router's own in
+    the order they happened, so the log does not depend on how
+    different routers' same-instant events interleaved. *)
 
 val penalty_trace : t -> router:int -> peer:int -> Rfd_engine.Timeseries.t option
 (** Post-increment penalty samples for a probed pair. *)
@@ -89,7 +95,8 @@ val last_timer_time : t -> float option
     {!last_mrai_time}), the network can produce no further activity. *)
 
 val mrai_pending_series : t -> Rfd_engine.Timeseries.t
-(** Step series of {!mrai_pending_now} over time. *)
+(** Step series of {!mrai_pending_now} over time, one sample per instant
+    (as are the two series below). *)
 
 val flush_armed_series : t -> Rfd_engine.Timeseries.t
 (** Step series of {!flush_armed_now} over time. *)

@@ -3,7 +3,22 @@ type outcome =
   | Crashed of string
   | Timed_out of { attempts : int; deadline : float }
 
-let header = "rfd-journal/1"
+let header = "rfd-journal/2"
+
+(* Version 1 lines carry results simulated with shared transport random
+   streams under the same job keys, so reading them would pass off stale
+   results as current ones: they are refused, never migrated. *)
+let refuse_header ~caller path text =
+  let first_line =
+    match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text
+  in
+  if first_line = "rfd-journal/1" then
+    failwith
+      (Printf.sprintf
+         "%s: %s is an rfd-journal/1 journal, but this build reads only %s (version 1 \
+          results came from an older transport RNG scheme); start a new journal"
+         caller path header)
+  else failwith (Printf.sprintf "%s: %s is not a %s file (header %S)" caller path header first_line)
 
 (* Scenarios, results and the outcome variants above are closure-free data
    (records, arrays, variants), so Marshal round-trips them exactly —
@@ -55,12 +70,22 @@ let write_fully fd s =
     written := !written + Unix.write fd bytes !written (n - !written)
   done
 
+let first_line path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> input_line ic)
+
 let create path =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   (if (Unix.fstat fd).Unix.st_size = 0 then begin
      write_fully fd (header ^ "\n");
      Unix.fsync fd
-   end);
+   end
+   else
+     match first_line path with
+     | first when first = header -> ()
+     | first ->
+         Unix.close fd;
+         refuse_header ~caller:"Journal.create" path first);
   { fd; closed = false }
 
 (* One [write] of one line, then fsync: the line is durable before the
@@ -100,10 +125,7 @@ let scan_raw path =
     (fun () ->
       (match input_line ic with
       | first when first = header -> ()
-      | first ->
-          failwith
-            (Printf.sprintf "Journal.compact: %s is not a %s file (header %S)"
-               path header first)
+      | first -> refuse_header ~caller:"Journal.compact" path first
       | exception End_of_file ->
           failwith (Printf.sprintf "Journal.compact: %s is empty" path));
       let latest = Hashtbl.create 64 in
@@ -171,9 +193,7 @@ let check path =
       let contents = really_input_string ic size in
       (match String.index_opt contents '\n' with
       | Some i when String.sub contents 0 i = header -> ()
-      | Some _ | None ->
-          failwith
-            (Printf.sprintf "Journal.check: %s is not a %s file" path header));
+      | Some _ | None -> refuse_header ~caller:"Journal.check" path contents);
       let terminated = size > 0 && contents.[size - 1] = '\n' in
       let lines = String.split_on_char '\n' contents in
       let body =
@@ -215,10 +235,7 @@ let load path =
     (fun () ->
       (match input_line ic with
       | first when first = header -> ()
-      | first ->
-          failwith
-            (Printf.sprintf "Journal.load: %s is not a %s file (header %S)" path
-               header first)
+      | first -> refuse_header ~caller:"Journal.load" path first
       | exception End_of_file ->
           failwith (Printf.sprintf "Journal.load: %s is empty" path));
       let entries = Hashtbl.create 64 in

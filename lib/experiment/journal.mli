@@ -5,7 +5,7 @@
     running it. The journal is an append-only text file: a header line,
     then one line per job that reached a {e terminal} outcome —
 
-    {v rfd-journal/1
+    {v rfd-journal/2
 <job key> <payload digest> <hex payload> v}
 
     where the job key is {!job_key} (the MD5 of the job's fully resolved
@@ -21,7 +21,18 @@
     points an uninterrupted sweep would have produced — bit-identical
     floats included — which is what makes resume-equivalence testable
     with [diff]. The format is tied to the producing binary (OCaml
-    [Marshal]): resume with the build that wrote the journal. *)
+    [Marshal]): resume with the build that wrote the journal. Version 1
+    journals are refused by every reader: their results came from an
+    older transport RNG scheme under unchanged job keys. *)
+
+val header : string
+(** ["rfd-journal/2"], the first line of every journal. *)
+
+val refuse_header : caller:string -> string -> string -> 'a
+(** [refuse_header ~caller path text] raises [Failure] for a file whose
+    first line — the start of [text], up to any newline — is not
+    {!header}. The message starts with [caller] and [path]; for an
+    [rfd-journal/1] file it names both versions. *)
 
 type outcome =
   | Result of Runner.result
@@ -41,8 +52,9 @@ type writer
 
 val create : string -> writer
 (** Open [path] for appending, creating it (with the header line) if it
-    does not exist or is empty. Raises [Sys_error]/[Unix.Unix_error] on
-    an unwritable path. *)
+    does not exist or is empty. Raises [Failure] when a non-empty file
+    does not start with {!header}, [Sys_error]/[Unix.Unix_error] on an
+    unwritable path. *)
 
 val append : writer -> key:string -> outcome -> unit
 (** Write one journal line and [fsync] it before returning. *)
@@ -59,9 +71,8 @@ type loaded = {
 
 val load : string -> loaded
 (** Read a journal back. Raises [Failure] if the file does not start
-    with the [rfd-journal/1] header (wrong file, or a version this build
-    cannot read); individually bad lines are skipped and counted, never
-    fatal. *)
+    with {!header} (wrong file, or a version this build cannot read);
+    individually bad lines are skipped and counted, never fatal. *)
 
 val parse_line : string -> (string * outcome) option
 (** Decode one journal body line (no trailing newline): [Some (key,
@@ -88,8 +99,8 @@ type check_report = {
 val check : string -> check_report
 (** Read-only integrity verification: digest-check every line without
     decoding payloads and without writing a byte — safe to run on a
-    journal a live daemon holds open. Raises [Failure] on a missing
-    header, [Sys_error] on an unreadable path. *)
+    journal a live daemon holds open. Raises [Failure] when the file does
+    not start with {!header}, [Sys_error] on an unreadable path. *)
 
 type compaction = {
   kept : int;  (** distinct keys surviving into the rewritten file *)
@@ -108,5 +119,6 @@ val compact : string -> compaction
     holds a complete, loadable journal. Byte-preserving: surviving lines
     are copied verbatim, never re-serialized. Must not run concurrently
     with an open {!writer} on the same path (the writer's fd would keep
-    appending to the unlinked old file). Raises [Failure] on a missing
-    header, [Sys_error]/[Unix.Unix_error] on I/O failure. *)
+    appending to the unlinked old file). Raises [Failure] when the file
+    does not start with {!header}, [Sys_error]/[Unix.Unix_error] on I/O
+    failure. *)

@@ -1,11 +1,12 @@
 (* A partitioned BGP network: one Network (and one simulator) per topology
    partition, advanced in conservative lockstep epochs with the minimum
    link delay as the lookahead, exchanging cross-partition messages through
-   deterministic per-(src, dst) FIFO mailboxes at epoch barriers.
+   deterministic per-(src, dst) FIFO mailboxes at epoch barriers. Every run
+   goes through here; a single-network run is the one-partition case.
 
-   Determinism contract (partitions=1 vs N bit-identical):
-   - Transport randomness is per-directed-link (Network's partitioned
-     mode), so every draw depends only on that link's own send sequence.
+   Determinism contract (any partition count, 1 included, bit-identical):
+   - Transport randomness is per directed link (see Network), so every
+     draw depends only on that link's own send sequence.
    - Every partition replays the full per-node RNG split sequence, so a
      router's jitter stream is a function of (seed, node) alone.
    - Administrative events (link fail/restore, crash/restart) are
@@ -13,12 +14,18 @@
      link/router state and signals only its own routers; the union equals
      the single-domain behaviour, and the per-partition surplus executions
      are subtracted from the reported event count.
-   - Observation order is canonicalised by {!Recorder} at every barrier.
+   - With several partitions, observation order is canonicalised by
+     {!Recorder} at every barrier. With one there is nothing to merge: the
+     sole network's hooks are the bus, and observers see events in
+     execution order. The two differ only among different routers' events
+     at one timestamp — common, since tick-mode reuse wheels fire on a
+     shared unjittered grid and a crash signals every neighbour at once —
+     so {!Collector} keeps nothing that depends on that order.
 
-   All of this assumes ties between distinct cross-router events at the
-   exact same timestamp do not occur — guaranteed almost surely by
-   [link_jitter > 0] (the default); with zero jitter, same-time delivery
-   order at a router may depend on the partition count. *)
+   Deliveries are assumed never to tie: two messages reaching one router
+   at the exact same timestamp are excluded almost surely by
+   [link_jitter > 0] (the default); with zero jitter, their order may
+   depend on the partition count. *)
 
 module Sim = Rfd_engine.Sim
 module Pool = Rfd_engine.Pool
@@ -38,7 +45,7 @@ type t = {
   recorders : Recorder.t array;
   mailbox : Network.remote Partition.t;
   pool : Pool.t;
-  bus : Hooks.t; (* canonical replay bus: attach observers here *)
+  bus : Hooks.t; (* observation bus: attach observers here *)
   admin_runs : int array; (* broadcast admin events executed, per partition *)
   mutable barriers : int;
   mutable drives : int;
@@ -60,13 +67,16 @@ let create ?policy ~config ~partitions graph =
         in
         Network.create ?policy ~ownership:(owned, emit) ~config sims.(p) graph)
   in
-  let recorders =
-    Array.map
-      (fun net ->
-        let recorder = Recorder.create ~nodes:n in
-        Recorder.attach recorder (Network.hooks net);
-        recorder)
-      nets
+  let recorders, bus =
+    if parts = 1 then ([||], Network.hooks nets.(0))
+    else
+      ( Array.map
+          (fun net ->
+            let recorder = Recorder.create ~nodes:n in
+            Recorder.attach recorder (Network.hooks net);
+            recorder)
+          nets,
+        Hooks.create () )
   in
   {
     config;
@@ -78,7 +88,7 @@ let create ?policy ~config ~partitions graph =
     recorders;
     mailbox;
     pool = Pool.create ~jobs:parts ();
-    bus = Hooks.create ();
+    bus;
     admin_runs = Array.make parts 0;
     barriers = 0;
     drives = 0;

@@ -1,22 +1,20 @@
-(** Partitioned conservative-parallel BGP network.
+(** Partitioned conservative-parallel BGP network — the engine every run
+    goes through.
 
     One {!Rfd_bgp.Network} (with its own simulator) per topology partition,
     advanced in lockstep epochs ({!Rfd_engine.Par_sim}) with the link delay
     as the conservative lookahead. Cross-partition BGP messages travel
     through deterministic per-(src, dst) FIFO mailboxes
-    ({!Rfd_engine.Partition}) exchanged at epoch barriers; observations are
-    canonicalised by {!Recorder} into one replay bus.
+    ({!Rfd_engine.Partition}) exchanged at epoch barriers; with several
+    partitions, observations are canonicalised by {!Recorder} into one
+    replay bus.
 
-    The partitioned execution is bit-identical for any partition count —
-    including 1 — but {e not} to the plain single-network path ({!Rfd_bgp.Network}
-    without ownership): partitioned transport uses per-directed-link RNG
-    streams where the plain path shares two streams across all links, so the
-    sampled jitter differs. Compare partitioned runs with partitioned runs.
-
-    Determinism additionally requires [link_jitter > 0] (the default): with
-    zero jitter, distinct deliveries can collide on the exact same
-    timestamp and their relative order may then depend on the partition
-    count. *)
+    Execution is bit-identical for any partition count, 1 included:
+    transport draws come from per-directed-link RNG streams, so they do not
+    depend on how sends interleave across partitions. Determinism
+    additionally requires [link_jitter > 0] (the default): with zero
+    jitter, distinct deliveries can collide on the exact same timestamp and
+    their relative order may then depend on the partition count. *)
 
 type t
 
@@ -45,9 +43,20 @@ val flush : t -> unit
     if observers must see those sends before the next {!drive}. *)
 
 val bus : t -> Rfd_bgp.Hooks.t
-(** The canonical replay bus: events from all partitions, sorted by
-    (time, owner router, per-owner sequence). Attach {!Collector} /
-    {!Tracing} here. *)
+(** The observation bus; attach {!Collector} / {!Tracing} here. With one
+    partition it is that network's own {!Rfd_bgp.Network.hooks} and
+    observers see events in execution order. With several it is a replay
+    bus fed at every barrier with all partitions' events, sorted by (time,
+    owner router, per-owner sequence).
+
+    The two orders differ only among different routers' events at one
+    timestamp. Such ties are routine: tick-mode reuse wheels fire on a
+    shared, unjittered grid, and a router crash signals all its neighbours
+    at once. They never change the simulation (routers interact only
+    through links with positive delay), and {!Collector} is insensitive to
+    their order, so results agree for every partition count. Observers
+    that print events one by one (e.g. a {!Tracing} transcript) may list
+    tied events in a different order. *)
 
 val partitions : t -> int
 val graph : t -> Rfd_topology.Graph.t

@@ -89,17 +89,6 @@ let events = function
 let final_announcement pattern =
   match List.rev (events pattern) with [] -> 0. | { at; _ } :: _ -> at
 
-let schedule net ~origin ~prefix ~start pattern =
-  let evs = events pattern in
-  List.iter
-    (fun { at; kind } ->
-      let time = start +. at in
-      match kind with
-      | `Withdraw -> Rfd_bgp.Network.schedule_withdraw net ~at:time ~node:origin prefix
-      | `Announce -> Rfd_bgp.Network.schedule_originate net ~at:time ~node:origin prefix)
-    evs;
-  match List.rev evs with [] -> start | { at; _ } :: _ -> start +. at
-
 let to_intended_events pattern =
   List.map
     (fun { at; kind } ->

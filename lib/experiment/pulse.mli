@@ -32,11 +32,6 @@ val events : pattern -> event list
 val final_announcement : pattern -> float
 (** Time of the last event (0. for an empty pattern). *)
 
-val schedule :
-  Rfd_bgp.Network.t -> origin:int -> prefix:Rfd_bgp.Prefix.t -> start:float -> pattern -> float
-(** Install the pattern's events into the network's simulator; returns the
-    absolute time of the final announcement (or [start] when empty). *)
-
 val to_intended_events : pattern -> Intended.event list
 (** Convert for {!Intended.penalty_trace} (withdrawals/announcements map
     directly). *)

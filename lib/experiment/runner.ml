@@ -1,4 +1,3 @@
-module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
 module Graph = Rfd_topology.Graph
 module Relations = Rfd_topology.Relations
@@ -124,191 +123,21 @@ let resolve_probe scenario graph ~origin =
       in
       find 0
 
-let run ?(budget = no_budget) ?observe scenario =
-  (match Scenario.validate scenario with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run: " ^ msg));
-  let wall_start = Rfd_engine.Clock.wall () in
-  let cpu_start = Rfd_engine.Clock.cpu () in
-  let rng = Rng.create scenario.Scenario.config.Config.seed in
-  let base_graph = build_graph scenario (Rng.split rng) in
-  let isp = pick_isp scenario (Rng.split rng) base_graph in
-  let graph, origin = attach_origin base_graph isp in
-  let relations = relations_for scenario graph ~origin ~isp in
-  let policy =
-    match relations with
-    | None -> Policy.announce_all
-    | Some rel -> Policy.no_valley rel
-  in
-  let sim = Sim.create () in
-  let net = Network.create ~policy ~config:scenario.Scenario.config sim graph in
-  (* One budget spans the whole run: [max_events] caps the total executed
-     event count (the simulator counts cumulatively) and [max_sim_time] is
-     an absolute clock horizon, so every phase just re-presents the same
-     limits. Once either trips, the remaining phases are skipped and the
-     result is partial — timers may still be armed, RIBs mid-convergence. *)
-  let exceeded = ref false in
-  let drive () =
-    if not !exceeded then
-      match
-        Sim.run_budgeted ?until:budget.max_sim_time ?max_events:budget.max_events sim
-      with
-      | `Drained -> ()
-      | `Horizon | `Budget -> exceeded := true
-  in
-  (* Phase 1: initial route propagation, measured as Tup. Background
-     prefixes (stable, from sampled nodes) are originated first so the
-     flapping prefix converges over a populated RIB. *)
-  let initial = Collector.create () in
-  Collector.attach initial (Network.hooks net);
-  let background_rng = Rng.split rng in
-  let background =
-    List.init scenario.Scenario.background_prefixes (fun i ->
-        let prefix = Prefix.v (i + 1) in
-        let node = Rng.int background_rng (Graph.num_nodes graph) in
-        Network.originate net ~node prefix;
-        (node, prefix))
-  in
-  let workload = workload_trace scenario ~nodes:(Graph.num_nodes base_graph) in
-  (* Workload prefixes whose trace opens with a withdrawal were reachable
-     when recording started: originate them now so they converge alongside
-     the background prefixes, before anything is measured. *)
-  (match workload with
-  | None -> ()
-  | Some trace ->
-      List.iter
-        (fun (o, prefix) ->
-          Network.originate net ~node:(trace_node ~origin o) (Prefix.v prefix))
-        (Trace.pre_originations trace));
-  drive ();
-  let origin_announced_at = Sim.now sim in
-  Network.originate net ~node:origin origin_prefix;
-  drive ();
-  let tup =
-    match Collector.last_update_time initial with
-    | Some t -> Float.max 0. (t -. origin_announced_at)
-    | None -> 0.
-  in
-  (* Phase 2: the flap train. *)
-  let probe_pairs = resolve_probe scenario graph ~origin in
-  let collector = Collector.create ~probe_pairs () in
-  Collector.attach collector (Network.hooks net);
-  (match observe with Some f -> f net | None -> ());
-  let flap_start = Sim.now sim +. scenario.Scenario.settle_gap in
-  let pattern =
-    match scenario.Scenario.pattern with
-    | Some pattern -> pattern
-    | None ->
-        Pulse.Periodic
-          { pulses = scenario.Scenario.pulses; interval = scenario.Scenario.flap_interval }
-  in
-  let final_announcement =
-    match scenario.Scenario.mechanism with
-    | Scenario.Origin_updates ->
-        Pulse.schedule net ~origin ~prefix:origin_prefix ~start:flap_start pattern
-    | Scenario.Link_state ->
-        let events = Pulse.events pattern in
-        List.iter
-          (fun (e : Pulse.event) ->
-            let at = flap_start +. e.Pulse.at in
-            match e.Pulse.kind with
-            | `Withdraw -> Network.schedule_fail_link net ~at isp origin
-            | `Announce -> Network.schedule_restore_link net ~at isp origin)
-          events;
-        (match List.rev events with
-        | [] -> flap_start
-        | last :: _ -> flap_start +. last.Pulse.at)
-  in
-  (* The workload trace shares the flap phase's time origin; its events are
-     scheduled after the pulse train's, so simultaneous events pop in the
-     same (pulse first) order on every engine. *)
-  let final_announcement =
-    match workload with
-    | None -> final_announcement
-    | Some trace ->
-        List.iter
-          (fun (e : Trace.event) ->
-            let at = flap_start +. e.Trace.time in
-            let node = trace_node ~origin e.Trace.origin in
-            let prefix = Prefix.v e.Trace.prefix in
-            match e.Trace.kind with
-            | Trace.Announce -> Network.schedule_originate net ~at ~node prefix
-            | Trace.Withdraw -> Network.schedule_withdraw net ~at ~node prefix)
-          trace;
-        Float.max final_announcement (flap_start +. Trace.last_time trace)
-  in
-  (* Fault injection shares the flap phase's time origin, so plan event
-     times compose with the pulse pattern's. *)
-  (match scenario.Scenario.faults with
-  | Some plan -> Rfd_faults.Injector.install ~start:flap_start plan net
-  | None -> ());
-  drive ();
-  let convergence_time =
-    match Collector.last_update_time collector with
-    | Some t -> Float.max 0. (t -. final_announcement)
-    | None -> 0.
-  in
-  (* Oracle summary: the run drains the event queue completely, so the
-     last observed activity of each kind marks the transition into the
-     corresponding oracle level. Stable = routing and MRAI machinery
-     inert; quiet = additionally every reuse timer fired. *)
-  let final_status =
-    let level = Network.status net origin_prefix in
-    if !exceeded then Budget_exceeded level else Finished level
-  in
-  let fold_last acc = function Some t -> Float.max acc t | None -> acc in
-  let stable_abs =
-    List.fold_left fold_last final_announcement
-      [ Collector.last_update_time collector; Collector.last_mrai_time collector ]
-  in
-  let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
-  let time_to_stable = stable_abs -. final_announcement in
-  let time_to_quiet = quiet_abs -. final_announcement in
-  let update_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.update_series collector))
-  in
-  let reuse_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.reuse_series collector))
-  in
-  let spans = Phases.classify ~update_times ~reuse_times ~flap_start in
-  {
-    scenario;
-    origin;
-    isp;
-    num_nodes = Graph.num_nodes graph;
-    tup;
-    initial_updates = Collector.update_count initial;
-    flap_start;
-    final_announcement;
-    convergence_time;
-    time_to_stable;
-    time_to_quiet;
-    final_status;
-    message_count = Collector.update_count collector;
-    collector;
-    spans;
-    background;
-    sim_events = Sim.events_executed sim;
-    peak_heap = Sim.max_heap_size sim;
-    reuse_timer_events = Network.reuse_timer_events net;
-    peak_reuse_timers = Network.peak_reuse_timers net;
-    wall_seconds = Rfd_engine.Clock.wall () -. wall_start;
-    cpu_seconds = Rfd_engine.Clock.cpu () -. cpu_start;
-  }
-
 (* Host timings are the only nondeterministic fields of a result, so they
    are zeroed before hashing: equal digests mean equal simulation outcomes,
    and the digest of a retried run must equal that of a first-try run.
    [peak_heap] is zeroed too: a partitioned run reports the sum of its
    per-partition heap high-water marks, which legitimately depends on the
-   partition count even when the simulation outcome is bit-identical. *)
+   partition count even when the simulation outcome is bit-identical.
+   Marshalling without sharing makes the digest a function of values only:
+   which boxed float a collector field points at depends on the order in
+   which same-instant events reached it, not on the outcome. *)
 let result_digest r =
   Digest.to_hex
     (Digest.string
-       (Marshal.to_string { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 } []))
-
-(* ------------------------------------------------------------------ *)
-(* Partitioned execution                                               *)
+       (Marshal.to_string
+          { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 }
+          [ Marshal.No_sharing ]))
 
 type par_stats = {
   partitions : int;
@@ -319,17 +148,15 @@ type par_stats = {
   paths_interned_total : int;
 }
 
-(* Mirrors [run] phase by phase: same RNG split order, same scheduling
-   order, same collector handover points. Observation happens on the
-   ensemble's canonical replay bus instead of a network's own hook bus, so
-   the collected series are identical for any partition count (including
-   1). The two deliberate differences from [run] are documented on
-   {!Par_net}: per-directed-link transport RNG streams and the
-   barrier-granular budget check. *)
+(* The one run body, for every partition count. Observation happens on the
+   ensemble's bus — the sole network's own hooks at one partition, the
+   canonical replay bus otherwise — so the collected series are identical
+   for any partition count. Budgets are checked at epoch barriers, whose
+   sequence is partition-invariant. *)
 let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario =
   (match Scenario.validate scenario with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Runner.run_partitioned: " ^ msg));
+  | Error msg -> invalid_arg ("Runner.run: " ^ msg));
   if partitions < 1 then invalid_arg "Runner.run_partitioned: partitions must be >= 1";
   let wall_start = Rfd_engine.Clock.wall () in
   let cpu_start = Rfd_engine.Clock.cpu () in
@@ -346,6 +173,11 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   let par = Par_net.create ~policy ~config:scenario.Scenario.config ~partitions graph in
   Fun.protect ~finally:(fun () -> Par_net.shutdown par) @@ fun () ->
   let bus = Par_net.bus par in
+  (* One budget spans the whole run: [max_events] caps the total executed
+     event count and [max_sim_time] is an absolute clock horizon, so every
+     phase just re-presents the same limits. Once either trips, the
+     remaining phases are skipped and the result is partial — timers may
+     still be armed, RIBs mid-convergence. *)
   let exceeded = ref false in
   let drive () =
     if not !exceeded then
@@ -367,6 +199,9 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
         (node, prefix))
   in
   let workload = workload_trace scenario ~nodes:(Graph.num_nodes base_graph) in
+  (* Workload prefixes whose trace opens with a withdrawal were reachable
+     when recording started: originate them now so they converge alongside
+     the background prefixes, before anything is measured. *)
   (match workload with
   | None -> ()
   | Some trace ->
@@ -420,6 +255,9 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
     | [] -> flap_start
     | last :: _ -> flap_start +. last.Pulse.at
   in
+  (* The workload trace shares the flap phase's time origin; its events are
+     scheduled after the pulse train's, so simultaneous events pop in the
+     same (pulse first) order. *)
   let final_announcement =
     match workload with
     | None -> final_announcement
@@ -435,6 +273,8 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
           trace;
         Float.max final_announcement (flap_start +. Trace.last_time trace)
   in
+  (* Fault injection shares the flap phase's time origin, so plan event
+     times compose with the pulse pattern's. *)
   (match scenario.Scenario.faults with
   | Some plan -> Par_net.install_faults ~start:flap_start plan par
   | None -> ());
@@ -447,6 +287,10 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
     | Some t -> Float.max 0. (t -. final_announcement)
     | None -> 0.
   in
+  (* Oracle summary: a complete run drains the event queue, so the last
+     observed activity of each kind marks the transition into the
+     corresponding oracle level. Stable = routing and MRAI machinery inert;
+     quiet = additionally every reuse timer fired. *)
   let final_status =
     let level = Par_net.status par origin_prefix in
     if !exceeded then Budget_exceeded level else Finished level
@@ -503,6 +347,8 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
     }
   in
   (result, stats)
+
+let run ?budget ?observe scenario = fst (run_partitioned ?budget ?observe ~partitions:1 scenario)
 
 let pp_result ppf r =
   Format.fprintf ppf

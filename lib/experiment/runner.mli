@@ -17,7 +17,9 @@
 type budget = {
   max_events : int option;
       (** cap on the total number of simulator events executed over the
-          whole run (all phases — initial convergence included) *)
+          whole run (all phases — initial convergence included), checked at
+          epoch barriers: a tripped run stops at the first barrier at or
+          past the cap *)
   max_sim_time : float option;
       (** absolute virtual-time horizon (seconds); the simulation clock
           starts at [0.] *)
@@ -103,16 +105,19 @@ type result = {
 }
 
 val run : ?budget:budget -> ?observe:(Rfd_bgp.Network.t -> unit) -> Scenario.t -> result
-(** Raises [Invalid_argument] when the scenario fails validation.
+(** [run ?budget ?observe s] is [fst (run_partitioned ?budget ?observe
+    ~partitions:1 s)]: one engine, one partition. Raises
+    [Invalid_argument] when the scenario fails validation.
     [budget] (default {!no_budget}) bounds the whole run; see {!status}.
     The scenario's fault plan, if any, is installed with the flap start as
     its time origin, and so is its workload trace (replayed or generated
     multi-origin churn; prefixes opening with a withdrawal are
     pre-originated during the settle phase, and [final_announcement]
-    covers the later of the pulse train and the trace). [observe] is called once, after initial convergence
-    and right after the flap-phase collector is attached — wrap additional
-    observers (e.g. {!Tracing.attach}) around the hooks there; they stay
-    active for the whole measured flap phase. *)
+    covers the later of the pulse train and the trace). [observe] is
+    called once, after initial convergence and right after the flap-phase
+    collector is attached. With one partition the network's hooks are the
+    run's observation bus, so observers wrapped around them there (e.g.
+    {!Tracing.attach}) stay active for the whole measured flap phase. *)
 
 val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
@@ -121,20 +126,19 @@ val result_digest : result -> string
 (** Hex MD5 over the marshalled result with the host-timing fields
     ([wall_seconds], [cpu_seconds]) and [peak_heap] zeroed — a fingerprint
     of everything the simulation determined. Two runs of the same job (any
-    [jobs] count, first try or retry) must produce equal digests; the
-    supervised sweep's journal and tests use this to verify bit-identity
-    cheaply. [peak_heap] is excluded because a partitioned run reports the
-    sum of per-partition heap peaks, which varies with the partition count
-    even when the simulation outcome is identical. *)
+    [jobs] count, any partition count, first try or retry) must produce
+    equal digests; the supervised sweep's journal and tests use this to
+    verify bit-identity cheaply. [peak_heap] is excluded because it sums
+    per-partition heap peaks, which vary with the partition count even when
+    the simulation outcome is identical. *)
 
 (** {1 Partitioned execution}
 
-    {!run_partitioned} executes the same scenario phases on a {!Par_net}:
-    the topology is split across domains and advanced in conservative
-    lockstep epochs. The result is bit-identical (per {!result_digest})
-    for every [partitions] value — including 1 — but deliberately not
-    comparable to {!run}, which uses the historical shared transport RNG
-    streams; see {!Par_net} for the two documented differences. *)
+    {!run_partitioned} is the one run body: the topology is split across
+    domains ({!Par_net}) and advanced in conservative lockstep epochs, and
+    {!run} is its one-partition case. Every directed link draws transport
+    randomness from its own stream, so the result is bit-identical (per
+    {!result_digest}) for every [partitions] value. *)
 
 type par_stats = {
   partitions : int;  (** effective count (clamped to the node count) *)
@@ -152,14 +156,14 @@ val run_partitioned :
   partitions:int ->
   Scenario.t ->
   result * par_stats
-(** Like {!run} on a partitioned ensemble. [observe] is called once per
-    partition network (introspection of tables/graphs); [on_bus] is called
-    once with the canonical replay bus — attach {!Tracing} and other
-    event observers there, right where [run]'s [observe] would wrap the
-    network hooks. Budget limits are checked at epoch barriers, so a
-    tripped budget can overshoot by up to one epoch (identically for every
-    partition count). Raises [Invalid_argument] when the scenario fails
-    validation or [partitions < 1]. *)
+(** {!run} on [partitions] topology partitions. [observe] is called once
+    per partition network (introspection of tables/graphs); [on_bus] is
+    called once, just before, with the observation bus ({!Par_net.bus}) —
+    attach {!Tracing} and other event observers there. Budget limits are
+    checked at epoch barriers, so a tripped budget can overshoot its cap by
+    up to one epoch (identically for every partition count). Raises
+    [Invalid_argument] when the scenario fails validation or
+    [partitions < 1]. *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One-paragraph human summary. *)

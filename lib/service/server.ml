@@ -196,7 +196,7 @@ let executor_loop t =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let header_len = String.length "rfd-journal/1\n"
+let header_len = String.length Journal.header + 1
 
 let create cfg =
   if cfg.max_pending < 0 then

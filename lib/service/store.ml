@@ -78,7 +78,7 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let header_line = "rfd-journal/1\n"
+let header_line = Journal.header ^ "\n"
 
 exception Torn_header of int
 
@@ -92,17 +92,14 @@ let scan path =
     (fun () ->
       let len = in_channel_length ic in
       let contents = really_input_string ic len in
+      let refuse () = Journal.refuse_header ~caller:"Store.open_" path contents in
       if len < String.length header_line then
         (* Empty, or a header torn mid-write by a crash: truncate to zero
            and let Journal.create rewrite it. Anything else is not ours. *)
         if contents = String.sub header_line 0 len then
           raise (Torn_header len)
-        else
-          failwith
-            (Printf.sprintf "Store.open_: %s is not an rfd-journal/1 journal" path)
-      else if String.sub contents 0 (String.length header_line) <> header_line then
-        failwith
-          (Printf.sprintf "Store.open_: %s is not an rfd-journal/1 journal" path);
+        else refuse ()
+      else if String.sub contents 0 (String.length header_line) <> header_line then refuse ();
       let index = Hashtbl.create 256 in
       let pos = ref (String.length header_line) in
       let last_complete = ref !pos in

@@ -128,7 +128,7 @@ let test_reopen_appends_without_new_header () =
         |> List.filter (fun l -> l <> "")
       in
       Alcotest.(check int) "exactly one header + two entries" 3 (List.length lines);
-      Alcotest.(check string) "header first" "rfd-journal/1" (List.hd lines))
+      Alcotest.(check string) "header first" Journal.header (List.hd lines))
 
 let test_newest_entry_wins () =
   (* A job journalled twice (e.g. re-run without --resume) must resolve to
@@ -178,7 +178,7 @@ let test_compact_drops_duplicates_and_corrupt () =
       (* Byte preservation: surviving lines are the exact bytes append
          wrote, and first-seen key order is kept (a before b). *)
       let expected =
-        "rfd-journal/1\n"
+        (Journal.header ^ "\n")
         ^ Journal.render_line ~key:"a" (Journal.Crashed "new")
         ^ Journal.render_line ~key:"b" (Journal.Crashed "keep-b")
       in
@@ -260,6 +260,27 @@ let test_check_rejects_non_journal () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "check accepted a non-journal file")
 
+(* A version 1 journal whose line this build could still decode: reading
+   it would not fail, it would be wrong, so every reader must refuse it by
+   its header alone — naming both versions — and leave the file as is. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let refuses_v1 label f () =
+  with_tmp (fun path ->
+      let v1 = "rfd-journal/1\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
+      write_file path v1;
+      (match f path with
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s names both versions (%s)" label msg)
+            true
+            (contains msg "rfd-journal/1" && contains msg "rfd-journal/2")
+      | () -> Alcotest.failf "%s accepted an rfd-journal/1 file" label);
+      Alcotest.(check string) (label ^ " left the file alone") v1 (read_file path))
+
 let suite =
   [
     Alcotest.test_case "round trip" `Quick test_round_trip;
@@ -281,4 +302,12 @@ let suite =
       test_check_clean_duplicates_corrupt_torn;
     Alcotest.test_case "check rejects non-journal" `Quick
       test_check_rejects_non_journal;
+    Alcotest.test_case "load refuses rfd-journal/1" `Quick
+      (refuses_v1 "load" (fun path -> ignore (Journal.load path)));
+    Alcotest.test_case "check refuses rfd-journal/1" `Quick
+      (refuses_v1 "check" (fun path -> ignore (Journal.check path)));
+    Alcotest.test_case "compact refuses rfd-journal/1" `Quick
+      (refuses_v1 "compact" (fun path -> ignore (Journal.compact path)));
+    Alcotest.test_case "create refuses rfd-journal/1" `Quick
+      (refuses_v1 "create" (fun path -> Journal.close (Journal.create path)));
   ]

@@ -70,6 +70,65 @@ let test_digest_identity_chaos () =
      any draw. *)
   ignore (check_identical "chaos" (base_scenario ~faults:(chaos_faults ()) ()) [ 2; 4 ])
 
+let crash_faults () =
+  (* Crashing the mesh centre tears down four sessions in one event, so
+     peer_down hooks for five owners fire at one timestamp; the corner
+     crash lands on the same timestamp as a separate event. *)
+  let router_events =
+    [
+      { Rfd_faults.Fault_plan.at = 5.; node = 4; action = `Crash };
+      { Rfd_faults.Fault_plan.at = 5.; node = 8; action = `Crash };
+      { Rfd_faults.Fault_plan.at = 40.; node = 4; action = `Restart };
+      { Rfd_faults.Fault_plan.at = 70.; node = 8; action = `Restart };
+    ]
+  in
+  Rfd_faults.Fault_plan.make ~name:"par-crash" ~router_events ()
+
+let test_digest_identity_crash () =
+  (* Multi-owner hook bursts at one timestamp are where one partition's
+     execution order and the merged (time, owner, seq) order could
+     disagree. *)
+  let r = check_identical "crash/restart" (base_scenario ~faults:(crash_faults ()) ()) [ 2; 4 ] in
+  Alcotest.(check bool) "crash run finished quiet" true
+    (match r.Runner.final_status with
+    | Runner.Finished Oracle.Quiet -> true
+    | _ -> false);
+  (* Crashing the centre while the first withdrawal is still propagating:
+     each neighbour cancels updates parked for it and queues replacements
+     for its other peers, so the MRAI gauge moves both ways at one
+     timestamp and its per-instant value is what must agree. *)
+  let mid_flap =
+    Rfd_faults.Fault_plan.make ~name:"par-crash-mid-flap"
+      ~router_events:
+        [
+          { Rfd_faults.Fault_plan.at = 0.05; node = 4; action = `Crash };
+          { Rfd_faults.Fault_plan.at = 30.05; node = 4; action = `Restart };
+        ]
+      ()
+  in
+  ignore (check_identical "crash mid-flap" (base_scenario ~faults:mid_flap ()) [ 2; 4 ])
+
+let tick_scenario ?faults () =
+  let scenario = base_scenario ?faults () in
+  let config = { scenario.Scenario.config with Config.reuse_mode = Config.Tick 15. } in
+  Scenario.with_pulses (Scenario.make ~name:"par-tick" ~config ?faults small_mesh) 3
+
+let test_digest_identity_tick () =
+  (* Reuse wheels fire on the shared tick grid, so several routers release
+     suppressed entries at one timestamp: one partition sees them in
+     execution order, several in merged (time, owner, seq) order, and the
+     collector must not depend on which. *)
+  let r = check_identical "tick wheel" (tick_scenario ()) [ 2; 4 ] in
+  let log = Collector.reuse_log r.Runner.collector in
+  let tied =
+    List.exists
+      (fun (t, router, _, _) ->
+        List.exists (fun (t', router', _, _) -> t = t' && router <> router') log)
+      log
+  in
+  Alcotest.(check bool) "several routers reuse at one grid time" true tied;
+  ignore (check_identical "tick wheel + crash" (tick_scenario ~faults:(crash_faults ()) ()) [ 2; 4 ])
+
 let test_digest_identity_budget () =
   (* Budgets are checked at epoch barriers, whose sequence is
      partition-invariant, so a tripped budget cuts every layout at the
@@ -130,6 +189,27 @@ let test_observe_and_bus () =
      counts are unaffected by the extra observer. *)
   Alcotest.(check bool) "collector still populated" true (result.Runner.message_count > 0)
 
+let test_single_partition_hooks_are_the_bus () =
+  (* Runner.run is the one-partition case: there the network's own hooks
+     are the observation bus, so an observer wrapped around them in
+     [observe] sees exactly the deliveries the flap collector counts. *)
+  let deliveries = ref 0 in
+  let observe net =
+    let hooks = Network.hooks net in
+    let previous = hooks.Hooks.on_deliver in
+    hooks.Hooks.on_deliver <-
+      (fun ~time ~src ~dst update ->
+        incr deliveries;
+        previous ~time ~src ~dst update)
+  in
+  let scenario = base_scenario () in
+  let r = Runner.run ~observe scenario in
+  Alcotest.(check int) "observer sees every flap-phase delivery" r.Runner.message_count
+    !deliveries;
+  let r1, _ = Runner.run_partitioned ~partitions:1 scenario in
+  Alcotest.(check string) "run = run_partitioned ~partitions:1" (Runner.result_digest r1)
+    (Runner.result_digest r)
+
 (* Random scenarios: any connected topology, seed, damping mode and pulse
    count must stay partition-invariant. *)
 let prop_random_identity =
@@ -138,6 +218,9 @@ let prop_random_identity =
     (fun (seed, pulses, partitions) ->
       let damping = seed mod 2 = 0 in
       let config = fast_config ~damping ~seed () in
+      let config =
+        if seed mod 3 = 0 then { config with Config.reuse_mode = Config.Tick 15. } else config
+      in
       let scenario =
         Scenario.with_pulses
           (Scenario.make ~name:"qcheck-par" ~config
@@ -153,9 +236,13 @@ let suite =
     Alcotest.test_case "digest: partitions=1 vs 2 vs 4" `Quick test_digest_identity;
     Alcotest.test_case "digest: link-state mechanism" `Quick test_digest_identity_link_state;
     Alcotest.test_case "digest: chaos faults" `Quick test_digest_identity_chaos;
+    Alcotest.test_case "digest: router crash/restart" `Quick test_digest_identity_crash;
+    Alcotest.test_case "digest: tick-wheel reuse ties" `Quick test_digest_identity_tick;
     Alcotest.test_case "digest: budget-exceeded runs" `Quick test_digest_identity_budget;
     Alcotest.test_case "par_stats shape" `Quick test_par_stats;
     Alcotest.test_case "partitions clamp to node count" `Quick test_partitions_clamped;
     Alcotest.test_case "observe per net, observers on bus" `Quick test_observe_and_bus;
+    Alcotest.test_case "one partition: network hooks are the bus" `Quick
+      test_single_partition_hooks_are_the_bus;
     QCheck_alcotest.to_alcotest prop_random_identity;
   ]

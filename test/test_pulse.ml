@@ -121,24 +121,27 @@ let test_to_intended () =
   Alcotest.(check bool) "consistent with Intended.pulse_train" true (trace_a = trace_b)
 
 let test_schedule_into_network () =
-  let sim = Rfd_engine.Sim.create () in
-  let net =
-    Rfd_bgp.Network.create
-      ~config:{ Rfd_bgp.Config.default with Rfd_bgp.Config.mrai = 0.; link_jitter = 0. }
-      sim
-      (Rfd_topology.Builders.line 3)
+  (* A run schedules the pattern's events after the settle gap: its final
+     announcement lands where the pattern puts it, and the route is back
+     everywhere once the run drains. *)
+  let pattern = Pulse.Bursty { bursts = 1; pulses_per_burst = 2; gap = 100.; burst_interval = 5. } in
+  let config =
+    { Rfd_bgp.Config.default with Rfd_bgp.Config.mrai = 0.; link_delay = 0.01 }
   in
-  let prefix = Rfd_bgp.Prefix.v 0 in
-  Rfd_bgp.Network.originate net ~node:0 prefix;
-  Rfd_bgp.Network.run net;
-  let final =
-    Pulse.schedule net ~origin:0 ~prefix ~start:(Rfd_engine.Sim.now sim +. 1.)
-      (Pulse.Bursty { bursts = 1; pulses_per_burst = 2; gap = 100.; burst_interval = 5. })
+  let scenario =
+    Rfd_experiment.Scenario.make ~config ~pattern
+      (Rfd_experiment.Scenario.Custom (Rfd_topology.Builders.line 3))
   in
-  Rfd_bgp.Network.run net;
-  Alcotest.(check bool) "final announcement in the future" true
-    (final > 0. && Rfd_engine.Sim.now sim >= final);
-  Alcotest.(check int) "route restored" 3 (Rfd_bgp.Network.reachable_count net prefix)
+  let net = ref None in
+  let r = Rfd_experiment.Runner.run ~observe:(fun n -> net := Some n) scenario in
+  Alcotest.(check (float 1e-9)) "final announcement where the pattern puts it"
+    (r.Rfd_experiment.Runner.flap_start +. Pulse.final_announcement pattern)
+    r.Rfd_experiment.Runner.final_announcement;
+  match !net with
+  | None -> Alcotest.fail "observe not called"
+  | Some net ->
+      Alcotest.(check int) "route restored" r.Rfd_experiment.Runner.num_nodes
+        (Rfd_bgp.Network.reachable_count net Rfd_experiment.Runner.origin_prefix)
 
 let test_runner_with_pattern () =
   let config =

@@ -81,11 +81,26 @@ let test_run_no_damping () =
   Alcotest.(check int) "no suppressions" 0 (Collector.suppress_events r.Runner.collector)
 
 let test_run_with_damping_extends_convergence () =
-  let no_damp = Runner.run (Scenario.make ~config:(fast ~damping:false ()) small_mesh) in
-  let damp = Runner.run (Scenario.make ~config:(fast ()) small_mesh) in
-  if Collector.suppress_events damp.Runner.collector > 0 then
-    Alcotest.(check bool) "damping slower than plain" true
-      (damp.Runner.convergence_time > no_damp.Runner.convergence_time)
+  (* The paper's mechanism: a reuse that changes a best path re-opens
+     routing long after the last flap, so convergence stretches past that
+     release. A suppression whose reuse changes nothing extends nothing, so
+     suppressions alone are no guard. *)
+  let noisy =
+    List.filter
+      (fun pulses ->
+        let run config = Runner.run (Scenario.make ~pulses ~config small_mesh) in
+        let damp = run (fast ()) in
+        let has_noisy_reuse = Collector.noisy_reuse_events damp.Runner.collector > 0 in
+        if has_noisy_reuse then
+          Alcotest.(check bool)
+            (Printf.sprintf "pulses=%d: damping slower than plain" pulses)
+            true
+            (damp.Runner.convergence_time
+            > (run (fast ~damping:false ())).Runner.convergence_time);
+        has_noisy_reuse)
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check bool) "some pulse count exercises a noisy reuse" true (noisy <> [])
 
 let test_run_zero_pulses () =
   let r = Runner.run (Scenario.make ~pulses:0 ~config:(fast ()) small_mesh) in
@@ -155,12 +170,15 @@ let test_run_budgets () =
   Alcotest.(check string) "drained status prints the bare level" "quiet"
     (Runner.status_to_string full.Runner.final_status);
   (* Event budget: cut the run off well before it drains. The cap is a
-     total over all phases, and the simulator stops exactly on it. *)
+     total over all phases, checked at epoch barriers, so the run stops at
+     the first barrier at or past it. *)
   let cap = full.Runner.sim_events / 4 in
   let partial = Runner.run ~budget:(Runner.budget ~max_events:cap ()) scenario in
   Alcotest.(check bool) "event budget trips" true
     (Runner.status_is_budget_exceeded partial.Runner.final_status);
-  Alcotest.(check int) "stopped exactly at the cap" cap partial.Runner.sim_events;
+  Alcotest.(check bool) "ran up to the cap" true (cap <= partial.Runner.sim_events);
+  Alcotest.(check bool) "stopped before draining" true
+    (partial.Runner.sim_events < full.Runner.sim_events);
   let s = Runner.status_to_string partial.Runner.final_status in
   Alcotest.(check bool)
     (Printf.sprintf "status string marks the budget (%s)" s)

@@ -302,6 +302,33 @@ let test_store_verifies_disk_reads () =
     (not (Store.mem s "a"));
   Store.close s
 
+let test_store_refuses_v1_journal () =
+  (* Version 1 lines decode fine but hold results of an older transport
+     RNG scheme under the same keys: serving them would be wrong, so the
+     store refuses the file by its header and leaves it untouched. *)
+  let path = tmp_path ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let v1 = "rfd-journal/1\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
+  let oc = open_out_bin path in
+  output_string oc v1;
+  close_out oc;
+  (match Store.open_ path with
+  | exception Failure msg ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "message names both versions (%s)" msg)
+        true
+        (has "rfd-journal/1" && has "rfd-journal/2")
+  | s ->
+      Store.close s;
+      Alcotest.fail "Store.open_ accepted an rfd-journal/1 file");
+  Alcotest.(check string) "file untouched" v1 (read_file path)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
 
@@ -663,6 +690,8 @@ let suite =
       test_store_truncates_torn_tail;
     Alcotest.test_case "store: disk reads re-verify digests" `Quick
       test_store_verifies_disk_reads;
+    Alcotest.test_case "store: refuses rfd-journal/1" `Quick
+      test_store_refuses_v1_journal;
     Alcotest.test_case "e2e: miss/hit byte identity vs direct run" `Quick
       test_e2e_miss_hit_bit_identity;
     Alcotest.test_case "e2e: concurrent clients, shared and distinct keys"

@@ -202,8 +202,10 @@ let test_run_budget_partial_sweep () =
       (List.map (fun (p : Sweep.point) -> p.Sweep.pulses) sweep.Sweep.points);
     match sweep.Sweep.failures with
     | [ { Sweep.failed_pulses = 4; reason = Sweep.Budget_exceeded partial; _ } ] ->
-        Alcotest.(check int) (label ^ ": partial stopped at the cap") cap
-          partial.Runner.sim_events;
+        (* Budgets are checked at epoch barriers: the run stops at the
+           first barrier at or past the cap. *)
+        Alcotest.(check bool) (label ^ ": partial ran up to the cap") true
+          (cap <= partial.Runner.sim_events);
         Alcotest.(check bool) (label ^ ": status says budget-exceeded") true
           (match partial.Runner.final_status with
           | Runner.Budget_exceeded _ -> true

@@ -26,6 +26,18 @@ let test_append_and_access () =
   Alcotest.(check (option (float 0.))) "max" (Some 20.) (Ts.max_value ts);
   Alcotest.(check (option (float 0.))) "min" (Some 10.) (Ts.min_value ts)
 
+let test_set_level () =
+  (* One sample per instant: a same-time level replaces the last sample. *)
+  let ts = Ts.create () in
+  Ts.set_level ts ~time:1. 1.;
+  Ts.set_level ts ~time:1. 2.;
+  Ts.set_level ts ~time:2. 1.;
+  Ts.set_level ts ~time:2. 0.;
+  Alcotest.(check (array fpair)) "last value per instant" [| (1., 2.); (2., 0.) |] (Ts.points ts);
+  Alcotest.check_raises "backwards time"
+    (Invalid_argument "Timeseries.add: samples must be time-ordered") (fun () ->
+      Ts.set_level ts ~time:1.5 3.)
+
 let test_ordering_enforced () =
   let ts = mk [ (5., 1.) ] in
   Alcotest.check_raises "backwards time"
@@ -120,6 +132,7 @@ let suite =
     Alcotest.test_case "empty series" `Quick test_empty;
     Alcotest.test_case "append and access" `Quick test_append_and_access;
     Alcotest.test_case "ordering enforced" `Quick test_ordering_enforced;
+    Alcotest.test_case "set_level keeps one sample per instant" `Quick test_set_level;
     Alcotest.test_case "value_at step lookup" `Quick test_value_at;
     Alcotest.test_case "bin_sum" `Quick test_bin_sum;
     Alcotest.test_case "bin_sum range filter" `Quick test_bin_sum_excludes_outside;
