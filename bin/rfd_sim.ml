@@ -1008,7 +1008,7 @@ let journal_compact_cmd =
     Arg.(value & flag & info [ "check" ] ~doc)
   in
   let file_arg =
-    let doc = "The rfd-journal/2 file to compact (or, with --check, verify)." in
+    let doc = "The rfd-journal/3 file to compact (or, with --check, verify)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let doc =

@@ -1,12 +1,10 @@
 type t = {
-  name : string;
   mutable times : float array;
   mutable values : float array;
   mutable size : int;
 }
 
-let create ?(name = "") () = { name; times = [||]; values = [||]; size = 0 }
-let name t = t.name
+let create () = { times = [||]; values = [||]; size = 0 }
 
 let grow t =
   let cap = Array.length t.times in
@@ -33,6 +31,14 @@ let set_level t ~time value =
 let length t = t.size
 let is_empty t = t.size = 0
 let points t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))
+let times t = Array.sub t.times 0 t.size
+
+let trim t =
+  if Array.length t.times > t.size then begin
+    t.times <- Array.sub t.times 0 t.size;
+    t.values <- Array.sub t.values 0 t.size
+  end
+
 let last t = if t.size = 0 then None else Some (t.times.(t.size - 1), t.values.(t.size - 1))
 let first t = if t.size = 0 then None else Some (t.times.(0), t.values.(0))
 

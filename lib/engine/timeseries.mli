@@ -7,8 +7,7 @@
 
 type t
 
-val create : ?name:string -> unit -> t
-val name : t -> string
+val create : unit -> t
 
 val add : t -> time:float -> float -> unit
 (** Append a sample. Raises [Invalid_argument] if [time] precedes the last
@@ -27,6 +26,13 @@ val is_empty : t -> bool
 val points : t -> (float * float) array
 (** All samples in time order. The array is fresh; mutating it does not
     affect the series. *)
+
+val times : t -> float array
+(** [Array.map fst (points s)], without building the pairs. *)
+
+val trim : t -> unit
+(** Drop the spare capacity {!add} grows, once a series is complete and
+    about to be kept or marshalled. A later {!add} still works. *)
 
 val last : t -> (float * float) option
 val first : t -> (float * float) option

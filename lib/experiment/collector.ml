@@ -2,19 +2,13 @@ module Timeseries = Rfd_engine.Timeseries
 module Hooks = Rfd_bgp.Hooks
 
 type t = {
-  mutable updates : int;
   mutable dropped : int;
   mutable duplicated : int;
-  mutable first_update : float option;
-  mutable last_update : float option;
   update_series : Timeseries.t;
   damped_series : Timeseries.t;
   mutable damped_now : int;
   mutable suppress_events : int;
-  mutable reuse_events : int;
-  mutable noisy_reuse_events : int;
   mutable peak_penalty : float;
-  mutable first_reuse : float option;
   mutable reuse_log : (float * int * int * bool) list; (* newest first, see [log_reuse] *)
   reuse_series : Timeseries.t;
   probes : (int * int, Timeseries.t) Hashtbl.t;
@@ -24,56 +18,42 @@ type t = {
   mutable flush_armed_now : int;
   mutable reuse_timers_now : int;
   mutable mrai_queued_events : int;
-  mutable mrai_flushed_events : int;
   mutable last_mrai : float option;
   mutable last_timer : float option;
-  mrai_pending_series : Timeseries.t;
-  flush_armed_series : Timeseries.t;
-  reuse_timer_series : Timeseries.t;
 }
 
 let create ?(probe_pairs = []) () =
   let probes = Hashtbl.create (max 1 (List.length probe_pairs)) in
   List.iter
     (fun (router, peer) ->
-      Hashtbl.replace probes (router, peer)
-        (Timeseries.create ~name:(Printf.sprintf "penalty r%d<-p%d" router peer) ()))
+      Hashtbl.replace probes (router, peer) (Timeseries.create ()))
     probe_pairs;
   {
-    updates = 0;
     dropped = 0;
     duplicated = 0;
-    first_update = None;
-    last_update = None;
-    update_series = Timeseries.create ~name:"updates" ();
-    damped_series = Timeseries.create ~name:"damped-links" ();
+    update_series = Timeseries.create ();
+    damped_series = Timeseries.create ();
     damped_now = 0;
     suppress_events = 0;
-    reuse_events = 0;
-    noisy_reuse_events = 0;
     peak_penalty = 0.;
-    first_reuse = None;
     reuse_log = [];
-    reuse_series = Timeseries.create ~name:"reuses" ();
+    reuse_series = Timeseries.create ();
     probes;
     mrai_pending_now = 0;
     flush_armed_now = 0;
     reuse_timers_now = 0;
     mrai_queued_events = 0;
-    mrai_flushed_events = 0;
     last_mrai = None;
     last_timer = None;
-    mrai_pending_series = Timeseries.create ~name:"mrai-pending" ();
-    flush_armed_series = Timeseries.create ~name:"armed-flushes" ();
-    reuse_timer_series = Timeseries.create ~name:"reuse-timers" ();
   }
 
 (* Observers see same-instant events of different routers in execution
    order with one partition and in router-id order with several (see
    Par_net); tick-wheel reuses make such ties common. Everything collected
-   is therefore insensitive to that order: gauges keep one sample per
-   instant ([Timeseries.set_level]), and the reuse log is kept in
-   (time, router) order, each router's own releases in arrival order. *)
+   is therefore insensitive to that order: the damped-link gauge keeps one
+   sample per instant ([Timeseries.set_level]), the timer balances keep no
+   history at all, and the reuse log is kept in (time, router) order, each
+   router's own releases in arrival order. *)
 let rec log_reuse ((time, router, _, _) as entry) = function
   | ((time', router', _, _) as newer) :: older when time' = time && router' > router ->
       newer :: log_reuse entry older
@@ -81,11 +61,7 @@ let rec log_reuse ((time, router, _, _) as entry) = function
 
 let attach t (hooks : Hooks.t) =
   hooks.Hooks.on_deliver <-
-    (fun ~time ~src:_ ~dst:_ _ ->
-      t.updates <- t.updates + 1;
-      if t.first_update = None then t.first_update <- Some time;
-      t.last_update <- Some time;
-      Timeseries.add t.update_series ~time 1.);
+    (fun ~time ~src:_ ~dst:_ _ -> Timeseries.add t.update_series ~time 1.);
   hooks.Hooks.on_drop <- (fun ~time:_ ~src:_ ~dst:_ _ -> t.dropped <- t.dropped + 1);
   hooks.Hooks.on_duplicate <-
     (fun ~time:_ ~src:_ ~dst:_ _ -> t.duplicated <- t.duplicated + 1);
@@ -97,41 +73,27 @@ let attach t (hooks : Hooks.t) =
   hooks.Hooks.on_reuse <-
     (fun ~time ~router ~peer ~prefix:_ ~noisy ->
       t.reuse_log <- log_reuse (time, router, peer, noisy) t.reuse_log;
-      t.reuse_events <- t.reuse_events + 1;
-      if noisy then t.noisy_reuse_events <- t.noisy_reuse_events + 1;
-      if t.first_reuse = None then t.first_reuse <- Some time;
       Timeseries.add t.reuse_series ~time 1.;
       t.damped_now <- t.damped_now - 1;
       Timeseries.set_level t.damped_series ~time (float_of_int t.damped_now);
       t.reuse_timers_now <- t.reuse_timers_now - 1;
-      t.last_timer <- Some time;
-      Timeseries.set_level t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
+      t.last_timer <- Some time);
   hooks.Hooks.on_reuse_schedule <-
     (fun ~time ~router:_ ~peer:_ ~prefix:_ ~at:_ ->
       t.reuse_timers_now <- t.reuse_timers_now + 1;
-      t.last_timer <- Some time;
-      Timeseries.set_level t.reuse_timer_series ~time (float_of_int t.reuse_timers_now));
+      t.last_timer <- Some time);
   hooks.Hooks.on_mrai <-
     (fun ~time ~router:_ ~peer:_ ~prefix:_ action ->
       t.last_mrai <- Some time;
-      (match action with
+      match action with
       | Hooks.Mrai_queued ->
           t.mrai_queued_events <- t.mrai_queued_events + 1;
           t.mrai_pending_now <- t.mrai_pending_now + 1
-      | Hooks.Mrai_sent ->
-          t.mrai_flushed_events <- t.mrai_flushed_events + 1;
-          t.mrai_pending_now <- t.mrai_pending_now - 1
-      | Hooks.Mrai_superseded | Hooks.Mrai_cancelled ->
+      | Hooks.Mrai_sent | Hooks.Mrai_superseded | Hooks.Mrai_cancelled ->
           t.mrai_pending_now <- t.mrai_pending_now - 1
       | Hooks.Flush_armed -> t.flush_armed_now <- t.flush_armed_now + 1
       | Hooks.Flush_fired | Hooks.Flush_cancelled ->
           t.flush_armed_now <- t.flush_armed_now - 1);
-      match action with
-      | Hooks.Mrai_queued | Hooks.Mrai_sent | Hooks.Mrai_superseded | Hooks.Mrai_cancelled
-        ->
-          Timeseries.set_level t.mrai_pending_series ~time (float_of_int t.mrai_pending_now)
-      | Hooks.Flush_armed | Hooks.Flush_fired | Hooks.Flush_cancelled ->
-          Timeseries.set_level t.flush_armed_series ~time (float_of_int t.flush_armed_now));
   hooks.Hooks.on_penalty <-
     (fun ~time ~router ~peer ~prefix:_ ~penalty ->
       if penalty > t.peak_penalty then t.peak_penalty <- penalty;
@@ -139,21 +101,20 @@ let attach t (hooks : Hooks.t) =
       | Some series -> Timeseries.add series ~time penalty
       | None -> ())
 
-let update_count t = t.updates
+let trim t =
+  List.iter Timeseries.trim [ t.update_series; t.damped_series; t.reuse_series ];
+  Hashtbl.iter (fun _ series -> Timeseries.trim series) t.probes
+
+let update_count t = Timeseries.length t.update_series
 let dropped_updates t = t.dropped
 let duplicated_updates t = t.duplicated
 let mrai_pending_now t = t.mrai_pending_now
 let flush_armed_now t = t.flush_armed_now
 let reuse_timers_now t = t.reuse_timers_now
 let mrai_queued_events t = t.mrai_queued_events
-let mrai_flushed_events t = t.mrai_flushed_events
 let last_mrai_time t = t.last_mrai
 let last_timer_time t = t.last_timer
-let mrai_pending_series t = t.mrai_pending_series
-let flush_armed_series t = t.flush_armed_series
-let reuse_timer_series t = t.reuse_timer_series
-let first_update_time t = t.first_update
-let last_update_time t = t.last_update
+let last_update_time t = Option.map fst (Timeseries.last t.update_series)
 let update_series t = t.update_series
 let damped_series t = t.damped_series
 let damped_now t = t.damped_now
@@ -162,10 +123,11 @@ let peak_damped t =
   | Some v -> max 0 (int_of_float v)
   | None -> 0
 let suppress_events t = t.suppress_events
-let reuse_events t = t.reuse_events
-let noisy_reuse_events t = t.noisy_reuse_events
+let reuse_events t = Timeseries.length t.reuse_series
+let noisy_reuse_events t =
+  List.fold_left (fun n (_, _, _, noisy) -> if noisy then n + 1 else n) 0 t.reuse_log
 let peak_penalty t = t.peak_penalty
-let first_reuse_time t = t.first_reuse
+let first_reuse_time t = Option.map fst (Timeseries.first t.reuse_series)
 let reuse_series t = t.reuse_series
 let reuse_log t = List.rev t.reuse_log
 let penalty_trace t ~router ~peer = Hashtbl.find_opt t.probes (router, peer)

@@ -1,10 +1,11 @@
-(** Metric collection for one simulation phase.
+(** Metric collection for the measured flap phase.
 
-    A collector plugs into a network's {!Rfd_bgp.Hooks.t} and accumulates
-    the paper's metrics: update deliveries (count, times, series), the
-    damped-link gauge, suppression/reuse events and optional penalty traces.
-    Attach a fresh collector to start counting from zero (e.g. after initial
-    convergence, so only flap-induced traffic is measured). *)
+    A collector plugs into a network's {!Rfd_bgp.Hooks.t} and keeps what the
+    paper's figures read: update deliveries (count, times, series), the
+    damped-link gauge, suppression/reuse events, optional penalty traces,
+    and timer balances without history. Attach a fresh collector to start
+    counting from zero (e.g. after initial convergence, so only flap-induced
+    traffic is measured). *)
 
 type t
 
@@ -15,7 +16,12 @@ val create : ?probe_pairs:(int * int) list -> unit -> t
 val attach : t -> Rfd_bgp.Hooks.t -> unit
 (** Overwrite the hooks' fields with this collector's recorders. *)
 
+val trim : t -> unit
+(** {!Rfd_engine.Timeseries.trim} every series, once collection is over:
+    a kept or marshalled collector then carries no spare capacity. *)
+
 val update_count : t -> int
+(** Updates delivered since {!attach}. *)
 
 val dropped_updates : t -> int
 (** Updates lost to fault-injected transport loss
@@ -25,7 +31,6 @@ val duplicated_updates : t -> int
 (** Fault-injected duplications ({!Rfd_bgp.Hooks.t.on_duplicate}); each one
     adds one extra copy on the wire. *)
 
-val first_update_time : t -> float option
 val last_update_time : t -> float option
 
 val update_series : t -> Rfd_engine.Timeseries.t
@@ -64,11 +69,13 @@ val probed_pairs : t -> (int * int) list
 
     Running balances of the timer machinery, maintained from the MRAI and
     reuse-timer lifecycle hooks ({!Rfd_bgp.Hooks.t.on_mrai},
-    [on_reuse_schedule], [on_reuse]). They mirror {!Rfd_bgp.Oracle.counts}
-    exactly {e provided} the collector was attached while the network was
-    fully drained (as {!Runner.run} does between phases); attaching
-    mid-activity starts the balances at zero regardless of outstanding
-    work. *)
+    [on_reuse_schedule], [on_reuse]). Only their current values are kept,
+    and the times of the last MRAI and reuse-timer events, which bound
+    {!Runner.result.time_to_stable} and [time_to_quiet]. The balances
+    mirror {!Rfd_bgp.Oracle.counts} exactly {e provided} the collector was
+    attached while the network was fully drained (as {!Runner.run} does
+    between phases); attaching mid-activity starts them at zero regardless
+    of outstanding work. *)
 
 val mrai_pending_now : t -> int
 (** Updates currently parked in MRAI pending queues. *)
@@ -82,10 +89,6 @@ val reuse_timers_now : t -> int
 val mrai_queued_events : t -> int
 (** Total updates that were ever parked behind an MRAI deadline. *)
 
-val mrai_flushed_events : t -> int
-(** Parked updates that were eventually sent by their flush (the rest were
-    superseded or dropped by session failures). *)
-
 val last_mrai_time : t -> float option
 (** Time of the last MRAI lifecycle event of any kind — after it, the MRAI
     machinery is inert. *)
@@ -93,13 +96,3 @@ val last_mrai_time : t -> float option
 val last_timer_time : t -> float option
 (** Time of the last reuse-timer arming or release — after it (and
     {!last_mrai_time}), the network can produce no further activity. *)
-
-val mrai_pending_series : t -> Rfd_engine.Timeseries.t
-(** Step series of {!mrai_pending_now} over time, one sample per instant
-    (as are the two series below). *)
-
-val flush_armed_series : t -> Rfd_engine.Timeseries.t
-(** Step series of {!flush_armed_now} over time. *)
-
-val reuse_timer_series : t -> Rfd_engine.Timeseries.t
-(** Step series of {!reuse_timers_now} over time. *)

@@ -3,22 +3,27 @@ type outcome =
   | Crashed of string
   | Timed_out of { attempts : int; deadline : float }
 
-let header = "rfd-journal/2"
+let header = "rfd-journal/3"
 
-(* Version 1 lines carry results simulated with shared transport random
-   streams under the same job keys, so reading them would pass off stale
-   results as current ones: they are refused, never migrated. *)
+(* Older journals are refused, never migrated: version 1 results came
+   from shared transport random streams under unchanged job keys, and
+   version 2 payloads hold a result of another layout, which unmarshalling
+   at this build's type would misread. *)
+let superseded =
+  [ ("rfd-journal/1", "older transport RNG scheme"); ("rfd-journal/2", "older result layout") ]
+
 let refuse_header ~caller path text =
   let first_line =
     match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text
   in
-  if first_line = "rfd-journal/1" then
-    failwith
-      (Printf.sprintf
-         "%s: %s is an rfd-journal/1 journal, but this build reads only %s (version 1 \
-          results came from an older transport RNG scheme); start a new journal"
-         caller path header)
-  else failwith (Printf.sprintf "%s: %s is not a %s file (header %S)" caller path header first_line)
+  match List.assoc_opt first_line superseded with
+  | Some why ->
+      failwith
+        (Printf.sprintf
+           "%s: %s is an %s journal (%s), but this build reads only %s; start a new journal"
+           caller path first_line why header)
+  | None ->
+      failwith (Printf.sprintf "%s: %s is not a %s file (header %S)" caller path header first_line)
 
 (* Scenarios, results and the outcome variants above are closure-free data
    (records, arrays, variants), so Marshal round-trips them exactly —
@@ -30,35 +35,46 @@ let marshal v = Marshal.to_string v []
 let job_key scenario ~seed ~pulses =
   Digest.to_hex (Digest.string (marshal (scenario, seed, pulses)))
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
+  let out = Bytes.create (2 * String.length s) in
+  String.iteri
+    (fun i c ->
+      Bytes.unsafe_set out (2 * i) hex_digits.[Char.code c lsr 4];
+      Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[Char.code c land 15])
+    s;
+  Bytes.unsafe_to_string out
+
+(* Each byte's value as a hex digit of either case, or -1. *)
+let hex_value =
+  let table = Array.make 256 (-1) in
+  String.iteri
+    (fun v c ->
+      table.(Char.code c) <- v;
+      table.(Char.code (Char.uppercase_ascii c)) <- v)
+    hex_digits;
+  table
 
 let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
-    in
-    let bytes = Bytes.create (n / 2) in
-    let ok = ref true in
-    for i = 0 to (n / 2) - 1 do
-      match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set bytes i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
-    done;
-    if !ok then Some (Bytes.to_string bytes) else None
+  let bytes = Bytes.create (String.length s / 2) in
+  (* A -1 digit makes the byte negative, whichever half it is in. *)
+  let rec go i =
+    if i = Bytes.length bytes then Some (Bytes.unsafe_to_string bytes)
+    else
+      let v = (hex_value.(Char.code s.[2 * i]) lsl 4) lor hex_value.(Char.code s.[(2 * i) + 1]) in
+      if v < 0 then None
+      else begin
+        Bytes.unsafe_set bytes i (Char.unsafe_chr v);
+        go (i + 1)
+      end
+  in
+  if String.length s mod 2 <> 0 then None else go 0
 
 let render_line ~key outcome =
   let payload = marshal outcome in
   let digest = Digest.to_hex (Digest.string payload) in
-  Printf.sprintf "%s %s %s\n" key digest (to_hex payload)
+  String.concat "" [ key; " "; digest; " "; to_hex payload; "\n" ]
 
 type writer = { fd : Unix.file_descr; mutable closed : bool }
 

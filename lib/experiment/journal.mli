@@ -5,7 +5,7 @@
     running it. The journal is an append-only text file: a header line,
     then one line per job that reached a {e terminal} outcome —
 
-    {v rfd-journal/2
+    {v rfd-journal/3
 <job key> <payload digest> <hex payload> v}
 
     where the job key is {!job_key} (the MD5 of the job's fully resolved
@@ -21,18 +21,20 @@
     points an uninterrupted sweep would have produced — bit-identical
     floats included — which is what makes resume-equivalence testable
     with [diff]. The format is tied to the producing binary (OCaml
-    [Marshal]): resume with the build that wrote the journal. Version 1
-    journals are refused by every reader: their results came from an
-    older transport RNG scheme under unchanged job keys. *)
+    [Marshal]): resume with the build that wrote the journal. Every reader
+    refuses older versions: version 1 results came from an older transport
+    RNG scheme under unchanged job keys, version 2 ones have an older
+    result layout. *)
 
 val header : string
-(** ["rfd-journal/2"], the first line of every journal. *)
+(** ["rfd-journal/3"], the first line of every journal. *)
 
 val refuse_header : caller:string -> string -> string -> 'a
 (** [refuse_header ~caller path text] raises [Failure] for a file whose
     first line — the start of [text], up to any newline — is not
     {!header}. The message starts with [caller] and [path]; for an
-    [rfd-journal/1] file it names both versions. *)
+    [rfd-journal/1] or [rfd-journal/2] file it names the version found and
+    {!header}. *)
 
 type outcome =
   | Result of Runner.result
@@ -80,6 +82,12 @@ val parse_line : string -> (string * outcome) option
     for anything torn or corrupt. The random-access read path of the
     result store ({!Rfd_service.Store}) uses this to decode a single line
     without rescanning the whole file. *)
+
+val to_hex : string -> string
+(** Lowercase hex, two digits per byte: a line's payload column. *)
+
+val of_hex : string -> string option
+(** Inverse of {!to_hex}, either case; [None] on any malformed input. *)
 
 val render_line : key:string -> outcome -> string
 (** The exact bytes {!append} would write for this entry, trailing

@@ -187,9 +187,13 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       | `Drained -> ()
       | `Horizon | `Budget -> exceeded := true
   in
-  (* Phase 1: background prefixes, then the origin announcement (Tup). *)
-  let initial = Collector.create () in
-  Collector.attach initial bus;
+  (* Phase 1: background prefixes, then the origin announcement (Tup).
+     Only its delivery count and last delivery time are reported. *)
+  let initial_updates = ref 0 and last_initial_delivery = ref neg_infinity in
+  bus.Hooks.on_deliver <-
+    (fun ~time ~src:_ ~dst:_ _ ->
+      incr initial_updates;
+      last_initial_delivery := time);
   let background_rng = Rng.split rng in
   let background =
     List.init scenario.Scenario.background_prefixes (fun i ->
@@ -217,11 +221,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   Par_net.advance_all par ~time:origin_announced_at;
   Par_net.originate par ~node:origin origin_prefix;
   drive ();
-  let tup =
-    match Collector.last_update_time initial with
-    | Some t -> Float.max 0. (t -. origin_announced_at)
-    | None -> 0.
-  in
+  let tup = Float.max 0. (!last_initial_delivery -. origin_announced_at) in
   (* Phase 2: the flap train. *)
   let probe_pairs = resolve_probe scenario graph ~origin in
   let collector = Collector.create ~probe_pairs () in
@@ -282,6 +282,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   (* Flush observations recorded after the last barrier (e.g. hooks fired
      by direct originations when a budget tripped mid-phase). *)
   Par_net.flush par;
+  Collector.trim collector;
   let convergence_time =
     match Collector.last_update_time collector with
     | Some t -> Float.max 0. (t -. final_announcement)
@@ -303,13 +304,12 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
   let time_to_stable = stable_abs -. final_announcement in
   let time_to_quiet = quiet_abs -. final_announcement in
-  let update_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.update_series collector))
+  let spans =
+    Phases.classify
+      ~update_times:(Rfd_engine.Timeseries.times (Collector.update_series collector))
+      ~reuse_times:(Rfd_engine.Timeseries.times (Collector.reuse_series collector))
+      ~flap_start
   in
-  let reuse_times =
-    Array.map fst (Rfd_engine.Timeseries.points (Collector.reuse_series collector))
-  in
-  let spans = Phases.classify ~update_times ~reuse_times ~flap_start in
   let result =
     {
       scenario;
@@ -317,7 +317,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       isp;
       num_nodes = Graph.num_nodes graph;
       tup;
-      initial_updates = Collector.update_count initial;
+      initial_updates = !initial_updates;
       flap_start;
       final_announcement;
       convergence_time;

@@ -58,6 +58,9 @@ type result = {
       (** measured initial (Tup) convergence duration: origination to last
           update of the initial propagation *)
   initial_updates : int;
+      (** updates delivered during initial convergence (background
+          prefixes included). Phase 1 keeps only this count and the last
+          delivery time that gives [tup], not a {!Collector.t}. *)
   flap_start : float;  (** absolute sim time of the first withdrawal *)
   final_announcement : float;  (** absolute sim time of the last flap event *)
   convergence_time : float;
@@ -77,7 +80,10 @@ type result = {
       (** [Finished Quiet] for every run driven to full quiescence;
           [Budget_exceeded _] marks a partial result *)
   message_count : int;  (** updates observed during the flap phase *)
-  collector : Collector.t;  (** full series and traces *)
+  collector : Collector.t;
+      (** the flap phase's series, counts and traces, trimmed
+          ({!Collector.trim}) once the run ends, so a stored or marshalled
+          result carries no spare series capacity *)
   spans : Phases.span list;  (** four-state classification of the episode *)
   background : (int * Rfd_bgp.Prefix.t) list;
       (** (node, prefix) placement of every background prefix, in

@@ -68,7 +68,7 @@ val create : config -> t
 (** Compact (optionally) and open the journal, bind and listen on the
     socket (unlinking a stale one), spawn the executor domain, and
     ignore [SIGPIPE] for the process. Raises on an unusable socket path
-    or a file that is not an [rfd-journal/2] journal. *)
+    or a file that is not an [rfd-journal/3] journal. *)
 
 val request_stop : t -> unit
 (** Escalate the stop level: first call starts a graceful drain, second

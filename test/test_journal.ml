@@ -260,26 +260,83 @@ let test_check_rejects_non_journal () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "check accepted a non-journal file")
 
-(* A version 1 journal whose line this build could still decode: reading
-   it would not fail, it would be wrong, so every reader must refuse it by
-   its header alone — naming both versions — and leave the file as is. *)
+(* An older journal whose line this build could still decode: reading it
+   would not fail, it would be wrong (version 1: results of an older
+   transport RNG scheme; version 2: a result of another layout, read at
+   this build's type), so every reader must refuse it by its header alone
+   — naming the version found and the one supported — and leave the file
+   as is. *)
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let refuses_v1 label f () =
+let refuses_old version label f () =
   with_tmp (fun path ->
-      let v1 = "rfd-journal/1\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
-      write_file path v1;
+      let old = version ^ "\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
+      write_file path old;
       (match f path with
       | exception Failure msg ->
           Alcotest.(check bool)
             (Printf.sprintf "%s names both versions (%s)" label msg)
             true
-            (contains msg "rfd-journal/1" && contains msg "rfd-journal/2")
-      | () -> Alcotest.failf "%s accepted an rfd-journal/1 file" label);
-      Alcotest.(check string) (label ^ " left the file alone") v1 (read_file path))
+            (contains msg version && contains msg Journal.header)
+      | () -> Alcotest.failf "%s accepted an %s file" label version);
+      Alcotest.(check string) (label ^ " left the file alone") old (read_file path))
+
+let loaders =
+  [
+    ("load", fun path -> ignore (Journal.load path));
+    ("check", fun path -> ignore (Journal.check path));
+    ("compact", fun path -> ignore (Journal.compact path));
+    ("create", fun path -> Journal.close (Journal.create path));
+  ]
+
+let refusal_cases =
+  List.concat_map
+    (fun version ->
+      List.map
+        (fun (label, f) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s refuses %s" label version)
+            `Quick (refuses_old version label f))
+        loaders)
+    [ "rfd-journal/1"; "rfd-journal/2" ]
+
+(* Every byte value, pinned: journal lines must keep their exact bytes. *)
+let test_hex_all_bytes () =
+  let all = String.init 256 Char.chr in
+  let expected =
+    String.concat "" (List.init 256 (fun c -> Printf.sprintf "%02x" c))
+  in
+  Alcotest.(check string) "lowercase, two digits per byte" expected (Journal.to_hex all);
+  Alcotest.(check (option string)) "round trip" (Some all)
+    (Journal.of_hex (Journal.to_hex all));
+  Alcotest.(check (option string)) "upper case accepted" (Some all)
+    (Journal.of_hex (String.uppercase_ascii expected));
+  Alcotest.(check (option string)) "empty" (Some "") (Journal.of_hex "");
+  Alcotest.(check (option string)) "odd length" None (Journal.of_hex "abc");
+  Alcotest.(check (option string)) "non-hex digit" None (Journal.of_hex "0g");
+  Alcotest.(check (option string)) "non-hex high digit" None (Journal.of_hex "z0")
+
+(* A stored result costs a bounded number of bytes per flap-phase update:
+   the Figure 8 damped 10x10 mesh at 1, 3 and 5 pulses marshals to at most
+   4 KiB plus 32 bytes per update. *)
+let test_result_size_bound () =
+  let base =
+    Scenario.make ~name:"fig8-size"
+      ~config:(Config.with_damping Rfd_damping.Params.cisco Config.default)
+      (Scenario.Mesh { rows = 10; cols = 10 })
+  in
+  List.iter
+    (fun pulses ->
+      let r = Runner.run (Scenario.with_pulses base pulses) in
+      let bytes = String.length (Marshal.to_string r []) in
+      let bound = 4096 + (32 * r.Runner.message_count) in
+      if bytes > bound then
+        Alcotest.failf "%d pulses: %d bytes for %d updates, bound %d" pulses bytes
+          r.Runner.message_count bound)
+    [ 1; 3; 5 ]
 
 let suite =
   [
@@ -302,12 +359,7 @@ let suite =
       test_check_clean_duplicates_corrupt_torn;
     Alcotest.test_case "check rejects non-journal" `Quick
       test_check_rejects_non_journal;
-    Alcotest.test_case "load refuses rfd-journal/1" `Quick
-      (refuses_v1 "load" (fun path -> ignore (Journal.load path)));
-    Alcotest.test_case "check refuses rfd-journal/1" `Quick
-      (refuses_v1 "check" (fun path -> ignore (Journal.check path)));
-    Alcotest.test_case "compact refuses rfd-journal/1" `Quick
-      (refuses_v1 "compact" (fun path -> ignore (Journal.compact path)));
-    Alcotest.test_case "create refuses rfd-journal/1" `Quick
-      (refuses_v1 "create" (fun path -> Journal.close (Journal.create path)));
+    Alcotest.test_case "hex pins all 256 bytes" `Quick test_hex_all_bytes;
+    Alcotest.test_case "result size bounded per update" `Quick test_result_size_bound;
   ]
+  @ refusal_cases

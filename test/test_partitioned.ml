@@ -95,8 +95,9 @@ let test_digest_identity_crash () =
     | _ -> false);
   (* Crashing the centre while the first withdrawal is still propagating:
      each neighbour cancels updates parked for it and queues replacements
-     for its other peers, so the MRAI gauge moves both ways at one
-     timestamp and its per-instant value is what must agree. *)
+     for its other peers, so the MRAI balance moves both ways at one
+     timestamp; only its final value and last-change time are kept, and
+     both must agree. *)
   let mid_flap =
     Rfd_faults.Fault_plan.make ~name:"par-crash-mid-flap"
       ~router_events:
@@ -210,6 +211,37 @@ let test_single_partition_hooks_are_the_bus () =
   Alcotest.(check string) "run = run_partitioned ~partitions:1" (Runner.result_digest r1)
     (Runner.result_digest r)
 
+(* The flap collector sees different routers' same-instant events in
+   execution order at one partition and in router order at several, so it
+   must keep nothing that depends on that order. Fed one instant's
+   suppression and releases in two orders, the damped-link gauge (moving
+   both ways at that instant) and the reuse log must come out the same. *)
+let test_collector_ignores_tie_order () =
+  let prefix = Prefix.v 0 in
+  let feed events =
+    let hooks = Hooks.create () in
+    let c = Collector.create () in
+    Collector.attach c hooks;
+    hooks.Hooks.on_suppress ~time:0. ~router:2 ~peer:0 ~prefix;
+    hooks.Hooks.on_suppress ~time:0. ~router:3 ~peer:0 ~prefix;
+    List.iter
+      (function
+        | `Suppress router -> hooks.Hooks.on_suppress ~time:1. ~router ~peer:0 ~prefix
+        | `Reuse router -> hooks.Hooks.on_reuse ~time:1. ~router ~peer:0 ~prefix ~noisy:false)
+      events;
+    (Rfd_engine.Timeseries.points (Collector.damped_series c), Collector.reuse_log c)
+  in
+  let damped_a, log_a = feed [ `Suppress 1; `Reuse 2; `Reuse 3 ] in
+  let damped_b, log_b = feed [ `Reuse 3; `Reuse 2; `Suppress 1 ] in
+  let sample = Alcotest.(pair (float 0.) (float 0.)) in
+  Alcotest.(check (array sample))
+    "one damped sample per instant" [| (0., 2.); (1., 1.) |] damped_a;
+  Alcotest.(check (array sample)) "damped gauge ignores tie order" damped_a damped_b;
+  Alcotest.(check (list (pair (float 0.) int))) "reuse log in router order"
+    [ (1., 2); (1., 3) ]
+    (List.map (fun (t, router, _, _) -> (t, router)) log_a);
+  Alcotest.(check bool) "reuse log ignores tie order" true (log_a = log_b)
+
 (* Random scenarios: any connected topology, seed, damping mode and pulse
    count must stay partition-invariant. *)
 let prop_random_identity =
@@ -244,5 +276,7 @@ let suite =
     Alcotest.test_case "observe per net, observers on bus" `Quick test_observe_and_bus;
     Alcotest.test_case "one partition: network hooks are the bus" `Quick
       test_single_partition_hooks_are_the_bus;
+    Alcotest.test_case "collector ignores same-instant order" `Quick
+      test_collector_ignores_tie_order;
     QCheck_alcotest.to_alcotest prop_random_identity;
   ]

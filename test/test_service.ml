@@ -302,16 +302,17 @@ let test_store_verifies_disk_reads () =
     (not (Store.mem s "a"));
   Store.close s
 
-let test_store_refuses_v1_journal () =
-  (* Version 1 lines decode fine but hold results of an older transport
-     RNG scheme under the same keys: serving them would be wrong, so the
-     store refuses the file by its header and leaves it untouched. *)
+let test_store_refuses_old_journal version () =
+  (* Older lines decode fine but hold results of an older transport RNG
+     scheme (version 1) or of another result layout (version 2) under the
+     same keys: serving them would be wrong, so the store refuses the file
+     by its header and leaves it untouched. *)
   let path = tmp_path ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let v1 = "rfd-journal/1\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
+  let old = version ^ "\n" ^ Journal.render_line ~key:"a" (Journal.Crashed "old") in
   let oc = open_out_bin path in
-  output_string oc v1;
+  output_string oc old;
   close_out oc;
   (match Store.open_ path with
   | exception Failure msg ->
@@ -323,11 +324,11 @@ let test_store_refuses_v1_journal () =
       Alcotest.(check bool)
         (Printf.sprintf "message names both versions (%s)" msg)
         true
-        (has "rfd-journal/1" && has "rfd-journal/2")
+        (has version && has Journal.header)
   | s ->
       Store.close s;
-      Alcotest.fail "Store.open_ accepted an rfd-journal/1 file");
-  Alcotest.(check string) "file untouched" v1 (read_file path)
+      Alcotest.failf "Store.open_ accepted an %s file" version);
+  Alcotest.(check string) "file untouched" old (read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end daemon                                                   *)
@@ -691,7 +692,9 @@ let suite =
     Alcotest.test_case "store: disk reads re-verify digests" `Quick
       test_store_verifies_disk_reads;
     Alcotest.test_case "store: refuses rfd-journal/1" `Quick
-      test_store_refuses_v1_journal;
+      (test_store_refuses_old_journal "rfd-journal/1");
+    Alcotest.test_case "store: refuses rfd-journal/2" `Quick
+      (test_store_refuses_old_journal "rfd-journal/2");
     Alcotest.test_case "e2e: miss/hit byte identity vs direct run" `Quick
       test_e2e_miss_hit_bit_identity;
     Alcotest.test_case "e2e: concurrent clients, shared and distinct keys"

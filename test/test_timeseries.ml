@@ -3,7 +3,7 @@
 module Ts = Rfd_engine.Timeseries
 
 let mk samples =
-  let ts = Ts.create ~name:"t" () in
+  let ts = Ts.create () in
   List.iter (fun (time, v) -> Ts.add ts ~time v) samples;
   ts
 
@@ -127,6 +127,32 @@ let prop_bin_sum_total =
       let total = Array.fold_left (fun acc (_, v) -> acc +. v) 0. bins in
       int_of_float total = List.length times)
 
+let test_times () =
+  (* Past the 64-sample initial capacity, so growth has left spare room. *)
+  let ts = mk (List.init 100 (fun i -> (float_of_int (i / 3), float_of_int i))) in
+  Alcotest.(check (array (float 0.))) "times = map fst points"
+    (Array.map fst (Ts.points ts)) (Ts.times ts);
+  Alcotest.(check (array (float 0.))) "empty" [||] (Ts.times (Ts.create ()))
+
+let test_trim () =
+  let ts = mk (List.init 100 (fun i -> (float_of_int i, float_of_int (i * i)))) in
+  let before = Ts.points ts in
+  Ts.trim ts;
+  Alcotest.(check (array fpair)) "trim keeps points" before (Ts.points ts);
+  Ts.trim ts;
+  Alcotest.(check (array fpair)) "trim is idempotent" before (Ts.points ts);
+  Ts.add ts ~time:100. 1.;
+  Ts.add ts ~time:101. 2.;
+  Alcotest.(check int) "add grows a trimmed series" 102 (Ts.length ts);
+  Alcotest.(check (option fpair)) "last after add" (Some (101., 2.)) (Ts.last ts);
+  Alcotest.(check (array fpair)) "earlier samples intact" before
+    (Array.sub (Ts.points ts) 0 100);
+  let empty = Ts.create () in
+  Ts.trim empty;
+  Ts.add empty ~time:1. 1.;
+  Alcotest.(check (array fpair)) "trimmed empty series accepts adds" [| (1., 1.) |]
+    (Ts.points empty)
+
 let suite =
   [
     Alcotest.test_case "empty series" `Quick test_empty;
@@ -141,6 +167,8 @@ let suite =
     Alcotest.test_case "iter and fold" `Quick test_iter_fold;
     Alcotest.test_case "csv output" `Quick test_csv;
     Alcotest.test_case "points returns a copy" `Quick test_points_fresh;
+    Alcotest.test_case "times matches points" `Quick test_times;
+    Alcotest.test_case "trim keeps points, add still works" `Quick test_trim;
     QCheck_alcotest.to_alcotest prop_value_at_matches_linear_scan;
     QCheck_alcotest.to_alcotest prop_bin_sum_total;
   ]
