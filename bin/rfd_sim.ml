@@ -10,137 +10,136 @@
 
 open Cmdliner
 module Scenario = Rfd.Scenario
-module Config = Rfd.Config
-module Params = Rfd.Params
+module Svc = Rfd.Svc_protocol
 
 (* ------------------------------------------------------------------ *)
-(* Shared argument parsing                                             *)
+(* Exit-code convention (documented in every subcommand's man page):
+     0 — success, every requested point produced clean data
+     1 — invalid input, or at least one point crashed (raised an exception)
+     2 — failures, but only benign ones: budget-exceeded, watchdog
+         timeout, or an interrupted (drained) sweep
+   Cmdliner's own 123/124/125 still apply to CLI parse errors etc. *)
 
-let topology_conv =
+let exit_doc =
+  [
+    `S Cmdliner.Manpage.s_exit_status;
+    `P
+      "$(b,0) on success; $(b,1) on invalid input or if any point \
+       $(i,crashed) (the simulation raised); $(b,2) if the only failures were \
+       benign — a run budget was exceeded, a supervised job timed out, or the \
+       sweep was interrupted and drained gracefully.";
+  ]
+
+let exit_crashed = 1
+let exit_degraded = 2
+
+(* The one exit path for refused input and crashes: [rfd-sim CMD: MSG] on
+   stderr, exit 1. *)
+let die cmd fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "rfd-sim %s: %s@." cmd msg;
+      exit exit_crashed)
+    fmt
+
+(* ------------------------------------------------------------------ *)
+(* The scenario spec: every run-describing flag parses into one
+   [Svc.spec], the daemon's query type                                 *)
+
+let d = Svc.default_spec
+
+(* A topology is a wire form or, CLI-only, an edge-list file: the file's
+   path and graph travel beside the spec, and [scenario] swaps the graph
+   in for the spec's topology. *)
+let topology_or_file =
   let parse s =
-    let fail () =
-      Error
-        (`Msg
-          (Printf.sprintf
-             "bad topology %S (expected mesh:RxC, internet:N[,M], line:N, ring:N, \
-              clique:N, or a file path)"
-             s))
-    in
-    match String.index_opt s ':' with
-    | Some i -> (
-        let kind = String.sub s 0 i in
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        match kind with
-        | "mesh" -> (
-            match String.split_on_char 'x' rest with
-            | [ r; c ] -> (
-                match (int_of_string_opt r, int_of_string_opt c) with
-                | Some rows, Some cols -> Ok (Scenario.Mesh { rows; cols })
-                | _ -> fail ())
-            | _ -> fail ())
-        | "internet" -> (
-            match String.split_on_char ',' rest with
-            | [ n ] -> (
-                match int_of_string_opt n with
-                | Some nodes -> Ok (Scenario.Internet { nodes; m = 2 })
-                | None -> fail ())
-            | [ n; m ] -> (
-                match (int_of_string_opt n, int_of_string_opt m) with
-                | Some nodes, Some m -> Ok (Scenario.Internet { nodes; m })
-                | _ -> fail ())
-            | _ -> fail ())
-        | "line" | "ring" | "clique" -> (
-            match int_of_string_opt rest with
-            | Some n ->
-                let g =
-                  match kind with
-                  | "line" -> Rfd.Builders.line n
-                  | "ring" -> Rfd.Builders.ring n
-                  | _ -> Rfd.Builders.clique n
-                in
-                Ok (Scenario.Custom g)
-            | None -> fail ())
-        | _ -> fail ())
-    | None ->
-        if Sys.file_exists s then begin
-          let ic = open_in s in
-          let len = in_channel_length ic in
-          let doc = really_input_string ic len in
-          close_in ic;
-          match Rfd.Edge_list.parse_graph doc with
-          | Ok g -> Ok (Scenario.Custom g)
-          | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))
-        end
-        else fail ()
+    match Svc.topo_of_string s with
+    | Ok topo -> Ok (topo, None)
+    | Error e when not (Sys.file_exists s) ->
+        Error (`Msg (e ^ " and no such edge-list file"))
+    | Error _ -> (
+        match In_channel.with_open_bin s In_channel.input_all with
+        | exception Sys_error msg -> Error (`Msg msg)
+        | doc -> (
+            match Rfd.Edge_list.parse_graph doc with
+            | Ok g -> Ok (d.Svc.topology, Some (s, g))
+            | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))))
   in
   let print ppf = function
-    | Scenario.Mesh { rows; cols } -> Format.fprintf ppf "mesh:%dx%d" rows cols
-    | Scenario.Internet { nodes; m } -> Format.fprintf ppf "internet:%d,%d" nodes m
-    | Scenario.Custom g -> Format.fprintf ppf "custom(%a)" Rfd.Graph.pp g
+    | topo, None -> Format.pp_print_string ppf (Svc.topo_to_string topo)
+    | _, Some (path, _) -> Format.pp_print_string ppf path
   in
   Arg.conv (parse, print)
 
-let params_conv =
-  let parse = function
-    | "cisco" -> Ok (Some Params.cisco)
-    | "juniper" -> Ok (Some Params.juniper)
-    | "none" | "off" -> Ok None
-    | s -> Error (`Msg (Printf.sprintf "unknown damping preset %S" s))
-  in
-  let print ppf = function
-    | Some (p : Params.t) -> Format.pp_print_string ppf p.Params.name
-    | None -> Format.pp_print_string ppf "none"
-  in
-  Arg.conv (parse, print)
-
-let mode_conv =
-  Arg.enum [ ("plain", Config.Plain); ("rcn", Config.Rcn); ("selective", Config.Selective) ]
-
-let policy_conv =
-  Arg.enum [ ("shortest", Scenario.Announce_all); ("no-valley", Scenario.No_valley) ]
+(* What the user asked to simulate, for headers: the materialized scenario
+   only knows it as a custom graph. *)
+let shape (spec, file) =
+  match file with Some (path, _) -> path | None -> Svc.topo_to_string spec.Svc.topology
 
 let topology_arg =
   let doc =
     "Topology: mesh:RxC, internet:N[,M] (Barabasi-Albert), line:N, ring:N, clique:N, or \
      an edge-list file."
   in
-  Arg.(value & opt topology_conv Scenario.paper_mesh & info [ "t"; "topology" ] ~doc)
+  Arg.(value & opt topology_or_file (d.Svc.topology, None) & info [ "t"; "topology" ] ~doc)
 
 let damping_arg =
   let doc = "Damping parameters: cisco, juniper or none." in
-  Arg.(value & opt params_conv (Some Params.cisco) & info [ "d"; "damping" ] ~doc)
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("cisco", Svc.Cisco);
+             ("juniper", Svc.Juniper);
+             ("none", Svc.No_damping);
+             ("off", Svc.No_damping);
+           ])
+        d.Svc.damping
+    & info [ "d"; "damping" ] ~doc)
 
 let mode_arg =
   let doc = "Damping mode: plain, rcn or selective." in
-  Arg.(value & opt mode_conv Config.Plain & info [ "m"; "mode" ] ~doc)
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("plain", Rfd.Config.Plain);
+             ("rcn", Rfd.Config.Rcn);
+             ("selective", Rfd.Config.Selective);
+           ])
+        d.Svc.mode
+    & info [ "m"; "mode" ] ~doc)
 
 let policy_arg =
   let doc = "Routing policy: shortest or no-valley." in
-  Arg.(value & opt policy_conv Scenario.Announce_all & info [ "p"; "policy" ] ~doc)
+  Arg.(
+    value
+    & opt
+        (enum [ ("shortest", Scenario.Announce_all); ("no-valley", Scenario.No_valley) ])
+        d.Svc.policy
+    & info [ "p"; "policy" ] ~doc)
 
 let pulses_arg =
   let doc = "Number of withdrawal/announcement pulses." in
-  Arg.(value & opt int 1 & info [ "n"; "pulses" ] ~doc)
+  Arg.(value & opt int d.Svc.pulses & info [ "n"; "pulses" ] ~doc)
 
 let interval_arg =
   let doc = "Flap interval in seconds." in
-  Arg.(value & opt float 60. & info [ "i"; "interval" ] ~doc)
+  Arg.(value & opt float d.Svc.interval & info [ "i"; "interval" ] ~doc)
 
 let mrai_arg =
   let doc = "MRAI in seconds (0 disables)." in
-  Arg.(value & opt float 30. & info [ "mrai" ] ~doc)
+  Arg.(value & opt float d.Svc.mrai & info [ "mrai" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
-  Arg.(value & opt int 42 & info [ "s"; "seed" ] ~doc)
+  Arg.(value & opt int d.Svc.seed & info [ "s"; "seed" ] ~doc)
 
 let isp_arg =
   let doc = "Node the flapping origin attaches to (-1 = random)." in
-  Arg.(value & opt int 0 & info [ "isp" ] ~doc)
-
-let probe_arg =
-  let doc = "Trace penalties at the first router at this hop distance from the origin." in
-  Arg.(value & opt (some int) None & info [ "probe-distance" ] ~doc)
+  Arg.(value & opt int d.Svc.isp & info [ "isp" ] ~doc)
 
 let table_hint_arg =
   let doc =
@@ -149,53 +148,7 @@ let table_hint_arg =
      for Internet-scale single-origin runs so tens of thousands of low-degree \
      routers don't pay fixed table overhead per session."
   in
-  Arg.(
-    value
-    & opt int Config.default.Config.prefix_table_hint
-    & info [ "table-hint" ] ~docv:"N" ~doc)
-
-let background_arg =
-  let doc =
-    "Announce $(docv) steady background prefixes (one per seeded-random \
-     origin router) before the flap phase, so damping acts on a loaded RIB."
-  in
-  Arg.(value & opt int 0 & info [ "background" ] ~docv:"N" ~doc)
-
-let flappers_arg =
-  let doc =
-    "Add $(docv) background flapper prefixes — extra origins that keep \
-     withdrawing and re-announcing concurrently with the measured flap, with \
-     heavy-tailed (Pareto) inter-flap gaps. 0 disables the workload."
-  in
-  Arg.(value & opt int 0 & info [ "background-flappers" ] ~docv:"N" ~doc)
-
-let flaps_arg =
-  let doc = "Withdraw/announce pairs each background flapper performs." in
-  Arg.(value & opt int 3 & info [ "flaps" ] ~docv:"N" ~doc)
-
-let flap_gap_arg =
-  let doc = "Mean gap (seconds) between a background flapper's events." in
-  Arg.(value & opt float 60. & info [ "flap-gap" ] ~docv:"SECONDS" ~doc)
-
-let flap_alpha_arg =
-  let doc =
-    "Pareto tail exponent of the inter-flap gaps (smaller = heavier tail; \
-     must be positive)."
-  in
-  Arg.(value & opt float 1.5 & info [ "flap-alpha" ] ~docv:"ALPHA" ~doc)
-
-let flap_seed_arg =
-  let doc = "Seed of the background-flapper workload (independent of --seed)." in
-  Arg.(value & opt int 1 & info [ "flap-seed" ] ~docv:"SEED" ~doc)
-
-let workload_term =
-  let make flappers flaps gap alpha seed =
-    if flappers = 0 then Scenario.Pulses_only
-    else Scenario.Flappers { count = flappers; flaps; mean_gap = gap; alpha; seed }
-  in
-  Term.(
-    const make $ flappers_arg $ flaps_arg $ flap_gap_arg $ flap_alpha_arg
-    $ flap_seed_arg)
+  Arg.(value & opt int d.Svc.table_hint & info [ "table-hint" ] ~docv:"N" ~doc)
 
 let reuse_tick_arg =
   let doc =
@@ -203,7 +156,120 @@ let reuse_tick_arg =
      (seconds) instead of one exact timer per suppressed route. Reuse then happens at \
      the first tick boundary at or after the exact reuse instant."
   in
-  Arg.(value & opt (some float) None & info [ "reuse-tick" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt (some float) d.Svc.reuse_tick & info [ "reuse-tick" ] ~docv:"SECONDS" ~doc)
+
+let background_arg =
+  let doc =
+    "Announce $(docv) steady background prefixes (one per seeded-random \
+     origin router) before the flap phase, so damping acts on a loaded RIB."
+  in
+  Arg.(value & opt int d.Svc.background & info [ "background" ] ~docv:"N" ~doc)
+
+let flappers_arg =
+  let doc =
+    "Add $(docv) background flapper prefixes — extra origins that keep \
+     withdrawing and re-announcing concurrently with the measured flap, with \
+     heavy-tailed (Pareto) inter-flap gaps. 0 disables the workload."
+  in
+  Arg.(value & opt int d.Svc.flappers & info [ "background-flappers" ] ~docv:"N" ~doc)
+
+let flaps_arg =
+  let doc = "Withdraw/announce pairs each background flapper performs." in
+  Arg.(value & opt int d.Svc.flaps & info [ "flaps" ] ~docv:"N" ~doc)
+
+let flap_gap_arg =
+  let doc = "Mean gap (seconds) between a background flapper's events." in
+  Arg.(value & opt float d.Svc.flap_gap & info [ "flap-gap" ] ~docv:"SECONDS" ~doc)
+
+let flap_alpha_arg =
+  let doc =
+    "Pareto tail exponent of the inter-flap gaps (smaller = heavier tail; \
+     must be positive)."
+  in
+  Arg.(value & opt float d.Svc.flap_alpha & info [ "flap-alpha" ] ~docv:"ALPHA" ~doc)
+
+let flap_seed_arg =
+  let doc = "Seed of the background-flapper workload (independent of --seed)." in
+  Arg.(value & opt int d.Svc.flap_seed & info [ "flap-seed" ] ~docv:"SEED" ~doc)
+
+(* The reuse tick and the background-flapper workload. [replay]'s trace is
+   its workload, so it takes neither and keeps their defaults. *)
+let workload_flags =
+  let set reuse_tick flappers flaps flap_gap flap_alpha flap_seed spec =
+    { spec with Svc.reuse_tick; flappers; flaps; flap_gap; flap_alpha; flap_seed }
+  in
+  Term.(
+    const set $ reuse_tick_arg $ flappers_arg $ flaps_arg $ flap_gap_arg $ flap_alpha_arg
+    $ flap_seed_arg)
+
+(* Shared by run, sweep, replay and query; [pulses] is the one flag whose
+   meaning differs between them. The path and graph of an edge-list file
+   topology, if any, travel beside the spec. *)
+let spec_term ?(workload = workload_flags) pulses =
+  let make (topology, file) damping mode policy pulses interval mrai seed isp table_hint
+      background set_workload =
+    ( set_workload
+        {
+          d with
+          Svc.topology;
+          damping;
+          mode;
+          policy;
+          pulses;
+          interval;
+          mrai;
+          seed;
+          isp;
+          table_hint;
+          background;
+        },
+      file )
+  in
+  Term.(
+    const make $ topology_arg $ damping_arg $ mode_arg $ policy_arg $ pulses $ interval_arg
+    $ mrai_arg $ seed_arg $ isp_arg $ table_hint_arg $ background_arg $ workload)
+
+(* The daemon's builder, then what the wire cannot carry — an edge-list
+   graph, a probe, faults, a replay workload — re-checked as a whole and
+   resolved as the daemon resolves it, so a run's digest and a sweep's
+   job keys equal the daemon's for the same flags. A file's graph is built
+   on the spec's default topology, lazily resolved and so never built, at
+   isp 0; its own size then meets the admission cap here and the isp range
+   check in [Scenario.validate]. *)
+let scenario cmd ?(probe = Scenario.No_probe) ?faults ?workload (spec, file) =
+  let built =
+    match file with
+    | None -> Svc.scenario_of_spec spec
+    | Some (path, g) ->
+        let n = Rfd.Graph.num_nodes g in
+        if n > Svc.max_nodes then
+          die cmd "%s: the %d-node graph exceeds the %d-node admission cap" path n
+            Svc.max_nodes;
+        Result.map
+          (fun s ->
+            {
+              s with
+              Scenario.topology = Scenario.Custom g;
+              isp = (if spec.Svc.isp < 0 then `Random else `Node spec.Svc.isp);
+            })
+          (Svc.scenario_of_spec { spec with Svc.isp = min spec.Svc.isp 0 })
+  in
+  match built with
+  | Error msg -> die cmd "%s" msg
+  | Ok s -> (
+      let s =
+        {
+          s with
+          Scenario.probe;
+          faults;
+          workload = Option.value workload ~default:s.Scenario.workload;
+        }
+      in
+      match Scenario.validate s with
+      | Ok () -> Rfd.Sweep.materialize s
+      | Error msg ->
+          die cmd "%s" (match file with Some (path, _) -> path ^ ": " ^ msg | None -> msg))
 
 (* ------------------------------------------------------------------ *)
 (* Run budgets and fault injection (shared by run and sweep)           *)
@@ -275,48 +341,6 @@ let faults_term =
     const make $ loss_arg $ dup_arg $ chaos_flaps_arg $ chaos_window_arg
     $ chaos_downtime_arg $ chaos_seed_arg)
 
-let build_scenario ?faults ?reuse_tick ?table_hint ?(background_prefixes = 0)
-    ?(workload = Scenario.Pulses_only) topology damping mode policy pulses interval mrai
-    seed isp probe =
-  let prefix_table_hint =
-    match table_hint with Some h -> h | None -> Config.default.Config.prefix_table_hint
-  in
-  let base = { Config.default with Config.mrai; seed; prefix_table_hint } in
-  let reuse = match reuse_tick with None -> Config.Exact | Some t -> Config.Tick t in
-  let config =
-    match damping with
-    | None -> base
-    | Some params -> Config.with_damping ~mode ~reuse params base
-  in
-  let probe =
-    match probe with None -> Scenario.No_probe | Some d -> Scenario.At_distance d
-  in
-  Scenario.make ~name:"cli" ~policy ~config
-    ~isp:(if isp < 0 then `Random else `Node isp)
-    ~pulses ~flap_interval:interval ~background_prefixes ~probe ?faults ~workload
-    topology
-
-(* ------------------------------------------------------------------ *)
-(* Exit-code convention (documented in every subcommand's man page):
-     0 — success, every requested point produced clean data
-     1 — at least one point crashed (raised an exception)
-     2 — failures, but only benign ones: budget-exceeded, watchdog
-         timeout, or an interrupted (drained) sweep
-   Cmdliner's own 123/124/125 still apply to CLI parse errors etc. *)
-
-let exit_doc =
-  [
-    `S Cmdliner.Manpage.s_exit_status;
-    `P
-      "$(b,0) on success; $(b,1) if any point $(i,crashed) (the simulation \
-       raised); $(b,2) if the only failures were benign — a run budget was \
-       exceeded, a supervised job timed out, or the sweep was interrupted \
-       and drained gracefully.";
-  ]
-
-let exit_crashed = 1
-let exit_degraded = 2
-
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 
@@ -338,6 +362,10 @@ let pp_par_stats s =
     (String.concat "/"
        (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events)))
 
+let probe_arg =
+  let doc = "Trace penalties at the first router at this hop distance from the origin." in
+  Arg.(value & opt (some int) None & info [ "probe-distance" ] ~doc)
+
 let print_digest_arg =
   let doc =
     "Print the deterministic result digest (host timings excluded) as the final \
@@ -346,21 +374,16 @@ let print_digest_arg =
   Arg.(value & flag & info [ "print-digest" ] ~doc)
 
 let run_cmd =
-  let action topology damping mode policy pulses interval mrai seed isp probe reuse_tick
-      table_hint background workload transcript budget faults partitions print_digest =
-    let scenario =
-      build_scenario ?faults ?reuse_tick ~table_hint ~background_prefixes:background
-        ~workload topology damping mode policy pulses interval mrai seed isp probe
-    in
+  let action spec probe transcript budget faults partitions print_digest =
+    let probe = Option.map (fun hops -> Scenario.At_distance hops) probe in
+    let scenario = scenario "run" ?probe ?faults spec in
     let trace = Rfd.Trace.create ~enabled:(transcript <> None) () in
     let on_bus hooks = Rfd.Tracing.attach trace hooks in
     let r, par_stats =
       try Rfd.Runner.run_partitioned ~budget ~on_bus ~partitions scenario
-      with e ->
-        Format.eprintf "rfd-sim run: crashed: %s@." (Printexc.to_string e);
-        exit exit_crashed
+      with e -> die "run" "crashed: %s" (Printexc.to_string e)
     in
-    Format.printf "%a@.@." Rfd.Runner.pp_result r;
+    Format.printf "topology: %s@.%a@.@." (shape spec) Rfd.Runner.pp_result r;
     pp_par_stats par_stats;
     (match
        ( Rfd.Collector.dropped_updates r.Rfd.Runner.collector,
@@ -387,9 +410,10 @@ let run_cmd =
             | _ -> ())
           pairs);
     let intended =
-      match damping with
+      match scenario.Scenario.config.Rfd.Config.damping with
       | Some params ->
-          Rfd.Intended.convergence_time params ~pulses ~interval ~tup:r.Rfd.Runner.tup
+          Rfd.Intended.convergence_time params ~pulses:scenario.Scenario.pulses
+            ~interval:scenario.Scenario.flap_interval ~tup:r.Rfd.Runner.tup
       | None -> r.Rfd.Runner.tup
     in
     Format.printf "@.intended convergence for this flap pattern: %.0f s@." intended;
@@ -407,9 +431,7 @@ let run_cmd =
   let doc = "run one flap scenario and report metrics" in
   Cmd.v (Cmd.info "run" ~doc ~man:exit_doc)
     Term.(
-      const action $ topology_arg $ damping_arg $ mode_arg $ policy_arg $ pulses_arg
-      $ interval_arg $ mrai_arg $ seed_arg $ isp_arg $ probe_arg $ reuse_tick_arg
-      $ table_hint_arg $ background_arg $ workload_term $ transcript_arg $ budget_term
+      const action $ spec_term pulses_arg $ probe_arg $ transcript_arg $ budget_term
       $ faults_term $ partitions_arg $ print_digest_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -478,12 +500,8 @@ let install_drain_signals () =
     [ Sys.sigint; Sys.sigterm ]
 
 let sweep_cmd =
-  let action topology damping mode policy interval mrai seed isp reuse_tick table_hint
-      background workload max_pulses jobs budget faults deadline retries journal resume =
-    let scenario =
-      build_scenario ?faults ?reuse_tick ~table_hint ~background_prefixes:background
-        ~workload topology damping mode policy 1 interval mrai seed isp None
-    in
+  let action spec max_pulses jobs budget faults deadline retries journal resume =
+    let scenario = scenario "sweep" ?faults spec in
     let jobs = if jobs <= 0 then Rfd.Pool.default_jobs () else jobs in
     let pulses = List.init max_pulses (fun i -> i + 1) in
     let supervision =
@@ -497,7 +515,7 @@ let sweep_cmd =
     in
     install_drain_signals ();
     let sweep =
-      Rfd.Sweep.run_supervised ~label:"cli" ~pulses ~jobs ~budget ~supervision scenario
+      Rfd.Sweep.run_supervised ~pulses ~jobs ~budget ~supervision scenario
     in
     let tup =
       match sweep.Rfd.Sweep.points with
@@ -512,8 +530,9 @@ let sweep_cmd =
         ("messages", Rfd.Sweep.message_series sweep);
       ]
       @
-      match damping with
+      match scenario.Scenario.config.Rfd.Config.damping with
       | Some params ->
+          let interval = scenario.Scenario.flap_interval in
           [ ("intended(s)", Rfd.Sweep.intended_series params ~interval ~tup ~pulses) ]
       | None -> []
     in
@@ -521,9 +540,10 @@ let sweep_cmd =
     (match sweep.Rfd.Sweep.failures with
     | [] -> ()
     | failures ->
-        Format.printf "@.failures: %d of %d point(s) produced no clean data@."
+        Format.printf "@.failures: %d of %d point(s) on %s produced no clean data@."
           (List.length failures)
-          (List.length sweep.Rfd.Sweep.points + List.length failures);
+          (List.length sweep.Rfd.Sweep.points + List.length failures)
+          (shape spec);
         List.iter (fun f -> Format.printf "  %a@." Rfd.Sweep.pp_failure f) failures);
     let crashed =
       List.exists
@@ -536,45 +556,29 @@ let sweep_cmd =
   let doc = "sweep pulse counts and print convergence/message series" in
   Cmd.v (Cmd.info "sweep" ~doc ~man:exit_doc)
     Term.(
-      const action $ topology_arg $ damping_arg $ mode_arg $ policy_arg $ interval_arg
-      $ mrai_arg $ seed_arg $ isp_arg $ reuse_tick_arg $ table_hint_arg $ background_arg
-      $ workload_term $ max_pulses_arg $ jobs_arg $ budget_term $ faults_term
-      $ deadline_arg $ retries_arg $ journal_arg $ resume_arg)
+      const action $ spec_term (const d.Svc.pulses) $ max_pulses_arg $ jobs_arg
+      $ budget_term $ faults_term $ deadline_arg $ retries_arg $ journal_arg $ resume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay / trace-gen                                                  *)
 
 let replay_cmd =
-  let action trace_file topology damping mode policy pulses interval mrai seed isp
-      table_hint background budget partitions print_digest =
+  let action trace_file spec budget partitions print_digest =
     let trace =
       match Rfd.Update_trace.of_file trace_file with
       | Ok trace -> trace
-      | Error e ->
-          Format.eprintf "rfd-sim replay: %s: %s@." trace_file e;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim replay: %s@." msg;
-          exit exit_crashed
+      | Error e -> die "replay" "%s: %s" trace_file e
+      | exception Sys_error msg -> die "replay" "%s" msg
     in
-    let scenario =
-      try
-        build_scenario ~table_hint ~background_prefixes:background
-          ~workload:(Scenario.Replay trace) topology damping mode policy pulses interval
-          mrai seed isp None
-      with Invalid_argument msg ->
-        Format.eprintf "rfd-sim replay: %s@." msg;
-        exit exit_crashed
-    in
+    let scenario = scenario "replay" ~workload:(Scenario.Replay trace) spec in
     let r, par_stats =
       try Rfd.Runner.run_partitioned ~budget ~partitions scenario
-      with e ->
-        Format.eprintf "rfd-sim replay: crashed: %s@." (Printexc.to_string e);
-        exit exit_crashed
+      with e -> die "replay" "crashed: %s" (Printexc.to_string e)
     in
-    Format.printf "replayed %d trace event(s) over %d prefix(es)@."
+    Format.printf "replayed %d trace event(s) over %d prefix(es) on %s@."
       (Rfd.Update_trace.event_count trace)
-      (Rfd.Update_trace.max_prefix trace);
+      (Rfd.Update_trace.max_prefix trace)
+      (shape spec);
     Format.printf "%a@." Rfd.Runner.pp_result r;
     pp_par_stats par_stats;
     Format.printf "oracle: time-to-stable=%.1fs time-to-quiet=%.1fs final=%s@."
@@ -614,9 +618,10 @@ let replay_cmd =
   in
   Cmd.v (Cmd.info "replay" ~doc ~man)
     Term.(
-      const action $ trace_file_arg $ topology_arg $ damping_arg $ mode_arg $ policy_arg
-      $ replay_pulses_arg $ interval_arg $ mrai_arg $ seed_arg $ isp_arg $ table_hint_arg
-      $ background_arg $ budget_term $ partitions_arg $ print_digest_arg)
+      const action $ trace_file_arg
+      $ spec_term ~workload:(Term.const Fun.id) replay_pulses_arg
+      $ budget_term
+      $ partitions_arg $ print_digest_arg)
 
 let trace_gen_cmd =
   let action flappers flaps gap alpha seed nodes first_prefix =
@@ -625,9 +630,7 @@ let trace_gen_cmd =
         ~first_prefix
     with
     | trace -> print_string (Rfd.Update_trace.to_string trace)
-    | exception Invalid_argument msg ->
-        Format.eprintf "rfd-sim trace-gen: %s@." msg;
-        exit exit_crashed
+    | exception Invalid_argument msg -> die "trace-gen" "%s" msg
   in
   let gen_flappers_arg =
     let doc = "Flapping prefixes to synthesize." in
@@ -668,9 +671,13 @@ let trace_gen_cmd =
 
 let intended_cmd =
   let action damping pulses interval tup =
-    let params = match damping with Some p -> p | None -> Params.cisco in
+    let params =
+      match damping with
+      | Svc.Juniper -> Rfd.Params.juniper
+      | Svc.Cisco | Svc.No_damping -> Rfd.Params.cisco
+    in
     let s = Rfd.Intended.final_state params ~pulses ~interval in
-    Format.printf "parameters: %a@." Params.pp params;
+    Format.printf "parameters: %a@." Rfd.Params.pp params;
     Format.printf "penalty right after the final announcement: %.1f@."
       s.Rfd.Intended.penalty;
     Format.printf "suppressed at that moment: %b@." s.Rfd.Intended.suppressed;
@@ -688,17 +695,18 @@ let intended_cmd =
     Term.(const action $ damping_arg $ pulses_arg $ interval_arg $ tup_arg)
 
 (* ------------------------------------------------------------------ *)
-(* topo                                                                *)
+(* topo / metrics                                                      *)
+
+(* The graph runs simulate: the spec-built scenario's topology, resolved
+   by [Sweep.materialize] from the same seed stream [Runner.run] uses. *)
+let graph cmd (topology, file) seed =
+  match (scenario cmd ({ d with Svc.topology; seed }, file)).Scenario.topology with
+  | Scenario.Custom g -> g
+  | Scenario.Mesh _ | Scenario.Internet _ -> assert false
 
 let topo_cmd =
   let action topology seed relations =
-    let rng = Rfd.Rng.create seed in
-    let graph =
-      match topology with
-      | Scenario.Mesh { rows; cols } -> Rfd.Builders.mesh ~rows ~cols
-      | Scenario.Internet { nodes; m } -> Rfd.Random_graphs.barabasi_albert rng ~n:nodes ~m
-      | Scenario.Custom g -> g
-    in
+    let graph = graph "topo" topology seed in
     if relations then
       print_string (Rfd.Edge_list.print (Rfd.Relations.infer_by_degree graph))
     else print_string (Rfd.Edge_list.print_graph graph)
@@ -710,18 +718,9 @@ let topo_cmd =
   let doc = "generate a topology and print it as an edge list" in
   Cmd.v (Cmd.info "topo" ~doc) Term.(const action $ topology_arg $ seed_arg $ relations_arg)
 
-(* ------------------------------------------------------------------ *)
-(* metrics                                                             *)
-
 let metrics_cmd =
   let action topology seed =
-    let rng = Rfd.Rng.create seed in
-    let graph =
-      match topology with
-      | Scenario.Mesh { rows; cols } -> Rfd.Builders.mesh ~rows ~cols
-      | Scenario.Internet { nodes; m } -> Rfd.Random_graphs.barabasi_albert rng ~n:nodes ~m
-      | Scenario.Custom g -> g
-    in
+    let graph = graph "metrics" topology seed in
     let s = Rfd.Topo_metrics.summarize graph in
     Format.printf "%a@." Rfd.Topo_metrics.pp_summary s;
     (match Rfd.Topo_metrics.power_law_alpha graph with
@@ -737,8 +736,6 @@ let metrics_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* query — client side of the rfd-simd daemon                          *)
-
-module Svc = Rfd.Svc_protocol
 
 let socket_arg =
   let doc = "Unix-domain socket of the rfd-simd daemon." in
@@ -756,33 +753,6 @@ let fleet_arg =
     value
     & opt (some (list ~sep:',' string)) None
     & info [ "fleet" ] ~docv:"SOCK1,SOCK2,..." ~doc)
-
-let svc_topo_conv =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun e -> `Msg e) (Svc.topo_of_string s)),
-      fun ppf t -> Format.pp_print_string ppf (Svc.topo_to_string t) )
-
-let svc_topology_arg =
-  let doc = "Topology: mesh:RxC, internet:N[,M], line:N, ring:N or clique:N." in
-  Arg.(
-    value
-    & opt svc_topo_conv Svc.default_spec.Svc.topology
-    & info [ "t"; "topology" ] ~doc)
-
-let svc_damping_arg =
-  let doc = "Damping parameters: cisco, juniper or none." in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("cisco", Svc.Cisco);
-             ("juniper", Svc.Juniper);
-             ("none", Svc.No_damping);
-             ("off", Svc.No_damping);
-           ])
-        Svc.Cisco
-    & info [ "d"; "damping" ] ~doc)
 
 let query_timeout_arg =
   let doc =
@@ -827,9 +797,7 @@ let query_man =
    stays pure JSON — CI diffs it byte-for-byte across hit, miss, restart
    and failover) and map refusal codes onto the exit-code convention. *)
 let finish_query = function
-  | Error e ->
-      Format.eprintf "rfd-sim query: %s@." e;
-      exit exit_crashed
+  | Error e -> die "query" "%s" e
   | Ok (Svc.Result { cached; body }) ->
       Format.eprintf "rfd-sim query: cache %s@."
         (if cached then "hit" else "miss");
@@ -842,34 +810,24 @@ let finish_query = function
       | Svc.Overloaded | Svc.Timeout | Svc.Shutting_down | Svc.Wrong_shard ->
           exit exit_degraded
       | Svc.Invalid | Svc.Crashed -> exit exit_crashed)
-  | Ok Svc.Pong | Ok (Svc.Stats _) ->
-      Format.eprintf "rfd-sim query: unexpected response@.";
-      exit exit_crashed
+  | Ok Svc.Pong | Ok (Svc.Stats _) -> die "query" "unexpected response"
 
 let query_single ~timeout ~connect_retry ~attempts ~do_ping ~do_stats socket
     spec =
   let client =
     match Rfd.Svc_client.connect ~timeout ~retry_for:connect_retry socket with
     | client -> client
-    | exception e ->
-        Format.eprintf "rfd-sim query: cannot connect to %s: %s@." socket
-          (Printexc.to_string e);
-        exit exit_crashed
+    | exception e -> die "query" "cannot connect to %s: %s" socket (Printexc.to_string e)
   in
   Fun.protect ~finally:(fun () -> Rfd.Svc_client.close client) @@ fun () ->
   if do_ping then begin
     if Rfd.Svc_client.ping client then print_endline "pong"
-    else begin
-      Format.eprintf "rfd-sim query: no pong from %s@." socket;
-      exit exit_crashed
-    end
+    else die "query" "no pong from %s" socket
   end
   else if do_stats then begin
     match Rfd.Svc_client.stats client with
     | Ok body -> print_endline body
-    | Error e ->
-        Format.eprintf "rfd-sim query: %s@." e;
-        exit exit_crashed
+    | Error e -> die "query" "%s" e
   end
   else finish_query (Rfd.Svc_client.query ~attempts client spec)
 
@@ -878,9 +836,7 @@ let query_fleet ~timeout ~connect_retry ~attempts ~do_ping ~do_stats sockets
   let fleet =
     match Rfd.Svc_fleet.create ~timeout ~connect_retry sockets with
     | fleet -> fleet
-    | exception Invalid_argument msg ->
-        Format.eprintf "rfd-sim query: bad --fleet: %s@." msg;
-        exit exit_crashed
+    | exception Invalid_argument msg -> die "query" "bad --fleet: %s" msg
   in
   Fun.protect ~finally:(fun () -> Rfd.Svc_fleet.close fleet) @@ fun () ->
   if do_ping then begin
@@ -910,37 +866,12 @@ let query_fleet ~timeout ~connect_retry ~attempts ~do_ping ~do_stats sockets
   else finish_query (Rfd.Svc_fleet.query ~attempts fleet spec)
 
 let query_cmd =
-  let action socket fleet topology damping mode policy pulses interval mrai seed
-      isp table_hint reuse_tick background flappers flaps flap_gap flap_alpha
-      flap_seed timeout connect_retry attempts do_stats do_ping =
-    let spec =
-      {
-        Svc.topology;
-        damping;
-        mode;
-        policy;
-        pulses;
-        interval;
-        mrai;
-        seed;
-        isp;
-        table_hint;
-        reuse_tick;
-        background;
-        flappers;
-        flaps;
-        flap_gap;
-        flap_alpha;
-        flap_seed;
-      }
-    in
+  let action socket fleet (spec, file) timeout connect_retry attempts do_stats do_ping =
+    if Option.is_some file then
+      die "query" "an edge-list file topology cannot be sent to a daemon";
     match (socket, fleet) with
-    | Some _, Some _ ->
-        Format.eprintf "rfd-sim query: --socket and --fleet are exclusive@.";
-        exit exit_crashed
-    | None, None ->
-        Format.eprintf "rfd-sim query: one of --socket or --fleet is required@.";
-        exit exit_crashed
+    | Some _, Some _ -> die "query" "--socket and --fleet are exclusive"
+    | None, None -> die "query" "one of --socket or --fleet is required"
     | Some socket, None ->
         query_single ~timeout ~connect_retry ~attempts ~do_ping ~do_stats socket
           spec
@@ -952,12 +883,8 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc ~man:query_man)
     Term.(
-      const action $ socket_arg $ fleet_arg $ svc_topology_arg $ svc_damping_arg
-      $ mode_arg $ policy_arg $ pulses_arg $ interval_arg $ mrai_arg $ seed_arg
-      $ isp_arg $ table_hint_arg $ reuse_tick_arg $ background_arg $ flappers_arg
-      $ flaps_arg $ flap_gap_arg $ flap_alpha_arg $ flap_seed_arg
-      $ query_timeout_arg $ connect_retry_arg $ attempts_arg $ stats_flag
-      $ ping_flag)
+      const action $ socket_arg $ fleet_arg $ spec_term pulses_arg $ query_timeout_arg
+      $ connect_retry_arg $ attempts_arg $ stats_flag $ ping_flag)
 
 (* ------------------------------------------------------------------ *)
 (* journal-compact                                                     *)
@@ -974,12 +901,7 @@ let journal_compact_cmd =
             r.Rfd.Journal.checked_corrupt
             (if r.Rfd.Journal.checked_torn then ", torn tail" else "");
           if r.Rfd.Journal.checked_corrupt > 0 then exit exit_crashed
-      | exception Failure msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
+      | exception (Failure msg | Sys_error msg) -> die "journal-compact" "%s" msg
     end
     else
       match Rfd.Journal.compact path with
@@ -990,12 +912,7 @@ let journal_compact_cmd =
             path c.Rfd.Journal.kept
             (if c.Rfd.Journal.kept = 1 then "y" else "ies")
             c.Rfd.Journal.dropped_duplicates c.Rfd.Journal.dropped_corrupt
-      | exception Failure msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
-      | exception Sys_error msg ->
-          Format.eprintf "rfd-sim journal-compact: %s@." msg;
-          exit exit_crashed
+      | exception (Failure msg | Sys_error msg) -> die "journal-compact" "%s" msg
   in
   let check_arg =
     let doc =

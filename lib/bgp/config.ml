@@ -44,7 +44,8 @@ let with_damping ?(mode = Plain) ?(reuse = Exact) ?(deployment = Everywhere) par
 
 let validate t =
   let lo, hi = t.mrai_jitter in
-  if t.mrai < 0. then Error "mrai must be non-negative"
+  if (not (Float.is_finite t.mrai)) || t.mrai < 0. then
+    Error "mrai must be finite and non-negative"
   else if lo <= 0. || hi < lo then Error "mrai_jitter must satisfy 0 < lo <= hi"
   else if t.link_delay <= 0. then Error "link_delay must be positive"
   else if t.link_jitter < 0. then Error "link_jitter must be non-negative"

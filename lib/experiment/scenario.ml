@@ -80,10 +80,10 @@ let check_make ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~wor
   if pulses < 0 then fail "pulses must be non-negative (got %d)" pulses;
   if background_prefixes < 0 then
     fail "background_prefixes must be non-negative (got %d)" background_prefixes;
-  if Float.is_nan flap_interval || flap_interval <= 0. then
-    fail "flap_interval must be positive (got %g)" flap_interval;
-  if Float.is_nan settle_gap || settle_gap <= 0. then
-    fail "settle_gap must be positive (got %g)" settle_gap;
+  if (not (Float.is_finite flap_interval)) || flap_interval <= 0. then
+    fail "flap_interval must be positive and finite (got %g)" flap_interval;
+  if (not (Float.is_finite settle_gap)) || settle_gap <= 0. then
+    fail "settle_gap must be positive and finite (got %g)" settle_gap;
   (* Topology-shape checks mirror [validate]: [make] used to accept shapes
      that [validate] rejects, so the error only surfaced deep in the
      runner, far from the call site that wrote the bad value. *)
@@ -137,10 +137,10 @@ let paper_internet_208 = Internet { nodes = 208; m = 2 }
 let validate t =
   if t.pulses < 0 then Error "pulses must be non-negative"
   else if t.background_prefixes < 0 then Error "background_prefixes must be non-negative"
-  else if Float.is_nan t.flap_interval || t.flap_interval <= 0. then
-    Error "flap_interval must be positive"
-  else if Float.is_nan t.settle_gap || t.settle_gap <= 0. then
-    Error "settle_gap must be positive"
+  else if (not (Float.is_finite t.flap_interval)) || t.flap_interval <= 0. then
+    Error "flap_interval must be positive and finite"
+  else if (not (Float.is_finite t.settle_gap)) || t.settle_gap <= 0. then
+    Error "settle_gap must be positive and finite"
   else begin
     match t.topology with
     | Mesh { rows; cols } when rows < 3 || cols < 3 -> Error "mesh needs rows, cols >= 3"

@@ -101,8 +101,8 @@ val make :
 
     Raises [Invalid_argument "Scenario.make: ..."] eagerly — at the call
     site that wrote the bad value — on a negative [pulses] or
-    [background_prefixes], a non-positive (or NaN) [flap_interval] or
-    [settle_gap], an [isp] node outside the topology's node range, a
+    [background_prefixes], a non-positive or non-finite [flap_interval]
+    or [settle_gap], an [isp] node outside the topology's node range, a
     topology whose shape {!validate} would reject (mesh under 3x3,
     [Internet] with [m < 1 || m >= nodes], an empty custom graph), or an
     invalid [workload] (bad flapper parameters; a replay trace that fails

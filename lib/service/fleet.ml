@@ -18,9 +18,7 @@
    journals those misses land in merge trivially later. *)
 
 module Supervisor = Rfd_engine.Supervisor
-module Journal = Rfd_experiment.Journal
 module Scenario = Rfd_experiment.Scenario
-module Sweep = Rfd_experiment.Sweep
 
 type breaker = Closed | Open | Half_open
 
@@ -168,15 +166,7 @@ let client_of t shard =
 (* ------------------------------------------------------------------ *)
 (* Keying: exactly the daemon's keying path, shared memo included.     *)
 
-let key_of_spec t spec =
-  match Protocol.scenario_of_spec spec with
-  | Error _ as e -> e
-  | Ok scenario ->
-      if Hashtbl.length t.memo > 64 then Hashtbl.reset t.memo;
-      let resolved = Sweep.materialize ~memo:t.memo scenario in
-      Ok
-        (Journal.job_key resolved ~seed:spec.Protocol.seed
-           ~pulses:spec.Protocol.pulses)
+let key_of_spec t spec = Result.map snd (Protocol.resolve_spec ~memo:t.memo spec)
 
 let owner t key = Shard.owner_of_key t.map key
 

@@ -7,6 +7,7 @@
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
 module Journal = Rfd_experiment.Journal
+module Sweep = Rfd_experiment.Sweep
 module Json = Rfd_experiment.Json
 module Config = Rfd_bgp.Config
 module Params = Rfd_damping.Params
@@ -251,48 +252,23 @@ let scenario_of_spec spec =
     | exception Failure msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
+(* Keying                                                              *)
+
+let resolve_spec ~memo spec =
+  match scenario_of_spec spec with
+  | Error _ as e -> e
+  | Ok scenario ->
+      (* The memo shares one materialized graph across requests for the
+         same (seed, topology); reset it occasionally so a scan of
+         distinct topologies cannot grow it without bound. *)
+      if Hashtbl.length memo > 64 then Hashtbl.reset memo;
+      let resolved = Sweep.materialize ~memo scenario in
+      Ok (resolved, Journal.job_key resolved ~seed:spec.seed ~pulses:spec.pulses)
+
+(* ------------------------------------------------------------------ *)
 (* Request grammar                                                     *)
 
 type request = Query of spec | Stats | Ping
-
-let spec_fields spec =
-  [
-    ("topology", topo_to_string spec.topology);
-    ("damping", damping_to_string spec.damping);
-    ("mode", mode_to_string spec.mode);
-    ("policy", policy_to_string spec.policy);
-    ("pulses", string_of_int spec.pulses);
-    ("interval", float_str spec.interval);
-    ("mrai", float_str spec.mrai);
-    ("seed", string_of_int spec.seed);
-    ("isp", string_of_int spec.isp);
-    ("table-hint", string_of_int spec.table_hint);
-  ]
-  @ (match spec.reuse_tick with None -> [] | Some t -> [ ("reuse-tick", float_str t) ])
-  @ (if spec.background = 0 then []
-     else [ ("background", string_of_int spec.background) ])
-  @
-  (* The flapper knobs travel together: without a flapper count they have
-     nothing to parameterize, and omitting them keeps pre-workload query
-     lines (and hand-typed smoke queries) byte-stable. *)
-  if spec.flappers = 0 then []
-  else
-    [
-      ("flappers", string_of_int spec.flappers);
-      ("flaps", string_of_int spec.flaps);
-      ("flap-gap", float_str spec.flap_gap);
-      ("flap-alpha", float_str spec.flap_alpha);
-      ("flap-seed", string_of_int spec.flap_seed);
-    ]
-
-let render_request = function
-  | Stats -> version ^ " stats\n"
-  | Ping -> version ^ " ping\n"
-  | Query spec ->
-      let fields =
-        List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) (spec_fields spec)
-      in
-      Printf.sprintf "%s query %s\n" version (String.concat " " fields)
 
 let parse_int name v =
   match int_of_string_opt v with
@@ -306,79 +282,109 @@ let parse_float name v =
 
 let ( let* ) = Result.bind
 
-let parse_spec tokens =
-  let seen = Hashtbl.create 11 in
-  List.fold_left
-    (fun acc token ->
-      let* spec = acc in
-      let* key, value =
-        match String.index_opt token '=' with
-        | Some i ->
-            Ok
-              ( String.sub token 0 i,
-                String.sub token (i + 1) (String.length token - i - 1) )
-        | None -> Error (Printf.sprintf "expected key=value, got %S" token)
+(* One row per wire field, in render order: [print] is [None] when the
+   field is omitted, [parse] sets it on the spec parsed so far. *)
+type field = {
+  name : string;
+  print : spec -> string option;
+  parse : string -> spec -> (spec, string) result;
+}
+
+let field ?(shown = fun _ -> true) name to_string of_string get set =
+  {
+    name;
+    print = (fun spec -> if shown spec then Some (to_string (get spec)) else None);
+    parse = (fun v spec -> Result.map (set spec) (of_string v));
+  }
+
+let int_field ?shown name = field ?shown name string_of_int (parse_int name)
+let float_field ?shown name = field ?shown name float_str (parse_float name)
+
+(* The flapper knobs travel together: without a flapper count they have
+   nothing to parameterize, and omitting them keeps pre-workload query
+   lines (and hand-typed smoke queries) byte-stable. *)
+let flapping spec = spec.flappers <> 0
+
+let fields =
+  [
+    field "topology" topo_to_string topo_of_string
+      (fun s -> s.topology)
+      (fun s topology -> { s with topology });
+    field "damping" damping_to_string damping_of_string
+      (fun s -> s.damping)
+      (fun s damping -> { s with damping });
+    field "mode" mode_to_string mode_of_string
+      (fun s -> s.mode)
+      (fun s mode -> { s with mode });
+    field "policy" policy_to_string policy_of_string
+      (fun s -> s.policy)
+      (fun s policy -> { s with policy });
+    int_field "pulses" (fun s -> s.pulses) (fun s pulses -> { s with pulses });
+    float_field "interval" (fun s -> s.interval) (fun s interval -> { s with interval });
+    float_field "mrai" (fun s -> s.mrai) (fun s mrai -> { s with mrai });
+    int_field "seed" (fun s -> s.seed) (fun s seed -> { s with seed });
+    int_field "isp" (fun s -> s.isp) (fun s isp -> { s with isp });
+    int_field "table-hint"
+      (fun s -> s.table_hint)
+      (fun s table_hint -> { s with table_hint });
+    field
+      ~shown:(fun s -> s.reuse_tick <> None)
+      "reuse-tick"
+      (function Some t -> float_str t | None -> "none")
+      (function
+        | "none" -> Ok None
+        | v -> Result.map Option.some (parse_float "reuse-tick" v))
+      (fun s -> s.reuse_tick)
+      (fun s reuse_tick -> { s with reuse_tick });
+    int_field
+      ~shown:(fun s -> s.background <> 0)
+      "background"
+      (fun s -> s.background)
+      (fun s background -> { s with background });
+    int_field ~shown:flapping "flappers"
+      (fun s -> s.flappers)
+      (fun s flappers -> { s with flappers });
+    int_field ~shown:flapping "flaps" (fun s -> s.flaps) (fun s flaps -> { s with flaps });
+    float_field ~shown:flapping "flap-gap"
+      (fun s -> s.flap_gap)
+      (fun s flap_gap -> { s with flap_gap });
+    float_field ~shown:flapping "flap-alpha"
+      (fun s -> s.flap_alpha)
+      (fun s flap_alpha -> { s with flap_alpha });
+    int_field ~shown:flapping "flap-seed"
+      (fun s -> s.flap_seed)
+      (fun s flap_seed -> { s with flap_seed });
+  ]
+
+let render_request = function
+  | Stats -> version ^ " stats\n"
+  | Ping -> version ^ " ping\n"
+  | Query spec ->
+      let tokens =
+        List.filter_map
+          (fun f -> Option.map (Printf.sprintf "%s=%s" f.name) (f.print spec))
+          fields
       in
-      if Hashtbl.mem seen key then Error (Printf.sprintf "duplicate field %S" key)
-      else begin
-        Hashtbl.add seen key ();
-        match key with
-        | "topology" ->
-            let* t = topo_of_string value in
-            Ok { spec with topology = t }
-        | "damping" ->
-            let* d = damping_of_string value in
-            Ok { spec with damping = d }
-        | "mode" ->
-            let* m = mode_of_string value in
-            Ok { spec with mode = m }
-        | "policy" ->
-            let* p = policy_of_string value in
-            Ok { spec with policy = p }
-        | "pulses" ->
-            let* n = parse_int key value in
-            Ok { spec with pulses = n }
-        | "interval" ->
-            let* f = parse_float key value in
-            Ok { spec with interval = f }
-        | "mrai" ->
-            let* f = parse_float key value in
-            Ok { spec with mrai = f }
-        | "seed" ->
-            let* n = parse_int key value in
-            Ok { spec with seed = n }
-        | "isp" ->
-            let* n = parse_int key value in
-            Ok { spec with isp = n }
-        | "table-hint" ->
-            let* n = parse_int key value in
-            Ok { spec with table_hint = n }
-        | "reuse-tick" ->
-            if value = "none" then Ok { spec with reuse_tick = None }
+      Printf.sprintf "%s query %s\n" version (String.concat " " tokens)
+
+let parse_spec tokens =
+  let rec go seen spec = function
+    | [] -> Ok spec
+    | token :: rest -> (
+        match String.index_opt token '=' with
+        | None -> Error (Printf.sprintf "expected key=value, got %S" token)
+        | Some i -> (
+            let key = String.sub token 0 i in
+            let value = String.sub token (i + 1) (String.length token - i - 1) in
+            if List.mem key seen then Error (Printf.sprintf "duplicate field %S" key)
             else
-              let* f = parse_float key value in
-              Ok { spec with reuse_tick = Some f }
-        | "background" ->
-            let* n = parse_int key value in
-            Ok { spec with background = n }
-        | "flappers" ->
-            let* n = parse_int key value in
-            Ok { spec with flappers = n }
-        | "flaps" ->
-            let* n = parse_int key value in
-            Ok { spec with flaps = n }
-        | "flap-gap" ->
-            let* f = parse_float key value in
-            Ok { spec with flap_gap = f }
-        | "flap-alpha" ->
-            let* f = parse_float key value in
-            Ok { spec with flap_alpha = f }
-        | "flap-seed" ->
-            let* n = parse_int key value in
-            Ok { spec with flap_seed = n }
-        | _ -> Error (Printf.sprintf "unknown field %S" key)
-      end)
-    (Ok default_spec) tokens
+              match List.find_opt (fun f -> f.name = key) fields with
+              | None -> Error (Printf.sprintf "unknown field %S" key)
+              | Some f ->
+                  let* spec = f.parse value spec in
+                  go (key :: seen) spec rest))
+  in
+  go [] default_spec tokens
 
 let strip_cr line =
   let n = String.length line in

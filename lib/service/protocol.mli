@@ -28,12 +28,14 @@ val version : string
 
 (** {1 Query specifications}
 
-    A query names a scenario by value, mirroring the knobs of
-    [rfd-sim run] (minus fault injection, probes and budgets — a served
-    result must be the unbudgeted ground truth). The server elaborates
-    the spec with {!scenario_of_spec}, resolves the topology with
-    {!Rfd_experiment.Sweep.materialize} and keys the result with
-    {!Rfd_experiment.Journal.job_key} — so equal specs always map to
+    A spec names a scenario by value. It is shared with the CLI:
+    [rfd-sim run], [sweep], [replay] and [query] parse their flags into
+    one, and build their scenario with {!scenario_of_spec}, so a CLI run
+    and a daemon query with the same flags have the same result digest
+    and the same job key. What the wire cannot carry — edge-list file
+    topologies, fault injection, probes, budgets and replay traces —
+    stays CLI-only; a served result is the unbudgeted ground truth. The
+    server keys a spec with {!resolve_spec}: equal specs always map to
     equal cache keys, across connections, restarts and machines. *)
 
 type topo =
@@ -102,16 +104,26 @@ val scenario_of_spec : spec -> (Rfd_experiment.Scenario.t, string) result
     topology; resolve it with {!Rfd_experiment.Sweep.materialize} before
     keying. *)
 
+val resolve_spec :
+  memo:(int * Rfd_experiment.Scenario.topology, Rfd_topology.Graph.t) Hashtbl.t ->
+  spec ->
+  (Rfd_experiment.Scenario.t * string, string) result
+(** The daemon's keying path: {!scenario_of_spec}, then
+    {!Rfd_experiment.Sweep.materialize} through [memo] (emptied once it
+    holds more than 64 graphs), then {!Rfd_experiment.Journal.job_key}.
+    Returns the resolved scenario and its key. *)
+
 (** {1 Requests} *)
 
 type request = Query of spec | Stats | Ping
 
 val render_request : request -> string
-(** One full line, ['\n'] included. Spec fields are always written out
-    explicitly, in a fixed order, with round-trip float formatting — except
-    the workload fields ([background], [flappers], [flaps], [flap-gap],
-    [flap-alpha], [flap-seed]), which are omitted at their zero/absent
-    defaults so pre-workload query lines stay byte-stable. *)
+(** One full line, ['\n'] included. Rendering and {!parse_request} read
+    one field table. Spec fields are written in a fixed order, with
+    round-trip float formatting. [reuse-tick] and the workload fields
+    ([background], [flappers], [flaps], [flap-gap], [flap-alpha],
+    [flap-seed]) are omitted at their absent/zero defaults, so
+    pre-workload query lines stay byte-stable. *)
 
 val parse_request : string -> (request, string) result
 (** Parse one request line (no trailing newline). Unknown commands,

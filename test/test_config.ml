@@ -23,6 +23,10 @@ let test_rejects_bad_fields () =
   let base = Config.default in
   Alcotest.(check bool) "negative mrai" true
     (is_err (Config.validate { base with Config.mrai = -1. }));
+  Alcotest.(check bool) "NaN mrai" true
+    (is_err (Config.validate { base with Config.mrai = Float.nan }));
+  Alcotest.(check bool) "infinite mrai" true
+    (is_err (Config.validate { base with Config.mrai = infinity }));
   Alcotest.(check bool) "bad jitter" true
     (is_err (Config.validate { base with Config.mrai_jitter = (0., 1.) }));
   Alcotest.(check bool) "inverted jitter" true

@@ -26,6 +26,10 @@ let test_scenario_validation () =
   Alcotest.(check bool) "negative pulses" true (Result.is_error (Scenario.validate bad));
   let bad = hand_made (fun s -> { s with Scenario.flap_interval = 0. }) in
   Alcotest.(check bool) "zero interval" true (Result.is_error (Scenario.validate bad));
+  let bad = hand_made (fun s -> { s with Scenario.flap_interval = infinity }) in
+  Alcotest.(check bool) "infinite interval" true (Result.is_error (Scenario.validate bad));
+  let bad = hand_made (fun s -> { s with Scenario.settle_gap = Float.nan }) in
+  Alcotest.(check bool) "NaN settle gap" true (Result.is_error (Scenario.validate bad));
   let bad = hand_made (fun s -> { s with Scenario.topology = Scenario.Mesh { rows = 2; cols = 2 } }) in
   Alcotest.(check bool) "tiny mesh" true (Result.is_error (Scenario.validate bad));
   let good = Scenario.make small_mesh in
@@ -42,11 +46,17 @@ let test_scenario_make_rejects_eagerly () =
     (Invalid_argument "Scenario.make: background_prefixes must be non-negative (got -3)")
     (fun () -> ignore (Scenario.make ~background_prefixes:(-3) small_mesh));
   Alcotest.check_raises "zero flap interval"
-    (Invalid_argument "Scenario.make: flap_interval must be positive (got 0)") (fun () ->
-      ignore (Scenario.make ~flap_interval:0. small_mesh));
+    (Invalid_argument "Scenario.make: flap_interval must be positive and finite (got 0)")
+    (fun () -> ignore (Scenario.make ~flap_interval:0. small_mesh));
+  Alcotest.check_raises "infinite flap interval"
+    (Invalid_argument "Scenario.make: flap_interval must be positive and finite (got inf)")
+    (fun () -> ignore (Scenario.make ~flap_interval:infinity small_mesh));
   Alcotest.check_raises "zero settle gap"
-    (Invalid_argument "Scenario.make: settle_gap must be positive (got 0)") (fun () ->
-      ignore (Scenario.make ~settle_gap:0. small_mesh));
+    (Invalid_argument "Scenario.make: settle_gap must be positive and finite (got 0)")
+    (fun () -> ignore (Scenario.make ~settle_gap:0. small_mesh));
+  Alcotest.check_raises "infinite settle gap"
+    (Invalid_argument "Scenario.make: settle_gap must be positive and finite (got inf)")
+    (fun () -> ignore (Scenario.make ~settle_gap:infinity small_mesh));
   Alcotest.check_raises "isp beyond topology"
     (Invalid_argument
        "Scenario.make: isp node 9 is out of range for a 9-node topology (want 0..8)")

@@ -125,6 +125,133 @@ let test_request_errors () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" line))
     bad
 
+(* The field table must render exactly the bytes the daemon has always
+   keyed and logged: field order, omission rules and float formatting. *)
+let test_request_bytes_pinned () =
+  Alcotest.(check string) "default spec"
+    "rfd-svc/1 query topology=mesh:10x10 damping=cisco mode=plain policy=shortest \
+     pulses=1 interval=60 mrai=30 seed=42 isp=0 table-hint=8\n"
+    (Protocol.render_request (Protocol.Query Protocol.default_spec));
+  Alcotest.(check string) "flappers and a reuse tick"
+    "rfd-svc/1 query topology=ring:12 damping=juniper mode=rcn policy=no-valley \
+     pulses=2 interval=12.5 mrai=0.29999999999999999 seed=7 isp=-1 table-hint=8 \
+     reuse-tick=1.25 background=4 flappers=3 flaps=2 flap-gap=7.5 flap-alpha=1.25 \
+     flap-seed=9\n"
+    (Protocol.render_request
+       (Protocol.Query
+          {
+            Protocol.topology = Protocol.Ring 12;
+            damping = Protocol.Juniper;
+            mode = Rfd_bgp.Config.Rcn;
+            policy = Rfd_experiment.Scenario.No_valley;
+            pulses = 2;
+            interval = 12.5;
+            mrai = 0.3;
+            seed = 7;
+            isp = -1;
+            table_hint = 8;
+            reuse_tick = Some 1.25;
+            background = 4;
+            flappers = 3;
+            flaps = 2;
+            flap_gap = 7.5;
+            flap_alpha = 1.25;
+            flap_seed = 9;
+          }))
+
+(* Without a flapper count the flapper knobs parameterize nothing, so the
+   renderer omits them and they read back at their defaults: [flaps=7]
+   alone parses, but re-renders as the default line. *)
+let canonical spec =
+  let d = Protocol.default_spec in
+  if spec.Protocol.flappers <> 0 then spec
+  else
+    {
+      spec with
+      Protocol.flaps = d.Protocol.flaps;
+      flap_gap = d.Protocol.flap_gap;
+      flap_alpha = d.Protocol.flap_alpha;
+      flap_seed = d.Protocol.flap_seed;
+    }
+
+let test_request_flapper_knobs_alone () =
+  match Protocol.parse_request "rfd-svc/1 query flaps=7" with
+  | Ok (Protocol.Query spec) ->
+      Alcotest.(check int) "flaps parsed" 7 spec.Protocol.flaps;
+      Alcotest.(check string) "rendered without flapper knobs"
+        (Protocol.render_request (Protocol.Query Protocol.default_spec))
+        (Protocol.render_request (Protocol.Query spec));
+      Alcotest.(check bool) "canonical form is the default spec" true
+        (canonical spec = Protocol.default_spec)
+  | _ -> Alcotest.fail "flaps without flappers rejected"
+
+(* Hostile input: arbitrary strings and valid lines with a few characters
+   inserted, deleted or replaced. Parsing never raises, and an accepted
+   query re-renders to a line that parses back to the same spec up to
+   [canonical] ([compare], so a NaN field still counts as equal). *)
+let request_line_gen =
+  let open QCheck.Gen in
+  let valid =
+    "rfd-svc/1 query flaps=7 flap-alpha=2"
+    :: List.map
+      (fun spec ->
+        let line = Protocol.render_request (Protocol.Query spec) in
+        String.sub line 0 (String.length line - 1))
+      [
+        Protocol.default_spec;
+        {
+          (small_spec ()) with
+          Protocol.reuse_tick = Some 2.5;
+          background = 3;
+          flappers = 2;
+          mrai = 0.1;
+        };
+      ]
+  in
+  let mutate line =
+    let* edits = int_range 1 4 in
+    let rec go k line =
+      if k = 0 then return line
+      else
+        let n = String.length line in
+        let* pos = int_bound n in
+        let* c = oneof [ printable; oneofl [ ' '; '='; ':'; ','; 'x'; '\r'; '-' ] ] in
+        let* op = int_bound 2 in
+        let before = String.sub line 0 pos in
+        let after drop = String.sub line (pos + drop) (n - pos - drop) in
+        go (k - 1)
+          (match op with
+          | 0 -> before ^ String.make 1 c ^ after 0
+          | 1 when pos < n -> before ^ after 1
+          | _ when pos < n -> before ^ String.make 1 c ^ after 1
+          | _ -> line ^ String.make 1 c)
+    in
+    go edits line
+  in
+  frequency
+    [
+      (1, string_size ~gen:printable (int_bound 80));
+      (1, map (fun w -> "rfd-svc/1 query " ^ w) (string_size ~gen:printable (int_bound 40)));
+      (4, oneofl valid >>= mutate);
+    ]
+
+let prop_parse_request_total =
+  QCheck.Test.make ~name:"parse_request never raises; accepted queries round-trip"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") request_line_gen)
+    (fun line ->
+      match Protocol.parse_request line with
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | Error _ | Ok (Protocol.Stats | Protocol.Ping) -> true
+      | Ok (Protocol.Query spec) -> (
+          let again = Protocol.render_request (Protocol.Query spec) in
+          match
+            Protocol.parse_request (String.sub again 0 (String.length again - 1))
+          with
+          | Ok (Protocol.Query spec') -> compare (canonical spec) spec' = 0
+          | Ok _ | Error _ -> false))
+
 let test_response_round_trip () =
   let bodies =
     [
@@ -184,6 +311,10 @@ let test_spec_admission () =
   refuse
     { (small_spec ()) with Protocol.flappers = 5; flap_alpha = 0. }
     "accepted a zero Pareto alpha";
+  refuse { (small_spec ()) with Protocol.mrai = Float.nan } "accepted a NaN mrai";
+  refuse { (small_spec ()) with Protocol.mrai = infinity } "accepted an infinite mrai";
+  refuse { (small_spec ()) with Protocol.interval = infinity } "accepted an infinite interval";
+  refuse { (small_spec ()) with Protocol.interval = Float.nan } "accepted a NaN interval";
   (match
      Protocol.scenario_of_spec
        { (small_spec ()) with Protocol.background = 10; flappers = 5; flaps = 2 }
@@ -213,6 +344,35 @@ let test_result_body_deterministic () =
       Alcotest.(check string) "two runs, one body" b1 b2;
       Alcotest.(check string) "body carries the cache key" key
         (json_field b1 "key")
+
+(* A sweep journal and the daemon's store key the same experiment alike:
+   every job a sweep plans over a spec-built base carries the key the
+   daemon derives for that job's seed and pulse count. *)
+let test_sweep_keys_match_daemon () =
+  let memo = Hashtbl.create 8 in
+  List.iter
+    (fun spec ->
+      match Protocol.scenario_of_spec spec with
+      | Error e -> Alcotest.fail e
+      | Ok base ->
+          List.iter
+            (fun (job : Sweep.job) ->
+              match
+                Protocol.resolve_spec ~memo
+                  { spec with Protocol.seed = job.Sweep.job_seed; pulses = job.Sweep.job_pulses }
+              with
+              | Error e -> Alcotest.fail e
+              | Ok (_, key) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "seed %d, %d pulse(s)" job.Sweep.job_seed
+                       job.Sweep.job_pulses)
+                    key (Sweep.job_key job))
+            (Sweep.plan ~pulses:[ 1; 2; 5 ] ~seeds:[ 42; 7 ] base))
+    [
+      small_spec ();
+      { (small_spec ()) with Protocol.topology = Protocol.Internet { nodes = 30; m = 2 } };
+      { (small_spec ()) with Protocol.background = 5; flappers = 3; reuse_tick = Some 5. };
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Store                                                               *)
@@ -505,6 +665,24 @@ let test_e2e_invalid_and_ping () =
   Unix.close fd;
   Alcotest.(check bool) "drained cleanly" true (stop () = Server.Drained)
 
+let test_e2e_non_finite_refused_unjournalled () =
+  with_server @@ fun ~socket ~journal ~cfg:_ ~stop ->
+  let client = Client.connect ~timeout:10. ~retry_for:5. socket in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  List.iter
+    (fun (what, spec) ->
+      match Client.query ~attempts:1 client spec with
+      | Ok (Protocol.Refused { code = Protocol.Invalid; _ }) -> ()
+      | Ok _ -> Alcotest.failf "%s: expected an invalid refusal" what
+      | Error e -> Alcotest.fail e)
+    [
+      ("interval=inf", { (small_spec ()) with Protocol.interval = infinity });
+      ("mrai=nan", { (small_spec ()) with Protocol.mrai = Float.nan });
+    ];
+  Alcotest.(check bool) "drained cleanly" true (stop () = Server.Drained);
+  Alcotest.(check int) "nothing journalled" 0
+    (Hashtbl.length (Journal.load journal).Journal.entries)
+
 let test_client_retries_after_shed () =
   (* A hand-rolled server that sheds twice, then serves: the client's
      deterministic backoff must carry it to the third attempt. *)
@@ -678,12 +856,19 @@ let suite =
     Alcotest.test_case "protocol: request round trip" `Quick
       test_request_round_trip;
     Alcotest.test_case "protocol: request errors" `Quick test_request_errors;
+    Alcotest.test_case "protocol: request bytes pinned" `Quick
+      test_request_bytes_pinned;
+    Alcotest.test_case "protocol: flapper knobs without flappers" `Quick
+      test_request_flapper_knobs_alone;
+    QCheck_alcotest.to_alcotest prop_parse_request_total;
     Alcotest.test_case "protocol: response round trip" `Quick
       test_response_round_trip;
     Alcotest.test_case "protocol: admission caps and validation" `Quick
       test_spec_admission;
     Alcotest.test_case "protocol: result body deterministic" `Quick
       test_result_body_deterministic;
+    Alcotest.test_case "protocol: sweep job keys equal daemon keys" `Quick
+      test_sweep_keys_match_daemon;
     Alcotest.test_case "store: round trip and replay" `Quick
       test_store_round_trip_and_replay;
     Alcotest.test_case "store: LRU stays bounded" `Quick test_store_lru_bound;
@@ -705,6 +890,8 @@ let suite =
       test_e2e_shed_when_full;
     Alcotest.test_case "e2e: invalid queries and raw garbage" `Quick
       test_e2e_invalid_and_ping;
+    Alcotest.test_case "e2e: non-finite numbers refused, nothing journalled" `Quick
+      test_e2e_non_finite_refused_unjournalled;
     Alcotest.test_case "client: retries after shed with backoff" `Quick
       test_client_retries_after_shed;
     Alcotest.test_case "store: concurrent readers of an evicted key" `Quick

@@ -57,6 +57,31 @@ let test_plan_materializes_topology () =
         rest
   | [] -> Alcotest.fail "no jobs planned"
 
+(* [rfd-sim topo]/[metrics] print the graph [materialize] resolves, so it
+   must be the graph a run of the unresolved scenario simulates: the run's
+   network is that graph plus the origin stub linked to the isp. *)
+let test_materialize_is_simulated_graph () =
+  List.iter
+    (fun topology ->
+      let scenario = Scenario.make ~config:(fast_config ~seed:42 ()) topology in
+      let simulated = ref None in
+      ignore
+        (Runner.run
+           ~observe:(fun net -> simulated := Some (Network.graph net))
+           scenario);
+      match ((Sweep.materialize scenario).Scenario.topology, !simulated) with
+      | Scenario.Custom g, Some net_graph ->
+          let n = Rfd_topology.Graph.num_nodes g in
+          let expected =
+            Rfd_topology.Graph.add_edges (Rfd_topology.Graph.add_nodes g 1) [ (0, n) ]
+          in
+          Alcotest.(check bool)
+            (Scenario.topology_summary topology ^ " materializes the simulated graph")
+            true
+            (Rfd_topology.Graph.equal expected net_graph)
+      | _ -> Alcotest.fail "expected a Custom graph and an observed network")
+    [ small_mesh; Scenario.Internet { nodes = 30; m = 2 } ]
+
 let test_plan_keeps_invalid_scenarios () =
   (* Validation errors must still surface from Runner.run, unchanged. *)
   let bad = bad_scenario () in
@@ -254,6 +279,8 @@ let suite =
   [
     Alcotest.test_case "plan shape" `Quick test_plan_shape;
     Alcotest.test_case "plan materializes topology" `Quick test_plan_materializes_topology;
+    Alcotest.test_case "materialize is the simulated graph" `Quick
+      test_materialize_is_simulated_graph;
     Alcotest.test_case "invalid scenarios untouched" `Quick test_plan_keeps_invalid_scenarios;
     Alcotest.test_case "memoized topology bit-identical" `Quick test_memo_bit_identical;
     Alcotest.test_case "run: jobs=1 vs jobs=4 identical" `Quick test_run_jobs_determinism;
