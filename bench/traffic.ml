@@ -39,7 +39,7 @@ let run_point (opts : Context.opts) (background, flappers) =
   let config =
     {
       (Context.damping_config opts) with
-      (* Pre-size the dense per-prefix tables to the full prefix range so
+      (* Pre-size the per-session slot tables to the full prefix range so
          the measured RSS is steady-state capacity, not growth churn. *)
       Config.prefix_table_hint = background + flappers + 1;
     }

@@ -55,12 +55,13 @@ type t = {
   deployment : deployment;
   rcn_history : int;  (** per-peer root-cause history capacity *)
   prefix_table_hint : int;
-      (** initial bucket-count hint for each per-peer prefix-keyed table
-          (RIB-In, RIB-Out, MRAI deadlines, pending, flush timers). The
-          default (8) preserves historical allocation behaviour; set it to
-          the expected prefix count per session — e.g. 1–2 for
-          Internet-scale single-origin runs — so tens of thousands of
-          low-degree routers don't pay fixed table overhead per session *)
+      (** initial slot capacity of every per-session column (RIB-In,
+          RIB-Out, MRAI deadlines and queue, damping penalties) and of the
+          router's Loc-RIB columns; columns double past it as higher
+          prefix ids arrive. Set it to the expected prefix count per
+          session — e.g. 1–2 for Internet-scale single-origin runs, so
+          tens of thousands of low-degree routers don't pay for unused
+          slots; the default is 8 *)
   seed : int;  (** master RNG seed for jitter and deployment sampling *)
 }
 

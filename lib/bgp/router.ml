@@ -6,44 +6,67 @@ module Reuse_index = Rfd_damping.Reuse_index
 
 type desired = D_announce of Route.t | D_withdraw
 
-type entry = {
-  mutable route : Route.t option;
-  damper : Damper.t option;
-  mutable reuse_pending : bool; (* a reuse timer is outstanding for this entry *)
-  mutable wheel_slot : int; (* bucket holding this entry while reuse_pending in Tick mode *)
-  mutable last_rc : Root_cause.t option;
+(* An MRAI-parked update and the flush timer that releases it. Allocated
+   when a prefix first parks and dropped once neither is outstanding, so
+   only the prefixes currently behind an MRAI deadline pay for one. *)
+type parked = {
+  mutable desired : desired; (* meaningful while [f_queued] *)
+  mutable rc : Root_cause.t option;
+  mutable flush_event : Sim.event_id; (* meaningful while [f_armed] *)
 }
 
-type pending_out = { desired : desired; rc : Root_cause.t option }
-
+(* Per-prefix session state is one dense slot table indexed by prefix id
+   (prefix ids are small and contiguous): a flags byte and unboxed columns,
+   all of the same capacity, growing together by doubling from
+   [Config.prefix_table_hint]. A read past capacity reads as absent. No
+   slot owns a heap block: routes and root causes are shared values, absence
+   is a sentinel, and penalties live in float arrays. *)
 type peer_state = {
   peer_id : int;
   mutable send : (Update.t -> unit) option;
   mrai_interval : float; (* jittered once per session *)
-  (* Per-prefix session state lives in dense int-indexed tables (prefix
-     ids are contiguous): O(1) unhashed lookups on the RIB hot paths and
-     ascending iteration order for free. *)
-  rib_in : entry Prefix_table.t;
-  rib_out : Route.t Prefix_table.t; (* absent = withdrawn / never sent *)
-  mrai_deadline : float Prefix_table.t;
-  pending : pending_out Prefix_table.t;
-  flush_scheduled : Sim.event_id Prefix_table.t;
-      (* armed flush timer per prefix, cancellable on session failure *)
+  mutable flags : Bytes.t; (* [f_*] bits per slot; its length is the capacity *)
+  mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
+  mutable last_rc : Root_cause.t array; (* root cause of the last update; [no_rc] = none *)
+  mutable advertised : Route.t array; (* RIB-Out; [no_route] = withdrawn or never sent *)
+  mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
+  mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
+  mutable wheel_slot : int array;
+      (* reuse-wheel bucket holding a slot while [f_reuse]; empty unless Tick mode *)
+  penalties : Damper.slots option; (* Some iff this router damps *)
   rcn_history : Root_cause.t History.t option;
       (* Some iff this router damps in RCN mode — the only consumer *)
   mutable peer_deadline : float; (* shared MRAI deadline in per-peer mode *)
   mutable up : bool;
 }
 
+(* Slot flags. *)
+let f_exists = 1 (* a RIB-In entry exists, routed or withdrawn *)
+let f_suppressed = 2
+let f_reuse = 4 (* a reuse timer (or wheel bucket) is outstanding *)
+let f_queued = 8 (* an update is parked behind the MRAI *)
+let f_armed = 16 (* a flush timer is armed *)
+
+(* Column sentinels. Neither is ever interned or sent, so they are only
+   matched by physical equality. *)
+let no_route = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
+let no_rc = Root_cause.make ~link:(-1, -1) ~status:Root_cause.Link_down ~seq:(-1)
+let no_parked = { desired = D_withdraw; rc = None; flush_event = Sim.no_event }
+
+let rc_of_option = function Some rc -> rc | None -> no_rc
+let option_of_rc rc = if rc == no_rc then None else Some rc
+
 (* RFC 2439 §4.8.6 reuse list (Config.Tick mode): suppressed entries are
    bucketed by absolute tick number [k] (firing at [k *. tick]) instead of
    each arming its own simulator timer. One armed event per occupied slot,
    one table lookup per suppression; a re-charged entry migrates to the
    slot covering its new reuse instant, and a bucket emptied by migration
-   cancels its event instead of firing a pointless re-check. *)
+   cancels its event instead of firing a pointless re-check. Buckets name
+   entries by (session, prefix), never by column, because columns are
+   reallocated when they grow. *)
 type bucket = {
   b_event : Sim.event_id;
-  mutable b_items : (peer_state * Prefix.t * entry) list; (* reverse insertion order *)
+  mutable b_items : (peer_state * Prefix.t) list; (* reverse insertion order *)
 }
 
 type wheel = {
@@ -59,14 +82,17 @@ type t = {
   policy : Policy.t;
   config : Config.t;
   damping : Rfd_damping.Params.t option;
+  setting : Damper.setting option; (* Some iff damping; one decay cache per router *)
   wheel : wheel option; (* Some iff damping is on and reuse_mode is Tick *)
-  decay_cache : Damper.cache option; (* shared across this router's dampers *)
   hooks : Hooks.t;
   rng : Rng.t;
   table : Route.table; (* per-network intern table, shared across routers *)
   mutable peers : peer_state array; (* ascending peer_id; dense, no hashing *)
-  loc_rib : (int option * Route.t) Prefix_table.t; (* learned-from peer, route *)
-  originated : unit Prefix_table.t;
+  (* Loc-RIB and origination, router-level columns indexed by prefix id in
+     the same way as the session slots. *)
+  mutable originated : Bytes.t; (* 1 = originated here; its length is the capacity *)
+  mutable best_route : Route.t array; (* [no_route] = no best route *)
+  mutable best_from : int array; (* learned-from peer, [from_self] when originated *)
   mutable rc_seq : int;
   (* Reuse-timer accounting, the cost centre the tick wheel optimises:
      simulator events spent on reuse scheduling (fired per-entry timers in
@@ -76,6 +102,8 @@ type t = {
   mutable timer_live : int;
   mutable timer_peak : int;
 }
+
+let from_self = -1
 
 let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks () =
   (match Config.validate config with
@@ -99,20 +127,22 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks () =
           }
     | Some _, Config.Exact | None, _ -> None
   in
+  let hint = config.Config.prefix_table_hint in
   {
     sim;
     id;
     policy;
     config;
     damping;
+    setting = Option.map (Damper.setting ~cache:(Damper.cache ())) damping;
     wheel;
-    decay_cache = Option.map (fun _ -> Damper.cache ()) damping;
     hooks;
     rng;
     table = (match table with Some tbl -> tbl | None -> Route.create_table ());
     peers = [||];
-    loc_rib = Prefix_table.create ~hint:config.Config.prefix_table_hint;
-    originated = Prefix_table.create ~hint:4;
+    originated = Bytes.make hint '\000';
+    best_route = Array.make hint no_route;
+    best_from = Array.make hint from_self;
     rc_seq = 0;
     timer_events = 0;
     timer_live = 0;
@@ -121,6 +151,63 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks () =
 
 let id t = t.id
 let damping_params t = t.damping
+
+(* ------------------------------------------------------------------ *)
+(* Slot columns                                                        *)
+
+let widen column capacity fill =
+  let fresh = Array.make capacity fill in
+  Array.blit column 0 fresh 0 (Array.length column);
+  fresh
+
+let widen_bytes column capacity =
+  let fresh = Bytes.make capacity '\000' in
+  Bytes.blit column 0 fresh 0 (Bytes.length column);
+  fresh
+
+let capacity ps = Bytes.length ps.flags
+
+(* Make slot [i] addressable: every column of the session grows together,
+   to at least double its capacity. *)
+let reserve ps i =
+  let cap = capacity ps in
+  if i >= cap then begin
+    let cap' = max (i + 1) (cap * 2) in
+    ps.flags <- widen_bytes ps.flags cap';
+    ps.received <- widen ps.received cap' no_route;
+    ps.last_rc <- widen ps.last_rc cap' no_rc;
+    ps.advertised <- widen ps.advertised cap' no_route;
+    let deadline = Float.Array.make cap' 0. in
+    Float.Array.blit ps.deadline 0 deadline 0 cap;
+    ps.deadline <- deadline;
+    ps.parked <- widen ps.parked cap' no_parked;
+    if Array.length ps.wheel_slot > 0 then ps.wheel_slot <- widen ps.wheel_slot cap' 0;
+    Option.iter (fun pen -> Damper.grow pen cap') ps.penalties
+  end
+
+let has ps i flag = i < capacity ps && Bytes.get_uint8 ps.flags i land flag <> 0
+
+(* Only called on addressable slots. *)
+let set_flag ps i flag = Bytes.set_uint8 ps.flags i (Bytes.get_uint8 ps.flags i lor flag)
+let clear_flag ps i flag = Bytes.set_uint8 ps.flags i (Bytes.get_uint8 ps.flags i land lnot flag)
+let received ps i = if i < capacity ps then ps.received.(i) else no_route
+let advertised ps i = if i < capacity ps then ps.advertised.(i) else no_route
+let deadline ps i = if i < capacity ps then Float.Array.get ps.deadline i else 0.
+
+(* The same for the router's own columns. *)
+let loc_capacity t = Bytes.length t.originated
+
+let loc_reserve t i =
+  let cap = loc_capacity t in
+  if i >= cap then begin
+    let cap' = max (i + 1) (cap * 2) in
+    t.originated <- widen_bytes t.originated cap';
+    t.best_route <- widen t.best_route cap' no_route;
+    t.best_from <- widen t.best_from cap' from_self
+  end
+
+let is_originated t i = i < loc_capacity t && Bytes.get_uint8 t.originated i <> 0
+let best_route t i = if i < loc_capacity t then t.best_route.(i) else no_route
 
 (* Peer sessions live in a dense array sorted by peer id: lookups are an
    O(log degree) binary search and the decision process iterates the array
@@ -142,6 +229,7 @@ let find_peer t peer =
 
 let connect t ~peer ~send =
   if peer = t.id then invalid_arg "Router.connect: cannot peer with self";
+  if peer < 0 then invalid_arg (Printf.sprintf "Router.connect: negative peer id %d" peer);
   if find_peer t peer <> None then
     invalid_arg (Printf.sprintf "Router.connect: duplicate peer %d" peer);
   let lo, hi = t.config.Config.mrai_jitter in
@@ -151,11 +239,14 @@ let connect t ~peer ~send =
       peer_id = peer;
       send = Some send;
       mrai_interval = t.config.Config.mrai *. Rng.uniform t.rng ~lo ~hi;
-      rib_in = Prefix_table.create ~hint;
-      rib_out = Prefix_table.create ~hint;
-      mrai_deadline = Prefix_table.create ~hint;
-      pending = Prefix_table.create ~hint;
-      flush_scheduled = Prefix_table.create ~hint;
+      flags = Bytes.make hint '\000';
+      received = Array.make hint no_route;
+      last_rc = Array.make hint no_rc;
+      advertised = Array.make hint no_route;
+      deadline = Float.Array.make hint 0.;
+      parked = Array.make hint no_parked;
+      wheel_slot = (if t.wheel <> None then Array.make hint 0 else [||]);
+      penalties = Option.map (fun setting -> Damper.slots setting ~capacity:hint) t.setting;
       rcn_history =
         (* Only RCN-mode damping routers consult the history; everywhere
            else the (capacity-sized) table would be dead weight per session. *)
@@ -204,44 +295,34 @@ let better_candidate ~pref_a ~len_a ~peer_a ~pref_b ~len_b ~peer_b =
   pref_a > pref_b
   || (pref_a = pref_b && (len_a < len_b || (len_a = len_b && peer_a < peer_b)))
 
-let compute_best t prefix =
-  if Prefix_table.mem t.originated prefix then Some (None, self_route t prefix)
-  else begin
-    let best = ref None in
-    Array.iter
-      (fun ps ->
-        let peer = ps.peer_id in
-        if ps.up then
-          match Prefix_table.find_opt ps.rib_in prefix with
-          | Some ({ route = Some route; _ } as entry) ->
-              let usable =
-                match entry.damper with
-                | Some damper -> not (Damper.suppressed damper)
-                | None -> true
-              in
-              if usable then begin
-                let pref =
-                  Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route
-                in
-                let len = Route.path_length route in
-                match !best with
-                | None -> best := Some (peer, route, pref, len)
-                | Some (bp, _, bpref, blen) ->
-                    if
-                      better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:bpref
-                        ~len_b:blen ~peer_b:bp
-                    then best := Some (peer, route, pref, len)
-              end
-          | Some { route = None; _ } | None -> ())
-      t.peers;
-    match !best with None -> None | Some (peer, route, _, _) -> Some (Some peer, route)
-  end
+(* The winning session's index in [t.peers], or [no_best] when nothing is
+   usable. Self-originated prefixes are the caller's case. *)
+let no_best = -1
 
-let best_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some (pa, ra), Some (pb, rb) -> pa = pb && Route.equal ra rb
-  | _ -> false
+let best_session t i =
+  let best = ref no_best and best_pref = ref 0 and best_len = ref 0 in
+  let peers = t.peers in
+  for k = 0 to Array.length peers - 1 do
+    let ps = peers.(k) in
+    if ps.up then begin
+      let route = received ps i in
+      if route != no_route && not (has ps i f_suppressed) then begin
+        let peer = ps.peer_id in
+        let pref = Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route in
+        let len = Route.path_length route in
+        if
+          !best = no_best
+          || better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:!best_pref
+               ~len_b:!best_len ~peer_b:peers.(!best).peer_id
+        then begin
+          best := k;
+          best_pref := pref;
+          best_len := len
+        end
+      end
+    end
+  done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* Output path: RIB-Out diffing + MRAI                                 *)
@@ -256,48 +337,59 @@ let dispatch t ps msg =
 let mrai_hook t ps prefix action =
   t.hooks.Hooks.on_mrai ~time:(Sim.now t.sim) ~router:t.id ~peer:ps.peer_id ~prefix action
 
+(* Clear [flag] (f_queued or f_armed); the parked record goes once neither
+   is left. *)
+let unpark ps i flag =
+  clear_flag ps i flag;
+  if not (has ps i (f_queued lor f_armed)) then ps.parked.(i) <- no_parked
+
 let drop_pending t ps prefix action =
-  if Prefix_table.mem ps.pending prefix then begin
-    Prefix_table.remove ps.pending prefix;
+  let i = Prefix.to_int prefix in
+  if has ps i f_queued then begin
+    unpark ps i f_queued;
     mrai_hook t ps prefix action
   end
 
 let send_now t ps prefix desired rc =
   let now = Sim.now t.sim in
   drop_pending t ps prefix Hooks.Mrai_superseded;
+  let i = Prefix.to_int prefix in
   match desired with
   | D_withdraw ->
-      Prefix_table.remove ps.rib_out prefix;
+      if i < capacity ps then ps.advertised.(i) <- no_route;
       dispatch t ps (Update.withdraw ?rc prefix)
       (* withdrawals do not restart the MRAI *)
   | D_announce route ->
+      let prev = advertised ps i in
       let rel_pref =
-        match Prefix_table.find_opt ps.rib_out prefix with
-        | Some prev ->
-            let c = Int.compare (Route.path_length route) (Route.path_length prev) in
-            Some
-              (if c < 0 then Update.Better
-               else if c > 0 then Update.Worse
-               else Update.Same_pref)
-        | None -> None
+        if prev == no_route then None
+        else begin
+          let c = Int.compare (Route.path_length route) (Route.path_length prev) in
+          Some
+            (if c < 0 then Update.Better
+             else if c > 0 then Update.Worse
+             else Update.Same_pref)
+        end
       in
-      Prefix_table.set ps.rib_out prefix route;
+      reserve ps i;
+      ps.advertised.(i) <- route;
       dispatch t ps (Update.announce ?rc ?rel_pref route);
       if t.config.Config.mrai > 0. then begin
         let deadline = now +. ps.mrai_interval in
         if t.config.Config.mrai_per_peer then ps.peer_deadline <- deadline
-        else Prefix_table.set ps.mrai_deadline prefix deadline
+        else Float.Array.set ps.deadline i deadline
       end
 
 (* [emit] reconciles the desired advertisement for (peer, prefix) with what
    was last sent, honouring the MRAI. Returns 1 when a message was sent or
    queued, 0 when the peer is already up to date. *)
 let rec emit t ps prefix desired rc =
+  let i = Prefix.to_int prefix in
+  let sent = advertised ps i in
   let same =
-    match (desired, Prefix_table.find_opt ps.rib_out prefix) with
-    | D_withdraw, None -> true
-    | D_announce r, Some r' -> Route.equal r r'
-    | D_withdraw, Some _ | D_announce _, None -> false
+    match desired with
+    | D_withdraw -> sent == no_route
+    | D_announce r -> sent != no_route && Route.equal r sent
   in
   if same then begin
     (* A pending older update is superseded by "nothing to do". *)
@@ -306,11 +398,7 @@ let rec emit t ps prefix desired rc =
   end
   else begin
     let now = Sim.now t.sim in
-    let deadline =
-      if t.config.Config.mrai_per_peer then ps.peer_deadline
-      else
-        match Prefix_table.find_opt ps.mrai_deadline prefix with Some d -> d | None -> 0.
-    in
+    let deadline = if t.config.Config.mrai_per_peer then ps.peer_deadline else deadline ps i in
     let rate_limited =
       match desired with
       | D_withdraw -> t.config.Config.withdrawal_rate_limiting
@@ -321,12 +409,20 @@ let rec emit t ps prefix desired rc =
       1
     end
     else begin
-      let fresh = not (Prefix_table.mem ps.pending prefix) in
-      Prefix_table.set ps.pending prefix { desired; rc };
+      reserve ps i;
+      let fresh = not (has ps i f_queued) in
+      let p = ps.parked.(i) in
+      if p == no_parked then ps.parked.(i) <- { desired; rc; flush_event = Sim.no_event }
+      else begin
+        p.desired <- desired;
+        p.rc <- rc
+      end;
+      set_flag ps i f_queued;
       if fresh then mrai_hook t ps prefix Hooks.Mrai_queued;
-      if not (Prefix_table.mem ps.flush_scheduled prefix) then begin
+      if not (has ps i f_armed) then begin
         let ev = Sim.schedule_at t.sim ~time:deadline (fun _ -> flush t ps prefix) in
-        Prefix_table.set ps.flush_scheduled prefix ev;
+        ps.parked.(i).flush_event <- ev;
+        set_flag ps i f_armed;
         mrai_hook t ps prefix Hooks.Flush_armed
       end;
       1
@@ -334,42 +430,58 @@ let rec emit t ps prefix desired rc =
   end
 
 and flush t ps prefix =
-  Prefix_table.remove ps.flush_scheduled prefix;
+  let i = Prefix.to_int prefix in
+  let p = ps.parked.(i) in
+  unpark ps i f_armed;
   mrai_hook t ps prefix Hooks.Flush_fired;
-  if ps.up then
-    match Prefix_table.find_opt ps.pending prefix with
-    | None -> ()
-    | Some { desired; rc } ->
-        Prefix_table.remove ps.pending prefix;
-        mrai_hook t ps prefix Hooks.Mrai_sent;
-        ignore (emit t ps prefix desired rc)
+  if ps.up && has ps i f_queued then begin
+    unpark ps i f_queued;
+    mrai_hook t ps prefix Hooks.Mrai_sent;
+    ignore (emit t ps prefix p.desired p.rc)
+  end
+
+let export t ~learned_from ~to_peer route =
+  if
+    Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer ~route
+    && not (As_path.contains (Route.path route) to_peer)
+  then D_announce (Route.prepend_interned t.table t.id route)
+  else D_withdraw
+
+let learned_from t i =
+  let from = t.best_from.(i) in
+  if from = from_self then None else Some from
 
 (* Run the decision process for [prefix]; on a best-path change, reconcile
    every peer. Returns the number of updates sent or queued. *)
 let decision t prefix ~trigger_rc =
-  let old_best = Prefix_table.find_opt t.loc_rib prefix in
-  let new_best = compute_best t prefix in
-  if best_equal old_best new_best then 0
+  let i = Prefix.to_int prefix in
+  let route, from =
+    if is_originated t i then (self_route t prefix, from_self)
+    else
+      let k = best_session t i in
+      if k = no_best then (no_route, from_self)
+      else (t.peers.(k).received.(i), t.peers.(k).peer_id)
+  in
+  let old = best_route t i in
+  let unchanged =
+    if old == no_route then route == no_route
+    else route != no_route && t.best_from.(i) = from && Route.equal old route
+  in
+  if unchanged then 0
   else begin
-    (match new_best with
-    | Some b -> Prefix_table.set t.loc_rib prefix b
-    | None -> Prefix_table.remove t.loc_rib prefix);
+    loc_reserve t i;
+    t.best_route.(i) <- route;
+    t.best_from.(i) <- from;
+    let reachable = route != no_route in
     t.hooks.Hooks.on_best_change ~time:(Sim.now t.sim) ~router:t.id ~prefix
-      ~best:(Option.map snd new_best);
+      ~best:(if reachable then Some route else None);
+    let learned_from = learned_from t i in
     let emitted = ref 0 in
     Array.iter
       (fun ps ->
-        let peer = ps.peer_id in
         if ps.up then begin
           let desired =
-            match new_best with
-            | None -> D_withdraw
-            | Some (learned_from, route) ->
-                if
-                  Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer:peer ~route
-                  && not (As_path.contains (Route.path route) peer)
-                then D_announce (Route.prepend_interned t.table t.id route)
-                else D_withdraw
+            if reachable then export t ~learned_from ~to_peer:ps.peer_id route else D_withdraw
           in
           emitted := !emitted + emit t ps prefix desired trigger_rc
         end)
@@ -388,22 +500,32 @@ let timer_fired t =
   t.timer_events <- t.timer_events + 1;
   t.timer_live <- t.timer_live - 1
 
-let rec reuse_fire t ps prefix entry =
+(* A suppressed slot's timer came due: release it if its penalty has
+   decayed, else report when to check again. *)
+let try_release t ps prefix pen ~now =
+  let i = Prefix.to_int prefix in
+  match Damper.slot_try_reuse pen i ~now with
+  | `Not_yet _ as later -> later
+  | `Reused ->
+      clear_flag ps i f_suppressed;
+      let emitted = decision t prefix ~trigger_rc:(option_of_rc ps.last_rc.(i)) in
+      t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
+        ~noisy:(emitted > 0);
+      `Reused
+
+let rec reuse_fire t ps prefix =
   timer_fired t;
-  entry.reuse_pending <- false;
-  match entry.damper with
-  | Some damper when Damper.suppressed damper -> (
-      let now = Sim.now t.sim in
-      match Damper.try_reuse damper ~now with
+  let i = Prefix.to_int prefix in
+  clear_flag ps i f_reuse;
+  match ps.penalties with
+  | Some pen when has ps i f_suppressed -> (
+      match try_release t ps prefix pen ~now:(Sim.now t.sim) with
       | `Not_yet time ->
-          entry.reuse_pending <- true;
+          set_flag ps i f_reuse;
           timer_armed t;
           ignore
-            (Sim.schedule_at t.sim ~time:(time +. 1e-6) (fun _ -> reuse_fire t ps prefix entry))
-      | `Reused ->
-          let emitted = decision t prefix ~trigger_rc:entry.last_rc in
-          t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-            ~noisy:(emitted > 0))
+            (Sim.schedule_at t.sim ~time:(time +. 1e-6) (fun _ -> reuse_fire t ps prefix))
+      | `Reused -> ())
   | Some _ | None -> ()
 
 (* ---- Tick-mode reuse wheel ---- *)
@@ -417,23 +539,24 @@ let wheel_slot_after w time = int_of_float (Float.ceil (time /. w.w_tick))
    reuse instant. Decaying the penalty forward to the next boundary before
    consulting the index table keeps the quantisation error inside one tick
    regardless of where [now] falls between boundaries. *)
-let wheel_slot_for w damper ~now =
+let wheel_slot_for w pen i ~now =
   let next = wheel_slot_after w now in
   let dt = wheel_slot_time w next -. now in
-  let penalty = Damper.penalty damper ~now in
+  let penalty = Damper.slot_penalty pen i ~now in
   let penalty = if dt > 0. then penalty *. exp (-.w.w_lambda *. dt) else penalty in
   next + Reuse_index.ticks_to_reuse w.w_index ~penalty
 
-let rec wheel_park t w ps prefix entry ~slot =
+let rec wheel_park t w ps prefix ~slot =
   (match Hashtbl.find_opt w.w_slots slot with
-  | Some b -> b.b_items <- (ps, prefix, entry) :: b.b_items
+  | Some b -> b.b_items <- (ps, prefix) :: b.b_items
   | None ->
       timer_armed t;
       let time = Float.max (wheel_slot_time w slot) (Sim.now t.sim) in
       let ev = Sim.schedule_at t.sim ~time (fun _ -> wheel_fire t w slot) in
-      Hashtbl.replace w.w_slots slot { b_event = ev; b_items = [ (ps, prefix, entry) ] });
-  entry.reuse_pending <- true;
-  entry.wheel_slot <- slot
+      Hashtbl.replace w.w_slots slot { b_event = ev; b_items = [ (ps, prefix) ] });
+  let i = Prefix.to_int prefix in
+  set_flag ps i f_reuse;
+  ps.wheel_slot.(i) <- slot
 
 and wheel_fire t w slot =
   match Hashtbl.find_opt w.w_slots slot with
@@ -443,22 +566,19 @@ and wheel_fire t w slot =
       Hashtbl.remove w.w_slots slot;
       let now = Sim.now t.sim in
       List.iter
-        (fun (ps, prefix, entry) ->
-          entry.reuse_pending <- false;
-          match entry.damper with
-          | Some damper when Damper.suppressed damper -> (
-              match Damper.try_reuse damper ~now with
+        (fun (ps, prefix) ->
+          let i = Prefix.to_int prefix in
+          clear_flag ps i f_reuse;
+          match ps.penalties with
+          | Some pen when has ps i f_suppressed -> (
+              match try_release t ps prefix pen ~now with
               | `Not_yet time ->
                   (* Residual quantisation slack (the exact instant fell just
                      past this boundary): move to the slot covering the real
                      reuse time, strictly after this one so the wheel always
                      drains. *)
-                  wheel_park t w ps prefix entry
-                    ~slot:(max (slot + 1) (wheel_slot_after w time))
-              | `Reused ->
-                  let emitted = decision t prefix ~trigger_rc:entry.last_rc in
-                  t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-                    ~noisy:(emitted > 0))
+                  wheel_park t w ps prefix ~slot:(max (slot + 1) (wheel_slot_after w time))
+              | `Reused -> ())
           | Some _ | None -> ())
         (List.rev bucket.b_items)
 
@@ -466,85 +586,76 @@ and wheel_fire t w slot =
    the entry to the slot covering the new instant (RFC 2439's "move to
    another reuse list"). A bucket emptied by migration cancels its event
    rather than firing a pointless re-check. *)
-let wheel_postpone t w ps prefix entry damper =
-  let slot = wheel_slot_for w damper ~now:(Sim.now t.sim) in
-  if slot <> entry.wheel_slot then begin
-    (match Hashtbl.find_opt w.w_slots entry.wheel_slot with
+let wheel_postpone t w ps prefix pen =
+  let i = Prefix.to_int prefix in
+  let slot = wheel_slot_for w pen i ~now:(Sim.now t.sim) in
+  let current = ps.wheel_slot.(i) in
+  if slot <> current then begin
+    (match Hashtbl.find_opt w.w_slots current with
     | Some b ->
-        b.b_items <- List.filter (fun (_, _, e) -> e != entry) b.b_items;
+        b.b_items <- List.filter (fun (ps', p) -> not (ps' == ps && p = prefix)) b.b_items;
         if b.b_items = [] then begin
           Sim.cancel t.sim b.b_event;
-          Hashtbl.remove w.w_slots entry.wheel_slot;
+          Hashtbl.remove w.w_slots current;
           t.timer_live <- t.timer_live - 1
         end
     | None -> ());
-    wheel_park t w ps prefix entry ~slot
+    wheel_park t w ps prefix ~slot
   end
 
-let schedule_reuse t ps prefix entry =
-  if not entry.reuse_pending then begin
-    match entry.damper with
-    | None -> ()
-    | Some damper -> (
-        let now = Sim.now t.sim in
-        match t.wheel with
-        | Some w ->
-            let slot = wheel_slot_for w damper ~now in
-            wheel_park t w ps prefix entry ~slot;
-            t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-              ~at:(wheel_slot_time w slot)
-        | None ->
-            entry.reuse_pending <- true;
-            timer_armed t;
-            let time = Damper.reuse_time damper ~now +. 1e-6 in
-            ignore (Sim.schedule_at t.sim ~time (fun _ -> reuse_fire t ps prefix entry));
-            t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-              ~at:time)
+let schedule_reuse t ps prefix pen =
+  let i = Prefix.to_int prefix in
+  if not (has ps i f_reuse) then begin
+    let now = Sim.now t.sim in
+    match t.wheel with
+    | Some w ->
+        let slot = wheel_slot_for w pen i ~now in
+        wheel_park t w ps prefix ~slot;
+        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
+          ~at:(wheel_slot_time w slot)
+    | None ->
+        set_flag ps i f_reuse;
+        timer_armed t;
+        let time = Damper.slot_reuse_time pen i ~now +. 1e-6 in
+        ignore (Sim.schedule_at t.sim ~time (fun _ -> reuse_fire t ps prefix));
+        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix ~at:time
   end
 
-(* Apply a damping event to an entry. [count] is false when the RCN or
-   selective filter decided this update must not charge the penalty. *)
-let apply_damping t ps prefix entry event ~count =
-  if t.damping <> None && count then
-    match entry.damper with
-    | None -> ()
-    | Some damper ->
-        let now = Sim.now t.sim in
-        let transition = Damper.record damper ~now event in
-        t.hooks.Hooks.on_penalty ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-          ~penalty:(Damper.penalty damper ~now);
-        (match transition with
-        | `Suppressed ->
-            t.hooks.Hooks.on_suppress ~time:now ~router:t.id ~peer:ps.peer_id ~prefix;
-            schedule_reuse t ps prefix entry
-        | `Ok -> (
-            (* Charging an already-suppressed entry postpones its reuse. In
-               Exact mode the outstanding timer re-checks and re-schedules
-               itself when it fires; in Tick mode the entry migrates to its
-               new slot immediately. *)
-            match t.wheel with
-            | Some w when entry.reuse_pending && Damper.suppressed damper ->
-                wheel_postpone t w ps prefix entry damper
-            | Some _ | None -> ()))
-
-let new_entry t =
-  let damper = Option.map (Damper.create ?cache:t.decay_cache) t.damping in
-  { route = None; damper; reuse_pending = false; wheel_slot = 0; last_rc = None }
-
-let find_or_create_entry t ps prefix =
-  match Prefix_table.find_opt ps.rib_in prefix with
-  | Some entry -> (entry, false)
-  | None ->
-      let entry = new_entry t in
-      Prefix_table.set ps.rib_in prefix entry;
-      (entry, true)
+(* Charge a damping event to an existing entry. [count] is false when the
+   RCN or selective filter decided this update must not charge the
+   penalty. *)
+let apply_damping t ps prefix event ~count =
+  match ps.penalties with
+  | Some pen when count -> (
+      let i = Prefix.to_int prefix in
+      let now = Sim.now t.sim in
+      let transition =
+        Damper.slot_record pen i ~now ~suppressed:(has ps i f_suppressed) event
+      in
+      if transition = `Suppressed then set_flag ps i f_suppressed;
+      t.hooks.Hooks.on_penalty ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
+        ~penalty:(Damper.slot_penalty pen i ~now);
+      match transition with
+      | `Suppressed ->
+          t.hooks.Hooks.on_suppress ~time:now ~router:t.id ~peer:ps.peer_id ~prefix;
+          schedule_reuse t ps prefix pen
+      | `Ok -> (
+          (* Charging an already-suppressed entry postpones its reuse. In
+             Exact mode the outstanding timer re-checks and re-schedules
+             itself when it fires; in Tick mode the entry migrates to its
+             new slot immediately. *)
+          match t.wheel with
+          | Some w when has ps i f_reuse && has ps i f_suppressed ->
+              wheel_postpone t w ps prefix pen
+          | Some _ | None -> ()))
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
 
 (* In RCN mode every received update runs through the per-peer root-cause
    history; the result decides whether the damping penalty is charged. *)
-let rc_filter _t ps rc =
+let rc_filter ps rc =
   match ps.rcn_history with
   | Some history -> (
       (* The history exists iff this router damps in RCN mode. *)
@@ -565,36 +676,32 @@ let damping_event t ~rc ~local =
   | (Config.Rcn | Config.Plain | Config.Selective), _ -> local
 
 let handle_withdraw t ps prefix ~rc ~count =
-  match Prefix_table.find_opt ps.rib_in prefix with
-  | Some ({ route = Some _; _ } as entry) ->
-      entry.route <- None;
-      entry.last_rc <- rc;
-      apply_damping t ps prefix entry (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
-      ignore (decision t prefix ~trigger_rc:rc)
-  | Some { route = None; _ } | None ->
-      (* Spurious withdrawal: no state change, no penalty (RFC 2439). *)
-      ()
+  let i = Prefix.to_int prefix in
+  if received ps i != no_route then begin
+    ps.received.(i) <- no_route;
+    ps.last_rc.(i) <- rc_of_option rc;
+    apply_damping t ps prefix (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
+    ignore (decision t prefix ~trigger_rc:rc)
+  end
+(* else a spurious withdrawal: no state change, no penalty (RFC 2439). *)
 
 let handle_announce t ps route ~rc ~rel_pref ~count =
   let prefix = Route.prefix route in
-  let entry, created = find_or_create_entry t ps prefix in
-  let classification =
-    if created then `First
-    else
-      match entry.route with
-      | None -> `Event Damper.Reannouncement
-      | Some prev when Route.equal prev route -> `Duplicate
-      | Some _ -> `Event Damper.Attribute_change
-  in
-  match classification with
-  | `Duplicate -> ()
-  | `First ->
-      entry.route <- Some route;
-      entry.last_rc <- rc;
-      ignore (decision t prefix ~trigger_rc:rc)
-  | `Event event ->
-      entry.route <- Some route;
-      entry.last_rc <- rc;
+  let i = Prefix.to_int prefix in
+  if not (has ps i f_exists) then begin
+    (* First announcement: the entry is created, nothing is charged. *)
+    reserve ps i;
+    set_flag ps i f_exists;
+    ps.received.(i) <- route;
+    ps.last_rc.(i) <- rc_of_option rc;
+    ignore (decision t prefix ~trigger_rc:rc)
+  end
+  else begin
+    let prev = ps.received.(i) in
+    if prev == no_route || not (Route.equal prev route) then begin
+      let event = if prev == no_route then Damper.Reannouncement else Damper.Attribute_change in
+      ps.received.(i) <- route;
+      ps.last_rc.(i) <- rc_of_option rc;
       let count =
         count
         &&
@@ -605,14 +712,17 @@ let handle_announce t ps route ~rc ~rel_pref ~count =
             false
         | _ -> true
       in
-      apply_damping t ps prefix entry (damping_event t ~rc ~local:event) ~count;
+      apply_damping t ps prefix (damping_event t ~rc ~local:event) ~count;
       ignore (decision t prefix ~trigger_rc:rc)
+    end
+    (* else a duplicate: nothing to do *)
+  end
 
 let receive t ~from_peer update =
   let ps = peer_state t from_peer in
   if ps.up then begin
     let rc = Update.rc update in
-    let count = rc_filter t ps rc in
+    let count = rc_filter ps rc in
     match update with
     | Update.Withdraw { prefix; rc } -> handle_withdraw t ps prefix ~rc ~count
     | Update.Announce { route; rc; rel_pref } ->
@@ -625,21 +735,23 @@ let receive t ~from_peer update =
 (* ------------------------------------------------------------------ *)
 (* Local origination                                                   *)
 
+let originates t prefix = is_originated t (Prefix.to_int prefix)
+
 let originate t prefix =
-  if not (Prefix_table.mem t.originated prefix) then begin
-    Prefix_table.set t.originated prefix ();
+  if not (originates t prefix) then begin
+    let i = Prefix.to_int prefix in
+    loc_reserve t i;
+    Bytes.set_uint8 t.originated i 1;
     let rc = fresh_rc t ~status:Root_cause.Link_up in
     ignore (decision t prefix ~trigger_rc:(Some rc))
   end
 
 let withdraw_prefix t prefix =
-  if Prefix_table.mem t.originated prefix then begin
-    Prefix_table.remove t.originated prefix;
+  if originates t prefix then begin
+    Bytes.set_uint8 t.originated (Prefix.to_int prefix) 0;
     let rc = fresh_rc t ~status:Root_cause.Link_down in
     ignore (decision t prefix ~trigger_rc:(Some rc))
   end
-
-let originates t prefix = Prefix_table.mem t.originated prefix
 
 (* ------------------------------------------------------------------ *)
 (* Session flaps                                                       *)
@@ -652,134 +764,121 @@ let peer_down t ~peer =
        dropped, their flush timers cancelled (a stale timer firing at an
        obsolete deadline would flush post-restore updates early, violating
        the MRAI), and both MRAI deadline forms reset so the restored
-       session starts with a fresh rate-limit budget. *)
-    let parked = Prefix_table.fold (fun prefix _ acc -> prefix :: acc) ps.pending [] in
-    List.iter
-      (fun prefix -> drop_pending t ps prefix Hooks.Mrai_cancelled)
-      (List.sort Prefix.compare parked);
-    let armed =
-      Prefix_table.fold (fun prefix ev acc -> (prefix, ev) :: acc) ps.flush_scheduled []
-    in
-    List.iter
-      (fun (prefix, ev) ->
-        Sim.cancel t.sim ev;
-        Prefix_table.remove ps.flush_scheduled prefix;
-        mrai_hook t ps prefix Hooks.Flush_cancelled)
-      (List.sort (fun (a, _) (b, _) -> Prefix.compare a b) armed);
-    Prefix_table.reset ps.rib_out;
-    Prefix_table.reset ps.mrai_deadline;
+       session starts with a fresh rate-limit budget. Slots are visited in
+       ascending prefix order. *)
+    let cap = capacity ps in
+    for i = 0 to cap - 1 do
+      drop_pending t ps (Prefix.v i) Hooks.Mrai_cancelled
+    done;
+    for i = 0 to cap - 1 do
+      if has ps i f_armed then begin
+        Sim.cancel t.sim ps.parked.(i).flush_event;
+        unpark ps i f_armed;
+        mrai_hook t ps (Prefix.v i) Hooks.Flush_cancelled
+      end
+    done;
+    Array.fill ps.advertised 0 cap no_route;
+    Float.Array.fill ps.deadline 0 cap 0.;
     ps.peer_deadline <- 0.;
     let rc = fresh_link_rc t ~peer ~status:Root_cause.Link_down in
-    let affected =
-      Prefix_table.fold
-        (fun prefix entry acc -> if entry.route <> None then prefix :: acc else acc)
-        ps.rib_in []
-    in
+    let affected = ref [] in
+    for i = cap - 1 downto 0 do
+      if ps.received.(i) != no_route then affected := i :: !affected
+    done;
     List.iter
-      (fun prefix ->
-        let entry =
-          match Prefix_table.find_opt ps.rib_in prefix with
-          | Some entry -> entry
-          | None -> assert false (* collected from rib_in just above *)
-        in
-        entry.route <- None;
-        entry.last_rc <- Some rc;
-        apply_damping t ps prefix entry Damper.Withdrawal ~count:true;
+      (fun i ->
+        let prefix = Prefix.v i in
+        ps.received.(i) <- no_route;
+        ps.last_rc.(i) <- rc;
+        apply_damping t ps prefix Damper.Withdrawal ~count:true;
         ignore (decision t prefix ~trigger_rc:(Some rc)))
-      (List.sort Prefix.compare affected)
+      !affected
   end
 
 let peer_up t ~peer =
   let ps = peer_state t peer in
   if not ps.up then begin
     ps.up <- true;
-    let rc = fresh_link_rc t ~peer ~status:Root_cause.Link_up in
-    (* Re-advertise the full table to the restored session. *)
-    let prefixes = Prefix_table.fold (fun prefix _ acc -> prefix :: acc) t.loc_rib [] in
-    List.iter
-      (fun prefix ->
-        match Prefix_table.find_opt t.loc_rib prefix with
-        | None -> ()
-        | Some (learned_from, route) ->
-            let desired =
-              if
-                Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer:peer ~route
-                && not (As_path.contains (Route.path route) peer)
-              then D_announce (Route.prepend_interned t.table t.id route)
-              else D_withdraw
-            in
-            ignore (emit t ps prefix desired (Some rc)))
-      (List.sort Prefix.compare prefixes)
+    let rc = Some (fresh_link_rc t ~peer ~status:Root_cause.Link_up) in
+    (* Re-advertise the full table to the restored session, in ascending
+       prefix order. *)
+    for i = 0 to loc_capacity t - 1 do
+      let route = t.best_route.(i) in
+      if route != no_route then
+        ignore
+          (emit t ps (Prefix.v i)
+             (export t ~learned_from:(learned_from t i) ~to_peer:peer route)
+             rc)
+    done
   end
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 
-let best t prefix = Option.map snd (Prefix_table.find_opt t.loc_rib prefix)
+let best t prefix =
+  let route = best_route t (Prefix.to_int prefix) in
+  if route == no_route then None else Some route
+
 let session_up t ~peer = (peer_state t peer).up
 
 let best_peer t prefix =
-  match Prefix_table.find_opt t.loc_rib prefix with
-  | Some (peer, _) -> peer
-  | None -> None
+  let i = Prefix.to_int prefix in
+  if best_route t i == no_route then None else learned_from t i
 
 let rib_in_route t ~peer prefix =
-  let ps = peer_state t peer in
-  match Prefix_table.find_opt ps.rib_in prefix with Some { route; _ } -> route | None -> None
+  let route = received (peer_state t peer) (Prefix.to_int prefix) in
+  if route == no_route then None else Some route
 
-let entry_damper t ~peer prefix =
-  let ps = peer_state t peer in
-  match Prefix_table.find_opt ps.rib_in prefix with
-  | Some { damper; _ } -> damper
-  | None -> None
-
-let is_suppressed t ~peer prefix =
-  match entry_damper t ~peer prefix with
-  | Some damper -> Damper.suppressed damper
-  | None -> false
+let is_suppressed t ~peer prefix = has (peer_state t peer) (Prefix.to_int prefix) f_suppressed
 
 let penalty t ~peer prefix =
-  match entry_damper t ~peer prefix with
-  | Some damper -> Damper.penalty damper ~now:(Sim.now t.sim)
-  | None -> 0.
+  let ps = peer_state t peer in
+  let i = Prefix.to_int prefix in
+  match ps.penalties with
+  | Some pen when has ps i f_exists -> Damper.slot_penalty pen i ~now:(Sim.now t.sim)
+  | Some _ | None -> 0.
 
 let reuse_timer_events t = t.timer_events
 let peak_reuse_timers t = t.timer_peak
 
-let suppressed_count t =
-  Array.fold_left
-    (fun acc ps ->
-      Prefix_table.fold
-        (fun _ entry acc ->
-          match entry.damper with
-          | Some damper when Damper.suppressed damper -> acc + 1
-          | Some _ | None -> acc)
-        ps.rib_in acc)
-    0 t.peers
+let count_slots ps flag =
+  let n = ref 0 in
+  for i = 0 to capacity ps - 1 do
+    if has ps i flag then incr n
+  done;
+  !n
+
+let suppressed_count t = Array.fold_left (fun acc ps -> acc + count_slots ps f_suppressed) 0 t.peers
 
 let known_prefixes t =
-  let set = Hashtbl.create 16 in
-  Prefix_table.iter (fun prefix _ -> Hashtbl.replace set prefix ()) t.loc_rib;
-  Prefix_table.iter (fun prefix _ -> Hashtbl.replace set prefix ()) t.originated;
-  Array.iter
-    (fun ps -> Prefix_table.iter (fun prefix _ -> Hashtbl.replace set prefix ()) ps.rib_in)
-    t.peers;
-  Hashtbl.fold (fun prefix _ acc -> prefix :: acc) set [] |> List.sort Prefix.compare
+  let known i =
+    best_route t i != no_route
+    || is_originated t i
+    || Array.exists (fun ps -> has ps i f_exists) t.peers
+  in
+  let top = Array.fold_left (fun acc ps -> max acc (capacity ps)) (loc_capacity t) t.peers in
+  let acc = ref [] in
+  for i = top - 1 downto 0 do
+    if known i then acc := Prefix.v i :: !acc
+  done;
+  !acc
 
-let recompute_best t prefix = Option.map snd (compute_best t prefix)
+let recompute_best t prefix =
+  let i = Prefix.to_int prefix in
+  if is_originated t i then Some (self_route t prefix)
+  else
+    let k = best_session t i in
+    if k = no_best then None else Some t.peers.(k).received.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence-oracle introspection                                    *)
 
 let peer_state_activity ps =
-  let reuse_timers =
-    Prefix_table.fold (fun _ entry acc -> if entry.reuse_pending then acc + 1 else acc) ps.rib_in 0
-  in
   {
     Oracle.in_flight = 0;
-    mrai_pending = Prefix_table.length ps.pending;
-    scheduled_flushes = Prefix_table.length ps.flush_scheduled;
-    reuse_timers;
+    mrai_pending = count_slots ps f_queued;
+    scheduled_flushes = count_slots ps f_armed;
+    reuse_timers = count_slots ps f_reuse;
   }
 
 let peer_activity t ~peer = peer_state_activity (peer_state t peer)

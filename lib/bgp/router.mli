@@ -5,6 +5,16 @@
     mirrors of what it last advertised. Updates are exchanged through send
     callbacks supplied by {!Network}, which models link delays.
 
+    State layout: each peering session holds one dense slot table indexed
+    by prefix id. Its columns are a flags byte (entry exists, suppressed,
+    reuse timer pending, update parked, flush armed), the received and
+    advertised routes, the last root cause, the MRAI deadline, the MRAI
+    queue, and, only where the router damps, the penalty value and time
+    as unboxed floats ({!Rfd_damping.Damper.slots}). All columns start at
+    {!Config.prefix_table_hint} slots and double together; a slot owns no
+    heap block. The Loc-RIB and the originated prefixes are router-level
+    columns of the same kind.
+
     Protocol behaviour implemented here:
     - decision process: import preference (policy), then shortest AS path,
       then lowest peer id; self-originated routes always win;
@@ -45,7 +55,7 @@ val damping_params : t -> Rfd_damping.Params.t option
 val connect : t -> peer:int -> send:(Update.t -> unit) -> unit
 (** Register a peering session. [send] must deliver the update to the peer
     (with whatever delay the transport models). Raises [Invalid_argument]
-    on duplicate peers or self-peering. *)
+    on duplicate peers, self-peering or a negative peer id. *)
 
 val peer_ids : t -> int list
 (** Ascending. *)

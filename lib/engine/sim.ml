@@ -23,6 +23,12 @@ and event = {
 
 type event_id = event
 
+(* Fills every heap slot that holds no pending event (vacated by a pop,
+   dropped by compaction, or fresh capacity), so the backing array never
+   keeps an executed event — and its closure — reachable. Never pending,
+   so cancelling it is a no-op. *)
+let no_event = { time = Float.infinity; order = max_int; action = ignore; state = `Done }
+
 let create () =
   {
     clock = 0.;
@@ -40,10 +46,10 @@ let now t = t.clock
 
 let earlier a b = a.time < b.time || (a.time = b.time && a.order < b.order)
 
-let grow t x =
+let grow t =
   let cap = Array.length t.data in
   let new_cap = if cap = 0 then 256 else cap * 2 in
-  let fresh = Array.make new_cap x in
+  let fresh = Array.make new_cap no_event in
   Array.blit t.data 0 fresh 0 cap;
   t.data <- fresh
 
@@ -73,7 +79,7 @@ let rec sift_down t i =
   end
 
 let heap_push t ev =
-  if t.size >= Array.length t.data then grow t ev;
+  if t.size >= Array.length t.data then grow t;
   t.data.(t.size) <- ev;
   t.size <- t.size + 1;
   if t.size > t.max_size then t.max_size <- t.size;
@@ -84,10 +90,9 @@ let heap_pop t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
+    t.data.(0) <- t.data.(t.size);
+    t.data.(t.size) <- no_event;
+    if t.size > 0 then sift_down t 0;
     Some top
   end
 
@@ -119,15 +124,9 @@ let compact t =
     end
   done;
   (* Release dropped slots so dead events' closures can be collected. When
-     nothing survives there is no live event to overwrite the slots with, so
-     drop the whole backing array instead — [grow] re-allocates from scratch
-     on the next push. Keeping the array here (the old [kept > 0]-guarded
-     code) pinned every dead closure until the next schedule. *)
-  if !kept > 0 then
-    for i = !kept to t.size - 1 do
-      t.data.(i) <- t.data.(0)
-    done
-  else t.data <- [||];
+     nothing survives, drop the whole backing array instead — [grow]
+     re-allocates from scratch on the next push. *)
+  if !kept > 0 then Array.fill t.data !kept (t.size - !kept) no_event else t.data <- [||];
   t.size <- !kept;
   t.dead <- 0;
   t.compactions <- t.compactions + 1;

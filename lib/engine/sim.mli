@@ -13,6 +13,11 @@ type t
 type event_id
 (** Handle to a scheduled event, usable for cancellation. *)
 
+val no_event : event_id
+(** A handle that never refers to a pending event: {!cancel} ignores it and
+    {!is_pending} is [false]. A placeholder for handle fields whose event
+    is not scheduled yet. *)
+
 val create : unit -> t
 (** A fresh simulator with the clock at time [0.]. *)
 

@@ -150,36 +150,102 @@ let test_reuse_time_requires_suppression () =
     (Invalid_argument "Damper.reuse_time: entry is not suppressed") (fun () ->
       ignore (Damper.reuse_time d ~now:0.))
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Slot [index] of a penalty table, with the suppressed flag its owner keeps. *)
+type slot = { table : Damper.slots; index : int; mutable suppressed : bool }
+
 let prop_shared_cache_is_bit_identical =
-  (* The decay-factor memo must be pure memoization: replaying an arbitrary
-     event schedule through a cached and an uncached damper (plus a second
-     cached one sharing the same memo, like sibling RIB-In entries) yields
-     float-equal penalties at every step. *)
-  QCheck.Test.make ~name:"shared decay cache is bit-identical" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 40) (pair (float_range 0. 2000.) (int_bound 2)))
+  (* There is one implementation of the penalty arithmetic, over slot
+     columns, and the decay-factor memo must be pure memoization. Replaying
+     an arbitrary schedule of charges and reuse attempts through one-slot
+     dampers (uncached, cached, and a cached sibling sharing the memo, like
+     sibling RIB-In entries) and through slots of multi-slot tables (two
+     sharing a memo, one without) gives bit-identical penalties,
+     transitions and reuse answers at every step. The tables grow halfway
+     through the schedule, as a router's columns do. *)
+  QCheck.Test.make ~name:"shared decay cache is bit-identical across slots and dampers"
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 40) (triple (float_range 0. 2000.) (int_bound 2) bool))
     (fun steps ->
       let cache = Damper.cache () in
       let plain = Damper.create Params.cisco in
-      let cached = Damper.create ~cache Params.cisco in
-      let sibling = Damper.create ~cache Params.cisco in
+      let dampers = [ Damper.create ~cache Params.cisco; Damper.create ~cache Params.cisco ] in
+      let shared = Damper.slots (Damper.setting ~cache:(Damper.cache ()) Params.cisco) ~capacity:6 in
+      let lone = Damper.slots (Damper.setting Params.cisco) ~capacity:6 in
+      let halfway = List.length steps / 2 in
+      let slots =
+        [
+          { table = shared; index = 5; suppressed = false };
+          { table = shared; index = 2; suppressed = false };
+          { table = lone; index = 5; suppressed = false };
+        ]
+      in
       let now = ref 0. in
       List.for_all
-        (fun (dt, kind) ->
+        (fun (step, (dt, kind, reuse_first)) ->
+          if step = halfway then begin
+            Damper.grow shared 16;
+            Damper.grow lone 16
+          end;
           now := !now +. dt;
+          let now = !now in
+          let reuse_agrees =
+            (not (reuse_first && Damper.suppressed plain))
+            ||
+            let at = Damper.reuse_time plain ~now in
+            let at_agrees =
+              List.for_all (fun d -> same_bits at (Damper.reuse_time d ~now)) dampers
+              && List.for_all
+                   (fun s -> same_bits at (Damper.slot_reuse_time s.table s.index ~now))
+                   slots
+            in
+            let answer = Damper.try_reuse plain ~now in
+            let same a =
+              match (answer, a) with
+              | `Reused, `Reused -> true
+              | `Not_yet x, `Not_yet y -> same_bits x y
+              | `Reused, `Not_yet _ | `Not_yet _, `Reused -> false
+            in
+            at_agrees
+            && List.for_all (fun d -> same (Damper.try_reuse d ~now)) dampers
+            && List.for_all
+                 (fun s ->
+                   let a = Damper.slot_try_reuse s.table s.index ~now in
+                   if a = `Reused then s.suppressed <- false;
+                   same a)
+                 slots
+          in
           let event =
             match kind with
             | 0 -> Damper.Withdrawal
             | 1 -> Damper.Reannouncement
             | _ -> Damper.Attribute_change
           in
-          ignore (Damper.record plain ~now:!now event);
-          ignore (Damper.record cached ~now:!now event);
-          ignore (Damper.record sibling ~now:!now event);
-          let p = Damper.penalty plain ~now:!now in
-          Float.equal p (Damper.penalty cached ~now:!now)
-          && Float.equal p (Damper.penalty sibling ~now:!now)
-          && Damper.suppressed plain = Damper.suppressed cached)
-        steps)
+          let transition = Damper.record plain ~now event in
+          let transitions_agree =
+            List.for_all (fun d -> Damper.record d ~now event = transition) dampers
+            && List.for_all
+                 (fun s ->
+                   let t = Damper.slot_record s.table s.index ~now ~suppressed:s.suppressed event in
+                   if t = `Suppressed then s.suppressed <- true;
+                   t = transition)
+                 slots
+          in
+          let p = Damper.penalty plain ~now and suppressed = Damper.suppressed plain in
+          reuse_agrees && transitions_agree
+          && List.for_all
+               (fun d -> same_bits p (Damper.penalty d ~now) && Damper.suppressed d = suppressed)
+               dampers
+          && List.for_all
+               (fun s ->
+                 same_bits p (Damper.slot_penalty s.table s.index ~now)
+                 && s.suppressed = suppressed)
+               slots
+          (* slots never charged stay at zero *)
+          && Damper.slot_penalty shared 0 ~now = 0.
+          && Damper.slot_penalty lone 3 ~now = 0.)
+        (List.mapi (fun step s -> (step, s)) steps))
 
 let suite =
   [

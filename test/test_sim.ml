@@ -205,6 +205,26 @@ let test_compaction_all_dead_releases_slots () =
   Sim.run sim;
   Alcotest.(check int) "fresh event ran after all-dead compaction" 1 !fired
 
+let test_executed_events_released () =
+  (* Regression: popping an event moved the last heap element to the root
+     but left the vacated slot (and slot 0, once the heap emptied) pointing
+     at it, so a drained simulator kept executed events — their closures and
+     everything those capture — reachable until the slots were reused. *)
+  let sim = Sim.create () in
+  let collected = ref 0 in
+  let schedule_holding time =
+    let payload = Bytes.make 256 'x' in
+    Gc.finalise (fun _ -> incr collected) payload;
+    ignore (Sim.schedule_at sim ~time (fun _ -> ignore (Sys.opaque_identity payload)))
+  in
+  List.iter schedule_holding [ 3.; 1.; 2. ];
+  Sim.run sim;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "drained events' closures are collected" 3 !collected;
+  (* The simulator itself is still live here, so its heap array was a root. *)
+  Alcotest.(check int) "drained" 0 (Sim.heap_size sim)
+
 let test_run_before_horizon_exclusive () =
   let sim = Sim.create () in
   let seen = ref [] in
@@ -292,6 +312,7 @@ let suite =
       test_no_compaction_below_size_floor;
     Alcotest.test_case "all-dead compaction releases storage" `Quick
       test_compaction_all_dead_releases_slots;
+    Alcotest.test_case "executed events are released" `Quick test_executed_events_released;
     Alcotest.test_case "run_before: exclusive horizon" `Quick test_run_before_horizon_exclusive;
     Alcotest.test_case "advance_clock" `Quick test_advance_clock;
     Alcotest.test_case "every: past start rejected" `Quick test_every_start_in_past_rejected;
