@@ -11,7 +11,7 @@ module Params = Rfd.Params
 type opts = {
   quick : bool;  (** reduced scale for a fast smoke run *)
   seed : int;
-  jobs : int;  (** worker domains for sweep execution (1 = sequential) *)
+  jobs : int;  (** worker domains for sweep execution *)
   csv_dir : string option;  (** also dump each figure's data as CSV *)
   plot_dir : string option;  (** also emit gnuplot scripts + data *)
   deadline : float option;  (** per-run wall-clock watchdog for sweeps *)
@@ -52,18 +52,10 @@ let create opts =
     else Scenario.paper_internet_208
   in
   let pulses = List.init 10 (fun i -> i + 1) in
-  (* Supervision is opt-in: the plain pool stays the default so baseline
-     timings are undisturbed, but a --deadline/--retries harness run gets
-     watchdogs without touching any experiment code. *)
-  let sweep ~label sc =
-    lazy
-      (match (opts.deadline, opts.retries) with
-      | None, 0 -> Sweep.run ~label ~pulses ~jobs:opts.jobs sc
-      | deadline, retries ->
-          Sweep.run_supervised ~label ~pulses ~jobs:opts.jobs
-            ~supervision:{ Sweep.default_supervision with Sweep.deadline; retries }
-            sc)
+  let supervision =
+    { Sweep.default_supervision with Sweep.deadline = opts.deadline; retries = opts.retries }
   in
+  let sweep ~label sc = lazy (Sweep.run ~label ~pulses ~jobs:opts.jobs ~supervision sc) in
   {
     opts;
     mesh;
@@ -89,13 +81,11 @@ let create opts =
               ~probe:(Scenario.At_distance 7) ~pulses:1 mesh));
     fig10_runs =
       lazy
-        (Rfd.Pool.run ~jobs:opts.jobs
-           (fun n ->
-             ( n,
-               Runner.run
-                 (scenario ~name:(Printf.sprintf "mesh-n%d" n)
-                    ~config:(damping_config opts) ~pulses:n mesh) ))
-           [ 1; 3; 5 ]);
+        (let pulses = [ 1; 3; 5 ] in
+         List.combine pulses
+           (Sweep.execute ~jobs:opts.jobs
+              (Sweep.plan ~pulses
+                 (scenario ~name:"fig10" ~config:(damping_config opts) mesh))));
   }
 
 let write_plot ctx plot =

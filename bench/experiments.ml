@@ -570,16 +570,15 @@ let ablation_size ctx =
   let header =
     [ "mesh"; "n=1 conv(s)"; "n=1 msgs"; "n=1 damped"; "n=5 conv(s)"; "n=5 msgs" ]
   in
-  let rows =
-    Rfd.Pool.run ~jobs:ctx.Context.opts.Context.jobs
-      (fun side ->
-        let config = Context.damping_config ctx.Context.opts in
-        let run pulses =
-          Runner.run
-            (Scenario.make ~name:"size" ~config ~pulses
-               (Scenario.Mesh { rows = side; cols = side }))
-        in
-        let r1 = run 1 and r5 = run 5 in
+  let config = Context.damping_config ctx.Context.opts in
+  let plan side =
+    Sweep.plan ~pulses:[ 1; 5 ]
+      (Scenario.make ~name:"size" ~config (Scenario.Mesh { rows = side; cols = side }))
+  in
+  (* Two results per size, n = 1 then n = 5, in plan order. *)
+  let rec rows sizes results =
+    match (sizes, results) with
+    | side :: sizes, r1 :: r5 :: results ->
         [
           Printf.sprintf "%dx%d" side side;
           Report.float_cell r1.Runner.convergence_time;
@@ -587,8 +586,13 @@ let ablation_size ctx =
           Report.int_cell (Collector.peak_damped r1.Runner.collector);
           Report.float_cell r5.Runner.convergence_time;
           Report.int_cell r5.Runner.message_count;
-        ])
-      sizes
+        ]
+        :: rows sizes results
+    | _ -> []
+  in
+  let rows =
+    rows sizes
+      (Sweep.execute ~jobs:ctx.Context.opts.Context.jobs (List.concat_map plan sizes))
   in
   print_string (Report.table ~header rows);
   print_endline

@@ -161,23 +161,21 @@ let serving_json_arg =
 let jobs_arg =
   let doc =
     "Worker domains executing simulation runs in parallel (results are \
-     bit-identical for any value). Default: all cores minus one; 1 runs strictly \
-     sequentially in the main domain."
+     bit-identical for any value). Default: all cores minus one."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let deadline_arg =
   let doc =
-    "Run sweeps under a supervisor with this per-run wall-clock deadline \
-     (seconds); a wedged run is timed out instead of hanging the harness."
+    "Per-run wall-clock deadline for sweeps (seconds): a wedged run is timed \
+     out instead of hanging the harness."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
 let retries_arg =
   let doc =
-    "Run sweeps under a supervisor, retrying crashed or timed-out runs up to \
-     $(docv) extra times (deterministic backoff; retried results are \
-     bit-identical)."
+    "Retry crashed or timed-out sweep runs up to $(docv) extra times \
+     (deterministic backoff; retried results are bit-identical)."
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
@@ -210,7 +208,7 @@ let scale_partitions_arg =
 
 let run names quick seed jobs csv_dir plot_dir micro json tick deadline retries scale_json
     scale_nodes scale_partitions traffic_json serving_json =
-  let jobs = match jobs with Some j -> max 1 j | None -> Rfd.Pool.default_jobs () in
+  let jobs = match jobs with Some j -> max 1 j | None -> Rfd.Supervisor.default_jobs () in
   let opts = { Context.quick; seed; jobs; csv_dir; plot_dir; deadline; retries } in
   let ctx = Context.create opts in
   Printf.printf "Route Flap Damping reproduction harness (scale: %s, seed %d, jobs %d)\n"

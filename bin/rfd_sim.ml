@@ -49,32 +49,26 @@ let die cmd fmt =
 let d = Svc.default_spec
 
 (* A topology is a wire form or, CLI-only, an edge-list file: the file's
-   path and graph travel beside the spec, and [scenario] swaps the graph
-   in for the spec's topology. *)
+   path travels beside the spec, and [scenario] swaps the file's graph in
+   for the spec's topology. *)
 let topology_or_file =
   let parse s =
     match Svc.topo_of_string s with
     | Ok topo -> Ok (topo, None)
     | Error e when not (Sys.file_exists s) ->
         Error (`Msg (e ^ " and no such edge-list file"))
-    | Error _ -> (
-        match In_channel.with_open_bin s In_channel.input_all with
-        | exception Sys_error msg -> Error (`Msg msg)
-        | doc -> (
-            match Rfd.Edge_list.parse_graph doc with
-            | Ok g -> Ok (d.Svc.topology, Some (s, g))
-            | Error e -> Error (`Msg ("parse error in " ^ s ^ ": " ^ e))))
+    | Error _ -> Ok (d.Svc.topology, Some s)
   in
   let print ppf = function
     | topo, None -> Format.pp_print_string ppf (Svc.topo_to_string topo)
-    | _, Some (path, _) -> Format.pp_print_string ppf path
+    | _, Some path -> Format.pp_print_string ppf path
   in
   Arg.conv (parse, print)
 
 (* What the user asked to simulate, for headers: the materialized scenario
    only knows it as a custom graph. *)
 let shape (spec, file) =
-  match file with Some (path, _) -> path | None -> Svc.topo_to_string spec.Svc.topology
+  match file with Some path -> path | None -> Svc.topo_to_string spec.Svc.topology
 
 let topology_arg =
   let doc =
@@ -204,8 +198,8 @@ let workload_flags =
     $ flap_seed_arg)
 
 (* Shared by run, sweep, replay and query; [pulses] is the one flag whose
-   meaning differs between them. The path and graph of an edge-list file
-   topology, if any, travel beside the spec. *)
+   meaning differs between them. The path of an edge-list file topology,
+   if any, travels beside the spec. *)
 let spec_term ?(workload = workload_flags) pulses =
   let make (topology, file) damping mode policy pulses interval mrai seed isp table_hint
       background set_workload =
@@ -235,17 +229,21 @@ let spec_term ?(workload = workload_flags) pulses =
    resolved as the daemon resolves it, so a run's digest and a sweep's
    job keys equal the daemon's for the same flags. A file's graph is built
    on the spec's default topology, lazily resolved and so never built, at
-   isp 0; its own size then meets the admission cap here and the isp range
-   check in [Scenario.validate]. *)
+   isp 0; the parser holds it to the admission cap, and [Scenario.validate]
+   checks the isp range against its own size. *)
 let scenario cmd ?(probe = Scenario.No_probe) ?faults ?workload (spec, file) =
   let built =
     match file with
     | None -> Svc.scenario_of_spec spec
-    | Some (path, g) ->
-        let n = Rfd.Graph.num_nodes g in
-        if n > Svc.max_nodes then
-          die cmd "%s: the %d-node graph exceeds the %d-node admission cap" path n
-            Svc.max_nodes;
+    | Some path ->
+        let g =
+          match In_channel.with_open_bin path In_channel.input_all with
+          | exception Sys_error msg -> die cmd "%s" msg
+          | doc -> (
+              match Rfd.Edge_list.parse_graph doc with
+              | Ok g -> g
+              | Error e -> die cmd "%s: %s" path e)
+        in
         Result.map
           (fun s ->
             {
@@ -269,7 +267,7 @@ let scenario cmd ?(probe = Scenario.No_probe) ?faults ?workload (spec, file) =
       match Scenario.validate s with
       | Ok () -> Rfd.Sweep.materialize s
       | Error msg ->
-          die cmd "%s" (match file with Some (path, _) -> path ^ ": " ^ msg | None -> msg))
+          die cmd "%s" (match file with Some path -> path ^ ": " ^ msg | None -> msg))
 
 (* ------------------------------------------------------------------ *)
 (* Run budgets and fault injection (shared by run and sweep)           *)
@@ -502,7 +500,7 @@ let install_drain_signals () =
 let sweep_cmd =
   let action spec max_pulses jobs budget faults deadline retries journal resume =
     let scenario = scenario "sweep" ?faults spec in
-    let jobs = if jobs <= 0 then Rfd.Pool.default_jobs () else jobs in
+    let jobs = if jobs <= 0 then Rfd.Supervisor.default_jobs () else jobs in
     let pulses = List.init max_pulses (fun i -> i + 1) in
     let supervision =
       {
@@ -515,7 +513,7 @@ let sweep_cmd =
     in
     install_drain_signals ();
     let sweep =
-      Rfd.Sweep.run_supervised ~pulses ~jobs ~budget ~supervision scenario
+      Rfd.Sweep.run ~pulses ~jobs ~budget ~supervision scenario
     in
     let tup =
       match sweep.Rfd.Sweep.points with

@@ -2,7 +2,6 @@ let version = "1.0.0"
 
 module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
-module Pool = Rfd_engine.Pool
 module Supervisor = Rfd_engine.Supervisor
 module Clock = Rfd_engine.Clock
 module Timeseries = Rfd_engine.Timeseries

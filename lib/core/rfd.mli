@@ -25,7 +25,6 @@ val version : string
 
 module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
-module Pool = Rfd_engine.Pool
 module Supervisor = Rfd_engine.Supervisor
 module Clock = Rfd_engine.Clock
 module Timeseries = Rfd_engine.Timeseries

@@ -2,9 +2,9 @@
    simulation.
 
    One FIFO queue per (src, dst) partition pair. During an epoch each
-   partition's worker domain posts only to its own row, so rows are
-   single-writer and need no locking; the barrier (which happens-before the
-   next epoch via the pool join) drains every queue on the coordinating
+   partition's domain posts only to its own row, so rows are single-writer
+   and need no locking; the barrier (which happens-before the next epoch
+   through Par_sim's lock) drains every queue on the coordinating
    domain in a fixed (dst, src, post order) sequence. Messages themselves
    carry their delivery timestamps, so the fixed drain order plus the
    receiving simulator's (time, scheduling-order) heap key make the global

@@ -2,9 +2,10 @@
     simulation.
 
     One FIFO queue per (src, dst) partition pair. Rows are single-writer:
-    during an epoch, partition [p]'s worker domain may post only with
-    [~src:p], and nothing reads until the barrier — the pool join
-    establishes the happens-before edge, so no locking is needed. {!drain}
+    during an epoch, partition [p]'s domain may post only with [~src:p],
+    and nothing reads until the barrier — the epoch's end, reported under
+    {!Par_sim}'s lock, establishes the happens-before edge, so no locking
+    is needed here. {!drain}
     empties every queue on the coordinating domain in a fixed
     (dst ascending, src ascending, post order) sequence, which — together
     with per-message delivery timestamps and the receiving simulator's

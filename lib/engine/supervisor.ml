@@ -7,6 +7,8 @@ type 'a outcome =
 
 exception Crash_worker of string
 
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
+
 let () =
   Printexc.register_printer (function
     | Crash_worker msg -> Some (Printf.sprintf "Supervisor.Crash_worker(%S)" msg)
@@ -39,7 +41,7 @@ type slot = {
 
 type ('a, 'b) state = {
   inputs : 'a array;
-  keys : string array;
+  key : 'a -> string;
   results : 'b outcome option array;
   reported : bool array;
   queue : task Queue.t;
@@ -79,18 +81,24 @@ let rec worker_loop st slot epoch f =
   match next () with
   | None -> Mutex.unlock st.mutex
   | Some task ->
-      let delay =
-        backoff_delay ~key:st.keys.(task.index) ~attempt:task.attempt
-          ~base:st.backoff_base
-      in
       slot.running <- Some task;
-      (* The deadline clock starts when the attempt actually runs, not
-         when its backoff sleep begins. *)
-      slot.started_at <- Clock.wall () +. delay;
+      slot.started_at <- Clock.wall ();
       Mutex.unlock st.mutex;
-      if delay > 0. then Unix.sleepf delay;
+      let input = st.inputs.(task.index) in
+      (* Only a retry reads the job's key, and it does so outside the lock,
+         so a first attempt never pays for it. The deadline clock restarts
+         once the backoff sleep is over. *)
+      if task.attempt > 1 then begin
+        let delay =
+          backoff_delay ~key:(st.key input) ~attempt:task.attempt ~base:st.backoff_base
+        in
+        Mutex.lock st.mutex;
+        if slot.epoch = epoch then slot.started_at <- Clock.wall () +. delay;
+        Mutex.unlock st.mutex;
+        Unix.sleepf delay
+      end;
       let r =
-        match f st.inputs.(task.index) with
+        match f input with
         | v -> Ok v
         | exception (Crash_worker _ as e) -> raise e (* kill this worker *)
         | exception e -> Error (Printexc.to_string e)
@@ -171,7 +179,7 @@ let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
       let st =
         {
           inputs;
-          keys = Array.map key inputs;
+          key;
           results = Array.make n None;
           reported = Array.make n false;
           queue = Queue.create ();
@@ -200,7 +208,7 @@ let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
           end)
         inputs;
       let jobs =
-        min n (match jobs with None -> Pool.default_jobs () | Some j -> max 1 j)
+        min n (match jobs with None -> default_jobs () | Some j -> max 1 j)
       in
       let slots =
         Array.init jobs (fun _ ->
@@ -221,6 +229,12 @@ let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
         Queue.clear st.queue
       in
       let clean = ref false in
+      (* The monitor's nap starts at 1 ms, again after every pass that
+         reported an outcome, and doubles up to [poll_interval]: a batch is
+         collected soon after its last job lands, while a long job costs at
+         most one pass per interval. *)
+      let first_nap = Float.min 0.001 poll_interval in
+      let nap = ref first_nap in
       Fun.protect
         ~finally:(fun () ->
           Mutex.lock st.mutex;
@@ -296,7 +310,9 @@ let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
                 List.iter (fun (i, o) -> hook st.inputs.(i) o) (List.rev !report)
             | None -> ());
             if not done_ then begin
-              Unix.sleepf poll_interval;
+              if !report <> [] then nap := first_nap;
+              Unix.sleepf !nap;
+              nap := Float.min poll_interval (2. *. !nap);
               monitor ()
             end
           in

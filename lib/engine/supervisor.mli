@@ -1,11 +1,9 @@
-(** Supervised batch execution: watchdogs, respawn, deterministic retry.
+(** Batch execution on worker domains: watchdogs, respawn, deterministic
+    retry.
 
-    {!Pool} runs a batch and trusts every job to finish; one wedged job
-    therefore stalls the whole batch, and a job that kills its worker
-    domain silently costs a worker for the rest of the pool's life. This
-    module is the fault-tolerant sibling used for long experiment sweeps:
-    the calling domain becomes a {e monitor} that watches [jobs] worker
-    domains and
+    Every batch of independent runs — a sweep, the bench harness's
+    figures, the daemon's misses — executes here. The calling domain
+    becomes a {e monitor} that watches [jobs] worker domains and
 
     - enforces a per-job wall-clock [deadline]: an attempt that overruns
       is abandoned (its domain is replaced by a fresh one — OCaml domains
@@ -24,6 +22,10 @@
       queued jobs are marked {!Cancelled}, in-flight jobs finish (or time
       out) and no retries are scheduled — the graceful SIGINT drain of
       [rfd-sim sweep].
+
+    With no deadline, no retries and no [should_stop], a batch simply runs
+    every job once and returns its outcomes: a job's exception becomes
+    {!Crashed}, so one failing job costs exactly its own slot.
 
     Jobs must be pure functions of their input (true of simulation runs,
     which rebuild everything from a seed): after a timeout an abandoned
@@ -55,6 +57,10 @@ exception Crash_worker of string
     worker domain, exercising the monitor's respawn path. Exists for fault
     injection in tests; treated like any crash for retry accounting. *)
 
+val default_jobs : unit -> int
+(** [Domain.recommended_domain_count () - 1] (one worker per core, keeping
+    the calling domain for the monitor), clamped to at least 1. *)
+
 val backoff_delay : key:string -> attempt:int -> base:float -> float
 (** Seconds to wait before [attempt] (2 = first retry) of the job named
     [key]: [base * 2^(attempt-2)], jittered uniformly in [[0.5, 1.5)] by a
@@ -77,15 +83,19 @@ val supervise :
 (** [supervise ~key f xs] runs [f] on every element of [xs] under
     supervision and returns one {!outcome} per input, in input order.
 
-    [jobs] worker domains execute attempts (default {!Pool.default_jobs};
-    clamped to at least 1 — unlike {!Pool.map}, [~jobs:1] still spawns one
-    domain, because the calling domain is busy monitoring). [deadline] is
-    the per-attempt wall-clock limit in seconds (default: none).
+    [jobs] worker domains execute attempts (default {!default_jobs};
+    clamped to at least 1, and to the batch size; [~jobs:1] still spawns
+    one domain, because the calling domain is busy monitoring). [deadline]
+    is the per-attempt wall-clock limit in seconds (default: none).
     [retries] is the number of {e extra} attempts after the first
     (default 0). [backoff_base] seeds {!backoff_delay} (default 0.05 s).
-    [poll_interval] is the monitor's watchdog granularity (default
-    0.05 s) — deadlines are enforced to within one interval.
-    [should_stop] is polled by the monitor each interval.
+    [key] names a job for its backoff; it is evaluated only when a retry
+    runs. [poll_interval] is the monitor's watchdog granularity (default
+    0.05 s): the monitor naps 1 ms after its first pass and after every
+    pass in which an outcome landed, doubling the nap otherwise up to
+    [poll_interval], so deadlines are enforced to within one interval and
+    a batch is collected soon after its last job ends. [should_stop] is
+    polled on every pass.
 
     [max_queue] (default: unbounded) is an admission bound: only the
     first [max_queue] inputs are queued, the rest receive {!Shed}

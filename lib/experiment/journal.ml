@@ -46,23 +46,27 @@ let to_hex s =
     s;
   Bytes.unsafe_to_string out
 
-(* Each byte's value as a hex digit of either case, or -1. *)
-let hex_value =
-  let table = Array.make 256 (-1) in
-  String.iteri
-    (fun v c ->
-      table.(Char.code c) <- v;
-      table.(Char.code (Char.uppercase_ascii c)) <- v)
-    hex_digits;
-  table
+(* Each byte's value as a hex digit, or -1: lowercase only ([to_hex]'s
+   digits), or either case. *)
+let lower_value, hex_value =
+  let table ~upper =
+    let table = Array.make 256 (-1) in
+    String.iteri
+      (fun v c ->
+        table.(Char.code c) <- v;
+        if upper then table.(Char.code (Char.uppercase_ascii c)) <- v)
+      hex_digits;
+    table
+  in
+  (table ~upper:false, table ~upper:true)
 
-let of_hex s =
+let decode_hex value s =
   let bytes = Bytes.create (String.length s / 2) in
   (* A -1 digit makes the byte negative, whichever half it is in. *)
   let rec go i =
     if i = Bytes.length bytes then Some (Bytes.unsafe_to_string bytes)
     else
-      let v = (hex_value.(Char.code s.[2 * i]) lsl 4) lor hex_value.(Char.code s.[(2 * i) + 1]) in
+      let v = (value.(Char.code s.[2 * i]) lsl 4) lor value.(Char.code s.[(2 * i) + 1]) in
       if v < 0 then None
       else begin
         Bytes.unsafe_set bytes i (Char.unsafe_chr v);
@@ -70,6 +74,8 @@ let of_hex s =
       end
   in
   if String.length s mod 2 <> 0 then None else go 0
+
+let of_hex = decode_hex hex_value
 
 let render_line ~key outcome =
   let payload = marshal outcome in
@@ -120,10 +126,12 @@ let close w =
 
 type loaded = { entries : (string, outcome) Hashtbl.t; corrupt : int }
 
+(* Only lines [render_line] could have written are read: its hex is
+   lowercase, while [of_hex] would also take an upper-case payload. *)
 let parse_line line =
   match String.split_on_char ' ' line with
   | [ key; digest; hex ] -> (
-      match of_hex hex with
+      match decode_hex lower_value hex with
       | Some payload when Digest.to_hex (Digest.string payload) = digest -> (
           match (Marshal.from_string payload 0 : outcome) with
           | outcome -> Some (key, outcome)
@@ -207,9 +215,12 @@ let check path =
     (fun () ->
       let size = in_channel_length ic in
       let contents = really_input_string ic size in
-      (match String.index_opt contents '\n' with
-      | Some i when String.sub contents 0 i = header -> ()
-      | Some _ | None -> refuse_header ~caller:"Journal.check" path contents);
+      let first_line =
+        match String.index_opt contents '\n' with
+        | Some i -> String.sub contents 0 i
+        | None -> contents
+      in
+      if first_line <> header then refuse_header ~caller:"Journal.check" path contents;
       let terminated = size > 0 && contents.[size - 1] = '\n' in
       let lines = String.split_on_char '\n' contents in
       let body =

@@ -78,7 +78,8 @@ val load : string -> loaded
 
 val parse_line : string -> (string * outcome) option
 (** Decode one journal body line (no trailing newline): [Some (key,
-    outcome)] when the digest verifies and the payload unmarshals, [None]
+    outcome)] when the line is one {!render_line} writes — lowercase hex
+    payload — whose digest verifies and whose payload unmarshals, [None]
     for anything torn or corrupt. The random-access read path of the
     result store ({!Rfd_service.Store}) uses this to decode a single line
     without rescanning the whole file. *)
@@ -107,8 +108,11 @@ type check_report = {
 val check : string -> check_report
 (** Read-only integrity verification: digest-check every line without
     decoding payloads and without writing a byte — safe to run on a
-    journal a live daemon holds open. Raises [Failure] when the file does
-    not start with {!header}, [Sys_error] on an unreadable path. *)
+    journal a live daemon holds open. Counts agree with {!load} on the
+    same file: [checked_valid - checked_duplicates] entries and
+    [checked_corrupt] corrupt lines, plus one for a torn tail. Raises
+    [Failure] when the first line is not {!header}, [Sys_error] on an
+    unreadable path. *)
 
 type compaction = {
   kept : int;  (** distinct keys surviving into the rewritten file *)

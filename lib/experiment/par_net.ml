@@ -28,7 +28,6 @@
    depend on the partition count. *)
 
 module Sim = Rfd_engine.Sim
-module Pool = Rfd_engine.Pool
 module Partition = Rfd_engine.Partition
 module Par_sim = Rfd_engine.Par_sim
 module Graph = Rfd_topology.Graph
@@ -44,7 +43,7 @@ type t = {
   sims : Sim.t array;
   recorders : Recorder.t array;
   mailbox : Network.remote Partition.t;
-  pool : Pool.t;
+  epochs : Par_sim.t;
   bus : Hooks.t; (* observation bus: attach observers here *)
   admin_runs : int array; (* broadcast admin events executed, per partition *)
   mutable barriers : int;
@@ -87,14 +86,14 @@ let create ?policy ~config ~partitions graph =
     sims;
     recorders;
     mailbox;
-    pool = Pool.create ~jobs:parts ();
+    epochs = Par_sim.create sims;
     bus;
     admin_runs = Array.make parts 0;
     barriers = 0;
     drives = 0;
   }
 
-let shutdown t = Pool.shutdown t.pool
+let shutdown t = Par_sim.shutdown t.epochs
 let bus t = t.bus
 let partitions t = t.parts
 let graph t = t.graph
@@ -131,9 +130,9 @@ let exchange t () =
 
 let drive ?until ?max_events t =
   t.drives <- t.drives + 1;
-  Par_sim.lockstep ~pool:t.pool ~lookahead:t.config.Config.link_delay ?until ?max_events
+  Par_sim.lockstep ~lookahead:t.config.Config.link_delay ?until ?max_events
     ~executed:(fun () -> sim_events t)
-    ~exchange:(exchange t) t.sims
+    ~exchange:(exchange t) t.epochs
 
 (* ------------------------------------------------------------------ *)
 (* Driving: routed (single-partition) and broadcast operations          *)

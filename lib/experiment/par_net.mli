@@ -23,11 +23,17 @@ val create :
 (** Partition the graph into [min partitions num_nodes] balanced connected
     chunks ({!Rfd_topology.Graph.partition}) and build one network per
     chunk. Raises [Invalid_argument] when [partitions < 1], the graph is
-    empty, or the config fails validation. Spawns a worker pool — callers
-    must {!shutdown} (wrap with [Fun.protect]). *)
+    empty, or the config fails validation. With several partitions it
+    spawns one epoch worker domain per partition beyond the first, which
+    live until {!shutdown} — callers must shut down (wrap with
+    [Fun.protect]). One partition spawns no domain: its epochs run in the
+    calling domain. *)
 
 val shutdown : t -> unit
-(** Release the domain pool. The structure stays readable afterwards. *)
+(** Join the epoch workers. Idempotent, and safe after a {!drive} that
+    raised (an event's exception surfaces from [drive] once every
+    partition has finished the epoch). The structure stays readable
+    afterwards. *)
 
 val drive : ?until:float -> ?max_events:int -> t -> [ `Drained | `Horizon | `Budget ]
 (** Run lockstep epochs until the queues drain, [until] is passed, or the

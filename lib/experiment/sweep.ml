@@ -1,5 +1,4 @@
 module Rng = Rfd_engine.Rng
-module Pool = Rfd_engine.Pool
 module Supervisor = Rfd_engine.Supervisor
 
 type point = {
@@ -81,13 +80,26 @@ let plan ?(pulses = default_pulses) ?seeds base =
         pulses)
     seeds
 
-let execute ?jobs ?budget plan =
-  Pool.run ?jobs (fun job -> Runner.run ?budget job.job_scenario) plan
+let job_key job =
+  Journal.job_key job.job_scenario ~seed:job.job_seed ~pulses:job.job_pulses
 
-let execute_results ?jobs ?budget plan =
-  Pool.with_pool ?jobs (fun pool ->
-      Pool.map_result pool (fun job -> Runner.run ?budget job.job_scenario) plan)
-  |> List.map (function Ok r -> Ok r | Error e -> Error (Printexc.to_string e))
+(* Each job's exception is caught inside the job, with its backtrace, so
+   the supervisor sees only completions and the whole batch runs before
+   the earliest failing input's exception is re-raised. *)
+let execute ?jobs ?budget plan =
+  Supervisor.supervise ?jobs ~key:job_key
+    (fun job ->
+      match Runner.run ?budget job.job_scenario with
+      | result -> Ok result
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    plan
+  |> List.map (function
+       | Supervisor.Completed { value = Ok result; _ } -> result
+       | Supervisor.Completed { value = Error (e, bt); _ } ->
+           Printexc.raise_with_backtrace e bt
+       | Supervisor.Crashed _ | Supervisor.Timed_out _ | Supervisor.Cancelled
+       | Supervisor.Shed _ ->
+           assert false)
 
 let point_of_result job result =
   {
@@ -105,31 +117,6 @@ let failure_of job reason =
     failed_topology = Scenario.topology_summary job.job_scenario.Scenario.topology;
     reason;
   }
-
-(* Split job outcomes into clean points and structured failures: a crashed
-   job carries its exception text, a budget-exceeded run carries its
-   partial result. Either way, one bad point costs exactly itself — the
-   rest of the sweep still produces data. *)
-let partition_outcomes plan outcomes =
-  let points, failures =
-    List.fold_left2
-      (fun (points, failures) job outcome ->
-        let fail reason = (points, failure_of job reason :: failures) in
-        match outcome with
-        | Error msg -> fail (Crashed msg)
-        | Ok result ->
-            if Runner.status_is_budget_exceeded result.Runner.final_status then
-              fail (Budget_exceeded result)
-            else (point_of_result job result :: points, failures))
-      ([], []) plan outcomes
-  in
-  (List.rev points, List.rev failures)
-
-let run ?label ?(pulses = default_pulses) ?jobs ?budget base =
-  let label = match label with Some l -> l | None -> base.Scenario.name in
-  let plan = plan ~pulses base in
-  let points, failures = partition_outcomes plan (execute_results ?jobs ?budget plan) in
-  { label; base; points; failures }
 
 (* ------------------------------------------------------------------ *)
 (* Supervised execution: watchdogs, retries, checkpoint/resume          *)
@@ -151,86 +138,83 @@ let default_supervision =
     should_stop = (fun () -> false);
   }
 
-let job_key job =
-  Journal.job_key job.job_scenario ~seed:job.job_seed ~pulses:job.job_pulses
+(* A supervisor outcome as the journal records it. A cancelled or shed job
+   has no terminal outcome — a resumed sweep must run it — so it is
+   [None]. (Sweeps pass no [max_queue], so shed cannot occur here.) *)
+let terminal = function
+  | Supervisor.Completed { value; _ } -> Some (Journal.Result value)
+  | Supervisor.Crashed { error; _ } -> Some (Journal.Crashed error)
+  | Supervisor.Timed_out { attempts; deadline } ->
+      Some (Journal.Timed_out { attempts; deadline })
+  | Supervisor.Cancelled | Supervisor.Shed _ -> None
 
-let run_supervised ?label ?(pulses = default_pulses) ?seeds ?jobs ?budget
+(* The one place outcomes become points and failures: a crashed job
+   carries its exception text, a budget-exceeded run its partial result,
+   and one bad point costs exactly itself. *)
+let assemble plan outcomes =
+  let points, failures =
+    List.fold_left2
+      (fun (points, failures) job outcome ->
+        let fail reason = (points, failure_of job reason :: failures) in
+        match outcome with
+        | Some (Journal.Result result) ->
+            if Runner.status_is_budget_exceeded result.Runner.final_status then
+              fail (Budget_exceeded result)
+            else (point_of_result job result :: points, failures)
+        | Some (Journal.Crashed msg) -> fail (Crashed msg)
+        | Some (Journal.Timed_out { attempts; deadline }) ->
+            fail (Timed_out { attempts; deadline })
+        | None -> fail Interrupted)
+      ([], []) plan outcomes
+  in
+  (List.rev points, List.rev failures)
+
+let run ?label ?(pulses = default_pulses) ?seeds ?jobs ?budget
     ?(supervision = default_supervision) base =
   let label = match label with Some l -> l | None -> base.Scenario.name in
   let plan = plan ~pulses ?seeds base in
-  let keyed = List.map (fun job -> (job, job_key job)) plan in
   (* Jobs whose terminal outcome is already journalled are not re-run: the
      journal payload is the marshalled result itself, so merging it back
      reproduces the uninterrupted sweep bit for bit. *)
-  let journaled =
+  let journalled =
     match supervision.journal with
     | Some path when supervision.resume && Sys.file_exists path ->
-        (Journal.load path).Journal.entries
-    | _ -> Hashtbl.create 0
+        let entries = (Journal.load path).Journal.entries in
+        List.map (fun job -> Hashtbl.find_opt entries (job_key job)) plan
+    | _ -> List.map (fun _ -> None) plan
   in
   let fresh_jobs =
-    List.filter (fun (_, key) -> not (Hashtbl.mem journaled key)) keyed
+    List.filter_map
+      (fun (job, prior) -> if Option.is_none prior then Some job else None)
+      (List.combine plan journalled)
   in
   let writer = Option.map Journal.create supervision.journal in
   Fun.protect
     ~finally:(fun () -> Option.iter Journal.close writer)
     (fun () ->
-      let checkpoint (_, key) outcome =
-        match writer with
-        | None -> ()
-        | Some w -> (
-            match outcome with
-            | Supervisor.Completed { value; _ } ->
-                Journal.append w ~key (Journal.Result value)
-            | Supervisor.Crashed { error; _ } ->
-                Journal.append w ~key (Journal.Crashed error)
-            | Supervisor.Timed_out { attempts; deadline } ->
-                Journal.append w ~key (Journal.Timed_out { attempts; deadline })
-            (* A cancelled or shed job has no terminal outcome — a resumed
-               sweep must run it, so it must not be checkpointed. (Sweeps
-               pass no [max_queue], so shed cannot occur here; the arm
-               keeps the match exhaustive for the serving layer's sake.) *)
-            | Supervisor.Cancelled | Supervisor.Shed _ -> ())
+      let checkpoint job outcome =
+        match (writer, terminal outcome) with
+        | Some w, Some outcome -> Journal.append w ~key:(job_key job) outcome
+        | None, _ | _, None -> ()
       in
-      let outcomes =
+      let fresh =
         Supervisor.supervise ?jobs ?deadline:supervision.deadline
           ~retries:supervision.retries ~should_stop:supervision.should_stop
-          ~on_outcome:checkpoint
-          ~key:(fun (_, key) -> key)
-          (fun (job, _) -> Runner.run ?budget job.job_scenario)
+          ~on_outcome:checkpoint ~key:job_key
+          (fun job -> Runner.run ?budget job.job_scenario)
           fresh_jobs
       in
-      let fresh = Hashtbl.create (List.length fresh_jobs) in
-      List.iter2 (fun (_, key) o -> Hashtbl.replace fresh key o) fresh_jobs outcomes;
-      (* Reassemble in plan order, interleaving journalled and fresh
-         outcomes, so the result is indistinguishable from a single
-         uninterrupted pass. *)
-      let points, failures =
-        List.fold_left
-          (fun (points, failures) (job, key) ->
-            let fail reason = (points, failure_of job reason :: failures) in
-            let from_result result =
-              if Runner.status_is_budget_exceeded result.Runner.final_status then
-                fail (Budget_exceeded result)
-              else (point_of_result job result :: points, failures)
-            in
-            match Hashtbl.find_opt journaled key with
-            | Some (Journal.Result r) -> from_result r
-            | Some (Journal.Crashed msg) -> fail (Crashed msg)
-            | Some (Journal.Timed_out { attempts; deadline }) ->
-                fail (Timed_out { attempts; deadline })
-            | None -> (
-                match Hashtbl.find_opt fresh key with
-                | Some (Supervisor.Completed { value; _ }) -> from_result value
-                | Some (Supervisor.Crashed { error; _ }) -> fail (Crashed error)
-                | Some (Supervisor.Timed_out { attempts; deadline }) ->
-                    fail (Timed_out { attempts; deadline })
-                | Some (Supervisor.Cancelled | Supervisor.Shed _) ->
-                    fail Interrupted
-                | None -> assert false))
-          ([], []) keyed
+      (* Interleave journalled and fresh outcomes in plan order, so the
+         result is indistinguishable from a single uninterrupted pass. *)
+      let rec merge journalled fresh =
+        match (journalled, fresh) with
+        | (Some _ as prior) :: journalled, fresh -> prior :: merge journalled fresh
+        | None :: journalled, outcome :: fresh -> terminal outcome :: merge journalled fresh
+        | [], [] -> []
+        | None :: _, [] | [], _ :: _ -> assert false
       in
-      { label; base; points = List.rev points; failures = List.rev failures })
+      let points, failures = assemble plan (merge journalled fresh) in
+      { label; base; points; failures })
 
 let pp_failure ppf f =
   Format.fprintf ppf "topology=%s seed=%d pulses=%d: %a" f.failed_topology
@@ -270,31 +254,25 @@ type aggregate = { agg_pulses : int; convergence : Summary.t; messages : Summary
 
 let run_many ?(pulses = default_pulses) ?jobs ?budget ~seeds base =
   if seeds = [] then invalid_arg "Sweep.run_many: empty seed list";
-  let plan = plan ~pulses ~seeds base in
-  let results = Array.of_list (execute_results ?jobs ?budget plan) in
+  let sweep = run ~pulses ~seeds ?jobs ?budget base in
   let aggregates =
     List.map
       (fun n -> { agg_pulses = n; convergence = Summary.create (); messages = Summary.create () })
       pulses
   in
-  (* The plan is seed-major, [pulses] points per seed, and execute preserves
-     order — so accumulation happens in seed order for any jobs count,
-     keeping the summaries bit-identical to sequential execution. Crashed
-     or budget-exceeded runs contribute no sample: their absence shows up
+  (* Points come in plan order, which is seed-major, so every pulse
+     count's samples accumulate in seed order for any jobs count, keeping
+     the summaries bit-identical to sequential execution. Crashed or
+     budget-exceeded runs are failures, not points: their absence shows up
      as a lower [Summary.n] instead of poisoning the means. *)
-  let per_seed = List.length pulses in
-  List.iteri
-    (fun s _seed ->
-      List.iteri
-        (fun i agg ->
-          match results.(s * per_seed + i) with
-          | Ok result
-            when not (Runner.status_is_budget_exceeded result.Runner.final_status) ->
-              Summary.add agg.convergence result.Runner.convergence_time;
-              Summary.add agg.messages (float_of_int result.Runner.message_count)
-          | Ok _ | Error _ -> ())
-        aggregates)
-    seeds;
+  List.iter
+    (fun p ->
+      match List.find_opt (fun agg -> agg.agg_pulses = p.pulses) aggregates with
+      | Some agg ->
+          Summary.add agg.convergence p.convergence_time;
+          Summary.add agg.messages (float_of_int p.message_count)
+      | None -> ())
+    sweep.points;
   aggregates
 
 let mean_convergence_series aggs =

@@ -5,12 +5,13 @@
     point. Several sweeps (one per configuration) form a figure.
 
     Execution is split into two layers: a sweep is first {e described} as a
-    list of pure {!job} values ({!plan}), then {e executed} on a
-    {!Rfd_engine.Pool} of worker domains ({!execute}). Every job carries a
-    fully resolved scenario — its own seed substituted into the config and
-    its topology pre-built — so jobs share nothing and can run in any order
-    on any domain. Results are deterministic and independent of the [jobs]
-    count: [~jobs:1] and [~jobs:n] produce bit-identical series. *)
+    list of pure {!job} values ({!plan}), then {e executed} on the worker
+    domains of a {!Rfd_engine.Supervisor} ({!execute}, {!run}). Every job
+    carries a fully resolved scenario — its own seed substituted into the
+    config and its topology pre-built — so jobs share nothing and can run
+    in any order on any domain. Results are deterministic and independent
+    of the [jobs] count: [~jobs:1] and [~jobs:n] produce bit-identical
+    series. *)
 
 type point = {
   pulses : int;
@@ -26,12 +27,12 @@ type failure_reason =
       (** the run hit its {!Runner.budget}; the partial result is kept so
           the truncated prefix's metrics stay inspectable *)
   | Timed_out of { attempts : int; deadline : float }
-      (** supervised execution only: every allowed attempt overran the
-          per-job wall-clock deadline *)
+      (** with a [deadline]: every allowed attempt overran the per-job
+          wall-clock deadline *)
   | Interrupted
-      (** supervised execution only: the sweep was cancelled (SIGINT
-          drain) while this job was still queued — it never ran, and a
-          resumed sweep will run it *)
+      (** with a [should_stop]: the sweep was cancelled (SIGINT drain)
+          while this job was still queued — it never ran, and a resumed
+          sweep will run it *)
 
 type failure = {
   failed_seed : int;
@@ -88,28 +89,12 @@ val plan : ?pulses:int list -> ?seeds:int list -> Scenario.t -> job list
     the same split of the seed's RNG stream). *)
 
 val execute : ?jobs:int -> ?budget:Runner.budget -> job list -> Runner.result list
-(** Run every job, in input order, on a worker pool of [jobs] domains
-    (default {!Rfd_engine.Pool.default_jobs}; [~jobs:1] is strictly
-    sequential in the calling domain). A job's exception is re-raised after
-    the batch completes. *)
+(** Run every job on [jobs] worker domains (default
+    {!Rfd_engine.Supervisor.default_jobs}) and return the results in input
+    order. If jobs raise, the whole batch still runs; then the earliest
+    failing input's exception is re-raised with its backtrace. *)
 
-val execute_results :
-  ?jobs:int -> ?budget:Runner.budget -> job list -> (Runner.result, string) result list
-(** Like {!execute}, but degrades gracefully: a job that raises becomes
-    [Error (printed exception)] in its slot instead of aborting the batch,
-    so every other job's result is still returned (in input order). Note a
-    budget-exceeded run is an [Ok] here — it returned a partial result;
-    {!run} is what reclassifies it as a {!failure}. *)
-
-val run :
-  ?label:string -> ?pulses:int list -> ?jobs:int -> ?budget:Runner.budget -> Scenario.t -> t
-(** [plan] + {!execute_results} + point assembly. Default pulse counts:
-    [1 .. 10]. The scenario's own [pulses] field is ignored. Crashed jobs
-    and budget-exceeded runs land in {!t.failures} as structured records;
-    the remaining points are unaffected (and bit-identical to a sweep that
-    never had the bad points). *)
-
-(** {1 Supervised execution} *)
+(** {1 Supervision} *)
 
 type supervision = {
   deadline : float option;  (** per-job wall-clock limit, seconds *)
@@ -122,14 +107,14 @@ type supervision = {
 }
 
 val default_supervision : supervision
-(** No deadline, no retries, no journal, never stops — supervised
-    execution degrades to plain {!run} semantics. *)
+(** No deadline, no retries, no journal, never stops: every job runs once
+    and nothing is written. *)
 
 val job_key : job -> string
 (** The job's journal identity: {!Journal.job_key} over its resolved
     scenario, seed and pulse count. *)
 
-val run_supervised :
+val run :
   ?label:string ->
   ?pulses:int list ->
   ?seeds:int list ->
@@ -138,16 +123,23 @@ val run_supervised :
   ?supervision:supervision ->
   Scenario.t ->
   t
-(** {!run} on a {!Rfd_engine.Supervisor} instead of a bare pool: wedged
-    jobs are timed out instead of stalling the sweep, crashed workers are
-    respawned, failed jobs retry with deterministic backoff, and every
-    terminal outcome is checkpointed to [supervision.journal] (fsync'd)
-    as it lands. With [resume = true], journalled jobs are skipped and
-    their stored results merged back in plan order — an interrupted sweep
-    finished under [resume] is bit-identical to an uninterrupted one, at
-    any [jobs] count. [seeds] extends the plan across a seed grid exactly
-    as in {!run_many}. Timed-out and cancelled jobs become {!Timed_out} /
-    {!Interrupted} failures; everything else matches {!run}. *)
+(** [plan] + execution on a {!Rfd_engine.Supervisor} + point assembly.
+    Default pulse counts: [1 .. 10]; the scenario's own [pulses] field is
+    ignored. [seeds] extends the plan across a seed grid exactly as in
+    {!run_many}. Crashed jobs and budget-exceeded runs land in
+    {!t.failures} as structured records; the remaining points are
+    unaffected (and bit-identical to a sweep that never had the bad
+    points).
+
+    [supervision] (default {!default_supervision}) adds the watchdog:
+    wedged jobs are timed out instead of stalling the sweep, crashed
+    workers are respawned, failed jobs retry with deterministic backoff,
+    and every terminal outcome is checkpointed to [supervision.journal]
+    (fsync'd) as it lands. With [resume = true], journalled jobs are
+    skipped and their stored results merged back in plan order — an
+    interrupted sweep finished under [resume] is bit-identical to an
+    uninterrupted one, at any [jobs] count. Timed-out and cancelled jobs
+    become {!Timed_out} / {!Interrupted} failures. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 (** One-line human summary, e.g.
@@ -187,8 +179,8 @@ val run_many :
   aggregate list
 (** Run the sweep once per seed (the seed is substituted into the
     scenario's config) and aggregate convergence time and message count per
-    pulse count. All seeds' runs execute on one [jobs]-domain pool;
-    aggregates are accumulated in seed order regardless of [jobs]. Crashed
+    pulse count: the points of one {!run} over the seed grid, accumulated
+    in seed order regardless of [jobs]. Crashed
     or budget-exceeded runs contribute no sample — compare
     {!Rfd_engine.Stats.Summary.n} against [List.length seeds] to detect
     them. Raises [Invalid_argument] on an empty seed list. *)

@@ -65,7 +65,7 @@ let default_spec =
     flap_seed = 1;
   }
 
-let max_nodes = 100_000
+let max_nodes = Rfd_topology.Edge_list.max_nodes
 let max_pulses = 10_000
 let max_background = 200_000
 let max_flappers = 10_000

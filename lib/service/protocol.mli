@@ -73,10 +73,11 @@ val default_spec : spec
     MRAI 30 s, seed 42, isp node 0, no background prefixes or flappers. *)
 
 val max_nodes : int
-(** Admission cap on the requested topology size (100_000 nodes). A
-    query above it is rejected as [invalid] before any allocation — a
-    misbehaving client must not be able to OOM the daemon with
-    [internet:10000000]. *)
+(** Admission cap on the requested topology size:
+    {!Rfd_topology.Edge_list.max_nodes}, 100_000 nodes, the cap an
+    edge-list file meets too. A query above it is rejected as [invalid]
+    before any allocation — a misbehaving client must not be able to OOM
+    the daemon with [internet:10000000]. *)
 
 val max_pulses : int
 (** Admission cap on the pulse count (10_000), same rationale. *)

@@ -1,5 +1,7 @@
 let lines_of doc = String.split_on_char '\n' doc
 
+let max_nodes = 100_000
+
 let parse_tokens doc =
   (* Returns (declared_nodes, rows) where each row is
      (line_number, u, v, label_token option). *)
@@ -19,6 +21,11 @@ let parse_tokens doc =
           | Some i when String.trim (String.sub body 0 i) = "nodes" -> (
               let v = String.trim (String.sub body (i + 1) (String.length body - i - 1)) in
               match int_of_string_opt v with
+              | Some n when n > max_nodes ->
+                  error :=
+                    Some
+                      (Printf.sprintf "line %d: %d nodes exceed the %d-node cap" lineno n
+                         max_nodes)
               | Some n when n >= 0 -> declared := Some n
               | Some _ | None ->
                   error := Some (Printf.sprintf "line %d: bad node-count header" lineno))
@@ -33,6 +40,11 @@ let parse_tokens doc =
           match fields with
           | [ a; b ] | [ a; b; _ ] -> (
               match (int_of_string_opt a, int_of_string_opt b) with
+              | Some u, Some v when max u v >= max_nodes ->
+                  error :=
+                    Some
+                      (Printf.sprintf "line %d: node id %d exceeds the %d-node cap" lineno
+                         (max u v) max_nodes)
               | Some u, Some v ->
                   let lbl = match fields with [ _; _; l ] -> Some l | _ -> None in
                   rows := (lineno, u, v, lbl) :: !rows

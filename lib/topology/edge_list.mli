@@ -5,8 +5,15 @@
     Lines starting with ['#'] and blank lines are ignored. Node count is
     [1 + max node id] unless a [# nodes: N] header raises it. *)
 
+val max_nodes : int
+(** 100_000, the largest node count a document may declare or imply: a
+    larger header or node id is a parse error, reported before anything
+    the size of the graph is allocated. The daemon's topology admission
+    cap is this constant. *)
+
 val parse : string -> (Relations.t, string) result
-(** Parse a document. Errors carry a 1-based line number and reason. *)
+(** Parse a document. Errors carry a 1-based line number and reason.
+    Never raises. *)
 
 val parse_graph : string -> (Graph.t, string) result
 (** Parse ignoring relationship labels. *)

@@ -62,6 +62,69 @@ let test_empty_document () =
   let g = ok (Edge_list.parse_graph "") in
   Alcotest.(check int) "no nodes" 0 (Graph.num_nodes g)
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_node_cap () =
+  (* Both shapes are refused before any graph is built — the first would
+     not fit in memory — with the offending line and the cap. *)
+  let cap = string_of_int Edge_list.max_nodes in
+  let e = err (Edge_list.parse_graph "# nodes: 1000000000000\n0 1\n") in
+  Alcotest.(check bool) ("declared count refused: " ^ e) true
+    (contains ~sub:"line 1" e && contains ~sub:cap e);
+  let e = err (Edge_list.parse "0 1\n1 30000000\n") in
+  Alcotest.(check bool) ("implied count refused: " ^ e) true
+    (contains ~sub:"line 2" e && contains ~sub:cap e);
+  let g =
+    ok
+      (Edge_list.parse_graph
+         (Printf.sprintf "# nodes: %d\n0 %d\n" Edge_list.max_nodes (Edge_list.max_nodes - 1)))
+  in
+  Alcotest.(check int) "the cap itself is accepted" Edge_list.max_nodes (Graph.num_nodes g)
+
+(* Documents built from lines that are mostly well formed, with node ids
+   and headers that are huge, negative, at the cap or overflowing. *)
+let gen_document =
+  let open QCheck.Gen in
+  let number =
+    frequency
+      [
+        (8, map string_of_int (int_range 0 12));
+        (1, map string_of_int (int_range (-5) (-1)));
+        (1, oneofl [ "99999"; "100000"; "100001"; "30000000"; "1000000000000" ]);
+        (1, oneofl [ "4611686018427387904"; "99999999999999999999"; "-0"; "0x1f"; "1_0"; "x" ]);
+      ]
+  in
+  let line =
+    frequency
+      [
+        (6, map2 (fun u v -> u ^ " " ^ v) number number);
+        ( 2,
+          map3
+            (fun u v l -> u ^ "\t" ^ v ^ " " ^ l)
+            number number
+            (oneofl [ "c2p"; "p2c"; "p2p"; "p2x" ]) );
+        (1, map (fun n -> "# nodes: " ^ n) number);
+        (1, oneofl [ ""; "# comment"; "0"; "1 2 3 4"; "  \t " ]);
+      ]
+  in
+  map (String.concat "\n") (list_size (int_range 0 8) line)
+
+let prop_total_and_reprintable =
+  QCheck.Test.make ~count:500 ~name:"never raises; accepted documents reprint"
+    (QCheck.make ~print:Fun.id gen_document)
+    (fun doc ->
+      let reprints g =
+        match Edge_list.parse_graph (Edge_list.print_graph g) with
+        | Ok g' -> Graph.equal g g'
+        | Error _ -> false
+      in
+      (match Edge_list.parse_graph doc with Ok g -> reprints g | Error _ -> true)
+      &&
+      match Edge_list.parse doc with Ok r -> reprints (Relations.graph r) | Error _ -> true)
+
 let suite =
   [
     Alcotest.test_case "parse plain edges" `Quick test_parse_plain;
@@ -73,4 +136,6 @@ let suite =
     Alcotest.test_case "round trip" `Quick test_round_trip;
     Alcotest.test_case "print graph" `Quick test_print_graph;
     Alcotest.test_case "empty document" `Quick test_empty_document;
+    Alcotest.test_case "node cap" `Quick test_node_cap;
+    QCheck_alcotest.to_alcotest prop_total_and_reprintable;
   ]

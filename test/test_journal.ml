@@ -251,7 +251,14 @@ let test_check_clean_duplicates_corrupt_torn () =
       Alcotest.(check bool) "torn tail detected" true r.Journal.checked_torn;
       Alcotest.(check int) "torn tail is not corruption" 0
         r.Journal.checked_corrupt;
-      Alcotest.(check int) "valid lines unaffected" 3 r.Journal.checked_valid)
+      Alcotest.(check int) "valid lines unaffected" 3 r.Journal.checked_valid;
+      (* A journal cut right after its header, before the newline, is an
+         empty journal to [load], so to [check] too. *)
+      write_file path Journal.header;
+      let r = Journal.check path in
+      Alcotest.(check int) "header alone: nothing valid" 0 r.Journal.checked_valid;
+      Alcotest.(check int) "header alone: no entries loaded" 0
+        (Hashtbl.length (Journal.load path).Journal.entries))
 
 let test_check_rejects_non_journal () =
   with_tmp (fun path ->
@@ -317,7 +324,17 @@ let test_hex_all_bytes () =
   Alcotest.(check (option string)) "empty" (Some "") (Journal.of_hex "");
   Alcotest.(check (option string)) "odd length" None (Journal.of_hex "abc");
   Alcotest.(check (option string)) "non-hex digit" None (Journal.of_hex "0g");
-  Alcotest.(check (option string)) "non-hex high digit" None (Journal.of_hex "z0")
+  Alcotest.(check (option string)) "non-hex high digit" None (Journal.of_hex "z0");
+  (* A journal line is read only as [render_line] writes it: lowercase. *)
+  let line = Journal.render_line ~key:"k" (Journal.Crashed "\255") in
+  let line = String.sub line 0 (String.length line - 1) in
+  Alcotest.(check bool) "lowercase line read" true (Journal.parse_line line <> None);
+  let hex_at = String.rindex line ' ' + 1 in
+  let upper =
+    String.sub line 0 hex_at
+    ^ String.uppercase_ascii (String.sub line hex_at (String.length line - hex_at))
+  in
+  Alcotest.(check bool) "upper-case payload refused" true (Journal.parse_line upper = None)
 
 (* A stored result costs a bounded number of bytes per flap-phase update:
    the Figure 8 damped 10x10 mesh at 1, 3 and 5 pulses marshals to at most
@@ -337,6 +354,113 @@ let test_result_size_bound () =
         Alcotest.failf "%d pulses: %d bytes for %d updates, bound %d" pulses bytes
           r.Runner.message_count bound)
     [ 1; 3; 5 ]
+
+(* A valid journal — a real result, a crash, a timeout, and a key written
+   twice — then random byte edits, or a truncation, anywhere in it. Keys
+   are MD5 hex like real job keys, so one edit cannot turn a key into
+   another key of the file. *)
+let fuzz_base =
+  lazy
+    (let key i = Digest.to_hex (Digest.string (string_of_int i)) in
+     let result = Runner.run (Scenario.with_pulses (scenario ()) 1) in
+     Journal.header ^ "\n"
+     ^ String.concat ""
+         [
+           Journal.render_line ~key:(key 1) (Journal.Crashed "first");
+           Journal.render_line ~key:(key 2) (Journal.Result result);
+           Journal.render_line ~key:(key 3)
+             (Journal.Timed_out { attempts = 2; deadline = 1.5 });
+           Journal.render_line ~key:(key 1) (Journal.Crashed "second");
+         ])
+
+(* An edit picks a line, then a byte of it, so the short columns (header,
+   keys, digests) are hit as often as the long payload. *)
+let gen_damage =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ 'a'; 'A'; 'f'; 'F'; '0'; '9'; 'g' ]);
+        (2, oneofl [ ' '; '\n'; '\000'; '\r' ]);
+        (1, char);
+      ]
+  in
+  let spot = pair (int_bound 1000) (int_bound 1_000_000) in
+  frequency
+    [
+      (3, map (fun edits -> `Edits edits) (list_size (int_range 1 3) (pair spot byte)));
+      (1, map (fun spot -> `Truncate spot) spot);
+    ]
+
+let damage text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  (* Offset of byte [b] of line [l], its newline included. *)
+  let offset (l, b) =
+    let l = l mod Array.length lines in
+    let start = ref 0 in
+    for i = 0 to l - 1 do
+      start := !start + String.length lines.(i) + 1
+    done;
+    min (String.length text) (!start + (b mod (String.length lines.(l) + 1)))
+  in
+  function
+  | `Truncate spot -> String.sub text 0 (offset spot)
+  | `Edits edits ->
+      let bytes = Bytes.of_string text in
+      List.iter
+        (fun (spot, c) ->
+          let i = offset spot in
+          if i < Bytes.length bytes then Bytes.set bytes i c)
+        edits;
+      Bytes.to_string bytes
+
+(* On any damage: the three loaders refuse the file exactly when its header
+   line is gone, and otherwise never raise; every entry they return is
+   one whose [render_line] is a line of the file; [check]'s counts, the
+   compaction report and the compacted file agree with [load]. *)
+let prop_loaders_on_damaged_journals =
+  QCheck.Test.make ~count:300 ~name:"damaged journals: no raise, no forged entry"
+    (QCheck.make gen_damage)
+    (fun dmg ->
+      let text = damage (Lazy.force fuzz_base) dmg in
+      let header_intact =
+        let h = String.length Journal.header in
+        String.length text >= h
+        && String.sub text 0 h = Journal.header
+        && (String.length text = h || text.[h] = '\n')
+      in
+      let lines = String.split_on_char '\n' text in
+      let rendered entries =
+        Hashtbl.fold
+          (fun key outcome ok ->
+            let line = Journal.render_line ~key outcome in
+            ok && List.mem (String.sub line 0 (String.length line - 1)) lines)
+          entries true
+      in
+      with_tmp (fun path ->
+          write_file path text;
+          let refused f = match f path with _ -> false | exception Failure _ -> true in
+          if not header_intact then
+            refused Journal.load && refused Journal.check && refused Journal.compact
+          else
+            let loaded = Journal.load path in
+            let r = Journal.check path in
+            let c = Journal.compact path in
+            let compacted = Journal.load path in
+            let distinct = Hashtbl.length loaded.Journal.entries in
+            rendered loaded.Journal.entries
+            && r.Journal.checked_valid - r.Journal.checked_duplicates = distinct
+            && r.Journal.checked_corrupt + Bool.to_int r.Journal.checked_torn
+               = loaded.Journal.corrupt
+            && c.Journal.kept = distinct
+            && c.Journal.dropped_duplicates = r.Journal.checked_duplicates
+            && c.Journal.dropped_corrupt = loaded.Journal.corrupt
+            && compacted.Journal.corrupt = 0
+            && Hashtbl.length compacted.Journal.entries = distinct
+            && Hashtbl.fold
+                 (fun key outcome ok ->
+                   ok && Hashtbl.find_opt compacted.Journal.entries key = Some outcome)
+                 loaded.Journal.entries true))
 
 let suite =
   [
@@ -363,3 +487,4 @@ let suite =
     Alcotest.test_case "result size bounded per update" `Quick test_result_size_bound;
   ]
   @ refusal_cases
+  @ [ QCheck_alcotest.to_alcotest prop_loaders_on_damaged_journals ]

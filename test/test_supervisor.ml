@@ -38,8 +38,8 @@ let test_empty_input () =
     (List.length (Supervisor.supervise ~key:string_of_int Fun.id []))
 
 let test_jobs_one_still_supervises () =
-  (* Unlike Pool, jobs=1 spawns a worker domain — the caller is busy being
-     the monitor — so supervision features still work. *)
+  (* jobs=1 spawns a worker domain — the caller is busy being the
+     monitor — so supervision features still work. *)
   let outcomes =
     Supervisor.supervise ~jobs:1 ~key:string_of_int
       (fun x -> if x = 2 then failwith "two" else x)

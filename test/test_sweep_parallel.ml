@@ -167,31 +167,32 @@ let chaos_faults () =
       { Rfd_faults.Fault_plan.cycles = 3; window = 40.; down_mean = 5.; candidates = [] }
     ()
 
-let test_execute_results_partial () =
-  (* One poisoned job in the middle of the batch: its slot reports the
-     error, every other slot still carries its result — identically at any
-     jobs count. *)
-  let good = Sweep.plan ~pulses:[ 1; 2 ] (base_scenario ()) in
-  let bad = List.hd (Sweep.plan ~pulses:[ 1 ] (bad_scenario ())) in
-  let jobs_list = [ List.nth good 0; bad; List.nth good 1 ] in
-  let shape outcomes =
-    List.map
-      (function
-        | Ok r -> Printf.sprintf "ok:%d" r.Runner.message_count
-        | Error msg ->
-            Alcotest.(check bool) "error carries the printed exception" true
-              (String.length msg > 0
-              && String.sub msg 0 16 = "Invalid_argument");
-            "error")
-      outcomes
+let test_run_failures_per_slot () =
+  (* One poisoned point in the middle of the sweep (a negative pulse count
+     fails the runner's validation): it becomes a crash failure carrying
+     the printed exception, every other point is still clean — identically
+     at any jobs count. *)
+  let shape sweep =
+    ( List.map
+        (fun (p : Sweep.point) -> (p.Sweep.pulses, p.Sweep.message_count))
+        sweep.Sweep.points,
+      List.map
+        (fun f ->
+          match f.Sweep.reason with
+          | Sweep.Crashed msg -> (f.Sweep.failed_pulses, msg)
+          | _ -> Alcotest.fail "expected Crashed")
+        sweep.Sweep.failures )
   in
-  let r1 = shape (Sweep.execute_results ~jobs:1 jobs_list) in
-  let r4 = shape (Sweep.execute_results ~jobs:4 jobs_list) in
-  Alcotest.(check (list string)) "jobs=1 vs jobs=4 identical outcomes" r1 r4;
-  match r1 with
-  | [ a; "error"; c ] ->
-      Alcotest.(check bool) "healthy slots survive" true (a <> "error" && c <> "error")
-  | _ -> Alcotest.fail "expected ok/error/ok"
+  let s1 = shape (Sweep.run ~pulses:[ 1; -1; 2 ] ~jobs:1 (base_scenario ())) in
+  let s4 = shape (Sweep.run ~pulses:[ 1; -1; 2 ] ~jobs:4 (base_scenario ())) in
+  Alcotest.(check (pair (list (pair int int)) (list (pair int string))))
+    "jobs=1 vs jobs=4 identical outcomes" s1 s4;
+  match s1 with
+  | [ (1, _); (2, _) ], [ (-1, msg) ] ->
+      Alcotest.(check string) "the failure is the printed exception"
+        (Printexc.to_string (Invalid_argument "Runner.run: pulses must be non-negative"))
+        msg
+  | _ -> Alcotest.fail "expected clean points 1 and 2 and one failure at -1"
 
 let test_run_collects_crash_failures () =
   let bad = bad_scenario () in
@@ -287,7 +288,7 @@ let suite =
     Alcotest.test_case "run_many: jobs=1 vs jobs=4 identical" `Quick
       test_run_many_jobs_determinism;
     Alcotest.test_case "execute preserves plan order" `Quick test_execute_order_matches_plan;
-    Alcotest.test_case "execute_results degrades per slot" `Quick test_execute_results_partial;
+    Alcotest.test_case "run failures degrade per slot" `Quick test_run_failures_per_slot;
     Alcotest.test_case "run collects crash failures" `Quick test_run_collects_crash_failures;
     Alcotest.test_case "run survives a budget-exceeded point" `Quick
       test_run_budget_partial_sweep;

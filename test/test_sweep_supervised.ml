@@ -1,6 +1,6 @@
-(* Tests for supervised sweep execution: parity with the plain pool path,
-   journal checkpointing, and resume-equals-uninterrupted (QCheck over
-   random kill points). *)
+(* Tests for supervised sweep execution: supervision leaves the points
+   unchanged, journal checkpointing, and resume-equals-uninterrupted
+   (QCheck over random kill points). *)
 
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
@@ -39,17 +39,26 @@ let test_matches_plain_run () =
   let plain = fingerprint (Sweep.run ~pulses ~jobs:1 base) in
   List.iter
     (fun jobs ->
-      Alcotest.(check (pair (list (pair int string)) (list string)))
-        (Printf.sprintf "supervised jobs=%d matches plain run" jobs)
-        plain
-        (fingerprint (Sweep.run_supervised ~pulses ~jobs base)))
+      with_tmp (fun path ->
+          let supervision =
+            {
+              Sweep.default_supervision with
+              Sweep.journal = Some path;
+              deadline = Some 300.;
+              retries = 2;
+            }
+          in
+          Alcotest.(check (pair (list (pair int string)) (list string)))
+            (Printf.sprintf "journal, deadline and retries at jobs=%d" jobs)
+            plain
+            (fingerprint (Sweep.run ~pulses ~jobs ~supervision base))))
     [ 1; 2 ]
 
 let test_journal_records_every_point () =
   with_tmp (fun path ->
       let base = base_scenario () in
       let supervision = { Sweep.default_supervision with Sweep.journal = Some path } in
-      let sweep = Sweep.run_supervised ~pulses ~jobs:2 ~supervision base in
+      let sweep = Sweep.run ~pulses ~jobs:2 ~supervision base in
       Alcotest.(check int) "all points clean" (List.length pulses)
         (List.length sweep.Sweep.points);
       let loaded = Journal.load path in
@@ -67,7 +76,7 @@ let test_resume_from_complete_journal_runs_nothing () =
   with_tmp (fun path ->
       let base = base_scenario () in
       let supervision = { Sweep.default_supervision with Sweep.journal = Some path } in
-      let first = Sweep.run_supervised ~pulses ~jobs:2 ~supervision base in
+      let first = Sweep.run ~pulses ~jobs:2 ~supervision base in
       (* Resume with a should_stop that is already true: any job that
          actually reached the supervisor would be Cancelled, so a fully
          clean result proves every job came from the journal. *)
@@ -78,7 +87,7 @@ let test_resume_from_complete_journal_runs_nothing () =
           should_stop = (fun () -> true);
         }
       in
-      let resumed = Sweep.run_supervised ~pulses ~jobs:2 ~supervision base in
+      let resumed = Sweep.run ~pulses ~jobs:2 ~supervision base in
       Alcotest.(check (pair (list (pair int string)) (list string)))
         "resumed sweep identical without running a job" (fingerprint first)
         (fingerprint resumed))
@@ -88,7 +97,7 @@ let resume_after_kill_at base clean k =
      plus its first [k] entries, then resume from the truncated copy. *)
   with_tmp (fun full ->
       let supervision = { Sweep.default_supervision with Sweep.journal = Some full } in
-      ignore (Sweep.run_supervised ~pulses ~jobs:2 ~supervision base);
+      ignore (Sweep.run ~pulses ~jobs:2 ~supervision base);
       let lines =
         let ic = open_in_bin full in
         let s = really_input_string ic (in_channel_length ic) in
@@ -106,7 +115,7 @@ let resume_after_kill_at base clean k =
               resume = true;
             }
           in
-          let resumed = Sweep.run_supervised ~pulses ~jobs:2 ~supervision base in
+          let resumed = Sweep.run ~pulses ~jobs:2 ~supervision base in
           clean = fingerprint resumed))
 
 let prop_resume_equals_uninterrupted =
@@ -130,7 +139,7 @@ let test_interrupted_jobs_become_failures () =
     { Sweep.default_supervision with Sweep.should_stop = (fun () -> true) }
   in
   let many = List.init 12 (fun i -> (i mod 4) + 1) in
-  let sweep = Sweep.run_supervised ~pulses:many ~jobs:1 ~supervision base in
+  let sweep = Sweep.run ~pulses:many ~jobs:1 ~supervision base in
   Alcotest.(check int) "every job accounted for" (List.length many)
     (List.length sweep.Sweep.points + List.length sweep.Sweep.failures);
   let interrupted =
@@ -152,11 +161,11 @@ let test_interrupted_jobs_become_failures () =
   | [] -> ()
 
 let test_budget_failures_classified () =
-  (* Parity with Sweep.run: a budget-exceeded run is a structured failure,
-     not a point — and it still carries the scenario context. *)
+  (* A budget-exceeded run is a structured failure, not a point — and it
+     still carries the scenario context. *)
   let base = base_scenario () in
   let budget = Runner.budget ~max_events:50 () in
-  let sweep = Sweep.run_supervised ~pulses:[ 1 ] ~jobs:1 ~budget base in
+  let sweep = Sweep.run ~pulses:[ 1 ] ~jobs:1 ~budget base in
   Alcotest.(check int) "no clean points" 0 (List.length sweep.Sweep.points);
   match sweep.Sweep.failures with
   | [ f ] ->
@@ -182,7 +191,7 @@ let test_crash_failures_keep_context () =
       Scenario.topology = Scenario.Mesh { rows = 2; cols = 2 }
     }
   in
-  let sweep = Sweep.run_supervised ~pulses:[ 1; 2 ] ~jobs:2 bad in
+  let sweep = Sweep.run ~pulses:[ 1; 2 ] ~jobs:2 bad in
   Alcotest.(check int) "every point failed" 2 (List.length sweep.Sweep.failures);
   List.iter
     (fun f ->
