@@ -13,6 +13,21 @@ type link_state = {
   mutable epoch : int; (* bumped on failure to void in-flight messages *)
 }
 
+(* The in-flight table: one row per message on the wire, network-wide,
+   holding the directed link slot, the sender-side link epoch and the update.
+   A delivery event is a post of the row index on the network's delivery
+   channel, so a message in flight costs three table words plus three heap
+   words and no closure. Free rows are chained through [w_link] and hold
+   [no_update], so a delivered update is released at once. *)
+type wire = {
+  mutable w_link : int array; (* directed slot; next free row when free *)
+  mutable w_epoch : int array;
+  mutable w_update : Update.t array;
+  mutable w_free : int; (* head of the free-row list, -1 when empty *)
+}
+
+let no_update = Update.withdraw (Prefix.v 0)
+
 type remote = {
   remote_eid : int;
   remote_src : int;
@@ -42,6 +57,8 @@ type t = {
   damping_deployed : bool array;
   links : link_state array; (* indexed by Graph edge id *)
   directed : directed_link array; (* 2*eid + (0 if src < dst else 1) *)
+  wire : wire;
+  deliver_on : Sim.channel; (* posts a [wire] row to [deliver] *)
   mutable in_flight : int;
 }
 
@@ -107,6 +124,57 @@ let deployment_flags config rng n =
 let stream_rng config ~salt slot =
   Rng.create ((config.Config.seed lxor salt) + ((slot + 1) * 0x9E37_79B9))
 
+(* Called with the free list empty: chain the new rows onto it. *)
+let grow_wire w =
+  let cap = Array.length w.w_link in
+  let new_cap = if cap = 0 then 256 else cap * 2 in
+  let extend a fill =
+    let b = Array.make new_cap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  w.w_link <- extend w.w_link (-1);
+  for row = cap to new_cap - 2 do
+    w.w_link.(row) <- row + 1
+  done;
+  w.w_epoch <- extend w.w_epoch 0;
+  w.w_update <- extend w.w_update no_update;
+  w.w_free <- cap
+
+(* Every message on the wire, local or drained from another partition,
+   arrives through here. The epoch guard drops it when its link failed (or
+   an endpoint crashed) while it was in flight. *)
+let deliver t row =
+  let w = t.wire in
+  let slot = w.w_link.(row) and epoch = w.w_epoch.(row) and update = w.w_update.(row) in
+  w.w_link.(row) <- w.w_free;
+  w.w_update.(row) <- no_update;
+  w.w_free <- row;
+  t.in_flight <- t.in_flight - 1;
+  let eid = slot / 2 in
+  let ls = t.links.(eid) in
+  let u, v = Graph.edge_endpoints t.graph eid in
+  let src = if slot land 1 = 0 then u else v and dst = if slot land 1 = 0 then v else u in
+  if operational t ls src dst && ls.epoch = epoch then begin
+    t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
+    match t.routers.(dst) with
+    | Some r -> Router.receive r ~from_peer:src update
+    | None -> assert false
+  end
+
+(* The post comes first, so a delivery time the simulator refuses leaves
+   the table and the in-flight count untouched. *)
+let put_on_wire t ~at ~slot ~epoch update =
+  let w = t.wire in
+  if w.w_free < 0 then grow_wire w;
+  let row = w.w_free in
+  Sim.post t.sim t.deliver_on ~time:at row;
+  w.w_free <- w.w_link.(row);
+  w.w_link.(row) <- slot;
+  w.w_epoch.(row) <- epoch;
+  w.w_update.(row) <- update;
+  t.in_flight <- t.in_flight + 1
+
 (* The transport for direction src -> dst: sample a delay, keep per-direction
    FIFO order, and drop the message if the link failed (or an endpoint
    crashed) either before sending or while in flight (epoch check).
@@ -146,18 +214,7 @@ let make_sender t src dst =
       let at = Float.max (now +. delay) (dl.last_delivery +. 1e-9) in
       dl.last_delivery <- at;
       let epoch = ls.epoch in
-      if t.owned.(dst) then begin
-        t.in_flight <- t.in_flight + 1;
-        ignore
-          (Sim.schedule_at t.sim ~time:at (fun _ ->
-               t.in_flight <- t.in_flight - 1;
-               if operational t ls src dst && ls.epoch = epoch then begin
-                 t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
-                 match t.routers.(dst) with
-                 | Some r -> Router.receive r ~from_peer:src update
-                 | None -> assert false
-               end))
-      end
+      if t.owned.(dst) then put_on_wire t ~at ~slot ~epoch update
       else
         match t.emit with
         | Some emit ->
@@ -232,24 +289,29 @@ let create ?policy ?ownership ~config sim graph =
   in
   build 0;
   let m = Graph.num_edges graph in
-  let t =
-    {
-      sim;
-      graph;
-      config;
-      hooks;
-      table;
-      routers;
-      owned;
-      emit;
-      routers_up = Array.make n true;
-      damping_deployed;
-      links = Array.init m (fun _ -> { up = true; epoch = 0 });
-      directed =
-        Array.init (2 * m) (fun _ -> { last_delivery = 0.; loss = 0.; duplication = 0. });
-      in_flight = 0;
-    }
+  (* The delivery handler needs the network it delivers into. *)
+  let rec self =
+    lazy
+      {
+        sim;
+        graph;
+        config;
+        hooks;
+        table;
+        routers;
+        owned;
+        emit;
+        routers_up = Array.make n true;
+        damping_deployed;
+        links = Array.init m (fun _ -> { up = true; epoch = 0 });
+        directed =
+          Array.init (2 * m) (fun _ -> { last_delivery = 0.; loss = 0.; duplication = 0. });
+        wire = { w_link = [||]; w_epoch = [||]; w_update = [||]; w_free = -1 };
+        deliver_on = Sim.channel sim (fun _ row -> deliver (Lazy.force self) row);
+        in_flight = 0;
+      }
   in
+  let t = Lazy.force self in
   Array.iter
     (fun (u, v) ->
       (match t.routers.(u) with
@@ -294,29 +356,19 @@ let schedule_originate t ~at ~node prefix =
 let schedule_withdraw t ~at ~node prefix =
   ignore (Sim.schedule_at t.sim ~time:at (fun _ -> withdraw t ~node prefix))
 
-(* Cross-partition delivery: schedule a message drained from another
-   partition's outbox at a barrier. The timestamp was fixed (FIFO floor
-   included) on the sending side; the epoch guard re-checks against this
-   partition's replica of the link state, which has executed exactly the
-   same administrative transitions. *)
+(* Cross-partition delivery: put a message drained from another
+   partition's outbox on this partition's wire at a barrier. The timestamp
+   was fixed (FIFO floor included) on the sending side; the epoch guard in
+   [deliver] re-checks against this partition's replica of the link state,
+   which has executed exactly the same administrative transitions. *)
 let deliver_remote t { remote_eid = eid; remote_src = src; remote_dst = dst;
                        remote_at = at; remote_epoch = epoch; remote_update = update } =
-  let ls = t.links.(eid) in
   (match t.routers.(dst) with
   | Some _ -> ()
   | None ->
       invalid_arg
         (Printf.sprintf "Network.deliver_remote: node %d owned by another partition" dst));
-  t.in_flight <- t.in_flight + 1;
-  ignore
-    (Sim.schedule_at t.sim ~time:at (fun _ ->
-         t.in_flight <- t.in_flight - 1;
-         if operational t ls src dst && ls.epoch = epoch then begin
-           t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
-           match t.routers.(dst) with
-           | Some r -> Router.receive r ~from_peer:src update
-           | None -> assert false
-         end))
+  put_on_wire t ~at ~slot:(directed_slot eid ~src ~dst) ~epoch update
 
 let fail_link t u v =
   let ls = link_state_exn t u v in

@@ -4,7 +4,14 @@
     Per-message delay is [link_delay + U(0, link_jitter)], and deliveries on
     a directed link never reorder. Failing a link drops in-flight messages
     on it and signals both endpoint routers; restoring it triggers full-table
-    re-advertisement (BGP session restart semantics). *)
+    re-advertisement (BGP session restart semantics).
+
+    Messages on the wire are rows of one network-wide in-flight table (the
+    directed link, the sender-side link epoch and the update, with a free
+    list); each delivery is a {!Rfd_engine.Sim.post} of a row index to one
+    delivery function, shared by local sends and {!deliver_remote}. A
+    message in flight costs six words besides its update and builds no
+    closure, and its row drops the update as soon as it is delivered. *)
 
 type t
 
@@ -49,13 +56,15 @@ val owns : t -> int -> bool
     out-of-range node. *)
 
 val deliver_remote : t -> remote -> unit
-(** Schedule a message drained from another partition's outbox. The epoch
+(** Put a message drained from another partition's outbox on this
+    partition's wire, as a row of the in-flight table. The epoch
     guard re-checks the link against this partition's replica at delivery
     time, so messages voided by a link failure are dropped exactly as in
     the single-domain run. Raises [Invalid_argument] when the destination
     is not owned here, or (from the simulator) when the delivery time lies
     in this partition's past — which cannot happen when the exchange obeys
-    the epoch protocol's lookahead. *)
+    the epoch protocol's lookahead. A refused message leaves nothing in
+    flight. *)
 
 val sim : t -> Rfd_engine.Sim.t
 val graph : t -> Rfd_topology.Graph.t

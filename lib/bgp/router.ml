@@ -519,12 +519,15 @@ let rec reuse_fire t ps prefix =
   clear_flag ps i f_reuse;
   match ps.penalties with
   | Some pen when has ps i f_suppressed -> (
-      match try_release t ps prefix pen ~now:(Sim.now t.sim) with
+      let now = Sim.now t.sim in
+      match try_release t ps prefix pen ~now with
       | `Not_yet time ->
           set_flag ps i f_reuse;
           timer_armed t;
-          ignore
-            (Sim.schedule_at t.sim ~time:(time +. 1e-6) (fun _ -> reuse_fire t ps prefix))
+          (* From 2^34 s on, [time +. 1e-6] can round to [now]; re-arming
+             there would fire at one instant forever. *)
+          let time = Float.max (time +. 1e-6) (Float.succ now) in
+          ignore (Sim.schedule_at t.sim ~time (fun _ -> reuse_fire t ps prefix))
       | `Reused -> ())
   | Some _ | None -> ()
 

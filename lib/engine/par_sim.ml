@@ -152,6 +152,15 @@ let lockstep ~lookahead ?until ?max_events ~executed ~exchange t =
       | None -> verdict := Some `Drained
       | Some next when (match until with Some u -> next > u | None -> false) ->
           verdict := Some `Horizon
-      | Some next -> run_epoch t ~until ~horizon:(next +. lookahead)
+      | Some next ->
+          (* Past 2^49 s at a 0.05 s lookahead (or at an infinite time) the
+             sum rounds back to [next]: the epoch would execute nothing,
+             and the loop would repeat it forever. *)
+          let horizon = next +. lookahead in
+          if not (horizon > next) then
+            invalid_arg
+              (Printf.sprintf "Par_sim.lockstep: event time %g cannot advance by the %g s lookahead"
+                 next lookahead);
+          run_epoch t ~until ~horizon
   done;
   match !verdict with Some v -> v | None -> assert false

@@ -52,4 +52,6 @@ val lockstep :
     still finishes in every other partition; then the exception of the
     lowest-numbered partition that raised is re-raised with its backtrace.
     Raises [Invalid_argument] on a non-positive or NaN [lookahead], NaN
-    [until] or negative [max_events]. *)
+    [until] or negative [max_events], and when the globally next event time
+    is so large (or infinite) that adding [lookahead] does not exceed it:
+    no epoch could make progress there. *)

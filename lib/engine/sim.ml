@@ -1,33 +1,71 @@
-(* The event type and the simulator type are mutually recursive (actions
-   receive the simulator), so the pending-event heap is inlined here rather
-   than instantiating the [Heap] functor. Same classic binary-heap layout. *)
+(* The pending-event queue is a binary heap stored as three columns, so that
+   no pending event owns a heap block: [times] (an unboxed float array),
+   [orders] (the scheduling counter, the FIFO tie-break) and [tags]. A tag
+   packs a channel number in its low [channel_bits] bits and the channel's
+   int argument above them; popping an event calls the channel's handler
+   with that argument.
+
+   Channel 0 runs closures: its argument is a slot in the closure table
+   ([actions], with a generation per slot and a free list threaded through
+   [free_next]). An [event_id] packs the slot and the slot's generation at
+   scheduling time; the generation moves on when the event runs or is
+   cancelled, which makes every older handle for the slot stale (until the
+   31-bit generation wraps, after 2^31 events in one slot). *)
 
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable live : int;
   mutable executed : int;
-  mutable data : event array;
+  mutable times : Float.Array.t;
+  mutable orders : int array;
+  mutable tags : int array;
   mutable size : int;
   mutable dead : int; (* cancelled events still occupying heap slots *)
   mutable max_size : int; (* high-water mark of [size] *)
   mutable compactions : int;
+  mutable handlers : (t -> int -> unit) array; (* by channel; 0 runs closures *)
+  mutable actions : (t -> unit) array; (* closure table, by slot *)
+  mutable gens : int array; (* by slot: generation of the current occupant *)
+  mutable free_next : int array; (* by slot: next free slot, -1 ends the list *)
+  mutable free : int; (* head of the free-slot list, -1 when empty *)
 }
 
-and event = {
-  time : float;
-  order : int;
-  action : t -> unit;
-  mutable state : [ `Pending | `Cancelled | `Done ];
-}
+type event_id = int
+type channel = int
 
-type event_id = event
+let channel_bits = 8
+let channel_mask = (1 lsl channel_bits) - 1
+let max_arg = max_int lsr channel_bits
+let slot_bits = 31
+let slot_mask = (1 lsl slot_bits) - 1
+let gen_mask = max_int lsr slot_bits
 
-(* Fills every heap slot that holds no pending event (vacated by a pop,
-   dropped by compaction, or fresh capacity), so the backing array never
-   keeps an executed event — and its closure — reachable. Never pending,
-   so cancelling it is a no-op. *)
-let no_event = { time = Float.infinity; order = max_int; action = ignore; state = `Done }
+(* Held by every closure slot that has no pending event: free, or cancelled
+   while its heap entry waits to be dropped. Storing it releases the slot's
+   closure at once. *)
+let vacant : t -> unit = fun _ -> ()
+
+let no_event = -1
+
+(* The closure event in [slot] stops being pending: every handle issued
+   for it goes stale, and the table lets go of its closure. *)
+let retire t slot =
+  t.gens.(slot) <- (t.gens.(slot) + 1) land gen_mask;
+  t.actions.(slot) <- vacant
+
+let free_slot t slot =
+  t.free_next.(slot) <- t.free;
+  t.free <- slot
+
+(* Channel 0: run the closure in [slot]. The slot is freed first, so the
+   closure is not reachable from the table once it has run and the action
+   may reuse the slot for the events it schedules. *)
+let run_action t slot =
+  let f = t.actions.(slot) in
+  retire t slot;
+  free_slot t slot;
+  f t
 
 let create () =
   {
@@ -35,131 +73,217 @@ let create () =
     seq = 0;
     live = 0;
     executed = 0;
-    data = [||];
+    times = Float.Array.create 0;
+    orders = [||];
+    tags = [||];
     size = 0;
     dead = 0;
     max_size = 0;
     compactions = 0;
+    handlers = [| run_action |];
+    actions = [||];
+    gens = [||];
+    free_next = [||];
+    free = -1;
   }
 
 let now t = t.clock
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.order < b.order)
+(* The heap helpers take an event's time as an unboxed float; they are
+   inlined so that passing it does not box it. *)
+let[@inline] earlier (time : float) (order : int) time' order' =
+  time < time' || (time = time' && order < order')
 
-let grow t =
-  let cap = Array.length t.data in
-  let new_cap = if cap = 0 then 256 else cap * 2 in
-  let fresh = Array.make new_cap no_event in
-  Array.blit t.data 0 fresh 0 cap;
-  t.data <- fresh
+let[@inline] move t ~src ~dst =
+  Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
+  Array.unsafe_set t.orders dst (Array.unsafe_get t.orders src);
+  Array.unsafe_set t.tags dst (Array.unsafe_get t.tags src)
 
-let swap t i j =
-  let tmp = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- tmp
+let[@inline] place t i time order tag =
+  Float.Array.unsafe_set t.times i time;
+  Array.unsafe_set t.orders i order;
+  Array.unsafe_set t.tags i tag
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if earlier t.data.(i) t.data.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+(* Put the event (time, order, tag) into the hole at [i], moving earlier
+   parents down. *)
+let[@inline] sift_up t i time order tag =
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if earlier time order (Float.Array.unsafe_get t.times parent)
+         (Array.unsafe_get t.orders parent)
+    then begin
+      move t ~src:parent ~dst:!i;
+      i := parent
     end
-  end
+    else continue := false
+  done;
+  place t !i time order tag
 
-let rec sift_down t i =
-  let left = (2 * i) + 1 in
-  let right = left + 1 in
-  let smallest = ref i in
-  if left < t.size && earlier t.data.(left) t.data.(!smallest) then smallest := left;
-  if right < t.size && earlier t.data.(right) t.data.(!smallest) then smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Put the event (time, order, tag) into the hole at [i], moving earlier
+   children up. *)
+let[@inline] sift_down t i time order tag =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let left = (2 * !i) + 1 in
+    if left >= t.size then continue := false
+    else begin
+      let right = left + 1 in
+      let child =
+        if right < t.size
+           && earlier (Float.Array.unsafe_get t.times right) (Array.unsafe_get t.orders right)
+                (Float.Array.unsafe_get t.times left) (Array.unsafe_get t.orders left)
+        then right
+        else left
+      in
+      if earlier (Float.Array.unsafe_get t.times child) (Array.unsafe_get t.orders child) time
+           order
+      then begin
+        move t ~src:child ~dst:!i;
+        i := child
+      end
+      else continue := false
+    end
+  done;
+  place t !i time order tag
 
-let heap_push t ev =
-  if t.size >= Array.length t.data then grow t;
-  t.data.(t.size) <- ev;
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_heap t =
+  let cap = Array.length t.tags in
+  let new_cap = if cap = 0 then 256 else cap * 2 in
+  let times = Float.Array.create new_cap in
+  Float.Array.blit t.times 0 times 0 cap;
+  t.times <- times;
+  t.orders <- extend t.orders new_cap 0;
+  t.tags <- extend t.tags new_cap 0
+
+(* Queue an event with the next scheduling order. *)
+let[@inline] push t time tag =
+  if t.size >= Array.length t.tags then grow_heap t;
+  let order = t.seq in
+  t.seq <- order + 1;
   t.size <- t.size + 1;
   if t.size > t.max_size then t.max_size <- t.size;
-  sift_up t (t.size - 1)
+  t.live <- t.live + 1;
+  sift_up t (t.size - 1) time order tag
 
-let heap_pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- no_event;
-    if t.size > 0 then sift_down t 0;
-    Some top
-  end
+let pop_root t =
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then
+    sift_down t 0 (Float.Array.unsafe_get t.times last) (Array.unsafe_get t.orders last)
+      (Array.unsafe_get t.tags last)
+
+(* A heap entry is dead when it is a closure event whose slot was vacated
+   by [cancel]; only channel 0 supports cancellation. *)
+let[@inline] is_dead t tag =
+  tag land channel_mask = 0 && t.actions.(tag lsr channel_bits) == vacant
 
 (* Cancelled events stay in the heap and are skipped on pop; [live] counts
    only pending ones so quiescence checks are exact. *)
-let rec drop_dead t =
-  if t.size > 0 && t.data.(0).state <> `Pending then begin
-    ignore (heap_pop t);
-    t.dead <- t.dead - 1;
-    drop_dead t
-  end
+let drop_dead t =
+  while t.size > 0 && is_dead t t.tags.(0) do
+    free_slot t (t.tags.(0) lsr channel_bits);
+    pop_root t;
+    t.dead <- t.dead - 1
+  done
 
 (* Lazy deletion alone lets cancelled events pile up below the root
    (a workload that arms and cancels timers faster than it drains them
    grows the heap without bound). When more than half the occupied slots
-   are dead, rebuild in place: keep the pending events, discard the rest,
-   and re-establish the heap property bottom-up (Floyd). Pop order is
-   untouched — it is fully determined by the total (time, order) key, not
-   by the heap's internal layout. *)
+   are dead, rebuild in place: keep the pending events, free the slots of
+   the rest, and re-establish the heap property bottom-up (Floyd). Pop
+   order is untouched — it is fully determined by the total (time, order)
+   key, not by the heap's internal layout. *)
 let compact_threshold = 64
 
 let compact t =
   let kept = ref 0 in
   for i = 0 to t.size - 1 do
-    let ev = t.data.(i) in
-    if ev.state = `Pending then begin
-      t.data.(!kept) <- ev;
+    let tag = t.tags.(i) in
+    if is_dead t tag then free_slot t (tag lsr channel_bits)
+    else begin
+      move t ~src:i ~dst:!kept;
       incr kept
     end
   done;
-  (* Release dropped slots so dead events' closures can be collected. When
-     nothing survives, drop the whole backing array instead — [grow]
-     re-allocates from scratch on the next push. *)
-  if !kept > 0 then Array.fill t.data !kept (t.size - !kept) no_event else t.data <- [||];
   t.size <- !kept;
   t.dead <- 0;
   t.compactions <- t.compactions + 1;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down t i (Float.Array.unsafe_get t.times i) (Array.unsafe_get t.orders i)
+      (Array.unsafe_get t.tags i)
   done
 
 let maybe_compact t =
   if t.size >= compact_threshold && 2 * t.dead > t.size then compact t
 
+let check_time name t time =
+  if Float.is_nan time then invalid_arg (name ^ ": NaN time");
+  if time < t.clock then invalid_arg (name ^ ": time in the past")
+
+let channel t f =
+  let n = Array.length t.handlers in
+  if n > channel_mask then
+    invalid_arg (Printf.sprintf "Sim.channel: at most %d channels" channel_mask);
+  t.handlers <- Array.append t.handlers [| f |];
+  n
+
+let post t ch ~time arg =
+  check_time "Sim.post" t time;
+  if arg < 0 || arg > max_arg then
+    invalid_arg (Printf.sprintf "Sim.post: argument %d outside [0, %d]" arg max_arg);
+  if ch <= 0 || ch >= Array.length t.handlers then invalid_arg "Sim.post: unknown channel";
+  push t time ((arg lsl channel_bits) lor ch)
+
+(* Called with the free list empty: chain the new slots onto it. *)
+let grow_slots t =
+  let cap = Array.length t.actions in
+  let new_cap = if cap = 0 then 256 else cap * 2 in
+  if new_cap - 1 > slot_mask then failwith "Sim: closure table full";
+  t.actions <- extend t.actions new_cap vacant;
+  t.gens <- extend t.gens new_cap 0;
+  t.free_next <- extend t.free_next new_cap (-1);
+  for slot = cap to new_cap - 2 do
+    t.free_next.(slot) <- slot + 1
+  done;
+  t.free <- cap
+
 let schedule_at t ~time f =
-  if Float.is_nan time then invalid_arg "Sim.schedule_at: NaN time";
-  if time < t.clock then invalid_arg "Sim.schedule_at: time in the past";
-  let ev = { time; order = t.seq; action = f; state = `Pending } in
-  t.seq <- t.seq + 1;
-  heap_push t ev;
-  t.live <- t.live + 1;
-  ev
+  check_time "Sim.schedule_at" t time;
+  if t.free < 0 then grow_slots t;
+  let slot = t.free in
+  t.free <- t.free_next.(slot);
+  t.actions.(slot) <- f;
+  push t time (slot lsl channel_bits);
+  (t.gens.(slot) lsl slot_bits) lor slot
 
 let schedule t ~delay f =
   if Float.is_nan delay || delay < 0. then invalid_arg "Sim.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) f
 
-let cancel t ev =
-  match ev.state with
-  | `Pending ->
-      ev.state <- `Cancelled;
-      t.live <- t.live - 1;
-      t.dead <- t.dead + 1;
-      maybe_compact t
-  | `Cancelled | `Done -> ()
+let is_pending t ev =
+  ev >= 0
+  &&
+  let slot = ev land slot_mask in
+  slot < Array.length t.gens && t.gens.(slot) = ev lsr slot_bits
 
-let is_pending _t ev = ev.state = `Pending
+(* The slot stays allocated until its heap entry is dropped, so no other
+   event can take it while that entry still names it. *)
+let cancel t ev =
+  if is_pending t ev then begin
+    retire t (ev land slot_mask);
+    t.live <- t.live - 1;
+    t.dead <- t.dead + 1;
+    maybe_compact t
+  end
+
 let pending t = t.live
 let heap_size t = t.size
 let dead_count t = t.dead
@@ -168,32 +292,37 @@ let compactions t = t.compactions
 
 let next_time t =
   drop_dead t;
-  if t.size = 0 then None else Some t.data.(0).time
+  if t.size = 0 then None else Some (Float.Array.get t.times 0)
 
 let step t =
   drop_dead t;
-  match heap_pop t with
-  | None -> false
-  | Some ev ->
-      ev.state <- `Done;
-      t.live <- t.live - 1;
-      t.clock <- ev.time;
-      t.executed <- t.executed + 1;
-      ev.action t;
-      true
+  if t.size = 0 then false
+  else begin
+    let time = Float.Array.unsafe_get t.times 0 and tag = t.tags.(0) in
+    pop_root t;
+    t.live <- t.live - 1;
+    t.clock <- time;
+    t.executed <- t.executed + 1;
+    t.handlers.(tag land channel_mask) t (tag lsr channel_bits);
+    true
+  end
+
+(* The driving loops read the earliest live event's time in place, so they
+   allocate nothing per event beyond what the event itself does. *)
+let[@inline] has_next t =
+  drop_dead t;
+  t.size > 0
+
+let[@inline] root_time t = Float.Array.unsafe_get t.times 0
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some horizon ->
-      let continue = ref true in
-      while !continue do
-        match next_time t with
-        | Some time when time <= horizon -> ignore (step t)
-        | Some _ | None ->
-            if t.clock < horizon then t.clock <- horizon;
-            continue := false
-      done
+      while has_next t && root_time t <= horizon do
+        ignore (step t)
+      done;
+      if t.clock < horizon then t.clock <- horizon
 
 let events_executed t = t.executed
 
@@ -205,16 +334,15 @@ let events_executed t = t.executed
    reached. *)
 let run_before ?until ~horizon t =
   if Float.is_nan horizon then invalid_arg "Sim.run_before: NaN horizon";
-  (match until with
-  | Some u when Float.is_nan u -> invalid_arg "Sim.run_before: NaN until"
-  | Some _ | None -> ());
-  let continue = ref true in
-  while !continue do
-    match next_time t with
-    | Some time
-      when time < horizon && (match until with Some u -> time <= u | None -> true) ->
-        ignore (step t)
-    | Some _ | None -> continue := false
+  let until = match until with Some u -> u | None -> Float.infinity in
+  if Float.is_nan until then invalid_arg "Sim.run_before: NaN until";
+  while
+    has_next t
+    &&
+    let time = root_time t in
+    time < horizon && time <= until
+  do
+    ignore (step t)
   done
 
 (* Barrier primitive: jump an idle simulator's clock forward without running
@@ -223,17 +351,14 @@ let run_before ?until ~horizon t =
 let advance_clock t ~time =
   if Float.is_nan time then invalid_arg "Sim.advance_clock: NaN time";
   if time > t.clock then begin
-    (match next_time t with
-    | Some pending when pending < time ->
-        invalid_arg
-          (Printf.sprintf
-             "Sim.advance_clock: pending event at %g earlier than target %g" pending
-             time)
-    | Some _ | None -> ());
+    if has_next t && root_time t < time then
+      invalid_arg
+        (Printf.sprintf "Sim.advance_clock: pending event at %g earlier than target %g"
+           (root_time t) time);
     t.clock <- time
   end
 
-type repeating = { mutable current : event option }
+type repeating = { mutable current : event_id }
 
 let every t ~interval ?start f =
   if Float.is_nan interval || interval <= 0. then
@@ -247,22 +372,17 @@ let every t ~interval ?start f =
   | Some _ | None -> ());
   (* The chain re-schedules itself through the handle so that [stop] always
      cancels the pending occurrence. *)
-  let handle = { current = None } in
+  let handle = { current = no_event } in
   let rec occurrence sim =
-    handle.current <- None;
-    if f sim then handle.current <- Some (schedule sim ~delay:interval occurrence)
+    handle.current <- no_event;
+    if f sim then handle.current <- schedule sim ~delay:interval occurrence
   in
-  let first =
-    match start with
+  handle.current <-
+    (match start with
     | Some time -> schedule_at t ~time occurrence
-    | None -> schedule t ~delay:interval occurrence
-  in
-  handle.current <- Some first;
+    | None -> schedule t ~delay:interval occurrence);
   handle
 
 let stop t handle =
-  match handle.current with
-  | Some ev ->
-      cancel t ev;
-      handle.current <- None
-  | None -> ()
+  cancel t handle.current;
+  handle.current <- no_event

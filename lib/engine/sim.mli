@@ -5,13 +5,27 @@
     which keeps runs deterministic. Event actions receive the simulator and
     may schedule or cancel further events.
 
+    The queue is a binary heap held as three columns — an unboxed float
+    array of times, the scheduling order, and an int tag — so a pending
+    event owns no heap block. A tag names a {e channel} and an int argument:
+    {!post} queues a call of a channel's handler without allocating, which
+    is how the network puts messages on the wire. Closure events
+    ({!schedule_at}, {!schedule}, {!every}) are channel 0, whose argument is
+    a slot in a closure table with a free list. A pending closure event
+    costs six words plus its closure; a pending post costs three.
+
     This is the substrate replacing SSFNet's event core in the paper's
     experiments. *)
 
 type t
 
 type event_id
-(** Handle to a scheduled event, usable for cancellation. *)
+(** Handle to a scheduled closure event, usable for cancellation: an
+    immediate value carrying the event's closure-table slot and the slot's
+    generation. A handle is {e stale} once its event has run or been
+    cancelled — its slot may already hold a newer event, which the stale
+    handle never touches. A handle means something only to the simulator
+    that issued it. *)
 
 val no_event : event_id
 (** A handle that never refers to a pending event: {!cancel} ignores it and
@@ -33,11 +47,30 @@ val schedule : t -> delay:float -> (t -> unit) -> event_id
     Raises [Invalid_argument] on negative delay. *)
 
 val cancel : t -> event_id -> unit
-(** Cancel a pending event. Cancelling an already-executed or
-    already-cancelled event is a no-op. *)
+(** Cancel a pending event and release its closure at once. Cancelling
+    through a stale handle (the event already ran or was cancelled) is a
+    no-op. *)
 
 val is_pending : t -> event_id -> bool
-(** [true] while the event is scheduled and not yet executed or cancelled. *)
+(** [true] while the event is scheduled and not yet executed or cancelled;
+    [false] for every stale handle. *)
+
+type channel
+(** A handler registered with {!channel}. *)
+
+val channel : t -> (t -> int -> unit) -> channel
+(** [channel sim f] registers [f] as the handler of a new channel: every
+    event {!post}ed on it runs [f sim arg]. A simulator has at most 255
+    channels; registering more raises [Invalid_argument]. *)
+
+val post : t -> channel -> time:float -> int -> unit
+(** [post sim ch ~time arg] queues [arg] for [ch]'s handler at [time],
+    without allocating. Posts draw their scheduling order from the same
+    counter as {!schedule_at}, so all events pop in (time, scheduling
+    order). A post cannot be cancelled. Raises [Invalid_argument] on a NaN
+    time, a time in the past, an [arg] outside [0, 2{^54} - 1], or a
+    channel number this simulator has not registered. Like a handle, a
+    channel means something only to the simulator that issued it. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) pending events. *)
@@ -55,7 +88,9 @@ val heap_size : t -> int
 
 val dead_count : t -> int
 (** Cancelled events still occupying heap slots ([heap_size - dead_count]
-    live events are heap-resident). *)
+    live events are heap-resident). A cancelled event's closure is released
+    at once; only its three heap words and its closure-table slot wait for
+    the slot to be dropped. *)
 
 val max_heap_size : t -> int
 (** High-water mark of {!heap_size} over the simulator's lifetime — the

@@ -90,9 +90,11 @@ type result = {
           origination order *)
   sim_events : int;
   peak_heap : int;
-      (** high-water mark of the simulator heap over the whole run
-          ({!Rfd_engine.Sim.max_heap_size}) — resident events, including
-          cancelled-but-not-yet-compacted ones *)
+      (** high-water mark of the simulator's event queue over the whole
+          run ({!Rfd_engine.Sim.max_heap_size}): pending events — timers,
+          messages on the wire, workload and administrative events — plus
+          cancelled ones not yet dropped or compacted, each three heap
+          words *)
   reuse_timer_events : int;
       (** simulator events spent on reuse scheduling
           ({!Rfd_bgp.Network.reuse_timer_events}) — the cost centre the

@@ -100,11 +100,14 @@ let validate t =
          | Some r ->
              if r.cycles < 0 then
                Error (Printf.sprintf "random flaps: cycles must be non-negative (got %d)" r.cycles)
-             else if r.cycles > 0 && (Float.is_nan r.window || r.window <= 0.) then
-               Error (Printf.sprintf "random flaps: window must be positive (got %g)" r.window)
-             else if r.cycles > 0 && (Float.is_nan r.down_mean || r.down_mean <= 0.) then
+             else if r.cycles > 0 && not (Float.is_finite r.window && r.window > 0.) then
                Error
-                 (Printf.sprintf "random flaps: down_mean must be positive (got %g)" r.down_mean)
+                 (Printf.sprintf "random flaps: window must be positive and finite (got %g)"
+                    r.window)
+             else if r.cycles > 0 && not (Float.is_finite r.down_mean && r.down_mean > 0.) then
+               Error
+                 (Printf.sprintf "random flaps: down_mean must be positive and finite (got %g)"
+                    r.down_mean)
              else
                first_error
                  (List.map (fun link () -> check_link "random flap candidate" link) r.candidates));

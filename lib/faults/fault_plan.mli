@@ -72,9 +72,9 @@ val is_trivial : t -> bool
 
 val validate : t -> (unit, string) result
 (** Structural checks: probabilities in [0, 1], non-negative times and node
-    ids, no self-loop links, positive window/down_mean when random flaps
-    are requested. Link/node {e range} checks against a concrete topology
-    happen at install time. *)
+    ids, no self-loop links, positive and finite window/down_mean when
+    random flaps are requested. Link/node {e range} checks against a
+    concrete topology happen at install time. *)
 
 (** {1 Expansion} *)
 

@@ -329,6 +329,26 @@ let test_damping_survives_multi_prefix () =
     (Router.best (Network.router net 2) p1 <> None);
   Network.run net
 
+let test_reuse_far_in_time () =
+  (* Near 1e11 s a float's spacing (1.5e-5 s) is wider than the 1e-6 s
+     margin a reuse timer re-arms with, so a re-arm that added only the
+     margin landed on the current instant and fired there forever. The
+     re-arm must move time forward, and the run must end quiet. *)
+  let sim, net = make ~config:(damping_config ()) (Builders.line 2) in
+  Network.originate net ~node:0 p0;
+  Network.run net;
+  let t0 = 1e11 in
+  for i = 0 to 3 do
+    let base = t0 +. (120. *. float_of_int i) in
+    Network.schedule_withdraw net ~at:base ~node:0 p0;
+    Network.schedule_originate net ~at:(base +. 60.) ~node:0 p0
+  done;
+  Network.run net;
+  Alcotest.(check bool) "was suppressed" true (Router.reuse_timer_events (Network.router net 1) > 0);
+  Alcotest.(check bool) "released far past the flaps" true (Sim.now sim > t0);
+  Alcotest.(check bool) "quiet" true (Network.status net p0 = Oracle.Quiet);
+  Alcotest.(check int) "reachable again" 2 (Network.reachable_count net p0)
+
 let suite =
   [
     Alcotest.test_case "suppression onset at pulse 3" `Quick test_suppression_onset_on_line;
@@ -346,4 +366,5 @@ let suite =
     Alcotest.test_case "diverse parameters interact (Section 6)" `Quick
       test_diverse_parameters_cause_secondary_charging;
     Alcotest.test_case "damping is per prefix" `Quick test_damping_survives_multi_prefix;
+    Alcotest.test_case "reuse timers far in time still advance" `Quick test_reuse_far_in_time;
   ]

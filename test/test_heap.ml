@@ -1,101 +1,94 @@
-(* Unit and property tests for the generic binary heap. *)
+(* The simulator's event queue, driven through posts: a binary heap over
+   (time, scheduling order) whose entries are three unboxed columns. *)
 
-module Int_heap = Rfd_engine.Heap.Make (Int)
+module Sim = Rfd_engine.Sim
 
-let drain h =
-  let rec loop acc =
-    match Int_heap.pop h with None -> List.rev acc | Some x -> loop (x :: acc)
-  in
-  loop []
+(* A simulator with one channel whose handler logs (time, argument). *)
+let make () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let ch = Sim.channel sim (fun sim arg -> log := (Sim.now sim, arg) :: !log) in
+  (sim, ch, log)
+
+(* Post every time, with its index as the argument. *)
+let post_all sim ch times =
+  List.iteri (fun i time -> Sim.post sim ch ~time:(float_of_int time) i) times
+
+let drain sim log =
+  Sim.run sim;
+  List.rev !log
 
 let test_empty () =
-  let h = Int_heap.create () in
-  Alcotest.(check bool) "is_empty" true (Int_heap.is_empty h);
-  Alcotest.(check int) "length" 0 (Int_heap.length h);
-  Alcotest.(check (option int)) "peek" None (Int_heap.peek h);
-  Alcotest.(check (option int)) "pop" None (Int_heap.pop h)
-
-let test_pop_exn_empty () =
-  let h = Int_heap.create () in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Int_heap.pop_exn h))
-
-let test_negative_capacity () =
-  Alcotest.check_raises "create" (Invalid_argument "Heap.create: negative capacity") (fun () ->
-      ignore (Int_heap.create ~capacity:(-1) ()))
+  let sim = Sim.create () in
+  Alcotest.(check int) "heap_size" 0 (Sim.heap_size sim);
+  Alcotest.(check int) "pending" 0 (Sim.pending sim);
+  Alcotest.(check (option (float 0.))) "next_time" None (Sim.next_time sim);
+  Alcotest.(check bool) "step" false (Sim.step sim)
 
 let test_singleton () =
-  let h = Int_heap.create () in
-  Int_heap.push h 42;
-  Alcotest.(check (option int)) "peek" (Some 42) (Int_heap.peek h);
-  Alcotest.(check int) "length" 1 (Int_heap.length h);
-  Alcotest.(check int) "pop_exn" 42 (Int_heap.pop_exn h);
-  Alcotest.(check bool) "empty again" true (Int_heap.is_empty h)
+  let sim, ch, log = make () in
+  Sim.post sim ch ~time:42. 7;
+  Alcotest.(check (option (float 0.))) "next_time" (Some 42.) (Sim.next_time sim);
+  Alcotest.(check int) "heap_size" 1 (Sim.heap_size sim);
+  Alcotest.(check bool) "step" true (Sim.step sim);
+  Alcotest.(check (list (pair (float 0.) int))) "delivered" [ (42., 7) ] !log;
+  Alcotest.(check int) "empty again" 0 (Sim.heap_size sim)
 
 let test_ordering () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] (drain h)
+  let sim, ch, log = make () in
+  post_all sim ch [ 5; 3; 8; 1; 9; 2; 7 ];
+  Alcotest.(check (list (float 0.))) "sorted drain" [ 1.; 2.; 3.; 5.; 7.; 8.; 9. ]
+    (List.map fst (drain sim log))
 
 let test_duplicates () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 4; 4; 1; 4; 1 ];
-  Alcotest.(check (list int)) "dups kept" [ 1; 1; 4; 4; 4 ] (drain h)
-
-let test_clear () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 1; 2; 3 ];
-  Int_heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Int_heap.length h);
-  Int_heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Int_heap.pop h)
-
-let test_to_list_and_fold () =
-  let h = Int_heap.create () in
-  List.iter (Int_heap.push h) [ 3; 1; 2 ];
-  let contents = List.sort Int.compare (Int_heap.to_list h) in
-  Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] contents;
-  let sum = Int_heap.fold (fun ~acc x -> acc + x) 0 h in
-  Alcotest.(check int) "fold sum" 6 sum;
-  Alcotest.(check int) "unchanged" 3 (Int_heap.length h)
+  (* Equal times pop in posting order. *)
+  let sim, ch, log = make () in
+  post_all sim ch [ 4; 4; 1; 4; 1 ];
+  Alcotest.(check (list (pair (float 0.) int))) "dups kept, FIFO"
+    [ (1., 2); (1., 4); (4., 0); (4., 1); (4., 3) ]
+    (drain sim log)
 
 let test_interleaved () =
-  let h = Int_heap.create () in
-  Int_heap.push h 10;
-  Int_heap.push h 5;
-  Alcotest.(check int) "min first" 5 (Int_heap.pop_exn h);
-  Int_heap.push h 1;
-  Int_heap.push h 20;
-  Alcotest.(check int) "new min" 1 (Int_heap.pop_exn h);
-  Alcotest.(check int) "then 10" 10 (Int_heap.pop_exn h);
-  Alcotest.(check int) "then 20" 20 (Int_heap.pop_exn h)
+  let sim, ch, log = make () in
+  let pop () =
+    ignore (Sim.step sim);
+    fst (List.hd !log)
+  in
+  Sim.post sim ch ~time:10. 0;
+  Sim.post sim ch ~time:5. 1;
+  Alcotest.(check (float 0.)) "min first" 5. (pop ());
+  Sim.post sim ch ~time:7. 2;
+  Sim.post sim ch ~time:20. 3;
+  Alcotest.(check (float 0.)) "new min" 7. (pop ());
+  Alcotest.(check (float 0.)) "then 10" 10. (pop ());
+  Alcotest.(check (float 0.)) "then 20" 20. (pop ())
 
 let prop_drain_sorted =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.push h) xs;
-      drain h = List.sort Int.compare xs)
+    QCheck.(list (int_bound 1000))
+    (fun times ->
+      let sim, ch, log = make () in
+      post_all sim ch times;
+      let expected =
+        List.mapi (fun i time -> (float_of_int time, i)) times
+        |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+      in
+      drain sim log = expected)
 
 let prop_peek_is_min =
   QCheck.Test.make ~name:"peek is minimum" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) int)
-    (fun xs ->
-      let h = Int_heap.create () in
-      List.iter (Int_heap.push h) xs;
-      Int_heap.peek h = Some (List.fold_left min max_int xs))
+    QCheck.(list_of_size Gen.(1 -- 50) (int_bound 1_000_000))
+    (fun times ->
+      let sim, ch, _ = make () in
+      post_all sim ch times;
+      Sim.next_time sim = Some (float_of_int (List.fold_left min max_int times)))
 
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick test_empty;
-    Alcotest.test_case "pop_exn on empty raises" `Quick test_pop_exn_empty;
-    Alcotest.test_case "negative capacity rejected" `Quick test_negative_capacity;
     Alcotest.test_case "singleton" `Quick test_singleton;
     Alcotest.test_case "pops in order" `Quick test_ordering;
     Alcotest.test_case "duplicates preserved" `Quick test_duplicates;
-    Alcotest.test_case "clear" `Quick test_clear;
-    Alcotest.test_case "to_list and fold" `Quick test_to_list_and_fold;
     Alcotest.test_case "interleaved push/pop" `Quick test_interleaved;
     QCheck_alcotest.to_alcotest prop_drain_sorted;
     QCheck_alcotest.to_alcotest prop_peek_is_min;

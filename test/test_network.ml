@@ -220,6 +220,51 @@ let test_converged_detects_fixpoint () =
   Network.run net;
   Alcotest.(check bool) "converged after run" true (Network.converged net p0)
 
+let test_delivered_updates_released () =
+  (* A message's update lives in its in-flight row only until delivery: a
+     drained network holds none of the updates it sent. *)
+  let _, net = make (Builders.ring 5) in
+  let sent = Weak.create 1024 and count = ref 0 in
+  (Network.hooks net).Hooks.on_send <-
+    (fun ~time:_ ~src:_ ~dst:_ update ->
+      Weak.set sent !count (Some update);
+      incr count);
+  Network.originate net ~node:0 p0;
+  Network.run net;
+  Network.withdraw net ~node:0 p0;
+  Network.run net;
+  Alcotest.(check bool) "updates were sent" true (!count > 0);
+  Alcotest.(check int) "nothing in flight" 0 (Network.in_flight net);
+  Gc.full_major ();
+  for i = 0 to !count - 1 do
+    Alcotest.(check bool) (Printf.sprintf "update %d collected" i) false (Weak.check sent i)
+  done;
+  (* The network itself is still live here, so its in-flight table was a
+     root. *)
+  Alcotest.(check int) "network still live" 0 (Network.in_flight net)
+
+let test_deliver_remote_refusal_leaves_nothing () =
+  let sim = Sim.create () in
+  let graph = Builders.line 2 in
+  let net =
+    Network.create ~ownership:(Array.make 2 true, ignore) ~config:fast_config sim graph
+  in
+  ignore (Sim.schedule_at sim ~time:5. ignore);
+  Network.run net;
+  let update = Update.withdraw p0 in
+  let remote at =
+    { Network.remote_eid = 0; remote_src = 0; remote_dst = 1; remote_at = at;
+      remote_epoch = 0; remote_update = update }
+  in
+  Alcotest.check_raises "past delivery refused"
+    (Invalid_argument "Sim.post: time in the past") (fun () ->
+      Network.deliver_remote net (remote 1.));
+  Alcotest.(check int) "nothing in flight" 0 (Network.in_flight net);
+  Network.deliver_remote net (remote 6.);
+  Alcotest.(check int) "accepted delivery in flight" 1 (Network.in_flight net);
+  Network.run net;
+  Alcotest.(check int) "delivered" 0 (Network.in_flight net)
+
 let suite =
   [
     Alcotest.test_case "line propagation" `Quick test_line_propagation;
@@ -235,4 +280,7 @@ let suite =
     Alcotest.test_case "no-valley blocks peer transit" `Quick test_no_valley_blocks_transit;
     Alcotest.test_case "sender-side loop avoidance" `Quick test_sender_side_loop_avoidance;
     Alcotest.test_case "converged fixpoint check" `Quick test_converged_detects_fixpoint;
+    Alcotest.test_case "delivered updates are released" `Quick test_delivered_updates_released;
+    Alcotest.test_case "deliver_remote: refused message leaves nothing" `Quick
+      test_deliver_remote_refusal_leaves_nothing;
   ]

@@ -144,33 +144,157 @@ let test_no_compaction_below_size_floor () =
   Sim.run sim;
   Alcotest.(check int) "live events executed" 5 (Sim.events_executed sim)
 
+(* One step of a random queue workload. Delays are whole seconds after the
+   current clock, so ties are common. *)
+type op =
+  | Schedule of int  (** a closure event, [delay] ahead *)
+  | Post of int * int  (** on the test's first or second channel, [delay] ahead *)
+  | Cancel_live of int  (** the [n mod count]-th still-pending closure event *)
+  | Cancel_any of int
+      (** the [n mod count]-th closure handle ever issued: live, fired,
+          cancelled, or stale with its slot reused *)
+  | Step
+
+let show_op = function
+  | Schedule d -> Printf.sprintf "schedule +%d" d
+  | Post (c, d) -> Printf.sprintf "post ch%d +%d" c d
+  | Cancel_live n -> Printf.sprintf "cancel live #%d" n
+  | Cancel_any n -> Printf.sprintf "cancel any #%d" n
+  | Step -> "step"
+
+(* Weighted so that most cases cross the compaction threshold (at least
+   64 resident, more than half of them dead) at least once. *)
+let op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun d -> Schedule d) (int_bound 30));
+        (2, map2 (fun c d -> Post (c, d)) (int_bound 1) (int_bound 30));
+        (5, map (fun n -> Cancel_live n) nat);
+        (1, map (fun n -> Cancel_any n) nat);
+        (1, return Step);
+      ])
+
+(* The naive model: resident entries in a list, lazily deleted exactly as
+   the simulator documents — a cancelled entry leaves when it reaches the
+   front or when a compaction (at least 64 resident, more than half dead)
+   drops every dead one. *)
+type entry = {
+  time : int;
+  order : int;
+  label : string;
+  mutable state : [ `Pending | `Cancelled | `Done ];
+}
+
 let prop_compaction_preserves_pop_order =
-  (* Arbitrary schedule + cancellation patterns (heavy enough to trigger
-     compaction repeatedly) must pop surviving events in exactly the
-     (time, scheduling-order) sequence of a naive model. Integer times make
-     ties common, exercising the FIFO tie-break across compactions. *)
+  (* Random interleavings of closure events, posts on two channels, steps,
+     and cancels of live, fired, cancelled and stale handles (whose slots
+     often hold a newer event by then) must pop in exactly the (time,
+     scheduling-order) sequence of the model, and agree with it on
+     [pending], [heap_size], [dead_count] and every handle's [is_pending]
+     after every operation. *)
   QCheck.Test.make ~name:"compaction preserves (time, order) pop sequence" ~count:100
-    QCheck.(list_of_size Gen.(64 -- 200) (pair (int_bound 30) bool))
-    (fun entries ->
+    QCheck.(make ~print:(Print.list show_op) Gen.(list_size (200 -- 400) op_gen))
+    (fun ops ->
       let sim = Sim.create () in
       let seen = ref [] in
-      let ids =
-        List.mapi
-          (fun i (time, _) ->
-            Sim.schedule_at sim ~time:(float_of_int time) (fun _ -> seen := i :: !seen))
-          entries
+      let channels =
+        Array.init 2 (fun c ->
+            Sim.channel sim (fun _ arg -> seen := Printf.sprintf "p%d:%d" c arg :: !seen))
       in
-      List.iteri
-        (fun i (_, cancel) -> if cancel then Sim.cancel sim (List.nth ids i))
-        entries;
-      Sim.run sim;
-      let expected =
-        List.mapi (fun i (time, cancel) -> (time, i, cancel)) entries
-        |> List.filter (fun (_, _, cancel) -> not cancel)
-        |> List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2)
-        |> List.map (fun (_, i, _) -> i)
+      let now = ref 0 and order = ref 0 and resident = ref [] and dead = ref 0 in
+      let expected = ref [] in
+      let handles = ref [||] in
+      let add ~delay label =
+        let e = { time = !now + delay; order = !order; label; state = `Pending } in
+        incr order;
+        resident := e :: !resident;
+        e
       in
-      List.rev !seen = expected)
+      let earliest () =
+        List.fold_left
+          (fun best e ->
+            match best with
+            | Some b when (b.time, b.order) < (e.time, e.order) -> best
+            | _ -> Some e)
+          None !resident
+      in
+      let remove e = resident := List.filter (fun x -> x != e) !resident in
+      let model_step () =
+        let rec drop () =
+          match earliest () with
+          | Some e when e.state = `Cancelled ->
+              remove e;
+              decr dead;
+              drop ()
+          | Some _ | None -> ()
+        in
+        drop ();
+        match earliest () with
+        | None -> false
+        | Some e ->
+            remove e;
+            e.state <- `Done;
+            now := e.time;
+            expected := e.label :: !expected;
+            true
+      in
+      let agrees () =
+        let live = List.length (List.filter (fun e -> e.state = `Pending) !resident) in
+        Sim.pending sim = live
+        && Sim.heap_size sim = List.length !resident
+        && Sim.dead_count sim = !dead
+        && Array.for_all (fun (id, e) -> Sim.is_pending sim id = (e.state = `Pending)) !handles
+        && !seen = !expected
+      in
+      let apply i op =
+        match op with
+        | Schedule delay ->
+            let label = Printf.sprintf "c%d" (Array.length !handles) in
+            let e = add ~delay label in
+            let id =
+              Sim.schedule_at sim ~time:(float_of_int e.time) (fun _ -> seen := label :: !seen)
+            in
+            handles := Array.append !handles [| (id, e) |]
+        | Post (c, delay) ->
+            let e = add ~delay (Printf.sprintf "p%d:%d" c i) in
+            Sim.post sim channels.(c) ~time:(float_of_int e.time) i
+        | Cancel_live n | Cancel_any n ->
+            let candidates =
+              match op with
+              | Cancel_live _ -> List.filter (fun (_, e) -> e.state = `Pending) (Array.to_list !handles)
+              | _ -> Array.to_list !handles
+            in
+            let count = List.length candidates in
+            if count > 0 then begin
+              let id, e = List.nth candidates (n mod count) in
+              Sim.cancel sim id;
+              if e.state = `Pending then begin
+                e.state <- `Cancelled;
+                incr dead;
+                let size = List.length !resident in
+                if size >= 64 && 2 * !dead > size then begin
+                  resident := List.filter (fun e -> e.state = `Pending) !resident;
+                  dead := 0
+                end
+              end
+            end
+        | Step ->
+            let ran = Sim.step sim in
+            if ran <> model_step () then QCheck.Test.fail_report "step disagrees"
+      in
+      let rec go i = function
+        | [] -> true
+        | op :: rest -> (
+            apply i op;
+            agrees () || QCheck.Test.fail_reportf "after op %d (%s)" i (show_op op))
+            && go (i + 1) rest
+      in
+      go 0 ops
+      &&
+      (Sim.run sim;
+       while model_step () do () done;
+       agrees ()))
 
 let test_compaction_all_dead_releases_slots () =
   (* Regression: compacting a heap whose events are ALL dead used to skip
@@ -281,6 +405,45 @@ let test_every_stop_after_final_occurrence () =
   Sim.run sim;
   Alcotest.(check int) "no further occurrences" 3 !count
 
+let test_post_rejects () =
+  let sim = Sim.create () in
+  let ch = Sim.channel sim (fun _ _ -> ()) in
+  ignore (Sim.schedule_at sim ~time:5. ignore);
+  Sim.run sim;
+  Alcotest.check_raises "NaN" (Invalid_argument "Sim.post: NaN time") (fun () ->
+      Sim.post sim ch ~time:Float.nan 0);
+  Alcotest.check_raises "past" (Invalid_argument "Sim.post: time in the past") (fun () ->
+      Sim.post sim ch ~time:4. 0);
+  let out_of_range arg =
+    Invalid_argument
+      (Printf.sprintf "Sim.post: argument %d outside [0, %d]" arg (max_int lsr 8))
+  in
+  Alcotest.check_raises "negative" (out_of_range (-1)) (fun () -> Sim.post sim ch ~time:6. (-1));
+  Alcotest.check_raises "too large" (out_of_range max_int) (fun () ->
+      Sim.post sim ch ~time:6. max_int);
+  Alcotest.(check int) "nothing queued" 0 (Sim.heap_size sim);
+  Sim.post sim ch ~time:6. (max_int lsr 8);
+  Alcotest.(check int) "largest argument queued" 1 (Sim.pending sim)
+
+let test_pending_posts_are_small () =
+  (* A pending post owns no heap block: its time, order and tag sit in
+     three unboxed columns, which grow by doubling. *)
+  let sim = Sim.create () in
+  let ch = Sim.channel sim (fun _ _ -> ()) in
+  let n = 100_000 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for i = 0 to n - 1 do
+    Sim.post sim ch ~time:(float_of_int (i mod 1000)) i
+  done;
+  Gc.full_major ();
+  let words = (Gc.stat ()).Gc.live_words - before in
+  Alcotest.(check int) "all pending" n (Sim.pending sim);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d live words for %d posts: at most 8 each" words n)
+    true (words <= 8 * n);
+  Sim.run sim
+
 let prop_events_run_in_order =
   QCheck.Test.make ~name:"arbitrary schedules run in time order" ~count:100
     QCheck.(list_of_size Gen.(1 -- 40) (float_range 0. 1000.))
@@ -318,6 +481,8 @@ let suite =
     Alcotest.test_case "every: past start rejected" `Quick test_every_start_in_past_rejected;
     Alcotest.test_case "every: stop after final occurrence" `Quick
       test_every_stop_after_final_occurrence;
+    Alcotest.test_case "post: invalid arguments rejected" `Quick test_post_rejects;
+    Alcotest.test_case "pending posts hold no heap block" `Quick test_pending_posts_are_small;
     QCheck_alcotest.to_alcotest prop_events_run_in_order;
     QCheck_alcotest.to_alcotest prop_compaction_preserves_pop_order;
   ]

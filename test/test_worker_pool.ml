@@ -257,6 +257,21 @@ let test_shutdown_after_worker_exception () =
     (Invalid_argument "Par_sim.lockstep: shut down")
     (fun () -> ignore (lockstep t))
 
+let test_lockstep_refuses_stuck_time () =
+  (* At 1e300, adding the lookahead changes nothing: the epoch [T, T + L)
+     would be empty and the barrier loop would repeat it forever. *)
+  List.iter
+    (fun parts ->
+      let sims = epoch_sims parts ignore in
+      ignore (Sim.schedule_at sims.(parts - 1) ~time:1e300 ignore);
+      with_par_sim sims (fun t ->
+          Alcotest.check_raises
+            (Printf.sprintf "P=%d: refused at 1e300" parts)
+            (Invalid_argument
+               "Par_sim.lockstep: event time 1e+300 cannot advance by the 1 s lookahead")
+            (fun () -> ignore (lockstep t))))
+    [ 1; 2 ]
+
 let test_reuse_across_batches () =
   (* The workers outlive an epoch: over five epochs in a row, each
      partition's events run in time order on one and the same domain. *)
@@ -300,6 +315,8 @@ let suite =
     Alcotest.test_case "map_result per-job outcomes" `Quick test_map_result_reports_per_job;
     Alcotest.test_case "jobs=1 runs inline" `Quick test_sequential_runs_inline;
     Alcotest.test_case "shutdown lifecycle" `Quick test_shutdown;
+    Alcotest.test_case "lockstep refuses a time it cannot advance" `Quick
+      test_lockstep_refuses_stuck_time;
     Alcotest.test_case "shutdown after worker exception" `Quick
       test_shutdown_after_worker_exception;
     Alcotest.test_case "batch reuse" `Quick test_reuse_across_batches;
