@@ -375,8 +375,13 @@ let run_cmd =
   let action spec probe transcript budget faults partitions print_digest =
     let probe = Option.map (fun hops -> Scenario.At_distance hops) probe in
     let scenario = scenario "run" ?probe ?faults spec in
-    let trace = Rfd.Trace.create ~enabled:(transcript <> None) () in
-    let on_bus hooks = Rfd.Tracing.attach trace hooks in
+    (match transcript with
+    | Some n when n < 0 -> die "run" "--transcript must be >= 0"
+    | Some _ | None -> ());
+    let lines = ref (fun () -> []) in
+    let on_bus bus =
+      Option.iter (fun limit -> lines := Rfd.Recorder.transcript ~limit bus) transcript
+    in
     let r, par_stats =
       try Rfd.Runner.run_partitioned ~budget ~on_bus ~partitions scenario
       with e -> die "run" "crashed: %s" (Printexc.to_string e)
@@ -419,9 +424,7 @@ let run_cmd =
     | None -> ()
     | Some n ->
         Format.printf "@.protocol transcript (first %d events):@." n;
-        List.iteri
-          (fun i e -> if i < n then Format.printf "%a@." Rfd.Trace.pp_entry e)
-          (Rfd.Trace.entries trace));
+        List.iter (Format.printf "%s@.") (!lines ()));
     if print_digest then Format.printf "digest: %s@." (Rfd.Runner.result_digest r);
     if Rfd.Runner.status_is_budget_exceeded r.Rfd.Runner.final_status then
       exit exit_degraded

@@ -1,7 +1,7 @@
 (* Beyond the paper's periodic pulse train: how the flap *pattern* affects
    damping. Bursty instability concentrates penalty (suppression after one
    burst); slow Poisson flapping can stay under the cut-off forever.
-   Also demonstrates protocol tracing on a small run.
+   Also prints the protocol transcript of a small run.
 
    Run with: dune exec examples/flap_patterns.exe *)
 
@@ -43,10 +43,9 @@ let () =
       ~config:{ Rfd.Config.default with Rfd.Config.mrai = 0.; link_jitter = 0. }
       (Rfd.Builders.line 3)
   in
-  let trace = Rfd.Trace.create () in
-  Rfd.Tracing.attach trace (Rfd.Network.hooks net);
+  let transcript = Rfd.Recorder.transcript ~limit:max_int (Rfd.Network.hooks net) in
   Rfd.Network.originate net ~node:0 (Rfd.Prefix.v 0);
   Rfd.Network.run net;
   ignore sim;
   Format.printf "Protocol transcript of a 3-router line converging:@.";
-  Rfd.Tracing.pp_transcript Format.std_formatter trace
+  List.iter (Format.printf "%s@.") (transcript ())

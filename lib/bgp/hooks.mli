@@ -59,3 +59,41 @@ type t = {
 
 val create : unit -> t
 (** All no-ops. *)
+
+(** {1 Events as data}
+
+    One value per callback, for observers that keep, reorder or print
+    events rather than react to them: the partition merge and the
+    transcript ({!Rfd_experiment.Recorder}). This module is the only place
+    that maps callbacks to events and back, so a new hook is added here
+    once. *)
+
+type event =
+  | Send of { src : int; dst : int; update : Update.t }
+  | Deliver of { src : int; dst : int; update : Update.t }
+  | Drop of { src : int; dst : int; update : Update.t }
+  | Duplicate of { src : int; dst : int; update : Update.t }
+  | Suppress of { router : int; peer : int; prefix : Prefix.t }
+  | Reuse of { router : int; peer : int; prefix : Prefix.t; noisy : bool }
+  | Reuse_schedule of { router : int; peer : int; prefix : Prefix.t; at : float }
+  | Penalty of { router : int; peer : int; prefix : Prefix.t; penalty : float }
+  | Best_change of { router : int; prefix : Prefix.t; best : Route.t option }
+  | Mrai of { router : int; peer : int; prefix : Prefix.t; action : mrai_action }
+
+val owner : event -> int
+(** The router whose execution emits the event: the sender for a send and
+    its drop/duplicate outcomes (decided at send time), the receiver for a
+    delivery, the router for every router-scoped event. An owner's events
+    reach the observation bus in the same order at any partition count. *)
+
+val tap : t -> (time:float -> event -> unit) -> unit
+(** [tap hooks f] wraps every callback so it calls [f] with its event,
+    then the callback installed before. *)
+
+val emit : t -> time:float -> event -> unit
+(** Call the callback matching the event. *)
+
+val pp_event : time:float -> Format.formatter -> event -> unit
+(** One transcript line, without a newline: [[time] topic message]. Topics:
+    [send], [deliver], [drop], [duplicate], [suppress], [reuse] (releases
+    and armed timers), [penalty], [best], [mrai]. *)

@@ -29,7 +29,6 @@ module Supervisor = Rfd_engine.Supervisor
 module Clock = Rfd_engine.Clock
 module Timeseries = Rfd_engine.Timeseries
 module Stats = Rfd_engine.Stats
-module Trace = Rfd_engine.Trace
 module Partition = Rfd_engine.Partition
 module Par_sim = Rfd_engine.Par_sim
 module Procfs = Rfd_engine.Procfs
@@ -80,7 +79,6 @@ module Phases = Rfd_experiment.Phases
 module Report = Rfd_experiment.Report
 module Json = Rfd_experiment.Json
 module Plot = Rfd_experiment.Plot
-module Tracing = Rfd_experiment.Tracing
 module Recorder = Rfd_experiment.Recorder
 module Par_net = Rfd_experiment.Par_net
 

@@ -357,32 +357,3 @@ let advance_clock t ~time =
            (root_time t) time);
     t.clock <- time
   end
-
-type repeating = { mutable current : event_id }
-
-let every t ~interval ?start f =
-  if Float.is_nan interval || interval <= 0. then
-    invalid_arg "Sim.every: interval must be positive";
-  (match start with
-  | Some time when Float.is_nan time || time < t.clock ->
-      invalid_arg
-        (Printf.sprintf
-           "Sim.every: start %g is in the past (now %g, interval %g)" time t.clock
-           interval)
-  | Some _ | None -> ());
-  (* The chain re-schedules itself through the handle so that [stop] always
-     cancels the pending occurrence. *)
-  let handle = { current = no_event } in
-  let rec occurrence sim =
-    handle.current <- no_event;
-    if f sim then handle.current <- schedule sim ~delay:interval occurrence
-  in
-  handle.current <-
-    (match start with
-    | Some time -> schedule_at t ~time occurrence
-    | None -> schedule t ~delay:interval occurrence);
-  handle
-
-let stop t handle =
-  cancel t handle.current;
-  handle.current <- no_event

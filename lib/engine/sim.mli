@@ -10,7 +10,7 @@
     event owns no heap block. A tag names a {e channel} and an int argument:
     {!post} queues a call of a channel's handler without allocating, which
     is how the network puts messages on the wire. Closure events
-    ({!schedule_at}, {!schedule}, {!every}) are channel 0, whose argument is
+    ({!schedule_at}, {!schedule}) are channel 0, whose argument is
     a slot in a closure table with a free list. A pending closure event
     costs six words plus its closure; a pending post costs three.
 
@@ -131,17 +131,3 @@ val advance_clock : t -> time:float -> unit
     [time] without executing anything; a no-op when [time <= now]. Raises
     [Invalid_argument] if a pending event lies before [time] (the jump
     would make that event's timestamp lie in the past). *)
-
-type repeating
-(** Handle to a periodic task started with {!every}. *)
-
-val every : t -> interval:float -> ?start:float -> (t -> bool) -> repeating
-(** [every sim ~interval f] runs [f] at [start] (default [now + interval])
-    and then every [interval] seconds for as long as [f] returns [true].
-    Useful for periodic gauges. Raises [Invalid_argument] on a non-positive
-    interval, or on a [start] that lies in the past — the error names both
-    the start and the interval, rather than surfacing later as an opaque
-    [Sim.schedule_at] failure. *)
-
-val stop : t -> repeating -> unit
-(** Cancel the pending occurrence and all future ones. Idempotent. *)

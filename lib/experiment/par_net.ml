@@ -20,7 +20,8 @@
      execution order. The two differ only among different routers' events
      at one timestamp — common, since tick-mode reuse wheels fire on a
      shared unjittered grid and a crash signals every neighbour at once —
-     so {!Collector} keeps nothing that depends on that order.
+     so {!Collector} keeps nothing that depends on that order, and the
+     transcript sorts each instant by owner itself.
 
    Deliveries are assumed never to tie: two messages reaching one router
    at the exact same timestamp are excluded almost surely by

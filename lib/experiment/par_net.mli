@@ -49,20 +49,22 @@ val flush : t -> unit
     if observers must see those sends before the next {!drive}. *)
 
 val bus : t -> Rfd_bgp.Hooks.t
-(** The observation bus; attach {!Collector} / {!Tracing} here. With one
-    partition it is that network's own {!Rfd_bgp.Network.hooks} and
-    observers see events in execution order. With several it is a replay
-    bus fed at every barrier with all partitions' events, sorted by (time,
-    owner router, per-owner sequence).
+(** The observation bus; attach {!Collector} and {!Recorder.transcript}
+    here. With one partition it is that network's own
+    {!Rfd_bgp.Network.hooks} and observers see events in execution order.
+    With several it is a replay bus fed at every barrier with all
+    partitions' events, sorted by (time, owner router, per-owner
+    sequence).
 
     The two orders differ only among different routers' events at one
     timestamp. Such ties are routine: tick-mode reuse wheels fire on a
     shared, unjittered grid, and a router crash signals all its neighbours
     at once. They never change the simulation (routers interact only
-    through links with positive delay), and {!Collector} is insensitive to
-    their order, so results agree for every partition count. Observers
-    that print events one by one (e.g. a {!Tracing} transcript) may list
-    tied events in a different order. *)
+    through links with positive delay). {!Collector} is insensitive to
+    their order and {!Recorder.transcript} sorts each instant by owner, so
+    results and transcripts agree for every partition count. Any other
+    observer that prints events one by one sees ties in execution order at
+    one partition. *)
 
 val partitions : t -> int
 val graph : t -> Rfd_topology.Graph.t

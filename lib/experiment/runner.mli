@@ -125,7 +125,8 @@ val run : ?budget:budget -> ?observe:(Rfd_bgp.Network.t -> unit) -> Scenario.t -
     called once, after initial convergence and right after the flap-phase
     collector is attached. With one partition the network's hooks are the
     run's observation bus, so observers wrapped around them there (e.g.
-    {!Tracing.attach}) stay active for the whole measured flap phase. *)
+    {!Recorder.transcript}) stay active for the whole measured flap
+    phase. *)
 
 val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
@@ -167,7 +168,8 @@ val run_partitioned :
 (** {!run} on [partitions] topology partitions. [observe] is called once
     per partition network (introspection of tables/graphs); [on_bus] is
     called once, just before, with the observation bus ({!Par_net.bus}) —
-    attach {!Tracing} and other event observers there. Budget limits are
+    attach event observers there. {!Recorder.transcript} attached there
+    renders the same lines for every [partitions] value. Budget limits are
     checked at epoch barriers, so a tripped budget can overshoot its cap by
     up to one epoch (identically for every partition count). Raises
     [Invalid_argument] when the scenario fails validation or

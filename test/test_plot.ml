@@ -1,8 +1,6 @@
-(* Tests for gnuplot emission and the Sim.every periodic helper (small
-   utility additions grouped in one suite). *)
+(* Tests for gnuplot emission. *)
 
 module Plot = Rfd_experiment.Plot
-module Sim = Rfd_engine.Sim
 
 let contains ~needle haystack =
   let n = String.length needle and h = String.length haystack in
@@ -52,72 +50,9 @@ let test_write () =
   Sys.remove (Filename.concat dir "figX.dat");
   Sys.remove (Filename.concat dir "figX.gp")
 
-(* --- Sim.every --- *)
-
-let test_every_basic () =
-  let sim = Sim.create () in
-  let ticks = ref [] in
-  let _ =
-    Sim.every sim ~interval:10. (fun sim ->
-        ticks := Sim.now sim :: !ticks;
-        List.length !ticks < 3)
-  in
-  Sim.run sim;
-  Alcotest.(check (list (float 1e-9))) "three ticks" [ 10.; 20.; 30. ] (List.rev !ticks)
-
-let test_every_with_start () =
-  let sim = Sim.create () in
-  let ticks = ref 0 in
-  let _ =
-    Sim.every sim ~interval:5. ~start:2. (fun _ ->
-        incr ticks;
-        !ticks < 2)
-  in
-  Sim.run sim;
-  Alcotest.(check int) "two ticks" 2 !ticks;
-  Alcotest.(check (float 1e-9)) "clock at second tick" 7. (Sim.now sim)
-
-let test_every_stop () =
-  let sim = Sim.create () in
-  let ticks = ref 0 in
-  let task = Sim.every sim ~interval:1. (fun _ -> incr ticks; true) in
-  ignore (Sim.schedule_at sim ~time:3.5 (fun sim -> Sim.stop sim task));
-  (* without the stop this would never terminate *)
-  Sim.run sim;
-  Alcotest.(check int) "stopped after 3 ticks" 3 !ticks;
-  (* stop is idempotent *)
-  Sim.stop sim task
-
-let test_every_validation () =
-  let sim = Sim.create () in
-  Alcotest.check_raises "zero interval" (Invalid_argument "Sim.every: interval must be positive")
-    (fun () -> ignore (Sim.every sim ~interval:0. (fun _ -> false)))
-
-let test_every_as_gauge () =
-  (* the intended use: periodically sample network state into a series *)
-  let sim = Sim.create () in
-  let series = Rfd_engine.Timeseries.create () in
-  let counter = ref 0 in
-  ignore (Sim.schedule_at sim ~time:12. (fun _ -> counter := 5));
-  let _ =
-    Sim.every sim ~interval:10. (fun sim ->
-        Rfd_engine.Timeseries.add series ~time:(Sim.now sim) (float_of_int !counter);
-        Sim.now sim < 25.)
-  in
-  Sim.run sim;
-  Alcotest.(check (option (float 0.))) "gauge before change" (Some 0.)
-    (Rfd_engine.Timeseries.value_at series 10.);
-  Alcotest.(check (option (float 0.))) "gauge after change" (Some 5.)
-    (Rfd_engine.Timeseries.value_at series 20.)
-
 let suite =
   [
     Alcotest.test_case "plot data file" `Quick test_data_file;
     Alcotest.test_case "plot script" `Quick test_script;
     Alcotest.test_case "plot write" `Quick test_write;
-    Alcotest.test_case "every: basic" `Quick test_every_basic;
-    Alcotest.test_case "every: explicit start" `Quick test_every_with_start;
-    Alcotest.test_case "every: stop" `Quick test_every_stop;
-    Alcotest.test_case "every: validation" `Quick test_every_validation;
-    Alcotest.test_case "every: as a gauge" `Quick test_every_as_gauge;
   ]

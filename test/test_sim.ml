@@ -380,31 +380,6 @@ let test_advance_clock () =
     (fun () -> Sim.advance_clock sim ~time:12.);
   Sim.run sim
 
-let test_every_start_in_past_rejected () =
-  let sim = Sim.create () in
-  ignore (Sim.schedule_at sim ~time:5.0 (fun _ -> ()));
-  Sim.run sim;
-  Alcotest.check_raises "past start named in message"
-    (Invalid_argument "Sim.every: start 1 is in the past (now 5, interval 10)") (fun () ->
-      ignore (Sim.every sim ~interval:10. ~start:1. (fun _ -> true)))
-
-let test_every_stop_after_final_occurrence () =
-  let sim = Sim.create () in
-  let count = ref 0 in
-  let rep =
-    Sim.every sim ~interval:1. (fun _ ->
-        incr count;
-        !count < 3)
-  in
-  Sim.run sim;
-  Alcotest.(check int) "ran until told to stop" 3 !count;
-  (* the task already ended itself: stopping is a harmless no-op *)
-  Sim.stop sim rep;
-  Sim.stop sim rep;
-  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
-  Sim.run sim;
-  Alcotest.(check int) "no further occurrences" 3 !count
-
 let test_post_rejects () =
   let sim = Sim.create () in
   let ch = Sim.channel sim (fun _ _ -> ()) in
@@ -478,9 +453,6 @@ let suite =
     Alcotest.test_case "executed events are released" `Quick test_executed_events_released;
     Alcotest.test_case "run_before: exclusive horizon" `Quick test_run_before_horizon_exclusive;
     Alcotest.test_case "advance_clock" `Quick test_advance_clock;
-    Alcotest.test_case "every: past start rejected" `Quick test_every_start_in_past_rejected;
-    Alcotest.test_case "every: stop after final occurrence" `Quick
-      test_every_stop_after_final_occurrence;
     Alcotest.test_case "post: invalid arguments rejected" `Quick test_post_rejects;
     Alcotest.test_case "pending posts hold no heap block" `Quick test_pending_posts_are_small;
     QCheck_alcotest.to_alcotest prop_events_run_in_order;
