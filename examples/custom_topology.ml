@@ -31,40 +31,41 @@ let () =
 
   (* Damping at every node, Juniper parameters this time. *)
   let config = Rfd.Config.with_damping Rfd.Params.juniper Rfd.Config.default in
-  let sim = Rfd.Sim.create () in
   let net =
-    Rfd.Network.create ~policy:(Rfd.Policy.no_valley relations) ~config sim graph
+    Rfd.Par_net.create ~policy:(Rfd.Policy.no_valley relations) ~config ~partitions:1 graph
   in
   let prefix = Rfd.Prefix.v 0 in
 
   (* Node 5 originates; watch suppression build up at its provider (3). *)
-  Rfd.Network.originate net ~node:5 prefix;
-  Rfd.Network.run net;
+  Rfd.Par_net.originate net ~node:5 prefix;
+  ignore (Rfd.Par_net.drive net);
   Format.printf "Initially reachable from %d/%d routers@."
-    (Rfd.Network.reachable_count net prefix)
+    (Rfd.Par_net.reachable_count net prefix)
     (Rfd.Graph.num_nodes graph);
 
   (* Four quick pulses: enough to cross Juniper's 3000 cut-off at node 3. *)
-  let t0 = Rfd.Sim.now sim +. 1. in
+  let t0 = Rfd.Par_net.now net +. 1. in
   for i = 0 to 3 do
     let base = t0 +. (120. *. float_of_int i) in
-    Rfd.Network.schedule_withdraw net ~at:base ~node:5 prefix;
-    Rfd.Network.schedule_originate net ~at:(base +. 60.) ~node:5 prefix
+    Rfd.Par_net.schedule_withdraw net ~at:base ~node:5 prefix;
+    Rfd.Par_net.schedule_originate net ~at:(base +. 60.) ~node:5 prefix
   done;
-  Rfd.Network.run ~until:(t0 +. 500.) net;
+  (* Run to t0 + 500 s and read the penalties at that instant. *)
+  ignore (Rfd.Par_net.drive ~until:(t0 +. 500.) net);
+  Rfd.Par_net.advance_all net ~time:(t0 +. 500.);
   Format.printf "After the flap train: provider 3 suppressed the stub's route: %b@."
-    (Rfd.Router.is_suppressed (Rfd.Network.router net 3) ~peer:5 prefix);
+    (Rfd.Router.is_suppressed (Rfd.Par_net.router net 3) ~peer:5 prefix);
   Format.printf "  penalty at 3 for peer 5: %.0f (cut-off %g)@."
-    (Rfd.Router.penalty (Rfd.Network.router net 3) ~peer:5 prefix)
+    (Rfd.Router.penalty (Rfd.Par_net.router net 3) ~peer:5 prefix)
     Rfd.Params.juniper.Rfd.Params.cutoff;
   Format.printf "  reachable meanwhile: %d/%d@."
-    (Rfd.Network.reachable_count net prefix)
+    (Rfd.Par_net.reachable_count net prefix)
     (Rfd.Graph.num_nodes graph);
 
   (* Let every reuse timer fire. *)
-  Rfd.Network.run net;
+  ignore (Rfd.Par_net.drive net);
   Format.printf "After reuse timers fire (t = %.0f s): reachable %d/%d, converged %b@."
-    (Rfd.Sim.now sim)
-    (Rfd.Network.reachable_count net prefix)
+    (Rfd.Par_net.now net)
+    (Rfd.Par_net.reachable_count net prefix)
     (Rfd.Graph.num_nodes graph)
-    (Rfd.Network.converged net prefix)
+    (Rfd.Par_net.converged net prefix)

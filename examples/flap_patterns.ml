@@ -38,14 +38,13 @@ let () =
   Format.printf "the penalty like rapid pulses do, then pay the full reuse delay.@.@.";
 
   (* A tiny traced run: watch the protocol speak. *)
-  let sim, net =
-    Rfd.quick_network
+  let net =
+    Rfd.Par_net.create
       ~config:{ Rfd.Config.default with Rfd.Config.mrai = 0.; link_jitter = 0. }
-      (Rfd.Builders.line 3)
+      ~partitions:1 (Rfd.Builders.line 3)
   in
-  let transcript = Rfd.Recorder.transcript ~limit:max_int (Rfd.Network.hooks net) in
-  Rfd.Network.originate net ~node:0 (Rfd.Prefix.v 0);
-  Rfd.Network.run net;
-  ignore sim;
+  let transcript = Rfd.Recorder.transcript ~limit:max_int (Rfd.Par_net.bus net) in
+  Rfd.Par_net.originate net ~node:0 (Rfd.Prefix.v 0);
+  ignore (Rfd.Par_net.drive net);
   Format.printf "Protocol transcript of a 3-router line converging:@.";
   List.iter (Format.printf "%s@.") (transcript ())

@@ -52,7 +52,7 @@ type t = {
   table : Route.table; (* shared intern table for every router's routes *)
   routers : Router.t option array; (* None = owned by another partition *)
   owned : bool array;
-  emit : (remote -> unit) option; (* cross-partition outbox; None = plain *)
+  emit : remote -> unit; (* cross-partition outbox *)
   routers_up : bool array; (* false while crashed *)
   damping_deployed : bool array;
   links : link_state array; (* indexed by Graph edge id *)
@@ -216,18 +216,15 @@ let make_sender t src dst =
       let epoch = ls.epoch in
       if t.owned.(dst) then put_on_wire t ~at ~slot ~epoch update
       else
-        match t.emit with
-        | Some emit ->
-            emit
-              {
-                remote_eid = eid;
-                remote_src = src;
-                remote_dst = dst;
-                remote_at = at;
-                remote_epoch = epoch;
-                remote_update = update;
-              }
-        | None -> assert false (* unowned dst implies partitioned mode *)
+        t.emit
+          {
+            remote_eid = eid;
+            remote_src = src;
+            remote_dst = dst;
+            remote_at = at;
+            remote_epoch = epoch;
+            remote_update = update;
+          }
     end
   in
   fun update ->
@@ -239,20 +236,15 @@ let make_sender t src dst =
       end
     end
 
-let create ?policy ?ownership ~config sim graph =
+let create ?policy ~ownership:(owned, emit) ~config sim graph =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Network.create: " ^ msg));
   let policy = match policy with Some p -> p | None -> Policy.announce_all in
   let n = Graph.num_nodes graph in
-  let owned, emit =
-    match ownership with
-    | None -> (Array.make n true, None)
-    | Some (owned, emit) ->
-        if Array.length owned <> n then
-          invalid_arg "Network.create: ownership array length must equal num_nodes";
-        (Array.copy owned, Some emit)
-  in
+  if Array.length owned <> n then
+    invalid_arg "Network.create: ownership array length must equal num_nodes";
+  let owned = Array.copy owned in
   let master = Rng.create config.Config.seed in
   let deploy_rng = Rng.split master in
   (* The second split is reserved (nothing draws from it), so every
@@ -332,10 +324,6 @@ let check_node t node =
   if node < 0 || node >= Array.length t.routers then
     invalid_arg (Printf.sprintf "Network: node %d out of range" node)
 
-let owns t node =
-  check_node t node;
-  t.owned.(node)
-
 let router t node =
   if node < 0 || node >= Array.length t.routers then
     invalid_arg (Printf.sprintf "Network.router: node %d out of range" node);
@@ -349,12 +337,6 @@ let damping_at t node = t.damping_deployed.(node)
 
 let originate t ~node prefix = Router.originate (router t node) prefix
 let withdraw t ~node prefix = Router.withdraw_prefix (router t node) prefix
-
-let schedule_originate t ~at ~node prefix =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> originate t ~node prefix))
-
-let schedule_withdraw t ~at ~node prefix =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> withdraw t ~node prefix))
 
 (* Cross-partition delivery: put a message drained from another
    partition's outbox on this partition's wire at a barrier. The timestamp
@@ -390,12 +372,6 @@ let restore_link t u v =
 let link_up t u v = (link_state_exn t u v).up
 let link_operational t u v = operational t (link_state_exn t u v) u v
 
-let schedule_fail_link t ~at u v =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> fail_link t u v))
-
-let schedule_restore_link t ~at u v =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> restore_link t u v))
-
 (* ------------------------------------------------------------------ *)
 (* Router crash / restart                                              *)
 
@@ -430,12 +406,6 @@ let restart_router t node =
       (Graph.neighbors t.graph node)
   end
 
-let schedule_crash t ~at node =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> crash_router t node))
-
-let schedule_restart t ~at node =
-  ignore (Sim.schedule_at t.sim ~time:at (fun _ -> restart_router t node))
-
 (* ------------------------------------------------------------------ *)
 (* Transport degradation (fault injection)                             *)
 
@@ -454,8 +424,6 @@ let set_degradation t ~src ~dst ~loss ~duplication =
 let degradation t ~src ~dst =
   let dl = directed_exn t ~src ~dst in
   (dl.loss, dl.duplication)
-
-let run ?until t = Sim.run ?until t.sim
 
 let in_flight t = t.in_flight
 
@@ -483,10 +451,6 @@ let rib_fixpoint t prefix =
           | Some a, Some b -> Route.equal a b
           | Some _, None | None, Some _ -> false))
     t.routers
-
-let status t prefix = Oracle.classify ~rib_fixpoint:(rib_fixpoint t prefix) (activity t)
-let converged t prefix = Oracle.is_stable (status t prefix)
-let quiescent t prefix = Oracle.is_quiet (status t prefix)
 
 let reachable_count t prefix =
   fold_routers t ~init:0 ~f:(fun acc r -> if Router.best r prefix <> None then acc + 1 else acc)

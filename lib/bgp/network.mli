@@ -1,5 +1,7 @@
-(** A simulated network: one router per graph node, one bidirectional link
-    per edge, with delayed FIFO message delivery.
+(** One partition's share of a simulated network: a router per owned
+    graph node, a replica of every link's state, and delayed FIFO message
+    delivery. {!Rfd_experiment.Par_net} builds one per partition and is
+    the only way to drive a network; this module is its shard.
 
     Per-message delay is [link_delay + U(0, link_jitter)], and deliveries on
     a directed link never reorder. Failing a link drops in-flight messages
@@ -29,31 +31,25 @@ type remote = {
 
 val create :
   ?policy:Policy.t ->
-  ?ownership:bool array * (remote -> unit) ->
+  ownership:bool array * (remote -> unit) ->
   config:Config.t ->
   Rfd_engine.Sim.t ->
   Rfd_topology.Graph.t ->
   t
-(** One router per node. [policy] defaults to {!Policy.announce_all}; pass
-    [Policy.no_valley relations] for valley-free routing. Damping deployment
-    follows [config]. Raises [Invalid_argument] on invalid config.
+(** [ownership = (owned, outbox)]: only nodes flagged in [owned] get
+    routers, and a message to an unowned destination is handed — fully
+    timestamped — to [outbox] instead of the local event queue. [policy]
+    defaults to {!Policy.announce_all}; pass [Policy.no_valley relations]
+    for valley-free routing. Damping deployment follows [config].
 
-    [ownership] puts the network in partitioned mode: only nodes flagged
-    [true] get routers; messages to unowned destinations are handed —
-    fully timestamped — to the given outbox function instead of the local
-    event queue. Transport randomness is per directed link in every mode:
-    delay jitter and loss/duplication draws depend only on each link's own
-    send sequence, which is what makes results independent of the partition
-    count. Administrative operations (link fail/restore, router crash/restart,
+    Transport randomness is per directed link: delay jitter and
+    loss/duplication draws depend only on each link's own send sequence,
+    which is what makes results independent of the partition count.
+    Administrative operations (link fail/restore, router crash/restart,
     degradation) must be replicated to {e every} partition by the caller;
     each replica applies the state change and signals only its own routers.
-    Raises [Invalid_argument] when the ownership array length differs from
-    the node count. *)
-
-val owns : t -> int -> bool
-(** Whether this network instance owns (hosts the router of) a node. Always
-    [true] outside partitioned mode. Raises [Invalid_argument] on an
-    out-of-range node. *)
+    Raises [Invalid_argument] on invalid config, or when the ownership
+    array length differs from the node count. *)
 
 val deliver_remote : t -> remote -> unit
 (** Put a message drained from another partition's outbox on this
@@ -84,15 +80,17 @@ val num_routers : t -> int
 val damping_at : t -> int -> bool
 (** Whether damping is deployed at a node (per [config.deployment]). *)
 
-(** {1 Driving the simulation} *)
+(** {1 Replica primitives}
+
+    Each takes effect immediately, at this partition's current simulation
+    time. {!Rfd_experiment.Par_net} routes [originate]/[withdraw] to the
+    owning partition and schedules the administrative operations in
+    every partition. *)
 
 val originate : t -> node:int -> Prefix.t -> unit
-(** Immediately (at current simulation time). *)
+(** Raises [Invalid_argument] when the node is not owned here. *)
 
 val withdraw : t -> node:int -> Prefix.t -> unit
-
-val schedule_originate : t -> at:float -> node:int -> Prefix.t -> unit
-val schedule_withdraw : t -> at:float -> node:int -> Prefix.t -> unit
 
 val fail_link : t -> int -> int -> unit
 (** Raises [Invalid_argument] when the nodes are not adjacent. Idempotent. *)
@@ -105,9 +103,6 @@ val link_up : t -> int -> int -> bool
 val link_operational : t -> int -> int -> bool
 (** [link_up] {e and} both endpoint routers alive — the predicate that
     gates message transport and session state. *)
-
-val schedule_fail_link : t -> at:float -> int -> int -> unit
-val schedule_restore_link : t -> at:float -> int -> int -> unit
 
 (** {1 Router crash / restart}
 
@@ -124,8 +119,6 @@ val crash_router : t -> int -> unit
 
 val restart_router : t -> int -> unit
 val router_is_up : t -> int -> bool
-val schedule_crash : t -> at:float -> int -> unit
-val schedule_restart : t -> at:float -> int -> unit
 
 (** {1 Transport degradation (fault injection)} *)
 
@@ -142,16 +135,10 @@ val set_degradation : t -> src:int -> dst:int -> loss:float -> duplication:float
 val degradation : t -> src:int -> dst:int -> float * float
 (** Current [(loss, duplication)] of the directed link. *)
 
-val run : ?until:float -> t -> unit
-(** Run the simulator to quiescence (or to [until]). *)
+(** {1 Per-shard sums}
 
-(** {1 Whole-network checks}
-
-    Built on the {!Oracle}: routing is only declared settled when the
-    Loc-RIB fixpoint holds {e and} every queue the protocol machinery can
-    reopen routing from is empty. In particular, an update parked in an
-    MRAI pending queue blocks convergence even with zero messages in
-    flight — the failure mode the old fixpoint-only check missed. *)
+    {!Rfd_experiment.Par_net} adds these up over its partitions and
+    classifies the totals with the {!Oracle}. *)
 
 val in_flight : t -> int
 (** Messages currently on the wire. *)
@@ -175,24 +162,6 @@ val rib_fixpoint : t -> Prefix.t -> bool
     decision process would select right now. A partitioned ensemble is at a
     fixpoint iff every partition is. *)
 
-val status : t -> Prefix.t -> Oracle.level
-(** The oracle's verdict for a prefix: [Active], [Stable] (routing
-    fixpoint reached, MRAI machinery drained, reuse timers may remain —
-    the paper's releasing tail) or [Quiet] (nothing left that could ever
-    touch routing). *)
-
-val converged : t -> Prefix.t -> bool
-(** [Oracle.is_stable (status t prefix)]: every router's Loc-RIB entry
-    equals what its decision process would select right now, no messages
-    in flight, no updates parked in MRAI pending queues, no armed flush
-    timers. Outstanding reuse timers are allowed (routing is stable but
-    suppressed paths may still be released later); use {!quiescent} to
-    also require those drained. *)
-
-val quiescent : t -> Prefix.t -> bool
-(** [Oracle.is_quiet (status t prefix)]: {!converged} and no outstanding
-    reuse timers — fully quiet, the simulation can produce no further
-    routing activity for any prefix. *)
-
 val reachable_count : t -> Prefix.t -> int
-(** Routers with a best route to the prefix (including the originator). *)
+(** Owned routers with a best route to the prefix (including the
+    originator). *)

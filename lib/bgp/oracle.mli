@@ -18,9 +18,10 @@
     - {b Quiet}: stable and every reuse timer has fired — nothing in the
       simulation will ever touch routing again.
 
-    {!Network.converged} and {!Network.quiescent} are built on this
-    classification; experiments report time-to-stable and time-to-quiet as
-    distinct metrics. *)
+    {!Rfd_experiment.Par_net.converged} and
+    {!Rfd_experiment.Par_net.quiescent} classify the counts summed over
+    every partition's {!Network.activity}; experiments report
+    time-to-stable and time-to-quiet as distinct metrics. *)
 
 type counts = {
   in_flight : int;  (** messages on the wire (transport-owned) *)

@@ -27,7 +27,7 @@ module Network = Rfd_bgp.Network
 module Hooks = Rfd_bgp.Hooks
 module Oracle = Rfd_bgp.Oracle
 module Fault_plan = Rfd_faults.Fault_plan
-module Injector = Rfd_faults.Injector
+module Injector = Rfd_experiment.Injector
 module Params = Rfd_damping.Params
 module Damper = Rfd_damping.Damper
 module History = Rfd_damping.History
@@ -63,8 +63,3 @@ let simulate_flaps ?pulses scenario =
     match pulses with Some n -> Scenario.with_pulses scenario n | None -> scenario
   in
   Runner.run scenario
-
-let quick_network ?(config = Config.default) ?policy graph =
-  let sim = Sim.create () in
-  let network = Network.create ?policy ~config sim graph in
-  (sim, network)

@@ -56,7 +56,7 @@ module Oracle = Rfd_bgp.Oracle
 (** {1 Fault injection} *)
 
 module Fault_plan = Rfd_faults.Fault_plan
-module Injector = Rfd_faults.Injector
+module Injector = Rfd_experiment.Injector
 
 (** {1 Damping} *)
 
@@ -104,8 +104,3 @@ val rcn_damping_config : Config.t
 
 val simulate_flaps : ?pulses:int -> Scenario.t -> Runner.result
 (** Run a scenario (overriding its pulse count when [pulses] is given). *)
-
-val quick_network :
-  ?config:Config.t -> ?policy:Policy.t -> Graph.t -> Sim.t * Network.t
-(** Fresh simulator plus a network over the graph — the two objects every
-    hand-driven simulation needs. *)

@@ -32,7 +32,6 @@ module Sim = Rfd_engine.Sim
 module Partition = Rfd_engine.Partition
 module Par_sim = Rfd_engine.Par_sim
 module Graph = Rfd_topology.Graph
-module Injector = Rfd_faults.Injector
 open Rfd_bgp
 
 type t = {
@@ -146,15 +145,30 @@ let owner_net t node =
 let originate t ~node prefix = Network.originate (owner_net t node) ~node prefix
 let withdraw t ~node prefix = Network.withdraw (owner_net t node) ~node prefix
 
+(* A partition's clock may lag [now t], and its simulator would accept a
+   time the single-domain run refuses; a broadcast could then land in
+   some partitions and not others. So every schedule is checked against
+   the global clock once, before any partition is touched. *)
+let check_at t at =
+  if Float.is_nan at then invalid_arg "Par_net: NaN schedule time";
+  let now = now t in
+  if at < now then invalid_arg (Printf.sprintf "Par_net: schedule time %g before now (%g)" at now)
+
+let schedule_routed t ~at node f =
+  check_at t at;
+  let net = owner_net t node in
+  ignore (Sim.schedule_at (Network.sim net) ~time:at (fun _ -> f net))
+
 let schedule_originate t ~at ~node prefix =
-  Network.schedule_originate (owner_net t node) ~at ~node prefix
+  schedule_routed t ~at node (fun net -> Network.originate net ~node prefix)
 
 let schedule_withdraw t ~at ~node prefix =
-  Network.schedule_withdraw (owner_net t node) ~at ~node prefix
+  schedule_routed t ~at node (fun net -> Network.withdraw net ~node prefix)
 
 (* Administrative events go to every partition; each execution bumps the
    partition's admin counter for the event-count correction above. *)
 let schedule_admin t ~at f =
+  check_at t at;
   Array.iteri
     (fun p net ->
       ignore
@@ -176,19 +190,6 @@ let schedule_restart t ~at node =
 let set_degradation t ~src ~dst ~loss ~duplication =
   Array.iter (fun net -> Network.set_degradation net ~src ~dst ~loss ~duplication) t.nets
 
-let fault_target t =
-  {
-    Injector.tgt_graph = t.graph;
-    Injector.tgt_set_degradation =
-      (fun ~src ~dst ~loss ~duplication -> set_degradation t ~src ~dst ~loss ~duplication);
-    Injector.tgt_fail_link = (fun ~at u v -> schedule_fail_link t ~at u v);
-    Injector.tgt_restore_link = (fun ~at u v -> schedule_restore_link t ~at u v);
-    Injector.tgt_crash = (fun ~at node -> schedule_crash t ~at node);
-    Injector.tgt_restart = (fun ~at node -> schedule_restart t ~at node);
-  }
-
-let install_faults ?start plan t = Injector.install_target ?start plan (fault_target t)
-
 (* ------------------------------------------------------------------ *)
 (* Whole-network checks and introspection                               *)
 
@@ -200,6 +201,12 @@ let activity t =
 
 let rib_fixpoint t prefix = Array.for_all (fun net -> Network.rib_fixpoint net prefix) t.nets
 let status t prefix = Oracle.classify ~rib_fixpoint:(rib_fixpoint t prefix) (activity t)
+let converged t prefix = Oracle.is_stable (status t prefix)
+let quiescent t prefix = Oracle.is_quiet (status t prefix)
+let router t node = Network.router (owner_net t node) node
+
+let reachable_count t prefix =
+  Array.fold_left (fun acc net -> acc + Network.reachable_count net prefix) 0 t.nets
 
 let reuse_timer_events t =
   Array.fold_left (fun acc net -> acc + Network.reuse_timer_events net) 0 t.nets

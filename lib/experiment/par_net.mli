@@ -1,9 +1,11 @@
-(** Partitioned conservative-parallel BGP network — the engine every run
-    goes through.
+(** Partitioned conservative-parallel BGP network — the only way to build
+    and drive a network. {!Runner} runs every scenario through it, and a
+    hand-driven simulation is [create ~partitions:1], then {!originate},
+    the [schedule_*] operations and {!drive}; there is no second driver.
 
-    One {!Rfd_bgp.Network} (with its own simulator) per topology partition,
-    advanced in lockstep epochs ({!Rfd_engine.Par_sim}) with the link delay
-    as the conservative lookahead. Cross-partition BGP messages travel
+    One {!Rfd_bgp.Network} shard (with its own simulator) per topology
+    partition, advanced in lockstep epochs ({!Rfd_engine.Par_sim}) with the
+    link delay as the conservative lookahead. Cross-partition BGP messages travel
     through deterministic per-(src, dst) FIFO mailboxes
     ({!Rfd_engine.Partition}) exchanged at epoch barriers; with several
     partitions, observations are canonicalised by {!Recorder} into one
@@ -97,7 +99,7 @@ val epochs : t -> int
 
 val now : t -> float
 (** Global clock: max over partition clocks = time of the latest executed
-    event. *)
+    event (or the time {!advance_all} last jumped to). *)
 
 val advance_all : t -> time:float -> unit
 (** Jump every partition clock forward to [time] (never backward). Call
@@ -107,8 +109,17 @@ val advance_all : t -> time:float -> unit
 (** {1 Driving} *)
 
 val originate : t -> node:int -> Rfd_bgp.Prefix.t -> unit
+(** Immediately, on the owning partition's clock. At a phase boundary,
+    call [advance_all t ~time:(now t)] first. *)
+
 val withdraw : t -> node:int -> Rfd_bgp.Prefix.t -> unit
+
 val schedule_originate : t -> at:float -> node:int -> Rfd_bgp.Prefix.t -> unit
+(** Routed to the owning partition. Every [schedule_*] raises
+    [Invalid_argument] when [at] is NaN or earlier than {!now}, before any
+    partition is touched, so a refused call schedules nothing anywhere and
+    the same times are accepted at every partition count. *)
+
 val schedule_withdraw : t -> at:float -> node:int -> Rfd_bgp.Prefix.t -> unit
 
 val schedule_fail_link : t -> at:float -> int -> int -> unit
@@ -120,18 +131,43 @@ val schedule_restore_link : t -> at:float -> int -> int -> unit
 val schedule_crash : t -> at:float -> int -> unit
 val schedule_restart : t -> at:float -> int -> unit
 val set_degradation : t -> src:int -> dst:int -> loss:float -> duplication:float -> unit
+(** Immediately, in every partition (see {!Rfd_bgp.Network.set_degradation}). *)
 
-val fault_target : t -> Rfd_faults.Injector.target
-val install_faults : ?start:float -> Rfd_faults.Fault_plan.t -> t -> unit
+(** {1 Whole-network checks}
 
-(** {1 Whole-network checks} *)
+    Built on the {!Rfd_bgp.Oracle}: routing is only declared settled when
+    the Loc-RIB fixpoint holds {e and} every queue the protocol machinery
+    can reopen routing from is empty. In particular, an update parked in an
+    MRAI pending queue blocks convergence even with zero messages in
+    flight. *)
+
+val router : t -> int -> Rfd_bgp.Router.t
+(** The router of a node, read from its owning partition. Raises
+    [Invalid_argument] on an out-of-range node. *)
 
 val activity : t -> Rfd_bgp.Oracle.counts
 (** Summed over partitions, plus cross-partition messages still parked in
     mailboxes (they are in flight, just not yet scheduled). *)
 
 val rib_fixpoint : t -> Rfd_bgp.Prefix.t -> bool
+
 val status : t -> Rfd_bgp.Prefix.t -> Rfd_bgp.Oracle.level
+(** The oracle's verdict for a prefix: [Active], [Stable] (routing
+    fixpoint reached, MRAI machinery drained, reuse timers may remain —
+    the paper's releasing tail) or [Quiet] (nothing left that could ever
+    touch routing). *)
+
+val converged : t -> Rfd_bgp.Prefix.t -> bool
+(** [Oracle.is_stable (status t prefix)]: outstanding reuse timers are
+    allowed (suppressed paths may still be released later). *)
+
+val quiescent : t -> Rfd_bgp.Prefix.t -> bool
+(** [Oracle.is_quiet (status t prefix)]: also no outstanding reuse timers,
+    so the simulation can produce no further routing activity. *)
+
+val reachable_count : t -> Rfd_bgp.Prefix.t -> int
+(** Routers with a best route to the prefix (including the originator). *)
+
 val reuse_timer_events : t -> int
 val peak_reuse_timers : t -> int
 

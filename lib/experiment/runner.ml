@@ -276,7 +276,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   (* Fault injection shares the flap phase's time origin, so plan event
      times compose with the pulse pattern's. *)
   (match scenario.Scenario.faults with
-  | Some plan -> Par_net.install_faults ~start:flap_start plan par
+  | Some plan -> Injector.install ~start:flap_start plan par
   | None -> ());
   drive ();
   (* Flush observations recorded after the last barrier (e.g. hooks fired

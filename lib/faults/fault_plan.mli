@@ -11,7 +11,7 @@
     the same [(scenario, plan, seed)] triple always produces bit-identical
     results, on any number of worker domains.
 
-    {!Injector.install} applies a plan to a live network. *)
+    {!Rfd_experiment.Injector.install} applies a plan to a live network. *)
 
 type link = int * int
 (** An undirected edge, in either orientation. *)

@@ -77,20 +77,18 @@ let test_rejects_bad_overrides () =
   Alcotest.(check bool) "valid override accepted" true (Config.validate c = Ok ())
 
 let test_network_rejects_invalid_config () =
-  let sim = Rfd_engine.Sim.create () in
   let bad = { Config.default with Config.link_delay = 0. } in
   Alcotest.check_raises "surfaced" (Invalid_argument "Network.create: link_delay must be positive")
-    (fun () -> ignore (Network.create ~config:bad sim (Rfd_topology.Builders.line 2)))
+    (fun () -> ignore (Fixture.create ~config:bad (Rfd_topology.Builders.line 2)))
 
 let test_deployment_only_out_of_range () =
-  let sim = Rfd_engine.Sim.create () in
   let config =
     Config.with_damping ~deployment:(Config.Only [ 9 ]) Params.cisco
       { Config.default with Config.link_jitter = 0. }
   in
   Alcotest.check_raises "out of range node"
     (Invalid_argument "Network: deployment node 9 out of range") (fun () ->
-      ignore (Network.create ~config sim (Rfd_topology.Builders.line 2)))
+      ignore (Fixture.create ~config (Rfd_topology.Builders.line 2)))
 
 let suite =
   [

@@ -2,7 +2,7 @@
    charging, RCN and selective filtering, partial deployment. *)
 
 open Rfd_bgp
-module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Graph = Rfd_topology.Graph
 module Params = Rfd_damping.Params
@@ -21,19 +21,16 @@ let base_config =
 let damping_config ?(mode = Config.Plain) ?(deployment = Config.Everywhere) () =
   Config.with_damping ~mode ~deployment Params.cisco base_config
 
-let make ?(config = base_config) graph =
-  let sim = Sim.create () in
-  let net = Network.create ~config sim graph in
-  (sim, net)
+let make ?(config = base_config) graph = Fixture.create ~config graph
 
 (* Flap the origin n times with the paper's 60 s interval starting at the
    current time + 1 s; returns the time of the final announcement. *)
-let flap net sim ~origin ~pulses =
-  let t0 = Sim.now sim +. 1. in
+let flap net ~origin ~pulses =
+  let t0 = Par_net.now net +. 1. in
   for i = 0 to pulses - 1 do
     let base = t0 +. (120. *. float_of_int i) in
-    Network.schedule_withdraw net ~at:base ~node:origin p0;
-    Network.schedule_originate net ~at:(base +. 60.) ~node:origin p0
+    Par_net.schedule_withdraw net ~at:base ~node:origin p0;
+    Par_net.schedule_originate net ~at:(base +. 60.) ~node:origin p0
   done;
   t0 +. (120. *. float_of_int (pulses - 1)) +. 60.
 
@@ -41,52 +38,52 @@ let test_suppression_onset_on_line () =
   (* origin 0 — isp 1 — 2: no alternate paths, so no path exploration; the
      isp's penalty is charged only by the origin's own flaps: suppression
      exactly at the 3rd pulse (paper Section 3 / Figure 13 discussion). *)
-  let sim, net = make ~config:(damping_config ()) (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config:(damping_config ()) (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let suppressed_at = ref None in
-  (Network.hooks net).Hooks.on_suppress <-
+  (Par_net.bus net).Hooks.on_suppress <-
     (fun ~time ~router ~peer ~prefix:_ ->
       if !suppressed_at = None && router = 1 && peer = 0 then suppressed_at := Some time);
-  let t0 = Sim.now sim +. 1. in
+  let t0 = Par_net.now net +. 1. in
   (* pulse 1 and 2: no suppression expected yet *)
-  let _ = flap net sim ~origin:0 ~pulses:2 in
-  Network.run ~until:(t0 +. 239.) net;
+  let _ = flap net ~origin:0 ~pulses:2 in
+  Fixture.run ~until:(t0 +. 239.) net;
   Alcotest.(check bool) "no suppression after 2 pulses" true (!suppressed_at = None);
   (* third withdrawal crosses 2000 *)
-  Network.schedule_withdraw net ~at:(t0 +. 240.) ~node:0 p0;
-  Network.schedule_originate net ~at:(t0 +. 300.) ~node:0 p0;
-  Network.run net;
+  Par_net.schedule_withdraw net ~at:(t0 +. 240.) ~node:0 p0;
+  Par_net.schedule_originate net ~at:(t0 +. 300.) ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check bool) "suppressed at 3rd pulse" true (!suppressed_at <> None)
 
 let test_suppression_blocks_propagation () =
-  let sim, net = make ~config:(damping_config ()) (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  let _ = flap net sim ~origin:0 ~pulses:3 in
+  let net = make ~config:(damping_config ()) (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let _ = flap net ~origin:0 ~pulses:3 in
   (* run just past the final announcement: isp has suppressed, so node 2
      must consider the destination unreachable *)
-  Network.run ~until:(Sim.now sim +. 1. +. 360.) net;
+  Fixture.run ~until:(Par_net.now net +. 1. +. 360.) net;
   Alcotest.(check bool) "isp suppressed origin entry" true
-    (Router.is_suppressed (Network.router net 1) ~peer:0 p0);
+    (Router.is_suppressed (Par_net.router net 1) ~peer:0 p0);
   Alcotest.(check bool) "remote unreachable while suppressed" true
-    (Router.best (Network.router net 2) p0 = None);
+    (Router.best (Par_net.router net 2) p0 = None);
   (* eventually the reuse timer fires and the route comes back *)
-  Network.run net;
+  Fixture.run net;
   Alcotest.(check bool) "released eventually" false
-    (Router.is_suppressed (Network.router net 1) ~peer:0 p0);
-  Alcotest.(check int) "reachable again" 3 (Network.reachable_count net p0)
+    (Router.is_suppressed (Par_net.router net 1) ~peer:0 p0);
+  Alcotest.(check int) "reachable again" 3 (Par_net.reachable_count net p0)
 
 let test_reuse_timing_matches_formula () =
-  let sim, net = make ~config:(damping_config ()) (Builders.line 2) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config:(damping_config ()) (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let reuse_time = ref None in
-  (Network.hooks net).Hooks.on_reuse <-
+  (Par_net.bus net).Hooks.on_reuse <-
     (fun ~time ~router ~peer ~prefix:_ ~noisy:_ ->
       if router = 1 && peer = 0 then reuse_time := Some time);
-  let final_ann = flap net sim ~origin:0 ~pulses:3 in
-  Network.run net;
+  let final_ann = flap net ~origin:0 ~pulses:3 in
+  Fixture.run net;
   match !reuse_time with
   | None -> Alcotest.fail "expected a reuse"
   | Some t ->
@@ -106,20 +103,20 @@ let test_muffling_silent_reuse () =
      pulses; while the isp keeps the route suppressed, remote reuse timers
      fire silently (destination withdrawn), i.e. noisy = false. *)
   let g = Graph.of_edges ~num_nodes:5 [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ] in
-  let sim, net = make ~config:(damping_config ()) g in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config:(damping_config ()) g in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let reuses = ref [] in
-  (Network.hooks net).Hooks.on_reuse <-
+  (Par_net.bus net).Hooks.on_reuse <-
     (fun ~time:_ ~router ~peer:_ ~prefix:_ ~noisy -> reuses := (router, noisy) :: !reuses);
-  let _ = flap net sim ~origin:0 ~pulses:8 in
-  Network.run net;
+  let _ = flap net ~origin:0 ~pulses:8 in
+  Fixture.run net;
   (* the last reuse belongs to the isp (router 1) and is the only noisy
      one required to restore reachability *)
   Alcotest.(check bool) "some reuses happened" true (!reuses <> []);
   let isp_noisy = List.exists (fun (router, noisy) -> router = 1 && noisy) !reuses in
   Alcotest.(check bool) "isp reuse was noisy" true isp_noisy;
-  Alcotest.(check int) "all reachable at the end" 5 (Network.reachable_count net p0)
+  Alcotest.(check int) "all reachable at the end" 5 (Par_net.reachable_count net p0)
 
 let test_secondary_charging_postpones_reuse () =
   (* Deterministic secondary charging on a line with Juniper parameters:
@@ -132,12 +129,12 @@ let test_secondary_charging_postpones_reuse () =
     Config.with_damping ~mode:Config.Plain ~deployment:Config.Everywhere Params.juniper
       base_config
   in
-  let sim, net = make ~config (Builders.line 4) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 4) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let isp_reuse = ref None in
   let charge_after_reuse = ref false in
-  let h = Network.hooks net in
+  let h = Par_net.bus net in
   h.Hooks.on_reuse <-
     (fun ~time ~router ~peer ~prefix:_ ~noisy ->
       if router = 1 && peer = 0 then begin
@@ -147,8 +144,8 @@ let test_secondary_charging_postpones_reuse () =
   h.Hooks.on_penalty <-
     (fun ~time:_ ~router ~peer ~prefix:_ ~penalty:_ ->
       if !isp_reuse <> None && router = 2 && peer = 1 then charge_after_reuse := true);
-  let _ = flap net sim ~origin:0 ~pulses:2 in
-  Network.run net;
+  let _ = flap net ~origin:0 ~pulses:2 in
+  Fixture.run net;
   Alcotest.(check bool) "isp suppressed and reused" true (!isp_reuse <> None);
   Alcotest.(check bool) "reuse announcement re-charged the neighbour" true !charge_after_reuse
 
@@ -159,14 +156,14 @@ let test_rcn_prevents_false_suppression () =
   let g = Graph.of_edges ~num_nodes:5 [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ] in
   let run mode =
     let config = { (damping_config ~mode ()) with Config.mrai = 1. } in
-    let sim, net = make ~config g in
-    Network.originate net ~node:0 p0;
-    Network.run net;
+    let net = make ~config g in
+    Par_net.originate net ~node:0 p0;
+    Fixture.run net;
     let suppressions = ref 0 in
-    (Network.hooks net).Hooks.on_suppress <-
+    (Par_net.bus net).Hooks.on_suppress <-
       (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ -> incr suppressions);
-    let final_ann = flap net sim ~origin:0 ~pulses:1 in
-    Network.run net;
+    let final_ann = flap net ~origin:0 ~pulses:1 in
+    Fixture.run net;
     let last =
       (* convergence: last update time *)
       final_ann
@@ -180,14 +177,14 @@ let test_rcn_prevents_false_suppression () =
 let test_rcn_still_suppresses_real_flaps () =
   (* RCN must not break legitimate damping: repeated real flaps still
      suppress at the isp (each flap is a fresh root cause). *)
-  let sim, net = make ~config:(damping_config ~mode:Config.Rcn ()) (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config:(damping_config ~mode:Config.Rcn ()) (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let suppressed = ref false in
-  (Network.hooks net).Hooks.on_suppress <-
+  (Par_net.bus net).Hooks.on_suppress <-
     (fun ~time:_ ~router ~peer ~prefix:_ -> if router = 1 && peer = 0 then suppressed := true);
-  let _ = flap net sim ~origin:0 ~pulses:4 in
-  Network.run net;
+  let _ = flap net ~origin:0 ~pulses:4 in
+  Fixture.run net;
   Alcotest.(check bool) "isp still suppresses with RCN" true !suppressed
 
 let test_rcn_convergence_not_worse () =
@@ -196,13 +193,13 @@ let test_rcn_convergence_not_worse () =
   let g = Graph.of_edges ~num_nodes:5 [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ] in
   let convergence mode =
     let config = { (damping_config ~mode ()) with Config.mrai = 1. } in
-    let sim, net = make ~config g in
-    Network.originate net ~node:0 p0;
-    Network.run net;
+    let net = make ~config g in
+    Par_net.originate net ~node:0 p0;
+    Fixture.run net;
     let last = ref 0. in
-    (Network.hooks net).Hooks.on_deliver <- (fun ~time ~src:_ ~dst:_ _ -> last := time);
-    let final_ann = flap net sim ~origin:0 ~pulses:1 in
-    Network.run net;
+    (Par_net.bus net).Hooks.on_deliver <- (fun ~time ~src:_ ~dst:_ _ -> last := time);
+    let final_ann = flap net ~origin:0 ~pulses:1 in
+    Fixture.run net;
     Float.max 0. (!last -. final_ann)
   in
   let plain = convergence Config.Plain in
@@ -213,31 +210,30 @@ let test_rcn_convergence_not_worse () =
 
 let test_partial_deployment () =
   let config = damping_config ~deployment:(Config.Only [ 1 ]) () in
-  let _, net = make ~config (Builders.line 4) in
-  Alcotest.(check bool) "damping at 1" true (Network.damping_at net 1);
-  Alcotest.(check bool) "no damping at 2" false (Network.damping_at net 2);
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 4) in
+  Alcotest.(check bool) "damping at 1" true (Network.damping_at (Fixture.shard net) 1);
+  Alcotest.(check bool) "no damping at 2" false (Network.damping_at (Fixture.shard net) 2);
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   (* flaps suppress at router 1 only *)
-  let sim = Network.sim net in
-  let _ = flap net sim ~origin:0 ~pulses:4 in
-  Network.run ~until:(Sim.now sim +. 500.) net;
+  let _ = flap net ~origin:0 ~pulses:4 in
+  Fixture.run ~until:(Par_net.now net +. 500.) net;
   Alcotest.(check bool) "router 2 never suppresses" true
-    (Router.suppressed_count (Network.router net 2) = 0);
-  Network.run net
+    (Router.suppressed_count (Par_net.router net 2) = 0);
+  Fixture.run net
 
 let test_nowhere_deployment_is_no_damping () =
   let config = damping_config ~deployment:Config.Nowhere () in
-  let sim, net = make ~config (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let suppressions = ref 0 in
-  (Network.hooks net).Hooks.on_suppress <-
+  (Par_net.bus net).Hooks.on_suppress <-
     (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ -> incr suppressions);
-  let _ = flap net sim ~origin:0 ~pulses:6 in
-  Network.run net;
+  let _ = flap net ~origin:0 ~pulses:6 in
+  Fixture.run net;
   Alcotest.(check int) "never suppresses" 0 !suppressions;
-  Alcotest.(check int) "reachable" 3 (Network.reachable_count net p0)
+  Alcotest.(check int) "reachable" 3 (Par_net.reachable_count net p0)
 
 let test_selective_skips_worse_exploration () =
   (* Selective damping ignores monotonically-worse announcements: on the
@@ -245,14 +241,14 @@ let test_selective_skips_worse_exploration () =
   let g = Graph.of_edges ~num_nodes:5 [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ] in
   let suppress_count mode =
     let config = { (damping_config ~mode ()) with Config.mrai = 1. } in
-    let sim, net = make ~config g in
-    Network.originate net ~node:0 p0;
-    Network.run net;
+    let net = make ~config g in
+    Par_net.originate net ~node:0 p0;
+    Fixture.run net;
     let n = ref 0 in
-    (Network.hooks net).Hooks.on_suppress <-
+    (Par_net.bus net).Hooks.on_suppress <-
       (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ -> incr n);
-    let _ = flap net sim ~origin:0 ~pulses:1 in
-    Network.run net;
+    let _ = flap net ~origin:0 ~pulses:1 in
+    Fixture.run net;
     !n
   in
   let plain = suppress_count Config.Plain in
@@ -281,19 +277,19 @@ let test_diverse_parameters_cause_secondary_charging () =
       Config.damping_overrides = [ (3, aggressive) ];
     }
   in
-  let sim, net = make ~config (Builders.line 4) in
+  let net = make ~config (Builders.line 4) in
   Alcotest.(check bool) "override visible" true
-    (Router.damping_params (Network.router net 3) = Some aggressive);
+    (Router.damping_params (Par_net.router net 3) = Some aggressive);
   Alcotest.(check bool) "default elsewhere" true
-    (Router.damping_params (Network.router net 2) = Some Params.cisco);
+    (Router.damping_params (Par_net.router net 2) = Some Params.cisco);
   Alcotest.(check bool) "isp undeployed" true
-    (Router.damping_params (Network.router net 1) = None);
-  Network.originate net ~node:0 p0;
-  Network.run net;
+    (Router.damping_params (Par_net.router net 1) = None);
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let x_reuse = ref None in
   let y_penalty_after_x_reuse = ref false in
   let y_reuse = ref None in
-  let h = Network.hooks net in
+  let h = Par_net.bus net in
   h.Hooks.on_reuse <-
     (fun ~time ~router ~peer:_ ~prefix:_ ~noisy:_ ->
       if router = 2 && !x_reuse = None then x_reuse := Some time;
@@ -302,8 +298,8 @@ let test_diverse_parameters_cause_secondary_charging () =
     (fun ~time:_ ~router ~peer ~prefix:_ ~penalty:_ ->
       if router = 3 && peer = 2 && !x_reuse <> None then y_penalty_after_x_reuse := true);
   (* enough pulses to suppress both X and Y *)
-  let _ = flap net sim ~origin:0 ~pulses:4 in
-  Network.run net;
+  let _ = flap net ~origin:0 ~pulses:4 in
+  Fixture.run net;
   match (!x_reuse, !y_reuse) with
   | Some x, Some y ->
       Alcotest.(check bool) "X reuses before Y" true (x < y);
@@ -315,39 +311,40 @@ let test_damping_survives_multi_prefix () =
   (* Damping state is per (peer, prefix): flapping p0 must not suppress an
      unrelated stable prefix p1 from the same peer. *)
   let p1 = Prefix.v 1 in
-  let sim, net = make ~config:(damping_config ()) (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.originate net ~node:0 p1;
-  Network.run net;
-  let _ = flap net sim ~origin:0 ~pulses:4 in
-  Network.run ~until:(Sim.now sim +. 500.) net;
+  let net = make ~config:(damping_config ()) (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Par_net.originate net ~node:0 p1;
+  Fixture.run net;
+  let _ = flap net ~origin:0 ~pulses:4 in
+  Fixture.run ~until:(Par_net.now net +. 500.) net;
   Alcotest.(check bool) "p0 suppressed" true
-    (Router.is_suppressed (Network.router net 1) ~peer:0 p0);
+    (Router.is_suppressed (Par_net.router net 1) ~peer:0 p0);
   Alcotest.(check bool) "p1 untouched" false
-    (Router.is_suppressed (Network.router net 1) ~peer:0 p1);
+    (Router.is_suppressed (Par_net.router net 1) ~peer:0 p1);
   Alcotest.(check bool) "p1 still reachable" true
-    (Router.best (Network.router net 2) p1 <> None);
-  Network.run net
+    (Router.best (Par_net.router net 2) p1 <> None);
+  Fixture.run net
 
 let test_reuse_far_in_time () =
   (* Near 1e11 s a float's spacing (1.5e-5 s) is wider than the 1e-6 s
      margin a reuse timer re-arms with, so a re-arm that added only the
      margin landed on the current instant and fired there forever. The
      re-arm must move time forward, and the run must end quiet. *)
-  let sim, net = make ~config:(damping_config ()) (Builders.line 2) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config:(damping_config ()) (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let t0 = 1e11 in
   for i = 0 to 3 do
     let base = t0 +. (120. *. float_of_int i) in
-    Network.schedule_withdraw net ~at:base ~node:0 p0;
-    Network.schedule_originate net ~at:(base +. 60.) ~node:0 p0
+    Par_net.schedule_withdraw net ~at:base ~node:0 p0;
+    Par_net.schedule_originate net ~at:(base +. 60.) ~node:0 p0
   done;
-  Network.run net;
-  Alcotest.(check bool) "was suppressed" true (Router.reuse_timer_events (Network.router net 1) > 0);
-  Alcotest.(check bool) "released far past the flaps" true (Sim.now sim > t0);
-  Alcotest.(check bool) "quiet" true (Network.status net p0 = Oracle.Quiet);
-  Alcotest.(check int) "reachable again" 2 (Network.reachable_count net p0)
+  Fixture.run net;
+  Alcotest.(check bool) "was suppressed" true
+    (Router.reuse_timer_events (Par_net.router net 1) > 0);
+  Alcotest.(check bool) "released far past the flaps" true (Par_net.now net > t0);
+  Alcotest.(check bool) "quiet" true (Par_net.status net p0 = Oracle.Quiet);
+  Alcotest.(check int) "reachable again" 2 (Par_net.reachable_count net p0)
 
 let suite =
   [

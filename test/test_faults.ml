@@ -4,8 +4,8 @@
    under churn. *)
 
 module Fault_plan = Rfd_faults.Fault_plan
-module Injector = Rfd_faults.Injector
-module Sim = Rfd_engine.Sim
+module Injector = Rfd_experiment.Injector
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
@@ -14,10 +14,7 @@ open Rfd_bgp
 let fast_config ?(seed = 42) () =
   { Config.default with Config.mrai = 1.; link_delay = 0.01; link_jitter = 0.01; seed }
 
-let make_net ?(config = fast_config ()) graph =
-  let sim = Sim.create () in
-  let net = Network.create ~config sim graph in
-  (sim, net)
+let make_net ?(config = fast_config ()) graph = Fixture.create ~config graph
 
 let prefix = Prefix.v 0
 
@@ -104,7 +101,7 @@ let test_expand_deterministic () =
 let test_injector_range_checks () =
   let graph = Builders.mesh ~rows:3 ~cols:3 in
   let check_rejected name plan =
-    let _, net = make_net graph in
+    let net = make_net graph in
     match Injector.install plan net with
     | () -> Alcotest.failf "%s: expected Invalid_argument" name
     | exception Invalid_argument msg ->
@@ -126,17 +123,17 @@ let test_injector_range_checks () =
        ~per_link_degradation:[ ((0, 99), { Fault_plan.loss = 0.5; duplication = 0. }) ]
        ());
   (* a valid plan installs without touching anything until run *)
-  let _, net = make_net graph in
+  let net = make_net graph in
   Injector.install
     (Fault_plan.make ~degradation:{ Fault_plan.loss = 0.25; duplication = 0.5 } ())
     net;
   Alcotest.(check (pair (float 0.) (float 0.)))
     "default degradation applied to both orientations" (0.25, 0.5)
-    (Network.degradation net ~src:1 ~dst:0)
+    (Network.degradation (Fixture.shard net) ~src:1 ~dst:0)
 
 let test_injector_per_link_override () =
   let graph = Builders.line 3 in
-  let _, net = make_net graph in
+  let net = make_net graph in
   Injector.install
     (Fault_plan.make
        ~degradation:{ Fault_plan.loss = 0.1; duplication = 0. }
@@ -145,102 +142,104 @@ let test_injector_per_link_override () =
     net;
   Alcotest.(check (pair (float 0.) (float 0.)))
     "override wins on its directed link" (1., 0.)
-    (Network.degradation net ~src:1 ~dst:2);
+    (Network.degradation (Fixture.shard net) ~src:1 ~dst:2);
   Alcotest.(check (pair (float 0.) (float 0.)))
     "reverse direction keeps the default" (0.1, 0.)
-    (Network.degradation net ~src:2 ~dst:1)
+    (Network.degradation (Fixture.shard net) ~src:2 ~dst:1)
 
 (* ------------------------------------------------------------------ *)
 (* Transport faults on live networks                                   *)
 
 let test_total_loss_blackholes_link () =
-  let _, net = make_net (Builders.line 3) in
+  let net = make_net (Builders.line 3) in
   let dropped = ref 0 in
-  (Network.hooks net).Hooks.on_drop <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr dropped);
-  Network.set_degradation net ~src:1 ~dst:2 ~loss:1. ~duplication:0.;
-  Network.originate net ~node:0 prefix;
-  Network.run net;
+  (Par_net.bus net).Hooks.on_drop <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr dropped);
+  Par_net.set_degradation net ~src:1 ~dst:2 ~loss:1. ~duplication:0.;
+  Par_net.originate net ~node:0 prefix;
+  Fixture.run net;
   Alcotest.(check int) "route stops at the lossy hop" 2
-    (Network.reachable_count net prefix);
+    (Par_net.reachable_count net prefix);
   Alcotest.(check bool) "drops were counted" true (!dropped > 0)
 
 let test_total_duplication_is_harmless () =
   let clean_reach =
-    let _, net = make_net (Builders.ring 5) in
-    Network.originate net ~node:0 prefix;
-    Network.run net;
-    Network.reachable_count net prefix
+    let net = make_net (Builders.ring 5) in
+    Par_net.originate net ~node:0 prefix;
+    Fixture.run net;
+    Par_net.reachable_count net prefix
   in
-  let _, net = make_net (Builders.ring 5) in
+  let net = make_net (Builders.ring 5) in
   let duplicated = ref 0 in
-  (Network.hooks net).Hooks.on_duplicate <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr duplicated);
+  (Par_net.bus net).Hooks.on_duplicate <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr duplicated);
   Array.iter
     (fun (u, v) ->
-      Network.set_degradation net ~src:u ~dst:v ~loss:0. ~duplication:1.;
-      Network.set_degradation net ~src:v ~dst:u ~loss:0. ~duplication:1.)
+      Par_net.set_degradation net ~src:u ~dst:v ~loss:0. ~duplication:1.;
+      Par_net.set_degradation net ~src:v ~dst:u ~loss:0. ~duplication:1.)
     (Rfd_topology.Graph.edges (Builders.ring 5));
-  Network.originate net ~node:0 prefix;
-  Network.run net;
+  Par_net.originate net ~node:0 prefix;
+  Fixture.run net;
   Alcotest.(check int) "duplication changes no outcome" clean_reach
-    (Network.reachable_count net prefix);
+    (Par_net.reachable_count net prefix);
   Alcotest.(check bool) "duplicates were emitted" true (!duplicated > 0);
-  Alcotest.(check bool) "still drains to quiet" true (Network.quiescent net prefix)
+  Alcotest.(check bool) "still drains to quiet" true (Par_net.quiescent net prefix)
 
 let test_degradation_validation () =
-  let _, net = make_net (Builders.line 3) in
+  let net = make_net (Builders.line 3) in
   Alcotest.check_raises "loss outside [0,1]"
     (Invalid_argument "Network.set_degradation: loss probability 1.5 outside [0, 1]")
-    (fun () -> Network.set_degradation net ~src:0 ~dst:1 ~loss:1.5 ~duplication:0.);
+    (fun () -> Par_net.set_degradation net ~src:0 ~dst:1 ~loss:1.5 ~duplication:0.);
   Alcotest.check_raises "non-adjacent nodes"
     (Invalid_argument "Network: (0,2) is not a link") (fun () ->
-      Network.set_degradation net ~src:0 ~dst:2 ~loss:0.1 ~duplication:0.)
+      Par_net.set_degradation net ~src:0 ~dst:2 ~loss:0.1 ~duplication:0.)
 
 let test_crash_and_restart () =
-  let _, net = make_net (Builders.line 3) in
-  Network.originate net ~node:0 prefix;
-  Network.run net;
+  let net = make_net (Builders.line 3) in
+  let shard = Fixture.shard net in
+  Par_net.originate net ~node:0 prefix;
+  Fixture.run net;
   Alcotest.(check int) "full reachability before crash" 3
-    (Network.reachable_count net prefix);
-  Network.crash_router net 1;
-  Network.crash_router net 1;
-  Network.run net;
-  Alcotest.(check bool) "router marked down" true (not (Network.router_is_up net 1));
+    (Par_net.reachable_count net prefix);
+  Fixture.crash net 1;
+  Fixture.crash net 1;
+  Fixture.run net;
+  Alcotest.(check bool) "router marked down" true (not (Network.router_is_up shard 1));
   Alcotest.(check bool) "incident link not operational" true
-    (not (Network.link_operational net 0 1));
+    (not (Network.link_operational shard 0 1));
   Alcotest.(check bool) "administrative link state untouched" true
-    (Network.link_up net 0 1);
+    (Network.link_up shard 0 1);
   Alcotest.(check int) "downstream routes withdrawn" 1
-    (Network.reachable_count net prefix);
-  Network.restart_router net 1;
-  Network.run net;
-  Alcotest.(check bool) "router back up" true (Network.router_is_up net 1);
+    (Par_net.reachable_count net prefix);
+  Fixture.restart net 1;
+  Fixture.run net;
+  Alcotest.(check bool) "router back up" true (Network.router_is_up shard 1);
   Alcotest.(check bool) "sessions operational again" true
-    (Network.link_operational net 0 1 && Network.link_operational net 1 2);
+    (Network.link_operational shard 0 1 && Network.link_operational shard 1 2);
   Alcotest.(check int) "full-table re-advertisement restores routes" 3
-    (Network.reachable_count net prefix);
+    (Par_net.reachable_count net prefix);
   Alcotest.check_raises "out-of-range crash"
     (Invalid_argument "Network: node 7 out of range") (fun () ->
-      Network.crash_router net 7)
+      Fixture.crash net 7)
 
 let test_restore_link_defers_to_restart () =
   (* Restoring a link while an endpoint is crashed must not resurrect the
      session; the later restart brings it back. *)
-  let _, net = make_net (Builders.line 3) in
-  Network.originate net ~node:0 prefix;
-  Network.run net;
-  Network.fail_link net 0 1;
-  Network.crash_router net 1;
-  Network.run net;
-  Network.restore_link net 0 1;
-  Network.run net;
+  let net = make_net (Builders.line 3) in
+  let shard = Fixture.shard net in
+  Par_net.originate net ~node:0 prefix;
+  Fixture.run net;
+  Fixture.fail_link net 0 1;
+  Fixture.crash net 1;
+  Fixture.run net;
+  Fixture.restore_link net 0 1;
+  Fixture.run net;
   Alcotest.(check bool) "link admin-up but endpoint dead" true
-    (Network.link_up net 0 1 && not (Network.link_operational net 0 1));
+    (Network.link_up shard 0 1 && not (Network.link_operational shard 0 1));
   Alcotest.(check int) "no route through a dead router" 1
-    (Network.reachable_count net prefix);
-  Network.restart_router net 1;
-  Network.run net;
+    (Par_net.reachable_count net prefix);
+  Fixture.restart net 1;
+  Fixture.run net;
   Alcotest.(check int) "restart completes the recovery" 3
-    (Network.reachable_count net prefix)
+    (Par_net.reachable_count net prefix)
 
 let test_trivial_plan_bit_identical () =
   (* A scenario carrying the empty plan must reproduce the fault-free run
@@ -270,9 +269,8 @@ let fifo_violations ~seed =
   let config =
     { Config.default with Config.mrai = 1.; link_delay = 0.01; link_jitter = 0.02; seed }
   in
-  let sim = Sim.create () in
-  let net = Network.create ~config sim graph in
-  let hooks = Network.hooks net in
+  let net = Fixture.create ~config graph in
+  let hooks = Par_net.bus net in
   let sent : (int * int, Update.t Queue.t) Hashtbl.t = Hashtbl.create 64 in
   let last : (int * int, Update.t) Hashtbl.t = Hashtbl.create 64 in
   let last_time : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
@@ -312,11 +310,11 @@ let fifo_violations ~seed =
          { Fault_plan.cycles = 4; window = 40.; down_mean = 5.; candidates = [] }
        ())
     net;
-  Network.originate net ~node:0 prefix;
-  Network.run net;
-  Network.schedule_withdraw net ~at:(Sim.now sim +. 5.) ~node:0 prefix;
-  Network.schedule_originate net ~at:(Sim.now sim +. 15.) ~node:0 prefix;
-  Network.run net;
+  Par_net.originate net ~node:0 prefix;
+  Fixture.run net;
+  Par_net.schedule_withdraw net ~at:(Par_net.now net +. 5.) ~node:0 prefix;
+  Par_net.schedule_originate net ~at:(Par_net.now net +. 15.) ~node:0 prefix;
+  Fixture.run net;
   (!violations, !deliveries)
 
 let prop_fifo_no_reorder =

@@ -4,11 +4,11 @@
    churn (no id leaks, no collisions). *)
 
 open Rfd_bgp
-module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
 module RG = Rfd_topology.Random_graphs
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
+module Par_net = Rfd_experiment.Par_net
 
 let p0 = Prefix.v 0
 let sign x = Stdlib.compare x 0
@@ -103,21 +103,19 @@ let prop_digest_deterministic =
    fixed), and every route resident in any RIB stays a value of the
    network's shared table.                                              *)
 
-let run_churn_episode net sim =
-  let t0 = Sim.now sim +. 1. in
-  Network.schedule_fail_link net ~at:t0 1 2;
-  Network.schedule_restore_link net ~at:(t0 +. 40.) 1 2;
-  Network.schedule_crash net ~at:(t0 +. 80.) 2;
-  Network.schedule_restart net ~at:(t0 +. 120.) 2;
-  Network.run net
+let run_churn_episode net =
+  let t0 = Par_net.now net +. 1. in
+  Par_net.schedule_fail_link net ~at:t0 1 2;
+  Par_net.schedule_restore_link net ~at:(t0 +. 40.) 1 2;
+  Par_net.schedule_crash net ~at:(t0 +. 80.) 2;
+  Par_net.schedule_restart net ~at:(t0 +. 120.) 2;
+  Fixture.run net
 
-let table_sizes net =
-  let tbl = Network.route_table net in
-  (Route.table_size tbl, As_path.table_size (Route.path_table tbl))
+let table_sizes net = (Par_net.routes_interned net, Par_net.paths_interned net)
 
 let assert_ribs_interned net =
-  for node = 0 to Network.num_routers net - 1 do
-    let r = Network.router net node in
+  for node = 0 to Rfd_topology.Graph.num_nodes (Par_net.graph net) - 1 do
+    let r = Par_net.router net node in
     List.iter
       (fun prefix ->
         (match Router.best r prefix with
@@ -141,16 +139,15 @@ let test_churn_no_leak () =
   let config =
     Config.with_damping Rfd_damping.Params.cisco { Config.default with Config.mrai = 2. }
   in
-  let sim = Sim.create () in
-  let net = Network.create ~config sim graph in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  run_churn_episode net sim;
+  let net = Fixture.create ~config graph in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  run_churn_episode net;
   let routes1, paths1 = table_sizes net in
   Alcotest.(check bool) "churn observed some paths" true (routes1 > 0 && paths1 > 0);
-  run_churn_episode net sim;
+  run_churn_episode net;
   let routes2, paths2 = table_sizes net in
-  run_churn_episode net sim;
+  run_churn_episode net;
   let routes3, paths3 = table_sizes net in
   (* The first episode may discover exploration paths the initial
      convergence never produced; after that the route universe is closed,
@@ -164,16 +161,15 @@ let test_restart_reuses_ids () =
      table: restarting every non-origin router one by one must not grow
      the table once the universe is closed. *)
   let graph = Rfd_topology.Builders.line 4 in
-  let sim = Sim.create () in
-  let net = Network.create ~config:Config.default sim graph in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = Fixture.create graph in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let cycle () =
     for node = 1 to 3 do
-      let t0 = Sim.now sim +. 1. in
-      Network.schedule_crash net ~at:t0 node;
-      Network.schedule_restart net ~at:(t0 +. 30.) node;
-      Network.run net
+      let t0 = Par_net.now net +. 1. in
+      Par_net.schedule_crash net ~at:t0 node;
+      Par_net.schedule_restart net ~at:(t0 +. 30.) node;
+      Fixture.run net
     done
   in
   cycle ();
@@ -182,7 +178,7 @@ let test_restart_reuses_ids () =
   let routes2, paths2 = table_sizes net in
   Alcotest.(check int) "routes stable across restart cycles" routes1 routes2;
   Alcotest.(check int) "paths stable across restart cycles" paths1 paths2;
-  Alcotest.(check bool) "network converged" true (Network.converged net p0);
+  Alcotest.(check bool) "network converged" true (Par_net.converged net p0);
   assert_ribs_interned net
 
 let suite =

@@ -4,6 +4,7 @@
 
 open Rfd_bgp
 module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Graph = Rfd_topology.Graph
 
@@ -18,55 +19,52 @@ let fast_config =
     mrai_jitter = (1.0, 1.0);
   }
 
-let make ?(config = fast_config) ?policy graph =
-  let sim = Sim.create () in
-  let net = Network.create ?policy ~config sim graph in
-  (sim, net)
+let make ?(config = fast_config) ?policy graph = Fixture.create ?policy ~config graph
 
 let path_of net node prefix =
-  match Router.best (Network.router net node) prefix with
+  match Router.best (Par_net.router net node) prefix with
   | Some route -> Some (As_path.to_list (Route.path route))
   | None -> None
 
 let test_line_propagation () =
-  let _, net = make (Builders.line 4) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make (Builders.line 4) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "self route empty path" (Some []) (path_of net 0 p0);
   Alcotest.(check (option (list int))) "one hop" (Some [ 0 ]) (path_of net 1 p0);
   Alcotest.(check (option (list int))) "two hops" (Some [ 1; 0 ]) (path_of net 2 p0);
   Alcotest.(check (option (list int))) "three hops" (Some [ 2; 1; 0 ]) (path_of net 3 p0);
-  Alcotest.(check int) "all reachable" 4 (Network.reachable_count net p0);
-  Alcotest.(check bool) "converged" true (Network.converged net p0)
+  Alcotest.(check int) "all reachable" 4 (Par_net.reachable_count net p0);
+  Alcotest.(check bool) "converged" true (Par_net.converged net p0)
 
 let test_withdrawal_propagation () =
-  let _, net = make (Builders.line 4) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  Network.withdraw net ~node:0 p0;
-  Network.run net;
-  Alcotest.(check int) "no route anywhere" 0 (Network.reachable_count net p0);
-  Alcotest.(check bool) "converged empty" true (Network.converged net p0)
+  let net = make (Builders.line 4) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  Par_net.withdraw net ~node:0 p0;
+  Fixture.run net;
+  Alcotest.(check int) "no route anywhere" 0 (Par_net.reachable_count net p0);
+  Alcotest.(check bool) "converged empty" true (Par_net.converged net p0)
 
 let test_shortest_path_selection () =
   (* 0 - 1 - 3 and 0 - 2 - 3 plus direct 0 - 3: node 3 must use the direct
      link; drop it and 3 must use a 2-hop path. *)
   let g = Graph.of_edges ~num_nodes:4 [ (0, 1); (1, 3); (0, 2); (2, 3); (0, 3) ] in
-  let _, net = make g in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make g in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "direct" (Some [ 0 ]) (path_of net 3 p0);
-  Network.fail_link net 0 3;
-  Network.run net;
+  Fixture.fail_link net 0 3;
+  Fixture.run net;
   (* both 2-hop paths tie on length; lowest peer id (1) wins *)
   Alcotest.(check (option (list int))) "reroute via 1" (Some [ 1; 0 ]) (path_of net 3 p0)
 
 let test_ring_convergence_no_loops () =
-  let _, net = make (Builders.ring 6) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make (Builders.ring 6) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   for node = 0 to 5 do
-    match Router.best (Network.router net node) p0 with
+    match Router.best (Par_net.router net node) p0 with
     | None -> Alcotest.failf "node %d unreachable" node
     | Some route ->
         Alcotest.(check bool)
@@ -89,33 +87,33 @@ let test_path_exploration_on_withdrawal () =
   in
   (* tiny MRAI so exploration is serialised but fast *)
   let config = { fast_config with Config.mrai = 0.5 } in
-  let sim, net = make ~config g in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config g in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let to_y = ref 0 in
-  (Network.hooks net).Hooks.on_deliver <-
+  (Par_net.bus net).Hooks.on_deliver <-
     (fun ~time:_ ~src ~dst _ -> if src = 3 && dst = 5 then incr to_y);
-  ignore (Sim.schedule sim ~delay:1. (fun _ -> Network.withdraw net ~node:0 p0));
-  Network.run net;
+  Par_net.schedule_withdraw net ~at:(Par_net.now net +. 1.) ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check bool) "Y saw several updates for one flap" true (!to_y >= 2);
-  Alcotest.(check int) "finally unreachable" 0 (Network.reachable_count net p0)
+  Alcotest.(check int) "finally unreachable" 0 (Par_net.reachable_count net p0)
 
 let test_mrai_rate_limits () =
   let count_updates mrai =
     let config = { fast_config with Config.mrai } in
-    let sim, net = make ~config (Builders.line 3) in
-    Network.originate net ~node:0 p0;
-    Network.run net;
+    let net = make ~config (Builders.line 3) in
+    Par_net.originate net ~node:0 p0;
+    Fixture.run net;
     let n = ref 0 in
-    (Network.hooks net).Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr n);
+    (Par_net.bus net).Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr n);
     (* rapid flapping: 6 events 0.1 s apart *)
     for i = 0 to 2 do
-      let base = Sim.now sim +. 1. +. (0.2 *. float_of_int i) in
-      Network.schedule_withdraw net ~at:base ~node:0 p0;
-      Network.schedule_originate net ~at:(base +. 0.1) ~node:0 p0
+      let base = Par_net.now net +. 1. +. (0.2 *. float_of_int i) in
+      Par_net.schedule_withdraw net ~at:base ~node:0 p0;
+      Par_net.schedule_originate net ~at:(base +. 0.1) ~node:0 p0
     done;
-    Network.run net;
-    (!n, Network.reachable_count net p0)
+    Fixture.run net;
+    (!n, Par_net.reachable_count net p0)
   in
   let without, reach0 = count_updates 0. in
   let with_mrai, reach1 = count_updates 10. in
@@ -127,50 +125,50 @@ let test_mrai_flush_delivers_final_state () =
   (* With a large MRAI, an announce-withdraw-announce burst must still end
      with every router holding the route (the pending update wins). *)
   let config = { fast_config with Config.mrai = 5. } in
-  let sim, net = make ~config (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  let base = Sim.now sim +. 0.5 in
-  Network.schedule_withdraw net ~at:base ~node:0 p0;
-  Network.schedule_originate net ~at:(base +. 0.05) ~node:0 p0;
-  ignore (Sim.schedule_at sim ~time:(base +. 0.1) (fun _ -> ()));
-  Network.run net;
-  Alcotest.(check int) "all reachable after flush" 3 (Network.reachable_count net p0);
-  Alcotest.(check bool) "converged" true (Network.converged net p0)
+  let net = make ~config (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let base = Par_net.now net +. 0.5 in
+  Par_net.schedule_withdraw net ~at:base ~node:0 p0;
+  Par_net.schedule_originate net ~at:(base +. 0.05) ~node:0 p0;
+  ignore (Sim.schedule_at (Fixture.sim net) ~time:(base +. 0.1) (fun _ -> ()));
+  Fixture.run net;
+  Alcotest.(check int) "all reachable after flush" 3 (Par_net.reachable_count net p0);
+  Alcotest.(check bool) "converged" true (Par_net.converged net p0)
 
 let test_link_failure_and_recovery () =
-  let _, net = make (Builders.ring 4) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make (Builders.ring 4) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "direct before" (Some [ 0 ]) (path_of net 1 p0);
-  Network.fail_link net 0 1;
-  Network.run net;
+  Fixture.fail_link net 0 1;
+  Fixture.run net;
   (* 1 must now go the long way round *)
   Alcotest.(check (option (list int))) "rerouted" (Some [ 2; 3; 0 ]) (path_of net 1 p0);
-  Alcotest.(check bool) "link reported down" false (Network.link_up net 0 1);
-  Network.restore_link net 0 1;
-  Network.run net;
+  Alcotest.(check bool) "link reported down" false (Network.link_up (Fixture.shard net) 0 1);
+  Fixture.restore_link net 0 1;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "direct restored" (Some [ 0 ]) (path_of net 1 p0);
-  Alcotest.(check bool) "converged after recovery" true (Network.converged net p0)
+  Alcotest.(check bool) "converged after recovery" true (Par_net.converged net p0)
 
 let test_partition_loses_routes () =
-  let _, net = make (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  Network.fail_link net 1 2;
-  Network.run net;
+  let net = make (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  Fixture.fail_link net 1 2;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "near side keeps route" (Some [ 0 ]) (path_of net 1 p0);
   Alcotest.(check (option (list int))) "far side loses route" None (path_of net 2 p0)
 
 let test_multi_prefix () =
   let p1 = Prefix.v 1 in
-  let _, net = make (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.originate net ~node:2 p1;
-  Network.run net;
+  let net = make (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Par_net.originate net ~node:2 p1;
+  Fixture.run net;
   Alcotest.(check (option (list int))) "p0 at 2" (Some [ 1; 0 ]) (path_of net 2 p0);
   Alcotest.(check (option (list int))) "p1 at 0" (Some [ 1; 2 ]) (path_of net 0 p1);
-  let known = Router.known_prefixes (Network.router net 1) in
+  let known = Router.known_prefixes (Par_net.router net 1) in
   Alcotest.(check int) "middle knows both" 2 (List.length known)
 
 let test_no_valley_blocks_transit () =
@@ -188,9 +186,9 @@ let test_no_valley_blocks_transit () =
         ((2, 3), Rfd_topology.Relations.Peer_peer);
       ]
   in
-  let _, net = make ~policy:(Policy.no_valley rel) g in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~policy:(Policy.no_valley rel) g in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check bool) "peer learns customer route" true (path_of net 2 p0 <> None);
   Alcotest.(check (option (list int))) "peer-of-peer blocked" None (path_of net 3 p0)
 
@@ -198,12 +196,12 @@ let test_sender_side_loop_avoidance () =
   (* In a triangle, node 1's best path to origin 0 is direct; it must not
      announce [1;0] back to 0, nor to 2 a path containing 2. Count updates:
      each of 1 and 2 announces its direct route to the other only. *)
-  let _, net = make (Builders.ring 3) in
+  let net = make (Builders.ring 3) in
   let sent = ref [] in
-  (Network.hooks net).Hooks.on_send <-
+  (Par_net.bus net).Hooks.on_send <-
     (fun ~time:_ ~src ~dst u -> sent := (src, dst, Update.is_withdrawal u) :: !sent);
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   List.iter
     (fun (src, dst, _) ->
       Alcotest.(check bool)
@@ -213,35 +211,35 @@ let test_sender_side_loop_avoidance () =
     !sent
 
 let test_converged_detects_fixpoint () =
-  let _, net = make (Builders.line 3) in
-  Alcotest.(check bool) "trivially converged" true (Network.converged net p0);
-  Network.originate net ~node:0 p0;
+  let net = make (Builders.line 3) in
+  Alcotest.(check bool) "trivially converged" true (Par_net.converged net p0);
+  Par_net.originate net ~node:0 p0;
   (* before running, messages are conceptually in flight *)
-  Network.run net;
-  Alcotest.(check bool) "converged after run" true (Network.converged net p0)
+  Fixture.run net;
+  Alcotest.(check bool) "converged after run" true (Par_net.converged net p0)
 
 let test_delivered_updates_released () =
   (* A message's update lives in its in-flight row only until delivery: a
      drained network holds none of the updates it sent. *)
-  let _, net = make (Builders.ring 5) in
+  let net = make (Builders.ring 5) in
   let sent = Weak.create 1024 and count = ref 0 in
-  (Network.hooks net).Hooks.on_send <-
+  (Par_net.bus net).Hooks.on_send <-
     (fun ~time:_ ~src:_ ~dst:_ update ->
       Weak.set sent !count (Some update);
       incr count);
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  Network.withdraw net ~node:0 p0;
-  Network.run net;
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  Par_net.withdraw net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check bool) "updates were sent" true (!count > 0);
-  Alcotest.(check int) "nothing in flight" 0 (Network.in_flight net);
+  Alcotest.(check int) "nothing in flight" 0 (Network.in_flight (Fixture.shard net));
   Gc.full_major ();
   for i = 0 to !count - 1 do
     Alcotest.(check bool) (Printf.sprintf "update %d collected" i) false (Weak.check sent i)
   done;
   (* The network itself is still live here, so its in-flight table was a
      root. *)
-  Alcotest.(check int) "network still live" 0 (Network.in_flight net)
+  Alcotest.(check int) "network still live" 0 (Network.in_flight (Fixture.shard net))
 
 let test_deliver_remote_refusal_leaves_nothing () =
   let sim = Sim.create () in
@@ -250,7 +248,7 @@ let test_deliver_remote_refusal_leaves_nothing () =
     Network.create ~ownership:(Array.make 2 true, ignore) ~config:fast_config sim graph
   in
   ignore (Sim.schedule_at sim ~time:5. ignore);
-  Network.run net;
+  Sim.run sim;
   let update = Update.withdraw p0 in
   let remote at =
     { Network.remote_eid = 0; remote_src = 0; remote_dst = 1; remote_at = at;
@@ -262,7 +260,7 @@ let test_deliver_remote_refusal_leaves_nothing () =
   Alcotest.(check int) "nothing in flight" 0 (Network.in_flight net);
   Network.deliver_remote net (remote 6.);
   Alcotest.(check int) "accepted delivery in flight" 1 (Network.in_flight net);
-  Network.run net;
+  Sim.run sim;
   Alcotest.(check int) "delivered" 0 (Network.in_flight net)
 
 let suite =

@@ -1,10 +1,10 @@
 (* Convergence-oracle tests: the pure classifier, the historical
-   Network.converged false positive (update parked in an MRAI pending queue
+   convergence-check false positive (update parked in an MRAI pending queue
    with zero messages in flight), and the stable-vs-quiet distinction while
    reuse timers are outstanding. *)
 
 open Rfd_bgp
-module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Params = Rfd_damping.Params
 
@@ -12,19 +12,18 @@ let p0 = Prefix.v 0
 
 let fast = { Config.default with Config.mrai = 0.; link_delay = 0.01; link_jitter = 0. }
 
-let make ?(config = fast) graph =
-  let sim = Sim.create () in
-  (sim, Network.create ~config sim graph)
+let make ?(config = fast) graph = Fixture.create ~config graph
 
-(* The pre-oracle Network.converged: Loc-RIB fixpoint + empty wire only,
+(* The pre-oracle convergence check: Loc-RIB fixpoint + empty wire only,
    blind to MRAI pending queues and timers. Kept here as the reference for
    the false-positive regression. *)
 let legacy_converged net prefix =
-  Network.in_flight net = 0
+  let shard = Fixture.shard net in
+  Network.in_flight shard = 0
   &&
   let ok = ref true in
-  for node = 0 to Network.num_routers net - 1 do
-    let r = Network.router net node in
+  for node = 0 to Network.num_routers shard - 1 do
+    let r = Par_net.router net node in
     let same =
       match (Router.best r prefix, Router.recompute_best r prefix) with
       | None, None -> true
@@ -76,61 +75,61 @@ let test_counts_arithmetic () =
    oracle refuses it. Deterministic: no jitter, fixed delays. *)
 let test_false_positive_mrai_pending () =
   let config = { fast with Config.mrai = 5.; mrai_jitter = (1.0, 1.0) } in
-  let _, net = make ~config (Builders.line 2) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   (* the initial announcement consumed the MRAI budget (deadline now+5) *)
-  Network.schedule_withdraw net ~at:1.0 ~node:0 p0;
-  Network.schedule_originate net ~at:1.2 ~node:0 p0;
+  Par_net.schedule_withdraw net ~at:1.0 ~node:0 p0;
+  Par_net.schedule_originate net ~at:1.2 ~node:0 p0;
   (* withdrawals are exempt from rate limiting: the W is sent and delivered;
      the re-announcement parks in the pending queue until the flush at the
      deadline. Stop the clock in that window. *)
-  Network.run ~until:2.5 net;
-  Alcotest.(check int) "wire is empty" 0 (Network.in_flight net);
-  let a = Network.activity net in
+  Fixture.run ~until:2.5 net;
+  Alcotest.(check int) "wire is empty" 0 (Network.in_flight (Fixture.shard net));
+  let a = Par_net.activity net in
   Alcotest.(check int) "one update parked" 1 a.Oracle.mrai_pending;
   Alcotest.(check int) "one flush armed" 1 a.Oracle.scheduled_flushes;
   Alcotest.(check bool) "legacy check claims convergence (the bug)" true
     (legacy_converged net p0);
-  Alcotest.(check bool) "oracle rejects it" false (Network.converged net p0);
-  Alcotest.check level "status is active" Oracle.Active (Network.status net p0);
+  Alcotest.(check bool) "oracle rejects it" false (Par_net.converged net p0);
+  Alcotest.check level "status is active" Oracle.Active (Par_net.status net p0);
   (* let the flush fire: now the network genuinely converges *)
-  Network.run net;
-  Alcotest.(check bool) "converged after flush" true (Network.converged net p0);
-  Alcotest.(check bool) "fully quiet after flush" true (Network.quiescent net p0);
+  Fixture.run net;
+  Alcotest.(check bool) "converged after flush" true (Par_net.converged net p0);
+  Alcotest.(check bool) "fully quiet after flush" true (Par_net.quiescent net p0);
   Alcotest.(check (option (list int))) "route delivered"
     (Some [ 0 ])
     (Option.map
        (fun r -> As_path.to_list (Route.path r))
-       (Router.best (Network.router net 1) p0))
+       (Router.best (Par_net.router net 1) p0))
 
 (* Stable vs quiet: while a suppressed entry's reuse timer is outstanding,
    routing is converged (stable) but the network is not quiet. *)
 let test_stable_vs_quiet_reuse_timer () =
   let config = Config.with_damping Params.cisco fast in
-  let _, net = make ~config (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   (* three flaps, 120 s apart, suppress the isp's entry (cisco params) *)
   for i = 0 to 2 do
     let base = 1. +. (120. *. float_of_int i) in
-    Network.schedule_withdraw net ~at:base ~node:0 p0;
-    Network.schedule_originate net ~at:(base +. 60.) ~node:0 p0
+    Par_net.schedule_withdraw net ~at:base ~node:0 p0;
+    Par_net.schedule_originate net ~at:(base +. 60.) ~node:0 p0
   done;
   (* run past the last flap but not to the reuse firing *)
-  Network.run ~until:400. net;
+  Fixture.run ~until:400. net;
   Alcotest.(check bool) "isp entry suppressed" true
-    (Router.is_suppressed (Network.router net 1) ~peer:0 p0);
-  let a = Network.activity net in
+    (Router.is_suppressed (Par_net.router net 1) ~peer:0 p0);
+  let a = Par_net.activity net in
   Alcotest.(check bool) "reuse timer outstanding" true (a.Oracle.reuse_timers > 0);
-  Alcotest.check level "stable, not quiet" Oracle.Stable (Network.status net p0);
-  Alcotest.(check bool) "converged (routing fixpoint)" true (Network.converged net p0);
-  Alcotest.(check bool) "not quiescent" false (Network.quiescent net p0);
+  Alcotest.check level "stable, not quiet" Oracle.Stable (Par_net.status net p0);
+  Alcotest.(check bool) "converged (routing fixpoint)" true (Par_net.converged net p0);
+  Alcotest.(check bool) "not quiescent" false (Par_net.quiescent net p0);
   (* drain the reuse timer: quiet, and the route is back *)
-  Network.run net;
-  Alcotest.check level "quiet at the end" Oracle.Quiet (Network.status net p0);
-  Alcotest.(check bool) "quiescent at the end" true (Network.quiescent net p0);
-  Alcotest.(check int) "all reachable again" 3 (Network.reachable_count net p0)
+  Fixture.run net;
+  Alcotest.check level "quiet at the end" Oracle.Quiet (Par_net.status net p0);
+  Alcotest.(check bool) "quiescent at the end" true (Par_net.quiescent net p0);
+  Alcotest.(check int) "all reachable again" 3 (Par_net.reachable_count net p0)
 
 (* Router-level introspection: per-peer counts sum to the router total.
    Hand-feed the hub of a star so it parks one announcement per spoke. *)
@@ -139,13 +138,13 @@ let test_peer_activity_sums () =
   let g =
     Rfd_topology.Graph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (1, 3) ]
   in
-  let _, net = make ~config g in
-  let r1 = Network.router net 1 in
+  let net = make ~config g in
+  let r1 = Par_net.router net 1 in
   let route path = Route.make ~prefix:p0 ~path:(As_path.of_list path) in
   (* first announcement: forwarded to spokes 2 and 3 right away, consuming
      their MRAI budgets *)
   Router.receive r1 ~from_peer:0 (Update.announce (route [ 0 ]));
-  Network.run ~until:1.0 net;
+  Fixture.run ~until:1.0 net;
   (* a withdraw (exempt) then an attribute change inside the MRAI window:
      the re-announcement parks for each spoke *)
   Router.receive r1 ~from_peer:0 (Update.withdraw p0);
@@ -167,11 +166,11 @@ let test_peer_activity_sums () =
     (Invalid_argument "Router 1: unknown peer 9") (fun () ->
       ignore (Router.peer_activity r1 ~peer:9));
   (* flushes drain and the network converges for good *)
-  Network.run net;
-  Alcotest.(check bool) "quiet after drain" true (Network.quiescent net p0);
+  Fixture.run net;
+  Alcotest.(check bool) "quiet after drain" true (Par_net.quiescent net p0);
   Alcotest.(check bool) "spokes learned the final route" true
-    (Router.best (Network.router net 2) p0 <> None
-    && Router.best (Network.router net 3) p0 <> None)
+    (Router.best (Par_net.router net 2) p0 <> None
+    && Router.best (Par_net.router net 3) p0 <> None)
 
 let suite =
   [

@@ -7,6 +7,8 @@ module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
 module Par_net = Rfd_experiment.Par_net
 module Collector = Rfd_experiment.Collector
+module Injector = Rfd_experiment.Injector
+module Sim = Rfd_engine.Sim
 open Rfd_bgp
 
 let small_mesh = Scenario.Mesh { rows = 3; cols = 3 }
@@ -242,6 +244,100 @@ let test_collector_ignores_tie_order () =
     (List.map (fun (t, router, _, _) -> (t, router)) log_a);
   Alcotest.(check bool) "reuse log ignores tie order" true (log_a = log_b)
 
+(* Driving the ensemble by hand, without Runner: a jittered, damped 4x4
+   mesh at [partitions]. *)
+let with_mesh ~partitions f =
+  let mesh = Rfd_topology.Builders.mesh ~rows:4 ~cols:4 in
+  let net = Par_net.create ~config:(fast_config ()) ~partitions mesh in
+  Fun.protect ~finally:(fun () -> Par_net.shutdown net) (fun () -> f net)
+
+let pending net =
+  let counts = ref [] in
+  Par_net.iter_nets net (fun shard -> counts := Sim.pending (Network.sim shard) :: !counts);
+  List.rev !counts
+
+let test_refused_schedule_touches_nothing () =
+  with_mesh ~partitions:2 @@ fun net ->
+  let prefix = Prefix.v 0 in
+  Par_net.originate net ~node:5 prefix;
+  ignore (Par_net.drive net);
+  (* The partition clocks stop at each one's last event, so one lags
+     [now]; a time between them is in the past for the ensemble. *)
+  let lagging = ref infinity in
+  Par_net.iter_nets net (fun shard ->
+      lagging := Float.min !lagging (Sim.now (Network.sim shard)));
+  let now = Par_net.now net in
+  Alcotest.(check bool) "one partition clock lags now" true (!lagging < now);
+  let at = (!lagging +. now) /. 2. in
+  let before = pending net in
+  let refused label schedule =
+    match schedule () with
+    | () -> Alcotest.failf "%s accepted a time before now" label
+    | exception Invalid_argument _ -> ()
+  in
+  let node_in part =
+    let rec find node = if Par_net.part_of net node = part then node else find (node + 1) in
+    find 0
+  in
+  List.iter
+    (fun part ->
+      let node = node_in part in
+      let label op = Printf.sprintf "%s at node %d (partition %d)" op node part in
+      refused (label "schedule_originate") (fun () ->
+          Par_net.schedule_originate net ~at ~node prefix);
+      refused (label "schedule_withdraw") (fun () ->
+          Par_net.schedule_withdraw net ~at ~node prefix);
+      refused (label "schedule_crash") (fun () -> Par_net.schedule_crash net ~at node);
+      refused (label "schedule_restart") (fun () -> Par_net.schedule_restart net ~at node))
+    [ 0; 1 ];
+  refused "schedule_fail_link" (fun () -> Par_net.schedule_fail_link net ~at 0 1);
+  refused "schedule_restore_link" (fun () -> Par_net.schedule_restore_link net ~at 0 1);
+  refused "NaN time" (fun () -> Par_net.schedule_fail_link net ~at:Float.nan 0 1);
+  Alcotest.(check (list int)) "no partition's queue changed" before (pending net);
+  Par_net.schedule_fail_link net ~at:now 0 1;
+  Alcotest.(check (list int)) "a broadcast at now lands in every partition"
+    (List.map succ before) (pending net)
+
+(* One script, driven through Par_net's own operations and the injector,
+   must end in the same state at every partition count. *)
+let hand_driven ~partitions =
+  with_mesh ~partitions @@ fun net ->
+  let prefixes = [ Prefix.v 0; Prefix.v 1 ] in
+  Par_net.originate net ~node:0 (Prefix.v 0);
+  Par_net.originate net ~node:15 (Prefix.v 1);
+  ignore (Par_net.drive net);
+  let t = Par_net.now net in
+  Par_net.schedule_withdraw net ~at:(t +. 1.) ~node:0 (Prefix.v 0);
+  Par_net.schedule_originate net ~at:(t +. 3.) ~node:0 (Prefix.v 0);
+  Par_net.schedule_fail_link net ~at:(t +. 2.) 5 6;
+  Par_net.schedule_restore_link net ~at:(t +. 8.) 5 6;
+  Par_net.schedule_crash net ~at:(t +. 4.) 10;
+  Par_net.schedule_restart net ~at:(t +. 12.) 10;
+  Injector.install ~start:(t +. 1.) (chaos_faults ()) net;
+  ignore (Par_net.drive net);
+  let path_at node prefix =
+    Option.map
+      (fun route -> As_path.to_list (Route.path route))
+      (Router.best (Par_net.router net node) prefix)
+  in
+  ( List.map (fun prefix -> List.init 16 (fun node -> path_at node prefix)) prefixes,
+    List.map (Par_net.reachable_count net) prefixes,
+    List.map (Par_net.status net) prefixes,
+    Par_net.sim_events net )
+
+let test_hand_driven_invariant () =
+  let routes1, reach1, status1, events1 = hand_driven ~partitions:1 in
+  Alcotest.(check bool) "some routes survive" true (List.exists (fun r -> r > 0) reach1);
+  List.iter
+    (fun partitions ->
+      let routes, reach, status, events = hand_driven ~partitions in
+      let label what = Printf.sprintf "%s: partitions=1 vs %d" what partitions in
+      Alcotest.(check bool) (label "best routes") true (routes1 = routes);
+      Alcotest.(check (list int)) (label "reachable counts") reach1 reach;
+      Alcotest.(check bool) (label "oracle status") true (status1 = status);
+      Alcotest.(check int) (label "corrected events") events1 events)
+    [ 2; 3 ]
+
 (* Random scenarios: any connected topology, seed, damping mode and pulse
    count must stay partition-invariant. *)
 let prop_random_identity =
@@ -278,5 +374,9 @@ let suite =
       test_single_partition_hooks_are_the_bus;
     Alcotest.test_case "collector ignores same-instant order" `Quick
       test_collector_ignores_tie_order;
+    Alcotest.test_case "refused schedule touches no partition" `Quick
+      test_refused_schedule_touches_nothing;
+    Alcotest.test_case "hand-driven Par_net is partition-invariant" `Quick
+      test_hand_driven_invariant;
     QCheck_alcotest.to_alcotest prop_random_identity;
   ]

@@ -2,7 +2,7 @@
    protocol-level invariants that must hold for every run. *)
 
 open Rfd_bgp
-module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Rng = Rfd_engine.Rng
 module RG = Rfd_topology.Random_graphs
 
@@ -37,37 +37,36 @@ let run_random ~seed ~pulses ~damping ~mode =
   let config =
     if damping then Config.with_damping ~mode Rfd_damping.Params.cisco base else base
   in
-  let sim = Sim.create () in
-  let net = Network.create ~config sim graph in
+  let net = Fixture.create ~config graph in
   let sent = ref 0 and delivered = ref 0 and suppressions = ref 0 and reuses = ref 0 in
-  let h = Network.hooks net in
+  let h = Par_net.bus net in
   h.Hooks.on_send <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr sent);
   h.Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr delivered);
   h.Hooks.on_suppress <- (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ -> incr suppressions);
   h.Hooks.on_reuse <- (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ ~noisy:_ -> incr reuses);
   let origin = Rng.int rng n in
-  Network.originate net ~node:origin p0;
-  Network.run net;
-  let t0 = Sim.now sim +. 1. in
+  Par_net.originate net ~node:origin p0;
+  Fixture.run net;
+  let t0 = Par_net.now net +. 1. in
   let interval = 20. +. Rng.float rng 100. in
   for i = 0 to pulses - 1 do
     let base_t = t0 +. (2. *. float_of_int i *. interval) in
-    Network.schedule_withdraw net ~at:base_t ~node:origin p0;
-    Network.schedule_originate net ~at:(base_t +. interval) ~node:origin p0
+    Par_net.schedule_withdraw net ~at:base_t ~node:origin p0;
+    Par_net.schedule_originate net ~at:(base_t +. interval) ~node:origin p0
   done;
-  Network.run net;
+  Fixture.run net;
   let still_suppressed = ref 0 in
   for node = 0 to n - 1 do
-    still_suppressed := !still_suppressed + Router.suppressed_count (Network.router net node)
+    still_suppressed := !still_suppressed + Router.suppressed_count (Par_net.router net node)
   done;
   {
     sent = !sent;
     delivered = !delivered;
     suppressions = !suppressions;
     reuses = !reuses;
-    reachable = Network.reachable_count net p0;
+    reachable = Par_net.reachable_count net p0;
     nodes = n;
-    fixpoint = Network.converged net p0;
+    fixpoint = Par_net.converged net p0;
     still_suppressed = !still_suppressed;
   }
 

@@ -10,7 +10,7 @@
    which is what the ablation-reuse-tick experiment documents. *)
 
 open Rfd_bgp
-module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Params = Rfd_damping.Params
 module Scenario = Rfd_experiment.Scenario
@@ -32,21 +32,20 @@ let line_config reuse =
    router 1's first reuse fired, if any. [flaps] are (withdraw, announce)
    offsets from a common start. *)
 let first_reuse ~reuse ~flaps =
-  let sim = Sim.create () in
-  let net = Network.create ~config:(line_config reuse) sim (Builders.line 2) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = Fixture.create ~config:(line_config reuse) (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let reuse_at = ref None in
-  (Network.hooks net).Hooks.on_reuse <-
+  (Par_net.bus net).Hooks.on_reuse <-
     (fun ~time ~router ~peer:_ ~prefix:_ ~noisy:_ ->
       if !reuse_at = None && router = 1 then reuse_at := Some time);
-  let t0 = Sim.now sim +. 1. in
+  let t0 = Par_net.now net +. 1. in
   List.iter
     (fun (w, a) ->
-      Network.schedule_withdraw net ~at:(t0 +. w) ~node:0 p0;
-      Network.schedule_originate net ~at:(t0 +. a) ~node:0 p0)
+      Par_net.schedule_withdraw net ~at:(t0 +. w) ~node:0 p0;
+      Par_net.schedule_originate net ~at:(t0 +. a) ~node:0 p0)
     flaps;
-  Network.run net;
+  Fixture.run net;
   !reuse_at
 
 let prop_tick_reuse_within_one_tick =

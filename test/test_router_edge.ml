@@ -4,36 +4,35 @@
 
 open Rfd_bgp
 module Sim = Rfd_engine.Sim
+module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 
 let p0 = Prefix.v 0
 
 let fast = { Config.default with Config.mrai = 0.; link_delay = 0.01; link_jitter = 0. }
 
-let make ?(config = fast) graph =
-  let sim = Sim.create () in
-  (sim, Network.create ~config sim graph)
+let make ?(config = fast) graph = Fixture.create ~config graph
 
 let count_deliveries net =
   let n = ref 0 in
-  (Network.hooks net).Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr n);
+  (Par_net.bus net).Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr n);
   n
 
 let test_duplicate_originate_is_noop () =
-  let _, net = make (Builders.line 2) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let n = count_deliveries net in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check int) "no messages for duplicate originate" 0 !n
 
 let test_spurious_withdraw_is_noop () =
-  let _, net = make (Builders.line 2) in
+  let net = make (Builders.line 2) in
   let n = count_deliveries net in
   (* withdrawing a prefix never originated: nothing must happen *)
-  Network.withdraw net ~node:0 p0;
-  Network.run net;
+  Par_net.withdraw net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check int) "no messages" 0 !n
 
 let test_duplicate_announcement_no_penalty () =
@@ -41,22 +40,22 @@ let test_duplicate_announcement_no_penalty () =
      charge the penalty for the duplicate. We force a duplicate by failing
      and restoring an unrelated link, triggering a full re-advertisement. *)
   let config = Config.with_damping Rfd_damping.Params.cisco fast in
-  let _, net = make ~config (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = make ~config (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check (float 0.)) "no penalty initially" 0.
-    (Router.penalty (Network.router net 1) ~peer:0 p0);
+    (Router.penalty (Par_net.router net 1) ~peer:0 p0);
   (* session flap on (1,2) makes 1 re-advertise to 2; 2's entry already
      held the same route, so the withdrawal (session down) counts but the
      identical re-announcement after peer_up counts as re-announcement. *)
-  Network.fail_link net 1 2;
-  Network.run net;
-  Network.restore_link net 1 2;
-  Network.run net;
+  Fixture.fail_link net 1 2;
+  Fixture.run net;
+  Fixture.restore_link net 1 2;
+  Fixture.run net;
   (* entry at 1 for peer 0 was never touched: still zero *)
   Alcotest.(check (float 0.)) "unrelated entry untouched" 0.
-    (Router.penalty (Network.router net 1) ~peer:0 p0);
-  Alcotest.(check int) "all reachable" 3 (Network.reachable_count net p0)
+    (Router.penalty (Par_net.router net 1) ~peer:0 p0);
+  Alcotest.(check int) "all reachable" 3 (Par_net.reachable_count net p0)
 
 let test_withdrawal_rate_limiting () =
   (* With withdrawal rate limiting on, a W-A-W burst inside one MRAI window
@@ -66,16 +65,16 @@ let test_withdrawal_rate_limiting () =
     let config =
       { fast with Config.mrai = 5.; withdrawal_rate_limiting = limiting }
     in
-    let sim, net = make ~config (Builders.line 2) in
-    Network.originate net ~node:0 p0;
-    Network.run net;
+    let net = make ~config (Builders.line 2) in
+    Par_net.originate net ~node:0 p0;
+    Fixture.run net;
     let n = count_deliveries net in
-    let t = Sim.now sim +. 0.5 in
-    Network.schedule_withdraw net ~at:t ~node:0 p0;
-    Network.schedule_originate net ~at:(t +. 0.1) ~node:0 p0;
-    Network.schedule_withdraw net ~at:(t +. 0.2) ~node:0 p0;
-    Network.run net;
-    (!n, Router.best (Network.router net 1) p0)
+    let t = Par_net.now net +. 0.5 in
+    Par_net.schedule_withdraw net ~at:t ~node:0 p0;
+    Par_net.schedule_originate net ~at:(t +. 0.1) ~node:0 p0;
+    Par_net.schedule_withdraw net ~at:(t +. 0.2) ~node:0 p0;
+    Fixture.run net;
+    (!n, Router.best (Par_net.router net 1) p0)
   in
   let unlimited, final_route_a = run false in
   let limited, final_route_b = run true in
@@ -86,26 +85,26 @@ let test_withdrawal_rate_limiting () =
 
 let test_session_restart_readvertises () =
   let p1 = Prefix.v 1 in
-  let _, net = make (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.originate net ~node:0 p1;
-  Network.run net;
-  Network.fail_link net 0 1;
-  Network.run net;
+  let net = make (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Par_net.originate net ~node:0 p1;
+  Fixture.run net;
+  Fixture.fail_link net 0 1;
+  Fixture.run net;
   Alcotest.(check bool) "both lost" true
-    (Router.best (Network.router net 2) p0 = None
-    && Router.best (Network.router net 2) p1 = None);
-  Network.restore_link net 0 1;
-  Network.run net;
+    (Router.best (Par_net.router net 2) p0 = None
+    && Router.best (Par_net.router net 2) p1 = None);
+  Fixture.restore_link net 0 1;
+  Fixture.run net;
   Alcotest.(check bool) "both prefixes re-learned" true
-    (Router.best (Network.router net 2) p0 <> None
-    && Router.best (Network.router net 2) p1 <> None)
+    (Router.best (Par_net.router net 2) p0 <> None
+    && Router.best (Par_net.router net 2) p1 <> None)
 
 let test_loop_detected_announce_treated_as_withdraw () =
   (* Hand-feed router 1 (peered with 0 in a 2-line) an announcement whose
      path contains 1 itself: it must not install it. *)
-  let _, net = make (Builders.line 2) in
-  let r1 = Network.router net 1 in
+  let net = make (Builders.line 2) in
+  let r1 = Par_net.router net 1 in
   let looped =
     Update.announce (Route.make ~prefix:p0 ~path:(As_path.of_list [ 0; 1; 5 ]))
   in
@@ -114,17 +113,17 @@ let test_loop_detected_announce_treated_as_withdraw () =
   Alcotest.(check bool) "rib-in empty too" true (Router.rib_in_route r1 ~peer:0 p0 = None)
 
 let test_rib_accessors () =
-  let _, net = make (Builders.line 3) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  let r1 = Network.router net 1 in
+  let net = make (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let r1 = Par_net.router net 1 in
   Alcotest.(check (list int)) "peer ids" [ 0; 2 ] (Router.peer_ids r1);
   Alcotest.(check int) "id" 1 (Router.id r1);
-  Alcotest.(check bool) "originates" true (Router.originates (Network.router net 0) p0);
+  Alcotest.(check bool) "originates" true (Router.originates (Par_net.router net 0) p0);
   Alcotest.(check bool) "does not originate" false (Router.originates r1 p0);
   Alcotest.(check (option int)) "best peer" (Some 0) (Router.best_peer r1 p0);
   Alcotest.(check (option int)) "origin best peer none" None
-    (Router.best_peer (Network.router net 0) p0);
+    (Router.best_peer (Par_net.router net 0) p0);
   (match Router.rib_in_route r1 ~peer:0 p0 with
   | Some route -> Alcotest.(check int) "rib-in path" 1 (Route.path_length route)
   | None -> Alcotest.fail "rib-in entry expected");
@@ -146,10 +145,10 @@ let test_connect_validation () =
 
 let test_facade_conveniences () =
   Alcotest.(check bool) "version non-empty" true (String.length Rfd.version > 0);
-  let sim, net = Rfd.quick_network (Builders.line 2) in
-  Rfd.Network.originate net ~node:0 p0;
-  Rfd.Network.run net;
-  Alcotest.(check bool) "quick_network works" true (Rfd.Sim.now sim > 0.);
+  let net = Rfd.Par_net.create ~config:Rfd.Config.default ~partitions:1 (Builders.line 2) in
+  Rfd.Par_net.originate net ~node:0 p0;
+  ignore (Rfd.Par_net.drive net);
+  Alcotest.(check bool) "Par_net drives a network" true (Rfd.Par_net.now net > 0.);
   Alcotest.(check bool) "cisco config damps" true
     (Rfd.cisco_damping_config.Config.damping <> None);
   Alcotest.(check bool) "rcn config mode" true
@@ -165,23 +164,23 @@ let test_per_peer_mrai_paces_across_prefixes () =
     let config =
       { fast with Config.mrai = 10.; mrai_per_peer = per_peer; mrai_jitter = (1.0, 1.0) }
     in
-    let sim, net = make ~config (Builders.line 2) in
+    let net = make ~config (Builders.line 2) in
     let p1 = Prefix.v 1 in
-    Network.originate net ~node:0 p0;
-    Network.originate net ~node:0 p1;
-    Network.run net;
+    Par_net.originate net ~node:0 p0;
+    Par_net.originate net ~node:0 p1;
+    Fixture.run net;
     (* burn the MRAI budget with a change, then change both prefixes *)
     let announce_times = ref [] in
-    (Network.hooks net).Hooks.on_deliver <-
+    (Par_net.bus net).Hooks.on_deliver <-
       (fun ~time ~src ~dst u ->
         if src = 0 && dst = 1 && not (Update.is_withdrawal u) then
           announce_times := time :: !announce_times);
-    let t = Sim.now sim +. 0.5 in
-    Network.schedule_withdraw net ~at:t ~node:0 p0;
-    Network.schedule_originate net ~at:(t +. 0.1) ~node:0 p0;
-    Network.schedule_withdraw net ~at:t ~node:0 p1;
-    Network.schedule_originate net ~at:(t +. 0.1) ~node:0 p1;
-    Network.run net;
+    let t = Par_net.now net +. 0.5 in
+    Par_net.schedule_withdraw net ~at:t ~node:0 p0;
+    Par_net.schedule_originate net ~at:(t +. 0.1) ~node:0 p0;
+    Par_net.schedule_withdraw net ~at:t ~node:0 p1;
+    Par_net.schedule_originate net ~at:(t +. 0.1) ~node:0 p1;
+    Fixture.run net;
     List.sort Float.compare !announce_times
   in
   (match run true with
@@ -196,16 +195,16 @@ let test_in_flight_messages_dropped_on_failure () =
   (* Fail a link while an update is in flight on it: the update must not be
      delivered after the failure. *)
   let config = { fast with Config.link_delay = 5. } in
-  let sim, net = make ~config (Builders.line 2) in
+  let net = make ~config (Builders.line 2) in
   let delivered = count_deliveries net in
-  Network.originate net ~node:0 p0;
+  Par_net.originate net ~node:0 p0;
   (* announcement to peer 1 is now in flight with 5 s delay; kill the link
      after 1 s *)
-  ignore (Sim.schedule sim ~delay:1. (fun _ -> Network.fail_link net 0 1));
-  Network.run net;
+  Par_net.schedule_fail_link net ~at:(Par_net.now net +. 1.) 0 1;
+  Fixture.run net;
   Alcotest.(check int) "in-flight update dropped" 0 !delivered;
   Alcotest.(check bool) "peer never learned route" true
-    (Router.best (Network.router net 1) p0 = None)
+    (Router.best (Par_net.router net 1) p0 = None)
 
 let suite =
   [

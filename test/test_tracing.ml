@@ -6,6 +6,7 @@ module Recorder = Rfd_experiment.Recorder
 module Runner = Rfd_experiment.Runner
 module Scenario = Rfd_experiment.Scenario
 module Protocol = Rfd_service.Protocol
+module Par_net = Rfd_experiment.Par_net
 open Rfd_bgp
 
 let p0 = Prefix.v 0
@@ -17,15 +18,13 @@ let topic line = String.trim (String.sub line 13 12)
 let topics lines = List.sort_uniq String.compare (List.map topic lines)
 let count_topic name lines = List.length (List.filter (fun l -> topic l = name) lines)
 
-let line_network ?(config = fast) () =
-  let sim = Rfd_engine.Sim.create () in
-  (sim, Network.create ~config sim (Rfd_topology.Builders.line 3))
+let line_network ?(config = fast) () = Fixture.create ~config (Rfd_topology.Builders.line 3)
 
 let test_records_protocol_events () =
-  let _, net = line_network () in
-  let transcript = Recorder.transcript ~limit:max_int (Network.hooks net) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = line_network () in
+  let transcript = Recorder.transcript ~limit:max_int (Par_net.bus net) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   let lines = transcript () in
   let seen = topics lines in
   Alcotest.(check bool) "sends traced" true (List.mem "send" seen);
@@ -36,12 +35,12 @@ let test_records_protocol_events () =
 
 let test_composes_with_collector () =
   (* collector first, transcript second: both must observe every delivery *)
-  let _, net = line_network () in
+  let net = line_network () in
   let collector = Rfd_experiment.Collector.create () in
-  Rfd_experiment.Collector.attach collector (Network.hooks net);
-  let transcript = Recorder.transcript ~limit:max_int (Network.hooks net) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  Rfd_experiment.Collector.attach collector (Par_net.bus net);
+  let transcript = Recorder.transcript ~limit:max_int (Par_net.bus net) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check bool) "collector saw messages" true
     (Rfd_experiment.Collector.update_count collector > 0);
   Alcotest.(check int) "transcript and collector agree"
@@ -49,30 +48,30 @@ let test_composes_with_collector () =
     (count_topic "deliver" (transcript ()))
 
 let test_damping_topics () =
-  let sim, net = line_network ~config:(Config.with_damping Rfd_damping.Params.cisco fast) () in
-  let transcript = Recorder.transcript ~limit:max_int (Network.hooks net) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
-  let t0 = Rfd_engine.Sim.now sim +. 1. in
+  let net = line_network ~config:(Config.with_damping Rfd_damping.Params.cisco fast) () in
+  let transcript = Recorder.transcript ~limit:max_int (Par_net.bus net) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let t0 = Par_net.now net +. 1. in
   for i = 0 to 3 do
-    Network.schedule_withdraw net ~at:(t0 +. (120. *. float_of_int i)) ~node:0 p0;
-    Network.schedule_originate net ~at:(t0 +. (120. *. float_of_int i) +. 60.) ~node:0 p0
+    Par_net.schedule_withdraw net ~at:(t0 +. (120. *. float_of_int i)) ~node:0 p0;
+    Par_net.schedule_originate net ~at:(t0 +. (120. *. float_of_int i) +. 60.) ~node:0 p0
   done;
-  Network.run net;
+  Fixture.run net;
   let seen = topics (transcript ()) in
   List.iter
     (fun topic -> Alcotest.(check bool) (topic ^ " traced") true (List.mem topic seen))
     [ "penalty"; "suppress"; "reuse" ]
 
 let test_limit_zero_renders_nothing () =
-  let _, net = line_network () in
-  let transcript = Recorder.transcript ~limit:0 (Network.hooks net) in
-  Network.originate net ~node:0 p0;
-  Network.run net;
+  let net = line_network () in
+  let transcript = Recorder.transcript ~limit:0 (Par_net.bus net) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
   Alcotest.(check (list string)) "nothing rendered" [] (transcript ());
   Alcotest.check_raises "negative limit"
     (Invalid_argument "Recorder.transcript: limit must be >= 0") (fun () ->
-      let (_ : unit -> string list) = Recorder.transcript ~limit:(-1) (Network.hooks net) in
+      let (_ : unit -> string list) = Recorder.transcript ~limit:(-1) (Par_net.bus net) in
       ())
 
 let test_runner_observe () =
