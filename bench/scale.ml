@@ -35,6 +35,7 @@ type point = {
   paths_interned : int;
   peak_rss_kb : int;
   per_partition_events : int list;  (** raw executed events, per partition *)
+  layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
 }
 
 let run_point (opts : Context.opts) ~partitions n =
@@ -70,6 +71,7 @@ let run_point (opts : Context.opts) ~partitions n =
     paths_interned = stats.Runner.paths_interned_total;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
     per_partition_events = Array.to_list stats.Runner.per_partition_events;
+    layers = stats.Runner.events_by_kind;
   }
 
 let point_to_json p =
@@ -87,6 +89,7 @@ let point_to_json p =
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
       ( "per_partition_events",
         Json.List (List.map (fun e -> Json.Int e) p.per_partition_events) );
+      ("layers", Host.layers_to_json p.layers);
     ]
 
 let to_json ~quick ~seed ~partitions points =
@@ -96,6 +99,7 @@ let to_json ~quick ~seed ~partitions points =
       ("experiment", Json.String "scale");
       ("scale", Json.String (if quick then "quick" else "paper"));
       ("seed", Json.Int seed);
+      ("host", Host.to_json ());
       ("partitions", Json.Int partitions);
       ("points", Json.List (List.map point_to_json points));
     ]

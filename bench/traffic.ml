@@ -33,6 +33,7 @@ type point = {
   events_per_sec : float;
   message_count : int;
   peak_rss_kb : int;
+  layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
 }
 
 let run_point (opts : Context.opts) (background, flappers) =
@@ -52,7 +53,7 @@ let run_point (opts : Context.opts) (background, flappers) =
         (Scenario.Flappers { count = flappers; flaps; mean_gap; alpha; seed = 1 })
       (Scenario.Mesh { rows = 3; cols = 3 })
   in
-  let result = Runner.run scenario in
+  let result, stats = Runner.run_partitioned ~partitions:1 scenario in
   let wall = result.Runner.wall_seconds in
   {
     background;
@@ -64,6 +65,7 @@ let run_point (opts : Context.opts) (background, flappers) =
       (if wall > 0. then float_of_int result.Runner.sim_events /. wall else 0.);
     message_count = result.Runner.message_count;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
+    layers = stats.Runner.events_by_kind;
   }
 
 let point_to_json p =
@@ -78,6 +80,7 @@ let point_to_json p =
       ("events_per_sec", Json.Float p.events_per_sec);
       ("messages", Json.Int p.message_count);
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
+      ("layers", Host.layers_to_json p.layers);
     ]
 
 let to_json ~quick ~seed points =
@@ -87,6 +90,7 @@ let to_json ~quick ~seed points =
       ("experiment", Json.String "traffic");
       ("scale", Json.String (if quick then "quick" else "paper"));
       ("seed", Json.Int seed);
+      ("host", Host.to_json ());
       ("points", Json.List (List.map point_to_json points));
     ]
 

@@ -286,9 +286,11 @@ let max_sim_time_arg =
   in
   Arg.(value & opt (some float) None & info [ "max-sim-time" ] ~docv:"SECONDS" ~doc)
 
-let budget_term =
+(* An invalid limit is refused input, like any other: exit 1. *)
+let budget_term cmd =
   let make max_events max_sim_time =
-    Rfd.Runner.budget ?max_events ?max_sim_time ()
+    try Rfd.Runner.budget ?max_events ?max_sim_time ()
+    with Invalid_argument msg -> die cmd "%s" msg
   in
   Term.(const make $ max_events_arg $ max_sim_time_arg)
 
@@ -358,7 +360,11 @@ let pp_par_stats s =
   Format.printf "partitions: %d (cut edges %d, epochs %d, per-partition events %s)@."
     s.Rfd.Runner.partitions s.Rfd.Runner.cut_edges s.Rfd.Runner.epochs
     (String.concat "/"
-       (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events)))
+       (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events)));
+  let k = s.Rfd.Runner.events_by_kind in
+  Format.printf "events by kind: delivery=%d flush=%d reuse=%d wheel=%d closure=%d@."
+    k.Rfd.Network.deliveries k.Rfd.Network.flushes k.Rfd.Network.reuses k.Rfd.Network.wheels
+    k.Rfd.Network.closures
 
 let probe_arg =
   let doc = "Trace penalties at the first router at this hop distance from the origin." in
@@ -432,7 +438,7 @@ let run_cmd =
   let doc = "run one flap scenario and report metrics" in
   Cmd.v (Cmd.info "run" ~doc ~man:exit_doc)
     Term.(
-      const action $ spec_term pulses_arg $ probe_arg $ transcript_arg $ budget_term
+      const action $ spec_term pulses_arg $ probe_arg $ transcript_arg $ budget_term "run"
       $ faults_term $ partitions_arg $ print_digest_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -558,7 +564,8 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc ~man:exit_doc)
     Term.(
       const action $ spec_term (const d.Svc.pulses) $ max_pulses_arg $ jobs_arg
-      $ budget_term $ faults_term $ deadline_arg $ retries_arg $ journal_arg $ resume_arg)
+      $ budget_term "sweep" $ faults_term $ deadline_arg $ retries_arg $ journal_arg
+      $ resume_arg)
 
 (* ------------------------------------------------------------------ *)
 (* replay / trace-gen                                                  *)
@@ -621,7 +628,7 @@ let replay_cmd =
     Term.(
       const action $ trace_file_arg
       $ spec_term ~workload:(Term.const Fun.id) replay_pulses_arg
-      $ budget_term
+      $ budget_term "replay"
       $ partitions_arg $ print_digest_arg)
 
 let trace_gen_cmd =

@@ -46,8 +46,12 @@ let validate t =
   let lo, hi = t.mrai_jitter in
   if (not (Float.is_finite t.mrai)) || t.mrai < 0. then
     Error "mrai must be finite and non-negative"
+  else if not (Float.is_finite lo && Float.is_finite hi) then
+    Error "mrai_jitter bounds must be finite"
   else if lo <= 0. || hi < lo then Error "mrai_jitter must satisfy 0 < lo <= hi"
-  else if t.link_delay <= 0. then Error "link_delay must be positive"
+  else if not (t.link_delay > 0.) then Error "link_delay must be positive"
+  else if not (Float.is_finite t.link_delay) then Error "link_delay must be finite"
+  else if not (Float.is_finite t.link_jitter) then Error "link_jitter must be finite"
   else if t.link_jitter < 0. then Error "link_jitter must be non-negative"
   else if t.rcn_history <= 0 then Error "rcn_history must be positive"
   else if t.prefix_table_hint <= 0 then Error "prefix_table_hint must be positive"
@@ -79,6 +83,7 @@ let validate t =
             | Error e -> Error ("damping params: " ^ e)
             | Ok () -> (
                 match t.deployment with
-                | Fraction f when f < 0. || f > 1. -> Error "deployment fraction outside [0,1]"
+                | Fraction f when not (f >= 0. && f <= 1.) ->
+                    Error "deployment fraction outside [0,1]"
                 | _ -> Ok ()))
         | None, _ -> Ok ())

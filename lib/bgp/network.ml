@@ -2,17 +2,6 @@ module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
 module Graph = Rfd_topology.Graph
 
-type directed_link = {
-  mutable last_delivery : float; (* FIFO floor for this direction *)
-  mutable loss : float; (* fault-injected per-message loss probability *)
-  mutable duplication : float; (* fault-injected duplication probability *)
-}
-
-type link_state = {
-  mutable up : bool; (* administrative: not failed by fail_link *)
-  mutable epoch : int; (* bumped on failure to void in-flight messages *)
-}
-
 (* The in-flight table: one row per message on the wire, network-wide,
    holding the directed link slot, the sender-side link epoch and the update.
    A delivery event is a post of the row index on the network's delivery
@@ -37,7 +26,23 @@ type remote = {
   remote_update : Update.t;
 }
 
-(* Transport randomness is per directed link: each link draws delay jitter
+type event_counts = {
+  deliveries : int;
+  flushes : int;
+  reuses : int;
+  wheels : int;
+  closures : int;
+}
+
+(* Link state is columns indexed by the graph's stable edge ids: [up] and
+   [epoch] per undirected link, and the transport state per directed link
+   at slot [2*eid + dir], with [dir = 0] for the min->max direction — the
+   slot the in-flight table, the routers' sessions and their timer posts
+   name a link by. A directed link owns no heap block: its FIFO floor,
+   loss and duplication are unboxed floats and its delay and fault streams
+   8-byte SplitMix64 states.
+
+   Transport randomness is per directed link: each link draws delay jitter
    and loss/duplication from its own seed-derived streams, so the draws a
    link sees depend only on that link's own send sequence, never on how
    sends interleave across links. That is what makes a partitioned run
@@ -55,29 +60,42 @@ type t = {
   emit : remote -> unit; (* cross-partition outbox *)
   routers_up : bool array; (* false while crashed *)
   damping_deployed : bool array;
-  links : link_state array; (* indexed by Graph edge id *)
-  directed : directed_link array; (* 2*eid + (0 if src < dst else 1) *)
+  up : Bytes.t; (* by edge id: administratively up (not failed by fail_link) *)
+  epoch : int array; (* by edge id: bumped on failure to void in-flight messages *)
+  floor : Float.Array.t; (* by slot: last delivery time, the FIFO floor *)
+  loss : Float.Array.t; (* by slot: fault-injected per-message loss probability *)
+  duplication : Float.Array.t; (* by slot: fault-injected duplication probability *)
+  delay_streams : Rng.column; (* by slot: jitter draws *)
+  mutable fault_streams : Rng.column; (* by slot; empty until set_degradation *)
   wire : wire;
   deliver_on : Sim.channel; (* posts a [wire] row to [deliver] *)
+  flush_on : Sim.channel;
+  reuse_on : Sim.channel;
+  wheel_on : Sim.channel;
   mutable in_flight : int;
 }
 
-(* Link state is held in dense arrays indexed by the graph's stable edge
-   ids: [links.(eid)] for the undirected administrative state, and
-   [directed.(2*eid + dir)] with [dir = 0] for the min->max direction. *)
 let edge_id_exn t u v =
   match Graph.edge_id t.graph u v with
   | Some eid -> eid
   | None -> invalid_arg (Printf.sprintf "Network: (%d,%d) is not a link" u v)
 
-let link_state_exn t u v = t.links.(edge_id_exn t u v)
 let directed_slot eid ~src ~dst = (2 * eid) + if src < dst then 0 else 1
-let directed_exn t ~src ~dst = t.directed.(directed_slot (edge_id_exn t src dst) ~src ~dst)
+let slot_exn t ~src ~dst = directed_slot (edge_id_exn t src dst) ~src ~dst
+
+(* The endpoints of a directed slot, without building a pair. *)
+let slot_src t slot =
+  let u, v = Graph.edge_endpoints t.graph (slot lsr 1) in
+  if slot land 1 = 0 then u else v
+
+let slot_dst t slot =
+  let u, v = Graph.edge_endpoints t.graph (slot lsr 1) in
+  if slot land 1 = 0 then v else u
 
 (* A link carries traffic only when it is administratively up and neither
    endpoint router is crashed. All up/down session transitions below are in
    terms of this predicate, so link faults and router crashes compose. *)
-let operational t ls u v = ls.up && t.routers_up.(u) && t.routers_up.(v)
+let operational t eid u v = Bytes.get t.up eid <> '\000' && t.routers_up.(u) && t.routers_up.(v)
 
 (* Session transitions touch only locally-owned routers; under partitioning
    every administrative event is replicated to all partitions, so the union
@@ -88,8 +106,8 @@ let peer_down_at t node ~peer =
 let peer_up_at t node ~peer =
   match t.routers.(node) with Some r -> Router.peer_up r ~peer | None -> ()
 
-let down_transition t ls u v =
-  ls.epoch <- ls.epoch + 1;
+let down_transition t eid u v =
+  t.epoch.(eid) <- t.epoch.(eid) + 1;
   peer_down_at t u ~peer:v;
   peer_down_at t v ~peer:u
 
@@ -118,11 +136,14 @@ let deployment_flags config rng n =
             nodes));
   flags
 
-(* Seed-derived per-directed-slot stream, decorrelated by slot with the
+(* Seed-derived per-directed-slot streams, decorrelated by slot with the
    SplitMix64 increment. Independent of the master split chain, so adding
    streams never perturbs router jitter. *)
-let stream_rng config ~salt slot =
-  Rng.create ((config.Config.seed lxor salt) + ((slot + 1) * 0x9E37_79B9))
+let streams config ~salt slots =
+  Rng.column slots ~seed:(fun slot -> (config.Config.seed lxor salt) + ((slot + 1) * 0x9E37_79B9))
+
+let delay_salt = 0x2d35_8dcc
+let fault_salt = 0x7fa9_1e55
 
 (* Called with the free list empty: chain the new rows onto it. *)
 let grow_wire w =
@@ -151,11 +172,9 @@ let deliver t row =
   w.w_update.(row) <- no_update;
   w.w_free <- row;
   t.in_flight <- t.in_flight - 1;
-  let eid = slot / 2 in
-  let ls = t.links.(eid) in
-  let u, v = Graph.edge_endpoints t.graph eid in
-  let src = if slot land 1 = 0 then u else v and dst = if slot land 1 = 0 then v else u in
-  if operational t ls src dst && ls.epoch = epoch then begin
+  let eid = slot lsr 1 in
+  let src = slot_src t slot and dst = slot_dst t slot in
+  if operational t eid src dst && t.epoch.(eid) = epoch then begin
     t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
     match t.routers.(dst) with
     | Some r -> Router.receive r ~from_peer:src update
@@ -175,66 +194,78 @@ let put_on_wire t ~at ~slot ~epoch update =
   w.w_update.(row) <- update;
   t.in_flight <- t.in_flight + 1
 
-(* The transport for direction src -> dst: sample a delay, keep per-direction
-   FIFO order, and drop the message if the link failed (or an endpoint
-   crashed) either before sending or while in flight (epoch check).
+let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < p
+
+(* One copy on directed link [slot]: sample a delay, keep per-direction
+   FIFO order, and stamp the sender-side epoch so a failure while in flight
+   drops it. When the destination belongs to another partition the
+   fully-timestamped message goes to the outbox instead of the local event
+   queue; its delivery time is at least link_delay beyond now, which is
+   exactly the lookahead the epoch engine runs with, so it can wait for the
+   barrier. *)
+let send_copy t slot ~src ~dst update =
+  if fault_draw t slot (Float.Array.get t.loss slot) then
+    t.hooks.Hooks.on_drop ~time:(Sim.now t.sim) ~src ~dst update
+  else begin
+    let jitter = t.config.Config.link_jitter in
+    let delay =
+      t.config.Config.link_delay
+      +. if jitter > 0. then Rng.column_float t.delay_streams slot jitter else 0.
+    in
+    let at = Float.max (Sim.now t.sim +. delay) (Float.Array.get t.floor slot +. 1e-9) in
+    Float.Array.set t.floor slot at;
+    let eid = slot lsr 1 in
+    let epoch = t.epoch.(eid) in
+    if t.owned.(dst) then put_on_wire t ~at ~slot ~epoch update
+    else
+      t.emit
+        {
+          remote_eid = eid;
+          remote_src = src;
+          remote_dst = dst;
+          remote_at = at;
+          remote_epoch = epoch;
+          remote_update = update;
+        }
+  end
+
+(* The transport, one function for every directed link: a message sent on
+   a failed link (or from or to a crashed router) is dropped.
 
    Fault injection happens here: a message may be duplicated (a second copy
    follows the first) and each copy is independently subject to loss. Every
    surviving copy goes through the same FIFO floor, so deliveries on a
-   directed link never reorder even under duplication. The fault RNG is only
-   consumed when the corresponding probability is non-zero, so fault-free
-   runs are bit-identical to runs on a build without fault injection.
+   directed link never reorder even under duplication. The fault streams
+   are drawn only when the corresponding probability is non-zero, so
+   fault-free runs are bit-identical to runs on a build without fault
+   injection. *)
+let transmit t slot update =
+  let src = slot_src t slot and dst = slot_dst t slot in
+  if operational t (slot lsr 1) src dst then begin
+    send_copy t slot ~src ~dst update;
+    if fault_draw t slot (Float.Array.get t.duplication slot) then begin
+      t.hooks.Hooks.on_duplicate ~time:(Sim.now t.sim) ~src ~dst update;
+      send_copy t slot ~src ~dst update
+    end
+  end
 
-   When the destination belongs to another partition the fully-timestamped
-   message goes to the outbox instead of the local event queue; its delivery
-   time is at least link_delay beyond now, which is exactly the lookahead
-   the epoch engine runs with, so it can wait for the barrier. *)
-let make_sender t src dst =
-  let eid = edge_id_exn t src dst in
-  let ls = t.links.(eid) in
-  let slot = directed_slot eid ~src ~dst in
-  let dl = t.directed.(slot) in
-  let delay_rng = stream_rng t.config ~salt:0x2d35_8dcc slot in
-  (* Fault draws happen only on degraded links, so most links never need
-     their fault stream; it is a pure function of (seed, slot), so creating
-     it on first use draws exactly what an eager stream would. *)
-  let fault_rng = lazy (stream_rng t.config ~salt:0x7fa9_1e55 slot) in
-  let send_copy update =
-    if dl.loss > 0. && Rng.float (Lazy.force fault_rng) 1.0 < dl.loss then
-      t.hooks.Hooks.on_drop ~time:(Sim.now t.sim) ~src ~dst update
-    else begin
-      let now = Sim.now t.sim in
-      let delay =
-        t.config.Config.link_delay
-        +.
-        if t.config.Config.link_jitter > 0. then Rng.float delay_rng t.config.Config.link_jitter
-        else 0.
-      in
-      let at = Float.max (now +. delay) (dl.last_delivery +. 1e-9) in
-      dl.last_delivery <- at;
-      let epoch = ls.epoch in
-      if t.owned.(dst) then put_on_wire t ~at ~slot ~epoch update
-      else
-        t.emit
-          {
-            remote_eid = eid;
-            remote_src = src;
-            remote_dst = dst;
-            remote_at = at;
-            remote_epoch = epoch;
-            remote_update = update;
-          }
-    end
-  in
-  fun update ->
-    if operational t ls src dst then begin
-      send_copy update;
-      if dl.duplication > 0. && Rng.float (Lazy.force fault_rng) 1.0 < dl.duplication then begin
-        t.hooks.Hooks.on_duplicate ~time:(Sim.now t.sim) ~src ~dst update;
-        send_copy update
-      end
-    end
+(* A flush or reuse post names its session's directed link; the link's
+   source router owns the timer. *)
+let session_timer t fire key =
+  let slot = Router.session_link key in
+  match t.routers.(slot_src t slot) with
+  | Some r -> fire r ~peer:(slot_dst t slot) key
+  | None -> assert false
+
+let wheel_timer t ~node_bits key =
+  match t.routers.(Router.wheel_router ~node_bits key) with
+  | Some r -> Router.wheel_due r key
+  | None -> assert false
+
+(* Bits that hold a router id in a wheel post's argument. *)
+let id_bits n =
+  let rec go bits = if 1 lsl bits >= n then bits else go (bits + 1) in
+  max 1 (go 0)
 
 let create ?policy ~ownership:(owned, emit) ~config sim graph =
   (match Config.validate config with
@@ -263,25 +294,14 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
      simulation order, so Marshal-based digests of anything referencing
      interned routes stay reproducible run to run. *)
   let table = Route.create_table ~size:(max 256 n) () in
-  (* Every partition replays the full master split sequence — one split per
-     node, in node order — and builds only its owned routers, so a router's
-     RNG stream is a function of (seed, node id) alone, not of the
-     partitioning. *)
-  let routers = Array.make n None in
-  let rec build node =
-    if node < n then begin
-      let rng = Rng.split master in
-      if owned.(node) then
-        routers.(node) <-
-          Some
-            (Router.create ~table ~sim ~id:node ~policy ~config
-               ~damping:(params_at node) ~rng ~hooks ());
-      build (node + 1)
-    end
-  in
-  build 0;
   let m = Graph.num_edges graph in
-  (* The delivery handler needs the network it delivers into. *)
+  if m > 0 && (2 * m) - 1 > Sim.max_arg lsr Router.prefix_bits then
+    invalid_arg
+      (Printf.sprintf
+         "Network.create: %d directed links do not fit a timer post beside %d prefix bits"
+         (2 * m) Router.prefix_bits);
+  let node_bits = id_bits n in
+  (* The channel handlers need the network they hand events to. *)
   let rec self =
     lazy
       {
@@ -290,27 +310,57 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         config;
         hooks;
         table;
-        routers;
+        routers = Array.make n None;
         owned;
         emit;
         routers_up = Array.make n true;
         damping_deployed;
-        links = Array.init m (fun _ -> { up = true; epoch = 0 });
-        directed =
-          Array.init (2 * m) (fun _ -> { last_delivery = 0.; loss = 0.; duplication = 0. });
+        up = Bytes.make m '\001';
+        epoch = Array.make m 0;
+        floor = Float.Array.make (2 * m) 0.;
+        loss = Float.Array.make (2 * m) 0.;
+        duplication = Float.Array.make (2 * m) 0.;
+        delay_streams = streams config ~salt:delay_salt (2 * m);
+        fault_streams = Rng.column 0 ~seed:Fun.id;
         wire = { w_link = [||]; w_epoch = [||]; w_update = [||]; w_free = -1 };
         deliver_on = Sim.channel sim (fun _ row -> deliver (Lazy.force self) row);
+        flush_on =
+          Sim.channel sim (fun _ key -> session_timer (Lazy.force self) Router.flush_due key);
+        reuse_on =
+          Sim.channel sim (fun _ key -> session_timer (Lazy.force self) Router.reuse_due key);
+        wheel_on = Sim.channel sim (fun _ key -> wheel_timer (Lazy.force self) ~node_bits key);
         in_flight = 0;
       }
   in
   let t = Lazy.force self in
-  Array.iter
-    (fun (u, v) ->
+  let ports =
+    {
+      Router.transmit = transmit t;
+      flush_on = t.flush_on;
+      reuse_on = t.reuse_on;
+      wheel_on = t.wheel_on;
+      node_bits;
+    }
+  in
+  (* Every partition replays the full master split sequence — one split per
+     node, in node order — and builds only its owned routers, so a router's
+     RNG stream is a function of (seed, node id) alone, not of the
+     partitioning. *)
+  for node = 0 to n - 1 do
+    let rng = Rng.split master in
+    if owned.(node) then
+      t.routers.(node) <-
+        Some
+          (Router.create ~table ~sim ~id:node ~policy ~config ~damping:(params_at node) ~rng
+             ~hooks ~ports ())
+  done;
+  Array.iteri
+    (fun eid (u, v) ->
       (match t.routers.(u) with
-      | Some r -> Router.connect r ~peer:v ~send:(make_sender t u v)
+      | Some r -> Router.connect r ~peer:v ~link:(directed_slot eid ~src:u ~dst:v)
       | None -> ());
       match t.routers.(v) with
-      | Some r -> Router.connect r ~peer:u ~send:(make_sender t v u)
+      | Some r -> Router.connect r ~peer:u ~link:(directed_slot eid ~src:v ~dst:u)
       | None -> ())
     (Graph.edges graph);
   t
@@ -352,25 +402,27 @@ let deliver_remote t { remote_eid = eid; remote_src = src; remote_dst = dst;
         (Printf.sprintf "Network.deliver_remote: node %d owned by another partition" dst));
   put_on_wire t ~at ~slot:(directed_slot eid ~src ~dst) ~epoch update
 
+let is_up t eid = Bytes.get t.up eid <> '\000'
+
 let fail_link t u v =
-  let ls = link_state_exn t u v in
-  if ls.up then begin
-    let was = operational t ls u v in
-    ls.up <- false;
-    if was then down_transition t ls u v
+  let eid = edge_id_exn t u v in
+  if is_up t eid then begin
+    let was = operational t eid u v in
+    Bytes.set t.up eid '\000';
+    if was then down_transition t eid u v
   end
 
 let restore_link t u v =
-  let ls = link_state_exn t u v in
-  if not ls.up then begin
-    ls.up <- true;
+  let eid = edge_id_exn t u v in
+  if not (is_up t eid) then begin
+    Bytes.set t.up eid '\001';
     (* Only a session whose endpoints are both alive comes back; a restore
        under a crashed endpoint takes effect when that router restarts. *)
-    if operational t ls u v then up_transition t u v
+    if operational t eid u v then up_transition t u v
   end
 
-let link_up t u v = (link_state_exn t u v).up
-let link_operational t u v = operational t (link_state_exn t u v) u v
+let link_up t u v = is_up t (edge_id_exn t u v)
+let link_operational t u v = operational t (edge_id_exn t u v) u v
 
 (* ------------------------------------------------------------------ *)
 (* Router crash / restart                                              *)
@@ -387,8 +439,8 @@ let crash_router t node =
        so nothing is delivered to or sent from it until restart. *)
     Array.iter
       (fun peer ->
-        let ls = link_state_exn t node peer in
-        if operational t ls node peer then down_transition t ls node peer)
+        let eid = edge_id_exn t node peer in
+        if operational t eid node peer then down_transition t eid node peer)
       (Graph.neighbors t.graph node);
     t.routers_up.(node) <- false
   end
@@ -401,8 +453,7 @@ let restart_router t node =
        is alive come back with full-table re-advertisement. *)
     Array.iter
       (fun peer ->
-        let ls = link_state_exn t node peer in
-        if operational t ls node peer then up_transition t node peer)
+        if operational t (edge_id_exn t node peer) node peer then up_transition t node peer)
       (Graph.neighbors t.graph node)
   end
 
@@ -414,18 +465,33 @@ let check_probability name p =
     invalid_arg
       (Printf.sprintf "Network.set_degradation: %s probability %g outside [0, 1]" name p)
 
+(* Fault draws happen only on degraded links, so a run that never
+   degrades one never seeds the fault streams. Each is a pure function of
+   (seed, slot), so seeding them all at the first degradation draws
+   exactly what streams seeded at creation would. *)
 let set_degradation t ~src ~dst ~loss ~duplication =
   check_probability "loss" loss;
   check_probability "duplication" duplication;
-  let dl = directed_exn t ~src ~dst in
-  dl.loss <- loss;
-  dl.duplication <- duplication
+  let slot = slot_exn t ~src ~dst in
+  if Rng.column_length t.fault_streams = 0 then
+    t.fault_streams <- streams t.config ~salt:fault_salt (Float.Array.length t.loss);
+  Float.Array.set t.loss slot loss;
+  Float.Array.set t.duplication slot duplication
 
 let degradation t ~src ~dst =
-  let dl = directed_exn t ~src ~dst in
-  (dl.loss, dl.duplication)
+  let slot = slot_exn t ~src ~dst in
+  (Float.Array.get t.loss slot, Float.Array.get t.duplication slot)
 
 let in_flight t = t.in_flight
+
+let event_counts t =
+  {
+    deliveries = Sim.channel_events t.sim t.deliver_on;
+    flushes = Sim.channel_events t.sim t.flush_on;
+    reuses = Sim.channel_events t.sim t.reuse_on;
+    wheels = Sim.channel_events t.sim t.wheel_on;
+    closures = Sim.closure_events t.sim;
+  }
 
 let fold_routers t ~init ~f =
   Array.fold_left (fun acc r -> match r with Some r -> f acc r | None -> acc) init t.routers

@@ -13,7 +13,17 @@
     list); each delivery is a {!Rfd_engine.Sim.post} of a row index to one
     delivery function, shared by local sends and {!deliver_remote}. A
     message in flight costs six words besides its update and builds no
-    closure, and its row drops the update as soon as it is delivered. *)
+    closure, and its row drops the update as soon as it is delivered.
+
+    Link state is held in columns: per link its administrative state and
+    epoch, and per directed link — at the in-flight table's slot
+    [2*eid + dir], [dir = 0] from the lower node id — its FIFO floor, loss
+    and duplication as unboxed floats, and its delay and fault streams as
+    8-byte {!Rfd_engine.Rng.column} states. Every router sends through one
+    transport function keyed by that slot, so a session owns no transport
+    closure, record or stream. The network also registers the channels its
+    routers' timers post on ({!Router.ports}) and hands each post back to
+    the owning router. *)
 
 type t
 
@@ -48,8 +58,10 @@ val create :
     Administrative operations (link fail/restore, router crash/restart,
     degradation) must be replicated to {e every} partition by the caller;
     each replica applies the state change and signals only its own routers.
-    Raises [Invalid_argument] on invalid config, or when the ownership
-    array length differs from the node count. *)
+    Raises [Invalid_argument] on invalid config, when the ownership
+    array length differs from the node count, or when the graph's [2m]
+    directed links do not fit a timer post's argument beside
+    {!Router.prefix_bits} prefix bits (above [2{^23}] links). *)
 
 val deliver_remote : t -> remote -> unit
 (** Put a message drained from another partition's outbox on this
@@ -126,9 +138,11 @@ val set_degradation : t -> src:int -> dst:int -> loss:float -> duplication:float
 (** Configure the directed link [src -> dst]: every message sent on it is
     duplicated with probability [duplication], and every copy is then lost
     with probability [loss]. Surviving copies still obey the per-direction
-    FIFO no-reorder guarantee. Sampling uses a dedicated seed-derived RNG,
-    so a given [(config.seed, degradation)] is fully deterministic and
-    zero probabilities leave the run bit-identical to a fault-free one.
+    FIFO no-reorder guarantee. Sampling uses a dedicated seed-derived
+    stream per directed link (the fault column, seeded for every link at
+    the first call), so a given [(config.seed, degradation)] is fully
+    deterministic and zero probabilities leave the run bit-identical to a
+    fault-free one.
     Raises [Invalid_argument] on probabilities outside [0, 1] or when the
     nodes are not adjacent. *)
 
@@ -142,6 +156,20 @@ val degradation : t -> src:int -> dst:int -> float * float
 
 val in_flight : t -> int
 (** Messages currently on the wire. *)
+
+type event_counts = {
+  deliveries : int;  (** messages delivered (or dropped at delivery) *)
+  flushes : int;  (** MRAI flush posts run *)
+  reuses : int;  (** [Exact]-mode reuse timer posts run *)
+  wheels : int;  (** [Tick]-mode wheel bucket posts run *)
+  closures : int;  (** closure events: administrative and workload events *)
+}
+(** Executed simulator events by kind. The kinds partition
+    {!Rfd_engine.Sim.events_executed}: retracted posts and cancelled
+    events count in none. *)
+
+val event_counts : t -> event_counts
+(** This shard's simulator, by channel. *)
 
 val reuse_timer_events : t -> int
 (** Total {!Router.reuse_timer_events} across routers — simulator events

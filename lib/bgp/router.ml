@@ -6,13 +6,20 @@ module Reuse_index = Rfd_damping.Reuse_index
 
 type desired = D_announce of Route.t | D_withdraw
 
-(* An MRAI-parked update and the flush timer that releases it. Allocated
-   when a prefix first parks and dropped once neither is outstanding, so
-   only the prefixes currently behind an MRAI deadline pay for one. *)
+(* An MRAI-parked update. Allocated when a prefix first parks and dropped
+   once neither it nor its flush timer is outstanding, so only the
+   prefixes currently behind an MRAI deadline pay for one. *)
 type parked = {
   mutable desired : desired; (* meaningful while [f_queued] *)
   mutable rc : Root_cause.t option;
-  mutable flush_event : Sim.event_id; (* meaningful while [f_armed] *)
+}
+
+type ports = {
+  transmit : int -> Update.t -> unit;
+  flush_on : Sim.channel;
+  reuse_on : Sim.channel;
+  wheel_on : Sim.channel;
+  node_bits : int;
 }
 
 (* Per-prefix session state is one dense slot table indexed by prefix id
@@ -23,7 +30,7 @@ type parked = {
    is a sentinel, and penalties live in float arrays. *)
 type peer_state = {
   peer_id : int;
-  mutable send : (Update.t -> unit) option;
+  link : int; (* the directed link to the peer: transport and timer key *)
   mrai_interval : float; (* jittered once per session *)
   mutable flags : Bytes.t; (* [f_*] bits per slot; its length is the capacity *)
   mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
@@ -51,23 +58,34 @@ let f_armed = 16 (* a flush timer is armed *)
    matched by physical equality. *)
 let no_route = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
 let no_rc = Root_cause.make ~link:(-1, -1) ~status:Root_cause.Link_down ~seq:(-1)
-let no_parked = { desired = D_withdraw; rc = None; flush_event = Sim.no_event }
+let no_parked = { desired = D_withdraw; rc = None }
+
+(* A flush or reuse post's argument is the session's directed link and the
+   prefix id, so the network can hand it to the link's source router; a
+   wheel post's is the bucket number and the router id. *)
+let prefix_bits = 31
+let prefix_mask = (1 lsl prefix_bits) - 1
+
+let session_key ps i =
+  if i > prefix_mask then
+    invalid_arg (Printf.sprintf "Router: prefix id %d beyond the timer key range" i);
+  (ps.link lsl prefix_bits) lor i
+
+let session_link key = key lsr prefix_bits
+let wheel_router ~node_bits key = key land ((1 lsl node_bits) - 1)
 
 let rc_of_option = function Some rc -> rc | None -> no_rc
 let option_of_rc rc = if rc == no_rc then None else Some rc
 
 (* RFC 2439 §4.8.6 reuse list (Config.Tick mode): suppressed entries are
    bucketed by absolute tick number [k] (firing at [k *. tick]) instead of
-   each arming its own simulator timer. One armed event per occupied slot,
-   one table lookup per suppression; a re-charged entry migrates to the
-   slot covering its new reuse instant, and a bucket emptied by migration
-   cancels its event instead of firing a pointless re-check. Buckets name
+   each arming its own simulator timer. One post per occupied slot, one
+   table lookup per suppression; a re-charged entry migrates to the slot
+   covering its new reuse instant, and a bucket emptied by migration
+   retracts its post instead of firing a pointless re-check. Buckets name
    entries by (session, prefix), never by column, because columns are
    reallocated when they grow. *)
-type bucket = {
-  b_event : Sim.event_id;
-  mutable b_items : (peer_state * Prefix.t) list; (* reverse insertion order *)
-}
+type bucket = { mutable b_items : (peer_state * Prefix.t) list (* reverse insertion order *) }
 
 type wheel = {
   w_index : Reuse_index.t;
@@ -85,6 +103,7 @@ type t = {
   setting : Damper.setting option; (* Some iff damping; one decay cache per router *)
   wheel : wheel option; (* Some iff damping is on and reuse_mode is Tick *)
   hooks : Hooks.t;
+  ports : ports;
   rng : Rng.t;
   table : Route.table; (* per-network intern table, shared across routers *)
   mutable peers : peer_state array; (* ascending peer_id; dense, no hashing *)
@@ -105,7 +124,7 @@ type t = {
 
 let from_self = -1
 
-let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks () =
+let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Router.create: " ^ msg));
@@ -137,6 +156,7 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks () =
     setting = Option.map (Damper.setting ~cache:(Damper.cache ())) damping;
     wheel;
     hooks;
+    ports;
     rng;
     table = (match table with Some tbl -> tbl | None -> Route.create_table ());
     peers = [||];
@@ -227,9 +247,11 @@ let find_peer t peer =
   in
   search 0 (Array.length peers - 1)
 
-let connect t ~peer ~send =
+let connect t ~peer ~link =
   if peer = t.id then invalid_arg "Router.connect: cannot peer with self";
   if peer < 0 then invalid_arg (Printf.sprintf "Router.connect: negative peer id %d" peer);
+  if link < 0 || link > Sim.max_arg lsr prefix_bits then
+    invalid_arg (Printf.sprintf "Router.connect: link %d outside the timer key range" link);
   if find_peer t peer <> None then
     invalid_arg (Printf.sprintf "Router.connect: duplicate peer %d" peer);
   let lo, hi = t.config.Config.mrai_jitter in
@@ -237,7 +259,7 @@ let connect t ~peer ~send =
   let ps =
     {
       peer_id = peer;
-      send = Some send;
+      link;
       mrai_interval = t.config.Config.mrai *. Rng.uniform t.rng ~lo ~hi;
       flags = Bytes.make hint '\000';
       received = Array.make hint no_route;
@@ -328,11 +350,8 @@ let best_session t i =
 (* Output path: RIB-Out diffing + MRAI                                 *)
 
 let dispatch t ps msg =
-  let now = Sim.now t.sim in
-  t.hooks.Hooks.on_send ~time:now ~src:t.id ~dst:ps.peer_id msg;
-  match ps.send with
-  | Some send -> send msg
-  | None -> invalid_arg (Printf.sprintf "Router %d: peer %d has no transport" t.id ps.peer_id)
+  t.hooks.Hooks.on_send ~time:(Sim.now t.sim) ~src:t.id ~dst:ps.peer_id msg;
+  t.ports.transmit ps.link msg
 
 let mrai_hook t ps prefix action =
   t.hooks.Hooks.on_mrai ~time:(Sim.now t.sim) ~router:t.id ~peer:ps.peer_id ~prefix action
@@ -383,7 +402,7 @@ let send_now t ps prefix desired rc =
 (* [emit] reconciles the desired advertisement for (peer, prefix) with what
    was last sent, honouring the MRAI. Returns 1 when a message was sent or
    queued, 0 when the peer is already up to date. *)
-let rec emit t ps prefix desired rc =
+let emit t ps prefix desired rc =
   let i = Prefix.to_int prefix in
   let sent = advertised ps i in
   let same =
@@ -412,7 +431,7 @@ let rec emit t ps prefix desired rc =
       reserve ps i;
       let fresh = not (has ps i f_queued) in
       let p = ps.parked.(i) in
-      if p == no_parked then ps.parked.(i) <- { desired; rc; flush_event = Sim.no_event }
+      if p == no_parked then ps.parked.(i) <- { desired; rc }
       else begin
         p.desired <- desired;
         p.rc <- rc
@@ -420,8 +439,7 @@ let rec emit t ps prefix desired rc =
       set_flag ps i f_queued;
       if fresh then mrai_hook t ps prefix Hooks.Mrai_queued;
       if not (has ps i f_armed) then begin
-        let ev = Sim.schedule_at t.sim ~time:deadline (fun _ -> flush t ps prefix) in
-        ps.parked.(i).flush_event <- ev;
+        Sim.post t.sim t.ports.flush_on ~time:deadline (session_key ps i);
         set_flag ps i f_armed;
         mrai_hook t ps prefix Hooks.Flush_armed
       end;
@@ -429,7 +447,7 @@ let rec emit t ps prefix desired rc =
     end
   end
 
-and flush t ps prefix =
+let flush t ps prefix =
   let i = Prefix.to_int prefix in
   let p = ps.parked.(i) in
   unpark ps i f_armed;
@@ -513,7 +531,7 @@ let try_release t ps prefix pen ~now =
         ~noisy:(emitted > 0);
       `Reused
 
-let rec reuse_fire t ps prefix =
+let reuse_fire t ps prefix =
   timer_fired t;
   let i = Prefix.to_int prefix in
   clear_flag ps i f_reuse;
@@ -527,13 +545,18 @@ let rec reuse_fire t ps prefix =
           (* From 2^34 s on, [time +. 1e-6] can round to [now]; re-arming
              there would fire at one instant forever. *)
           let time = Float.max (time +. 1e-6) (Float.succ now) in
-          ignore (Sim.schedule_at t.sim ~time (fun _ -> reuse_fire t ps prefix))
+          Sim.post t.sim t.ports.reuse_on ~time (session_key ps i)
       | `Reused -> ())
   | Some _ | None -> ()
 
 (* ---- Tick-mode reuse wheel ---- *)
 
 let wheel_slot_time w slot = float_of_int slot *. w.w_tick
+
+let wheel_key t slot =
+  if slot > Sim.max_arg lsr t.ports.node_bits then
+    invalid_arg (Printf.sprintf "Router %d: reuse wheel slot %d beyond the timer key range" t.id slot);
+  (slot lsl t.ports.node_bits) lor t.id
 
 (* First grid slot at or after [time]. *)
 let wheel_slot_after w time = int_of_float (Float.ceil (time /. w.w_tick))
@@ -549,19 +572,19 @@ let wheel_slot_for w pen i ~now =
   let penalty = if dt > 0. then penalty *. exp (-.w.w_lambda *. dt) else penalty in
   next + Reuse_index.ticks_to_reuse w.w_index ~penalty
 
-let rec wheel_park t w ps prefix ~slot =
+let wheel_park t w ps prefix ~slot =
   (match Hashtbl.find_opt w.w_slots slot with
   | Some b -> b.b_items <- (ps, prefix) :: b.b_items
   | None ->
       timer_armed t;
       let time = Float.max (wheel_slot_time w slot) (Sim.now t.sim) in
-      let ev = Sim.schedule_at t.sim ~time (fun _ -> wheel_fire t w slot) in
-      Hashtbl.replace w.w_slots slot { b_event = ev; b_items = [ (ps, prefix) ] });
+      Sim.post t.sim t.ports.wheel_on ~time (wheel_key t slot);
+      Hashtbl.replace w.w_slots slot { b_items = [ (ps, prefix) ] });
   let i = Prefix.to_int prefix in
   set_flag ps i f_reuse;
   ps.wheel_slot.(i) <- slot
 
-and wheel_fire t w slot =
+let wheel_fire t w slot =
   match Hashtbl.find_opt w.w_slots slot with
   | None -> ()
   | Some bucket ->
@@ -587,8 +610,10 @@ and wheel_fire t w slot =
 
 (* A fresh charge on a queued entry pushed its reuse instant out: migrate
    the entry to the slot covering the new instant (RFC 2439's "move to
-   another reuse list"). A bucket emptied by migration cancels its event
-   rather than firing a pointless re-check. *)
+   another reuse list"). A bucket emptied by migration retracts its post
+   rather than firing a pointless re-check; if the slot is armed again
+   before that post's time, the new post is the later one, so the
+   retraction still names the stale post. *)
 let wheel_postpone t w ps prefix pen =
   let i = Prefix.to_int prefix in
   let slot = wheel_slot_for w pen i ~now:(Sim.now t.sim) in
@@ -598,7 +623,7 @@ let wheel_postpone t w ps prefix pen =
     | Some b ->
         b.b_items <- List.filter (fun (ps', p) -> not (ps' == ps && p = prefix)) b.b_items;
         if b.b_items = [] then begin
-          Sim.cancel t.sim b.b_event;
+          Sim.retract t.sim t.ports.wheel_on (wheel_key t current);
           Hashtbl.remove w.w_slots current;
           t.timer_live <- t.timer_live - 1
         end
@@ -620,7 +645,7 @@ let schedule_reuse t ps prefix pen =
         set_flag ps i f_reuse;
         timer_armed t;
         let time = Damper.slot_reuse_time pen i ~now +. 1e-6 in
-        ignore (Sim.schedule_at t.sim ~time (fun _ -> reuse_fire t ps prefix));
+        Sim.post t.sim t.ports.reuse_on ~time (session_key ps i);
         t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix ~at:time
   end
 
@@ -652,6 +677,18 @@ let apply_damping t ps prefix event ~count =
               wheel_postpone t w ps prefix pen
           | Some _ | None -> ()))
   | Some _ | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Timer posts, handed back by the network's channels                  *)
+
+let session_prefix key = Prefix.v (key land prefix_mask)
+let flush_due t ~peer key = flush t (peer_state t peer) (session_prefix key)
+let reuse_due t ~peer key = reuse_fire t (peer_state t peer) (session_prefix key)
+
+let wheel_due t key =
+  match t.wheel with
+  | Some w -> wheel_fire t w (key lsr t.ports.node_bits)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Input path                                                          *)
@@ -764,18 +801,20 @@ let peer_down t ~peer =
   if ps.up then begin
     ps.up <- false;
     (* Tear down the whole output path for the session: parked updates are
-       dropped, their flush timers cancelled (a stale timer firing at an
+       dropped, their flush posts retracted (a stale flush firing at an
        obsolete deadline would flush post-restore updates early, violating
        the MRAI), and both MRAI deadline forms reset so the restored
-       session starts with a fresh rate-limit budget. Slots are visited in
-       ascending prefix order. *)
+       session starts with a fresh rate-limit budget. A flush armed after
+       the restore falls due no earlier than the retracted one (deadlines
+       only move forward), so the retraction always names the stale post.
+       Slots are visited in ascending prefix order. *)
     let cap = capacity ps in
     for i = 0 to cap - 1 do
       drop_pending t ps (Prefix.v i) Hooks.Mrai_cancelled
     done;
     for i = 0 to cap - 1 do
       if has ps i f_armed then begin
-        Sim.cancel t.sim ps.parked.(i).flush_event;
+        Sim.retract t.sim t.ports.flush_on (session_key ps i);
         unpark ps i f_armed;
         mrai_hook t ps (Prefix.v i) Hooks.Flush_cancelled
       end

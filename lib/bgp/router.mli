@@ -2,8 +2,20 @@
 
     Each router is one AS. It keeps per-peer RIB-In tables (with optional
     damping state per entry), a Loc-RIB of best routes, and per-peer RIB-Out
-    mirrors of what it last advertised. Updates are exchanged through send
-    callbacks supplied by {!Network}, which models link delays.
+    mirrors of what it last advertised. A session is a peer id and the
+    directed link to it; updates leave through the one transmit function of
+    the router's {!ports}, keyed by that link, and {!Network} models the
+    link delays.
+
+    Timers are simulator posts on the channels of the {!ports}, not
+    closures, and a router holds no event handle: an MRAI flush or an
+    [Exact] reuse timer posts the session's link and the prefix id; a
+    [Tick] wheel bucket posts its bucket number and the router id, once
+    per occupied bucket. The network hands each post back to
+    {!flush_due}, {!reuse_due} or {!wheel_due}. A flush armed when its
+    session resets, or a bucket emptied by migration, is
+    {!Rfd_engine.Sim.retract}ed: it never runs and counts in no event
+    total.
 
     State layout: each peering session holds one dense slot table indexed
     by prefix id. Its columns are a flags byte (entry exists, suppressed,
@@ -22,11 +34,47 @@
     - MRAI rate limiting of announcements (per peer and prefix, jittered),
       with withdrawals exempt unless configured otherwise;
     - RFC 2439 route flap damping per RIB-In entry, with reuse timers
-      driven by the simulator;
+      posted to the simulator;
     - RCN filtering and propagation (Section 6 of the paper) and the
       selective-damping baseline, per {!Config.damping_mode}. *)
 
 type t
+
+type ports = {
+  transmit : int -> Update.t -> unit;
+      (** [transmit link update] puts an update on a directed link *)
+  flush_on : Rfd_engine.Sim.channel;  (** MRAI flush posts *)
+  reuse_on : Rfd_engine.Sim.channel;  (** [Exact] reuse timer posts *)
+  wheel_on : Rfd_engine.Sim.channel;  (** [Tick] wheel bucket posts *)
+  node_bits : int;
+      (** low bits of a wheel post's argument that hold the router id;
+          every router id must fit in them *)
+}
+(** What a router needs from its network: one transport function shared
+    by every session, and the channels its timers post on. *)
+
+val prefix_bits : int
+(** [31]: a flush or reuse post's argument is [link * 2{^31} + prefix id],
+    so links above [Rfd_engine.Sim.max_arg / 2{^31}] cannot carry timers
+    and prefix ids above [2{^31} - 1] are refused when a timer is armed. *)
+
+val session_link : int -> int
+(** The directed link named by a flush or reuse post's argument. Its source
+    endpoint owns the timer and its destination is the peer. *)
+
+val wheel_router : node_bits:int -> int -> int
+(** The router named by a wheel post's argument, given the ports'
+    [node_bits]. *)
+
+val flush_due : t -> peer:int -> int -> unit
+(** Run the MRAI flush of a post's argument on the session to [peer]. *)
+
+val reuse_due : t -> peer:int -> int -> unit
+(** Run the [Exact]-mode reuse timer of a post's argument on the session
+    to [peer]. *)
+
+val wheel_due : t -> int -> unit
+(** Fire the [Tick]-mode wheel bucket of a post's argument. *)
 
 val create :
   ?table:Route.table ->
@@ -37,6 +85,7 @@ val create :
   damping:Rfd_damping.Params.t option ->
   rng:Rfd_engine.Rng.t ->
   hooks:Hooks.t ->
+  ports:ports ->
   unit ->
   t
 (** [damping] is this router's effective parameter set ([None] = damping
@@ -52,10 +101,12 @@ val id : t -> int
 val damping_params : t -> Rfd_damping.Params.t option
 (** Effective damping parameters at this router. *)
 
-val connect : t -> peer:int -> send:(Update.t -> unit) -> unit
-(** Register a peering session. [send] must deliver the update to the peer
-    (with whatever delay the transport models). Raises [Invalid_argument]
-    on duplicate peers, self-peering or a negative peer id. *)
+val connect : t -> peer:int -> link:int -> unit
+(** Register a peering session over the directed link [link] (this router
+    to [peer]); updates to the peer go to [ports.transmit link]. The
+    session stores the int and nothing else of the transport. Raises
+    [Invalid_argument] on duplicate peers, self-peering, a negative peer
+    id, or a link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
 
 val peer_ids : t -> int list
 (** Ascending. *)
@@ -77,8 +128,8 @@ val receive : t -> from_peer:int -> Update.t -> unit
 
 val peer_down : t -> peer:int -> unit
 (** Session to [peer] lost: RIB-In entries from it are withdrawn (with
-    damping penalties), pending output is dropped, armed flush timers are
-    cancelled, both MRAI deadline forms (per-prefix and shared per-peer)
+    damping penalties), pending output is dropped, armed flush posts are
+    retracted, both MRAI deadline forms (per-prefix and shared per-peer)
     are reset, and nothing more is sent to it until {!peer_up}. *)
 
 val peer_up : t -> peer:int -> unit

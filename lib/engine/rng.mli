@@ -24,7 +24,9 @@ val int : t -> int -> int
 (** [int rng bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val float : t -> float -> float
-(** [float rng bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
+(** [float rng bound] is uniform in [\[0, bound)]. Raises
+    [Invalid_argument] unless [bound] is positive and finite (NaN
+    included). *)
 
 val uniform : t -> lo:float -> hi:float -> float
 (** Uniform in [\[lo, hi)]. Requires [lo <= hi]. *)
@@ -44,3 +46,24 @@ val shuffle : t -> 'a array -> unit
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
+
+(** {2 Stream columns}
+
+    Many independent generators kept side by side, for tables with one
+    stream per row (the network's per-link transport streams). Each
+    stream's state is 8 unboxed bytes: a column is one heap block however
+    many streams it holds, and a draw allocates no state. Stream [i] of
+    [column n ~seed] draws exactly the sequence of [create (seed i)]. *)
+
+type column
+
+val column : int -> seed:(int -> int) -> column
+(** [column n ~seed] holds [n] streams, stream [i] seeded with [seed i].
+    Raises [Invalid_argument] on a negative [n]. *)
+
+val column_length : column -> int
+
+val column_float : column -> int -> float -> float
+(** [column_float c i bound] is {!float} drawn from stream [i]: the same
+    value, and the same refusal of a bound that is not positive and
+    finite. Raises [Invalid_argument] on an out-of-range [i]. *)

@@ -10,13 +10,18 @@
    [free_next]). An [event_id] packs the slot and the slot's generation at
    scheduling time; the generation moves on when the event runs or is
    cancelled, which makes every older handle for the slot stale (until the
-   31-bit generation wraps, after 2^31 events in one slot). *)
+   31-bit generation wraps, after 2^31 events in one slot).
+
+   A post is dead once [retract]ed: [retracted] counts, per tag, how many of
+   that tag's earliest pending entries are dead. The root is the earliest
+   entry of all, so it is dead exactly when its tag has a count; compaction
+   sorts the entries of retracted tags to find which ones. *)
 
 type t = {
   mutable clock : float;
   mutable seq : int;
   mutable live : int;
-  mutable executed : int;
+  mutable executed : int array; (* by channel: events run *)
   mutable times : Float.Array.t;
   mutable orders : int array;
   mutable tags : int array;
@@ -29,6 +34,8 @@ type t = {
   mutable gens : int array; (* by slot: generation of the current occupant *)
   mutable free_next : int array; (* by slot: next free slot, -1 ends the list *)
   mutable free : int; (* head of the free-slot list, -1 when empty *)
+  retracted : (int, int) Hashtbl.t; (* by tag: dead posts still in the heap *)
+  mutable retractions : int; (* sum of [retracted]'s counts *)
 }
 
 type event_id = int
@@ -72,7 +79,7 @@ let create () =
     clock = 0.;
     seq = 0;
     live = 0;
-    executed = 0;
+    executed = [| 0 |];
     times = Float.Array.create 0;
     orders = [||];
     tags = [||];
@@ -85,6 +92,8 @@ let create () =
     gens = [||];
     free_next = [||];
     free = -1;
+    retracted = Hashtbl.create 16;
+    retractions = 0;
   }
 
 let now t = t.clock
@@ -181,15 +190,26 @@ let pop_root t =
       (Array.unsafe_get t.tags last)
 
 (* A heap entry is dead when it is a closure event whose slot was vacated
-   by [cancel]; only channel 0 supports cancellation. *)
+   by [cancel], or a retracted post. For a post this answer holds only at
+   the root, the earliest entry: [compact] works out the others itself. *)
 let[@inline] is_dead t tag =
-  tag land channel_mask = 0 && t.actions.(tag lsr channel_bits) == vacant
+  if tag land channel_mask = 0 then t.actions.(tag lsr channel_bits) == vacant
+  else t.retractions > 0 && Hashtbl.mem t.retracted tag
+
+(* One dead entry of [tag] leaves the heap. *)
+let release t tag =
+  if tag land channel_mask = 0 then free_slot t (tag lsr channel_bits)
+  else begin
+    let n = Hashtbl.find t.retracted tag in
+    if n = 1 then Hashtbl.remove t.retracted tag else Hashtbl.replace t.retracted tag (n - 1);
+    t.retractions <- t.retractions - 1
+  end
 
 (* Cancelled events stay in the heap and are skipped on pop; [live] counts
    only pending ones so quiescence checks are exact. *)
 let drop_dead t =
   while t.size > 0 && is_dead t t.tags.(0) do
-    free_slot t (t.tags.(0) lsr channel_bits);
+    release t t.tags.(0);
     pop_root t;
     t.dead <- t.dead - 1
   done
@@ -203,16 +223,43 @@ let drop_dead t =
    key, not by the heap's internal layout. *)
 let compact_threshold = 64
 
+(* Heap indices of the retracted posts: of each retracted tag's entries,
+   the earliest [count] in (time, order). *)
+let retracted_entries t =
+  let candidates = ref [] in
+  for i = t.size - 1 downto 0 do
+    if t.tags.(i) land channel_mask <> 0 && Hashtbl.mem t.retracted t.tags.(i) then
+      candidates := i :: !candidates
+  done;
+  let by_key i j =
+    let ti = Float.Array.get t.times i and tj = Float.Array.get t.times j in
+    if ti <> tj then Float.compare ti tj else Int.compare t.orders.(i) t.orders.(j)
+  in
+  let owed = Hashtbl.copy t.retracted in
+  List.filter
+    (fun i ->
+      let tag = t.tags.(i) in
+      let n = Hashtbl.find owed tag in
+      n > 0 && (Hashtbl.replace owed tag (n - 1); true))
+    (List.sort by_key !candidates)
+
 let compact t =
+  let doomed = Bytes.make t.size '\000' in
+  if t.retractions > 0 then
+    List.iter (fun i -> Bytes.set doomed i '\001') (retracted_entries t);
   let kept = ref 0 in
   for i = 0 to t.size - 1 do
     let tag = t.tags.(i) in
-    if is_dead t tag then free_slot t (tag lsr channel_bits)
+    if tag land channel_mask = 0 && t.actions.(tag lsr channel_bits) == vacant then
+      free_slot t (tag lsr channel_bits)
+    else if Bytes.get doomed i <> '\000' then ()
     else begin
       move t ~src:i ~dst:!kept;
       incr kept
     end
   done;
+  Hashtbl.reset t.retracted;
+  t.retractions <- 0;
   t.size <- !kept;
   t.dead <- 0;
   t.compactions <- t.compactions + 1;
@@ -233,6 +280,7 @@ let channel t f =
   if n > channel_mask then
     invalid_arg (Printf.sprintf "Sim.channel: at most %d channels" channel_mask);
   t.handlers <- Array.append t.handlers [| f |];
+  t.executed <- Array.append t.executed [| 0 |];
   n
 
 let post t ch ~time arg =
@@ -241,6 +289,20 @@ let post t ch ~time arg =
     invalid_arg (Printf.sprintf "Sim.post: argument %d outside [0, %d]" arg max_arg);
   if ch <= 0 || ch >= Array.length t.handlers then invalid_arg "Sim.post: unknown channel";
   push t time ((arg lsl channel_bits) lor ch)
+
+(* The post's heap entry stays until it surfaces or a compaction drops it,
+   exactly as a cancelled closure event's does. *)
+let retract t ch arg =
+  if arg < 0 || arg > max_arg then
+    invalid_arg (Printf.sprintf "Sim.retract: argument %d outside [0, %d]" arg max_arg);
+  if ch <= 0 || ch >= Array.length t.handlers then invalid_arg "Sim.retract: unknown channel";
+  let tag = (arg lsl channel_bits) lor ch in
+  Hashtbl.replace t.retracted tag
+    (1 + Option.value (Hashtbl.find_opt t.retracted tag) ~default:0);
+  t.retractions <- t.retractions + 1;
+  t.live <- t.live - 1;
+  t.dead <- t.dead + 1;
+  maybe_compact t
 
 (* Called with the free list empty: chain the new slots onto it. *)
 let grow_slots t =
@@ -302,8 +364,9 @@ let step t =
     pop_root t;
     t.live <- t.live - 1;
     t.clock <- time;
-    t.executed <- t.executed + 1;
-    t.handlers.(tag land channel_mask) t (tag lsr channel_bits);
+    let ch = tag land channel_mask in
+    t.executed.(ch) <- t.executed.(ch) + 1;
+    t.handlers.(ch) t (tag lsr channel_bits);
     true
   end
 
@@ -324,7 +387,9 @@ let run ?until t =
       done;
       if t.clock < horizon then t.clock <- horizon
 
-let events_executed t = t.executed
+let events_executed t = Array.fold_left ( + ) 0 t.executed
+let closure_events t = t.executed.(0)
+let channel_events t ch = t.executed.(ch)
 
 (* Epoch primitive for conservative parallel simulation: execute every event
    strictly before [horizon] (and, when [until] is given, at or before

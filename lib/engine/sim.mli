@@ -9,10 +9,11 @@
     array of times, the scheduling order, and an int tag — so a pending
     event owns no heap block. A tag names a {e channel} and an int argument:
     {!post} queues a call of a channel's handler without allocating, which
-    is how the network puts messages on the wire. Closure events
-    ({!schedule_at}, {!schedule}) are channel 0, whose argument is
-    a slot in a closure table with a free list. A pending closure event
-    costs six words plus its closure; a pending post costs three.
+    is how the network puts messages on the wire and arms its routers'
+    timers. Closure events ({!schedule_at}, {!schedule}) are channel 0,
+    whose argument is a slot in a closure table with a free list. A
+    pending closure event costs six words plus its closure; a pending post
+    costs three. A post is cancelled by {!retract}ing it.
 
     This is the substrate replacing SSFNet's event core in the paper's
     experiments. *)
@@ -63,22 +64,38 @@ val channel : t -> (t -> int -> unit) -> channel
     event {!post}ed on it runs [f sim arg]. A simulator has at most 255
     channels; registering more raises [Invalid_argument]. *)
 
+val max_arg : int
+(** [2{^54} - 1], the largest argument a post carries. *)
+
 val post : t -> channel -> time:float -> int -> unit
 (** [post sim ch ~time arg] queues [arg] for [ch]'s handler at [time],
     without allocating. Posts draw their scheduling order from the same
     counter as {!schedule_at}, so all events pop in (time, scheduling
-    order). A post cannot be cancelled. Raises [Invalid_argument] on a NaN
-    time, a time in the past, an [arg] outside [0, 2{^54} - 1], or a
-    channel number this simulator has not registered. Like a handle, a
-    channel means something only to the simulator that issued it. *)
+    order). Raises [Invalid_argument] on a NaN time, a time in the past,
+    an [arg] outside [0, 2{^54} - 1], or a channel number this simulator
+    has not registered. Like a handle, a channel means something only to
+    the simulator that issued it. *)
+
+val retract : t -> channel -> int -> unit
+(** [retract sim ch arg] cancels the earliest pending post of [arg] on
+    [ch], in (time, scheduling order): it never runs, and it leaves
+    {!pending} at once and counts in {!dead_count} until its heap slot is
+    dropped, exactly like a {!cancel}led closure event. Posts of one
+    argument are told apart only by that order, so a caller that re-posts
+    an argument while an earlier post of it is retracted must post the
+    new one no earlier in (time, order) — which any later post at the same
+    or a later time is. The caller guarantees that such a live post is
+    pending; retracting one that is not corrupts the counts. Raises
+    [Invalid_argument] like {!post} on a bad [arg] or channel. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) pending events. *)
 
 (** {2 Heap observability}
 
-    The event queue deletes lazily: a cancelled event keeps its heap slot
-    until it surfaces at the root — or until a compaction pass reclaims it.
+    The event queue deletes lazily: a cancelled event or retracted post
+    keeps its heap slot until it surfaces at the root — or until a
+    compaction pass reclaims it.
     Compaction runs automatically when more than half the occupied slots are
     dead (and the heap holds at least 64 events); it preserves the exact
     (time, scheduling-order) pop sequence. *)
@@ -87,10 +104,10 @@ val heap_size : t -> int
 (** Occupied heap slots right now, live plus dead. *)
 
 val dead_count : t -> int
-(** Cancelled events still occupying heap slots ([heap_size - dead_count]
-    live events are heap-resident). A cancelled event's closure is released
-    at once; only its three heap words and its closure-table slot wait for
-    the slot to be dropped. *)
+(** Cancelled events and retracted posts still occupying heap slots
+    ([heap_size - dead_count] live events are heap-resident). A cancelled
+    event's closure is released at once; only its three heap words and its
+    closure-table slot wait for the slot to be dropped. *)
 
 val max_heap_size : t -> int
 (** High-water mark of {!heap_size} over the simulator's lifetime — the
@@ -111,7 +128,15 @@ val run : ?until:float -> t -> unit
     the clock is advanced to [until]. *)
 
 val events_executed : t -> int
-(** Number of event actions executed so far (excludes cancelled events). *)
+(** Number of event actions executed so far (excludes cancelled events and
+    retracted posts). *)
+
+val closure_events : t -> int
+(** The closure events (channel 0) among {!events_executed}. *)
+
+val channel_events : t -> channel -> int
+(** The events of one channel among {!events_executed}. The simulator
+    counts every executed event by channel with one array increment. *)
 
 (** {2 Conservative parallel-simulation primitives}
 

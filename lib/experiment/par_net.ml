@@ -112,6 +112,17 @@ let sim_events t =
   total - admin + t.admin_runs.(0)
 
 let per_partition_events t = Array.map Sim.events_executed t.sims
+
+let event_counts t =
+  let sum f = Array.fold_left (fun acc net -> acc + f (Network.event_counts net)) 0 t.nets in
+  let admin = Array.fold_left ( + ) 0 t.admin_runs in
+  {
+    Network.deliveries = sum (fun c -> c.Network.deliveries);
+    flushes = sum (fun c -> c.Network.flushes);
+    reuses = sum (fun c -> c.Network.reuses);
+    wheels = sum (fun c -> c.Network.wheels);
+    closures = sum (fun c -> c.Network.closures) - admin + t.admin_runs.(0);
+  }
 let peak_heap t = Array.fold_left (fun acc sim -> acc + Sim.max_heap_size sim) 0 t.sims
 let epochs t = t.barriers - t.drives
 

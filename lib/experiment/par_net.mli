@@ -90,6 +90,11 @@ val sim_events : t -> int
 val per_partition_events : t -> int array
 (** Raw per-partition executed-event counts (uncorrected). *)
 
+val event_counts : t -> Rfd_bgp.Network.event_counts
+(** {!sim_events} by kind, summed over partitions, with the same
+    correction applied to the closure count: the kinds sum to
+    {!sim_events}. *)
+
 val peak_heap : t -> int
 (** Sum of per-partition simulator heap high-water marks. Depends on the
     partition count (excluded from {!Runner.result_digest}). *)

@@ -144,6 +144,7 @@ type par_stats = {
   cut_edges : int;
   epochs : int;
   per_partition_events : int array;
+  events_by_kind : Network.event_counts;
   routes_interned_total : int;
   paths_interned_total : int;
 }
@@ -342,6 +343,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       cut_edges = Par_net.cut_edges par;
       epochs = Par_net.epochs par;
       per_partition_events = Par_net.per_partition_events par;
+      events_by_kind = Par_net.event_counts par;
       routes_interned_total = Par_net.routes_interned par;
       paths_interned_total = Par_net.paths_interned par;
     }

@@ -81,6 +81,35 @@ let test_network_rejects_invalid_config () =
   Alcotest.check_raises "surfaced" (Invalid_argument "Network.create: link_delay must be positive")
     (fun () -> ignore (Fixture.create ~config:bad (Rfd_topology.Builders.line 2)))
 
+(* A NaN or infinite transport or MRAI parameter must be refused here:
+   past validation it fails mid-run or silently changes the run. *)
+let rejects label config =
+  Alcotest.(check bool) label true (is_err (Config.validate config))
+
+let test_rejects_non_finite_link_delay () =
+  let base = Config.default in
+  rejects "NaN link delay" { base with Config.link_delay = Float.nan };
+  rejects "infinite link delay" { base with Config.link_delay = infinity }
+
+let test_rejects_non_finite_link_jitter () =
+  let base = Config.default in
+  rejects "NaN link jitter" { base with Config.link_jitter = Float.nan };
+  rejects "infinite link jitter" { base with Config.link_jitter = infinity }
+
+let test_rejects_non_finite_mrai_jitter () =
+  let base = Config.default in
+  rejects "NaN low bound" { base with Config.mrai_jitter = (Float.nan, 1.) };
+  rejects "NaN high bound" { base with Config.mrai_jitter = (0.75, Float.nan) };
+  rejects "infinite high bound" { base with Config.mrai_jitter = (0.75, infinity) }
+
+let test_rejects_nan_deployment_fraction () =
+  rejects "NaN fraction"
+    (Config.with_damping ~deployment:(Config.Fraction Float.nan) Params.cisco Config.default);
+  Alcotest.(check bool) "fraction 0 still valid" true
+    (Config.validate
+       (Config.with_damping ~deployment:(Config.Fraction 0.) Params.cisco Config.default)
+    = Ok ())
+
 let test_deployment_only_out_of_range () =
   let config =
     Config.with_damping ~deployment:(Config.Only [ 9 ]) Params.cisco
@@ -100,4 +129,12 @@ let suite =
     Alcotest.test_case "network surfaces config errors" `Quick
       test_network_rejects_invalid_config;
     Alcotest.test_case "deployment node range" `Quick test_deployment_only_out_of_range;
+    Alcotest.test_case "non-finite link delay rejected" `Quick
+      test_rejects_non_finite_link_delay;
+    Alcotest.test_case "non-finite link jitter rejected" `Quick
+      test_rejects_non_finite_link_jitter;
+    Alcotest.test_case "non-finite mrai jitter rejected" `Quick
+      test_rejects_non_finite_mrai_jitter;
+    Alcotest.test_case "NaN deployment fraction rejected" `Quick
+      test_rejects_nan_deployment_fraction;
   ]

@@ -359,6 +359,41 @@ let prop_random_identity =
       let dn, _, _ = digest_at ~partitions scenario in
       d1 = dn)
 
+(* Every executed event has one kind, so the per-kind counts sum to the
+   corrected event count at any partition count, and each kind is itself
+   partition-invariant. On a plain pulse run the only closure events are
+   the pulses' withdrawals and announcements — routed workload events for
+   origin updates, broadcast admin events (counted once) for link-state
+   flaps. *)
+let test_event_kinds () =
+  List.iter
+    (fun (label, mechanism) ->
+      let scenario = Scenario.with_pulses (base_scenario ~mechanism ()) 3 in
+      let kinds partitions =
+        let result, stats = Runner.run_partitioned ~partitions scenario in
+        let k = stats.Runner.events_by_kind in
+        Alcotest.(check int)
+          (Printf.sprintf "%s: kinds sum to sim_events at P=%d" label partitions)
+          result.Runner.sim_events
+          Network.(k.deliveries + k.flushes + k.reuses + k.wheels + k.closures);
+        Alcotest.(check int)
+          (Printf.sprintf "%s: closure = 2 x pulses at P=%d" label partitions)
+          6 k.Network.closures;
+        k
+      in
+      let k1 = kinds 1 in
+      Alcotest.(check bool) (label ^ ": every timer kind ran") true
+        (k1.Network.deliveries > 0 && k1.Network.flushes > 0 && k1.Network.reuses > 0);
+      Alcotest.(check int) (label ^ ": no wheel in Exact mode") 0 k1.Network.wheels;
+      List.iter
+        (fun partitions ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: kinds at P=%d equal P=1" label partitions)
+            true
+            (kinds partitions = k1))
+        [ 2; 4 ])
+    [ ("origin updates", Scenario.Origin_updates); ("link state", Scenario.Link_state) ]
+
 let suite =
   [
     Alcotest.test_case "digest: partitions=1 vs 2 vs 4" `Quick test_digest_identity;
@@ -368,6 +403,7 @@ let suite =
     Alcotest.test_case "digest: tick-wheel reuse ties" `Quick test_digest_identity_tick;
     Alcotest.test_case "digest: budget-exceeded runs" `Quick test_digest_identity_budget;
     Alcotest.test_case "par_stats shape" `Quick test_par_stats;
+    Alcotest.test_case "event kinds sum to sim_events" `Quick test_event_kinds;
     Alcotest.test_case "partitions clamp to node count" `Quick test_partitions_clamped;
     Alcotest.test_case "observe per net, observers on bus" `Quick test_observe_and_bus;
     Alcotest.test_case "one partition: network hooks are the bus" `Quick

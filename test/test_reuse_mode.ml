@@ -15,6 +15,7 @@ module Builders = Rfd_topology.Builders
 module Params = Rfd_damping.Params
 module Scenario = Rfd_experiment.Scenario
 module Sweep = Rfd_experiment.Sweep
+module Sim = Rfd_engine.Sim
 
 let p0 = Prefix.v 0
 
@@ -105,10 +106,71 @@ let test_tick_sweep_jobs_deterministic () =
   Alcotest.check series "message series identical" (Sweep.message_series seq)
     (Sweep.message_series par)
 
+(* A wheel bucket emptied by migration retracts its post; when the same
+   bucket is armed again before that post's time, the stale post must be
+   dropped and the re-armed one fire once, at the bucket's instant. On a
+   3-node line with a 1000 s tick, router 1 parks its entry from peer 0 in
+   the t=2000 bucket, a fourth charge migrates it to t=3000 and empties the
+   bucket, and the entry from peer 2, suppressed afterwards, re-arms
+   t=2000. The pinned event counts are what cancelled closure timers
+   give. *)
+let test_emptied_bucket_rearmed () =
+  let config =
+    Config.with_damping ~reuse:(Config.Tick 1000.) Params.cisco
+      {
+        Config.default with
+        Config.mrai = 0.;
+        link_delay = 0.01;
+        link_jitter = 0.;
+        mrai_jitter = (1.0, 1.0);
+      }
+  in
+  let p1 = Prefix.v 1 in
+  let net = Fixture.create ~config (Builders.line 3) in
+  Par_net.originate net ~node:0 p0;
+  Par_net.originate net ~node:2 p1;
+  Fixture.run net;
+  let scheduled = ref [] and reused = ref [] in
+  let bus = Par_net.bus net in
+  bus.Hooks.on_reuse_schedule <-
+    (fun ~time ~router ~peer ~prefix:_ ~at ->
+      if router = 1 then scheduled := (peer, time, at) :: !scheduled);
+  bus.Hooks.on_reuse <-
+    (fun ~time ~router ~peer ~prefix:_ ~noisy:_ ->
+      if router = 1 then reused := (peer, time) :: !reused);
+  let t0 = Par_net.now net +. 1. in
+  let flap node prefix offsets =
+    List.iter
+      (fun w ->
+        Par_net.schedule_withdraw net ~at:(t0 +. w) ~node prefix;
+        Par_net.schedule_originate net ~at:(t0 +. w +. 0.5) ~node prefix)
+      offsets
+  in
+  flap 0 p0 [ 0.; 10.; 20.; 30. ];
+  flap 2 p1 [ 40.; 50.; 60. ];
+  Fixture.run net;
+  (match List.rev !scheduled with
+  | [ (0, t_a, 2000.); (2, t_b, 2000.) ] ->
+      Alcotest.(check bool) "bucket re-armed after the migration" true
+        (t_a < t0 +. 30. && t_b > t0 +. 30.)
+  | _ -> Alcotest.fail "expected peer 0 then peer 2 parked in the t=2000 bucket");
+  Alcotest.(check (list (pair int (float 0.)))) "re-armed bucket fires once; migrated entry later"
+    [ (2, 2000.); (0, 3000.) ]
+    (List.rev !reused);
+  Alcotest.(check int) "events" 48 (Par_net.sim_events net);
+  Alcotest.(check int) "wheel events" 4 (Par_net.reuse_timer_events net);
+  Alcotest.(check int) "every wheel event is a wheel post" 4
+    (Par_net.event_counts net).Network.wheels;
+  let sim = Fixture.sim net in
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
+  Alcotest.(check int) "no dead entries" 0 (Sim.dead_count sim)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_tick_reuse_within_one_tick;
     Alcotest.test_case "tick release brackets exact" `Quick test_tick_mode_converges_like_exact;
+    Alcotest.test_case "emptied bucket re-armed before its post" `Quick
+      test_emptied_bucket_rearmed;
     Alcotest.test_case "tick-mode sweep deterministic across jobs" `Quick
       test_tick_sweep_jobs_deterministic;
   ]

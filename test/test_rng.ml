@@ -105,6 +105,40 @@ let test_pick () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array") (fun () ->
       ignore (Rng.pick rng [||]))
 
+let test_float_refuses_non_finite () =
+  let rng = Rng.create 5 in
+  List.iter
+    (fun (label, bound) ->
+      Alcotest.check_raises label
+        (Invalid_argument "Rng.float: bound must be positive and finite") (fun () ->
+          ignore (Rng.float rng bound)))
+    [ ("NaN bound", Float.nan); ("infinite bound", infinity); ("zero bound", 0.) ]
+
+(* The network keeps its per-link transport streams in a column; each must
+   draw exactly what a per-link [Rng.t] with the same seed would. *)
+let prop_column_matches_streams =
+  QCheck.Test.make ~name:"column streams draw Rng.float's sequence" ~count:200
+    QCheck.(triple int (int_range 1 8) (float_range 1e-9 1e6))
+    (fun (seed, n, bound) ->
+      let seed_of i = seed + (i * 0x9E37_79B9) in
+      let column = Rng.column n ~seed:seed_of in
+      let streams = Array.init n (fun i -> Rng.create (seed_of i)) in
+      (* Interleave draws across streams unevenly, as links send. *)
+      List.for_all
+        (fun i ->
+          let i = i mod n in
+          Rng.column_float column i bound = Rng.float streams.(i) bound)
+        (List.init 64 (fun k -> (k * k) + (k / 3))))
+
+let test_column_refuses_bad_input () =
+  let column = Rng.column 2 ~seed:Fun.id in
+  Alcotest.(check int) "length" 2 (Rng.column_length column);
+  Alcotest.check_raises "NaN bound"
+    (Invalid_argument "Rng.float: bound must be positive and finite") (fun () ->
+      ignore (Rng.column_float column 0 Float.nan));
+  Alcotest.check_raises "negative length" (Invalid_argument "Rng.column: negative length")
+    (fun () -> ignore (Rng.column (-1) ~seed:Fun.id))
+
 let prop_bool_balanced =
   QCheck.Test.make ~name:"bool roughly balanced" ~count:20
     QCheck.(int_range 0 10_000)
@@ -132,4 +166,7 @@ let suite =
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
     Alcotest.test_case "pick membership" `Quick test_pick;
     QCheck_alcotest.to_alcotest prop_bool_balanced;
+    Alcotest.test_case "float refuses non-finite bounds" `Quick test_float_refuses_non_finite;
+    QCheck_alcotest.to_alcotest prop_column_matches_streams;
+    Alcotest.test_case "column input checks" `Quick test_column_refuses_bad_input;
   ]

@@ -133,15 +133,28 @@ let test_rib_accessors () =
 
 let test_connect_validation () =
   let sim = Sim.create () in
+  let idle = Sim.channel sim (fun _ _ -> ()) in
+  let ports =
+    {
+      Router.transmit = (fun _ _ -> ());
+      flush_on = idle;
+      reuse_on = idle;
+      wheel_on = idle;
+      node_bits = 1;
+    }
+  in
   let r =
     Router.create ~sim ~id:0 ~policy:Policy.announce_all ~config:fast ~damping:None
-      ~rng:(Rfd_engine.Rng.create 1) ~hooks:(Hooks.create ()) ()
+      ~rng:(Rfd_engine.Rng.create 1) ~hooks:(Hooks.create ()) ~ports ()
   in
   Alcotest.check_raises "self peer" (Invalid_argument "Router.connect: cannot peer with self")
-    (fun () -> Router.connect r ~peer:0 ~send:(fun _ -> ()));
-  Router.connect r ~peer:1 ~send:(fun _ -> ());
+    (fun () -> Router.connect r ~peer:0 ~link:0);
+  Router.connect r ~peer:1 ~link:0;
   Alcotest.check_raises "duplicate peer" (Invalid_argument "Router.connect: duplicate peer 1")
-    (fun () -> Router.connect r ~peer:1 ~send:(fun _ -> ()))
+    (fun () -> Router.connect r ~peer:1 ~link:2);
+  Alcotest.check_raises "link beyond the timer key range"
+    (Invalid_argument "Router.connect: link 8388608 outside the timer key range") (fun () ->
+      Router.connect r ~peer:2 ~link:(1 lsl 23))
 
 let test_facade_conveniences () =
   Alcotest.(check bool) "version non-empty" true (String.length Rfd.version > 0);

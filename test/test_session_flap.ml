@@ -80,6 +80,28 @@ let test_flush_timers_cancelled_on_flap () =
   Alcotest.(check bool) "oracle: fully quiet while the link is down" true
     (Par_net.quiescent net p0)
 
+(* The last pending event is a flush that a session reset superseded: it
+   must be dropped exactly like a cancelled closure event — not run, not
+   counted, and not moving the clock past the failure. The pinned clock
+   and event count are what cancelled closure timers give. *)
+let test_superseded_flush_is_last_event () =
+  let net = make (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Par_net.schedule_withdraw net ~at:1.0 ~node:0 p0;
+  Par_net.schedule_originate net ~at:1.2 ~node:0 p0;
+  Par_net.schedule_fail_link net ~at:2.0 0 1;
+  Fixture.run ~until:1.5 net;
+  Alcotest.(check int) "flush armed for t=10" 1
+    (Router.activity (Par_net.router net 0)).Oracle.scheduled_flushes;
+  Fixture.run net;
+  Alcotest.(check (float 0.)) "clock stops at the failure" 2.0 (Par_net.now net);
+  Alcotest.(check int) "events" 5 (Par_net.sim_events net);
+  let sim = Fixture.sim net in
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim);
+  Alcotest.(check int) "stale post dropped" 0 (Sim.heap_size sim);
+  Alcotest.(check int) "no dead entries" 0 (Sim.dead_count sim);
+  Alcotest.(check int) "no flush ran" 0 (Par_net.event_counts net).Network.flushes
+
 (* MRAI conformance across a flap: after restore, a parked update must
    flush at the *new* session's deadline — armed by a fresh flush timer,
    not rescued early or stranded by the old one. *)
@@ -182,6 +204,8 @@ let suite =
       test_per_peer_deadline_reset_on_flap;
     Alcotest.test_case "flush timers cancelled on flap" `Quick
       test_flush_timers_cancelled_on_flap;
+    Alcotest.test_case "superseded flush as the last event" `Quick
+      test_superseded_flush_is_last_event;
     Alcotest.test_case "fresh deadline after restore" `Quick
       test_restored_session_flushes_at_fresh_deadline;
     Alcotest.test_case "multi-prefix flap mid-window" `Quick test_multi_prefix_flap_mid_window;
