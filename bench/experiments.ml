@@ -263,7 +263,7 @@ let fig10 ctx =
       let t1 =
         match Collector.last_update_time c with Some t -> t +. 250. | None -> t0 +. 250.
       in
-      let updates = Ts.bin_sum (Collector.update_series c) ~width:250. ~t0 ~t1 in
+      let updates = Ts.bin_times (Collector.update_times c) ~width:250. ~t0 ~t1 in
       let damped = Ts.bin_last (Collector.damped_series c) ~width:250. ~t0 ~t1 in
       let max_updates = Array.fold_left (fun m (_, v) -> Float.max m v) 1. updates in
       let header = [ "t(s)"; "updates"; "damped"; "updates bar" ] in
@@ -282,7 +282,7 @@ let fig10 ctx =
       print_string (Report.table ~header rows);
       print_newline ();
       (* full 5 s resolution goes to CSV, like the paper's plots *)
-      let fine_updates = Ts.bin_sum (Collector.update_series c) ~width:5. ~t0 ~t1 in
+      let fine_updates = Ts.bin_times (Collector.update_times c) ~width:5. ~t0 ~t1 in
       let fine_damped = Ts.bin_last (Collector.damped_series c) ~width:5. ~t0 ~t1 in
       Context.write_csv ctx
         ~name:(Printf.sprintf "fig10_n%d" n)
@@ -674,8 +674,9 @@ let summary ctx =
         | None -> false
         | Some reuse ->
             let after =
-              Ts.fold (Collector.update_series c) ~init:0 ~f:(fun acc ~time ~value:_ ->
-                  if time >= reuse then acc + 1 else acc)
+              Array.fold_left
+                (fun acc time -> if time >= reuse then acc + 1 else acc)
+                0 (Collector.update_times c)
             in
             float_of_int after < 0.6 *. float_of_int (Collector.update_count c) );
       ( "peak penalty stays far below 12000 (Section 5.2)",

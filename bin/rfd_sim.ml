@@ -521,8 +521,11 @@ let sweep_cmd =
       }
     in
     install_drain_signals ();
+    (* Points fail inside the sweep; what escapes it is a journal this
+       build refuses (an older version) or cannot open. *)
     let sweep =
-      Rfd.Sweep.run ~pulses ~jobs ~budget ~supervision scenario
+      try Rfd.Sweep.run ~pulses ~jobs ~budget ~supervision scenario
+      with Failure msg | Sys_error msg -> die "sweep" "%s" msg
     in
     let tup =
       match sweep.Rfd.Sweep.points with
@@ -933,7 +936,7 @@ let journal_compact_cmd =
     Arg.(value & flag & info [ "check" ] ~doc)
   in
   let file_arg =
-    let doc = "The rfd-journal/3 file to compact (or, with --check, verify)." in
+    let doc = "The rfd-journal/4 file to compact (or, with --check, verify)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let doc =

@@ -31,7 +31,6 @@ let set_level t ~time value =
 let length t = t.size
 let is_empty t = t.size = 0
 let points t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))
-let times t = Array.sub t.times 0 t.size
 
 let trim t =
   if Array.length t.times > t.size then begin
@@ -75,17 +74,21 @@ let check_bins ~width ~t0 ~t1 =
   if t1 < t0 then invalid_arg "Timeseries: t1 < t0";
   int_of_float (ceil ((t1 -. t0) /. width))
 
-let bin_sum t ~width ~t0 ~t1 =
+(* Sum [value i] over the first [size] of [times] into each bin. *)
+let bin_values times ~size value ~width ~t0 ~t1 =
   let n = check_bins ~width ~t0 ~t1 in
   let sums = Array.make n 0. in
-  for i = 0 to t.size - 1 do
-    let time = t.times.(i) in
+  for i = 0 to size - 1 do
+    let time = times.(i) in
     if time >= t0 && time < t1 then begin
       let b = int_of_float ((time -. t0) /. width) in
-      if b >= 0 && b < n then sums.(b) <- sums.(b) +. t.values.(i)
+      if b >= 0 && b < n then sums.(b) <- sums.(b) +. value i
     end
   done;
   Array.init n (fun i -> (t0 +. (float_of_int i *. width), sums.(i)))
+
+let bin_sum t = bin_values t.times ~size:t.size (fun i -> t.values.(i))
+let bin_times times = bin_values times ~size:(Array.length times) (fun _ -> 1.)
 
 let bin_last t ~width ~t0 ~t1 =
   let n = check_bins ~width ~t0 ~t1 in

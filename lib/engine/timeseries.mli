@@ -27,9 +27,6 @@ val points : t -> (float * float) array
 (** All samples in time order. The array is fresh; mutating it does not
     affect the series. *)
 
-val times : t -> float array
-(** [Array.map fst (points s)], without building the pairs. *)
-
 val trim : t -> unit
 (** Drop the spare capacity {!add} grows, once a series is complete and
     about to be kept or marshalled. A later {!add} still works. *)
@@ -49,6 +46,11 @@ val bin_sum : t -> width:float -> t0:float -> t1:float -> (float * float) array
     half-open bin [\[t0 + i*width, t0 + (i+1)*width)] and returns
     [(bin_start, sum)] rows covering [\[t0, t1)]. Used for the paper's
     update-series plots. *)
+
+val bin_times : float array -> width:float -> t0:float -> t1:float -> (float * float) array
+(** [bin_times times ~width ~t0 ~t1] counts the [times] falling in each
+    bin: {!bin_sum} of a series with one [(time, 1.)] sample per time, for
+    event logs kept as a bare time column. *)
 
 val bin_last : t -> width:float -> t0:float -> t1:float -> (float * float) array
 (** Like {!bin_sum} but each bin reports the last sample value at or before

@@ -4,13 +4,20 @@ module Hooks = Rfd_bgp.Hooks
 type t = {
   mutable dropped : int;
   mutable duplicated : int;
-  update_series : Timeseries.t;
+  (* One cell per delivered update, its time; cells past [updates] are
+     spare capacity until [trim]. *)
+  mutable update_times : float array;
+  mutable updates : int;
   damped_series : Timeseries.t;
   mutable damped_now : int;
   mutable suppress_events : int;
   mutable peak_penalty : float;
-  mutable reuse_log : (float * int * int * bool) list; (* newest first, see [log_reuse] *)
-  reuse_series : Timeseries.t;
+  (* One row per reuse release across two columns, in the order
+     [log_reuse] keeps: its time, and its router, peer and noisy flag
+     packed by [pack]. *)
+  mutable reuse_times : float array;
+  mutable reuse_ids : int array;
+  mutable reuses : int;
   probes : (int * int, Timeseries.t) Hashtbl.t;
   (* Oracle-state accounting: running balances of the timer machinery,
      maintained from the MRAI and reuse-timer lifecycle hooks. *)
@@ -31,13 +38,15 @@ let create ?(probe_pairs = []) () =
   {
     dropped = 0;
     duplicated = 0;
-    update_series = Timeseries.create ();
+    update_times = [||];
+    updates = 0;
     damped_series = Timeseries.create ();
     damped_now = 0;
     suppress_events = 0;
     peak_penalty = 0.;
-    reuse_log = [];
-    reuse_series = Timeseries.create ();
+    reuse_times = [||];
+    reuse_ids = [||];
+    reuses = 0;
     probes;
     mrai_pending_now = 0;
     flush_armed_now = 0;
@@ -47,21 +56,57 @@ let create ?(probe_pairs = []) () =
     last_timer = None;
   }
 
+(* A column full at [used] cells, copied into one of twice the size
+   (64 cells at first). *)
+let grow column ~used zero =
+  let bigger = Array.make (max 64 (2 * used)) zero in
+  Array.blit column 0 bigger 0 used;
+  bigger
+
+(* The first [used] cells: the column itself when it has no spare ones. *)
+let trimmed column used = if Array.length column = used then column else Array.sub column 0 used
+
+(* Router ids sit above bit 32, peer ids in bits 1-31, the noisy flag in
+   bit 0; node ids stay far below 2^30. *)
+let pack ~router ~peer ~noisy = (router lsl 32) lor (peer lsl 1) lor Bool.to_int noisy
+let router_of id = id lsr 32
+let peer_of id = (id lsr 1) land 0x7fff_ffff
+let noisy_of id = id land 1 = 1
+
 (* Observers see same-instant events of different routers in execution
    order with one partition and in router-id order with several (see
    Par_net); tick-wheel reuses make such ties common. Everything collected
    is therefore insensitive to that order: the damped-link gauge keeps one
    sample per instant ([Timeseries.set_level]), the timer balances keep no
-   history at all, and the reuse log is kept in (time, router) order, each
-   router's own releases in arrival order. *)
-let rec log_reuse ((time, router, _, _) as entry) = function
-  | ((time', router', _, _) as newer) :: older when time' = time && router' > router ->
-      newer :: log_reuse entry older
-  | log -> entry :: log
+   history at all, and the reuse rows are kept in (time, router) order,
+   each router's own releases in arrival order: a release moves ahead of
+   the same-instant rows of higher routers. *)
+let log_reuse t ~time ~router ~peer ~noisy =
+  let n = t.reuses in
+  if n = Array.length t.reuse_times then begin
+    t.reuse_times <- grow t.reuse_times ~used:n 0.;
+    t.reuse_ids <- grow t.reuse_ids ~used:n 0
+  end;
+  let i = ref n in
+  while !i > 0 && t.reuse_times.(!i - 1) = time && router_of t.reuse_ids.(!i - 1) > router do
+    t.reuse_times.(!i) <- t.reuse_times.(!i - 1);
+    t.reuse_ids.(!i) <- t.reuse_ids.(!i - 1);
+    decr i
+  done;
+  t.reuse_times.(!i) <- time;
+  t.reuse_ids.(!i) <- pack ~router ~peer ~noisy;
+  t.reuses <- n + 1
+
+let log_update t ~time =
+  let n = t.updates in
+  if n > 0 && time < t.update_times.(n - 1) then
+    invalid_arg "Collector: deliveries must be time-ordered";
+  if n = Array.length t.update_times then t.update_times <- grow t.update_times ~used:n 0.;
+  t.update_times.(n) <- time;
+  t.updates <- n + 1
 
 let attach t (hooks : Hooks.t) =
-  hooks.Hooks.on_deliver <-
-    (fun ~time ~src:_ ~dst:_ _ -> Timeseries.add t.update_series ~time 1.);
+  hooks.Hooks.on_deliver <- (fun ~time ~src:_ ~dst:_ _ -> log_update t ~time);
   hooks.Hooks.on_drop <- (fun ~time:_ ~src:_ ~dst:_ _ -> t.dropped <- t.dropped + 1);
   hooks.Hooks.on_duplicate <-
     (fun ~time:_ ~src:_ ~dst:_ _ -> t.duplicated <- t.duplicated + 1);
@@ -72,8 +117,7 @@ let attach t (hooks : Hooks.t) =
       Timeseries.set_level t.damped_series ~time (float_of_int t.damped_now));
   hooks.Hooks.on_reuse <-
     (fun ~time ~router ~peer ~prefix:_ ~noisy ->
-      t.reuse_log <- log_reuse (time, router, peer, noisy) t.reuse_log;
-      Timeseries.add t.reuse_series ~time 1.;
+      log_reuse t ~time ~router ~peer ~noisy;
       t.damped_now <- t.damped_now - 1;
       Timeseries.set_level t.damped_series ~time (float_of_int t.damped_now);
       t.reuse_timers_now <- t.reuse_timers_now - 1;
@@ -102,10 +146,13 @@ let attach t (hooks : Hooks.t) =
       | None -> ())
 
 let trim t =
-  List.iter Timeseries.trim [ t.update_series; t.damped_series; t.reuse_series ];
+  t.update_times <- trimmed t.update_times t.updates;
+  t.reuse_times <- trimmed t.reuse_times t.reuses;
+  t.reuse_ids <- trimmed t.reuse_ids t.reuses;
+  Timeseries.trim t.damped_series;
   Hashtbl.iter (fun _ series -> Timeseries.trim series) t.probes
 
-let update_count t = Timeseries.length t.update_series
+let update_count t = t.updates
 let dropped_updates t = t.dropped
 let duplicated_updates t = t.duplicated
 let mrai_pending_now t = t.mrai_pending_now
@@ -114,8 +161,8 @@ let reuse_timers_now t = t.reuse_timers_now
 let mrai_queued_events t = t.mrai_queued_events
 let last_mrai_time t = t.last_mrai
 let last_timer_time t = t.last_timer
-let last_update_time t = Option.map fst (Timeseries.last t.update_series)
-let update_series t = t.update_series
+let last_update_time t = if t.updates = 0 then None else Some t.update_times.(t.updates - 1)
+let update_times t = trimmed t.update_times t.updates
 let damped_series t = t.damped_series
 let damped_now t = t.damped_now
 let peak_damped t =
@@ -123,13 +170,24 @@ let peak_damped t =
   | Some v -> max 0 (int_of_float v)
   | None -> 0
 let suppress_events t = t.suppress_events
-let reuse_events t = Timeseries.length t.reuse_series
+let reuse_events t = t.reuses
+
 let noisy_reuse_events t =
-  List.fold_left (fun n (_, _, _, noisy) -> if noisy then n + 1 else n) 0 t.reuse_log
+  let n = ref 0 in
+  for i = 0 to t.reuses - 1 do
+    if noisy_of t.reuse_ids.(i) then incr n
+  done;
+  !n
+
 let peak_penalty t = t.peak_penalty
-let first_reuse_time t = Option.map fst (Timeseries.first t.reuse_series)
-let reuse_series t = t.reuse_series
-let reuse_log t = List.rev t.reuse_log
+let first_reuse_time t = if t.reuses = 0 then None else Some t.reuse_times.(0)
+let reuse_times t = trimmed t.reuse_times t.reuses
+
+let reuse_log t =
+  List.init t.reuses (fun i ->
+      let id = t.reuse_ids.(i) in
+      (t.reuse_times.(i), router_of id, peer_of id, noisy_of id))
+
 let penalty_trace t ~router ~peer = Hashtbl.find_opt t.probes (router, peer)
 
 let probed_pairs t =

@@ -1,11 +1,16 @@
 (** Metric collection for the measured flap phase.
 
     A collector plugs into a network's {!Rfd_bgp.Hooks.t} and keeps what the
-    paper's figures read: update deliveries (count, times, series), the
+    paper's figures read: update deliveries (count and times), the
     damped-link gauge, suppression/reuse events, optional penalty traces,
     and timer balances without history. Attach a fresh collector to start
     counting from zero (e.g. after initial convergence, so only flap-induced
-    traffic is measured). *)
+    traffic is measured).
+
+    Per-event records are unboxed columns: a delivery is one float (its
+    time), a reuse release one float and one int (its time; its router,
+    peer and noisy flag, packed). {!trim} cuts each column to its length
+    once, and the accessors below then hand out the columns themselves. *)
 
 type t
 
@@ -17,8 +22,10 @@ val attach : t -> Rfd_bgp.Hooks.t -> unit
 (** Overwrite the hooks' fields with this collector's recorders. *)
 
 val trim : t -> unit
-(** {!Rfd_engine.Timeseries.trim} every series, once collection is over:
-    a kept or marshalled collector then carries no spare capacity. *)
+(** Drop every column's and series' spare capacity, once collection is
+    over: a kept or marshalled collector then carries none, and
+    {!update_times} and {!reuse_times} return their columns without
+    copying. A later event still works. *)
 
 val update_count : t -> int
 (** Updates delivered since {!attach}. *)
@@ -33,9 +40,11 @@ val duplicated_updates : t -> int
 
 val last_update_time : t -> float option
 
-val update_series : t -> Rfd_engine.Timeseries.t
-(** One [(time, 1.)] sample per delivered update; bin with
-    {!Rfd_engine.Timeseries.bin_sum}. *)
+val update_times : t -> float array
+(** The time of every delivered update, in delivery order (non-decreasing:
+    a delivery earlier than the last raises [Invalid_argument]). After
+    {!trim} this is the column itself, so do not mutate it; before, a
+    fresh copy. Bin with {!Rfd_engine.Timeseries.bin_times}. *)
 
 val damped_series : t -> Rfd_engine.Timeseries.t
 (** Step series of the number of currently damped (suppressed) links, one
@@ -51,14 +60,17 @@ val noisy_reuse_events : t -> int
 val peak_penalty : t -> float
 val first_reuse_time : t -> float option
 
-val reuse_series : t -> Rfd_engine.Timeseries.t
-(** One [(time, 1.)] sample per reuse-timer release (noisy or silent). *)
+val reuse_times : t -> float array
+(** The time of every reuse-timer release (noisy or silent), in
+    {!reuse_log} order, so non-decreasing. Shared with the collector after
+    {!trim} like {!update_times}. *)
 
 val reuse_log : t -> (float * int * int * bool) list
-(** Every reuse release as [(time, router, peer, noisy)], oldest first.
-    Releases at one instant are ordered by router, and each router's own in
-    the order they happened, so the log does not depend on how
-    different routers' same-instant events interleaved. *)
+(** Every reuse release as [(time, router, peer, noisy)], oldest first,
+    built from the columns on each call. Releases at one instant are
+    ordered by router, and each router's own in the order they happened,
+    so the log does not depend on how different routers' same-instant
+    events interleaved. *)
 
 val penalty_trace : t -> router:int -> peer:int -> Rfd_engine.Timeseries.t option
 (** Post-increment penalty samples for a probed pair. *)

@@ -3,14 +3,18 @@ type outcome =
   | Crashed of string
   | Timed_out of { attempts : int; deadline : float }
 
-let header = "rfd-journal/3"
+let header = "rfd-journal/4"
 
 (* Older journals are refused, never migrated: version 1 results came
    from shared transport random streams under unchanged job keys, and
-   version 2 payloads hold a result of another layout, which unmarshalling
-   at this build's type would misread. *)
+   version 2 and 3 payloads hold a result of another layout, which
+   unmarshalling at this build's type would misread. *)
 let superseded =
-  [ ("rfd-journal/1", "older transport RNG scheme"); ("rfd-journal/2", "older result layout") ]
+  [
+    ("rfd-journal/1", "older transport RNG scheme");
+    ("rfd-journal/2", "older result layout");
+    ("rfd-journal/3", "older result layout");
+  ]
 
 let refuse_header ~caller path text =
   let first_line =
@@ -77,10 +81,14 @@ let decode_hex value s =
 
 let of_hex = decode_hex hex_value
 
+(* A line's digest covers its key and its payload, so neither loads
+   damaged: the MD5 of the key followed by the payload's raw MD5, which a
+   fixed 16 bytes keeps unambiguous without copying the payload. *)
+let line_digest ~key payload = Digest.to_hex (Digest.string (key ^ Digest.string payload))
+
 let render_line ~key outcome =
   let payload = marshal outcome in
-  let digest = Digest.to_hex (Digest.string payload) in
-  String.concat "" [ key; " "; digest; " "; to_hex payload; "\n" ]
+  String.concat "" [ key; " "; line_digest ~key payload; " "; to_hex payload; "\n" ]
 
 type writer = { fd : Unix.file_descr; mutable closed : bool }
 
@@ -132,7 +140,7 @@ let parse_line line =
   match String.split_on_char ' ' line with
   | [ key; digest; hex ] -> (
       match decode_hex lower_value hex with
-      | Some payload when Digest.to_hex (Digest.string payload) = digest -> (
+      | Some payload when line_digest ~key payload = digest -> (
           match (Marshal.from_string payload 0 : outcome) with
           | outcome -> Some (key, outcome)
           | exception _ -> None)

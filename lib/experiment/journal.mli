@@ -5,16 +5,17 @@
     running it. The journal is an append-only text file: a header line,
     then one line per job that reached a {e terminal} outcome —
 
-    {v rfd-journal/3
-<job key> <payload digest> <hex payload> v}
+    {v rfd-journal/4
+<job key> <line digest> <hex payload> v}
 
     where the job key is {!job_key} (the MD5 of the job's fully resolved
     scenario × seed × pulse count), the payload is the marshalled
-    {!outcome} and the digest is the MD5 of the payload bytes. Every
-    append is [fsync]'d before {!append} returns, so a line either exists
-    completely or not at all as far as a resumed process is concerned; a
-    SIGKILL can at worst leave one truncated final line, which {!load}
-    detects (the digest cannot match) and skips.
+    {!outcome} and the line digest is the MD5 of the key followed by the
+    payload's MD5, so damage to either column fails it. Every append is
+    [fsync]'d before {!append} returns, so a line either exists completely
+    or not at all as far as a resumed process is concerned; a SIGKILL can
+    at worst leave one truncated final line, which {!load} detects (the
+    digest cannot match) and skips.
 
     Because the payload for a finished run is the marshalled
     {!Runner.result} itself, a resumed sweep reassembles {e exactly} the
@@ -23,17 +24,18 @@
     with [diff]. The format is tied to the producing binary (OCaml
     [Marshal]): resume with the build that wrote the journal. Every reader
     refuses older versions: version 1 results came from an older transport
-    RNG scheme under unchanged job keys, version 2 ones have an older
-    result layout. *)
+    RNG scheme under unchanged job keys, versions 2 and 3 hold results of
+    older layouts (version 3's collector kept boxed per-update samples and
+    its result the background placement). *)
 
 val header : string
-(** ["rfd-journal/3"], the first line of every journal. *)
+(** ["rfd-journal/4"], the first line of every journal. *)
 
 val refuse_header : caller:string -> string -> string -> 'a
 (** [refuse_header ~caller path text] raises [Failure] for a file whose
     first line — the start of [text], up to any newline — is not
     {!header}. The message starts with [caller] and [path]; for an
-    [rfd-journal/1] or [rfd-journal/2] file it names the version found and
+    [rfd-journal/1], [/2] or [/3] file it names the version found and
     {!header}. *)
 
 type outcome =
@@ -67,8 +69,9 @@ type loaded = {
   entries : (string, outcome) Hashtbl.t;
       (** newest entry per key wins, so re-journalled jobs are harmless *)
   corrupt : int;
-      (** lines skipped: malformed, digest mismatch, or unmarshallable —
-          a truncated SIGKILL tail counts here *)
+      (** lines skipped: malformed, digest mismatch (a damaged key
+          included), or unmarshallable — a truncated SIGKILL tail counts
+          here *)
 }
 
 val load : string -> loaded
@@ -79,8 +82,8 @@ val load : string -> loaded
 val parse_line : string -> (string * outcome) option
 (** Decode one journal body line (no trailing newline): [Some (key,
     outcome)] when the line is one {!render_line} writes — lowercase hex
-    payload — whose digest verifies and whose payload unmarshals, [None]
-    for anything torn or corrupt. The random-access read path of the
+    payload — whose digest verifies against its key and payload and whose
+    payload unmarshals, [None] for anything torn or corrupt. The random-access read path of the
     result store ({!Rfd_service.Store}) uses this to decode a single line
     without rescanning the whole file. *)
 

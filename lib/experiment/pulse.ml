@@ -86,8 +86,12 @@ let events = function
       require (events <> []) "custom pattern must be non-empty";
       validate_events events
 
-let final_announcement pattern =
-  match List.rev (events pattern) with [] -> 0. | { at; _ } :: _ -> at
+let final_announcement = function
+  | Periodic { pulses; interval } when pulses > 0 && Float.is_finite interval && interval > 0. ->
+      (* [events]' last time, computed the same way without building the
+         train: scenario validation asks for it on every check. *)
+      (2. *. float_of_int (pulses - 1) *. interval) +. interval
+  | pattern -> ( match List.rev (events pattern) with [] -> 0. | { at; _ } :: _ -> at)
 
 let to_intended_events pattern =
   List.map

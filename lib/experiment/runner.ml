@@ -44,7 +44,6 @@ type result = {
   message_count : int;
   collector : Collector.t;
   spans : Phases.span list;
-  background : (int * Prefix.t) list;
   sim_events : int;
   peak_heap : int;
   reuse_timer_events : int;
@@ -94,19 +93,6 @@ let relations_for scenario graph ~origin ~isp =
       in
       Some (Relations.make graph labels)
 
-(* Resolve the scenario's workload to a concrete trace once per run.
-   [nodes] is the {e base} topology's node count (trace origins index base
-   nodes; the origin stub is appended after them), so a [Flappers] workload
-   expands to exactly the trace [Replay (Trace.flappers ...)] would carry. *)
-let workload_trace scenario ~nodes =
-  match scenario.Scenario.workload with
-  | Scenario.Pulses_only -> None
-  | Scenario.Replay trace -> Some trace
-  | Scenario.Flappers { count; flaps; mean_gap; alpha; seed } ->
-      Some
-        (Trace.flappers ~seed ~nodes ~count ~flaps ~mean_gap ~alpha
-           ~first_prefix:(scenario.Scenario.background_prefixes + 1))
-
 let trace_node ~origin = function Some n -> n | None -> origin
 
 let resolve_probe scenario graph ~origin =
@@ -131,13 +117,27 @@ let resolve_probe scenario graph ~origin =
    partition count even when the simulation outcome is bit-identical.
    Marshalling without sharing makes the digest a function of values only:
    which boxed float a collector field points at depends on the order in
-   which same-instant events reached it, not on the outcome. *)
+   which same-instant events reached it, not on the outcome.
+
+   The bytes are those [Marshal.to_string] returns, written into a buffer
+   each domain allocates once and digested in place. 64 KiB holds a
+   Figure 8 mesh result; a 1 MiB buffer cost the daemon more peak memory
+   than it saved. A result that does not fit is marshalled to a fresh
+   string instead: growing the buffer would keep the largest result's
+   worth of bytes alive for good, and digests run at the end of a run,
+   when the heap is fullest. *)
+let digest_buffer_bytes = 1 lsl 16
+
+let digest_buffer = Domain.DLS.new_key (fun () -> Bytes.create digest_buffer_bytes)
+
 let result_digest r =
+  let r = { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 } in
+  let flags = [ Marshal.No_sharing ] in
+  let buffer = Domain.DLS.get digest_buffer in
   Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 }
-          [ Marshal.No_sharing ]))
+    (match Marshal.to_buffer buffer 0 digest_buffer_bytes r flags with
+    | length -> Digest.subbytes buffer 0 length
+    | exception Failure _ -> Digest.string (Marshal.to_string r flags))
 
 type par_stats = {
   partitions : int;
@@ -196,14 +196,10 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       incr initial_updates;
       last_initial_delivery := time);
   let background_rng = Rng.split rng in
-  let background =
-    List.init scenario.Scenario.background_prefixes (fun i ->
-        let prefix = Prefix.v (i + 1) in
-        let node = Rng.int background_rng (Graph.num_nodes graph) in
-        Par_net.originate par ~node prefix;
-        (node, prefix))
-  in
-  let workload = workload_trace scenario ~nodes:(Graph.num_nodes base_graph) in
+  for i = 1 to scenario.Scenario.background_prefixes do
+    Par_net.originate par ~node:(Rng.int background_rng (Graph.num_nodes graph)) (Prefix.v i)
+  done;
+  let workload = Scenario.workload_trace scenario in
   (* Workload prefixes whose trace opens with a withdrawal were reachable
      when recording started: originate them now so they converge alongside
      the background prefixes, before anything is measured. *)
@@ -232,15 +228,8 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   let phase2_now = Par_net.now par in
   Par_net.advance_all par ~time:phase2_now;
   let flap_start = phase2_now +. scenario.Scenario.settle_gap in
-  let pattern =
-    match scenario.Scenario.pattern with
-    | Some pattern -> pattern
-    | None ->
-        Pulse.Periodic
-          { pulses = scenario.Scenario.pulses; interval = scenario.Scenario.flap_interval }
-  in
   let final_announcement =
-    let events = Pulse.events pattern in
+    let events = Pulse.events (Scenario.pulse_pattern scenario) in
     List.iter
       (fun (e : Pulse.event) ->
         let at = flap_start +. e.Pulse.at in
@@ -305,11 +294,10 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
   let time_to_stable = stable_abs -. final_announcement in
   let time_to_quiet = quiet_abs -. final_announcement in
+  (* Trimmed above, so these are the collector's own columns. *)
   let spans =
-    Phases.classify
-      ~update_times:(Rfd_engine.Timeseries.times (Collector.update_series collector))
-      ~reuse_times:(Rfd_engine.Timeseries.times (Collector.reuse_series collector))
-      ~flap_start
+    Phases.classify ~update_times:(Collector.update_times collector)
+      ~reuse_times:(Collector.reuse_times collector) ~flap_start
   in
   let result =
     {
@@ -328,7 +316,6 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       message_count = Collector.update_count collector;
       collector;
       spans;
-      background;
       sim_events = Par_net.sim_events par;
       peak_heap = Par_net.peak_heap par;
       reuse_timer_events = Par_net.reuse_timer_events par;

@@ -81,13 +81,11 @@ type result = {
           [Budget_exceeded _] marks a partial result *)
   message_count : int;  (** updates observed during the flap phase *)
   collector : Collector.t;
-      (** the flap phase's series, counts and traces, trimmed
+      (** the flap phase's columns, series, counts and traces, trimmed
           ({!Collector.trim}) once the run ends, so a stored or marshalled
-          result carries no spare series capacity *)
+          result carries no spare capacity; [spans] was classified from
+          its delivery and release time columns in place *)
   spans : Phases.span list;  (** four-state classification of the episode *)
-  background : (int * Rfd_bgp.Prefix.t) list;
-      (** (node, prefix) placement of every background prefix, in
-          origination order *)
   sim_events : int;
   peak_heap : int;
       (** high-water mark of the simulator's event queue over the whole
@@ -132,14 +130,23 @@ val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
 
 val result_digest : result -> string
-(** Hex MD5 over the marshalled result with the host-timing fields
-    ([wall_seconds], [cpu_seconds]) and [peak_heap] zeroed — a fingerprint
-    of everything the simulation determined. Two runs of the same job (any
-    [jobs] count, any partition count, first try or retry) must produce
-    equal digests; the supervised sweep's journal and tests use this to
-    verify bit-identity cheaply. [peak_heap] is excluded because it sums
-    per-partition heap peaks, which vary with the partition count even when
-    the simulation outcome is identical. *)
+(** Hex MD5 over the result marshalled without sharing, with the
+    host-timing fields ([wall_seconds], [cpu_seconds]) and [peak_heap]
+    zeroed — a fingerprint of everything the simulation determined. Two
+    runs of the same job (any [jobs] count, any partition count, first try
+    or retry) must produce equal digests; the supervised sweep's journal
+    and tests use this to verify bit-identity cheaply. [peak_heap] is
+    excluded because it sums per-partition heap peaks, which vary with the
+    partition count even when the simulation outcome is identical.
+
+    The digest is that of [Marshal.to_string]'s bytes, but a result that
+    marshals to at most {!digest_buffer_bytes} is written into a buffer
+    each domain allocates once and digested there, allocating no string;
+    a larger one falls back to [Marshal.to_string]. Safe to call from any
+    domain. *)
+
+val digest_buffer_bytes : int
+(** Size of each domain's {!result_digest} buffer (64 KiB). *)
 
 (** {1 Partitioned execution}
 

@@ -134,6 +134,65 @@ let paper_mesh = Mesh { rows = 10; cols = 10 }
 let paper_internet = Internet { nodes = 100; m = 2 }
 let paper_internet_208 = Internet { nodes = 208; m = 2 }
 
+let pulse_pattern t =
+  match t.pattern with
+  | Some pattern -> pattern
+  | None -> Pulse.Periodic { pulses = t.pulses; interval = t.flap_interval }
+
+(* Trace origins index base-topology nodes (the origin stub is appended
+   after them), so a [Flappers] workload expands to exactly the trace
+   [Replay (Trace.flappers ...)] would carry. *)
+let generate_flappers t ~count ~flaps ~mean_gap ~alpha ~seed =
+  Trace.flappers ~seed ~nodes:(topology_nodes t.topology) ~count ~flaps ~mean_gap ~alpha
+    ~first_prefix:(t.background_prefixes + 1)
+
+let workload_trace t =
+  match t.workload with
+  | Pulses_only -> None
+  | Replay trace -> Some trace
+  | Flappers { count; flaps; mean_gap; alpha; seed } ->
+      Some (generate_flappers t ~count ~flaps ~mean_gap ~alpha ~seed)
+
+(* [Par_sim] advances in epochs of one link delay, so an event at a time
+   [time] with [time +. link_delay = time] (past 2^49 s at 0.05 s) could
+   never be passed. Each flap-phase source is checked at the settle gap
+   plus its last offset: the flap phase starts that long after initial
+   convergence, whose length is known only once it has run. *)
+let advances ~delay time = time +. delay > time
+
+let stuck t source offset =
+  let delay = t.config.Rfd_bgp.Config.link_delay and time = t.settle_gap +. offset in
+  if advances ~delay time then None
+  else
+    Some
+      (Printf.sprintf "%s at %g s cannot advance by the %g s link delay (the lockstep lookahead)"
+         source time delay)
+
+(* A flapper trace is generated only when its cheap bound cannot rule it
+   out. A bound [b] rules out every time up to [b]: doubling a time
+   doubles the spacing of floats near it, so [2b] advancing means every
+   smaller time does. *)
+let horizon_problem t =
+  match stuck t "last pulse" (Pulse.final_announcement (pulse_pattern t)) with
+  | Some _ as problem -> problem
+  | None -> (
+      match
+        match t.workload with
+        | Pulses_only -> None
+        | Replay trace -> stuck t "last replayed event" (Trace.last_time trace)
+        | Flappers { count; flaps; mean_gap; alpha; seed } ->
+            let bound = t.settle_gap +. Trace.flappers_horizon ~flaps ~mean_gap ~alpha in
+            if advances ~delay:t.config.Rfd_bgp.Config.link_delay (2. *. bound) then None
+            else
+              stuck t "last flapper event"
+                (Trace.last_time (generate_flappers t ~count ~flaps ~mean_gap ~alpha ~seed))
+      with
+      | Some _ as problem -> problem
+      | None -> (
+          match t.faults with
+          | None -> None
+          | Some plan -> stuck t "last fault event" (Rfd_faults.Fault_plan.last_time plan)))
+
 let validate t =
   if t.pulses < 0 then Error "pulses must be non-negative"
   else if t.background_prefixes < 0 then Error "background_prefixes must be non-negative"
@@ -182,7 +241,10 @@ let validate t =
                             t.workload t.topology
                         with
                         | Some e -> Error e
-                        | None -> Ok ())))))
+                        | None -> (
+                            match horizon_problem t with
+                            | Some e -> Error e
+                            | None -> Ok ()))))))
   end
 
 let pp_topology ppf = function

@@ -122,6 +122,23 @@ val paper_internet_208 : topology
 (** [Internet {nodes = 208; m = 2}] — the Section 7 policy experiment. *)
 
 val validate : t -> (unit, string) result
+(** Every check {!make} makes, plus the config, pulse pattern, fault plan
+    and workload checks a record built by hand needs. It also refuses a
+    flap-phase event the lockstep engine could never pass: the settle gap
+    plus the last offset of the pulse pattern, of the replayed or
+    generated flapper trace, or of the fault plan, when adding the link
+    delay to it leaves it unchanged (the message says it "cannot
+    advance"). *)
+
+val pulse_pattern : t -> Pulse.pattern
+(** The flap train: [pattern], or the periodic [pulses] x [flap_interval]
+    train when it is [None]. *)
+
+val workload_trace : t -> Trace.t option
+(** The workload as a concrete trace: a replay's own, or the {!Trace.flappers}
+    trace a [Flappers] workload generates (origins index base-topology
+    nodes, prefixes start after the background range). *)
+
 val pp : Format.formatter -> t -> unit
 
 val topology_summary : topology -> string

@@ -206,6 +206,13 @@ let pre_originations (t : t) =
 let pareto_xmin ~alpha ~mean_gap =
   if alpha > 1. then mean_gap *. (alpha -. 1.) /. alpha else mean_gap
 
+(* [Rng.pareto] draws [u] in [\[2^-53, 1\]], so no gap exceeds
+   [xmin * 2^(53/alpha)], or the 1 ms a degenerate draw is bumped to. The
+   small factor covers rounding in the pow and in the running sum. *)
+let flappers_horizon ~flaps ~mean_gap ~alpha =
+  let largest = Float.max 1e-3 (pareto_xmin ~alpha ~mean_gap *. Float.exp2 (53. /. alpha)) in
+  2. *. float_of_int flaps *. largest *. (1. +. 1e-9)
+
 let flappers ~seed ~nodes ~count ~flaps ~mean_gap ~alpha ~first_prefix : t =
   if nodes <= 0 then invalid_arg "Trace.flappers: nodes must be positive";
   if count < 0 then invalid_arg "Trace.flappers: count must be non-negative";

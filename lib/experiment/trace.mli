@@ -88,4 +88,10 @@ val flappers :
     [seed] yields an equal trace; each flapper's schedule depends only on
     [(seed, index)]. *)
 
+val flappers_horizon : flaps:int -> mean_gap:float -> alpha:float -> float
+(** An upper bound on {!last_time} of every {!flappers} trace with these
+    parameters, whatever its seed, node and flapper counts: [2 * flaps]
+    times the largest gap a Pareto draw can yield. Cheap, so a caller can
+    rule out a late event without generating the trace. *)
+
 val pp : Format.formatter -> t -> unit

@@ -154,6 +154,14 @@ let expand ?(candidates = []) t =
     (fun a b -> Float.compare (event_time a) (event_time b))
     (scheduled @ generated)
 
+(* [Rng.pick] draws once from any pool, so a stand-in link yields the
+   times a real candidate pool would. *)
+let last_time t =
+  let candidates =
+    match t.random_flaps with Some { candidates = []; _ } -> [ (0, 1) ] | Some _ | None -> []
+  in
+  List.fold_left (fun acc e -> Float.max acc (event_time e)) 0. (expand ~candidates t)
+
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 

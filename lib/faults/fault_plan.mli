@@ -91,6 +91,11 @@ val expand : ?candidates:link list -> t -> event list
     empty. Raises [Invalid_argument] when the plan fails {!validate} or
     when random flaps are requested and no candidate links are available. *)
 
+val last_time : t -> float
+(** The latest event time of {!expand}'s timeline ([0.] when there is
+    none). Random flap times depend on the plan's seed alone, so this
+    needs no topology even when the plan names no candidate links. *)
+
 (** {1 Printing} *)
 
 val pp_degradation : Format.formatter -> degradation -> unit

@@ -26,7 +26,19 @@ let test_periodic () =
   Alcotest.(check (list (float 0.))) "times" [ 0.; 60.; 120.; 180. ] (times evs);
   Alcotest.(check bool) "alternates" true (alternating evs);
   Alcotest.(check (float 0.)) "final announcement" 180.
-    (Pulse.final_announcement (Pulse.Periodic { pulses = 2; interval = 60. }))
+    (Pulse.final_announcement (Pulse.Periodic { pulses = 2; interval = 60. }));
+  (* The periodic case is computed without building the train: it must
+     still be the train's last time, to the bit. *)
+  List.iter
+    (fun (pulses, interval) ->
+      let pattern = Pulse.Periodic { pulses; interval } in
+      let last =
+        List.fold_left (fun _ (e : Pulse.event) -> e.Pulse.at) 0. (Pulse.events pattern)
+      in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "final announcement of %d x %h" pulses interval)
+        last (Pulse.final_announcement pattern))
+    [ (1, 60.); (7, 0.1); (10, 1e15); (333, 1. /. 3.); (10_000, 59.999) ]
 
 let test_periodic_zero () =
   Alcotest.(check int) "empty" 0

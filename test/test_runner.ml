@@ -6,7 +6,8 @@ module Runner = Rfd_experiment.Runner
 module Collector = Rfd_experiment.Collector
 module Sweep = Rfd_experiment.Sweep
 module Phases = Rfd_experiment.Phases
-module Ts = Rfd_engine.Timeseries
+module Pulse = Rfd_experiment.Pulse
+module Trace = Rfd_experiment.Trace
 open Rfd_bgp
 
 let small_mesh = Scenario.Mesh { rows = 3; cols = 3 }
@@ -37,6 +38,70 @@ let test_scenario_validation () =
   Alcotest.check_raises "runner surfaces validation"
     (Invalid_argument "Runner.run: pulses must be non-negative") (fun () ->
       ignore (Runner.run (hand_made (fun s -> { s with Scenario.pulses = -1 }))))
+
+(* Each flap-phase source is held to the lockstep engine's advance test:
+   an event time the link delay cannot move past is refused by [validate]
+   (the message says "cannot advance"), and a late but passable one is
+   not. *)
+let cannot_advance name scenario =
+  match Scenario.validate scenario with
+  | Ok () -> Alcotest.failf "%s: accepted" name
+  | Error e ->
+      let sub = "cannot advance" in
+      let n = String.length sub in
+      let rec found i = i + n <= String.length e && (String.sub e i n = sub || found (i + 1)) in
+      if not (found 0) then Alcotest.failf "%s: %s" name e
+
+let passes name scenario =
+  match Scenario.validate scenario with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_validate_pulse_horizon () =
+  cannot_advance "1e15 s interval" (Scenario.make ~pulses:2 ~flap_interval:1e15 small_mesh);
+  passes "1e13 s interval" (Scenario.make ~pulses:2 ~flap_interval:1e13 small_mesh);
+  cannot_advance "custom pattern"
+    (Scenario.make
+       ~pattern:
+         (Pulse.Custom
+            [ { Pulse.at = 0.; kind = `Withdraw }; { Pulse.at = 1e300; kind = `Announce } ])
+       small_mesh);
+  Alcotest.(check bool) "runner refuses it too" true
+    (match Runner.run (Scenario.make ~pulses:2 ~flap_interval:1e15 small_mesh) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let replay_at time =
+  Scenario.Replay
+    [ { Trace.time; prefix = 1; kind = Trace.Withdraw; origin = Some 4 } ]
+
+let test_validate_replay_horizon () =
+  cannot_advance "event at 1e300 s" (Scenario.make ~workload:(replay_at 1e300) small_mesh);
+  passes "event at 1e6 s" (Scenario.make ~workload:(replay_at 1e6) small_mesh)
+
+let flappers alpha =
+  Scenario.Flappers { count = 200; flaps = 3; mean_gap = 60.; alpha; seed = 1 }
+
+let test_validate_flapper_horizon () =
+  cannot_advance "alpha 0.1" (Scenario.make ~workload:(flappers 0.1) small_mesh);
+  (* Alpha 1.5 passes on its bound alone; alpha 0.5's bound is too loose,
+     so its generated trace is checked, and passes. *)
+  passes "alpha 1.5" (Scenario.make ~workload:(flappers 1.5) small_mesh);
+  passes "alpha 0.5" (Scenario.make ~workload:(flappers 0.5) small_mesh)
+
+let test_validate_fault_horizon () =
+  let module F = Rfd_faults.Fault_plan in
+  let at_link at = F.make ~link_events:[ { F.at; link = (0, 1); action = `Fail } ] () in
+  cannot_advance "link event at 1e16 s" (Scenario.make ~faults:(at_link 1e16) small_mesh);
+  passes "link event at 1e6 s" (Scenario.make ~faults:(at_link 1e6) small_mesh);
+  let random window =
+    F.make ~seed:7
+      ~random_flaps:{ F.cycles = 3; window; down_mean = 30.; candidates = [] }
+      ()
+  in
+  cannot_advance "random flaps in a 1e16 s window"
+    (Scenario.make ~faults:(random 1e16) small_mesh);
+  passes "random flaps in a 120 s window" (Scenario.make ~faults:(random 120.) small_mesh)
 
 let test_scenario_make_rejects_eagerly () =
   Alcotest.check_raises "negative pulses"
@@ -138,9 +203,9 @@ let test_collector_series_consistency () =
   let r = Runner.run (Scenario.make ~config:(fast ()) ~pulses:2 small_mesh) in
   let c = r.Runner.collector in
   Alcotest.(check int) "series length = message count" (Collector.update_count c)
-    (Ts.length (Collector.update_series c));
+    (Array.length (Collector.update_times c));
   Alcotest.(check int) "reuse series matches events" (Collector.reuse_events c)
-    (Ts.length (Collector.reuse_series c));
+    (Array.length (Collector.reuse_times c));
   Alcotest.(check int) "suppress/reuse balance" (Collector.suppress_events c)
     (Collector.reuse_events c);
   Alcotest.(check int) "nothing damped at the end" 0 (Collector.damped_now c);
@@ -153,6 +218,93 @@ let test_collector_series_consistency () =
   (* log is time-ordered *)
   let times = List.map (fun (t, _, _, _) -> t) log in
   Alcotest.(check bool) "log sorted" true (times = List.sort Float.compare times)
+
+(* The reference model of the reuse log: a newest-first list in which a
+   release moves past the same-instant releases of higher routers. *)
+let rec model_log_reuse ((time, router, _, _) as entry) = function
+  | ((time', router', _, _) as newer) :: older when time' = time && router' > router ->
+      newer :: model_log_reuse entry older
+  | log -> entry :: log
+
+(* Random streams of suppressions and releases at few distinct instants
+   and few routers, so same-instant ties across routers are common; a
+   collector may be trimmed part way, and must keep logging after. *)
+let prop_reuse_columns_match_list_model =
+  let event =
+    QCheck.Gen.(
+      quad (int_bound 3) (int_bound 5) (int_bound 5)
+        (pair bool (frequency [ (3, return `Reuse); (1, return `Suppress) ])))
+  in
+  QCheck.Test.make ~count:300 ~name:"reuse columns = list model of log_reuse"
+    QCheck.(make Gen.(pair (list_size (int_bound 150) event) (int_bound 150)))
+    (fun (events, trim_at) ->
+      let c = Collector.create () in
+      let hooks = Hooks.create () in
+      Collector.attach c hooks;
+      let prefix = Prefix.v 0 in
+      let time = ref 0. and log = ref [] and first = ref None in
+      List.iteri
+        (fun i (step, router, peer, (noisy, kind)) ->
+          if i = trim_at then Collector.trim c;
+          time := !time +. (float_of_int step *. 0.5);
+          let time = !time in
+          match kind with
+          | `Suppress -> hooks.Hooks.on_suppress ~time ~router ~peer ~prefix
+          | `Reuse ->
+              hooks.Hooks.on_reuse ~time ~router ~peer ~prefix ~noisy;
+              log := model_log_reuse (time, router, peer, noisy) !log;
+              if !first = None then first := Some time)
+        events;
+      let model = List.rev !log in
+      let agrees () =
+        Collector.reuse_log c = model
+        && Collector.reuse_events c = List.length model
+        && Collector.noisy_reuse_events c
+           = List.length (List.filter (fun (_, _, _, noisy) -> noisy) model)
+        && Collector.first_reuse_time c = !first
+        && Array.to_list (Collector.reuse_times c) = List.map (fun (t, _, _, _) -> t) model
+      in
+      let before = agrees () in
+      Collector.trim c;
+      before && agrees ())
+
+(* The digest is MD5 of [Marshal.to_string]'s bytes for the zeroed
+   result, whether it marshals into the reused buffer, overflows it, or
+   runs on another domain (which has a buffer of its own). *)
+let test_result_digest_buffer () =
+  let r = Runner.run (Scenario.make ~config:(fast ()) ~pulses:2 small_mesh) in
+  let reference r =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            { r with Runner.wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 }
+            [ Marshal.No_sharing ]))
+  in
+  let size r = String.length (Marshal.to_string r [ Marshal.No_sharing ]) in
+  let big =
+    let scenario = r.Runner.scenario in
+    {
+      r with
+      Runner.scenario =
+        { scenario with Scenario.name = String.make Runner.digest_buffer_bytes 'x' };
+    }
+  in
+  Alcotest.(check bool) "small result fits" true (size r <= Runner.digest_buffer_bytes);
+  Alcotest.(check bool) "big result overflows" true (size big > Runner.digest_buffer_bytes);
+  Alcotest.(check string) "fits the buffer" (reference r) (Runner.result_digest r);
+  Alcotest.(check string) "beyond the buffer" (reference big) (Runner.result_digest big);
+  Alcotest.(check string) "buffer reused after an overflow" (reference r)
+    (Runner.result_digest r);
+  let other = Domain.spawn (fun () -> (Runner.result_digest r, Runner.result_digest big)) in
+  Alcotest.(check (pair string string)) "second domain" (reference r, reference big)
+    (Domain.join other);
+  (* Within the bound, a digest allocates a few small values, never a
+     string of the marshalled size. *)
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Runner.result_digest r));
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= float_of_int (size r / 4) then
+    Alcotest.failf "digest allocated %.0f bytes for a %d-byte result" allocated (size r)
 
 let test_stable_and_quiet_metrics () =
   (* With damping, suppressed entries hold reuse timers long after routing
@@ -339,6 +491,14 @@ let suite =
     Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
     Alcotest.test_case "scenario make rejects eagerly" `Quick
       test_scenario_make_rejects_eagerly;
+    Alcotest.test_case "validate: pulses that cannot advance" `Quick
+      test_validate_pulse_horizon;
+    Alcotest.test_case "validate: replay that cannot advance" `Quick
+      test_validate_replay_horizon;
+    Alcotest.test_case "validate: flappers that cannot advance" `Quick
+      test_validate_flapper_horizon;
+    Alcotest.test_case "validate: faults that cannot advance" `Quick
+      test_validate_fault_horizon;
     Alcotest.test_case "run budgets" `Quick test_run_budgets;
     Alcotest.test_case "run without damping" `Quick test_run_no_damping;
     Alcotest.test_case "damping extends convergence" `Quick
@@ -347,6 +507,8 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_run;
     Alcotest.test_case "collector consistency" `Quick test_collector_series_consistency;
+    QCheck_alcotest.to_alcotest prop_reuse_columns_match_list_model;
+    Alcotest.test_case "result digest in a reused buffer" `Quick test_result_digest_buffer;
     Alcotest.test_case "stable vs quiet metrics" `Quick test_stable_and_quiet_metrics;
     Alcotest.test_case "internet topology, random isp" `Quick test_internet_topology_random_isp;
     Alcotest.test_case "no-valley policy" `Quick test_no_valley_policy_runs;

@@ -315,6 +315,14 @@ let test_spec_admission () =
   refuse { (small_spec ()) with Protocol.mrai = infinity } "accepted an infinite mrai";
   refuse { (small_spec ()) with Protocol.interval = infinity } "accepted an infinite interval";
   refuse { (small_spec ()) with Protocol.interval = Float.nan } "accepted a NaN interval";
+  (* Flap times the lockstep engine could never pass are refused at
+     admission, not run and journalled as a crash. *)
+  refuse
+    { (small_spec ()) with Protocol.pulses = 2; interval = 1e15 }
+    "accepted flaps at 1e15 s";
+  refuse
+    { (small_spec ()) with Protocol.flappers = 200; flap_alpha = 0.1 }
+    "accepted flapper gaps that reach 1e15 s";
   (match
      Protocol.scenario_of_spec
        { (small_spec ()) with Protocol.background = 10; flappers = 5; flaps = 2 }
@@ -464,9 +472,9 @@ let test_store_verifies_disk_reads () =
 
 let test_store_refuses_old_journal version () =
   (* Older lines decode fine but hold results of an older transport RNG
-     scheme (version 1) or of another result layout (version 2) under the
-     same keys: serving them would be wrong, so the store refuses the file
-     by its header and leaves it untouched. *)
+     scheme (version 1) or of another result layout (versions 2 and 3)
+     under the same keys: serving them would be wrong, so the store refuses
+     the file by its header and leaves it untouched. *)
   let path = tmp_path ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
@@ -880,6 +888,8 @@ let suite =
       (test_store_refuses_old_journal "rfd-journal/1");
     Alcotest.test_case "store: refuses rfd-journal/2" `Quick
       (test_store_refuses_old_journal "rfd-journal/2");
+    Alcotest.test_case "store: refuses rfd-journal/3" `Quick
+      (test_store_refuses_old_journal "rfd-journal/3");
     Alcotest.test_case "e2e: miss/hit byte identity vs direct run" `Quick
       test_e2e_miss_hit_bit_identity;
     Alcotest.test_case "e2e: concurrent clients, shared and distinct keys"

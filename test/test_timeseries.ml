@@ -127,12 +127,16 @@ let prop_bin_sum_total =
       let total = Array.fold_left (fun acc (_, v) -> acc +. v) 0. bins in
       int_of_float total = List.length times)
 
-let test_times () =
-  (* Past the 64-sample initial capacity, so growth has left spare room. *)
-  let ts = mk (List.init 100 (fun i -> (float_of_int (i / 3), float_of_int i))) in
-  Alcotest.(check (array (float 0.))) "times = map fst points"
-    (Array.map fst (Ts.points ts)) (Ts.times ts);
-  Alcotest.(check (array (float 0.))) "empty" [||] (Ts.times (Ts.create ()))
+(* A bare time column bins exactly like a series of unit samples, float
+   sums included. *)
+let prop_bin_times_matches_bin_sum =
+  QCheck.Test.make ~name:"bin_times = bin_sum of unit samples" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 150) (float_range (-5.) 105.))
+    (fun times ->
+      let times = Array.of_list (List.sort Float.compare times) in
+      let ts = Ts.create () in
+      Array.iter (fun time -> Ts.add ts ~time 1.) times;
+      Ts.bin_times times ~width:7. ~t0:0. ~t1:100. = Ts.bin_sum ts ~width:7. ~t0:0. ~t1:100.)
 
 let test_trim () =
   let ts = mk (List.init 100 (fun i -> (float_of_int i, float_of_int (i * i)))) in
@@ -167,8 +171,8 @@ let suite =
     Alcotest.test_case "iter and fold" `Quick test_iter_fold;
     Alcotest.test_case "csv output" `Quick test_csv;
     Alcotest.test_case "points returns a copy" `Quick test_points_fresh;
-    Alcotest.test_case "times matches points" `Quick test_times;
     Alcotest.test_case "trim keeps points, add still works" `Quick test_trim;
     QCheck_alcotest.to_alcotest prop_value_at_matches_linear_scan;
     QCheck_alcotest.to_alcotest prop_bin_sum_total;
+    QCheck_alcotest.to_alcotest prop_bin_times_matches_bin_sum;
   ]
