@@ -4,8 +4,13 @@
     that sent the route is the head; the originator is the last element).
     Each simulated router is its own AS, so AS numbers are node ids.
 
+    A non-empty path is one node: its head ASN, the path it extends (its
+    tail), and a precomputed length, structural hash and intern id. There
+    is no separate list: a path shares its whole spine with its tail.
+
     Paths are hash-consed when built through a {!table} (one table per
-    {!Network}): structurally equal paths become one shared value, so
+    {!Network}): a node is keyed by (tail, head ASN) with the tail compared
+    physically, so structurally equal paths become one shared value,
     {!equal} decides in O(1) via physical equality on the hot path, {!hash}
     is a precomputed O(1) read, and RIB entries across peers and routers
     share storage instead of duplicating path spines. {!compare} keeps the
@@ -52,20 +57,32 @@ val pp : Format.formatter -> t -> unit
 
     A table hash-conses every path built through it. Tables are per-network
     (never shared across simulations), so intern ids are a deterministic
-    function of the run — safe to marshal into result digests. *)
+    function of the run — safe to marshal into result digests.
+
+    A table is one open-addressing array (linear probing, a power-of-two
+    capacity at most half full) holding the nodes themselves; a free slot
+    holds {!empty}. A lookup hit allocates nothing. *)
 
 type table
 
 val create_table : ?size:int -> unit -> table
+(** The table holds at least [size] paths before its first resize. *)
+
+val mem : table -> t -> bool
+(** Whether [t] is the table's own value: an O(1) expected probe for the
+    value itself. {!empty} is a member of every table; an uninterned path
+    or one interned in another table is not. *)
 
 val prepend_interned : table -> int -> t -> t
 (** Like {!prepend}, but returns the table's unique shared value for the
-    resulting path. O(path length) on a miss (one structural hash), O(1)
-    amortized on the hit path. *)
+    resulting path. O(1) expected when [t] is a member of the table; a tail
+    interned elsewhere (another partition's table, or none) is interned
+    here first, after a {!mem} probe. *)
 
 val intern : table -> t -> t
 (** The table's shared value for [t], interning every suffix so future
-    prepends land on shared spines. Idempotent. *)
+    prepends land on shared spines. O(1) expected for a member, which is
+    returned as is. Idempotent. *)
 
 val intern_id : t -> int
 (** This path's id in the table that interned it: 0 for {!empty}, unique

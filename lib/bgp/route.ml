@@ -19,53 +19,72 @@ let pp ppf t = Format.fprintf ppf "%a via %a" Prefix.pp t.prefix As_path.pp t.pa
 (* ------------------------------------------------------------------ *)
 (* Interning                                                           *)
 
-(* Routes are interned per network, alongside their paths: a route is
-   keyed by (prefix id, interned path id), so the same advertisement
-   stored in many RIB-Out / RIB-In tables is one shared record. The two ids
-   are packed into one int, so a lookup allocates no key and the table
-   stores none. *)
-module Key = struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end
-
-module Routes = Hashtbl.Make (Key)
-
+(* Routes are interned per network, alongside their paths, in one
+   open-addressing array (linear probing, power-of-two capacity, at most
+   half full) keyed by (prefix, path). The path is interned in the same
+   table's path table first, so it is compared physically, and the same
+   advertisement stored in many RIB-Out / RIB-In tables is one shared
+   record. [free] marks an empty slot; it is never returned. *)
 type table = {
   paths : As_path.table;
-  routes : t Routes.t;
+  mutable routes : t array;
+  mutable count : int;
 }
 
+let free = { prefix = Prefix.v 0; path = As_path.empty }
+
 let create_table ?(size = 256) () =
-  { paths = As_path.create_table ~size (); routes = Routes.create (max 1 size) }
+  let capacity = ref 16 in
+  while !capacity < 2 * size do
+    capacity := 2 * !capacity
+  done;
+  { paths = As_path.create_table ~size (); routes = Array.make !capacity free; count = 0 }
 
 let path_table tbl = tbl.paths
-let table_size tbl = Routes.length tbl.routes
+let table_size tbl = tbl.count
 
-let half_bits = 31
+(* The path's structural hash mixed with the prefix id, spread by
+   Fibonacci hashing as the path table does. *)
+let home prefix path mask =
+  ((As_path.hash path lxor Prefix.hash prefix) * 0x1e3779b97f4a7c15) lsr 32 land mask
 
-let key prefix path_id =
-  let prefix = Prefix.to_int prefix in
-  if prefix lsr half_bits <> 0 || path_id < 0 || path_id lsr half_bits <> 0 then
-    invalid_arg
-      (Printf.sprintf "Route: prefix %d or path id %d out of the interning key range" prefix
-         path_id);
-  (prefix lsl half_bits) lor path_id
+let find_slot routes prefix path =
+  let mask = Array.length routes - 1 in
+  let i = ref (home prefix path mask) in
+  while
+    let r = routes.(!i) in
+    r != free && not (r.path == path && Prefix.equal r.prefix prefix)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
 
+let resize tbl =
+  let old = tbl.routes in
+  let routes = Array.make (2 * Array.length old) free in
+  Array.iter (fun r -> if r != free then routes.(find_slot routes r.prefix r.path) <- r) old;
+  tbl.routes <- routes
+
+(* [path] must be interned in [tbl]'s path table. A hit allocates
+   nothing. *)
 let find_or_add tbl prefix path =
-  let key = key prefix (As_path.intern_id path) in
-  match Routes.find_opt tbl.routes key with
-  | Some r -> r
-  | None ->
-      let r = { prefix; path } in
-      Routes.add tbl.routes key r;
-      r
+  let slot = find_slot tbl.routes prefix path in
+  let r = tbl.routes.(slot) in
+  if r != free then r
+  else begin
+    let r = { prefix; path } in
+    tbl.count <- tbl.count + 1;
+    if 2 * tbl.count > Array.length tbl.routes then begin
+      resize tbl;
+      tbl.routes.(find_slot tbl.routes prefix path) <- r
+    end
+    else tbl.routes.(slot) <- r;
+    r
+  end
 
 let make_interned tbl ~prefix ~path = find_or_add tbl prefix (As_path.intern tbl.paths path)
 
 (* The extended path is interned here whatever the tail's provenance, so
-   the route key's path id is always valid for this table. *)
+   the route's path is always a member of this table. *)
 let prepend_interned tbl asn t =
   find_or_add tbl t.prefix (As_path.prepend_interned tbl.paths asn t.path)

@@ -29,14 +29,18 @@ val pp : Format.formatter -> t -> unit
 (** {1 Interning} *)
 
 type table
-(** A per-network intern table for routes and their paths. *)
+(** A per-network intern table for routes and their paths: one
+    open-addressing array of routes (linear probing, a power-of-two
+    capacity at most half full) keyed by (prefix, path), beside an
+    {!As_path.table}. The path is interned in the same table first, so the
+    key compares it physically, and a lookup hit allocates nothing. *)
 
 val create_table : ?size:int -> unit -> table
 val path_table : table -> As_path.table
 
 val make_interned : table -> prefix:Prefix.t -> path:As_path.t -> t
 (** The table's shared record for this (prefix, path); the path is interned
-    too. *)
+    too, whatever table (if any) it came from. *)
 
 val prepend_interned : table -> int -> t -> t
 (** {!prepend} through the table: the extended path and the resulting route

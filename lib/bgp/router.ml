@@ -22,31 +22,6 @@ type ports = {
   node_bits : int;
 }
 
-(* Per-prefix session state is one dense slot table indexed by prefix id
-   (prefix ids are small and contiguous): a flags byte and unboxed columns,
-   all of the same capacity, growing together by doubling from
-   [Config.prefix_table_hint]. A read past capacity reads as absent. No
-   slot owns a heap block: routes and root causes are shared values, absence
-   is a sentinel, and penalties live in float arrays. *)
-type peer_state = {
-  peer_id : int;
-  link : int; (* the directed link to the peer: transport and timer key *)
-  mrai_interval : float; (* jittered once per session *)
-  mutable flags : Bytes.t; (* [f_*] bits per slot; its length is the capacity *)
-  mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
-  mutable last_rc : Root_cause.t array; (* root cause of the last update; [no_rc] = none *)
-  mutable advertised : Route.t array; (* RIB-Out; [no_route] = withdrawn or never sent *)
-  mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
-  mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
-  mutable wheel_slot : int array;
-      (* reuse-wheel bucket holding a slot while [f_reuse]; empty unless Tick mode *)
-  penalties : Damper.slots option; (* Some iff this router damps *)
-  rcn_history : Root_cause.t History.t option;
-      (* Some iff this router damps in RCN mode — the only consumer *)
-  mutable peer_deadline : float; (* shared MRAI deadline in per-peer mode *)
-  mutable up : bool;
-}
-
 (* Slot flags. *)
 let f_exists = 1 (* a RIB-In entry exists, routed or withdrawn *)
 let f_suppressed = 2
@@ -65,12 +40,6 @@ let no_parked = { desired = D_withdraw; rc = None }
    wheel post's is the bucket number and the router id. *)
 let prefix_bits = 31
 let prefix_mask = (1 lsl prefix_bits) - 1
-
-let session_key ps i =
-  if i > prefix_mask then
-    invalid_arg (Printf.sprintf "Router: prefix id %d beyond the timer key range" i);
-  (ps.link lsl prefix_bits) lor i
-
 let session_link key = key lsr prefix_bits
 let wheel_router ~node_bits key = key land ((1 lsl node_bits) - 1)
 
@@ -82,10 +51,10 @@ let option_of_rc rc = if rc == no_rc then None else Some rc
    each arming its own simulator timer. One post per occupied slot, one
    table lookup per suppression; a re-charged entry migrates to the slot
    covering its new reuse instant, and a bucket emptied by migration
-   retracts its post instead of firing a pointless re-check. Buckets name
-   entries by (session, prefix), never by column, because columns are
-   reallocated when they grow. *)
-type bucket = { mutable b_items : (peer_state * Prefix.t) list (* reverse insertion order *) }
+   retracts its post instead of firing a pointless re-check. A bucket names
+   an entry by its slot index, the packed (prefix, rank) below, which
+   survives the columns growing. *)
+type bucket = { mutable b_items : int list (* reverse insertion order *) }
 
 type wheel = {
   w_index : Reuse_index.t;
@@ -94,21 +63,49 @@ type wheel = {
   w_slots : (int, bucket) Hashtbl.t;
 }
 
+(* A session is a rank: the router's sessions ranked by ascending peer id,
+   and every per-session value is a column of that length. Per-prefix
+   session state is one set of router-level slot columns, laid out
+   prefix-major: session [k]'s slot for prefix id [i] is [i * degree + k],
+   so the decision process scans one contiguous run and growing past the
+   capacity is a plain widen. The slot columns are empty until a slot is
+   first needed; from then on the sessions are fixed, since a new rank
+   would move every slot. A read past capacity reads as absent. No slot
+   owns a heap block: routes and root causes are shared values, absence is
+   a sentinel, and penalties live in float arrays. *)
 type t = {
   sim : Sim.t;
   id : int;
   policy : Policy.t;
   config : Config.t;
   damping : Rfd_damping.Params.t option;
-  setting : Damper.setting option; (* Some iff damping; one decay cache per router *)
   wheel : wheel option; (* Some iff damping is on and reuse_mode is Tick *)
   hooks : Hooks.t;
   ports : ports;
   rng : Rng.t;
   table : Route.table; (* per-network intern table, shared across routers *)
-  mutable peers : peer_state array; (* ascending peer_id; dense, no hashing *)
-  (* Loc-RIB and origination, router-level columns indexed by prefix id in
-     the same way as the session slots. *)
+  (* Session columns, by rank. They double while sessions are added and
+     are trimmed to [degree] when the slot columns are first sized. *)
+  mutable degree : int;
+  mutable peer_id : int array;
+  mutable link : int array; (* the directed link to the peer: transport and timer key *)
+  mutable mrai_interval : Float.Array.t; (* jittered once per session *)
+  mutable peer_deadline : Float.Array.t; (* shared MRAI deadline in per-peer mode *)
+  mutable up : Bytes.t;
+  mutable rcn_history : Root_cause.t History.t array;
+      (* empty unless this router damps in RCN mode, the only consumer *)
+  (* Slot columns: [capacity * degree] slots. *)
+  mutable capacity : int; (* prefix ids with a slot; 0 until first use *)
+  mutable flags : Bytes.t; (* [f_*] bits per slot *)
+  mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
+  mutable last_rc : Root_cause.t array; (* root cause of the last update; [no_rc] = none *)
+  mutable advertised : Route.t array; (* RIB-Out; [no_route] = withdrawn or never sent *)
+  mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
+  mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
+  mutable wheel_slot : int array;
+      (* reuse-wheel bucket holding a slot while [f_reuse]; empty unless Tick mode *)
+  penalties : Damper.slots option; (* Some iff this router damps, under its one setting *)
+  (* Loc-RIB and origination, router-level columns indexed by prefix id. *)
   mutable originated : Bytes.t; (* 1 = originated here; its length is the capacity *)
   mutable best_route : Route.t array; (* [no_route] = no best route *)
   mutable best_from : int array; (* learned-from peer, [from_self] when originated *)
@@ -153,13 +150,31 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
     policy;
     config;
     damping;
-    setting = Option.map (Damper.setting ~cache:(Damper.cache ())) damping;
     wheel;
     hooks;
     ports;
     rng;
     table = (match table with Some tbl -> tbl | None -> Route.create_table ());
-    peers = [||];
+    degree = 0;
+    peer_id = [||];
+    link = [||];
+    mrai_interval = Float.Array.create 0;
+    peer_deadline = Float.Array.create 0;
+    up = Bytes.empty;
+    rcn_history = [||];
+    capacity = 0;
+    flags = Bytes.empty;
+    received = [||];
+    last_rc = [||];
+    advertised = [||];
+    deadline = Float.Array.create 0;
+    parked = [||];
+    wheel_slot = [||];
+    penalties =
+      (* One decay cache per router. *)
+      Option.map
+        (fun params -> Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:0)
+        damping;
     originated = Bytes.make hint '\000';
     best_route = Array.make hint no_route;
     best_from = Array.make hint from_self;
@@ -173,46 +188,70 @@ let id t = t.id
 let damping_params t = t.damping
 
 (* ------------------------------------------------------------------ *)
-(* Slot columns                                                        *)
+(* Columns                                                             *)
 
-let widen column capacity fill =
-  let fresh = Array.make capacity fill in
-  Array.blit column 0 fresh 0 (Array.length column);
+(* [resize column n fill] copies the first [min n (length column)]
+   entries into a fresh column of [n], filling the rest. *)
+let resize column n fill =
+  let fresh = Array.make n fill in
+  Array.blit column 0 fresh 0 (min n (Array.length column));
   fresh
 
-let widen_bytes column capacity =
-  let fresh = Bytes.make capacity '\000' in
-  Bytes.blit column 0 fresh 0 (Bytes.length column);
+let resize_floats column n =
+  let fresh = Float.Array.make n 0. in
+  Float.Array.blit column 0 fresh 0 (min n (Float.Array.length column));
   fresh
 
-let capacity ps = Bytes.length ps.flags
+let resize_bytes column n =
+  let fresh = Bytes.make n '\000' in
+  Bytes.blit column 0 fresh 0 (min n (Bytes.length column));
+  fresh
 
-(* Make slot [i] addressable: every column of the session grows together,
-   to at least double its capacity. *)
-let reserve ps i =
-  let cap = capacity ps in
-  if i >= cap then begin
-    let cap' = max (i + 1) (cap * 2) in
-    ps.flags <- widen_bytes ps.flags cap';
-    ps.received <- widen ps.received cap' no_route;
-    ps.last_rc <- widen ps.last_rc cap' no_rc;
-    ps.advertised <- widen ps.advertised cap' no_route;
-    let deadline = Float.Array.make cap' 0. in
-    Float.Array.blit ps.deadline 0 deadline 0 cap;
-    ps.deadline <- deadline;
-    ps.parked <- widen ps.parked cap' no_parked;
-    if Array.length ps.wheel_slot > 0 then ps.wheel_slot <- widen ps.wheel_slot cap' 0;
-    Option.iter (fun pen -> Damper.grow pen cap') ps.penalties
+(* Make prefix id [i] addressable in every session: the slot columns grow
+   together, to at least double their prefix capacity, from
+   [Config.prefix_table_hint] on first use. Prefix-major order makes that
+   a widen: existing slots keep their index. *)
+let reserve t i =
+  if i >= t.capacity then begin
+    let d = t.degree in
+    if t.capacity = 0 && Array.length t.peer_id > d then begin
+      t.peer_id <- resize t.peer_id d 0;
+      t.link <- resize t.link d 0;
+      t.mrai_interval <- resize_floats t.mrai_interval d;
+      t.peer_deadline <- resize_floats t.peer_deadline d;
+      t.up <- resize_bytes t.up d;
+      if Array.length t.rcn_history > 0 then
+        t.rcn_history <- Array.sub t.rcn_history 0 d
+    end;
+    let cap =
+      if t.capacity = 0 then max (i + 1) t.config.Config.prefix_table_hint
+      else max (i + 1) (t.capacity * 2)
+    in
+    let n = cap * d in
+    t.flags <- resize_bytes t.flags n;
+    t.received <- resize t.received n no_route;
+    t.last_rc <- resize t.last_rc n no_rc;
+    t.advertised <- resize t.advertised n no_route;
+    t.deadline <- resize_floats t.deadline n;
+    t.parked <- resize t.parked n no_parked;
+    if t.wheel <> None then t.wheel_slot <- resize t.wheel_slot n 0;
+    (match t.penalties with Some pen -> Damper.grow pen n | None -> ());
+    t.capacity <- cap
   end
 
-let has ps i flag = i < capacity ps && Bytes.get_uint8 ps.flags i land flag <> 0
+(* Session [k]'s slot for prefix id [i]. *)
+let slot t k i = (i * t.degree) + k
+
+let has t k i flag =
+  i < t.capacity && Bytes.get_uint8 t.flags (slot t k i) land flag <> 0
 
 (* Only called on addressable slots. *)
-let set_flag ps i flag = Bytes.set_uint8 ps.flags i (Bytes.get_uint8 ps.flags i lor flag)
-let clear_flag ps i flag = Bytes.set_uint8 ps.flags i (Bytes.get_uint8 ps.flags i land lnot flag)
-let received ps i = if i < capacity ps then ps.received.(i) else no_route
-let advertised ps i = if i < capacity ps then ps.advertised.(i) else no_route
-let deadline ps i = if i < capacity ps then Float.Array.get ps.deadline i else 0.
+let set_flag t s flag = Bytes.set_uint8 t.flags s (Bytes.get_uint8 t.flags s lor flag)
+let clear_flag t s flag = Bytes.set_uint8 t.flags s (Bytes.get_uint8 t.flags s land lnot flag)
+let received t k i = if i < t.capacity then t.received.(slot t k i) else no_route
+let advertised t k i = if i < t.capacity then t.advertised.(slot t k i) else no_route
+let deadline t k i = if i < t.capacity then Float.Array.get t.deadline (slot t k i) else 0.
+let is_up t k = Bytes.get_uint8 t.up k <> 0
 
 (* The same for the router's own columns. *)
 let loc_capacity t = Bytes.length t.originated
@@ -221,81 +260,96 @@ let loc_reserve t i =
   let cap = loc_capacity t in
   if i >= cap then begin
     let cap' = max (i + 1) (cap * 2) in
-    t.originated <- widen_bytes t.originated cap';
-    t.best_route <- widen t.best_route cap' no_route;
-    t.best_from <- widen t.best_from cap' from_self
+    t.originated <- resize_bytes t.originated cap';
+    t.best_route <- resize t.best_route cap' no_route;
+    t.best_from <- resize t.best_from cap' from_self
   end
 
 let is_originated t i = i < loc_capacity t && Bytes.get_uint8 t.originated i <> 0
 let best_route t i = if i < loc_capacity t then t.best_route.(i) else no_route
 
-(* Peer sessions live in a dense array sorted by peer id: lookups are an
-   O(log degree) binary search and the decision process iterates the array
-   directly (ascending, as the id tie-break requires) — no hashing, no
-   per-peer boxing beyond the session record itself. *)
-let find_peer t peer =
-  let peers = t.peers in
-  let rec search lo hi =
-    if lo > hi then None
-    else begin
-      let mid = (lo + hi) / 2 in
-      let ps = peers.(mid) in
-      if ps.peer_id = peer then Some ps
-      else if ps.peer_id < peer then search (mid + 1) hi
-      else search lo (mid - 1)
-    end
+(* ------------------------------------------------------------------ *)
+(* Sessions                                                            *)
+
+let no_rank = -1
+
+(* Binary search over the ranks: O(log degree), no hashing. *)
+let find_rank t peer =
+  let lo = ref 0 and hi = ref (t.degree - 1) and found = ref no_rank in
+  while !found = no_rank && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let p = t.peer_id.(mid) in
+    if p = peer then found := mid else if p < peer then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+let rank t peer =
+  let k = find_rank t peer in
+  if k = no_rank then invalid_arg (Printf.sprintf "Router %d: unknown peer %d" t.id peer);
+  k
+
+(* Open rank [pos] in a session column of [n] used entries, doubling it
+   when full. *)
+let insert_at column n pos fill =
+  let column = if n < Array.length column then column else resize column (max 1 (2 * n)) fill in
+  Array.blit column pos column (pos + 1) (n - pos);
+  column
+
+let insert_float_at column n pos =
+  let column =
+    if n < Float.Array.length column then column else resize_floats column (max 1 (2 * n))
   in
-  search 0 (Array.length peers - 1)
+  Float.Array.blit column pos column (pos + 1) (n - pos);
+  column
+
+let insert_byte_at column n pos =
+  let column = if n < Bytes.length column then column else resize_bytes column (max 1 (2 * n)) in
+  Bytes.blit column pos column (pos + 1) (n - pos);
+  column
 
 let connect t ~peer ~link =
   if peer = t.id then invalid_arg "Router.connect: cannot peer with self";
   if peer < 0 then invalid_arg (Printf.sprintf "Router.connect: negative peer id %d" peer);
   if link < 0 || link > Sim.max_arg lsr prefix_bits then
     invalid_arg (Printf.sprintf "Router.connect: link %d outside the timer key range" link);
-  if find_peer t peer <> None then
+  if find_rank t peer <> no_rank then
     invalid_arg (Printf.sprintf "Router.connect: duplicate peer %d" peer);
+  if t.capacity > 0 then
+    invalid_arg
+      (Printf.sprintf "Router.connect: router %d already holds RIB slots for its sessions" t.id);
   let lo, hi = t.config.Config.mrai_jitter in
-  let hint = t.config.Config.prefix_table_hint in
-  let ps =
-    {
-      peer_id = peer;
-      link;
-      mrai_interval = t.config.Config.mrai *. Rng.uniform t.rng ~lo ~hi;
-      flags = Bytes.make hint '\000';
-      received = Array.make hint no_route;
-      last_rc = Array.make hint no_rc;
-      advertised = Array.make hint no_route;
-      deadline = Float.Array.make hint 0.;
-      parked = Array.make hint no_parked;
-      wheel_slot = (if t.wheel <> None then Array.make hint 0 else [||]);
-      penalties = Option.map (fun setting -> Damper.slots setting ~capacity:hint) t.setting;
-      rcn_history =
-        (* Only RCN-mode damping routers consult the history; everywhere
-           else the (capacity-sized) table would be dead weight per session. *)
-        (if t.config.Config.damping_mode = Config.Rcn && t.damping <> None then
-           Some (History.create ~capacity:t.config.Config.rcn_history ())
-         else None);
-      peer_deadline = 0.;
-      up = true;
-    }
-  in
-  let n = Array.length t.peers in
+  let interval = t.config.Config.mrai *. Rng.uniform t.rng ~lo ~hi in
+  let n = t.degree in
+  (* The rank of the new session: sessions are usually added in ascending
+     peer order, which appends. *)
   let pos = ref n in
-  (* Insertion point in the sorted array. *)
-  for i = n - 1 downto 0 do
-    if t.peers.(i).peer_id > peer then pos := i
+  while !pos > 0 && t.peer_id.(!pos - 1) > peer do
+    decr pos
   done;
-  let peers = Array.make (n + 1) ps in
-  Array.blit t.peers 0 peers 0 !pos;
-  Array.blit t.peers !pos peers (!pos + 1) (n - !pos);
-  t.peers <- peers
+  let pos = !pos in
+  t.peer_id <- insert_at t.peer_id n pos 0;
+  t.peer_id.(pos) <- peer;
+  t.link <- insert_at t.link n pos 0;
+  t.link.(pos) <- link;
+  t.mrai_interval <- insert_float_at t.mrai_interval n pos;
+  Float.Array.set t.mrai_interval pos interval;
+  t.peer_deadline <- insert_float_at t.peer_deadline n pos;
+  Float.Array.set t.peer_deadline pos 0.;
+  t.up <- insert_byte_at t.up n pos;
+  Bytes.set_uint8 t.up pos 1;
+  if t.config.Config.damping_mode = Config.Rcn && t.damping <> None then begin
+    let history = History.create ~capacity:t.config.Config.rcn_history () in
+    t.rcn_history <- insert_at t.rcn_history n pos history;
+    t.rcn_history.(pos) <- history
+  end;
+  t.degree <- n + 1
 
-let peer_ids t = Array.fold_right (fun ps acc -> ps.peer_id :: acc) t.peers []
+let peer_ids t = List.init t.degree (fun k -> t.peer_id.(k))
 
-let peer_state t peer =
-  match find_peer t peer with
-  | Some ps -> ps
-  | None -> invalid_arg (Printf.sprintf "Router %d: unknown peer %d" t.id peer)
+let session_key t k i =
+  if i > prefix_mask then
+    invalid_arg (Printf.sprintf "Router: prefix id %d beyond the timer key range" i);
+  (t.link.(k) lsl prefix_bits) lor i
 
 let fresh_rc t ~status = (
   t.rc_seq <- t.rc_seq + 1;
@@ -311,75 +365,76 @@ let fresh_link_rc t ~peer ~status =
 let self_route t prefix = Route.make_interned t.table ~prefix ~path:As_path.empty
 
 (* (preference, path length, peer id) — bigger pref wins, then shorter
-   path, then lower peer id. Ascending peer iteration makes the id
+   path, then lower peer id. Ascending rank iteration makes the id
    tie-break implicit via strict improvement. *)
 let better_candidate ~pref_a ~len_a ~peer_a ~pref_b ~len_b ~peer_b =
   pref_a > pref_b
   || (pref_a = pref_b && (len_a < len_b || (len_a = len_b && peer_a < peer_b)))
 
-(* The winning session's index in [t.peers], or [no_best] when nothing is
-   usable. Self-originated prefixes are the caller's case. *)
-let no_best = -1
-
+(* The winning session's rank, or [no_rank] when nothing is usable.
+   Self-originated prefixes are the caller's case. *)
 let best_session t i =
-  let best = ref no_best and best_pref = ref 0 and best_len = ref 0 in
-  let peers = t.peers in
-  for k = 0 to Array.length peers - 1 do
-    let ps = peers.(k) in
-    if ps.up then begin
-      let route = received ps i in
-      if route != no_route && not (has ps i f_suppressed) then begin
-        let peer = ps.peer_id in
+  let best = ref no_rank and best_pref = ref 0 and best_len = ref 0 in
+  if i < t.capacity then begin
+    let base = slot t 0 i in
+    for k = 0 to t.degree - 1 do
+      let route = t.received.(base + k) in
+      if
+        route != no_route
+        && is_up t k
+        && Bytes.get_uint8 t.flags (base + k) land f_suppressed = 0
+      then begin
+        let peer = t.peer_id.(k) in
         let pref = Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route in
         let len = Route.path_length route in
         if
-          !best = no_best
+          !best = no_rank
           || better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:!best_pref
-               ~len_b:!best_len ~peer_b:peers.(!best).peer_id
+               ~len_b:!best_len ~peer_b:t.peer_id.(!best)
         then begin
           best := k;
           best_pref := pref;
           best_len := len
         end
       end
-    end
-  done;
+    done
+  end;
   !best
 
 (* ------------------------------------------------------------------ *)
 (* Output path: RIB-Out diffing + MRAI                                 *)
 
-let dispatch t ps msg =
-  t.hooks.Hooks.on_send ~time:(Sim.now t.sim) ~src:t.id ~dst:ps.peer_id msg;
-  t.ports.transmit ps.link msg
+let dispatch t k msg =
+  t.hooks.Hooks.on_send ~time:(Sim.now t.sim) ~src:t.id ~dst:t.peer_id.(k) msg;
+  t.ports.transmit t.link.(k) msg
 
-let mrai_hook t ps prefix action =
-  t.hooks.Hooks.on_mrai ~time:(Sim.now t.sim) ~router:t.id ~peer:ps.peer_id ~prefix action
+let mrai_hook t k prefix action =
+  t.hooks.Hooks.on_mrai ~time:(Sim.now t.sim) ~router:t.id ~peer:t.peer_id.(k) ~prefix action
 
-(* Clear [flag] (f_queued or f_armed); the parked record goes once neither
-   is left. *)
-let unpark ps i flag =
-  clear_flag ps i flag;
-  if not (has ps i (f_queued lor f_armed)) then ps.parked.(i) <- no_parked
+(* Clear [flag] (f_queued or f_armed) on slot [s]; the parked record goes
+   once neither is left. *)
+let unpark t s flag =
+  clear_flag t s flag;
+  if Bytes.get_uint8 t.flags s land (f_queued lor f_armed) = 0 then t.parked.(s) <- no_parked
 
-let drop_pending t ps prefix action =
+let drop_pending t k prefix action =
   let i = Prefix.to_int prefix in
-  if has ps i f_queued then begin
-    unpark ps i f_queued;
-    mrai_hook t ps prefix action
+  if has t k i f_queued then begin
+    unpark t (slot t k i) f_queued;
+    mrai_hook t k prefix action
   end
 
-let send_now t ps prefix desired rc =
+let send_now t k prefix desired rc =
   let now = Sim.now t.sim in
-  drop_pending t ps prefix Hooks.Mrai_superseded;
+  drop_pending t k prefix Hooks.Mrai_superseded;
   let i = Prefix.to_int prefix in
   match desired with
   | D_withdraw ->
-      if i < capacity ps then ps.advertised.(i) <- no_route;
-      dispatch t ps (Update.withdraw ?rc prefix)
+      if i < t.capacity then t.advertised.(slot t k i) <- no_route;
+      dispatch t k (Update.withdraw ?rc prefix)
       (* withdrawals do not restart the MRAI *)
   | D_announce route ->
-      let prev = advertised ps i in
+      let prev = advertised t k i in
       let rel_pref =
         if prev == no_route then None
         else begin
@@ -390,21 +445,22 @@ let send_now t ps prefix desired rc =
              else Update.Same_pref)
         end
       in
-      reserve ps i;
-      ps.advertised.(i) <- route;
-      dispatch t ps (Update.announce ?rc ?rel_pref route);
+      reserve t i;
+      let s = slot t k i in
+      t.advertised.(s) <- route;
+      dispatch t k (Update.announce ?rc ?rel_pref route);
       if t.config.Config.mrai > 0. then begin
-        let deadline = now +. ps.mrai_interval in
-        if t.config.Config.mrai_per_peer then ps.peer_deadline <- deadline
-        else Float.Array.set ps.deadline i deadline
+        let deadline = now +. Float.Array.get t.mrai_interval k in
+        if t.config.Config.mrai_per_peer then Float.Array.set t.peer_deadline k deadline
+        else Float.Array.set t.deadline s deadline
       end
 
 (* [emit] reconciles the desired advertisement for (peer, prefix) with what
    was last sent, honouring the MRAI. Returns 1 when a message was sent or
    queued, 0 when the peer is already up to date. *)
-let emit t ps prefix desired rc =
+let emit t k prefix desired rc =
   let i = Prefix.to_int prefix in
-  let sent = advertised ps i in
+  let sent = advertised t k i in
   let same =
     match desired with
     | D_withdraw -> sent == no_route
@@ -412,50 +468,54 @@ let emit t ps prefix desired rc =
   in
   if same then begin
     (* A pending older update is superseded by "nothing to do". *)
-    drop_pending t ps prefix Hooks.Mrai_superseded;
+    drop_pending t k prefix Hooks.Mrai_superseded;
     0
   end
   else begin
     let now = Sim.now t.sim in
-    let deadline = if t.config.Config.mrai_per_peer then ps.peer_deadline else deadline ps i in
+    let deadline =
+      if t.config.Config.mrai_per_peer then Float.Array.get t.peer_deadline k else deadline t k i
+    in
     let rate_limited =
       match desired with
       | D_withdraw -> t.config.Config.withdrawal_rate_limiting
       | D_announce _ -> true
     in
     if t.config.Config.mrai = 0. || (not rate_limited) || now >= deadline then begin
-      send_now t ps prefix desired rc;
+      send_now t k prefix desired rc;
       1
     end
     else begin
-      reserve ps i;
-      let fresh = not (has ps i f_queued) in
-      let p = ps.parked.(i) in
-      if p == no_parked then ps.parked.(i) <- { desired; rc }
+      reserve t i;
+      let s = slot t k i in
+      let fresh = not (has t k i f_queued) in
+      let p = t.parked.(s) in
+      if p == no_parked then t.parked.(s) <- { desired; rc }
       else begin
         p.desired <- desired;
         p.rc <- rc
       end;
-      set_flag ps i f_queued;
-      if fresh then mrai_hook t ps prefix Hooks.Mrai_queued;
-      if not (has ps i f_armed) then begin
-        Sim.post t.sim t.ports.flush_on ~time:deadline (session_key ps i);
-        set_flag ps i f_armed;
-        mrai_hook t ps prefix Hooks.Flush_armed
+      set_flag t s f_queued;
+      if fresh then mrai_hook t k prefix Hooks.Mrai_queued;
+      if not (has t k i f_armed) then begin
+        Sim.post t.sim t.ports.flush_on ~time:deadline (session_key t k i);
+        set_flag t s f_armed;
+        mrai_hook t k prefix Hooks.Flush_armed
       end;
       1
     end
   end
 
-let flush t ps prefix =
+let flush t k prefix =
   let i = Prefix.to_int prefix in
-  let p = ps.parked.(i) in
-  unpark ps i f_armed;
-  mrai_hook t ps prefix Hooks.Flush_fired;
-  if ps.up && has ps i f_queued then begin
-    unpark ps i f_queued;
-    mrai_hook t ps prefix Hooks.Mrai_sent;
-    ignore (emit t ps prefix p.desired p.rc)
+  let s = slot t k i in
+  let p = t.parked.(s) in
+  unpark t s f_armed;
+  mrai_hook t k prefix Hooks.Flush_fired;
+  if is_up t k && has t k i f_queued then begin
+    unpark t s f_queued;
+    mrai_hook t k prefix Hooks.Mrai_sent;
+    ignore (emit t k prefix p.desired p.rc)
   end
 
 let export t ~learned_from ~to_peer route =
@@ -477,8 +537,7 @@ let decision t prefix ~trigger_rc =
     if is_originated t i then (self_route t prefix, from_self)
     else
       let k = best_session t i in
-      if k = no_best then (no_route, from_self)
-      else (t.peers.(k).received.(i), t.peers.(k).peer_id)
+      if k = no_rank then (no_route, from_self) else (t.received.(slot t k i), t.peer_id.(k))
   in
   let old = best_route t i in
   let unchanged =
@@ -495,15 +554,14 @@ let decision t prefix ~trigger_rc =
       ~best:(if reachable then Some route else None);
     let learned_from = learned_from t i in
     let emitted = ref 0 in
-    Array.iter
-      (fun ps ->
-        if ps.up then begin
-          let desired =
-            if reachable then export t ~learned_from ~to_peer:ps.peer_id route else D_withdraw
-          in
-          emitted := !emitted + emit t ps prefix desired trigger_rc
-        end)
-      t.peers;
+    for k = 0 to t.degree - 1 do
+      if is_up t k then begin
+        let desired =
+          if reachable then export t ~learned_from ~to_peer:t.peer_id.(k) route else D_withdraw
+        in
+        emitted := !emitted + emit t k prefix desired trigger_rc
+      end
+    done;
     !emitted
   end
 
@@ -520,32 +578,32 @@ let timer_fired t =
 
 (* A suppressed slot's timer came due: release it if its penalty has
    decayed, else report when to check again. *)
-let try_release t ps prefix pen ~now =
-  let i = Prefix.to_int prefix in
-  match Damper.slot_try_reuse pen i ~now with
+let try_release t k prefix pen ~now =
+  let s = slot t k (Prefix.to_int prefix) in
+  match Damper.slot_try_reuse pen s ~now with
   | `Not_yet _ as later -> later
   | `Reused ->
-      clear_flag ps i f_suppressed;
-      let emitted = decision t prefix ~trigger_rc:(option_of_rc ps.last_rc.(i)) in
-      t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
+      clear_flag t s f_suppressed;
+      let emitted = decision t prefix ~trigger_rc:(option_of_rc t.last_rc.(s)) in
+      t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix
         ~noisy:(emitted > 0);
       `Reused
 
-let reuse_fire t ps prefix =
+let reuse_fire t k prefix =
   timer_fired t;
   let i = Prefix.to_int prefix in
-  clear_flag ps i f_reuse;
-  match ps.penalties with
-  | Some pen when has ps i f_suppressed -> (
+  clear_flag t (slot t k i) f_reuse;
+  match t.penalties with
+  | Some pen when has t k i f_suppressed -> (
       let now = Sim.now t.sim in
-      match try_release t ps prefix pen ~now with
+      match try_release t k prefix pen ~now with
       | `Not_yet time ->
-          set_flag ps i f_reuse;
+          set_flag t (slot t k i) f_reuse;
           timer_armed t;
           (* From 2^34 s on, [time +. 1e-6] can round to [now]; re-arming
              there would fire at one instant forever. *)
           let time = Float.max (time +. 1e-6) (Float.succ now) in
-          Sim.post t.sim t.ports.reuse_on ~time (session_key ps i)
+          Sim.post t.sim t.ports.reuse_on ~time (session_key t k i)
       | `Reused -> ())
   | Some _ | None -> ()
 
@@ -565,24 +623,24 @@ let wheel_slot_after w time = int_of_float (Float.ceil (time /. w.w_tick))
    reuse instant. Decaying the penalty forward to the next boundary before
    consulting the index table keeps the quantisation error inside one tick
    regardless of where [now] falls between boundaries. *)
-let wheel_slot_for w pen i ~now =
+let wheel_slot_for w pen s ~now =
   let next = wheel_slot_after w now in
   let dt = wheel_slot_time w next -. now in
-  let penalty = Damper.slot_penalty pen i ~now in
+  let penalty = Damper.slot_penalty pen s ~now in
   let penalty = if dt > 0. then penalty *. exp (-.w.w_lambda *. dt) else penalty in
   next + Reuse_index.ticks_to_reuse w.w_index ~penalty
 
-let wheel_park t w ps prefix ~slot =
+(* Queue slot index [s] in wheel bucket [slot]. *)
+let wheel_park t w s ~slot =
   (match Hashtbl.find_opt w.w_slots slot with
-  | Some b -> b.b_items <- (ps, prefix) :: b.b_items
+  | Some b -> b.b_items <- s :: b.b_items
   | None ->
       timer_armed t;
       let time = Float.max (wheel_slot_time w slot) (Sim.now t.sim) in
       Sim.post t.sim t.ports.wheel_on ~time (wheel_key t slot);
-      Hashtbl.replace w.w_slots slot { b_items = [ (ps, prefix) ] });
-  let i = Prefix.to_int prefix in
-  set_flag ps i f_reuse;
-  ps.wheel_slot.(i) <- slot
+      Hashtbl.replace w.w_slots slot { b_items = [ s ] });
+  set_flag t s f_reuse;
+  t.wheel_slot.(s) <- slot
 
 let wheel_fire t w slot =
   match Hashtbl.find_opt w.w_slots slot with
@@ -592,18 +650,18 @@ let wheel_fire t w slot =
       Hashtbl.remove w.w_slots slot;
       let now = Sim.now t.sim in
       List.iter
-        (fun (ps, prefix) ->
-          let i = Prefix.to_int prefix in
-          clear_flag ps i f_reuse;
-          match ps.penalties with
-          | Some pen when has ps i f_suppressed -> (
-              match try_release t ps prefix pen ~now with
+        (fun s ->
+          let k = s mod t.degree and prefix = Prefix.v (s / t.degree) in
+          clear_flag t s f_reuse;
+          match t.penalties with
+          | Some pen when Bytes.get_uint8 t.flags s land f_suppressed <> 0 -> (
+              match try_release t k prefix pen ~now with
               | `Not_yet time ->
                   (* Residual quantisation slack (the exact instant fell just
                      past this boundary): move to the slot covering the real
                      reuse time, strictly after this one so the wheel always
                      drains. *)
-                  wheel_park t w ps prefix ~slot:(max (slot + 1) (wheel_slot_after w time))
+                  wheel_park t w s ~slot:(max (slot + 1) (wheel_slot_after w time))
               | `Reused -> ())
           | Some _ | None -> ())
         (List.rev bucket.b_items)
@@ -614,67 +672,69 @@ let wheel_fire t w slot =
    rather than firing a pointless re-check; if the slot is armed again
    before that post's time, the new post is the later one, so the
    retraction still names the stale post. *)
-let wheel_postpone t w ps prefix pen =
-  let i = Prefix.to_int prefix in
-  let slot = wheel_slot_for w pen i ~now:(Sim.now t.sim) in
-  let current = ps.wheel_slot.(i) in
+let wheel_postpone t w s pen =
+  let slot = wheel_slot_for w pen s ~now:(Sim.now t.sim) in
+  let current = t.wheel_slot.(s) in
   if slot <> current then begin
     (match Hashtbl.find_opt w.w_slots current with
     | Some b ->
-        b.b_items <- List.filter (fun (ps', p) -> not (ps' == ps && p = prefix)) b.b_items;
+        b.b_items <- List.filter (fun s' -> s' <> s) b.b_items;
         if b.b_items = [] then begin
           Sim.retract t.sim t.ports.wheel_on (wheel_key t current);
           Hashtbl.remove w.w_slots current;
           t.timer_live <- t.timer_live - 1
         end
     | None -> ());
-    wheel_park t w ps prefix ~slot
+    wheel_park t w s ~slot
   end
 
-let schedule_reuse t ps prefix pen =
+let schedule_reuse t k prefix pen =
   let i = Prefix.to_int prefix in
-  if not (has ps i f_reuse) then begin
+  if not (has t k i f_reuse) then begin
     let now = Sim.now t.sim in
+    let s = slot t k i in
     match t.wheel with
     | Some w ->
-        let slot = wheel_slot_for w pen i ~now in
-        wheel_park t w ps prefix ~slot;
-        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
+        let slot = wheel_slot_for w pen s ~now in
+        wheel_park t w s ~slot;
+        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix
           ~at:(wheel_slot_time w slot)
     | None ->
-        set_flag ps i f_reuse;
+        set_flag t s f_reuse;
         timer_armed t;
-        let time = Damper.slot_reuse_time pen i ~now +. 1e-6 in
-        Sim.post t.sim t.ports.reuse_on ~time (session_key ps i);
-        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:ps.peer_id ~prefix ~at:time
+        let time = Damper.slot_reuse_time pen s ~now +. 1e-6 in
+        Sim.post t.sim t.ports.reuse_on ~time (session_key t k i);
+        t.hooks.Hooks.on_reuse_schedule ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix
+          ~at:time
   end
 
 (* Charge a damping event to an existing entry. [count] is false when the
    RCN or selective filter decided this update must not charge the
    penalty. *)
-let apply_damping t ps prefix event ~count =
-  match ps.penalties with
+let apply_damping t k prefix event ~count =
+  match t.penalties with
   | Some pen when count -> (
       let i = Prefix.to_int prefix in
+      let s = slot t k i in
       let now = Sim.now t.sim in
       let transition =
-        Damper.slot_record pen i ~now ~suppressed:(has ps i f_suppressed) event
+        Damper.slot_record pen s ~now ~suppressed:(has t k i f_suppressed) event
       in
-      if transition = `Suppressed then set_flag ps i f_suppressed;
-      t.hooks.Hooks.on_penalty ~time:now ~router:t.id ~peer:ps.peer_id ~prefix
-        ~penalty:(Damper.slot_penalty pen i ~now);
+      if transition = `Suppressed then set_flag t s f_suppressed;
+      t.hooks.Hooks.on_penalty ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix
+        ~penalty:(Damper.slot_penalty pen s ~now);
       match transition with
       | `Suppressed ->
-          t.hooks.Hooks.on_suppress ~time:now ~router:t.id ~peer:ps.peer_id ~prefix;
-          schedule_reuse t ps prefix pen
+          t.hooks.Hooks.on_suppress ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix;
+          schedule_reuse t k prefix pen
       | `Ok -> (
           (* Charging an already-suppressed entry postpones its reuse. In
              Exact mode the outstanding timer re-checks and re-schedules
              itself when it fires; in Tick mode the entry migrates to its
              new slot immediately. *)
           match t.wheel with
-          | Some w when has ps i f_reuse && has ps i f_suppressed ->
-              wheel_postpone t w ps prefix pen
+          | Some w when has t k i f_reuse && has t k i f_suppressed ->
+              wheel_postpone t w s pen
           | Some _ | None -> ()))
   | Some _ | None -> ()
 
@@ -682,8 +742,8 @@ let apply_damping t ps prefix event ~count =
 (* Timer posts, handed back by the network's channels                  *)
 
 let session_prefix key = Prefix.v (key land prefix_mask)
-let flush_due t ~peer key = flush t (peer_state t peer) (session_prefix key)
-let reuse_due t ~peer key = reuse_fire t (peer_state t peer) (session_prefix key)
+let flush_due t ~peer key = flush t (rank t peer) (session_prefix key)
+let reuse_due t ~peer key = reuse_fire t (rank t peer) (session_prefix key)
 
 let wheel_due t key =
   match t.wheel with
@@ -694,15 +754,12 @@ let wheel_due t key =
 (* Input path                                                          *)
 
 (* In RCN mode every received update runs through the per-peer root-cause
-   history; the result decides whether the damping penalty is charged. *)
-let rc_filter ps rc =
-  match ps.rcn_history with
-  | Some history -> (
-      (* The history exists iff this router damps in RCN mode. *)
-      match rc with
-      | Some rc -> History.observe history rc = `New
-      | None -> true)
-  | None -> true
+   history; the result decides whether the damping penalty is charged.
+   The histories exist iff this router damps in RCN mode. *)
+let rc_filter t k rc =
+  match rc with
+  | Some rc when Array.length t.rcn_history > 0 -> History.observe t.rcn_history.(k) rc = `New
+  | Some _ | None -> true
 
 (* In RCN mode the penalty models the root-cause flap itself, not the local
    update type ("each route flap — not each update — increases the damping
@@ -715,33 +772,36 @@ let damping_event t ~rc ~local =
   | Config.Rcn, Some { Root_cause.status = Root_cause.Link_up; _ } -> Damper.Reannouncement
   | (Config.Rcn | Config.Plain | Config.Selective), _ -> local
 
-let handle_withdraw t ps prefix ~rc ~count =
+let handle_withdraw t k prefix ~rc ~count =
   let i = Prefix.to_int prefix in
-  if received ps i != no_route then begin
-    ps.received.(i) <- no_route;
-    ps.last_rc.(i) <- rc_of_option rc;
-    apply_damping t ps prefix (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
+  if received t k i != no_route then begin
+    let s = slot t k i in
+    t.received.(s) <- no_route;
+    t.last_rc.(s) <- rc_of_option rc;
+    apply_damping t k prefix (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
     ignore (decision t prefix ~trigger_rc:rc)
   end
 (* else a spurious withdrawal: no state change, no penalty (RFC 2439). *)
 
-let handle_announce t ps route ~rc ~rel_pref ~count =
+let handle_announce t k route ~rc ~rel_pref ~count =
   let prefix = Route.prefix route in
   let i = Prefix.to_int prefix in
-  if not (has ps i f_exists) then begin
+  if not (has t k i f_exists) then begin
     (* First announcement: the entry is created, nothing is charged. *)
-    reserve ps i;
-    set_flag ps i f_exists;
-    ps.received.(i) <- route;
-    ps.last_rc.(i) <- rc_of_option rc;
+    reserve t i;
+    let s = slot t k i in
+    set_flag t s f_exists;
+    t.received.(s) <- route;
+    t.last_rc.(s) <- rc_of_option rc;
     ignore (decision t prefix ~trigger_rc:rc)
   end
   else begin
-    let prev = ps.received.(i) in
+    let s = slot t k i in
+    let prev = t.received.(s) in
     if prev == no_route || not (Route.equal prev route) then begin
       let event = if prev == no_route then Damper.Reannouncement else Damper.Attribute_change in
-      ps.received.(i) <- route;
-      ps.last_rc.(i) <- rc_of_option rc;
+      t.received.(s) <- route;
+      t.last_rc.(s) <- rc_of_option rc;
       let count =
         count
         &&
@@ -752,24 +812,24 @@ let handle_announce t ps route ~rc ~rel_pref ~count =
             false
         | _ -> true
       in
-      apply_damping t ps prefix (damping_event t ~rc ~local:event) ~count;
+      apply_damping t k prefix (damping_event t ~rc ~local:event) ~count;
       ignore (decision t prefix ~trigger_rc:rc)
     end
     (* else a duplicate: nothing to do *)
   end
 
 let receive t ~from_peer update =
-  let ps = peer_state t from_peer in
-  if ps.up then begin
+  let k = rank t from_peer in
+  if is_up t k then begin
     let rc = Update.rc update in
-    let count = rc_filter ps rc in
+    let count = rc_filter t k rc in
     match update with
-    | Update.Withdraw { prefix; rc } -> handle_withdraw t ps prefix ~rc ~count
+    | Update.Withdraw { prefix; rc } -> handle_withdraw t k prefix ~rc ~count
     | Update.Announce { route; rc; rel_pref } ->
         if As_path.contains (Route.path route) t.id then
           (* Receiver-side loop detection: treat as withdrawal. *)
-          handle_withdraw t ps (Route.prefix route) ~rc ~count
-        else handle_announce t ps route ~rc ~rel_pref ~count
+          handle_withdraw t k (Route.prefix route) ~rc ~count
+        else handle_announce t k route ~rc ~rel_pref ~count
   end
 
 (* ------------------------------------------------------------------ *)
@@ -797,9 +857,9 @@ let withdraw_prefix t prefix =
 (* Session flaps                                                       *)
 
 let peer_down t ~peer =
-  let ps = peer_state t peer in
-  if ps.up then begin
-    ps.up <- false;
+  let k = rank t peer in
+  if is_up t k then begin
+    Bytes.set_uint8 t.up k 0;
     (* Tear down the whole output path for the session: parked updates are
        dropped, their flush posts retracted (a stale flush firing at an
        obsolete deadline would flush post-restore updates early, violating
@@ -808,39 +868,42 @@ let peer_down t ~peer =
        the restore falls due no earlier than the retracted one (deadlines
        only move forward), so the retraction always names the stale post.
        Slots are visited in ascending prefix order. *)
-    let cap = capacity ps in
+    let cap = t.capacity in
     for i = 0 to cap - 1 do
-      drop_pending t ps (Prefix.v i) Hooks.Mrai_cancelled
+      drop_pending t k (Prefix.v i) Hooks.Mrai_cancelled
     done;
     for i = 0 to cap - 1 do
-      if has ps i f_armed then begin
-        Sim.retract t.sim t.ports.flush_on (session_key ps i);
-        unpark ps i f_armed;
-        mrai_hook t ps (Prefix.v i) Hooks.Flush_cancelled
+      if has t k i f_armed then begin
+        Sim.retract t.sim t.ports.flush_on (session_key t k i);
+        unpark t (slot t k i) f_armed;
+        mrai_hook t k (Prefix.v i) Hooks.Flush_cancelled
       end
     done;
-    Array.fill ps.advertised 0 cap no_route;
-    Float.Array.fill ps.deadline 0 cap 0.;
-    ps.peer_deadline <- 0.;
+    for i = 0 to cap - 1 do
+      let s = slot t k i in
+      t.advertised.(s) <- no_route;
+      Float.Array.set t.deadline s 0.
+    done;
+    Float.Array.set t.peer_deadline k 0.;
     let rc = fresh_link_rc t ~peer ~status:Root_cause.Link_down in
     let affected = ref [] in
     for i = cap - 1 downto 0 do
-      if ps.received.(i) != no_route then affected := i :: !affected
+      if t.received.(slot t k i) != no_route then affected := i :: !affected
     done;
     List.iter
       (fun i ->
-        let prefix = Prefix.v i in
-        ps.received.(i) <- no_route;
-        ps.last_rc.(i) <- rc;
-        apply_damping t ps prefix Damper.Withdrawal ~count:true;
-        ignore (decision t prefix ~trigger_rc:(Some rc)))
+        let s = slot t k i in
+        t.received.(s) <- no_route;
+        t.last_rc.(s) <- rc;
+        apply_damping t k (Prefix.v i) Damper.Withdrawal ~count:true;
+        ignore (decision t (Prefix.v i) ~trigger_rc:(Some rc)))
       !affected
   end
 
 let peer_up t ~peer =
-  let ps = peer_state t peer in
-  if not ps.up then begin
-    ps.up <- true;
+  let k = rank t peer in
+  if not (is_up t k) then begin
+    Bytes.set_uint8 t.up k 1;
     let rc = Some (fresh_link_rc t ~peer ~status:Root_cause.Link_up) in
     (* Re-advertise the full table to the restored session, in ascending
        prefix order. *)
@@ -848,7 +911,7 @@ let peer_up t ~peer =
       let route = t.best_route.(i) in
       if route != no_route then
         ignore
-          (emit t ps (Prefix.v i)
+          (emit t k (Prefix.v i)
              (export t ~learned_from:(learned_from t i) ~to_peer:peer route)
              rc)
     done
@@ -861,46 +924,54 @@ let best t prefix =
   let route = best_route t (Prefix.to_int prefix) in
   if route == no_route then None else Some route
 
-let session_up t ~peer = (peer_state t peer).up
+let session_up t ~peer = is_up t (rank t peer)
 
 let best_peer t prefix =
   let i = Prefix.to_int prefix in
   if best_route t i == no_route then None else learned_from t i
 
 let rib_in_route t ~peer prefix =
-  let route = received (peer_state t peer) (Prefix.to_int prefix) in
+  let route = received t (rank t peer) (Prefix.to_int prefix) in
   if route == no_route then None else Some route
 
-let is_suppressed t ~peer prefix = has (peer_state t peer) (Prefix.to_int prefix) f_suppressed
+let is_suppressed t ~peer prefix = has t (rank t peer) (Prefix.to_int prefix) f_suppressed
 
 let penalty t ~peer prefix =
-  let ps = peer_state t peer in
+  let k = rank t peer in
   let i = Prefix.to_int prefix in
-  match ps.penalties with
-  | Some pen when has ps i f_exists -> Damper.slot_penalty pen i ~now:(Sim.now t.sim)
+  match t.penalties with
+  | Some pen when has t k i f_exists -> Damper.slot_penalty pen (slot t k i) ~now:(Sim.now t.sim)
   | Some _ | None -> 0.
 
 let reuse_timer_events t = t.timer_events
 let peak_reuse_timers t = t.timer_peak
 
-let count_slots ps flag =
+(* Slots with [flag] set: session [k]'s, or every session's when [k] is
+   [no_rank]. *)
+let count_slots t k flag =
   let n = ref 0 in
-  for i = 0 to capacity ps - 1 do
-    if has ps i flag then incr n
-  done;
+  if k = no_rank then
+    for s = 0 to (t.capacity * t.degree) - 1 do
+      if Bytes.get_uint8 t.flags s land flag <> 0 then incr n
+    done
+  else
+    for i = 0 to t.capacity - 1 do
+      if has t k i flag then incr n
+    done;
   !n
 
-let suppressed_count t = Array.fold_left (fun acc ps -> acc + count_slots ps f_suppressed) 0 t.peers
+let suppressed_count t = count_slots t no_rank f_suppressed
 
 let known_prefixes t =
   let known i =
-    best_route t i != no_route
-    || is_originated t i
-    || Array.exists (fun ps -> has ps i f_exists) t.peers
+    let entry = ref false in
+    for k = 0 to t.degree - 1 do
+      if has t k i f_exists then entry := true
+    done;
+    !entry || best_route t i != no_route || is_originated t i
   in
-  let top = Array.fold_left (fun acc ps -> max acc (capacity ps)) (loc_capacity t) t.peers in
   let acc = ref [] in
-  for i = top - 1 downto 0 do
+  for i = max t.capacity (loc_capacity t) - 1 downto 0 do
     if known i then acc := Prefix.v i :: !acc
   done;
   !acc
@@ -910,20 +981,18 @@ let recompute_best t prefix =
   if is_originated t i then Some (self_route t prefix)
   else
     let k = best_session t i in
-    if k = no_best then None else Some t.peers.(k).received.(i)
+    if k = no_rank then None else Some t.received.(slot t k i)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence-oracle introspection                                    *)
 
-let peer_state_activity ps =
+let session_activity t k =
   {
     Oracle.in_flight = 0;
-    mrai_pending = count_slots ps f_queued;
-    scheduled_flushes = count_slots ps f_armed;
-    reuse_timers = count_slots ps f_reuse;
+    mrai_pending = count_slots t k f_queued;
+    scheduled_flushes = count_slots t k f_armed;
+    reuse_timers = count_slots t k f_reuse;
   }
 
-let peer_activity t ~peer = peer_state_activity (peer_state t peer)
-
-let activity t =
-  Array.fold_left (fun acc ps -> Oracle.add acc (peer_state_activity ps)) Oracle.zero t.peers
+let peer_activity t ~peer = session_activity t (rank t peer)
+let activity t = session_activity t no_rank

@@ -17,15 +17,21 @@
     {!Rfd_engine.Sim.retract}ed: it never runs and counts in no event
     total.
 
-    State layout: each peering session holds one dense slot table indexed
-    by prefix id. Its columns are a flags byte (entry exists, suppressed,
-    reuse timer pending, update parked, flush armed), the received and
-    advertised routes, the last root cause, the MRAI deadline, the MRAI
-    queue, and, only where the router damps, the penalty value and time
-    as unboxed floats ({!Rfd_damping.Damper.slots}). All columns start at
-    {!Config.prefix_table_hint} slots and double together; a slot owns no
-    heap block. The Loc-RIB and the originated prefixes are router-level
-    columns of the same kind.
+    State layout: sessions are ranked by ascending peer id, and each
+    per-session value (peer id, link, MRAI interval, shared per-peer MRAI
+    deadline, up flag, RCN history where the router damps in RCN mode) is
+    a column of that length. Per-prefix state is one set of router-level
+    slot columns, prefix-major: with [d] sessions, session [k]'s slot for
+    prefix id [i] is [i * d + k]. The slot columns are a flags byte
+    (entry exists, suppressed, reuse timer pending, update parked, flush
+    armed), the received and advertised routes, the last root cause, the
+    MRAI deadline, the MRAI queue, the [Tick] wheel bucket and, only where
+    the router damps, the penalty value and time as unboxed floats (one
+    {!Rfd_damping.Damper.slots}). They are empty until a slot is first
+    written, then start at {!Config.prefix_table_hint} prefixes and double
+    together; a slot owns no heap block, and a session owns no record.
+    The Loc-RIB and the originated prefixes are router-level columns
+    indexed by prefix id.
 
     Protocol behaviour implemented here:
     - decision process: import preference (policy), then shortest AS path,
@@ -104,9 +110,12 @@ val damping_params : t -> Rfd_damping.Params.t option
 val connect : t -> peer:int -> link:int -> unit
 (** Register a peering session over the directed link [link] (this router
     to [peer]); updates to the peer go to [ports.transmit link]. The
-    session stores the int and nothing else of the transport. Raises
-    [Invalid_argument] on duplicate peers, self-peering, a negative peer
-    id, or a link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
+    session stores the int and nothing else of the transport, and draws
+    its MRAI jitter from the router's stream. Sessions are set up before
+    the router holds any RIB state: a new session would move every slot,
+    so [connect] raises [Invalid_argument] once the router holds slots,
+    as it does on duplicate peers, self-peering, a negative peer id, or a
+    link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
 
 val peer_ids : t -> int list
 (** Ascending. *)

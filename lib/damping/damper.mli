@@ -6,8 +6,8 @@
 
     The arithmetic exists once, over {e penalty columns}: a {!slots} table
     keeps slot [i]'s value and time in two unboxed float arrays, so a
-    router holds the damping state of all its entries in two flat arrays
-    per session. The suppressed flag is the owner's: {!slot_record} is told
+    router holds the damping state of all its entries, across all its
+    sessions, in two flat arrays. The suppressed flag is the owner's: {!slot_record} is told
     whether the slot is suppressed and reports the transition. {!t} is the
     one-slot view of the same code, with its own flag.
 

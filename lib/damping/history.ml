@@ -4,9 +4,15 @@ type 'a t = {
   order : 'a Queue.t; (* insertion order, oldest at the front *)
 }
 
+(* The table starts small and grows towards [capacity] as elements arrive:
+   an RCN router holds one history per session, most of which see a few
+   root causes at most. Eviction order lives in [order], so the table's
+   size never changes which element goes. *)
+let initial_buckets = 16
+
 let create ?(capacity = 128) () =
   if capacity <= 0 then invalid_arg "History.create: capacity must be positive";
-  { capacity; table = Hashtbl.create capacity; order = Queue.create () }
+  { capacity; table = Hashtbl.create (min capacity initial_buckets); order = Queue.create () }
 
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table

@@ -9,8 +9,10 @@ type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
 (** Default capacity 128. Raises [Invalid_argument] when not positive.
-    Elements are compared with structural equality/hashing, so keys must not
-    contain functions or cyclic values. *)
+    A fresh history is small whatever its capacity; its table grows with
+    the elements it holds. Elements are compared with structural
+    equality/hashing, so keys must not contain functions or cyclic
+    values. *)
 
 val capacity : 'a t -> int
 val length : 'a t -> int

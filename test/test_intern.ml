@@ -36,6 +36,86 @@ let prop_list_reference =
       (* interning is injective: distinct lists get distinct ids *)
       && (List.equal Int.equal la lb || As_path.intern_id pa <> As_path.intern_id pb))
 
+(* The partition case: a route received from another partition carries a
+   path interned in that partition's table. Extending it here must intern
+   it here, on the same value a native build gives, and the result must
+   still read exactly as the list it stands for. *)
+let prop_cross_table =
+  QCheck.Test.make ~name:"prepend_interned re-interns another table's tail" ~count:500
+    QCheck.(triple asn_list (int_range 0 50) asn_list) (fun (la, asn, lb) ->
+      let a = As_path.create_table () and b = As_path.create_table () in
+      (* [b] already holds an unrelated path, which may share suffixes *)
+      let pb = As_path.intern b (As_path.of_list lb) in
+      let pa = As_path.intern a (As_path.of_list la) in
+      let q = As_path.prepend_interned b asn pa in
+      let l = asn :: la in
+      As_path.mem b q
+      && q == As_path.intern b (As_path.of_list l)
+      && (la = [] || not (As_path.mem b pa))
+      && As_path.intern_id q > 0
+      && As_path.to_list q = l
+      && As_path.length q = List.length l
+      && As_path.equal q (As_path.of_list l)
+      && As_path.equal q pb = List.equal Int.equal l lb
+      && sign (As_path.compare q pb) = sign (List.compare Int.compare l lb)
+      && sign (As_path.compare pb q) = sign (List.compare Int.compare lb l)
+      && As_path.hash q = As_path.hash (As_path.of_list l)
+      && List.for_all (fun x -> As_path.contains q x = List.mem x l) (List.init 52 Fun.id)
+      && As_path.origin q = Some (List.nth l (List.length l - 1)))
+
+(* Enough distinct paths and routes that both open-addressing tables
+   resize several times: each is found again, as the same value with the
+   same id, and the counts do not move. *)
+let test_tables_resize () =
+  let tbl = Route.create_table () in
+  let paths = As_path.create_table () in
+  let n = 12_000 in
+  let asns j = [ j / 1000; (j / 10) mod 100; j mod 10 ] in
+  let build j =
+    let path = As_path.intern paths (As_path.of_list (asns j)) in
+    let route =
+      Route.make_interned tbl ~prefix:(Prefix.v (j mod 7)) ~path:(As_path.of_list (asns j))
+    in
+    (path, route)
+  in
+  let first = Array.init n build in
+  let path_count = As_path.table_size paths and route_count = Route.table_size tbl in
+  Alcotest.(check int) "every route interned once" n route_count;
+  Alcotest.(check bool) "paths and their suffixes interned" true (path_count >= n);
+  let ids = Hashtbl.create n in
+  Array.iteri
+    (fun j (path, route) ->
+      let path', route' = build j in
+      if not (path == path' && route == route') then
+        Alcotest.failf "entry %d not found again" j;
+      Alcotest.(check int) "same path id" (As_path.intern_id path) (As_path.intern_id path');
+      Alcotest.(check bool) "route's path is its table's" true
+        (As_path.mem (Route.path_table tbl) (Route.path route));
+      Alcotest.(check (list int)) "path reads back" (asns j) (As_path.to_list path);
+      Hashtbl.replace ids (As_path.intern_id path) ())
+    first;
+  Alcotest.(check int) "distinct ids" n (Hashtbl.length ids);
+  Alcotest.(check int) "path count unchanged" path_count (As_path.table_size paths);
+  Alcotest.(check int) "route count unchanged" route_count (Route.table_size tbl)
+
+(* The hot path of every advertisement: a hit in either table, by
+   prepend or by intern, allocates nothing. *)
+let test_hit_allocates_nothing () =
+  let tbl = Route.create_table () in
+  let route = Route.make_interned tbl ~prefix:p0 ~path:(As_path.of_list [ 4; 3; 2; 1 ]) in
+  let extended = Route.prepend_interned tbl 5 route in
+  let path = Route.path extended in
+  let paths = Route.path_table tbl in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Route.prepend_interned tbl 5 route));
+    ignore (Sys.opaque_identity (As_path.prepend_interned paths 5 (Route.path route)));
+    ignore (Sys.opaque_identity (As_path.intern paths path))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 30,000 hits" words) true
+    (words < 100.)
+
 let test_intern_idempotent () =
   let tbl = As_path.create_table () in
   let p1 = As_path.intern tbl (As_path.of_list [ 3; 1; 2 ]) in
@@ -184,7 +264,10 @@ let test_restart_reuses_ids () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_list_reference;
+    QCheck_alcotest.to_alcotest prop_cross_table;
     Alcotest.test_case "intern idempotent, ids unique" `Quick test_intern_idempotent;
+    Alcotest.test_case "tables resize, entries found again" `Quick test_tables_resize;
+    Alcotest.test_case "a hit allocates nothing" `Quick test_hit_allocates_nothing;
     Alcotest.test_case "route interning shares storage" `Quick test_route_interning;
     QCheck_alcotest.to_alcotest prop_digest_deterministic;
     Alcotest.test_case "churn leaks no intern ids" `Quick test_churn_no_leak;

@@ -156,6 +156,65 @@ let test_connect_validation () =
     (Invalid_argument "Router.connect: link 8388608 outside the timer key range") (fun () ->
       Router.connect r ~peer:2 ~link:(1 lsl 23))
 
+(* Sessions are ranks of one router's slot columns: taking down the
+   middle rank must touch only its own slots. Router 1 peers with 0, 2
+   and 3 (ranks 0, 1, 2); 0 flaps p0 until router 1 suppresses it, 3
+   flaps p1 once, and 2 originates p0 and p2. *)
+let test_peer_down_middle_rank () =
+  let config = Config.with_damping Rfd_damping.Params.cisco fast in
+  let graph = Rfd_topology.Graph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (1, 3) ] in
+  let net = make ~config graph in
+  let p1 = Prefix.v 1 and p2 = Prefix.v 2 in
+  Par_net.originate net ~node:0 p0;
+  Par_net.originate net ~node:2 p0;
+  Par_net.originate net ~node:2 p2;
+  Par_net.originate net ~node:3 p1;
+  Fixture.run net;
+  let t0 = Par_net.now net +. 1. in
+  for j = 0 to 3 do
+    let at = t0 +. (10. *. float_of_int j) in
+    Par_net.schedule_withdraw net ~at ~node:0 p0;
+    Par_net.schedule_originate net ~at:(at +. 5.) ~node:0 p0
+  done;
+  Par_net.schedule_withdraw net ~at:t0 ~node:3 p1;
+  Par_net.schedule_originate net ~at:(t0 +. 5.) ~node:3 p1;
+  Fixture.run ~until:(t0 +. 60.) net;
+  let r1 = Par_net.router net 1 in
+  Alcotest.(check (list int)) "three sessions" [ 0; 2; 3 ] (Router.peer_ids r1);
+  let snapshot peer =
+    List.map
+      (fun p ->
+        ( Option.map (Format.asprintf "%a" Route.pp) (Router.rib_in_route r1 ~peer p),
+          Router.penalty r1 ~peer p,
+          Router.is_suppressed r1 ~peer p ))
+      [ p0; p1; p2 ]
+  in
+  let before0 = snapshot 0 and before3 = snapshot 3 in
+  Alcotest.(check bool) "rank 0 holds a suppressed entry" true (Router.is_suppressed r1 ~peer:0 p0);
+  Alcotest.(check bool) "rank 2 holds a charged entry" true (Router.penalty r1 ~peer:3 p1 > 0.);
+  Alcotest.(check bool) "rank 1 holds routes" true (Router.rib_in_route r1 ~peer:2 p2 <> None);
+  Router.peer_down r1 ~peer:2;
+  let entry = Alcotest.(list (triple (option string) (float 0.) bool)) in
+  Alcotest.check entry "rank 0 unchanged" before0 (snapshot 0);
+  Alcotest.check entry "rank 2 unchanged" before3 (snapshot 3);
+  Alcotest.(check bool) "rank 1 down" false (Router.session_up r1 ~peer:2);
+  Alcotest.(check bool) "rank 1's routes withdrawn" true
+    (List.for_all (fun p -> Router.rib_in_route r1 ~peer:2 p = None) [ p0; p1; p2 ]);
+  Alcotest.(check bool) "rank 1's withdrawals charged" true (Router.penalty r1 ~peer:2 p2 > 0.)
+
+(* Once a router holds RIB slots its sessions are fixed: a new session
+   would move every slot, so it is refused. *)
+let test_connect_after_slots () =
+  let net = make (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let r1 = Par_net.router net 1 in
+  Alcotest.check_raises "connect refused"
+    (Invalid_argument "Router.connect: router 1 already holds RIB slots for its sessions")
+    (fun () -> Router.connect r1 ~peer:5 ~link:7);
+  Alcotest.(check (list int)) "sessions unchanged" [ 0 ] (Router.peer_ids r1);
+  Alcotest.(check bool) "route kept" true (Router.rib_in_route r1 ~peer:0 p0 <> None)
+
 let test_facade_conveniences () =
   Alcotest.(check bool) "version non-empty" true (String.length Rfd.version > 0);
   let net = Rfd.Par_net.create ~config:Rfd.Config.default ~partitions:1 (Builders.line 2) in
@@ -231,6 +290,8 @@ let suite =
       test_loop_detected_announce_treated_as_withdraw;
     Alcotest.test_case "rib accessors" `Quick test_rib_accessors;
     Alcotest.test_case "connect validation" `Quick test_connect_validation;
+    Alcotest.test_case "peer down on the middle rank" `Quick test_peer_down_middle_rank;
+    Alcotest.test_case "connect after slots refused" `Quick test_connect_after_slots;
     Alcotest.test_case "facade conveniences" `Quick test_facade_conveniences;
     Alcotest.test_case "per-peer MRAI pacing" `Quick test_per_peer_mrai_paces_across_prefixes;
     Alcotest.test_case "in-flight drop on failure" `Quick

@@ -11,7 +11,7 @@ open Rfd_bgp
 
 let mesh = Scenario.Mesh { rows = 3; cols = 3 }
 
-let config ~hint ~reuse =
+let config ?mode ~hint ~reuse () =
   let base =
     {
       Config.default with
@@ -21,7 +21,7 @@ let config ~hint ~reuse =
       prefix_table_hint = hint;
     }
   in
-  Config.with_damping ~reuse Rfd_damping.Params.cisco base
+  Config.with_damping ?mode ~reuse Rfd_damping.Params.cisco base
 
 (* Every inspection answer of every router, as text. *)
 let inspect buf net =
@@ -88,19 +88,21 @@ let same_run ~label ~reference ~at make =
 let modes = [ ("exact", Config.Exact); ("tick", Config.Tick 15.) ]
 
 (* 40 background prefixes and 8 flappers above them: ids up to 48, five
-   doublings past a hint of 1. *)
+   doublings past a hint of 1. RCN mode adds each session's root-cause
+   history to the state that must survive growth. *)
 let test_growth_past_hint () =
   List.iter
-    (fun (label, reuse) ->
+    (fun (label, mode, reuse) ->
       let make ~hint =
-        Scenario.make ~name:"growth" ~config:(config ~hint ~reuse) ~pulses:3
+        Scenario.make ~name:"growth" ~config:(config ?mode ~hint ~reuse ()) ~pulses:3
           ~background_prefixes:40
           ~workload:
             (Scenario.Flappers { count = 8; flaps = 2; mean_gap = 30.; alpha = 1.5; seed = 7 })
           mesh
       in
       ignore (same_run ~label ~reference:64 ~at:[ 100.; 400.; 2000. ] make))
-    modes
+    (("rcn", Some Config.Rcn, Config.Exact)
+    :: List.map (fun (label, reuse) -> (label, None, reuse)) modes)
 
 (* The origin prefix is suppressed by the pulse train; then a replay
    announces prefixes far above every column's capacity, so each session
@@ -120,7 +122,7 @@ let test_growth_with_pending_reuse () =
   List.iter
     (fun (label, reuse) ->
       let make ~hint =
-        Scenario.make ~name:"growth" ~config:(config ~hint ~reuse) ~pulses:3
+        Scenario.make ~name:"growth" ~config:(config ~hint ~reuse ()) ~pulses:3
           ~workload:(Scenario.Replay trace) mesh
       in
       let pending = same_run ~label ~reference:256 ~at:[ 399.; 3000. ] make in
