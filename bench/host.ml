@@ -54,5 +54,5 @@ let layers_to_json (k : Rfd.Network.event_counts) =
       ("flush", Json.Int k.Rfd.Network.flushes);
       ("reuse", Json.Int k.Rfd.Network.reuses);
       ("wheel", Json.Int k.Rfd.Network.wheels);
-      ("closure", Json.Int k.Rfd.Network.closures);
+      ("op", Json.Int k.Rfd.Network.ops);
     ]

@@ -20,8 +20,9 @@ let run_scenario ~damping ~mode ~pulses () =
 
 let sim_churn () =
   let sim = Rfd.Sim.create () in
+  let ch = Rfd.Sim.channel sim (fun _ _ -> ()) in
   for i = 1 to 1000 do
-    ignore (Rfd.Sim.schedule sim ~delay:(float_of_int (i mod 17)) (fun _ -> ()))
+    Rfd.Sim.post sim ch ~time:(float_of_int (i mod 17)) i
   done;
   Rfd.Sim.run sim
 

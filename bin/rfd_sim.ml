@@ -362,9 +362,9 @@ let pp_par_stats s =
     (String.concat "/"
        (Array.to_list (Array.map string_of_int s.Rfd.Runner.per_partition_events)));
   let k = s.Rfd.Runner.events_by_kind in
-  Format.printf "events by kind: delivery=%d flush=%d reuse=%d wheel=%d closure=%d@."
+  Format.printf "events by kind: delivery=%d flush=%d reuse=%d wheel=%d op=%d@."
     k.Rfd.Network.deliveries k.Rfd.Network.flushes k.Rfd.Network.reuses k.Rfd.Network.wheels
-    k.Rfd.Network.closures
+    k.Rfd.Network.ops
 
 let probe_arg =
   let doc = "Trace penalties at the first router at this hop distance from the origin." in

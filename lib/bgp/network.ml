@@ -31,7 +31,7 @@ type event_counts = {
   flushes : int;
   reuses : int;
   wheels : int;
-  closures : int;
+  ops : int;
 }
 
 (* Link state is columns indexed by the graph's stable edge ids: [up] and
@@ -485,13 +485,12 @@ let degradation t ~src ~dst =
 let in_flight t = t.in_flight
 
 let event_counts t =
-  {
-    deliveries = Sim.channel_events t.sim t.deliver_on;
-    flushes = Sim.channel_events t.sim t.flush_on;
-    reuses = Sim.channel_events t.sim t.reuse_on;
-    wheels = Sim.channel_events t.sim t.wheel_on;
-    closures = Sim.closure_events t.sim;
-  }
+  let deliveries = Sim.channel_events t.sim t.deliver_on
+  and flushes = Sim.channel_events t.sim t.flush_on
+  and reuses = Sim.channel_events t.sim t.reuse_on
+  and wheels = Sim.channel_events t.sim t.wheel_on in
+  let ops = Sim.events_executed t.sim - deliveries - flushes - reuses - wheels in
+  { deliveries; flushes; reuses; wheels; ops }
 
 let fold_routers t ~init ~f =
   Array.fold_left (fun acc r -> match r with Some r -> f acc r | None -> acc) init t.routers

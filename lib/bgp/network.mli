@@ -162,11 +162,12 @@ type event_counts = {
   flushes : int;  (** MRAI flush posts run *)
   reuses : int;  (** [Exact]-mode reuse timer posts run *)
   wheels : int;  (** [Tick]-mode wheel bucket posts run *)
-  closures : int;  (** closure events: administrative and workload events *)
+  ops : int;
+      (** events on channels other than these four: the administrative and
+          workload operations {!Rfd_experiment.Par_net} schedules *)
 }
 (** Executed simulator events by kind. The kinds partition
-    {!Rfd_engine.Sim.events_executed}: retracted posts and cancelled
-    events count in none. *)
+    {!Rfd_engine.Sim.events_executed}: retracted posts count in none. *)
 
 val event_counts : t -> event_counts
 (** This shard's simulator, by channel. *)

@@ -5,13 +5,6 @@
    int argument above them; popping an event calls the channel's handler
    with that argument.
 
-   Channel 0 runs closures: its argument is a slot in the closure table
-   ([actions], with a generation per slot and a free list threaded through
-   [free_next]). An [event_id] packs the slot and the slot's generation at
-   scheduling time; the generation moves on when the event runs or is
-   cancelled, which makes every older handle for the slot stale (until the
-   31-bit generation wraps, after 2^31 events in one slot).
-
    A post is dead once [retract]ed: [retracted] counts, per tag, how many of
    that tag's earliest pending entries are dead. The root is the earliest
    entry of all, so it is dead exactly when its tag has a count; compaction
@@ -26,60 +19,25 @@ type t = {
   mutable orders : int array;
   mutable tags : int array;
   mutable size : int;
-  mutable dead : int; (* cancelled events still occupying heap slots *)
+  mutable dead : int; (* retracted posts still occupying heap slots *)
   mutable max_size : int; (* high-water mark of [size] *)
   mutable compactions : int;
-  mutable handlers : (t -> int -> unit) array; (* by channel; 0 runs closures *)
-  mutable actions : (t -> unit) array; (* closure table, by slot *)
-  mutable gens : int array; (* by slot: generation of the current occupant *)
-  mutable free_next : int array; (* by slot: next free slot, -1 ends the list *)
-  mutable free : int; (* head of the free-slot list, -1 when empty *)
+  mutable handlers : (t -> int -> unit) array; (* by channel *)
   retracted : (int, int) Hashtbl.t; (* by tag: dead posts still in the heap *)
-  mutable retractions : int; (* sum of [retracted]'s counts *)
 }
 
-type event_id = int
 type channel = int
 
 let channel_bits = 8
 let channel_mask = (1 lsl channel_bits) - 1
 let max_arg = max_int lsr channel_bits
-let slot_bits = 31
-let slot_mask = (1 lsl slot_bits) - 1
-let gen_mask = max_int lsr slot_bits
-
-(* Held by every closure slot that has no pending event: free, or cancelled
-   while its heap entry waits to be dropped. Storing it releases the slot's
-   closure at once. *)
-let vacant : t -> unit = fun _ -> ()
-
-let no_event = -1
-
-(* The closure event in [slot] stops being pending: every handle issued
-   for it goes stale, and the table lets go of its closure. *)
-let retire t slot =
-  t.gens.(slot) <- (t.gens.(slot) + 1) land gen_mask;
-  t.actions.(slot) <- vacant
-
-let free_slot t slot =
-  t.free_next.(slot) <- t.free;
-  t.free <- slot
-
-(* Channel 0: run the closure in [slot]. The slot is freed first, so the
-   closure is not reachable from the table once it has run and the action
-   may reuse the slot for the events it schedules. *)
-let run_action t slot =
-  let f = t.actions.(slot) in
-  retire t slot;
-  free_slot t slot;
-  f t
 
 let create () =
   {
     clock = 0.;
     seq = 0;
     live = 0;
-    executed = [| 0 |];
+    executed = [||];
     times = Float.Array.create 0;
     orders = [||];
     tags = [||];
@@ -87,13 +45,8 @@ let create () =
     dead = 0;
     max_size = 0;
     compactions = 0;
-    handlers = [| run_action |];
-    actions = [||];
-    gens = [||];
-    free_next = [||];
-    free = -1;
+    handlers = [||];
     retracted = Hashtbl.create 16;
-    retractions = 0;
   }
 
 let now t = t.clock
@@ -189,38 +142,32 @@ let pop_root t =
     sift_down t 0 (Float.Array.unsafe_get t.times last) (Array.unsafe_get t.orders last)
       (Array.unsafe_get t.tags last)
 
-(* A heap entry is dead when it is a closure event whose slot was vacated
-   by [cancel], or a retracted post. For a post this answer holds only at
-   the root, the earliest entry: [compact] works out the others itself. *)
-let[@inline] is_dead t tag =
-  if tag land channel_mask = 0 then t.actions.(tag lsr channel_bits) == vacant
-  else t.retractions > 0 && Hashtbl.mem t.retracted tag
+(* A heap entry is dead when it is a retracted post. This answer holds
+   only at the root, the earliest entry: [compact] works out the others
+   itself. *)
+let[@inline] is_dead t tag = t.dead > 0 && Hashtbl.mem t.retracted tag
 
 (* One dead entry of [tag] leaves the heap. *)
 let release t tag =
-  if tag land channel_mask = 0 then free_slot t (tag lsr channel_bits)
-  else begin
-    let n = Hashtbl.find t.retracted tag in
-    if n = 1 then Hashtbl.remove t.retracted tag else Hashtbl.replace t.retracted tag (n - 1);
-    t.retractions <- t.retractions - 1
-  end
+  let n = Hashtbl.find t.retracted tag in
+  if n = 1 then Hashtbl.remove t.retracted tag else Hashtbl.replace t.retracted tag (n - 1);
+  t.dead <- t.dead - 1
 
-(* Cancelled events stay in the heap and are skipped on pop; [live] counts
+(* Retracted posts stay in the heap and are skipped on pop; [live] counts
    only pending ones so quiescence checks are exact. *)
 let drop_dead t =
   while t.size > 0 && is_dead t t.tags.(0) do
     release t t.tags.(0);
-    pop_root t;
-    t.dead <- t.dead - 1
+    pop_root t
   done
 
-(* Lazy deletion alone lets cancelled events pile up below the root
-   (a workload that arms and cancels timers faster than it drains them
+(* Lazy deletion alone lets retracted posts pile up below the root
+   (a workload that arms and retracts timers faster than it drains them
    grows the heap without bound). When more than half the occupied slots
-   are dead, rebuild in place: keep the pending events, free the slots of
-   the rest, and re-establish the heap property bottom-up (Floyd). Pop
-   order is untouched — it is fully determined by the total (time, order)
-   key, not by the heap's internal layout. *)
+   are dead, rebuild in place: keep the pending events, drop the rest, and
+   re-establish the heap property bottom-up (Floyd). Pop order is
+   untouched — it is fully determined by the total (time, order) key, not
+   by the heap's internal layout. *)
 let compact_threshold = 64
 
 (* Heap indices of the retracted posts: of each retracted tag's entries,
@@ -228,8 +175,7 @@ let compact_threshold = 64
 let retracted_entries t =
   let candidates = ref [] in
   for i = t.size - 1 downto 0 do
-    if t.tags.(i) land channel_mask <> 0 && Hashtbl.mem t.retracted t.tags.(i) then
-      candidates := i :: !candidates
+    if Hashtbl.mem t.retracted t.tags.(i) then candidates := i :: !candidates
   done;
   let by_key i j =
     let ti = Float.Array.get t.times i and tj = Float.Array.get t.times j in
@@ -245,21 +191,15 @@ let retracted_entries t =
 
 let compact t =
   let doomed = Bytes.make t.size '\000' in
-  if t.retractions > 0 then
-    List.iter (fun i -> Bytes.set doomed i '\001') (retracted_entries t);
+  List.iter (fun i -> Bytes.set doomed i '\001') (retracted_entries t);
   let kept = ref 0 in
   for i = 0 to t.size - 1 do
-    let tag = t.tags.(i) in
-    if tag land channel_mask = 0 && t.actions.(tag lsr channel_bits) == vacant then
-      free_slot t (tag lsr channel_bits)
-    else if Bytes.get doomed i <> '\000' then ()
-    else begin
+    if Bytes.get doomed i = '\000' then begin
       move t ~src:i ~dst:!kept;
       incr kept
     end
   done;
   Hashtbl.reset t.retracted;
-  t.retractions <- 0;
   t.size <- !kept;
   t.dead <- 0;
   t.compactions <- t.compactions + 1;
@@ -278,7 +218,7 @@ let check_time name t time =
 let channel t f =
   let n = Array.length t.handlers in
   if n > channel_mask then
-    invalid_arg (Printf.sprintf "Sim.channel: at most %d channels" channel_mask);
+    invalid_arg (Printf.sprintf "Sim.channel: at most %d channels" (channel_mask + 1));
   t.handlers <- Array.append t.handlers [| f |];
   t.executed <- Array.append t.executed [| 0 |];
   n
@@ -287,64 +227,20 @@ let post t ch ~time arg =
   check_time "Sim.post" t time;
   if arg < 0 || arg > max_arg then
     invalid_arg (Printf.sprintf "Sim.post: argument %d outside [0, %d]" arg max_arg);
-  if ch <= 0 || ch >= Array.length t.handlers then invalid_arg "Sim.post: unknown channel";
+  if ch < 0 || ch >= Array.length t.handlers then invalid_arg "Sim.post: unknown channel";
   push t time ((arg lsl channel_bits) lor ch)
 
-(* The post's heap entry stays until it surfaces or a compaction drops it,
-   exactly as a cancelled closure event's does. *)
+(* The post's heap entry stays until it surfaces or a compaction drops it. *)
 let retract t ch arg =
   if arg < 0 || arg > max_arg then
     invalid_arg (Printf.sprintf "Sim.retract: argument %d outside [0, %d]" arg max_arg);
-  if ch <= 0 || ch >= Array.length t.handlers then invalid_arg "Sim.retract: unknown channel";
+  if ch < 0 || ch >= Array.length t.handlers then invalid_arg "Sim.retract: unknown channel";
   let tag = (arg lsl channel_bits) lor ch in
   Hashtbl.replace t.retracted tag
     (1 + Option.value (Hashtbl.find_opt t.retracted tag) ~default:0);
-  t.retractions <- t.retractions + 1;
   t.live <- t.live - 1;
   t.dead <- t.dead + 1;
   maybe_compact t
-
-(* Called with the free list empty: chain the new slots onto it. *)
-let grow_slots t =
-  let cap = Array.length t.actions in
-  let new_cap = if cap = 0 then 256 else cap * 2 in
-  if new_cap - 1 > slot_mask then failwith "Sim: closure table full";
-  t.actions <- extend t.actions new_cap vacant;
-  t.gens <- extend t.gens new_cap 0;
-  t.free_next <- extend t.free_next new_cap (-1);
-  for slot = cap to new_cap - 2 do
-    t.free_next.(slot) <- slot + 1
-  done;
-  t.free <- cap
-
-let schedule_at t ~time f =
-  check_time "Sim.schedule_at" t time;
-  if t.free < 0 then grow_slots t;
-  let slot = t.free in
-  t.free <- t.free_next.(slot);
-  t.actions.(slot) <- f;
-  push t time (slot lsl channel_bits);
-  (t.gens.(slot) lsl slot_bits) lor slot
-
-let schedule t ~delay f =
-  if Float.is_nan delay || delay < 0. then invalid_arg "Sim.schedule: negative delay";
-  schedule_at t ~time:(t.clock +. delay) f
-
-let is_pending t ev =
-  ev >= 0
-  &&
-  let slot = ev land slot_mask in
-  slot < Array.length t.gens && t.gens.(slot) = ev lsr slot_bits
-
-(* The slot stays allocated until its heap entry is dropped, so no other
-   event can take it while that entry still names it. *)
-let cancel t ev =
-  if is_pending t ev then begin
-    retire t (ev land slot_mask);
-    t.live <- t.live - 1;
-    t.dead <- t.dead + 1;
-    maybe_compact t
-  end
 
 let pending t = t.live
 let heap_size t = t.size
@@ -388,7 +284,6 @@ let run ?until t =
       if t.clock < horizon then t.clock <- horizon
 
 let events_executed t = Array.fold_left ( + ) 0 t.executed
-let closure_events t = t.executed.(0)
 let channel_events t ch = t.executed.(ch)
 
 (* Epoch primitive for conservative parallel simulation: execute every event

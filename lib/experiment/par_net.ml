@@ -9,11 +9,14 @@
      draw depends only on that link's own send sequence.
    - Every partition replays the full per-node RNG split sequence, so a
      router's jitter stream is a function of (seed, node) alone.
-   - Administrative events (link fail/restore, crash/restart) are
-     broadcast: each partition executes them against its own replica of
-     link/router state and signals only its own routers; the union equals
-     the single-domain behaviour, and the per-partition surplus executions
-     are subtracted from the reported event count.
+   - Every scheduled operation is a row of one op table, posted by its
+     index. Workload operations (originate, withdraw) are routed to the
+     owning partition. Administrative ones (link fail/restore,
+     crash/restart) are broadcast: each partition executes them against
+     its own replica of link/router state and signals only its own
+     routers; the union equals the single-domain behaviour, and the
+     per-partition surplus executions are subtracted from the reported
+     event count.
    - With several partitions, observation order is canonicalised by
      {!Recorder} at every barrier. With one there is nothing to merge: the
      sole network's hooks are the bus, and observers see events in
@@ -34,6 +37,25 @@ module Par_sim = Rfd_engine.Par_sim
 module Graph = Rfd_topology.Graph
 open Rfd_bgp
 
+type op =
+  | Originate of int * Prefix.t
+  | Withdraw of int * Prefix.t
+  | Fail_link of int * int
+  | Restore_link of int * int
+  | Crash of int
+  | Restart of int
+
+(* Append-only: an op's index is its post argument. *)
+type op_table = { mutable ops : op array; mutable length : int }
+
+let apply net = function
+  | Originate (node, prefix) -> Network.originate net ~node prefix
+  | Withdraw (node, prefix) -> Network.withdraw net ~node prefix
+  | Fail_link (u, v) -> Network.fail_link net u v
+  | Restore_link (u, v) -> Network.restore_link net u v
+  | Crash node -> Network.crash_router net node
+  | Restart node -> Network.restart_router net node
+
 type t = {
   config : Config.t;
   graph : Graph.t;
@@ -45,7 +67,9 @@ type t = {
   mailbox : Network.remote Partition.t;
   epochs : Par_sim.t;
   bus : Hooks.t; (* observation bus: attach observers here *)
-  admin_runs : int array; (* broadcast admin events executed, per partition *)
+  table : op_table;
+  routed_on : Sim.channel array; (* by partition: ops its owner alone runs *)
+  broadcast_on : Sim.channel array; (* by partition: ops every partition runs *)
   mutable barriers : int;
   mutable drives : int;
 }
@@ -77,6 +101,10 @@ let create ?policy ~config ~partitions graph =
           nets,
         Hooks.create () )
   in
+  let table = { ops = [||]; length = 0 } in
+  let on_ops p = Sim.channel sims.(p) (fun _ i -> apply nets.(p) table.ops.(i)) in
+  let routed_on = Array.init parts on_ops in
+  let broadcast_on = Array.init parts on_ops in
   {
     config;
     graph;
@@ -88,7 +116,9 @@ let create ?policy ~config ~partitions graph =
     mailbox;
     epochs = Par_sim.create sims;
     bus;
-    admin_runs = Array.make parts 0;
+    table;
+    routed_on;
+    broadcast_on;
     barriers = 0;
     drives = 0;
   }
@@ -101,27 +131,32 @@ let part_of t node = t.part_of.(node)
 let cut_edges t = Graph.cut_edges t.graph t.part_of
 let iter_nets t f = Array.iter f t.nets
 
-(* Reported event count: every partition executed each broadcast
-   administrative event once, but the single-domain run executes it exactly
-   once — subtract the per-partition surplus. The per-partition admin
-   counts are equal at any barrier (broadcasts land in every partition at
-   the same timestamp), so partition 0 is used as the canonical count. *)
+(* Every partition executed each broadcast op once, but the single-domain
+   run executes it exactly once: the surplus is subtracted from the
+   reported counts. The per-partition broadcast counts are equal at any
+   barrier (broadcasts land in every partition at the same timestamp), so
+   partition 0's is the canonical count and the others' are the surplus. *)
+let broadcast_surplus t =
+  let surplus = ref 0 in
+  for p = 1 to t.parts - 1 do
+    surplus := !surplus + Sim.channel_events t.sims.(p) t.broadcast_on.(p)
+  done;
+  !surplus
+
 let sim_events t =
   let total = Array.fold_left (fun acc sim -> acc + Sim.events_executed sim) 0 t.sims in
-  let admin = Array.fold_left ( + ) 0 t.admin_runs in
-  total - admin + t.admin_runs.(0)
+  total - broadcast_surplus t
 
 let per_partition_events t = Array.map Sim.events_executed t.sims
 
 let event_counts t =
   let sum f = Array.fold_left (fun acc net -> acc + f (Network.event_counts net)) 0 t.nets in
-  let admin = Array.fold_left ( + ) 0 t.admin_runs in
   {
     Network.deliveries = sum (fun c -> c.Network.deliveries);
     flushes = sum (fun c -> c.Network.flushes);
     reuses = sum (fun c -> c.Network.reuses);
     wheels = sum (fun c -> c.Network.wheels);
-    closures = sum (fun c -> c.Network.closures) - admin + t.admin_runs.(0);
+    ops = sum (fun c -> c.Network.ops) - broadcast_surplus t;
   }
 let peak_heap t = Array.fold_left (fun acc sim -> acc + Sim.max_heap_size sim) 0 t.sims
 let epochs t = t.barriers - t.drives
@@ -148,9 +183,12 @@ let drive ?until ?max_events t =
 (* ------------------------------------------------------------------ *)
 (* Driving: routed (single-partition) and broadcast operations          *)
 
-let owner_net t node =
+let check_node t node =
   if node < 0 || node >= Array.length t.part_of then
-    invalid_arg (Printf.sprintf "Par_net: node %d out of range" node);
+    invalid_arg (Printf.sprintf "Par_net: node %d out of range" node)
+
+let owner_net t node =
+  check_node t node;
   t.nets.(t.part_of.(node))
 
 let originate t ~node prefix = Network.originate (owner_net t node) ~node prefix
@@ -158,45 +196,45 @@ let withdraw t ~node prefix = Network.withdraw (owner_net t node) ~node prefix
 
 (* A partition's clock may lag [now t], and its simulator would accept a
    time the single-domain run refuses; a broadcast could then land in
-   some partitions and not others. So every schedule is checked against
-   the global clock once, before any partition is touched. *)
+   some partitions and not others. So every op is checked — its time
+   against the global clock, its target against the graph — before it
+   enters the table or any partition's queue. *)
 let check_at t at =
   if Float.is_nan at then invalid_arg "Par_net: NaN schedule time";
   let now = now t in
   if at < now then invalid_arg (Printf.sprintf "Par_net: schedule time %g before now (%g)" at now)
 
-let schedule_routed t ~at node f =
+let check_target t = function
+  | Originate (node, _) | Withdraw (node, _) | Crash node | Restart node -> check_node t node
+  | Fail_link (u, v) | Restore_link (u, v) ->
+      if Graph.edge_id t.graph u v = None then
+        invalid_arg (Printf.sprintf "Par_net: (%d,%d) is not a link" u v)
+
+(* Append [op] to the table and post its index: on the owner's routed
+   channel, or on every partition's broadcast channel in partition order. *)
+let schedule t ~at op =
   check_at t at;
-  let net = owner_net t node in
-  ignore (Sim.schedule_at (Network.sim net) ~time:at (fun _ -> f net))
+  check_target t op;
+  let table = t.table in
+  if table.length = Array.length table.ops then
+    table.ops <- Array.append table.ops (Array.make (max 16 table.length) op);
+  let i = table.length in
+  table.ops.(i) <- op;
+  table.length <- i + 1;
+  let post p ch = Sim.post t.sims.(p) ch.(p) ~time:at i in
+  match op with
+  | Originate (node, _) | Withdraw (node, _) -> post t.part_of.(node) t.routed_on
+  | Fail_link _ | Restore_link _ | Crash _ | Restart _ ->
+      for p = 0 to t.parts - 1 do
+        post p t.broadcast_on
+      done
 
-let schedule_originate t ~at ~node prefix =
-  schedule_routed t ~at node (fun net -> Network.originate net ~node prefix)
-
-let schedule_withdraw t ~at ~node prefix =
-  schedule_routed t ~at node (fun net -> Network.withdraw net ~node prefix)
-
-(* Administrative events go to every partition; each execution bumps the
-   partition's admin counter for the event-count correction above. *)
-let schedule_admin t ~at f =
-  check_at t at;
-  Array.iteri
-    (fun p net ->
-      ignore
-        (Sim.schedule_at (Network.sim net) ~time:at (fun _ ->
-             t.admin_runs.(p) <- t.admin_runs.(p) + 1;
-             f net)))
-    t.nets
-
-let schedule_fail_link t ~at u v = schedule_admin t ~at (fun net -> Network.fail_link net u v)
-
-let schedule_restore_link t ~at u v =
-  schedule_admin t ~at (fun net -> Network.restore_link net u v)
-
-let schedule_crash t ~at node = schedule_admin t ~at (fun net -> Network.crash_router net node)
-
-let schedule_restart t ~at node =
-  schedule_admin t ~at (fun net -> Network.restart_router net node)
+let schedule_originate t ~at ~node prefix = schedule t ~at (Originate (node, prefix))
+let schedule_withdraw t ~at ~node prefix = schedule t ~at (Withdraw (node, prefix))
+let schedule_fail_link t ~at u v = schedule t ~at (Fail_link (u, v))
+let schedule_restore_link t ~at u v = schedule t ~at (Restore_link (u, v))
+let schedule_crash t ~at node = schedule t ~at (Crash node)
+let schedule_restart t ~at node = schedule t ~at (Restart node)
 
 let set_degradation t ~src ~dst ~loss ~duplication =
   Array.iter (fun net -> Network.set_degradation net ~src ~dst ~loss ~duplication) t.nets

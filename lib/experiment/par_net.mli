@@ -84,16 +84,15 @@ val iter_nets : t -> (Rfd_bgp.Network.t -> unit) -> unit
 (** {1 Events and clocks} *)
 
 val sim_events : t -> int
-(** Total executed events, corrected for broadcast administrative events
-    (each counted once, as a single-domain run would). *)
+(** Total executed events, corrected for broadcast administrative
+    operations (each counted once, as a single-domain run would). *)
 
 val per_partition_events : t -> int array
 (** Raw per-partition executed-event counts (uncorrected). *)
 
 val event_counts : t -> Rfd_bgp.Network.event_counts
 (** {!sim_events} by kind, summed over partitions, with the same
-    correction applied to the closure count: the kinds sum to
-    {!sim_events}. *)
+    correction applied to the op count: the kinds sum to {!sim_events}. *)
 
 val peak_heap : t -> int
 (** Sum of per-partition simulator heap high-water marks. Depends on the
@@ -120,17 +119,22 @@ val originate : t -> node:int -> Rfd_bgp.Prefix.t -> unit
 val withdraw : t -> node:int -> Rfd_bgp.Prefix.t -> unit
 
 val schedule_originate : t -> at:float -> node:int -> Rfd_bgp.Prefix.t -> unit
-(** Routed to the owning partition. Every [schedule_*] raises
-    [Invalid_argument] when [at] is NaN or earlier than {!now}, before any
-    partition is touched, so a refused call schedules nothing anywhere and
-    the same times are accepted at every partition count. *)
+(** Routed: one post on the owning partition's queue. Every [schedule_*]
+    appends its operation to a table and posts the operation's index,
+    and raises [Invalid_argument] before any partition is touched when
+    [at] is NaN or earlier than {!now}, or when its target is not in the
+    graph: a node outside [[0, num_nodes)] for an origination,
+    withdrawal, crash or restart, or a pair of nodes without an edge for
+    a link operation. So a refused call schedules nothing anywhere, the
+    same calls are accepted at every partition count, and a bad target
+    never reaches an event. *)
 
 val schedule_withdraw : t -> at:float -> node:int -> Rfd_bgp.Prefix.t -> unit
 
 val schedule_fail_link : t -> at:float -> int -> int -> unit
-(** Broadcast: scheduled in every partition, each updating its own replica
-    of link state and signalling only its own routers. Likewise the other
-    administrative operations below. *)
+(** Broadcast: posted in every partition, in partition order, each
+    updating its own replica of link state and signalling only its own
+    routers. Likewise the other administrative operations below. *)
 
 val schedule_restore_link : t -> at:float -> int -> int -> unit
 val schedule_crash : t -> at:float -> int -> unit

@@ -163,8 +163,9 @@ type par_stats = {
   per_partition_events : int array;  (** raw executed events per partition *)
   events_by_kind : Rfd_bgp.Network.event_counts;
       (** [sim_events] by kind ({!Par_net.event_counts}): deliveries, MRAI
-          flushes, reuse timers, wheel buckets and closure events, summing
-          to [sim_events] at every partition count *)
+          flushes, reuse timers, wheel buckets and ops (scheduled workload
+          and administrative operations), summing to [sim_events] at every
+          partition count *)
   routes_interned_total : int;  (** summed per-partition interning tables *)
   paths_interned_total : int;
 }

@@ -85,9 +85,8 @@ let prop_peek_is_min =
 
 let ignore2 _ _ = ()
 
-(* A retracted post is dropped exactly like a cancelled closure event: it
-   does not run, count, or move the clock, and of several posts of one
-   argument the earliest goes. *)
+(* A retracted post is dropped: it does not run, count, or move the clock,
+   and of several posts of one argument the earliest goes. *)
 let test_retract () =
   let sim, ch, log = make () in
   Sim.post sim ch ~time:3. 5;
@@ -100,7 +99,6 @@ let test_retract () =
     [ (2., 6); (3., 5) ] (drain sim log);
   Alcotest.(check int) "executed" 2 (Sim.events_executed sim);
   Alcotest.(check int) "by channel" 2 (Sim.channel_events sim ch);
-  Alcotest.(check int) "no closures" 0 (Sim.closure_events sim);
   Alcotest.(check int) "dead dropped" 0 (Sim.dead_count sim);
   (* A retracted last event leaves the clock where it was. *)
   Sim.post sim ch ~time:9. 1;

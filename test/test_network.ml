@@ -131,7 +131,8 @@ let test_mrai_flush_delivers_final_state () =
   let base = Par_net.now net +. 0.5 in
   Par_net.schedule_withdraw net ~at:base ~node:0 p0;
   Par_net.schedule_originate net ~at:(base +. 0.05) ~node:0 p0;
-  ignore (Sim.schedule_at (Fixture.sim net) ~time:(base +. 0.1) (fun _ -> ()));
+  let sim = Fixture.sim net in
+  Sim.post sim (Sim.channel sim (fun _ _ -> ())) ~time:(base +. 0.1) 0;
   Fixture.run net;
   Alcotest.(check int) "all reachable after flush" 3 (Par_net.reachable_count net p0);
   Alcotest.(check bool) "converged" true (Par_net.converged net p0)
@@ -247,7 +248,7 @@ let test_deliver_remote_refusal_leaves_nothing () =
   let net =
     Network.create ~ownership:(Array.make 2 true, ignore) ~config:fast_config sim graph
   in
-  ignore (Sim.schedule_at sim ~time:5. ignore);
+  Sim.post sim (Sim.channel sim (fun _ _ -> ())) ~time:5. 0;
   Sim.run sim;
   let update = Update.withdraw p0 in
   let remote at =

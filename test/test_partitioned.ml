@@ -272,7 +272,7 @@ let test_refused_schedule_touches_nothing () =
   let before = pending net in
   let refused label schedule =
     match schedule () with
-    | () -> Alcotest.failf "%s accepted a time before now" label
+    | () -> Alcotest.failf "%s was accepted" label
     | exception Invalid_argument _ -> ()
   in
   let node_in part =
@@ -293,6 +293,15 @@ let test_refused_schedule_touches_nothing () =
   refused "schedule_fail_link" (fun () -> Par_net.schedule_fail_link net ~at 0 1);
   refused "schedule_restore_link" (fun () -> Par_net.schedule_restore_link net ~at 0 1);
   refused "NaN time" (fun () -> Par_net.schedule_fail_link net ~at:Float.nan 0 1);
+  (* A bad target is refused at a time that is fine. *)
+  refused "schedule_fail_link of a non-link" (fun () ->
+      Par_net.schedule_fail_link net ~at:now 0 15);
+  refused "schedule_restore_link of a self-loop" (fun () ->
+      Par_net.schedule_restore_link net ~at:now 3 3);
+  refused "schedule_crash of node 16" (fun () -> Par_net.schedule_crash net ~at:now 16);
+  refused "schedule_restart of node -1" (fun () -> Par_net.schedule_restart net ~at:now (-1));
+  refused "schedule_originate of node 16" (fun () ->
+      Par_net.schedule_originate net ~at:now ~node:16 prefix);
   Alcotest.(check (list int)) "no partition's queue changed" before (pending net);
   Par_net.schedule_fail_link net ~at:now 0 1;
   Alcotest.(check (list int)) "a broadcast at now lands in every partition"
@@ -361,10 +370,9 @@ let prop_random_identity =
 
 (* Every executed event has one kind, so the per-kind counts sum to the
    corrected event count at any partition count, and each kind is itself
-   partition-invariant. On a plain pulse run the only closure events are
-   the pulses' withdrawals and announcements — routed workload events for
-   origin updates, broadcast admin events (counted once) for link-state
-   flaps. *)
+   partition-invariant. On a plain pulse run the only ops are the pulses'
+   withdrawals and announcements — routed workload ops for origin
+   updates, broadcast admin ops (counted once) for link-state flaps. *)
 let test_event_kinds () =
   List.iter
     (fun (label, mechanism) ->
@@ -375,10 +383,10 @@ let test_event_kinds () =
         Alcotest.(check int)
           (Printf.sprintf "%s: kinds sum to sim_events at P=%d" label partitions)
           result.Runner.sim_events
-          Network.(k.deliveries + k.flushes + k.reuses + k.wheels + k.closures);
+          Network.(k.deliveries + k.flushes + k.reuses + k.wheels + k.ops);
         Alcotest.(check int)
-          (Printf.sprintf "%s: closure = 2 x pulses at P=%d" label partitions)
-          6 k.Network.closures;
+          (Printf.sprintf "%s: op = 2 x pulses at P=%d" label partitions)
+          6 k.Network.ops;
         k
       in
       let k1 = kinds 1 in

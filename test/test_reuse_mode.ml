@@ -112,8 +112,7 @@ let test_tick_sweep_jobs_deterministic () =
    3-node line with a 1000 s tick, router 1 parks its entry from peer 0 in
    the t=2000 bucket, a fourth charge migrates it to t=3000 and empties the
    bucket, and the entry from peer 2, suppressed afterwards, re-arms
-   t=2000. The pinned event counts are what cancelled closure timers
-   give. *)
+   t=2000. The event counts are pinned. *)
 let test_emptied_bucket_rearmed () =
   let config =
     Config.with_damping ~reuse:(Config.Tick 1000.) Params.cisco

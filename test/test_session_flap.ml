@@ -81,9 +81,8 @@ let test_flush_timers_cancelled_on_flap () =
     (Par_net.quiescent net p0)
 
 (* The last pending event is a flush that a session reset superseded: it
-   must be dropped exactly like a cancelled closure event — not run, not
-   counted, and not moving the clock past the failure. The pinned clock
-   and event count are what cancelled closure timers give. *)
+   must be dropped — not run, not counted, and not moving the clock past
+   the failure. The clock and event count are pinned. *)
 let test_superseded_flush_is_last_event () =
   let net = make (Builders.line 2) in
   Par_net.originate net ~node:0 p0;

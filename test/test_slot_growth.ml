@@ -62,13 +62,12 @@ let observed ~at scenario =
     net := Some n;
     let sim = Network.sim n in
     let start = Rfd_engine.Sim.now sim in
-    List.iter
-      (fun dt ->
-        ignore
-          (Rfd_engine.Sim.schedule_at sim ~time:(start +. dt) (fun _ ->
-               pending := reuse_timers n :: !pending;
-               inspect buf n)))
-      at
+    let ch =
+      Rfd_engine.Sim.channel sim (fun _ _ ->
+          pending := reuse_timers n :: !pending;
+          inspect buf n)
+    in
+    List.iteri (fun i dt -> Rfd_engine.Sim.post sim ch ~time:(start +. dt) i) at
   in
   let result = Runner.run ~observe scenario in
   Option.iter (inspect buf) !net;

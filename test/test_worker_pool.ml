@@ -20,11 +20,14 @@ let show = function
 let supervise ~jobs f xs = List.map show (Supervisor.supervise ~jobs ~key:string_of_int f xs)
 let crashed e = "crashed:" ^ Printexc.to_string e
 
+(* Post one event at [time] that runs [f], on a channel of its own. *)
+let post_at sim ~time f = Sim.post sim (Sim.channel sim (fun _ _ -> f ())) ~time 0
+
 (* [parts] simulators, each holding one event at time 1 that runs [at_1 i]. *)
 let epoch_sims parts at_1 =
   Array.init parts (fun i ->
       let sim = Sim.create () in
-      ignore (Sim.schedule_at sim ~time:1. (fun _ -> at_1 i));
+      post_at sim ~time:1. (fun () -> at_1 i);
       sim)
 
 let lockstep t = Par_sim.lockstep ~lookahead:1. ~executed:(fun () -> 0) ~exchange:ignore t
@@ -151,10 +154,7 @@ let test_pool_survives_exception () =
     (fun parts ->
       let later = Array.init parts (fun _ -> Atomic.make false) in
       let sims = epoch_sims parts (fun i -> if i = 0 then failwith "dead event") in
-      Array.iteri
-        (fun i sim ->
-          ignore (Sim.schedule_at sim ~time:5. (fun _ -> Atomic.set later.(i) true)))
-        sims;
+      Array.iteri (fun i sim -> post_at sim ~time:5. (fun () -> Atomic.set later.(i) true)) sims;
       with_par_sim sims (fun t ->
           (try ignore (lockstep t) with Failure _ -> ());
           Alcotest.(check bool)
@@ -263,7 +263,7 @@ let test_lockstep_refuses_stuck_time () =
   List.iter
     (fun parts ->
       let sims = epoch_sims parts ignore in
-      ignore (Sim.schedule_at sims.(parts - 1) ~time:1e300 ignore);
+      post_at sims.(parts - 1) ~time:1e300 ignore;
       with_par_sim sims (fun t ->
           Alcotest.check_raises
             (Printf.sprintf "P=%d: refused at 1e300" parts)
@@ -280,10 +280,12 @@ let test_reuse_across_batches () =
   let sims =
     Array.init parts (fun i ->
         let sim = Sim.create () in
+        let ch =
+          Sim.channel sim (fun _ k ->
+              Atomic.set log.(i) ((k, Domain.self ()) :: Atomic.get log.(i)))
+        in
         for k = 1 to 5 do
-          ignore
-            (Sim.schedule_at sim ~time:(float_of_int k) (fun _ ->
-                 Atomic.set log.(i) ((k, Domain.self ()) :: Atomic.get log.(i))))
+          Sim.post sim ch ~time:(float_of_int k) k
         done;
         sim)
   in
