@@ -35,8 +35,10 @@ let damper_churn () =
 let graph_build () = ignore (Rfd.Builders.mesh ~rows:10 ~cols:10)
 
 let phases_classify () =
-  let update_times = Array.init 500 (fun i -> float_of_int i *. 3.) in
-  let reuse_times = [| 700.; 900. |] in
+  let update_times =
+    Rfd.Column.Floats.of_array (Array.init 500 (fun i -> float_of_int i *. 3.))
+  in
+  let reuse_times = Rfd.Column.Floats.of_array [| 700.; 900. |] in
   ignore (Phases.classify ~update_times ~reuse_times ~flap_start:0.)
 
 let tests =

@@ -936,7 +936,7 @@ let journal_compact_cmd =
     Arg.(value & flag & info [ "check" ] ~doc)
   in
   let file_arg =
-    let doc = "The rfd-journal/4 file to compact (or, with --check, verify)." in
+    let doc = "The rfd-journal/5 file to compact (or, with --check, verify)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let doc =

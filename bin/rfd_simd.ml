@@ -14,7 +14,7 @@ let socket_arg =
 
 let journal_arg =
   let doc =
-    "Result journal (rfd-journal/4). Created if absent; replayed on startup so \
+    "Result journal (rfd-journal/5). Created if absent; replayed on startup so \
      every previously answered query is served from cache, bit-identically, \
      even after a kill -9."
   in

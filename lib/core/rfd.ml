@@ -5,6 +5,7 @@ module Rng = Rfd_engine.Rng
 module Supervisor = Rfd_engine.Supervisor
 module Clock = Rfd_engine.Clock
 module Timeseries = Rfd_engine.Timeseries
+module Column = Rfd_engine.Column
 module Stats = Rfd_engine.Stats
 module Partition = Rfd_engine.Partition
 module Par_sim = Rfd_engine.Par_sim

@@ -1,94 +1,85 @@
-type t = {
-  mutable times : float array;
-  mutable values : float array;
-  mutable size : int;
-}
+module Col = Column.Floats
 
-let create () = { times = [||]; values = [||]; size = 0 }
+type t = { times : Col.t; values : Col.t }
 
-let grow t =
-  let cap = Array.length t.times in
-  let new_cap = if cap = 0 then 64 else cap * 2 in
-  let times = Array.make new_cap 0. in
-  let values = Array.make new_cap 0. in
-  Array.blit t.times 0 times 0 cap;
-  Array.blit t.values 0 values 0 cap;
-  t.times <- times;
-  t.values <- values
+let create () = { times = Col.create (); values = Col.create () }
+let length t = Col.length t.times
+let time t i = Col.get t.times i
+let value t i = Col.get t.values i
 
 let add t ~time value =
-  if t.size > 0 && time < t.times.(t.size - 1) then
+  let n = length t in
+  if n > 0 && time < Col.get t.times (n - 1) then
     invalid_arg "Timeseries.add: samples must be time-ordered";
-  if t.size >= Array.length t.times then grow t;
-  t.times.(t.size) <- time;
-  t.values.(t.size) <- value;
-  t.size <- t.size + 1
+  Col.push t.times time;
+  Col.push t.values value
 
 let set_level t ~time value =
-  if t.size > 0 && time = t.times.(t.size - 1) then t.values.(t.size - 1) <- value
+  let n = length t in
+  if n > 0 && time = Col.get t.times (n - 1) then Col.set t.values (n - 1) value
   else add t ~time value
 
-let length t = t.size
-let is_empty t = t.size = 0
-let points t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))
+let is_empty t = length t = 0
+let points t = Array.init (length t) (fun i -> (time t i, value t i))
 
 let trim t =
-  if Array.length t.times > t.size then begin
-    t.times <- Array.sub t.times 0 t.size;
-    t.values <- Array.sub t.values 0 t.size
-  end
+  Col.trim t.times;
+  Col.trim t.values
 
-let last t = if t.size = 0 then None else Some (t.times.(t.size - 1), t.values.(t.size - 1))
-let first t = if t.size = 0 then None else Some (t.times.(0), t.values.(0))
+let detach t =
+  ( { times = Col.detached t.times; values = Col.detached t.values },
+    [ Column.Floats t.times; Column.Floats t.values ] )
 
-(* Largest index whose time is <= [time], by binary search. *)
-let index_at t time =
-  if t.size = 0 || time < t.times.(0) then None
+let last t =
+  let n = length t in
+  if n = 0 then None else Some (time t (n - 1), value t (n - 1))
+
+let first t = if is_empty t then None else Some (time t 0, value t 0)
+
+(* Largest index whose time is <= [at], by binary search. *)
+let index_at t at =
+  if is_empty t || at < time t 0 then None
   else begin
-    let lo = ref 0 and hi = ref (t.size - 1) in
+    let lo = ref 0 and hi = ref (length t - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi + 1) / 2 in
-      if t.times.(mid) <= time then lo := mid else hi := mid - 1
+      if time t mid <= at then lo := mid else hi := mid - 1
     done;
     Some !lo
   end
 
-let value_at t time =
-  match index_at t time with None -> None | Some i -> Some t.values.(i)
+let value_at t at = match index_at t at with None -> None | Some i -> Some (value t i)
 
 let fold_values t init f =
   let acc = ref init in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.values.(i)
-  done;
+  Col.iter (fun v -> acc := f !acc v) t.values;
   !acc
 
-let max_value t =
-  if t.size = 0 then None else Some (fold_values t neg_infinity Float.max)
-
-let min_value t =
-  if t.size = 0 then None else Some (fold_values t infinity Float.min)
+let max_value t = if is_empty t then None else Some (fold_values t neg_infinity Float.max)
+let min_value t = if is_empty t then None else Some (fold_values t infinity Float.min)
 
 let check_bins ~width ~t0 ~t1 =
   if width <= 0. then invalid_arg "Timeseries: bin width must be positive";
   if t1 < t0 then invalid_arg "Timeseries: t1 < t0";
   int_of_float (ceil ((t1 -. t0) /. width))
 
-(* Sum [value i] over the first [size] of [times] into each bin. *)
-let bin_values times ~size value ~width ~t0 ~t1 =
+(* Sum [value i] over the [size] samples timed [time i] into each bin. *)
+let bin_values ~size ~time ~value ~width ~t0 ~t1 =
   let n = check_bins ~width ~t0 ~t1 in
   let sums = Array.make n 0. in
   for i = 0 to size - 1 do
-    let time = times.(i) in
-    if time >= t0 && time < t1 then begin
-      let b = int_of_float ((time -. t0) /. width) in
+    let at = time i in
+    if at >= t0 && at < t1 then begin
+      let b = int_of_float ((at -. t0) /. width) in
       if b >= 0 && b < n then sums.(b) <- sums.(b) +. value i
     end
   done;
   Array.init n (fun i -> (t0 +. (float_of_int i *. width), sums.(i)))
 
-let bin_sum t = bin_values t.times ~size:t.size (fun i -> t.values.(i))
-let bin_times times = bin_values times ~size:(Array.length times) (fun _ -> 1.)
+let bin_sum t = bin_values ~size:(length t) ~time:(time t) ~value:(value t)
+
+let bin_times times =
+  bin_values ~size:(Array.length times) ~time:(Array.get times) ~value:(fun _ -> 1.)
 
 let bin_last t ~width ~t0 ~t1 =
   let n = check_bins ~width ~t0 ~t1 in
@@ -99,8 +90,8 @@ let bin_last t ~width ~t0 ~t1 =
       (bin_start, v))
 
 let iter t f =
-  for i = 0 to t.size - 1 do
-    f ~time:t.times.(i) ~value:t.values.(i)
+  for i = 0 to length t - 1 do
+    f ~time:(time t i) ~value:(value t i)
   done
 
 let fold t ~init ~f =
@@ -109,7 +100,7 @@ let fold t ~init ~f =
   !acc
 
 let to_csv t =
-  let buf = Buffer.create (t.size * 16) in
+  let buf = Buffer.create (length t * 16) in
   Buffer.add_string buf "time,value\n";
   iter t (fun ~time ~value -> Buffer.add_string buf (Printf.sprintf "%g,%g\n" time value));
   Buffer.contents buf

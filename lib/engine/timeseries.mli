@@ -3,7 +3,11 @@
     Used to record penalty traces, update counts and damped-link counts
     during a simulation, and to bin them the way the paper's figures do
     (e.g. "number of updates in 5-second bins"). Samples must be appended
-    in non-decreasing time order. *)
+    in non-decreasing time order.
+
+    Times and values are two {!Column.Floats} columns: appending never
+    copies more than the first 64 KiB chunk, and no accessor hands out a
+    column; {!points} copies. *)
 
 type t
 
@@ -28,8 +32,14 @@ val points : t -> (float * float) array
     affect the series. *)
 
 val trim : t -> unit
-(** Drop the spare capacity {!add} grows, once a series is complete and
-    about to be kept or marshalled. A later {!add} still works. *)
+(** Drop the spare cells of each column's last chunk ({!Column.Floats.trim}),
+    once a series is complete and about to be kept or marshalled: a copy
+    of at most one chunk per column. A later {!add} still works. *)
+
+val detach : t -> t * Column.cells list
+(** [detach s] is a series of [s]'s length that holds no samples, for a
+    digest head, and [s]'s time and value columns, in that order. [s] is
+    not changed. *)
 
 val last : t -> (float * float) option
 val first : t -> (float * float) option

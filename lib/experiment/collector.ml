@@ -1,13 +1,12 @@
 module Timeseries = Rfd_engine.Timeseries
+module Column = Rfd_engine.Column
 module Hooks = Rfd_bgp.Hooks
 
 type t = {
   mutable dropped : int;
   mutable duplicated : int;
-  (* One cell per delivered update, its time; cells past [updates] are
-     spare capacity until [trim]. *)
-  mutable update_times : float array;
-  mutable updates : int;
+  (* One cell per delivered update, its time. *)
+  update_times : Column.Floats.t;
   damped_series : Timeseries.t;
   mutable damped_now : int;
   mutable suppress_events : int;
@@ -15,9 +14,8 @@ type t = {
   (* One row per reuse release across two columns, in the order
      [log_reuse] keeps: its time, and its router, peer and noisy flag
      packed by [pack]. *)
-  mutable reuse_times : float array;
-  mutable reuse_ids : int array;
-  mutable reuses : int;
+  reuse_times : Column.Floats.t;
+  reuse_ids : Column.Ints.t;
   probes : (int * int, Timeseries.t) Hashtbl.t;
   (* Oracle-state accounting: running balances of the timer machinery,
      maintained from the MRAI and reuse-timer lifecycle hooks. *)
@@ -38,15 +36,13 @@ let create ?(probe_pairs = []) () =
   {
     dropped = 0;
     duplicated = 0;
-    update_times = [||];
-    updates = 0;
+    update_times = Column.Floats.create ();
     damped_series = Timeseries.create ();
     damped_now = 0;
     suppress_events = 0;
     peak_penalty = 0.;
-    reuse_times = [||];
-    reuse_ids = [||];
-    reuses = 0;
+    reuse_times = Column.Floats.create ();
+    reuse_ids = Column.Ints.create ();
     probes;
     mrai_pending_now = 0;
     flush_armed_now = 0;
@@ -55,16 +51,6 @@ let create ?(probe_pairs = []) () =
     last_mrai = None;
     last_timer = None;
   }
-
-(* A column full at [used] cells, copied into one of twice the size
-   (64 cells at first). *)
-let grow column ~used zero =
-  let bigger = Array.make (max 64 (2 * used)) zero in
-  Array.blit column 0 bigger 0 used;
-  bigger
-
-(* The first [used] cells: the column itself when it has no spare ones. *)
-let trimmed column used = if Array.length column = used then column else Array.sub column 0 used
 
 (* Router ids sit above bit 32, peer ids in bits 1-31, the noisy flag in
    bit 0; node ids stay far below 2^30. *)
@@ -80,30 +66,28 @@ let noisy_of id = id land 1 = 1
    sample per instant ([Timeseries.set_level]), the timer balances keep no
    history at all, and the reuse rows are kept in (time, router) order,
    each router's own releases in arrival order: a release moves ahead of
-   the same-instant rows of higher routers. *)
+   the same-instant rows of higher routers, whose ids shift up one row
+   (their times are [time] already). *)
 let log_reuse t ~time ~router ~peer ~noisy =
-  let n = t.reuses in
-  if n = Array.length t.reuse_times then begin
-    t.reuse_times <- grow t.reuse_times ~used:n 0.;
-    t.reuse_ids <- grow t.reuse_ids ~used:n 0
-  end;
-  let i = ref n in
-  while !i > 0 && t.reuse_times.(!i - 1) = time && router_of t.reuse_ids.(!i - 1) > router do
-    t.reuse_times.(!i) <- t.reuse_times.(!i - 1);
-    t.reuse_ids.(!i) <- t.reuse_ids.(!i - 1);
+  let ids = t.reuse_ids in
+  Column.Floats.push t.reuse_times time;
+  Column.Ints.push ids 0;
+  let i = ref (Column.Ints.length ids - 1) in
+  while
+    !i > 0
+    && Column.Floats.get t.reuse_times (!i - 1) = time
+    && router_of (Column.Ints.get ids (!i - 1)) > router
+  do
+    Column.Ints.set ids !i (Column.Ints.get ids (!i - 1));
     decr i
   done;
-  t.reuse_times.(!i) <- time;
-  t.reuse_ids.(!i) <- pack ~router ~peer ~noisy;
-  t.reuses <- n + 1
+  Column.Ints.set ids !i (pack ~router ~peer ~noisy)
 
 let log_update t ~time =
-  let n = t.updates in
-  if n > 0 && time < t.update_times.(n - 1) then
+  let n = Column.Floats.length t.update_times in
+  if n > 0 && time < Column.Floats.get t.update_times (n - 1) then
     invalid_arg "Collector: deliveries must be time-ordered";
-  if n = Array.length t.update_times then t.update_times <- grow t.update_times ~used:n 0.;
-  t.update_times.(n) <- time;
-  t.updates <- n + 1
+  Column.Floats.push t.update_times time
 
 let attach t (hooks : Hooks.t) =
   hooks.Hooks.on_deliver <- (fun ~time ~src:_ ~dst:_ _ -> log_update t ~time);
@@ -146,13 +130,41 @@ let attach t (hooks : Hooks.t) =
       | None -> ())
 
 let trim t =
-  t.update_times <- trimmed t.update_times t.updates;
-  t.reuse_times <- trimmed t.reuse_times t.reuses;
-  t.reuse_ids <- trimmed t.reuse_ids t.reuses;
+  Column.Floats.trim t.update_times;
+  Column.Floats.trim t.reuse_times;
+  Column.Ints.trim t.reuse_ids;
   Timeseries.trim t.damped_series;
   Hashtbl.iter (fun _ series -> Timeseries.trim series) t.probes
 
-let update_count t = t.updates
+let probed_pairs t =
+  Hashtbl.fold (fun pair _ acc -> pair :: acc) t.probes [] |> List.sort compare
+
+(* The probe table is copied, not rebuilt, so its bucket layout (which
+   the marshalled head shows) is the original's. *)
+let detach t =
+  let damped_series, damped_cells = Timeseries.detach t.damped_series in
+  let probes = Hashtbl.copy t.probes in
+  Hashtbl.filter_map_inplace (fun _ series -> Some (fst (Timeseries.detach series))) probes;
+  let probe_cells =
+    List.concat_map
+      (fun pair -> snd (Timeseries.detach (Hashtbl.find t.probes pair)))
+      (probed_pairs t)
+  in
+  ( {
+      t with
+      update_times = Column.Floats.detached t.update_times;
+      reuse_times = Column.Floats.detached t.reuse_times;
+      reuse_ids = Column.Ints.detached t.reuse_ids;
+      damped_series;
+      probes;
+    },
+    [ Column.Floats t.update_times; Column.Floats t.reuse_times; Column.Ints t.reuse_ids ]
+    @ damped_cells @ probe_cells )
+
+let spans t ~flap_start =
+  Phases.classify ~update_times:t.update_times ~reuse_times:t.reuse_times ~flap_start
+
+let update_count t = Column.Floats.length t.update_times
 let dropped_updates t = t.dropped
 let duplicated_updates t = t.duplicated
 let mrai_pending_now t = t.mrai_pending_now
@@ -161,8 +173,12 @@ let reuse_timers_now t = t.reuse_timers_now
 let mrai_queued_events t = t.mrai_queued_events
 let last_mrai_time t = t.last_mrai
 let last_timer_time t = t.last_timer
-let last_update_time t = if t.updates = 0 then None else Some t.update_times.(t.updates - 1)
-let update_times t = trimmed t.update_times t.updates
+
+let last_update_time t =
+  let n = update_count t in
+  if n = 0 then None else Some (Column.Floats.get t.update_times (n - 1))
+
+let update_times t = Column.Floats.to_array t.update_times
 let damped_series t = t.damped_series
 let damped_now t = t.damped_now
 let peak_damped t =
@@ -170,25 +186,23 @@ let peak_damped t =
   | Some v -> max 0 (int_of_float v)
   | None -> 0
 let suppress_events t = t.suppress_events
-let reuse_events t = t.reuses
+let reuse_events t = Column.Floats.length t.reuse_times
 
 let noisy_reuse_events t =
   let n = ref 0 in
-  for i = 0 to t.reuses - 1 do
-    if noisy_of t.reuse_ids.(i) then incr n
-  done;
+  Column.Ints.iter (fun id -> if noisy_of id then incr n) t.reuse_ids;
   !n
 
 let peak_penalty t = t.peak_penalty
-let first_reuse_time t = if t.reuses = 0 then None else Some t.reuse_times.(0)
-let reuse_times t = trimmed t.reuse_times t.reuses
+
+let first_reuse_time t =
+  if reuse_events t = 0 then None else Some (Column.Floats.get t.reuse_times 0)
+
+let reuse_times t = Column.Floats.to_array t.reuse_times
 
 let reuse_log t =
-  List.init t.reuses (fun i ->
-      let id = t.reuse_ids.(i) in
-      (t.reuse_times.(i), router_of id, peer_of id, noisy_of id))
+  List.init (reuse_events t) (fun i ->
+      let id = Column.Ints.get t.reuse_ids i in
+      (Column.Floats.get t.reuse_times i, router_of id, peer_of id, noisy_of id))
 
 let penalty_trace t ~router ~peer = Hashtbl.find_opt t.probes (router, peer)
-
-let probed_pairs t =
-  Hashtbl.fold (fun pair _ acc -> pair :: acc) t.probes [] |> List.sort compare

@@ -7,10 +7,12 @@
     counting from zero (e.g. after initial convergence, so only flap-induced
     traffic is measured).
 
-    Per-event records are unboxed columns: a delivery is one float (its
-    time), a reuse release one float and one int (its time; its router,
-    peer and noisy flag, packed). {!trim} cuts each column to its length
-    once, and the accessors below then hand out the columns themselves. *)
+    Per-event records are cells of {!Rfd_engine.Column}s: a delivery is
+    one float (its time), a reuse release one float and one int (its time;
+    its router, peer and noisy flag, packed). A column grows in fixed
+    64 KiB chunks that are never copied, and no accessor hands one out:
+    {!update_times} and {!reuse_times} copy, and {!spans} reads the columns
+    in place. *)
 
 type t
 
@@ -22,10 +24,24 @@ val attach : t -> Rfd_bgp.Hooks.t -> unit
 (** Overwrite the hooks' fields with this collector's recorders. *)
 
 val trim : t -> unit
-(** Drop every column's and series' spare capacity, once collection is
-    over: a kept or marshalled collector then carries none, and
-    {!update_times} and {!reuse_times} return their columns without
-    copying. A later event still works. *)
+(** Drop every column's and series' spare cells, once collection is over,
+    so a kept or marshalled collector carries none. Only each column's
+    last chunk is cut: a copy of at most 64 KiB per column. A later event
+    still works. *)
+
+val spans : t -> flap_start:float -> Phases.span list
+(** {!Phases.classify} of the delivery and reuse-release time columns,
+    read in place. *)
+
+val detach : t -> t * Rfd_engine.Column.cells list
+(** [detach c] splits [c] into the two parts {!Runner.result_digest}
+    hashes: a copy of [c] whose columns and series keep their lengths but
+    hold no cells, and [c]'s columns in a fixed order (update times, reuse
+    times, reuse ids, the damped series' times and values, then each
+    probed pair's times and values, pairs ascending). The copy does not
+    depend on how much spare capacity [c] has, so a trimmed and an
+    untrimmed collector with the same rows split alike. [c] is not
+    changed. *)
 
 val update_count : t -> int
 (** Updates delivered since {!attach}. *)
@@ -41,10 +57,9 @@ val duplicated_updates : t -> int
 val last_update_time : t -> float option
 
 val update_times : t -> float array
-(** The time of every delivered update, in delivery order (non-decreasing:
-    a delivery earlier than the last raises [Invalid_argument]). After
-    {!trim} this is the column itself, so do not mutate it; before, a
-    fresh copy. Bin with {!Rfd_engine.Timeseries.bin_times}. *)
+(** A fresh copy of the time of every delivered update, in delivery order
+    (non-decreasing: a delivery earlier than the last raises
+    [Invalid_argument]). Bin with {!Rfd_engine.Timeseries.bin_times}. *)
 
 val damped_series : t -> Rfd_engine.Timeseries.t
 (** Step series of the number of currently damped (suppressed) links, one
@@ -61,9 +76,8 @@ val peak_penalty : t -> float
 val first_reuse_time : t -> float option
 
 val reuse_times : t -> float array
-(** The time of every reuse-timer release (noisy or silent), in
-    {!reuse_log} order, so non-decreasing. Shared with the collector after
-    {!trim} like {!update_times}. *)
+(** A fresh copy of the time of every reuse-timer release (noisy or
+    silent), in {!reuse_log} order, so non-decreasing. *)
 
 val reuse_log : t -> (float * int * int * bool) list
 (** Every reuse release as [(time, router, peer, noisy)], oldest first,

@@ -3,17 +3,18 @@ type outcome =
   | Crashed of string
   | Timed_out of { attempts : int; deadline : float }
 
-let header = "rfd-journal/4"
+let header = "rfd-journal/5"
 
 (* Older journals are refused, never migrated: version 1 results came
    from shared transport random streams under unchanged job keys, and
-   version 2 and 3 payloads hold a result of another layout, which
+   version 2 to 4 payloads hold a result of another layout, which
    unmarshalling at this build's type would misread. *)
 let superseded =
   [
     ("rfd-journal/1", "older transport RNG scheme");
     ("rfd-journal/2", "older result layout");
     ("rfd-journal/3", "older result layout");
+    ("rfd-journal/4", "older result layout");
   ]
 
 let refuse_header ~caller path text =

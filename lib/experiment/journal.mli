@@ -5,7 +5,7 @@
     running it. The journal is an append-only text file: a header line,
     then one line per job that reached a {e terminal} outcome —
 
-    {v rfd-journal/4
+    {v rfd-journal/5
 <job key> <line digest> <hex payload> v}
 
     where the job key is {!job_key} (the MD5 of the job's fully resolved
@@ -24,18 +24,19 @@
     with [diff]. The format is tied to the producing binary (OCaml
     [Marshal]): resume with the build that wrote the journal. Every reader
     refuses older versions: version 1 results came from an older transport
-    RNG scheme under unchanged job keys, versions 2 and 3 hold results of
+    RNG scheme under unchanged job keys, versions 2 to 4 hold results of
     older layouts (version 3's collector kept boxed per-update samples and
-    its result the background placement). *)
+    its result the background placement; version 4's collector columns
+    were flat arrays, not chunked {!Rfd_engine.Column}s). *)
 
 val header : string
-(** ["rfd-journal/4"], the first line of every journal. *)
+(** ["rfd-journal/5"], the first line of every journal. *)
 
 val refuse_header : caller:string -> string -> string -> 'a
 (** [refuse_header ~caller path text] raises [Failure] for a file whose
     first line — the start of [text], up to any newline — is not
     {!header}. The message starts with [caller] and [path]; for an
-    [rfd-journal/1], [/2] or [/3] file it names the version found and
+    [rfd-journal/1] to [/4] file it names the version found and
     {!header}. *)
 
 type outcome =

@@ -1,21 +1,27 @@
+module Col = Rfd_engine.Column.Floats
+
 type kind = Charging | Suppression | Releasing | Converged
 
 type span = { kind : kind; start_time : float; end_time : float }
 
-let check_sorted name a =
-  for i = 1 to Array.length a - 1 do
-    if a.(i) < a.(i - 1) then invalid_arg (Printf.sprintf "Phases: %s not sorted" name)
-  done
+let check_sorted name times =
+  let previous = ref neg_infinity in
+  Col.iter
+    (fun time ->
+      if time < !previous then invalid_arg (Printf.sprintf "Phases: %s not sorted" name);
+      previous := time)
+    times
 
 let classify ~update_times ~reuse_times ~flap_start =
   check_sorted "update_times" update_times;
   check_sorted "reuse_times" reuse_times;
-  if Array.length update_times = 0 then
+  let updates = Col.length update_times in
+  if updates = 0 then
     [ { kind = Converged; start_time = flap_start; end_time = infinity } ]
   else begin
-    let last_update = update_times.(Array.length update_times - 1) in
+    let last_update = Col.get update_times (updates - 1) in
     let first_reuse =
-      if Array.length reuse_times = 0 then None else Some reuse_times.(0)
+      if Col.length reuse_times = 0 then None else Some (Col.get reuse_times 0)
     in
     match first_reuse with
     | None ->
@@ -27,8 +33,10 @@ let classify ~update_times ~reuse_times ~flap_start =
         (* Last update strictly before the first reuse firing ends charging. *)
         let charging_end =
           let rec scan best i =
-            if i >= Array.length update_times || update_times.(i) >= reuse then best
-            else scan update_times.(i) (i + 1)
+            if i >= updates then best
+            else
+              let time = Col.get update_times i in
+              if time >= reuse then best else scan time (i + 1)
           in
           scan flap_start 0
         in
@@ -47,7 +55,7 @@ let classify ~update_times ~reuse_times ~flap_start =
 let clusters times ~gap =
   let acc = ref [] in
   let current = ref None in
-  Array.iter
+  Col.iter
     (fun time ->
       match !current with
       | None -> current := Some (time, time)
@@ -65,12 +73,10 @@ let classify_detailed ?(quiet_gap = 30.) ~update_times ~reuse_times ~damped_at ~
   if quiet_gap <= 0. then invalid_arg "Phases.classify_detailed: quiet_gap must be positive";
   check_sorted "update_times" update_times;
   check_sorted "reuse_times" reuse_times;
-  if Array.length update_times = 0 then
+  if Col.length update_times = 0 then
     [ { kind = Converged; start_time = flap_start; end_time = infinity } ]
   else begin
-    let first_reuse =
-      if Array.length reuse_times = 0 then infinity else reuse_times.(0)
-    in
+    let first_reuse = if Col.length reuse_times = 0 then infinity else Col.get reuse_times 0 in
     let busy = clusters update_times ~gap:quiet_gap in
     let spans = ref [] in
     let push kind start_time end_time =

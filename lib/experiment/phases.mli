@@ -16,15 +16,18 @@ type span = { kind : kind; start_time : float; end_time : float }
 (** [end_time = infinity] for the trailing converged span. *)
 
 val classify :
-  update_times:float array -> reuse_times:float array -> flap_start:float -> span list
-(** Principal spans. Inputs must be sorted ascending. With no updates at
-    all, a single converged span is returned; with no reuse events, the
-    whole busy period is charging. *)
+  update_times:Rfd_engine.Column.Floats.t ->
+  reuse_times:Rfd_engine.Column.Floats.t ->
+  flap_start:float ->
+  span list
+(** Principal spans, read from the columns in place. Inputs must be sorted
+    ascending. With no updates at all, a single converged span is
+    returned; with no reuse events, the whole busy period is charging. *)
 
 val classify_detailed :
   ?quiet_gap:float ->
-  update_times:float array ->
-  reuse_times:float array ->
+  update_times:Rfd_engine.Column.Floats.t ->
+  reuse_times:Rfd_engine.Column.Floats.t ->
   damped_at:(float -> int) ->
   flap_start:float ->
   unit ->

@@ -119,25 +119,54 @@ let resolve_probe scenario graph ~origin =
    which boxed float a collector field points at depends on the order in
    which same-instant events reached it, not on the outcome.
 
-   The bytes are those [Marshal.to_string] returns, written into a buffer
-   each domain allocates once and digested in place. 64 KiB holds a
-   Figure 8 mesh result; a 1 MiB buffer cost the daemon more peak memory
-   than it saved. A result that does not fit is marshalled to a fresh
-   string instead: growing the buffer would keep the largest result's
-   worth of bytes alive for good, and digests run at the end of a run,
-   when the heap is fullest. *)
+   The bytes hashed are the head (the zeroed result marshalled with its
+   collector detached, so column lengths but no cells) and then every
+   column's cells as 8-byte words. They pass through a buffer each domain
+   allocates once, one load at a time: bytes [0, 16) of a load hold the
+   MD5 of the load before (zeros in the first), and a load is hashed when
+   the next word would not fit. 64 KiB holds a Figure 8 mesh result in one
+   load; a 1 MiB buffer cost the daemon more peak memory than it saved. A
+   head that does not fit (a large custom topology or workload trace in
+   the scenario) is marshalled to a string and fed through the same way. *)
 let digest_buffer_bytes = 1 lsl 16
 
 let digest_buffer = Domain.DLS.new_key (fun () -> Bytes.create digest_buffer_bytes)
 
 let result_digest r =
-  let r = { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 } in
-  let flags = [ Marshal.No_sharing ] in
+  let collector, columns = Collector.detach r.collector in
+  let head = { r with wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0; collector } in
   let buffer = Domain.DLS.get digest_buffer in
-  Digest.to_hex
-    (match Marshal.to_buffer buffer 0 digest_buffer_bytes r flags with
-    | length -> Digest.subbytes buffer 0 length
-    | exception Failure _ -> Digest.string (Marshal.to_string r flags))
+  let chained = 16 in
+  Bytes.fill buffer 0 chained '\000';
+  let pos = ref chained in
+  let next_load () =
+    Bytes.blit_string (Digest.subbytes buffer 0 !pos) 0 buffer 0 chained;
+    pos := chained
+  in
+  let flags = [ Marshal.No_sharing ] in
+  (match Marshal.to_buffer buffer chained (digest_buffer_bytes - chained) head flags with
+  | length -> pos := chained + length
+  | exception Failure _ ->
+      let bytes = Marshal.to_string head flags in
+      let sent = ref 0 in
+      while !sent < String.length bytes do
+        if !pos = digest_buffer_bytes then next_load ();
+        let n = min (String.length bytes - !sent) (digest_buffer_bytes - !pos) in
+        Bytes.blit_string bytes !sent buffer !pos n;
+        sent := !sent + n;
+        pos := !pos + n
+      done);
+  List.iter
+    (fun cells ->
+      let first = ref 0 in
+      while !first < Rfd_engine.Column.length cells do
+        if !pos + 8 > digest_buffer_bytes then next_load ();
+        let n = Rfd_engine.Column.write_words cells ~first:!first buffer ~pos:!pos in
+        first := !first + n;
+        pos := !pos + (8 * n)
+      done)
+    columns;
+  Digest.to_hex (Digest.subbytes buffer 0 !pos)
 
 type par_stats = {
   partitions : int;
@@ -294,11 +323,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   let quiet_abs = fold_last stable_abs (Collector.last_timer_time collector) in
   let time_to_stable = stable_abs -. final_announcement in
   let time_to_quiet = quiet_abs -. final_announcement in
-  (* Trimmed above, so these are the collector's own columns. *)
-  let spans =
-    Phases.classify ~update_times:(Collector.update_times collector)
-      ~reuse_times:(Collector.reuse_times collector) ~flap_start
-  in
+  let spans = Collector.spans collector ~flap_start in
   let result =
     {
       scenario;

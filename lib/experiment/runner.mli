@@ -84,7 +84,8 @@ type result = {
       (** the flap phase's columns, series, counts and traces, trimmed
           ({!Collector.trim}) once the run ends, so a stored or marshalled
           result carries no spare capacity; [spans] was classified from
-          its delivery and release time columns in place *)
+          its delivery and release time columns in place
+          ({!Collector.spans}) *)
   spans : Phases.span list;  (** four-state classification of the episode *)
   sim_events : int;
   peak_heap : int;
@@ -130,23 +131,32 @@ val origin_prefix : Rfd_bgp.Prefix.t
 (** The prefix the origin stub announces (constant across runs). *)
 
 val result_digest : result -> string
-(** Hex MD5 over the result marshalled without sharing, with the
-    host-timing fields ([wall_seconds], [cpu_seconds]) and [peak_heap]
-    zeroed — a fingerprint of everything the simulation determined. Two
-    runs of the same job (any [jobs] count, any partition count, first try
-    or retry) must produce equal digests; the supervised sweep's journal
-    and tests use this to verify bit-identity cheaply. [peak_heap] is
-    excluded because it sums per-partition heap peaks, which vary with the
+(** Hex MD5 chain over the result with the host-timing fields
+    ([wall_seconds], [cpu_seconds]) and [peak_heap] zeroed — a
+    fingerprint of everything the simulation determined. Two runs of the
+    same job (any [jobs] count, any partition count, first try or retry)
+    must produce equal digests; the supervised sweep's journal and tests
+    use this to verify bit-identity cheaply. [peak_heap] is excluded
+    because it sums per-partition heap peaks, which vary with the
     partition count even when the simulation outcome is identical.
 
-    The digest is that of [Marshal.to_string]'s bytes, but a result that
-    marshals to at most {!digest_buffer_bytes} is written into a buffer
-    each domain allocates once and digested there, allocating no string;
-    a larger one falls back to [Marshal.to_string]. Safe to call from any
-    domain. *)
+    The bytes hashed are, in order: the result marshalled without sharing
+    with its collector's columns detached ({!Collector.detach}: their
+    lengths stay, their cells do not), then every column's cells as
+    little-endian 64-bit words. They pass through a buffer of
+    {!digest_buffer_bytes} that each domain allocates once, one load at a
+    time: a load starts with the 16-byte MD5 of the load before (zeros for
+    the first) and is hashed when the next word would not fit, and the
+    digest is the MD5 of the last load. A trimmed and an untrimmed
+    collector holding the same rows therefore digest alike, and a digest
+    allocates a few small values per load, never a copy of the result or
+    of a column. Only a marshalled head larger than the buffer (a large
+    custom topology or workload trace in the scenario) is first marshalled
+    to a string. Safe to call from any domain. *)
 
 val digest_buffer_bytes : int
-(** Size of each domain's {!result_digest} buffer (64 KiB). *)
+(** Size of each domain's {!result_digest} buffer, and so of one load
+    (64 KiB). *)
 
 (** {1 Partitioned execution}
 

@@ -26,7 +26,7 @@ val open_ : ?cache:int -> string -> t
     disables residency entirely). A trailing torn line — the signature
     of a [kill -9] mid-append — is truncated away so subsequent appends
     start on a clean boundary. Raises [Failure] if the file exists but
-    is not an [rfd-journal/4] journal. *)
+    is not an [rfd-journal/5] journal. *)
 
 val find : t -> string -> Rfd_experiment.Journal.outcome option
 (** LRU first, then the journal by stored offset. A disk line whose

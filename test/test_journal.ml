@@ -308,7 +308,7 @@ let refusal_cases =
             (Printf.sprintf "%s refuses %s" label version)
             `Quick (refuses_old version label f))
         loaders)
-    [ "rfd-journal/1"; "rfd-journal/2"; "rfd-journal/3" ]
+    [ "rfd-journal/1"; "rfd-journal/2"; "rfd-journal/3"; "rfd-journal/4" ]
 
 (* Every byte value, pinned: journal lines must keep their exact bytes. *)
 let test_hex_all_bytes () =

@@ -2,6 +2,8 @@
 
 module Phases = Rfd_experiment.Phases
 
+let col = Rfd_engine.Column.Floats.of_array
+
 let kind_t =
   Alcotest.of_pp Phases.pp_kind
 
@@ -9,13 +11,15 @@ let kinds spans = List.map (fun s -> s.Phases.kind) spans
 
 let test_no_updates () =
   let spans =
-    Phases.classify ~update_times:[||] ~reuse_times:[||] ~flap_start:10.
+    Phases.classify ~update_times:(col [||]) ~reuse_times:(col [||]) ~flap_start:10.
   in
   Alcotest.(check (list kind_t)) "single converged" [ Phases.Converged ] (kinds spans)
 
 let test_charging_only () =
   let spans =
-    Phases.classify ~update_times:[| 11.; 12.; 15. |] ~reuse_times:[||] ~flap_start:10.
+    Phases.classify
+      ~update_times:(col [| 11.; 12.; 15. |])
+      ~reuse_times:(col [||]) ~flap_start:10.
   in
   Alcotest.(check (list kind_t)) "charging then converged"
     [ Phases.Charging; Phases.Converged ]
@@ -31,8 +35,8 @@ let test_charging_only () =
 let test_full_episode () =
   (* paper structure: charging 10-120, quiet, reuse at 1500, releasing tail
      to 5000 *)
-  let update_times = [| 11.; 50.; 120.; 1501.; 3000.; 5000. |] in
-  let reuse_times = [| 1500.; 2990. |] in
+  let update_times = col [| 11.; 50.; 120.; 1501.; 3000.; 5000. |] in
+  let reuse_times = col [| 1500.; 2990. |] in
   let spans = Phases.classify ~update_times ~reuse_times ~flap_start:10. in
   Alcotest.(check (list kind_t)) "four states"
     [ Phases.Charging; Phases.Suppression; Phases.Releasing; Phases.Converged ]
@@ -47,8 +51,8 @@ let test_full_episode () =
   | None -> Alcotest.fail "releasing expected"
 
 let test_totals () =
-  let update_times = [| 11.; 120.; 1501.; 5000. |] in
-  let reuse_times = [| 1500. |] in
+  let update_times = col [| 11.; 120.; 1501.; 5000. |] in
+  let reuse_times = col [| 1500. |] in
   let spans = Phases.classify ~update_times ~reuse_times ~flap_start:10. in
   Alcotest.(check (float 1e-9)) "charging" 110. (Phases.total Phases.Charging spans);
   Alcotest.(check (float 1e-9)) "suppression" 1380. (Phases.total Phases.Suppression spans);
@@ -59,14 +63,16 @@ let test_totals () =
 let test_unsorted_rejected () =
   Alcotest.check_raises "unsorted" (Invalid_argument "Phases: update_times not sorted")
     (fun () ->
-      ignore (Phases.classify ~update_times:[| 2.; 1. |] ~reuse_times:[||] ~flap_start:0.))
+      ignore
+        (Phases.classify ~update_times:(col [| 2.; 1. |]) ~reuse_times:(col [||])
+           ~flap_start:0.))
 
 let test_detailed_secondary_suppression () =
   (* Two busy periods after the first reuse with a long quiet gap in which
      links remain damped: the detailed view exposes a secondary suppression
      period (Figure 10(e)). *)
-  let update_times = [| 10.; 20.; 1000.; 1010.; 2000.; 2010. |] in
-  let reuse_times = [| 999.; 1999. |] in
+  let update_times = col [| 10.; 20.; 1000.; 1010.; 2000.; 2010. |] in
+  let reuse_times = col [| 999.; 1999. |] in
   let damped_at _ = 5 in
   let spans =
     Phases.classify_detailed ~quiet_gap:60. ~update_times ~reuse_times ~damped_at
@@ -84,9 +90,9 @@ let test_detailed_secondary_suppression () =
     (kinds spans)
 
 let test_detailed_quiet_without_damping_is_converged () =
-  let update_times = [| 10.; 20.; 1000. |] in
+  let update_times = col [| 10.; 20.; 1000. |] in
   let spans =
-    Phases.classify_detailed ~quiet_gap:60. ~update_times ~reuse_times:[| 999. |]
+    Phases.classify_detailed ~quiet_gap:60. ~update_times ~reuse_times:(col [| 999. |])
       ~damped_at:(fun _ -> 0) ~flap_start:10. ()
   in
   Alcotest.(check (list kind_t)) "gap is converged when nothing damped"
@@ -100,8 +106,8 @@ let prop_spans_are_contiguous =
         (list_of_size Gen.(1 -- 30) (float_range 10. 5000.))
         (list_of_size Gen.(0 -- 5) (float_range 10. 5000.)))
     (fun (updates, reuses) ->
-      let update_times = Array.of_list (List.sort Float.compare updates) in
-      let reuse_times = Array.of_list (List.sort Float.compare reuses) in
+      let update_times = col (Array.of_list (List.sort Float.compare updates)) in
+      let reuse_times = col (Array.of_list (List.sort Float.compare reuses)) in
       let spans = Phases.classify ~update_times ~reuse_times ~flap_start:5. in
       let rec contiguous = function
         | a :: (b :: _ as rest) ->

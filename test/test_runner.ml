@@ -268,43 +268,132 @@ let prop_reuse_columns_match_list_model =
       Collector.trim c;
       before && agrees ())
 
-(* The digest is MD5 of [Marshal.to_string]'s bytes for the zeroed
-   result, whether it marshals into the reused buffer, overflows it, or
-   runs on another domain (which has a buffer of its own). *)
+(* A result whose collector was fed by hand through its hooks: [steps]
+   deliveries, a suppression and release per tenth delivery (router and
+   peer from the step), and penalties of two probed pairs. [change] may
+   rewrite a step's delivery time ([`Delivery]), a release's peer
+   ([`Peer]) or a penalty ([`Penalty]) to perturb single cells. *)
+let collector_of ?(change = fun _ x -> x) ?(probes = []) steps =
+  let c = Collector.create ~probe_pairs:[ (1, 2); (3, 4) ] () in
+  let hooks = Hooks.create () in
+  Collector.attach c hooks;
+  let prefix = Prefix.v 0 in
+  let update = Update.withdraw prefix in
+  for i = 0 to steps - 1 do
+    let time = change (`Delivery i) (float_of_int i) in
+    hooks.Hooks.on_deliver ~time ~src:0 ~dst:1 update;
+    if i mod 10 = 0 then begin
+      let router = i mod 7 in
+      hooks.Hooks.on_suppress ~time ~router ~peer:1 ~prefix;
+      hooks.Hooks.on_penalty ~time ~router:1 ~peer:2 ~prefix
+        ~penalty:(change (`Penalty i) (float_of_int (i mod 997)));
+      hooks.Hooks.on_reuse ~time ~router
+        ~peer:(int_of_float (change (`Peer i) 1.))
+        ~prefix ~noisy:(i mod 20 = 0)
+    end
+  done;
+  List.iter
+    (fun (router, peer, time, penalty) ->
+      hooks.Hooks.on_penalty ~time ~router ~peer ~prefix ~penalty)
+    probes;
+  c
+
+let small_result = lazy (Runner.run (Scenario.make ~config:(fast ()) ~pulses:2 small_mesh))
+let with_collector c = { (Lazy.force small_result) with Runner.collector = c }
+
+(* The head marshals each column's length and the words follow, so where
+   the columns' chunks end, how much spare capacity they have and which
+   domain hashes them do not matter: 9,000 deliveries cross a chunk and
+   a buffer-load. *)
+let test_result_digest_trim () =
+  let untrimmed = with_collector (collector_of 9000) in
+  let trimmed = collector_of 9000 in
+  Collector.trim trimmed;
+  let trimmed = with_collector trimmed in
+  let digest = Runner.result_digest untrimmed in
+  Alcotest.(check string) "trimmed = untrimmed" digest (Runner.result_digest trimmed);
+  Alcotest.(check string) "second domain" digest
+    (Domain.join (Domain.spawn (fun () -> Runner.result_digest trimmed)));
+  let r = Lazy.force small_result in
+  Alcotest.(check string) "a run's own result, trimmed again" (Runner.result_digest r)
+    (Collector.trim r.Runner.collector;
+     Runner.result_digest r)
+
+(* One changed cell changes the digest, in every column, at the start of a
+   column and at its end, in a chunk past the first and in a buffer-load
+   past the first. So does moving probe samples from the end of one
+   series to the start of the next while every word stays in place: only
+   the column lengths in the head tell those two apart. *)
+let test_result_digest_cells () =
+  let steps = 9000 in
+  let base = Runner.result_digest (with_collector (collector_of steps)) in
+  let changed what =
+    let change step x = if step = what then x +. 1. else x in
+    Runner.result_digest (with_collector (collector_of ~change steps))
+  in
+  List.iter
+    (fun (name, what) ->
+      if changed what = base then Alcotest.failf "changing %s left the digest unchanged" name)
+    [
+      ("an early delivery time", `Delivery 1);
+      ("a delivery time in the second chunk", `Delivery 8500);
+      ("the last delivery time", `Delivery (steps - 1));
+      ("the last release's peer", `Peer (steps - 10));
+      ("the first release's peer", `Peer 0);
+      ("the last probed penalty", `Penalty (steps - 10));
+    ];
+  let gauge = collector_of 3 in
+  let hooks = Hooks.create () in
+  Collector.attach gauge hooks;
+  hooks.Hooks.on_suppress ~time:5. ~router:0 ~peer:1 ~prefix:(Prefix.v 0);
+  if
+    Runner.result_digest (with_collector gauge)
+    = Runner.result_digest (with_collector (collector_of 3))
+  then Alcotest.fail "a damped-gauge sample left the digest unchanged";
+  (* Probe (1, 2) then (3, 4); every series writes its times, then its
+     values. 1 2 | 2 3 | 3 | 5 and 1 | 2 | 2 3 | 3 5 are the same words. *)
+  let probed samples = with_collector (collector_of ~probes:samples 0) in
+  let ending = probed [ (1, 2, 1., 2.); (1, 2, 2., 3.); (3, 4, 3., 5.) ] in
+  let starting = probed [ (1, 2, 1., 2.); (3, 4, 2., 3.); (3, 4, 3., 5.) ] in
+  if Runner.result_digest ending = Runner.result_digest starting then
+    Alcotest.fail "moving a sample between series left the digest unchanged"
+
+(* Cells stream through the domain's buffer: once it exists, a digest
+   allocates a few small values per buffer-load, never the result's size
+   (3.3 MB of delivery times here). A head beyond the buffer is hashed
+   across loads, and leaves the buffer fit for reuse. *)
 let test_result_digest_buffer () =
-  let r = Runner.run (Scenario.make ~config:(fast ()) ~pulses:2 small_mesh) in
-  let reference r =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            { r with Runner.wall_seconds = 0.; cpu_seconds = 0.; peak_heap = 0 }
-            [ Marshal.No_sharing ]))
+  let small = Lazy.force small_result in
+  let small_digest = Runner.result_digest small in
+  let named first last =
+    let scenario = small.Runner.scenario in
+    let name = first ^ String.make Runner.digest_buffer_bytes 'x' ^ last in
+    { small with Runner.scenario = { scenario with Scenario.name } }
   in
-  let size r = String.length (Marshal.to_string r [ Marshal.No_sharing ]) in
-  let big =
-    let scenario = r.Runner.scenario in
-    {
-      r with
-      Runner.scenario =
-        { scenario with Scenario.name = String.make Runner.digest_buffer_bytes 'x' };
-    }
+  let wide = Runner.result_digest (named "a" "a") in
+  Alcotest.(check string) "a wide head twice" wide (Runner.result_digest (named "a" "a"));
+  if Runner.result_digest (named "b" "a") = wide || Runner.result_digest (named "a" "b") = wide
+  then Alcotest.fail "a wide head's first or last load left the digest unchanged";
+  Alcotest.(check string) "buffer reused after a wide head" small_digest
+    (Runner.result_digest small);
+  Alcotest.(check (pair string string)) "second domain" (small_digest, wide)
+    (Domain.join
+       (Domain.spawn (fun () ->
+            (Runner.result_digest small, Runner.result_digest (named "a" "a")))));
+  let big = with_collector (collector_of 410_000) in
+  let digest = Runner.result_digest big in
+  (* Minor words, plus words allocated straight into the major heap (its
+     allocations that no minor collection promoted). *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
   in
-  Alcotest.(check bool) "small result fits" true (size r <= Runner.digest_buffer_bytes);
-  Alcotest.(check bool) "big result overflows" true (size big > Runner.digest_buffer_bytes);
-  Alcotest.(check string) "fits the buffer" (reference r) (Runner.result_digest r);
-  Alcotest.(check string) "beyond the buffer" (reference big) (Runner.result_digest big);
-  Alcotest.(check string) "buffer reused after an overflow" (reference r)
-    (Runner.result_digest r);
-  let other = Domain.spawn (fun () -> (Runner.result_digest r, Runner.result_digest big)) in
-  Alcotest.(check (pair string string)) "second domain" (reference r, reference big)
-    (Domain.join other);
-  (* Within the bound, a digest allocates a few small values, never a
-     string of the marshalled size. *)
-  let before = Gc.allocated_bytes () in
-  ignore (Sys.opaque_identity (Runner.result_digest r));
-  let allocated = Gc.allocated_bytes () -. before in
-  if allocated >= float_of_int (size r / 4) then
-    Alcotest.failf "digest allocated %.0f bytes for a %d-byte result" allocated (size r)
+  let before = words () in
+  let again = Sys.opaque_identity (Runner.result_digest big) in
+  let allocated = 8. *. (words () -. before) in
+  Alcotest.(check string) "same digest" digest again;
+  if allocated >= 65536. then
+    Alcotest.failf "digest of a 410,000-delivery result allocated %.0f bytes" allocated
 
 let test_stable_and_quiet_metrics () =
   (* With damping, suppressed entries hold reuse timers long after routing
@@ -509,6 +598,8 @@ let suite =
     Alcotest.test_case "collector consistency" `Quick test_collector_series_consistency;
     QCheck_alcotest.to_alcotest prop_reuse_columns_match_list_model;
     Alcotest.test_case "result digest in a reused buffer" `Quick test_result_digest_buffer;
+    Alcotest.test_case "result digest: trimmed = untrimmed" `Quick test_result_digest_trim;
+    Alcotest.test_case "result digest: every cell and length" `Quick test_result_digest_cells;
     Alcotest.test_case "stable vs quiet metrics" `Quick test_stable_and_quiet_metrics;
     Alcotest.test_case "internet topology, random isp" `Quick test_internet_topology_random_isp;
     Alcotest.test_case "no-valley policy" `Quick test_no_valley_policy_runs;

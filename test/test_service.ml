@@ -472,7 +472,7 @@ let test_store_verifies_disk_reads () =
 
 let test_store_refuses_old_journal version () =
   (* Older lines decode fine but hold results of an older transport RNG
-     scheme (version 1) or of another result layout (versions 2 and 3)
+     scheme (version 1) or of another result layout (versions 2 to 4)
      under the same keys: serving them would be wrong, so the store refuses
      the file by its header and leaves it untouched. *)
   let path = tmp_path ".journal" in
@@ -890,6 +890,8 @@ let suite =
       (test_store_refuses_old_journal "rfd-journal/2");
     Alcotest.test_case "store: refuses rfd-journal/3" `Quick
       (test_store_refuses_old_journal "rfd-journal/3");
+    Alcotest.test_case "store: refuses rfd-journal/4" `Quick
+      (test_store_refuses_old_journal "rfd-journal/4");
     Alcotest.test_case "e2e: miss/hit byte identity vs direct run" `Quick
       test_e2e_miss_hit_bit_identity;
     Alcotest.test_case "e2e: concurrent clients, shared and distinct keys"

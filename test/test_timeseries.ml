@@ -138,6 +138,59 @@ let prop_bin_times_matches_bin_sum =
       Array.iter (fun time -> Ts.add ts ~time 1.) times;
       Ts.bin_times times ~width:7. ~t0:0. ~t1:100. = Ts.bin_sum ts ~width:7. ~t0:0. ~t1:100.)
 
+(* A series longer than one 8,192-cell chunk (and, past 16,384 samples,
+   two) reads like the same samples in plain arrays, before and after a
+   trim and after adds past the trim. *)
+let prop_long_series_matches_arrays =
+  QCheck.Test.make ~name:"long series = plain-array reference" ~count:12
+    QCheck.(make Gen.(pair (int_range 8200 20000) small_nat))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let times = Array.make n 0. and values = Array.make n 0. in
+      for i = 0 to n - 1 do
+        let gap = if Random.State.int rng 4 = 0 then 0. else Random.State.float rng 2. in
+        times.(i) <- (if i = 0 then 0. else times.(i - 1) +. gap);
+        values.(i) <- Random.State.float rng 10.
+      done;
+      let value_at at =
+        let v = ref None in
+        Array.iteri (fun i time -> if time <= at then v := Some values.(i)) times;
+        !v
+      in
+      let t1 = times.(n - 1) +. 3. in
+      let width = t1 /. 37. in
+      let bin_sum () =
+        let sums = Array.make 37 0. in
+        Array.iteri
+          (fun i time ->
+            let b = int_of_float (time /. width) in
+            if b < 37 then sums.(b) <- sums.(b) +. values.(i))
+          times;
+        Array.mapi (fun b sum -> (float_of_int b *. width, sum)) sums
+      in
+      let bin_last () =
+        Array.init 37 (fun b ->
+            let start = float_of_int b *. width in
+            (start, Option.value ~default:0. (value_at (start +. width))))
+      in
+      let queries = Array.init 50 (fun _ -> Random.State.float rng (t1 +. 2.) -. 1.) in
+      let matches ts =
+        Ts.points ts = Array.map2 (fun t v -> (t, v)) times values
+        && Array.for_all (fun at -> Ts.value_at ts at = value_at at) queries
+        && Array.for_all
+             (fun i -> Ts.value_at ts times.(i) = value_at times.(i))
+             [| 0; 8191; 8192; n - 1 |]
+        && Ts.bin_sum ts ~width ~t0:0. ~t1 = bin_sum ()
+        && Ts.bin_last ts ~width ~t0:0. ~t1 = bin_last ()
+      in
+      let ts = Ts.create () in
+      Array.iteri (fun i time -> Ts.add ts ~time values.(i)) times;
+      let before = matches ts in
+      Ts.trim ts;
+      let trimmed = matches ts in
+      Ts.add ts ~time:t1 1.;
+      before && trimmed && Ts.length ts = n + 1 && Ts.last ts = Some (t1, 1.))
+
 let test_trim () =
   let ts = mk (List.init 100 (fun i -> (float_of_int i, float_of_int (i * i)))) in
   let before = Ts.points ts in
@@ -175,4 +228,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_value_at_matches_linear_scan;
     QCheck_alcotest.to_alcotest prop_bin_sum_total;
     QCheck_alcotest.to_alcotest prop_bin_times_matches_bin_sum;
+    QCheck_alcotest.to_alcotest prop_long_series_matches_arrays;
   ]
