@@ -43,8 +43,8 @@ let run_point (opts : Context.opts) ~partitions n =
     {
       (Context.damping_config opts) with
       (* Single-origin runs hold ~1 prefix per session; the default hint
-         (8 buckets x 5 tables per session) would dominate allocation at
-         tens of thousands of low-degree routers. *)
+         (8 prefix slots in every column of every session) would dominate
+         allocation at tens of thousands of low-degree routers. *)
       Config.prefix_table_hint = 2;
     }
   in

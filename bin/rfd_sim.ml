@@ -137,10 +137,11 @@ let isp_arg =
 
 let table_hint_arg =
   let doc =
-    "Initial bucket-count hint for each per-peer prefix-keyed router table \
-     (RIB-In, RIB-Out, MRAI deadlines, pending, flush timers). Lower it to 1-2 \
-     for Internet-scale single-origin runs so tens of thousands of low-degree \
-     routers don't pay fixed table overhead per session."
+    "Initial prefix capacity of each router's slot columns: every session's \
+     RIB-In, RIB-Out, MRAI deadlines and queue and damping penalties, and the \
+     Loc-RIB. Columns double past it as higher prefix ids arrive. Lower it to \
+     1-2 for Internet-scale single-origin runs so tens of thousands of \
+     low-degree routers don't pay for unused slots."
   in
   Arg.(value & opt int d.Svc.table_hint & info [ "table-hint" ] ~docv:"N" ~doc)
 
@@ -709,7 +710,8 @@ let intended_cmd =
 (* topo / metrics                                                      *)
 
 (* The graph runs simulate: the spec-built scenario's topology, resolved
-   by [Sweep.materialize] from the same seed stream [Runner.run] uses. *)
+   by [Sweep.materialize] with the [Scenario.build_graph] [Runner.run]
+   uses. *)
 let graph cmd (topology, file) seed =
   match (scenario cmd ({ d with Svc.topology; seed }, file)).Scenario.topology with
   | Scenario.Custom g -> g

@@ -4,6 +4,7 @@ type outcome =
   | Timed_out of { attempts : int; deadline : float }
 
 let header = "rfd-journal/5"
+let header_line = header ^ "\n"
 
 (* Older journals are refused, never migrated: version 1 results came
    from shared transport random streams under unchanged job keys, and
@@ -17,18 +18,14 @@ let superseded =
     ("rfd-journal/4", "older result layout");
   ]
 
-let refuse_header ~caller path text =
-  let first_line =
-    match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text
-  in
-  match List.assoc_opt first_line superseded with
+(* [first] is the file's first line, without its newline. *)
+let refuse path first =
+  match List.assoc_opt first superseded with
   | Some why ->
       failwith
-        (Printf.sprintf
-           "%s: %s is an %s journal (%s), but this build reads only %s; start a new journal"
-           caller path first_line why header)
-  | None ->
-      failwith (Printf.sprintf "%s: %s is not a %s file (header %S)" caller path header first_line)
+        (Printf.sprintf "%s is an %s journal (%s), but this build reads only %s; start a new journal"
+           path first why header)
+  | None -> failwith (Printf.sprintf "%s is not a %s file (header %S)" path header first)
 
 (* Scenarios, results and the outcome variants above are closure-free data
    (records, arrays, variants), so Marshal round-trips them exactly —
@@ -91,50 +88,6 @@ let render_line ~key outcome =
   let payload = marshal outcome in
   String.concat "" [ key; " "; line_digest ~key payload; " "; to_hex payload; "\n" ]
 
-type writer = { fd : Unix.file_descr; mutable closed : bool }
-
-let write_fully fd s =
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let written = ref 0 in
-  while !written < n do
-    written := !written + Unix.write fd bytes !written (n - !written)
-  done
-
-let first_line path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> input_line ic)
-
-let create path =
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
-  (if (Unix.fstat fd).Unix.st_size = 0 then begin
-     write_fully fd (header ^ "\n");
-     Unix.fsync fd
-   end
-   else
-     match first_line path with
-     | first when first = header -> ()
-     | first ->
-         Unix.close fd;
-         refuse_header ~caller:"Journal.create" path first);
-  { fd; closed = false }
-
-(* One [write] of one line, then fsync: the line is durable before the
-   caller moves on, and a crash between lines never leaves more than a
-   single torn tail for [load] to skip. *)
-let append w ~key outcome =
-  if w.closed then invalid_arg "Journal.append: writer is closed";
-  write_fully w.fd (render_line ~key outcome);
-  Unix.fsync w.fd
-
-let close w =
-  if not w.closed then begin
-    w.closed <- true;
-    Unix.close w.fd
-  end
-
-type loaded = { entries : (string, outcome) Hashtbl.t; corrupt : int }
-
 (* Only lines [render_line] could have written are read: its hex is
    lowercase, while [of_hex] would also take an upper-case payload. *)
 let parse_line line =
@@ -148,62 +101,141 @@ let parse_line line =
       | Some _ | None -> None)
   | _ -> None
 
-(* Raw variant of [load] for compaction: keeps the original line bytes per
-   key (newest wins) and the order keys first appeared, so the compacted
-   file is deterministic and never re-serializes payloads. *)
-let scan_raw path =
+type line = Entry of string * outcome | Corrupt | Torn
+
+(* The line at [ic]'s position: its text, and whether a newline ended it
+   (only a file's last line can lack one). *)
+let next_line ic =
+  let start = pos_in ic in
+  match input_line ic with
+  | text -> Some (text, pos_in ic - start > String.length text)
+  | exception End_of_file -> None
+
+(* The recovery rule's first half: the header line, or a strict prefix of
+   it that is the whole file (a torn header: an empty journal), or a
+   refusal. *)
+let skip_header path ic =
+  match next_line ic with
+  | None -> ()
+  | Some (first, true) when first = header -> ()
+  | Some (first, false) when String.starts_with ~prefix:first header -> ()
+  | Some (first, _) -> refuse path first
+
+(* The one line scanner. Its second half of the rule: an unterminated
+   last line is [Torn], whatever it holds. Blank lines are skipped. *)
+let fold path f init =
   let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (match input_line ic with
-      | first when first = header -> ()
-      | first -> refuse_header ~caller:"Journal.compact" path first
-      | exception End_of_file ->
-          failwith (Printf.sprintf "Journal.compact: %s is empty" path));
-      let latest = Hashtbl.create 64 in
-      let order = ref [] in
-      let duplicates = ref 0 in
-      let corrupt = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 0 then
-             match parse_line line with
-             | Some (key, _) ->
-                 if Hashtbl.mem latest key then incr duplicates
-                 else order := key :: !order;
-                 Hashtbl.replace latest key line
-             | None -> incr corrupt
-         done
-       with End_of_file -> ());
-      (List.rev !order, latest, !duplicates, !corrupt))
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  skip_header path ic;
+  let rec go acc =
+    let offset = pos_in ic in
+    match next_line ic with
+    | None -> acc
+    | Some ("", true) -> go acc
+    | Some (text, terminated) ->
+        let verdict =
+          if not terminated then Torn
+          else
+            match parse_line text with
+            | Some (key, outcome) -> Entry (key, outcome)
+            | None -> Corrupt
+        in
+        go (f acc ~offset ~length:(pos_in ic - offset) verdict)
+  in
+  go init
 
-type compaction = { kept : int; dropped_duplicates : int; dropped_corrupt : int }
+type writer = { fd : Unix.file_descr; mutable size : int; mutable closed : bool }
 
-(* Rewrite-to-temp + rename: the original file stays intact (and loadable)
-   until the atomic rename, so a crash mid-compaction loses nothing. The
-   temp file is fsync'd before the rename and the directory after it, so
-   the swap itself survives a power cut. *)
-let compact path =
-  let order, latest, dropped_duplicates, dropped_corrupt = scan_raw path in
-  let tmp = path ^ ".compact.tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      write_fully fd (header ^ "\n");
-      List.iter (fun key -> write_fully fd (Hashtbl.find latest key ^ "\n")) order;
-      Unix.fsync fd);
-  Unix.rename tmp path;
-  (* Persist the rename itself (the directory entry); best-effort — some
-     filesystems refuse fsync on a directory fd. *)
-  (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
-  | dirfd ->
-      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
-      Unix.close dirfd
-  | exception Unix.Unix_error _ -> ());
-  { kept = List.length order; dropped_duplicates; dropped_corrupt }
+let write_fully fd s =
+  let rec go written =
+    if written < String.length s then
+      go (written + Unix.write_substring fd s written (String.length s - written))
+  in
+  go 0
+
+(* The length of [ic]'s first [n] bytes up to their last newline, 0 if
+   they hold none. It reads backwards a block at a time, so it reads no
+   more than the torn tail and one block. *)
+let rec complete_length ic n =
+  if n = 0 then 0
+  else
+    let k = min n 4096 in
+    let block = Bytes.create k in
+    seek_in ic (n - k);
+    really_input ic block 0 k;
+    match Bytes.rindex_opt block '\n' with
+    | Some i -> n - k + i + 1
+    | None -> complete_length ic (n - k)
+
+let create path =
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
+  let repair ic =
+    skip_header path ic;
+    let size = in_channel_length ic in
+    (* What the rule forgives goes before the first append: everything
+       after the last newline, which is a torn tail or, in a file with no
+       newline, a torn header. A file cut to nothing gets its header. *)
+    let complete = complete_length ic size in
+    if complete = 0 || complete < size then begin
+      Unix.ftruncate fd complete;
+      if complete = 0 then write_fully fd header_line;
+      Unix.fsync fd
+    end;
+    max complete (String.length header_line)
+  in
+  match
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> repair ic)
+  with
+  | size -> { fd; size; closed = false }
+  | exception e ->
+      Unix.close fd;
+      raise e
+
+(* One [write] of one line, then fsync: the line is durable before the
+   caller moves on, and a crash between lines never leaves more than a
+   single torn tail. *)
+let append w ~key outcome =
+  if w.closed then invalid_arg "Journal.append: writer is closed";
+  let line = render_line ~key outcome in
+  write_fully w.fd line;
+  Unix.fsync w.fd;
+  w.size <- w.size + String.length line
+
+let size w = w.size
+
+(* [O_APPEND] places every write at the end whatever the offset, so the
+   seek here cannot misplace an append. *)
+let read w ~offset ~length =
+  if w.closed then invalid_arg "Journal.read: writer is closed";
+  ignore (Unix.lseek w.fd offset Unix.SEEK_SET);
+  let line = Bytes.create length in
+  let rec fill pos =
+    pos = length
+    || match Unix.read w.fd line pos (length - pos) with 0 -> false | n -> fill (pos + n)
+  in
+  if fill 0 then parse_line (Bytes.sub_string line 0 (length - 1)) else None
+
+let close w =
+  if not w.closed then begin
+    w.closed <- true;
+    Unix.close w.fd
+  end
+
+type loaded = { entries : (string, outcome) Hashtbl.t; corrupt : int }
+
+let load path =
+  let entries = Hashtbl.create 64 in
+  let corrupt =
+    fold path
+      (fun corrupt ~offset:_ ~length:_ -> function
+        | Entry (key, outcome) ->
+            Hashtbl.replace entries key outcome;
+            corrupt
+        | Corrupt | Torn -> corrupt + 1)
+      0
+  in
+  { entries; corrupt }
 
 type check_report = {
   checked_valid : int;
@@ -212,77 +244,66 @@ type check_report = {
   checked_torn : bool;
 }
 
-(* Read-only verification: digest-check every line without building any
-   outcome values or touching the file. A final line with no trailing
-   newline that also fails to parse is a torn SIGKILL tail — expected,
-   benign, reported separately; an unparsable line anywhere else means
-   real corruption. *)
 let check path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      let contents = really_input_string ic size in
-      let first_line =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents 0 i
-        | None -> contents
-      in
-      if first_line <> header then refuse_header ~caller:"Journal.check" path contents;
-      let terminated = size > 0 && contents.[size - 1] = '\n' in
-      let lines = String.split_on_char '\n' contents in
-      let body =
-        match lines with
-        | _header :: rest -> rest
-        | [] -> []
-      in
-      (* split_on_char leaves a trailing "" for a terminated file and the
-         torn fragment (if any) otherwise. *)
-      let n_body = List.length body in
-      let seen = Hashtbl.create 64 in
-      let valid = ref 0 in
-      let duplicates = ref 0 in
-      let corrupt = ref 0 in
-      let torn = ref false in
-      List.iteri
-        (fun i line ->
-          let last = i = n_body - 1 in
-          if String.length line = 0 then ()
-          else
-            match parse_line line with
-            | Some (key, _) ->
-                if Hashtbl.mem seen key then incr duplicates
-                else Hashtbl.replace seen key ();
-                incr valid
-            | None -> if last && not terminated then torn := true else incr corrupt)
-        body;
-      {
-        checked_valid = !valid;
-        checked_duplicates = !duplicates;
-        checked_corrupt = !corrupt;
-        checked_torn = !torn;
-      })
+  let seen = Hashtbl.create 64 in
+  fold path
+    (fun r ~offset:_ ~length:_ -> function
+      | Entry (key, _) ->
+          let duplicate = Hashtbl.mem seen key in
+          Hashtbl.replace seen key ();
+          {
+            r with
+            checked_valid = r.checked_valid + 1;
+            checked_duplicates = r.checked_duplicates + Bool.to_int duplicate;
+          }
+      | Corrupt -> { r with checked_corrupt = r.checked_corrupt + 1 }
+      | Torn -> { r with checked_torn = true })
+    { checked_valid = 0; checked_duplicates = 0; checked_corrupt = 0; checked_torn = false }
 
-let load path =
+type compaction = { kept : int; dropped_duplicates : int; dropped_corrupt : int }
+
+(* Two passes: the scan finds each key's newest line, then those lines
+   are copied from their extents in first-seen key order, so the output
+   is deterministic and no payload is re-serialized. Rewrite-to-temp +
+   rename: the original file stays intact (and loadable) until the atomic
+   rename, so a crash mid-compaction loses nothing. The temp file is
+   fsync'd before the rename and the directory after it, so the swap
+   itself survives a power cut. *)
+let compact path =
+  let newest = Hashtbl.create 64 in
+  let order, dropped_duplicates, dropped_corrupt =
+    fold path
+      (fun (order, duplicates, corrupt) ~offset ~length -> function
+        | Entry (key, _) ->
+            let seen = Hashtbl.mem newest key in
+            Hashtbl.replace newest key (offset, length);
+            if seen then (order, duplicates + 1, corrupt) else (key :: order, duplicates, corrupt)
+        | Corrupt | Torn -> (order, duplicates, corrupt + 1))
+      ([], 0, 0)
+  in
+  let tmp = path ^ ".compact.tmp" in
   let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (match input_line ic with
-      | first when first = header -> ()
-      | first -> refuse_header ~caller:"Journal.load" path first
-      | exception End_of_file ->
-          failwith (Printf.sprintf "Journal.load: %s is empty" path));
-      let entries = Hashtbl.create 64 in
-      let corrupt = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 0 then
-             match parse_line line with
-             | Some (key, outcome) -> Hashtbl.replace entries key outcome
-             | None -> incr corrupt
-         done
-       with End_of_file -> ());
-      { entries; corrupt = !corrupt })
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_fully fd header_line;
+          List.iter
+            (fun key ->
+              let offset, length = Hashtbl.find newest key in
+              let line = Bytes.create length in
+              seek_in ic offset;
+              really_input ic line 0 length;
+              write_fully fd (Bytes.unsafe_to_string line))
+            (List.rev order);
+          Unix.fsync fd));
+  Unix.rename tmp path;
+  (* Persist the rename itself (the directory entry); best-effort — some
+     filesystems refuse fsync on a directory fd. *)
+  (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  | dirfd ->
+      (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
+      Unix.close dirfd
+  | exception Unix.Unix_error _ -> ());
+  { kept = Hashtbl.length newest; dropped_duplicates; dropped_corrupt }

@@ -12,10 +12,24 @@
     scenario × seed × pulse count), the payload is the marshalled
     {!outcome} and the line digest is the MD5 of the key followed by the
     payload's MD5, so damage to either column fails it. Every append is
-    [fsync]'d before {!append} returns, so a line either exists completely
-    or not at all as far as a resumed process is concerned; a SIGKILL can
-    at worst leave one truncated final line, which {!load} detects (the
-    digest cannot match) and skips.
+    [fsync]'d before {!append} returns, so a crash can at worst leave the
+    header or the last line unterminated.
+
+    {b The recovery rule.} Every reader — {!load}, {!check}, {!compact},
+    {!create} and the daemon's result store — reads a journal through one
+    line scanner ({!fold}), and so by one rule:
+    - a file that is a strict prefix of the header line
+      ["rfd-journal/5\n"], the empty file included, is an empty journal
+      (a crash tore the header);
+    - an unterminated last line is a torn tail, whatever it holds (a
+      crash tore an append): never an entry, even when only its newline
+      is missing;
+    - any other first line is refused, by the version it names when it
+      is an older journal's header.
+
+    {!create} repairs what the rule forgives before its first append: it
+    rewrites a torn header and truncates a torn tail, so a new line never
+    joins a fragment.
 
     Because the payload for a finished run is the marshalled
     {!Runner.result} itself, a resumed sweep reassembles {e exactly} the
@@ -32,13 +46,6 @@
 val header : string
 (** ["rfd-journal/5"], the first line of every journal. *)
 
-val refuse_header : caller:string -> string -> string -> 'a
-(** [refuse_header ~caller path text] raises [Failure] for a file whose
-    first line — the start of [text], up to any newline — is not
-    {!header}. The message starts with [caller] and [path]; for an
-    [rfd-journal/1] to [/4] file it names the version found and
-    {!header}. *)
-
 type outcome =
   | Result of Runner.result
       (** the run finished — cleanly or budget-exceeded; the distinction
@@ -53,16 +60,44 @@ val job_key : Scenario.t -> seed:int -> pulses:int -> string
     materialized — what {!Sweep.plan} emits), so that a resumed process,
     re-planning the same sweep, derives the same keys. *)
 
+type line =
+  | Entry of string * outcome
+      (** a terminated line {!parse_line} accepts: its key and outcome *)
+  | Corrupt  (** a terminated line {!parse_line} rejects *)
+  | Torn  (** the unterminated last line, whatever it holds *)
+
+val fold : string -> ('a -> offset:int -> length:int -> line -> 'a) -> 'a -> 'a
+(** [fold path f init] scans the journal at [path] one line at a time,
+    passing [f] each body line's byte offset, its length (its newline
+    included) and its verdict under the recovery rule. Blank lines are
+    skipped. Holds one line in memory at a time. Raises [Failure] when
+    the rule refuses the first line, [Sys_error] on an unreadable path. *)
+
 type writer
+(** An open journal: appends, and reads back the lines it locates. Not
+    safe for concurrent use; the result store serializes it. *)
 
 val create : string -> writer
-(** Open [path] for appending, creating it (with the header line) if it
-    does not exist or is empty. Raises [Failure] when a non-empty file
-    does not start with {!header}, [Sys_error]/[Unix.Unix_error] on an
-    unwritable path. *)
+(** Open [path] for appending, creating it if absent. Before returning
+    it applies the recovery rule on disk: a file that is a strict prefix
+    of the header line becomes a header line, and a torn tail is
+    truncated away (both fsync'd). Raises [Failure] when the rule refuses
+    the first line, leaving the file as it was; [Sys_error] or
+    [Unix.Unix_error] on an unusable path. *)
 
 val append : writer -> key:string -> outcome -> unit
 (** Write one journal line and [fsync] it before returning. *)
+
+val size : writer -> int
+(** The journal's length in bytes: the offset the next {!append} writes
+    its line at. *)
+
+val read : writer -> offset:int -> length:int -> (string * outcome) option
+(** Read back the line at [offset] of [length] bytes, its newline
+    included — an extent {!fold} passed, or one {!size} bracketed around
+    an {!append}. [Some (key, outcome)] when those bytes still hold a line
+    {!parse_line} accepts, [None] otherwise (the file was damaged or cut
+    since). *)
 
 val close : writer -> unit
 
@@ -71,22 +106,21 @@ type loaded = {
       (** newest entry per key wins, so re-journalled jobs are harmless *)
   corrupt : int;
       (** lines skipped: malformed, digest mismatch (a damaged key
-          included), or unmarshallable — a truncated SIGKILL tail counts
-          here *)
+          included), or unmarshallable — and a torn tail *)
 }
 
 val load : string -> loaded
-(** Read a journal back. Raises [Failure] if the file does not start
-    with {!header} (wrong file, or a version this build cannot read);
-    individually bad lines are skipped and counted, never fatal. *)
+(** Read a journal back under the recovery rule. Raises [Failure] when
+    the rule refuses the first line (wrong file, or a version this build
+    cannot read); individually bad lines are skipped and counted, never
+    fatal. *)
 
 val parse_line : string -> (string * outcome) option
 (** Decode one journal body line (no trailing newline): [Some (key,
     outcome)] when the line is one {!render_line} writes — lowercase hex
     payload — whose digest verifies against its key and payload and whose
-    payload unmarshals, [None] for anything torn or corrupt. The random-access read path of the
-    result store ({!Rfd_service.Store}) uses this to decode a single line
-    without rescanning the whole file. *)
+    payload unmarshals, [None] for anything else. This is the verdict
+    {!fold} gives a terminated line. *)
 
 val to_hex : string -> string
 (** Lowercase hex, two digits per byte: a line's payload column. *)
@@ -96,45 +130,45 @@ val of_hex : string -> string option
 
 val render_line : key:string -> outcome -> string
 (** The exact bytes {!append} would write for this entry, trailing
-    newline included — lets a caller that tracks file offsets (the result
-    store's index) compute an entry's extent without a [stat] race. *)
+    newline included. *)
 
 type check_report = {
-  checked_valid : int;  (** lines whose digest verifies *)
+  checked_valid : int;  (** lines {!parse_line} accepts *)
   checked_duplicates : int;  (** valid lines superseding an earlier key *)
-  checked_corrupt : int;
-      (** terminated lines that fail to parse or digest-verify *)
+  checked_corrupt : int;  (** terminated lines {!parse_line} rejects *)
   checked_torn : bool;
-      (** the file ends in an unterminated, unparsable fragment — the
-          benign signature of a SIGKILL mid-append, not corruption *)
+      (** the file ends in an unterminated line — the benign signature of
+          a SIGKILL mid-append, not corruption *)
 }
 
 val check : string -> check_report
-(** Read-only integrity verification: digest-check every line without
-    decoding payloads and without writing a byte — safe to run on a
-    journal a live daemon holds open. Counts agree with {!load} on the
-    same file: [checked_valid - checked_duplicates] entries and
-    [checked_corrupt] corrupt lines, plus one for a torn tail. Raises
-    [Failure] when the first line is not {!header}, [Sys_error] on an
-    unreadable path. *)
+(** Read-only integrity verification: give every line {!fold}'s verdict
+    (digest-check and unmarshal it, then drop the outcome) without
+    writing a byte — safe to run on a journal a live daemon holds open.
+    Counts agree with {!load} on the same file:
+    [checked_valid - checked_duplicates] entries and [checked_corrupt]
+    corrupt lines, plus one for a torn tail. Raises [Failure] when the
+    recovery rule refuses the first line, [Sys_error] on an unreadable
+    path. *)
 
 type compaction = {
   kept : int;  (** distinct keys surviving into the rewritten file *)
   dropped_duplicates : int;
       (** older superseded lines for keys that appear more than once *)
   dropped_corrupt : int;
-      (** malformed / digest-mismatched / unmarshallable lines, torn
-          SIGKILL tails included *)
+      (** malformed / digest-mismatched / unmarshallable lines, and a torn
+          tail *)
 }
 
 val compact : string -> compaction
 (** Rewrite the journal keeping only the newest line per key (first-seen
-    key order, so the output is deterministic), dropping corrupt lines.
-    Crash-safe: the new content is written to a temp file, fsync'd and
-    atomically renamed over the original — at every instant the path
-    holds a complete, loadable journal. Byte-preserving: surviving lines
-    are copied verbatim, never re-serialized. Must not run concurrently
-    with an open {!writer} on the same path (the writer's fd would keep
-    appending to the unlinked old file). Raises [Failure] when the file
-    does not start with {!header}, [Sys_error]/[Unix.Unix_error] on I/O
-    failure. *)
+    key order, so the output is deterministic), dropping corrupt lines
+    and a torn tail; a journal the recovery rule reads as empty becomes a
+    header line. Crash-safe: the new content is written to a temp file,
+    fsync'd and atomically renamed over the original — at every instant
+    the path holds a complete, loadable journal. Byte-preserving:
+    surviving lines are copied verbatim from their extents, never
+    re-serialized. Must not run concurrently with an open {!writer} on
+    the same path (the writer's fd would keep appending to the unlinked
+    old file). Raises [Failure] when the recovery rule refuses the first
+    line, [Sys_error]/[Unix.Unix_error] on I/O failure. *)

@@ -54,12 +54,6 @@ type result = {
 
 let origin_prefix = Prefix.v 0
 
-let build_graph scenario rng =
-  match scenario.Scenario.topology with
-  | Scenario.Mesh { rows; cols } -> Rfd_topology.Builders.mesh ~rows ~cols
-  | Scenario.Internet { nodes; m } -> Rfd_topology.Random_graphs.barabasi_albert rng ~n:nodes ~m
-  | Scenario.Custom g -> g
-
 let pick_isp scenario rng graph =
   match scenario.Scenario.isp with
   | `Node node ->
@@ -190,8 +184,7 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
   if partitions < 1 then invalid_arg "Runner.run_partitioned: partitions must be >= 1";
   let wall_start = Rfd_engine.Clock.wall () in
   let cpu_start = Rfd_engine.Clock.cpu () in
-  let rng = Rng.create scenario.Scenario.config.Config.seed in
-  let base_graph = build_graph scenario (Rng.split rng) in
+  let base_graph, rng = Scenario.build_graph scenario in
   let isp = pick_isp scenario (Rng.split rng) base_graph in
   let graph, origin = attach_origin base_graph isp in
   let relations = relations_for scenario graph ~origin ~isp in

@@ -153,6 +153,17 @@ let workload_trace t =
   | Flappers { count; flaps; mean_gap; alpha; seed } ->
       Some (generate_flappers t ~count ~flaps ~mean_gap ~alpha ~seed)
 
+let build_graph t =
+  let rng = Rfd_engine.Rng.create t.config.Rfd_bgp.Config.seed in
+  let graph_rng = Rfd_engine.Rng.split rng in
+  let graph =
+    match t.topology with
+    | Mesh { rows; cols } -> Rfd_topology.Builders.mesh ~rows ~cols
+    | Internet { nodes; m } -> Rfd_topology.Random_graphs.barabasi_albert graph_rng ~n:nodes ~m
+    | Custom graph -> graph
+  in
+  (graph, rng)
+
 (* [Par_sim] advances in epochs of one link delay, so an event at a time
    [time] with [time +. link_delay = time] (past 2^49 s at 0.05 s) could
    never be passed. Each flap-phase source is checked at the settle gap

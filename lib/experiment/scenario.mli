@@ -139,6 +139,14 @@ val workload_trace : t -> Trace.t option
     trace a [Flappers] workload generates (origins index base-topology
     nodes, prefixes start after the background range). *)
 
+val build_graph : t -> Rfd_topology.Graph.t * Rfd_engine.Rng.t
+(** The graph a run of the scenario simulates before {!Runner.run}
+    attaches the origin stub: a [Custom] graph as it is, a [Mesh] built,
+    an [Internet] graph drawn from the first split of the config seed's
+    RNG stream. Also returns that stream past the split, for the run's
+    later draws. {!Runner.run} and {!Sweep.materialize} both build their
+    graph here, so a materialized scenario runs bit-identically. *)
+
 val pp : Format.formatter -> t -> unit
 
 val topology_summary : topology -> string

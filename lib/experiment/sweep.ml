@@ -1,4 +1,3 @@
-module Rng = Rfd_engine.Rng
 module Supervisor = Rfd_engine.Supervisor
 
 type point = {
@@ -35,29 +34,20 @@ let default_pulses = List.init 10 (fun i -> i + 1)
 
 (* Pre-build the topology a job's run would construct, so the jobs of a
    sweep that share a (topology, seed) pair reuse one graph instead of
-   rebuilding it per point. The build mirrors Runner.run exactly — the
-   graph comes from the first split of the config seed's stream — and the
-   split in Runner.build_graph still happens for Custom topologies, so the
-   substitution is bit-identical. Invalid scenarios are left untouched so
-   Runner.run reports their validation error unchanged. *)
+   rebuilding it per point. Runner.run builds its graph with the same
+   Scenario.build_graph, so the substitution is bit-identical. Invalid
+   scenarios are left untouched so Runner.run reports their validation
+   error unchanged. *)
 let materialize ?(memo = Hashtbl.create 1) (scenario : Scenario.t) =
   match (Scenario.validate scenario, scenario.Scenario.topology) with
   | Error _, _ | Ok (), Scenario.Custom _ -> scenario
-  | Ok (), ((Scenario.Mesh _ | Scenario.Internet _) as topology) ->
-      let seed = scenario.Scenario.config.Rfd_bgp.Config.seed in
-      let key = (seed, topology) in
+  | Ok (), topology ->
+      let key = (scenario.Scenario.config.Rfd_bgp.Config.seed, topology) in
       let graph =
         match Hashtbl.find_opt memo key with
         | Some graph -> graph
         | None ->
-            let rng = Rng.split (Rng.create seed) in
-            let graph =
-              match topology with
-              | Scenario.Mesh { rows; cols } -> Rfd_topology.Builders.mesh ~rows ~cols
-              | Scenario.Internet { nodes; m } ->
-                  Rfd_topology.Random_graphs.barabasi_albert rng ~n:nodes ~m
-              | Scenario.Custom _ -> assert false
-            in
+            let graph = fst (Scenario.build_graph scenario) in
             Hashtbl.add memo key graph;
             graph
       in

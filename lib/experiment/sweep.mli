@@ -69,9 +69,9 @@ val materialize :
   Scenario.t ->
   Scenario.t
 (** Resolve a valid scenario's [Mesh]/[Internet] topology into the
-    [Custom] graph {!Rfd_experiment.Runner.run} would build for it (the
-    graph comes from the same split of the config seed's RNG stream, so
-    the substitution is bit-identical). [Custom] topologies and invalid
+    [Custom] graph {!Rfd_experiment.Runner.run} would build for it (both
+    build it with {!Scenario.build_graph}, so the substitution is
+    bit-identical). [Custom] topologies and invalid
     scenarios pass through untouched. [memo], keyed by
     [(config seed, topology)], lets repeated callers — the jobs of one
     sweep, or a long-lived {!Rfd_service} daemon — share one graph
@@ -84,9 +84,7 @@ val plan : ?pulses:int list -> ?seeds:int list -> Scenario.t -> job list
     order). Default pulse counts: [1 .. 10] (the paper's x axis); default
     seeds: the base scenario's own config seed. The base scenario's
     [pulses] field is ignored. Mesh and Internet topologies are built once
-    per (topology, seed) and shared by reference; the substitution is
-    bit-identical to letting {!Runner.run} build them (the graph comes from
-    the same split of the seed's RNG stream). *)
+    per (topology, seed) by {!materialize} and shared by reference. *)
 
 val execute : ?jobs:int -> ?budget:Runner.budget -> job list -> Runner.result list
 (** Run every job on [jobs] worker domains (default

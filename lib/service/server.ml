@@ -195,8 +195,6 @@ let executor_loop t =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let header_len = String.length Journal.header + 1
-
 let create cfg =
   if cfg.max_pending < 0 then
     invalid_arg "Server.create: max_pending must be >= 0";
@@ -206,13 +204,8 @@ let create cfg =
   Shard.validate_admission ~shard_id:cfg.shard_id ~shard_count:cfg.shard_count;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let compaction =
-    (* Skip files too short to hold a header: Store.open_ recovers those
-       (torn header -> truncate); compact would refuse them. *)
-    if
-      cfg.compact_on_start
-      && Sys.file_exists cfg.journal_path
-      && (Unix.stat cfg.journal_path).Unix.st_size >= header_len
-    then Some (Journal.compact cfg.journal_path)
+    if cfg.compact_on_start && Sys.file_exists cfg.journal_path then
+      Some (Journal.compact cfg.journal_path)
     else None
   in
   let store = Store.open_ ~cache:cfg.cache cfg.journal_path in

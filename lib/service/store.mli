@@ -3,17 +3,21 @@
     The store is the daemon's single source of truth for finished work.
     Keys are {!Rfd_experiment.Journal.job_key} digests; values are
     {!Rfd_experiment.Journal.outcome}s. Durability comes entirely from
-    the PR 5 journal format — every {!put} is one fsync'd append — so a
-    [kill -9] loses nothing but in-flight work: on restart {!open_}
-    replays the journal (torn tails and corrupt lines skipped, newest
-    line per key wins) and every previously answered key is served again,
+    the journal — every {!put} is one fsync'd append — so a [kill -9]
+    loses nothing but in-flight work: on restart {!open_} replays the
+    journal and every previously answered key is served again,
     bit-identically, because the payload is the marshalled result itself.
+    The store reads the journal as every other reader does, by the
+    journal's one recovery rule ({!Rfd_experiment.Journal}): a strict
+    prefix of the header line is an empty journal, an unterminated last
+    line is a torn tail, corrupt lines are skipped and the newest line
+    per key wins.
 
     Memory stays bounded: only an LRU of at most [cache] decoded outcomes
-    is resident. Everything else is re-read on demand straight from its
-    recorded byte offset in the journal (one [lseek]+[read], digest
-    re-verified) — a cache eviction can cost a disk read, never a
-    re-simulation.
+    is resident. Everything else is re-read on demand from its byte
+    offset in the journal ({!Rfd_experiment.Journal.read}: one
+    [lseek]+[read], digest re-verified) — a cache eviction can cost a
+    disk read, never a re-simulation.
 
     All operations are serialized by an internal mutex: the accept loop
     reads while the executor appends. *)
@@ -21,12 +25,14 @@
 type t
 
 val open_ : ?cache:int -> string -> t
-(** Open (creating if absent) the journal at the given path and index
-    it. [cache] bounds the resident decoded outcomes (default 1024; 0
-    disables residency entirely). A trailing torn line — the signature
-    of a [kill -9] mid-append — is truncated away so subsequent appends
-    start on a clean boundary. Raises [Failure] if the file exists but
-    is not an [rfd-journal/5] journal. *)
+(** Open the journal at the given path with
+    {!Rfd_experiment.Journal.create} — which creates it if absent,
+    rewrites a torn header and truncates a torn tail, so appends start
+    on a clean boundary — then index it with one
+    {!Rfd_experiment.Journal.fold}. [cache] bounds the resident decoded
+    outcomes (default 1024; 0 disables residency entirely). Raises
+    [Failure], leaving the file as it was, when the recovery rule refuses
+    its first line. *)
 
 val find : t -> string -> Rfd_experiment.Journal.outcome option
 (** LRU first, then the journal by stored offset. A disk line whose

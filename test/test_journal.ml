@@ -4,6 +4,7 @@
 module Scenario = Rfd_experiment.Scenario
 module Runner = Rfd_experiment.Runner
 module Journal = Rfd_experiment.Journal
+module Store = Rfd_service.Store
 open Rfd_bgp
 
 let fast_config ?(seed = 42) () =
@@ -62,7 +63,9 @@ let test_round_trip () =
 
 let test_truncated_tail_skipped () =
   (* A SIGKILL mid-append can leave one torn final line; load must keep
-     every complete entry and count the tail as corrupt. *)
+     every complete entry and count the tail as corrupt. Then the
+     [sweep --resume] path: reopen and append, and the new line must not
+     join the fragment. *)
   with_tmp (fun path ->
       let w = Journal.create path in
       Journal.append w ~key:"a" (Journal.Crashed "one");
@@ -74,7 +77,18 @@ let test_truncated_tail_skipped () =
       Alcotest.(check int) "torn tail counted" 1 loaded.Journal.corrupt;
       Alcotest.(check int) "intact entry kept" 1 (Hashtbl.length loaded.Journal.entries);
       Alcotest.(check bool) "the surviving entry is the first" true
-        (Hashtbl.mem loaded.Journal.entries "a"))
+        (Hashtbl.mem loaded.Journal.entries "a");
+      let w = Journal.create path in
+      Journal.append w ~key:"c" (Journal.Crashed "three");
+      Journal.close w;
+      let loaded = Journal.load path in
+      Alcotest.(check bool) "the appended entry loads" true
+        (Hashtbl.find_opt loaded.Journal.entries "c" = Some (Journal.Crashed "three"));
+      Alcotest.(check int) "load: nothing corrupt" 0 loaded.Journal.corrupt;
+      let r = Journal.check path in
+      Alcotest.(check (list int)) "check: a and c valid, 0 corrupt" [ 2; 0 ]
+        [ r.Journal.checked_valid; r.Journal.checked_corrupt ];
+      Alcotest.(check bool) "check: no torn tail" false r.Journal.checked_torn)
 
 let test_corrupt_digest_skipped () =
   with_tmp (fun path ->
@@ -267,6 +281,78 @@ let test_check_rejects_non_journal () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "check accepted a non-journal file")
 
+(* The recovery rule, reader by reader. [store_keys] opens the result
+   store on the file, as a restarted daemon does, and lists which of
+   [keys] it holds. *)
+let store_keys path keys =
+  let s = Store.open_ path in
+  Fun.protect ~finally:(fun () -> Store.close s) @@ fun () ->
+  (Store.entries s, List.filter (Store.mem s) keys)
+
+(* A crash while the header was written leaves a strict prefix of the
+   header line, or nothing: every reader sees an empty journal, and every
+   writer starts it afresh. *)
+let test_torn_header_is_empty_journal () =
+  let header_line = Journal.header ^ "\n" in
+  List.iter
+    (fun text ->
+      let name what = Printf.sprintf "%S: %s" text what in
+      with_tmp (fun path ->
+          write_file path text;
+          let loaded = Journal.load path in
+          Alcotest.(check (pair int int)) (name "load") (0, 0)
+            (Hashtbl.length loaded.Journal.entries, loaded.Journal.corrupt);
+          let r = Journal.check path in
+          Alcotest.(check bool) (name "check") true
+            (r.Journal.checked_valid = 0 && r.Journal.checked_corrupt = 0
+           && not r.Journal.checked_torn);
+          Alcotest.(check string) (name "check wrote nothing") text (read_file path);
+          let c = Journal.compact path in
+          Alcotest.(check (list int)) (name "compact") [ 0; 0; 0 ]
+            [ c.Journal.kept; c.Journal.dropped_duplicates; c.Journal.dropped_corrupt ];
+          Alcotest.(check string) (name "compacted to a header") header_line (read_file path));
+      with_tmp (fun path ->
+          write_file path text;
+          let w = Journal.create path in
+          Journal.append w ~key:"a" (Journal.Crashed "one");
+          Journal.close w;
+          Alcotest.(check string) (name "create rewrites the header")
+            (header_line ^ Journal.render_line ~key:"a" (Journal.Crashed "one"))
+            (read_file path));
+      with_tmp (fun path ->
+          write_file path text;
+          Alcotest.(check (pair int (list string))) (name "Store.open_") (0, [])
+            (store_keys path [ "a" ]);
+          Alcotest.(check string) (name "the store's file has its header") header_line
+            (read_file path)))
+    [ ""; "r"; "rfd-jour"; Journal.header ]
+
+(* A whole line whose newline a crash cut off is a torn tail, not an
+   entry, for every reader: an append after it would otherwise join it. *)
+let test_unterminated_line_is_torn () =
+  let intact = (Journal.header ^ "\n") ^ Journal.render_line ~key:"a" (Journal.Crashed "one") in
+  let b = Journal.render_line ~key:"b" (Journal.Crashed "two") in
+  let text = intact ^ String.sub b 0 (String.length b - 1) in
+  with_tmp (fun path ->
+      write_file path text;
+      let loaded = Journal.load path in
+      Alcotest.(check (list string)) "load: a only" [ "a" ]
+        (List.of_seq (Hashtbl.to_seq_keys loaded.Journal.entries));
+      Alcotest.(check int) "load: the torn tail counts" 1 loaded.Journal.corrupt;
+      let r = Journal.check path in
+      Alcotest.(check (list int)) "check: a valid, nothing corrupt" [ 1; 0 ]
+        [ r.Journal.checked_valid; r.Journal.checked_corrupt ];
+      Alcotest.(check bool) "check: torn tail" true r.Journal.checked_torn;
+      let c = Journal.compact path in
+      Alcotest.(check (pair int int)) "compact: a kept, the tail dropped" (1, 1)
+        (c.Journal.kept, c.Journal.dropped_corrupt);
+      Alcotest.(check string) "compacted bytes" intact (read_file path));
+  with_tmp (fun path ->
+      write_file path text;
+      Alcotest.(check (pair int (list string))) "Store.open_: a only" (1, [ "a" ])
+        (store_keys path [ "a"; "b" ]);
+      Alcotest.(check string) "Store.open_ truncated the tail" intact (read_file path))
+
 (* An older journal whose line this build could still decode: reading it
    would not fail, it would be wrong (version 1: results of an older
    transport RNG scheme; versions 2 and 3: a result of another layout, read
@@ -417,22 +503,25 @@ let damage text =
         edits;
       Bytes.to_string bytes
 
-(* On any damage: the three loaders refuse the file exactly when its header
-   line is gone, and otherwise never raise; every entry they return is
-   one whose [render_line] is a line of the file, under a key of the
-   undamaged file; [check]'s counts, the compaction report and the
-   compacted file agree with [load]. *)
+(* On any damage, the four readers — [load], [check], [compact] and the
+   result store's [Store.open_] — refuse the file exactly when its first
+   line, newline included, is neither the header line nor a strict prefix
+   of it; otherwise none raises. Every entry [load] returns is one whose
+   [render_line] is a line of the file, under a key of the undamaged file;
+   [check]'s counts, the compaction report, the compacted file and the
+   store (opened on a copy, and read back from disk) agree with [load]. *)
 let prop_loaders_on_damaged_journals =
   QCheck.Test.make ~count:300 ~name:"damaged journals: no raise, no forged entry"
     (QCheck.make gen_damage)
     (fun dmg ->
       let text = damage (Lazy.force fuzz_base) dmg in
-      let header_intact =
-        let h = String.length Journal.header in
-        String.length text >= h
-        && String.sub text 0 h = Journal.header
-        && (String.length text = h || text.[h] = '\n')
+      let first =
+        match String.index_opt text '\n' with
+        | Some i -> String.sub text 0 (i + 1)
+        | None -> text
       in
+      (* The header line is the only prefix of itself that ends in a newline. *)
+      let readable = String.starts_with ~prefix:first (Journal.header ^ "\n") in
       let lines = String.split_on_char '\n' text in
       let rendered entries =
         Hashtbl.fold
@@ -443,30 +532,47 @@ let prop_loaders_on_damaged_journals =
             && List.mem (String.sub line 0 (String.length line - 1)) lines)
           entries true
       in
-      with_tmp (fun path ->
-          write_file path text;
-          let refused f = match f path with _ -> false | exception Failure _ -> true in
-          if not header_intact then
-            refused Journal.load && refused Journal.check && refused Journal.compact
-          else
-            let loaded = Journal.load path in
-            let r = Journal.check path in
-            let c = Journal.compact path in
-            let compacted = Journal.load path in
-            let distinct = Hashtbl.length loaded.Journal.entries in
-            rendered loaded.Journal.entries
-            && r.Journal.checked_valid - r.Journal.checked_duplicates = distinct
-            && r.Journal.checked_corrupt + Bool.to_int r.Journal.checked_torn
-               = loaded.Journal.corrupt
-            && c.Journal.kept = distinct
-            && c.Journal.dropped_duplicates = r.Journal.checked_duplicates
-            && c.Journal.dropped_corrupt = loaded.Journal.corrupt
-            && compacted.Journal.corrupt = 0
-            && Hashtbl.length compacted.Journal.entries = distinct
-            && Hashtbl.fold
-                 (fun key outcome ok ->
-                   ok && Hashtbl.find_opt compacted.Journal.entries key = Some outcome)
-                 loaded.Journal.entries true))
+      with_tmp @@ fun path ->
+      with_tmp @@ fun copy ->
+      write_file path text;
+      write_file copy text;
+      let refused f = match f path with _ -> false | exception Failure _ -> true in
+      if not readable then
+        refused Journal.load && refused Journal.check && refused Journal.compact
+        &&
+        match Store.open_ copy with
+        | s ->
+            Store.close s;
+            false
+        | exception Failure _ -> true
+      else
+        let loaded = Journal.load path in
+        let r = Journal.check path in
+        let c = Journal.compact path in
+        let compacted = Journal.load path in
+        let distinct = Hashtbl.length loaded.Journal.entries in
+        let store = Store.open_ copy in
+        let stored =
+          Fun.protect ~finally:(fun () -> Store.close store) @@ fun () ->
+          Store.entries store = distinct
+          && Hashtbl.fold
+               (fun key outcome ok -> ok && Store.find store key = Some outcome)
+               loaded.Journal.entries true
+        in
+        rendered loaded.Journal.entries
+        && r.Journal.checked_valid - r.Journal.checked_duplicates = distinct
+        && r.Journal.checked_corrupt + Bool.to_int r.Journal.checked_torn
+           = loaded.Journal.corrupt
+        && c.Journal.kept = distinct
+        && c.Journal.dropped_duplicates = r.Journal.checked_duplicates
+        && c.Journal.dropped_corrupt = loaded.Journal.corrupt
+        && compacted.Journal.corrupt = 0
+        && Hashtbl.length compacted.Journal.entries = distinct
+        && Hashtbl.fold
+             (fun key outcome ok ->
+               ok && Hashtbl.find_opt compacted.Journal.entries key = Some outcome)
+             loaded.Journal.entries true
+        && stored)
 
 let suite =
   [
@@ -489,6 +595,10 @@ let suite =
       test_check_clean_duplicates_corrupt_torn;
     Alcotest.test_case "check rejects non-journal" `Quick
       test_check_rejects_non_journal;
+    Alcotest.test_case "a torn header is an empty journal" `Quick
+      test_torn_header_is_empty_journal;
+    Alcotest.test_case "a line without its newline is torn" `Quick
+      test_unterminated_line_is_torn;
     Alcotest.test_case "hex pins all 256 bytes" `Quick test_hex_all_bytes;
     Alcotest.test_case "result size bounded per update" `Quick test_result_size_bound;
   ]
