@@ -950,9 +950,10 @@ let journal_compact_cmd =
       `P
         "Compaction is atomic (write to a temp file, fsync, rename) and \
          byte-preserving: surviving lines are copied verbatim, so results \
-         replayed from the compacted journal are identical to before. Do not \
-         run it while a daemon or sweep holds the journal open for writing. \
-         $(b,--check) never writes and is safe at any time.";
+         replayed from the compacted journal are identical to before. A \
+         journal with no duplicate, corrupt or torn line is left as it is. \
+         Do not run it while a daemon or sweep holds the journal open for \
+         writing. $(b,--check) never writes and is safe at any time.";
     ]
   in
   Cmd.v

@@ -29,7 +29,9 @@ type t = {
       (** an update leaves a router *)
   mutable on_deliver : time:float -> src:int -> dst:int -> Update.t -> unit;
       (** an update reaches its neighbour (the paper's "updates observed in
-          the network" counts these) *)
+          the network" counts these). The wire rebuilds it, so it equals
+          ({!Update.equal}) the update {!on_send} saw, but is not the same
+          block. *)
   mutable on_drop : time:float -> src:int -> dst:int -> Update.t -> unit;
       (** an update was lost to injected transport loss (fault model); sends
           swallowed by a down link are {e not} reported here *)

@@ -1,21 +1,69 @@
 module Sim = Rfd_engine.Sim
 module Rng = Rfd_engine.Rng
 module Graph = Rfd_topology.Graph
+module Column = Rfd_engine.Column
 
 (* The in-flight table: one row per message on the wire, network-wide,
-   holding the directed link slot, the sender-side link epoch and the update.
-   A delivery event is a post of the row index on the network's delivery
-   channel, so a message in flight costs three table words plus three heap
-   words and no closure. Free rows are chained through [w_link] and hold
-   [no_update], so a delivered update is released at once. *)
+   in five columns that share one chunk spine. A row holds the directed
+   slot, the sender-side link epoch, the announced route ([withdrawn] for
+   a withdrawal), the sender's shared root-cause option and a code: bit 0
+   set for a withdrawal, and above it a withdrawal's prefix id or an
+   announcement's rel-pref code. A delivery event is a post of the row
+   index on the network's delivery channel, and [deliver] rebuilds the
+   update from the row, so a message in flight owns no heap block: it
+   costs five table words and three heap words. The first chunk doubles
+   from 256 rows up to [Column.chunk_cells]; later chunks are never
+   copied. Free rows are chained through [w_link] and hold [None], so a
+   delivered root cause is released at once; a free row's route is
+   interned, so it keeps nothing alive. *)
+type rows = {
+  w_link : int array; (* directed slot; next free row when free *)
+  w_epoch : int array;
+  w_route : Route.t array;
+  w_rc : Root_cause.t option array;
+  w_code : int array;
+}
+
 type wire = {
-  mutable w_link : int array; (* directed slot; next free row when free *)
-  mutable w_epoch : int array;
-  mutable w_update : Update.t array;
+  w_rows : rows Column.Chunks.t;
   mutable w_free : int; (* head of the free-row list, -1 when empty *)
 }
 
-let no_update = Update.withdraw (Prefix.v 0)
+(* A withdrawal's route cell; never interned or delivered. *)
+let withdrawn = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
+
+let make_rows n =
+  {
+    w_link = Array.make n (-1);
+    w_epoch = Array.make n 0;
+    w_route = Array.make n withdrawn;
+    w_rc = Array.make n None;
+    w_code = Array.make n 0;
+  }
+
+let blit_rows a i b j n =
+  Array.blit a.w_link i b.w_link j n;
+  Array.blit a.w_epoch i b.w_epoch j n;
+  Array.blit a.w_route i b.w_route j n;
+  Array.blit a.w_rc i b.w_rc j n;
+  Array.blit a.w_code i b.w_code j n
+
+(* A row's offset in its chunk. *)
+let cell_mask = Column.chunk_cells - 1
+
+(* Rel-pref codes 1 to 3, 0 for none. The options are constants, so
+   neither side boxes one per message. *)
+let rel_pref_code = function
+  | None -> 0
+  | Some Update.Better -> 1
+  | Some Update.Worse -> 2
+  | Some Update.Same_pref -> 3
+
+let rel_pref_of_code = function
+  | 1 -> Some Update.Better
+  | 2 -> Some Update.Worse
+  | 3 -> Some Update.Same_pref
+  | _ -> None
 
 type remote = {
   remote_eid : int;
@@ -145,36 +193,26 @@ let streams config ~salt slots =
 let delay_salt = 0x2d35_8dcc
 let fault_salt = 0x7fa9_1e55
 
-(* Called with the free list empty: chain the new rows onto it. *)
-let grow_wire w =
-  let cap = Array.length w.w_link in
-  let new_cap = if cap = 0 then 256 else cap * 2 in
-  let extend a fill =
-    let b = Array.make new_cap fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  w.w_link <- extend w.w_link (-1);
-  for row = cap to new_cap - 2 do
-    w.w_link.(row) <- row + 1
-  done;
-  w.w_epoch <- extend w.w_epoch 0;
-  w.w_update <- extend w.w_update no_update;
-  w.w_free <- cap
-
 (* Every message on the wire, local or drained from another partition,
    arrives through here. The epoch guard drops it when its link failed (or
-   an endpoint crashed) while it was in flight. *)
+   an endpoint crashed) while it was in flight; an update is rebuilt only
+   for a message that arrives. *)
 let deliver t row =
   let w = t.wire in
-  let slot = w.w_link.(row) and epoch = w.w_epoch.(row) and update = w.w_update.(row) in
-  w.w_link.(row) <- w.w_free;
-  w.w_update.(row) <- no_update;
+  let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
+  let slot = c.w_link.(j) and epoch = c.w_epoch.(j) and route = c.w_route.(j) in
+  let rc = c.w_rc.(j) and code = c.w_code.(j) in
+  c.w_link.(j) <- w.w_free;
+  c.w_rc.(j) <- None;
   w.w_free <- row;
   t.in_flight <- t.in_flight - 1;
   let eid = slot lsr 1 in
   let src = slot_src t slot and dst = slot_dst t slot in
   if operational t eid src dst && t.epoch.(eid) = epoch then begin
+    let update =
+      if code land 1 = 1 then Update.Withdraw { prefix = Prefix.v (code lsr 1); rc }
+      else Update.Announce { route; rc; rel_pref = rel_pref_of_code (code lsr 1) }
+    in
     t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
     match t.routers.(dst) with
     | Some r -> Router.receive r ~from_peer:src update
@@ -182,16 +220,27 @@ let deliver t row =
   end
 
 (* The post comes first, so a delivery time the simulator refuses leaves
-   the table and the in-flight count untouched. *)
+   the table and the in-flight count untouched. The row keeps the
+   update's fields, not the update. *)
 let put_on_wire t ~at ~slot ~epoch update =
   let w = t.wire in
-  if w.w_free < 0 then grow_wire w;
+  (* With the free list empty, a new row is its end. *)
+  if w.w_free < 0 then w.w_free <- Column.Chunks.add ~make:make_rows ~blit:blit_rows w.w_rows;
   let row = w.w_free in
   Sim.post t.sim t.deliver_on ~time:at row;
-  w.w_free <- w.w_link.(row);
-  w.w_link.(row) <- slot;
-  w.w_epoch.(row) <- epoch;
-  w.w_update.(row) <- update;
+  let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
+  w.w_free <- c.w_link.(j);
+  c.w_link.(j) <- slot;
+  c.w_epoch.(j) <- epoch;
+  (match update with
+  | Update.Announce { route; rc; rel_pref } ->
+      c.w_route.(j) <- route;
+      c.w_rc.(j) <- rc;
+      c.w_code.(j) <- rel_pref_code rel_pref lsl 1
+  | Update.Withdraw { prefix; rc } ->
+      c.w_route.(j) <- withdrawn;
+      c.w_rc.(j) <- rc;
+      c.w_code.(j) <- (Prefix.to_int prefix lsl 1) lor 1);
   t.in_flight <- t.in_flight + 1
 
 let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < p
@@ -322,7 +371,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         duplication = Float.Array.make (2 * m) 0.;
         delay_streams = streams config ~salt:delay_salt (2 * m);
         fault_streams = Rng.column 0 ~seed:Fun.id;
-        wire = { w_link = [||]; w_epoch = [||]; w_update = [||]; w_free = -1 };
+        wire = { w_rows = Column.Chunks.create ~first:256 ~make:make_rows; w_free = -1 };
         deliver_on = Sim.channel sim (fun _ row -> deliver (Lazy.force self) row);
         flush_on =
           Sim.channel sim (fun _ key -> session_timer (Lazy.force self) Router.flush_due key);

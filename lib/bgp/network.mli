@@ -8,12 +8,19 @@
     on it and signals both endpoint routers; restoring it triggers full-table
     re-advertisement (BGP session restart semantics).
 
-    Messages on the wire are rows of one network-wide in-flight table (the
-    directed link, the sender-side link epoch and the update, with a free
-    list); each delivery is a {!Rfd_engine.Sim.post} of a row index to one
-    delivery function, shared by local sends and {!deliver_remote}. A
-    message in flight costs six words besides its update and builds no
-    closure, and its row drops the update as soon as it is delivered.
+    Messages on the wire are rows of one network-wide in-flight table,
+    five columns on one {!Rfd_engine.Column.Chunks} spine with a free
+    list: the directed link, the sender-side link epoch, the route, the
+    sender's root-cause option, and one int for the kind, the rel-pref and
+    a withdrawal's prefix id. Sending copies an update's fields into a row
+    and keeps no pointer to the update; each delivery is a
+    {!Rfd_engine.Sim.post} of the row index to one delivery function,
+    shared by local sends and {!deliver_remote}, which rebuilds the
+    update. A message in flight costs eight words (five in its row, three
+    in its heap entry), owns no heap block and builds no closure, and its
+    row drops the root cause as soon as it is delivered. So
+    {!Hooks.t.on_deliver} sees an update equal ({!Update.equal}) to the
+    one {!Hooks.t.on_send} saw, but not the same block.
 
     Link state is held in columns: per link its administrative state and
     epoch, and per directed link — at the in-flight table's slot

@@ -29,10 +29,9 @@ let f_reuse = 4 (* a reuse timer (or wheel bucket) is outstanding *)
 let f_queued = 8 (* an update is parked behind the MRAI *)
 let f_armed = 16 (* a flush timer is armed *)
 
-(* Column sentinels. Neither is ever interned or sent, so they are only
-   matched by physical equality. *)
+(* Column sentinel. It is never interned or sent, so it is only matched
+   by physical equality. *)
 let no_route = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
-let no_rc = Root_cause.make ~link:(-1, -1) ~status:Root_cause.Link_down ~seq:(-1)
 let no_parked = { desired = D_withdraw; rc = None }
 
 (* A flush or reuse post's argument is the session's directed link and the
@@ -42,9 +41,6 @@ let prefix_bits = 31
 let prefix_mask = (1 lsl prefix_bits) - 1
 let session_link key = key lsr prefix_bits
 let wheel_router ~node_bits key = key land ((1 lsl node_bits) - 1)
-
-let rc_of_option = function Some rc -> rc | None -> no_rc
-let option_of_rc rc = if rc == no_rc then None else Some rc
 
 (* RFC 2439 §4.8.6 reuse list (Config.Tick mode): suppressed entries are
    bucketed by absolute tick number [k] (firing at [k *. tick]) instead of
@@ -98,7 +94,7 @@ type t = {
   mutable capacity : int; (* prefix ids with a slot; 0 until first use *)
   mutable flags : Bytes.t; (* [f_*] bits per slot *)
   mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
-  mutable last_rc : Root_cause.t array; (* root cause of the last update; [no_rc] = none *)
+  mutable last_rc : Root_cause.t option array; (* root cause of the last update, as received *)
   mutable advertised : Route.t array; (* RIB-Out; [no_route] = withdrawn or never sent *)
   mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
   mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
@@ -230,7 +226,7 @@ let reserve t i =
     let n = cap * d in
     t.flags <- resize_bytes t.flags n;
     t.received <- resize t.received n no_route;
-    t.last_rc <- resize t.last_rc n no_rc;
+    t.last_rc <- resize t.last_rc n None;
     t.advertised <- resize t.advertised n no_route;
     t.deadline <- resize_floats t.deadline n;
     t.parked <- resize t.parked n no_parked;
@@ -435,15 +431,14 @@ let send_now t k prefix desired rc =
       (* withdrawals do not restart the MRAI *)
   | D_announce route ->
       let prev = advertised t k i in
+      (* Constant options: an announcement boxes none. *)
       let rel_pref =
         if prev == no_route then None
-        else begin
+        else
           let c = Int.compare (Route.path_length route) (Route.path_length prev) in
-          Some
-            (if c < 0 then Update.Better
-             else if c > 0 then Update.Worse
-             else Update.Same_pref)
-        end
+          if c < 0 then Some Update.Better
+          else if c > 0 then Some Update.Worse
+          else Some Update.Same_pref
       in
       reserve t i;
       let s = slot t k i in
@@ -584,7 +579,7 @@ let try_release t k prefix pen ~now =
   | `Not_yet _ as later -> later
   | `Reused ->
       clear_flag t s f_suppressed;
-      let emitted = decision t prefix ~trigger_rc:(option_of_rc t.last_rc.(s)) in
+      let emitted = decision t prefix ~trigger_rc:t.last_rc.(s) in
       t.hooks.Hooks.on_reuse ~time:now ~router:t.id ~peer:t.peer_id.(k) ~prefix
         ~noisy:(emitted > 0);
       `Reused
@@ -777,7 +772,7 @@ let handle_withdraw t k prefix ~rc ~count =
   if received t k i != no_route then begin
     let s = slot t k i in
     t.received.(s) <- no_route;
-    t.last_rc.(s) <- rc_of_option rc;
+    t.last_rc.(s) <- rc;
     apply_damping t k prefix (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
     ignore (decision t prefix ~trigger_rc:rc)
   end
@@ -792,7 +787,7 @@ let handle_announce t k route ~rc ~rel_pref ~count =
     let s = slot t k i in
     set_flag t s f_exists;
     t.received.(s) <- route;
-    t.last_rc.(s) <- rc_of_option rc;
+    t.last_rc.(s) <- rc;
     ignore (decision t prefix ~trigger_rc:rc)
   end
   else begin
@@ -801,7 +796,7 @@ let handle_announce t k route ~rc ~rel_pref ~count =
     if prev == no_route || not (Route.equal prev route) then begin
       let event = if prev == no_route then Damper.Reannouncement else Damper.Attribute_change in
       t.received.(s) <- route;
-      t.last_rc.(s) <- rc_of_option rc;
+      t.last_rc.(s) <- rc;
       let count =
         count
         &&
@@ -885,7 +880,7 @@ let peer_down t ~peer =
       Float.Array.set t.deadline s 0.
     done;
     Float.Array.set t.peer_deadline k 0.;
-    let rc = fresh_link_rc t ~peer ~status:Root_cause.Link_down in
+    let rc = Some (fresh_link_rc t ~peer ~status:Root_cause.Link_down) in
     let affected = ref [] in
     for i = cap - 1 downto 0 do
       if t.received.(slot t k i) != no_route then affected := i :: !affected
@@ -896,7 +891,7 @@ let peer_down t ~peer =
         t.received.(s) <- no_route;
         t.last_rc.(s) <- rc;
         apply_damping t k (Prefix.v i) Damper.Withdrawal ~count:true;
-        ignore (decision t (Prefix.v i) ~trigger_rc:(Some rc)))
+        ignore (decision t (Prefix.v i) ~trigger_rc:rc))
       !affected
   end
 

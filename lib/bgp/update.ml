@@ -14,6 +14,18 @@ let prefix = function
 let rc = function Announce { rc; _ } -> rc | Withdraw { rc; _ } -> rc
 let is_withdrawal = function Withdraw _ -> true | Announce _ -> false
 
+let equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | Announce x, Announce y ->
+      Route.equal x.route y.route
+      && Option.equal Root_cause.equal x.rc y.rc
+      && x.rel_pref = y.rel_pref
+  | Withdraw x, Withdraw y ->
+      Prefix.equal x.prefix y.prefix && Option.equal Root_cause.equal x.rc y.rc
+  | Announce _, Withdraw _ | Withdraw _, Announce _ -> false
+
 let pp_rc ppf = function
   | None -> ()
   | Some rc -> Format.fprintf ppf " rc=%a" Root_cause.pp rc

@@ -18,4 +18,10 @@ val withdraw : ?rc:Root_cause.t -> Prefix.t -> t
 val prefix : t -> Prefix.t
 val rc : t -> Root_cause.t option
 val is_withdrawal : t -> bool
+
+val equal : t -> t -> bool
+(** Same kind, and equal fields: routes by {!Route.equal}, root causes by
+    {!Root_cause.equal}. A delivered update equals the one sent, but is
+    not the same block. *)
+
 val pp : Format.formatter -> t -> unit

@@ -5,7 +5,8 @@ let mask = chunk_cells - 1
 (* Cells [0, capacity) are allocated: chunk k holds cells
    [k * chunk_cells, ...), and every chunk but the last holds
    [chunk_cells]. A chunk is allocated only to take a push, so the last
-   chunk holds at least one of the [length] cells. A detached column has
+   chunk holds at least one of the [length] cells, unless it is a first
+   chunk [Chunks.create] made in advance. A detached column has
    [length] but no chunks, and every access to it fails the spine's bounds
    check. *)
 type 'c t = { mutable chunks : 'c array; mutable length : int; mutable capacity : int }
@@ -16,9 +17,10 @@ let detached t = { chunks = [||]; length = t.length; capacity = 0 }
 let check t i =
   if i < 0 || i >= t.length then invalid_arg "Column: index out of bounds"
 
-(* Room for cell [capacity]: the first chunk doubles (64 cells at first)
-   up to [chunk_cells]; a later chunk that [trim] cut short is widened back
-   to [chunk_cells]; past a full chunk a new one is appended. *)
+(* Room for cell [capacity]: the first chunk doubles (from 64 cells, or
+   from the size [Chunks.create] gave it) up to [chunk_cells]; a later chunk that
+   [trim] cut short is widened back to [chunk_cells]; past a full chunk a
+   new one is appended. *)
 let grow ~make ~blit t =
   let n = t.capacity in
   let k = n lsr chunk_bits and used = n land mask in
@@ -127,6 +129,24 @@ module Ints = struct
 
   let trim = trim ~sub:Array.sub
   let detached = detached
+end
+
+module Chunks = struct
+  type nonrec 'c t = 'c t
+
+  let create ~first ~make =
+    let size = min chunk_cells (max 1 first) in
+    { chunks = [| make size |]; length = 0; capacity = size }
+
+  let add ~make ~blit t =
+    if t.length = t.capacity then grow ~make ~blit t;
+    let i = t.length in
+    t.length <- i + 1;
+    i
+
+  let chunk t i =
+    check t i;
+    t.chunks.(i lsr chunk_bits)
 end
 
 type cells = Floats of Floats.t | Ints of Ints.t

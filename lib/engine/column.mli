@@ -11,8 +11,8 @@
     costs 8 bytes, and {!Floats.push} and {!write_words} allocate nothing
     (a float that {!Floats.get} returns to another module is boxed, as
     every float a function returns is when calls are not inlined). {!Ints}
-    keeps [int array] chunks. The spine always has exactly one slot per
-    chunk. *)
+    keeps [int array] chunks, and {!Chunks} chunks of any layout. The
+    spine always has exactly one slot per chunk. *)
 
 val chunk_cells : int
 (** Cells in every chunk but the first: 8,192, 64 KiB of 8-byte cells. *)
@@ -60,6 +60,33 @@ module Ints : sig
   val trim : t -> unit
   val detached : t -> t
   (** As in {!Floats}. *)
+end
+
+(** {1 Chunks of any layout} *)
+
+module Chunks : sig
+  type 'c t
+  (** A spine of chunks of the caller's type, grown as every column's is:
+      for several columns that share it, a chunk can be a record of
+      arrays. Cell [i] is at offset [i land (chunk_cells - 1)] of
+      [chunk t i], so one bounds-checked call finds a row of all of them,
+      and the accesses to its fields are inline. *)
+
+  val create : first:int -> make:(int -> 'c) -> 'c t
+  (** [make n] is a chunk of [n] cells. The first chunk is made at once
+      with [first] cells (at most {!chunk_cells}) and doubles from
+      there. *)
+
+  val add :
+    make:(int -> 'c) -> blit:('c -> int -> 'c -> int -> int -> unit) -> 'c t -> int
+  (** One more cell: its index. A chunk is made for it, or the first one
+      widened ([blit src src_pos dst dst_pos n] copies [n] cells), exactly
+      where a push into a column would. The cell holds whatever [make] put
+      there. *)
+
+  val chunk : 'c t -> int -> 'c
+  (** The chunk holding cell [i]. Raises [Invalid_argument] outside
+      [\[0, length)]. *)
 end
 
 (** {1 Cells as words} *)

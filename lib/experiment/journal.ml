@@ -262,25 +262,12 @@ let check path =
 
 type compaction = { kept : int; dropped_duplicates : int; dropped_corrupt : int }
 
-(* Two passes: the scan finds each key's newest line, then those lines
-   are copied from their extents in first-seen key order, so the output
-   is deterministic and no payload is re-serialized. Rewrite-to-temp +
-   rename: the original file stays intact (and loadable) until the atomic
-   rename, so a crash mid-compaction loses nothing. The temp file is
-   fsync'd before the rename and the directory after it, so the swap
-   itself survives a power cut. *)
-let compact path =
-  let newest = Hashtbl.create 64 in
-  let order, dropped_duplicates, dropped_corrupt =
-    fold path
-      (fun (order, duplicates, corrupt) ~offset ~length -> function
-        | Entry (key, _) ->
-            let seen = Hashtbl.mem newest key in
-            Hashtbl.replace newest key (offset, length);
-            if seen then (order, duplicates + 1, corrupt) else (key :: order, duplicates, corrupt)
-        | Corrupt | Torn -> (order, duplicates, corrupt + 1))
-      ([], 0, 0)
-  in
+(* The lines at [newest]'s extents, in [keys] order, after a header:
+   rewrite-to-temp + rename, so the original file stays intact (and
+   loadable) until the atomic rename, and a crash mid-compaction loses
+   nothing. The temp file is fsync'd before the rename and the directory
+   after it, so the swap itself survives a power cut. *)
+let rewrite path newest keys =
   let tmp = path ^ ".compact.tmp" in
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
@@ -296,14 +283,34 @@ let compact path =
               seek_in ic offset;
               really_input ic line 0 length;
               write_fully fd (Bytes.unsafe_to_string line))
-            (List.rev order);
+            keys;
           Unix.fsync fd));
   Unix.rename tmp path;
   (* Persist the rename itself (the directory entry); best-effort — some
      filesystems refuse fsync on a directory fd. *)
-  (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
   | dirfd ->
       (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
       Unix.close dirfd
-  | exception Unix.Unix_error _ -> ());
+  | exception Unix.Unix_error _ -> ()
+
+(* Two passes: the scan finds each key's newest line, then those lines
+   are copied from their extents in first-seen key order, so the output
+   is deterministic and no payload is re-serialized. A scan that drops
+   nothing leaves the file as it is: all it can hold besides its lines
+   are blank lines, which every reader skips, and a torn header, which
+   [create] repairs. *)
+let compact path =
+  let newest = Hashtbl.create 64 in
+  let order, dropped_duplicates, dropped_corrupt =
+    fold path
+      (fun (order, duplicates, corrupt) ~offset ~length -> function
+        | Entry (key, _) ->
+            let seen = Hashtbl.mem newest key in
+            Hashtbl.replace newest key (offset, length);
+            if seen then (order, duplicates + 1, corrupt) else (key :: order, duplicates, corrupt)
+        | Corrupt | Torn -> (order, duplicates, corrupt + 1))
+      ([], 0, 0)
+  in
+  if dropped_duplicates > 0 || dropped_corrupt > 0 then rewrite path newest (List.rev order);
   { kept = Hashtbl.length newest; dropped_duplicates; dropped_corrupt }

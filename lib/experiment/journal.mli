@@ -163,8 +163,10 @@ type compaction = {
 val compact : string -> compaction
 (** Rewrite the journal keeping only the newest line per key (first-seen
     key order, so the output is deterministic), dropping corrupt lines
-    and a torn tail; a journal the recovery rule reads as empty becomes a
-    header line. Crash-safe: the new content is written to a temp file,
+    and a torn tail. A journal with none of these to drop is left as it
+    is, inode and bytes, a torn header included ({!create} repairs that
+    before its first append), so a daemon restarted on a clean journal
+    copies nothing. Crash-safe: the new content is written to a temp file,
     fsync'd and atomically renamed over the original — at every instant
     the path holds a complete, loadable journal. Byte-preserving:
     surviving lines are copied verbatim from their extents, never

@@ -4,6 +4,7 @@
 module Column = Rfd_engine.Column
 module Floats = Column.Floats
 module Ints = Column.Ints
+module Chunks = Column.Chunks
 
 type op = Push of int | Set of int * int | Trim
 
@@ -26,14 +27,26 @@ let ops =
            (2, return Trim);
          ]))
 
-(* Cell [i] of both columns holds the model's [i]: as a float in one, as
-   an int in the other. *)
-let agrees floats ints model =
+(* A spine of int-array chunks: cell [i] is at offset
+   [i land (chunk_cells - 1)] of the chunk holding it. *)
+let offset i = i land (Column.chunk_cells - 1)
+let chunk_get chunks i = (Chunks.chunk chunks i).(offset i)
+let chunk_set chunks i v = (Chunks.chunk chunks i).(offset i) <- v
+
+let chunk_push chunks v =
+  chunk_set chunks (Chunks.add ~make:(fun n -> Array.make n (-1)) ~blit:Array.blit chunks) v
+
+(* Cell [i] of every column holds the model's [i]: as a float in one, as
+   an int in the others. *)
+let agrees floats ints chunks model =
   let n = Array.length model in
   let gets = ref true in
   for i = 0 to n - 1 do
-    if Floats.get floats i <> float_of_int model.(i) || Ints.get ints i <> model.(i) then
-      gets := false
+    if
+      Floats.get floats i <> float_of_int model.(i)
+      || Ints.get ints i <> model.(i)
+      || chunk_get chunks i <> model.(i)
+    then gets := false
   done;
   let iterated_f = ref [] and iterated_i = ref [] in
   Floats.iter (fun v -> iterated_f := v :: !iterated_f) floats;
@@ -41,15 +54,22 @@ let agrees floats ints model =
   !gets
   && Floats.length floats = n
   && Ints.length ints = n
+  && (match Chunks.chunk chunks n with _ -> false | exception Invalid_argument _ -> true)
   && Floats.to_array floats = Array.map float_of_int model
   && List.rev !iterated_f = Array.to_list (Array.map float_of_int model)
   && List.rev !iterated_i = Array.to_list model
 
+(* The chunk spine's first chunk may have any size (one wider than a
+   chunk is cut to one). *)
 let prop_model =
   QCheck.Test.make ~count:100 ~name:"columns = plain-array model"
-    (QCheck.make ~print:(fun l -> String.concat "; " (List.map show_op l)) ops)
-    (fun ops ->
+    (QCheck.make
+       ~print:(fun (first, l) ->
+         Printf.sprintf "first %d: %s" first (String.concat "; " (List.map show_op l)))
+       QCheck.Gen.(pair (int_range 1 9000) ops))
+    (fun (first, ops) ->
       let floats = Floats.create () and ints = Ints.create () in
+      let chunks = Chunks.create ~first ~make:(fun n -> Array.make n (-1)) in
       let model = ref [||] and next = ref 0 in
       List.for_all
         (fun op ->
@@ -60,7 +80,8 @@ let prop_model =
               Array.iter
                 (fun v ->
                   Floats.push floats (float_of_int v);
-                  Ints.push ints v)
+                  Ints.push ints v;
+                  chunk_push chunks v)
                 cells;
               model := Array.append !model cells
           | Set (i, v) ->
@@ -69,12 +90,13 @@ let prop_model =
                 let i = i mod n in
                 Floats.set floats i (float_of_int v);
                 Ints.set ints i v;
+                chunk_set chunks i v;
                 !model.(i) <- v
               end
           | Trim ->
               Floats.trim floats;
               Ints.trim ints);
-          agrees floats ints !model)
+          agrees floats ints chunks !model)
         ops)
 
 let test_bounds () =
@@ -90,7 +112,9 @@ let test_bounds () =
   raises "get past a trimmed end" (fun () -> Floats.get floats 2);
   let ints = Ints.create () in
   Ints.push ints 1;
-  raises "ints get past the end" (fun () -> Ints.get ints 1)
+  raises "ints get past the end" (fun () -> Ints.get ints 1);
+  let chunks = Chunks.create ~first:256 ~make:(fun n -> Array.make n 0) in
+  raises "no chunk holds a cell not added" (fun () -> Chunks.chunk chunks 0)
 
 (* A pushed float is stored unboxed, from the box the caller already holds
    (as a hook's time argument is), and the words written for a digest

@@ -263,7 +263,10 @@ let test_trivial_plan_bit_identical () =
    immediately preceding delivery or the next not-yet-delivered send in
    order; anything else is a reorder. Sends swallowed by a down link,
    copies voided by a link failure and injected losses all just advance
-   the queue — they can never excuse a reorder. *)
+   the queue — they can never excuse a reorder. The wire rebuilds each
+   update it delivers, so deliveries match sends by value: two sends equal
+   by value look the same to every consumer, so any reorder a consumer
+   can observe is still one here. *)
 let fifo_violations ~seed =
   let graph = Builders.mesh ~rows:3 ~cols:3 in
   let config =
@@ -293,13 +296,13 @@ let fifo_violations ~seed =
       | Some t when time < t -> incr violations
       | _ -> Hashtbl.replace last_time key time);
       match Hashtbl.find_opt last key with
-      | Some u' when u' == u -> () (* injected duplicate of the previous delivery *)
+      | Some u' when Update.equal u' u -> () (* injected duplicate of the previous delivery *)
       | _ ->
           let q = queue_of key in
           let rec advance () =
             match Queue.take_opt q with
             | None -> incr violations
-            | Some s when s == u -> Hashtbl.replace last key u
+            | Some s when Update.equal s u -> Hashtbl.replace last key u
             | Some _ -> advance () (* lost, voided, or swallowed send *)
           in
           advance ());

@@ -213,6 +213,44 @@ let test_compact_idempotent () =
       Alcotest.(check string) "second compaction is a no-op byte-wise"
         bytes_once (read_file path))
 
+(* Compaction copies a journal only when its scan drops a line: a clean
+   journal keeps its inode and its bytes, while one with a duplicate line
+   or a torn tail is still rewritten, and so renamed over by a new
+   inode. *)
+let test_compact_leaves_clean_journal () =
+  let inode path = (Unix.stat path).Unix.st_ino in
+  let counts c = [ c.Journal.kept; c.Journal.dropped_duplicates; c.Journal.dropped_corrupt ] in
+  let two_entries path =
+    let w = Journal.create path in
+    Journal.append w ~key:"a" (Journal.Crashed "one");
+    Journal.append w ~key:"b" (Journal.Crashed "two");
+    Journal.close w
+  in
+  with_tmp (fun path ->
+      two_entries path;
+      let bytes = read_file path and ino = inode path in
+      Alcotest.(check (list int)) "clean: counts" [ 2; 0; 0 ] (counts (Journal.compact path));
+      Alcotest.(check int) "clean: same inode" ino (inode path);
+      Alcotest.(check string) "clean: same bytes" bytes (read_file path));
+  List.iter
+    (fun (what, damage, expected) ->
+      with_tmp (fun path ->
+          two_entries path;
+          damage path;
+          let ino = inode path in
+          Alcotest.(check (list int)) (what ^ ": counts") expected (counts (Journal.compact path));
+          Alcotest.(check bool) (what ^ ": rewritten") true (inode path <> ino);
+          Alcotest.(check int) (what ^ ": loads clean") 0 (Journal.load path).Journal.corrupt))
+    [
+      ( "duplicate line",
+        (fun path ->
+          let w = Journal.create path in
+          Journal.append w ~key:"a" (Journal.Crashed "three");
+          Journal.close w),
+        [ 2; 1; 0 ] );
+      ("torn tail", (fun path -> write_file path (read_file path ^ "c 0123 dead")), [ 2; 0; 1 ]);
+    ]
+
 let test_compact_result_payload_survives () =
   (* The payload a daemon serves must be untouched by compaction: same
      digest, bit for bit. *)
@@ -310,7 +348,7 @@ let test_torn_header_is_empty_journal () =
           let c = Journal.compact path in
           Alcotest.(check (list int)) (name "compact") [ 0; 0; 0 ]
             [ c.Journal.kept; c.Journal.dropped_duplicates; c.Journal.dropped_corrupt ];
-          Alcotest.(check string) (name "compacted to a header") header_line (read_file path));
+          Alcotest.(check string) (name "compact left it alone") text (read_file path));
       with_tmp (fun path ->
           write_file path text;
           let w = Journal.create path in
@@ -587,6 +625,8 @@ let suite =
     Alcotest.test_case "compact drops duplicates and corrupt" `Quick
       test_compact_drops_duplicates_and_corrupt;
     Alcotest.test_case "compact is idempotent" `Quick test_compact_idempotent;
+    Alcotest.test_case "compact leaves a clean journal's inode" `Quick
+      test_compact_leaves_clean_journal;
     Alcotest.test_case "compact preserves result payloads" `Quick
       test_compact_result_payload_survives;
     Alcotest.test_case "compact rejects non-journal" `Quick

@@ -264,6 +264,110 @@ let test_deliver_remote_refusal_leaves_nothing () =
   Sim.run sim;
   Alcotest.(check int) "delivered" 0 (Network.in_flight net)
 
+(* ------------------------------------------------------------------ *)
+(* Wire round trip                                                     *)
+
+(* Every shape a row must carry: both kinds, with and without a root
+   cause, every rel-pref, and withdrawn prefix ids up to the largest a
+   timer key holds. Announced prefix ids stay small, since a router sizes
+   its slot columns by the largest one it holds an entry for. *)
+let prefix_mask = (1 lsl Router.prefix_bits) - 1
+
+let gen_update =
+  let open QCheck.Gen in
+  let rc =
+    opt
+      (map3
+         (fun link down seq ->
+           Root_cause.make ~link
+             ~status:(if down then Root_cause.Link_down else Root_cause.Link_up)
+             ~seq)
+         (pair (int_bound 3) (int_bound 3))
+         bool nat)
+  in
+  let announce =
+    map3
+      (fun (p, path) rc rel_pref ->
+        let route = Route.make ~prefix:(Prefix.v p) ~path:(As_path.of_list path) in
+        Update.Announce { route; rc; rel_pref })
+      (pair (int_bound 7) (list_size (int_bound 3) (int_bound 9)))
+      rc
+      (oneofl [ None; Some Update.Better; Some Update.Worse; Some Update.Same_pref ])
+  in
+  let withdrawn =
+    frequency
+      [
+        (2, int_bound 7);
+        (2, int_bound prefix_mask);
+        (1, return prefix_mask);
+      ]
+  in
+  oneof [ announce; map2 (fun p rc -> Update.Withdraw { prefix = Prefix.v p; rc }) withdrawn rc ]
+
+(* Batches of (link, update), a batch now and then long enough to fill
+   the first 8,192-row chunk and spill into the next. *)
+let gen_batches =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (list_size (frequency [ (6, int_bound 300); (1, int_range 8190 8300) ])
+         (pair (int_bound 2) gen_update)))
+
+(* On the line 0-1-2-3 only routers 1 and 3 are owned here, so whatever
+   they send in reply goes to the outbox and every local delivery is one
+   the test put on the wire: on links 0->1, 2->1 and 2->3, both directions
+   of a slot. Each batch is put on the wire at once, at strictly rising
+   times, and delivered before the next, whose rows come off the free
+   list. *)
+let prop_wire_round_trip =
+  QCheck.Test.make ~count:30 ~name:"the wire delivers each update equal by value, FIFO per link"
+    (QCheck.make
+       ~print:(fun batches ->
+         String.concat " | "
+           (List.map
+              (fun batch ->
+                String.concat "; "
+                  (List.map (fun (l, u) -> Format.asprintf "%d:%a" l Update.pp u) batch))
+              batches))
+       gen_batches)
+    (fun batches ->
+      let graph = Builders.line 4 in
+      let sim = Sim.create () in
+      let net =
+        Network.create ~ownership:([| false; true; false; true |], ignore) ~config:fast_config
+          sim graph
+      in
+      let links = [| (0, 1); (2, 1); (2, 3) |] in
+      let sent = Array.make 3 [] and delivered = Array.make 3 [] in
+      let link_of src dst =
+        let rec find l = if links.(l) = (src, dst) then l else find (l + 1) in
+        find 0
+      in
+      (Network.hooks net).Hooks.on_deliver <-
+        (fun ~time:_ ~src ~dst u ->
+          let l = link_of src dst in
+          delivered.(l) <- u :: delivered.(l));
+      List.iter
+        (fun batch ->
+          let now = Sim.now sim in
+          List.iteri
+            (fun j (l, update) ->
+              let src, dst = links.(l) in
+              sent.(l) <- update :: sent.(l);
+              Network.deliver_remote net
+                {
+                  Network.remote_eid = Option.get (Graph.edge_id graph src dst);
+                  remote_src = src;
+                  remote_dst = dst;
+                  remote_at = now +. 1. +. (float_of_int j *. 1e-3);
+                  remote_epoch = 0;
+                  remote_update = update;
+                })
+            batch;
+          Sim.run sim)
+        batches;
+      Network.in_flight net = 0
+      && Array.for_all2 (List.equal Update.equal) sent delivered)
+
 let suite =
   [
     Alcotest.test_case "line propagation" `Quick test_line_propagation;
@@ -282,4 +386,5 @@ let suite =
     Alcotest.test_case "delivered updates are released" `Quick test_delivered_updates_released;
     Alcotest.test_case "deliver_remote: refused message leaves nothing" `Quick
       test_deliver_remote_refusal_leaves_nothing;
+    QCheck_alcotest.to_alcotest prop_wire_round_trip;
   ]

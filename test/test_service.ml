@@ -627,6 +627,36 @@ let json_contains_int body name value =
   in
   find 0
 
+(* A daemon restarted on a clean journal compacts nothing: the file keeps
+   its inode, and the startup summary still counts the entry it kept. A
+   torn tail is still cut away by a rewrite. *)
+let test_e2e_restart_keeps_clean_journal () =
+  with_server @@ fun ~socket ~journal ~cfg ~stop ->
+  ignore (query_body socket (small_spec ~seed:6 ()));
+  Alcotest.(check bool) "first daemon drained" true (stop () = Server.Drained);
+  let inode () = (Unix.stat journal).Unix.st_ino in
+  let restart expected =
+    let t = Server.create cfg in
+    let stats = Server.stats_json t in
+    let d = Domain.spawn (fun () -> Server.serve t) in
+    Server.request_stop t;
+    ignore (Domain.join d);
+    List.iter2
+      (fun name value ->
+        Alcotest.(check bool) (Printf.sprintf "%s = %d" name value) true
+          (json_contains_int stats name value))
+      [ "compacted_kept"; "compacted_duplicates"; "compacted_corrupt" ]
+      expected
+  in
+  let clean = inode () in
+  restart [ 1; 0; 0 ];
+  Alcotest.(check int) "clean journal keeps its inode" clean (inode ());
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal in
+  output_string oc "torn";
+  close_out oc;
+  restart [ 1; 0; 1 ];
+  Alcotest.(check bool) "torn journal rewritten" true (inode () <> clean)
+
 let test_e2e_shed_when_full () =
   with_server ~max_pending:0 @@ fun ~socket ~journal:_ ~cfg:_ ~stop ->
   let client = Client.connect ~timeout:10. ~retry_for:5. socket in
@@ -898,6 +928,8 @@ let suite =
       `Quick test_e2e_concurrent_clients;
     Alcotest.test_case "e2e: restart replays the journal" `Quick
       test_e2e_restart_replays_journal;
+    Alcotest.test_case "e2e: restart leaves a clean journal alone" `Quick
+      test_e2e_restart_keeps_clean_journal;
     Alcotest.test_case "e2e: sheds when the queue is full" `Quick
       test_e2e_shed_when_full;
     Alcotest.test_case "e2e: invalid queries and raw garbage" `Quick
