@@ -66,10 +66,6 @@ let drain_grace_arg =
   in
   Arg.(value & opt (some float) None & info [ "drain-grace" ] ~docv:"SECONDS" ~doc)
 
-let no_compact_arg =
-  let doc = "Skip journal compaction at startup." in
-  Arg.(value & flag & info [ "no-compact" ] ~doc)
-
 let shard_id_arg =
   let doc =
     "This daemon's index in a sharded fleet (0-based, < $(b,--shard-count)). \
@@ -110,7 +106,7 @@ let man =
   ]
 
 let main socket journal jobs deadline retries max_pending cache io_timeout
-    drain_grace no_compact shard_id shard_count accept_any =
+    drain_grace shard_id shard_count accept_any =
   let cfg =
     {
       Server.socket_path = socket;
@@ -122,7 +118,6 @@ let main socket journal jobs deadline retries max_pending cache io_timeout
       cache;
       io_timeout;
       drain_grace;
-      compact_on_start = not no_compact;
       shard_id;
       shard_count;
       accept_any;
@@ -158,7 +153,7 @@ let cmd =
     Term.(
       const main $ socket_arg $ journal_arg $ jobs_arg $ deadline_arg
       $ retries_arg $ max_pending_arg $ cache_arg $ io_timeout_arg
-      $ drain_grace_arg $ no_compact_arg $ shard_id_arg $ shard_count_arg
+      $ drain_grace_arg $ shard_id_arg $ shard_count_arg
       $ accept_any_arg)
 
 let () = exit (Cmd.eval cmd)

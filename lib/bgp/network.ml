@@ -4,20 +4,27 @@ module Graph = Rfd_topology.Graph
 module Column = Rfd_engine.Column
 
 (* The in-flight table: one row per message on the wire, network-wide,
-   in five columns that share one chunk spine. A row holds the directed
-   slot, the sender-side link epoch, the announced route ([withdrawn] for
-   a withdrawal), the sender's shared root-cause option and a code: bit 0
-   set for a withdrawal, and above it a withdrawal's prefix id or an
-   announcement's rel-pref code. A delivery event is a post of the row
-   index on the network's delivery channel, and [deliver] rebuilds the
-   update from the row, so a message in flight owns no heap block: it
-   costs five table words and three heap words. The first chunk doubles
-   from 256 rows up to [Column.chunk_cells]; later chunks are never
-   copied. Free rows are chained through [w_link] and hold [None], so a
-   delivered root cause is released at once; a free row's route is
-   interned, so it keeps nothing alive. *)
+   in five columns that share one chunk spine. A row holds a link to
+   another row, the sender-side link epoch, the announced route
+   ([withdrawn] for a withdrawal), the sender's shared root-cause option
+   and a code: bit 0 set for a withdrawal, and above it a withdrawal's
+   prefix id or an announcement's rel-pref code. A message in flight owns
+   no heap block: it costs five table words and two heap words.
+
+   A delivery event is a post of the directed slot alone on the network's
+   delivery channel, so same-instant deliveries run in slot order and
+   compare with other events by what they are, never by the row, which
+   depends on the partition layout. The rows in flight on a slot form a
+   ring in send order: [w_last] holds the slot's newest row, and each row
+   links to the next newer one, the newest to the oldest. Deliveries on a
+   slot pop in send order (the FIFO floor in [send_copy] gives them
+   increasing times), so [deliver] takes the ring's oldest row. The first
+   chunk doubles from 256 rows up to [Column.chunk_cells]; later chunks
+   are never copied. Free rows are chained through [w_link] and hold
+   [None], so a delivered root cause is released at once; a free row's
+   route is interned, so it keeps nothing alive. *)
 type rows = {
-  w_link : int array; (* directed slot; next free row when free *)
+  w_link : int array; (* next row in the slot's ring; next free row when free *)
   w_epoch : int array;
   w_route : Route.t array;
   w_rc : Root_cause.t option array;
@@ -27,6 +34,7 @@ type rows = {
 type wire = {
   w_rows : rows Column.Chunks.t;
   mutable w_free : int; (* head of the free-row list, -1 when empty *)
+  w_last : int array; (* by slot: its newest row in flight, -1 when none *)
 }
 
 (* A withdrawal's route cell; never interned or delivered. *)
@@ -197,10 +205,14 @@ let fault_salt = 0x7fa9_1e55
    arrives through here. The epoch guard drops it when its link failed (or
    an endpoint crashed) while it was in flight; an update is rebuilt only
    for a message that arrives. *)
-let deliver t row =
+let deliver t slot =
   let w = t.wire in
+  let last = w.w_last.(slot) in
+  let lc = Column.Chunks.chunk w.w_rows last and lj = last land cell_mask in
+  let row = lc.w_link.(lj) in
   let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
-  let slot = c.w_link.(j) and epoch = c.w_epoch.(j) and route = c.w_route.(j) in
+  if row = last then w.w_last.(slot) <- -1 else lc.w_link.(lj) <- c.w_link.(j);
+  let epoch = c.w_epoch.(j) and route = c.w_route.(j) in
   let rc = c.w_rc.(j) and code = c.w_code.(j) in
   c.w_link.(j) <- w.w_free;
   c.w_rc.(j) <- None;
@@ -221,16 +233,23 @@ let deliver t row =
 
 (* The post comes first, so a delivery time the simulator refuses leaves
    the table and the in-flight count untouched. The row keeps the
-   update's fields, not the update. *)
+   update's fields, not the update, and becomes its slot's newest. *)
 let put_on_wire t ~at ~slot ~epoch update =
   let w = t.wire in
   (* With the free list empty, a new row is its end. *)
   if w.w_free < 0 then w.w_free <- Column.Chunks.add ~make:make_rows ~blit:blit_rows w.w_rows;
   let row = w.w_free in
-  Sim.post t.sim t.deliver_on ~time:at row;
+  Sim.post t.sim t.deliver_on ~time:at slot;
   let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
   w.w_free <- c.w_link.(j);
-  c.w_link.(j) <- slot;
+  let last = w.w_last.(slot) in
+  if last < 0 then c.w_link.(j) <- row
+  else begin
+    let lc = Column.Chunks.chunk w.w_rows last and lj = last land cell_mask in
+    c.w_link.(j) <- lc.w_link.(lj);
+    lc.w_link.(lj) <- row
+  end;
+  w.w_last.(slot) <- row;
   c.w_epoch.(j) <- epoch;
   (match update with
   | Update.Announce { route; rc; rel_pref } ->
@@ -247,7 +266,10 @@ let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < 
 
 (* One copy on directed link [slot]: sample a delay, keep per-direction
    FIFO order, and stamp the sender-side epoch so a failure while in flight
-   drops it. When the destination belongs to another partition the
+   drops it. The floor is strict: a copy lands at least 1 ns after the
+   link's last one, or one ulp after it where adding 1 ns rounds back
+   (from 2^24 s, about 194 days, on), so no two deliveries on a link share
+   an instant. When the destination belongs to another partition the
    fully-timestamped message goes to the outbox instead of the local event
    queue; its delivery time is at least link_delay beyond now, which is
    exactly the lookahead the epoch engine runs with, so it can wait for the
@@ -261,7 +283,8 @@ let send_copy t slot ~src ~dst update =
       t.config.Config.link_delay
       +. if jitter > 0. then Rng.column_float t.delay_streams slot jitter else 0.
     in
-    let at = Float.max (Sim.now t.sim +. delay) (Float.Array.get t.floor slot +. 1e-9) in
+    let floor = Float.Array.get t.floor slot in
+    let at = Float.max (Sim.now t.sim +. delay) (Float.max (floor +. 1e-9) (Float.succ floor)) in
     Float.Array.set t.floor slot at;
     let eid = slot lsr 1 in
     let epoch = t.epoch.(eid) in
@@ -371,8 +394,13 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         duplication = Float.Array.make (2 * m) 0.;
         delay_streams = streams config ~salt:delay_salt (2 * m);
         fault_streams = Rng.column 0 ~seed:Fun.id;
-        wire = { w_rows = Column.Chunks.create ~first:256 ~make:make_rows; w_free = -1 };
-        deliver_on = Sim.channel sim (fun _ row -> deliver (Lazy.force self) row);
+        wire =
+          {
+            w_rows = Column.Chunks.create ~first:256 ~make:make_rows;
+            w_free = -1;
+            w_last = Array.make (2 * m) (-1);
+          };
+        deliver_on = Sim.channel sim (fun _ slot -> deliver (Lazy.force self) slot);
         flush_on =
           Sim.channel sim (fun _ key -> session_timer (Lazy.force self) Router.flush_due key);
         reuse_on =

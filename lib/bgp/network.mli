@@ -4,27 +4,33 @@
     the only way to drive a network; this module is its shard.
 
     Per-message delay is [link_delay + U(0, link_jitter)], and deliveries on
-    a directed link never reorder. Failing a link drops in-flight messages
-    on it and signals both endpoint routers; restoring it triggers full-table
-    re-advertisement (BGP session restart semantics).
+    a directed link never reorder or share an instant: each lands at least
+    1 ns (or, from 2{^24} s on, one ulp) after the link's previous one.
+    Failing a link drops in-flight messages on it and signals both endpoint
+    routers; restoring it triggers full-table re-advertisement (BGP session
+    restart semantics).
 
     Messages on the wire are rows of one network-wide in-flight table,
     five columns on one {!Rfd_engine.Column.Chunks} spine with a free
-    list: the directed link, the sender-side link epoch, the route, the
-    sender's root-cause option, and one int for the kind, the rel-pref and
-    a withdrawal's prefix id. Sending copies an update's fields into a row
-    and keeps no pointer to the update; each delivery is a
-    {!Rfd_engine.Sim.post} of the row index to one delivery function,
-    shared by local sends and {!deliver_remote}, which rebuilds the
-    update. A message in flight costs eight words (five in its row, three
-    in its heap entry), owns no heap block and builds no closure, and its
-    row drops the root cause as soon as it is delivered. So
-    {!Hooks.t.on_deliver} sees an update equal ({!Update.equal}) to the
-    one {!Hooks.t.on_send} saw, but not the same block.
+    list: a link to the next row, the sender-side link epoch, the route,
+    the sender's root-cause option, and one int for the kind, the
+    rel-pref and a withdrawal's prefix id. A directed link's rows in
+    flight form a ring in send order. Sending copies an update's fields
+    into a row and keeps no pointer to the update; each delivery is a
+    {!Rfd_engine.Sim.post} of the directed link's slot (below) to one
+    delivery function, shared by local sends and {!deliver_remote}, which
+    takes the slot's oldest row and rebuilds the update. The simulator
+    breaks same-instant ties by post argument, so a delivery's place at
+    its instant depends on its link alone, at every partition count,
+    never on its row. A message in flight costs seven words (five in its
+    row, two in its heap entry), owns no heap block and builds no
+    closure, and its row drops the root cause as soon as it is delivered.
+    So {!Hooks.t.on_deliver} sees an update equal ({!Update.equal}) to
+    the one {!Hooks.t.on_send} saw, but not the same block.
 
     Link state is held in columns: per link its administrative state and
-    epoch, and per directed link — at the in-flight table's slot
-    [2*eid + dir], [dir = 0] from the lower node id — its FIFO floor, loss
+    epoch, and per directed link — at slot [2*eid + dir], [dir = 0] from
+    the lower node id — its newest row in flight, its FIFO floor, loss
     and duplication as unboxed floats, and its delay and fault streams as
     8-byte {!Rfd_engine.Rng.column} states. Every router sends through one
     transport function keyed by that slot, so a session owns no transport

@@ -665,8 +665,9 @@ let wheel_fire t w slot =
    the entry to the slot covering the new instant (RFC 2439's "move to
    another reuse list"). A bucket emptied by migration retracts its post
    rather than firing a pointless re-check; if the slot is armed again
-   before that post's time, the new post is the later one, so the
-   retraction still names the stale post. *)
+   before that post's time, the new post falls due no earlier than the
+   stale one, and one at the same instant is interchangeable with it, so
+   the retraction still names the stale post. *)
 let wheel_postpone t w s pen =
   let slot = wheel_slot_for w pen s ~now:(Sim.now t.sim) in
   let current = t.wheel_slot.(s) in

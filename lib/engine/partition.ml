@@ -6,9 +6,9 @@
    and need no locking; the barrier (which happens-before the next epoch
    through Par_sim's lock) drains every queue on the coordinating
    domain in a fixed (dst, src, post order) sequence. Messages themselves
-   carry their delivery timestamps, so the fixed drain order plus the
-   receiving simulator's (time, scheduling-order) heap key make the global
-   pop order independent of the partition count. *)
+   carry their delivery timestamps, and the receiving simulator orders
+   same-instant events by their post arguments, so the pop order does not
+   depend on the drain order. *)
 
 type 'msg t = { parts : int; queues : 'msg Queue.t array (* row-major: src * parts + dst *) }
 

@@ -5,12 +5,11 @@
     during an epoch, partition [p]'s domain may post only with [~src:p],
     and nothing reads until the barrier — the epoch's end, reported under
     {!Par_sim}'s lock, establishes the happens-before edge, so no locking
-    is needed here. {!drain}
-    empties every queue on the coordinating domain in a fixed
-    (dst ascending, src ascending, post order) sequence, which — together
-    with per-message delivery timestamps and the receiving simulator's
-    (time, scheduling-order) key — makes the global event pop order
-    independent of the partition count. *)
+    is needed here. {!drain} empties every queue on the coordinating
+    domain in a fixed (dst ascending, src ascending, post order) sequence.
+    The order of the receiving simulator's events does not depend on it:
+    each message carries its delivery timestamp, and the simulator orders
+    same-instant events by what they are ({!Sim.post}). *)
 
 type 'msg t
 

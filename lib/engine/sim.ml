@@ -1,9 +1,10 @@
-(* The pending-event queue is a binary heap stored as three columns, so that
-   no pending event owns a heap block: [times] (an unboxed float array),
-   [orders] (the scheduling counter, the FIFO tie-break) and [tags]. A tag
-   packs a channel number in its low [channel_bits] bits and the channel's
-   int argument above them; popping an event calls the channel's handler
-   with that argument.
+(* The pending-event queue is a binary heap stored as two columns, so that
+   no pending event owns a heap block: [times] (an unboxed float array) and
+   [tags]. A tag packs a channel number in its low [channel_bits] bits and
+   the channel's int argument above them; popping an event calls the
+   channel's handler with that argument. Events pop in (time, tag) order:
+   the tag is the tie-break at one instant, so an event's place depends
+   only on what it is, not on when it was posted.
 
    A post is dead once [retract]ed: [retracted] counts, per tag, how many of
    that tag's earliest pending entries are dead. The root is the earliest
@@ -12,11 +13,9 @@
 
 type t = {
   mutable clock : float;
-  mutable seq : int;
   mutable live : int;
   mutable executed : int array; (* by channel: events run *)
   mutable times : Float.Array.t;
-  mutable orders : int array;
   mutable tags : int array;
   mutable size : int;
   mutable dead : int; (* retracted posts still occupying heap slots *)
@@ -35,11 +34,9 @@ let max_arg = max_int lsr channel_bits
 let create () =
   {
     clock = 0.;
-    seq = 0;
     live = 0;
     executed = [||];
     times = Float.Array.create 0;
-    orders = [||];
     tags = [||];
     size = 0;
     dead = 0;
@@ -53,39 +50,36 @@ let now t = t.clock
 
 (* The heap helpers take an event's time as an unboxed float; they are
    inlined so that passing it does not box it. *)
-let[@inline] earlier (time : float) (order : int) time' order' =
-  time < time' || (time = time' && order < order')
+let[@inline] earlier (time : float) (tag : int) time' tag' =
+  time < time' || (time = time' && tag < tag')
 
 let[@inline] move t ~src ~dst =
   Float.Array.unsafe_set t.times dst (Float.Array.unsafe_get t.times src);
-  Array.unsafe_set t.orders dst (Array.unsafe_get t.orders src);
   Array.unsafe_set t.tags dst (Array.unsafe_get t.tags src)
 
-let[@inline] place t i time order tag =
+let[@inline] place t i time tag =
   Float.Array.unsafe_set t.times i time;
-  Array.unsafe_set t.orders i order;
   Array.unsafe_set t.tags i tag
 
-(* Put the event (time, order, tag) into the hole at [i], moving earlier
-   parents down. *)
-let[@inline] sift_up t i time order tag =
+(* Put the event (time, tag) into the hole at [i], moving earlier parents
+   down. *)
+let[@inline] sift_up t i time tag =
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if earlier time order (Float.Array.unsafe_get t.times parent)
-         (Array.unsafe_get t.orders parent)
+    if earlier time tag (Float.Array.unsafe_get t.times parent) (Array.unsafe_get t.tags parent)
     then begin
       move t ~src:parent ~dst:!i;
       i := parent
     end
     else continue := false
   done;
-  place t !i time order tag
+  place t !i time tag
 
-(* Put the event (time, order, tag) into the hole at [i], moving earlier
-   children up. *)
-let[@inline] sift_down t i time order tag =
+(* Put the event (time, tag) into the hole at [i], moving earlier children
+   up. *)
+let[@inline] sift_down t i time tag =
   let i = ref i in
   let continue = ref true in
   while !continue do
@@ -95,13 +89,12 @@ let[@inline] sift_down t i time order tag =
       let right = left + 1 in
       let child =
         if right < t.size
-           && earlier (Float.Array.unsafe_get t.times right) (Array.unsafe_get t.orders right)
-                (Float.Array.unsafe_get t.times left) (Array.unsafe_get t.orders left)
+           && earlier (Float.Array.unsafe_get t.times right) (Array.unsafe_get t.tags right)
+                (Float.Array.unsafe_get t.times left) (Array.unsafe_get t.tags left)
         then right
         else left
       in
-      if earlier (Float.Array.unsafe_get t.times child) (Array.unsafe_get t.orders child) time
-           order
+      if earlier (Float.Array.unsafe_get t.times child) (Array.unsafe_get t.tags child) time tag
       then begin
         move t ~src:child ~dst:!i;
         i := child
@@ -109,7 +102,7 @@ let[@inline] sift_down t i time order tag =
       else continue := false
     end
   done;
-  place t !i time order tag
+  place t !i time tag
 
 let extend a n fill =
   let b = Array.make n fill in
@@ -122,25 +115,20 @@ let grow_heap t =
   let times = Float.Array.create new_cap in
   Float.Array.blit t.times 0 times 0 cap;
   t.times <- times;
-  t.orders <- extend t.orders new_cap 0;
   t.tags <- extend t.tags new_cap 0
 
-(* Queue an event with the next scheduling order. *)
 let[@inline] push t time tag =
   if t.size >= Array.length t.tags then grow_heap t;
-  let order = t.seq in
-  t.seq <- order + 1;
   t.size <- t.size + 1;
   if t.size > t.max_size then t.max_size <- t.size;
   t.live <- t.live + 1;
-  sift_up t (t.size - 1) time order tag
+  sift_up t (t.size - 1) time tag
 
 let pop_root t =
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then
-    sift_down t 0 (Float.Array.unsafe_get t.times last) (Array.unsafe_get t.orders last)
-      (Array.unsafe_get t.tags last)
+    sift_down t 0 (Float.Array.unsafe_get t.times last) (Array.unsafe_get t.tags last)
 
 (* A heap entry is dead when it is a retracted post. This answer holds
    only at the root, the earliest entry: [compact] works out the others
@@ -166,28 +154,26 @@ let drop_dead t =
    grows the heap without bound). When more than half the occupied slots
    are dead, rebuild in place: keep the pending events, drop the rest, and
    re-establish the heap property bottom-up (Floyd). Pop order is
-   untouched — it is fully determined by the total (time, order) key, not
-   by the heap's internal layout. *)
+   untouched — it is fully determined by the (time, tag) key, not by the
+   heap's internal layout: entries equal in both are the same event. *)
 let compact_threshold = 64
 
 (* Heap indices of the retracted posts: of each retracted tag's entries,
-   the earliest [count] in (time, order). *)
+   the earliest [count] in time. Entries of one tag at one time are
+   interchangeable, so which of them is taken does not matter. *)
 let retracted_entries t =
   let candidates = ref [] in
   for i = t.size - 1 downto 0 do
     if Hashtbl.mem t.retracted t.tags.(i) then candidates := i :: !candidates
   done;
-  let by_key i j =
-    let ti = Float.Array.get t.times i and tj = Float.Array.get t.times j in
-    if ti <> tj then Float.compare ti tj else Int.compare t.orders.(i) t.orders.(j)
-  in
+  let by_time i j = Float.compare (Float.Array.get t.times i) (Float.Array.get t.times j) in
   let owed = Hashtbl.copy t.retracted in
   List.filter
     (fun i ->
       let tag = t.tags.(i) in
       let n = Hashtbl.find owed tag in
       n > 0 && (Hashtbl.replace owed tag (n - 1); true))
-    (List.sort by_key !candidates)
+    (List.sort by_time !candidates)
 
 let compact t =
   let doomed = Bytes.make t.size '\000' in
@@ -204,8 +190,7 @@ let compact t =
   t.dead <- 0;
   t.compactions <- t.compactions + 1;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i (Float.Array.unsafe_get t.times i) (Array.unsafe_get t.orders i)
-      (Array.unsafe_get t.tags i)
+    sift_down t i (Float.Array.unsafe_get t.times i) (Array.unsafe_get t.tags i)
   done
 
 let maybe_compact t =

@@ -1,16 +1,19 @@
 (** Discrete-event simulation core.
 
     A simulator owns a virtual clock and a priority queue of pending events.
-    Events scheduled for the same instant execute in scheduling (FIFO) order,
-    which keeps runs deterministic.
+    Events scheduled for the same instant execute in ascending (argument,
+    channel) order, whenever and in whatever order they were posted, which
+    keeps runs deterministic and makes an event's place at its instant a
+    function of what it is.
 
     There is one kind of event, the {e post}: a handler registered with
     {!channel} and an int argument. The queue is a binary heap held as
-    three columns — an unboxed float array of times, the scheduling order,
-    and an int tag naming the channel and the argument — so a pending
-    event costs three words and owns no heap block, and {!post} allocates
-    nothing. Handlers receive the simulator and may post or {!retract}
-    further events; {!retract} is the only way to cancel one.
+    two columns — an unboxed float array of times and an int tag packing
+    the argument above the channel number — so a pending event costs two
+    words and owns no heap block, and {!post} allocates nothing. Events
+    pop in (time, tag) order. Handlers receive the simulator and may post
+    or {!retract} further events; {!retract} is the only way to cancel
+    one.
 
     This is the substrate replacing SSFNet's event core in the paper's
     experiments. *)
@@ -37,8 +40,9 @@ val max_arg : int
 
 val post : t -> channel -> time:float -> int -> unit
 (** [post sim ch ~time arg] queues [arg] for [ch]'s handler at [time],
-    without allocating. Every post draws the next scheduling order from
-    one counter, so all events pop in (time, scheduling order). Raises
+    without allocating. Events pop in (time, [arg], [ch]) order: at one
+    instant the smaller argument runs first, and of equal arguments the
+    lower channel. Two posts equal in all three are interchangeable. Raises
     [Invalid_argument] on a NaN time, a time in the past, an [arg]
     outside [0, 2{^54} - 1], or a channel number this simulator has not
     registered. A channel means something only to the simulator that
@@ -46,15 +50,14 @@ val post : t -> channel -> time:float -> int -> unit
 
 val retract : t -> channel -> int -> unit
 (** [retract sim ch arg] cancels the earliest pending post of [arg] on
-    [ch], in (time, scheduling order): it never runs, and it leaves
-    {!pending} at once and counts in {!dead_count} until its heap slot is
-    dropped. Posts of one argument are told apart only by that order, so a
-    caller that re-posts an argument while an earlier post of it is
-    retracted must post the new one no earlier in (time, order) — which
-    any later post at the same or a later time is. The caller guarantees
-    that such a live post is pending; retracting one that is not corrupts
-    the counts. Raises [Invalid_argument] like {!post} on a bad [arg] or
-    channel. *)
+    [ch] in time: it never runs, and it leaves {!pending} at once and
+    counts in {!dead_count} until its heap slot is dropped. Posts of one
+    argument are told apart only by their times, so a caller that re-posts
+    an argument while an earlier post of it is retracted must post the new
+    one no earlier in time; one at the same time is interchangeable with
+    the retracted one. The caller guarantees that such a live post is
+    pending; retracting one that is not corrupts the counts. Raises
+    [Invalid_argument] like {!post} on a bad [arg] or channel. *)
 
 val pending : t -> int
 (** Number of live (non-retracted) pending events. *)
@@ -65,7 +68,7 @@ val pending : t -> int
     until it surfaces at the root — or until a compaction pass reclaims
     it. Compaction runs automatically when more than half the occupied
     slots are dead (and the heap holds at least 64 events); it preserves
-    the exact (time, scheduling-order) pop sequence. *)
+    the exact (time, tag) pop sequence. *)
 
 val heap_size : t -> int
 (** Occupied heap slots right now, live plus dead. *)

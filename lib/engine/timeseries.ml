@@ -58,20 +58,28 @@ let fold_values t init f =
 let max_value t = if is_empty t then None else Some (fold_values t neg_infinity Float.max)
 let min_value t = if is_empty t then None else Some (fold_values t infinity Float.min)
 
+(* The bin count: the span over the width, rounded up, except that a
+   quotient within rounding (1e-9 relative) of a whole number k counts k
+   bins. A width computed as [span /. k] can give a quotient of
+   [k + 1e-14], and rounding up would add a bin one ulp wide. *)
 let check_bins ~width ~t0 ~t1 =
   if width <= 0. then invalid_arg "Timeseries: bin width must be positive";
   if t1 < t0 then invalid_arg "Timeseries: t1 < t0";
-  int_of_float (ceil ((t1 -. t0) /. width))
+  let q = (t1 -. t0) /. width in
+  let k = Float.round q in
+  int_of_float (if Float.abs (q -. k) <= 1e-9 *. k then k else ceil q)
 
-(* Sum [value i] over the [size] samples timed [time i] into each bin. *)
+(* Sum [value i] over the [size] samples timed [time i] into each bin. A
+   sample in the few ulps that k bins can fall short of [t1] goes in the
+   last one. *)
 let bin_values ~size ~time ~value ~width ~t0 ~t1 =
   let n = check_bins ~width ~t0 ~t1 in
   let sums = Array.make n 0. in
   for i = 0 to size - 1 do
     let at = time i in
     if at >= t0 && at < t1 then begin
-      let b = int_of_float ((at -. t0) /. width) in
-      if b >= 0 && b < n then sums.(b) <- sums.(b) +. value i
+      let b = min (n - 1) (int_of_float ((at -. t0) /. width)) in
+      sums.(b) <- sums.(b) +. value i
     end
   done;
   Array.init n (fun i -> (t0 +. (float_of_int i *. width), sums.(i)))

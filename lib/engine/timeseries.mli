@@ -55,7 +55,14 @@ val bin_sum : t -> width:float -> t0:float -> t1:float -> (float * float) array
 (** [bin_sum s ~width ~t0 ~t1] sums sample values falling in each
     half-open bin [\[t0 + i*width, t0 + (i+1)*width)] and returns
     [(bin_start, sum)] rows covering [\[t0, t1)]. Used for the paper's
-    update-series plots. *)
+    update-series plots.
+
+    The bin count is [(t1 - t0) / width] rounded up, except that a
+    quotient within rounding (1e-9 relative) of a whole number [k] gives
+    [k] bins: a width of [(t1 - t0) / k] always gives [k] bins, never a
+    [k+1]-th one ulp wide. A sample in [\[t0, t1)] beyond the last bin's
+    end (at most a few ulps) counts in the last bin. The same count holds
+    for {!bin_times} and {!bin_last}. *)
 
 val bin_times : float array -> width:float -> t0:float -> t1:float -> (float * float) array
 (** [bin_times times ~width ~t0 ~t1] counts the [times] falling in each

@@ -260,39 +260,54 @@ let check path =
       | Torn -> { r with checked_torn = true })
     { checked_valid = 0; checked_duplicates = 0; checked_corrupt = 0; checked_torn = false }
 
-type compaction = { kept : int; dropped_duplicates : int; dropped_corrupt : int }
+type compaction = {
+  kept : int;
+  dropped_duplicates : int;
+  dropped_corrupt : int;
+  extents : (string * int * int) list;
+}
 
-(* The lines at [newest]'s extents, in [keys] order, after a header:
-   rewrite-to-temp + rename, so the original file stays intact (and
-   loadable) until the atomic rename, and a crash mid-compaction loses
-   nothing. The temp file is fsync'd before the rename and the directory
-   after it, so the swap itself survives a power cut. *)
-let rewrite path newest keys =
+(* The lines at [extents], in order, after a header: rewrite-to-temp +
+   rename, so the original file stays intact (and loadable) until the
+   atomic rename, and a crash mid-compaction loses nothing. The temp file
+   is fsync'd before the rename and the directory after it, so the swap
+   itself survives a power cut. Returns each line's extent in the new
+   file. *)
+let rewrite path extents =
   let tmp = path ^ ".compact.tmp" in
   let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          write_fully fd header_line;
-          List.iter
-            (fun key ->
-              let offset, length = Hashtbl.find newest key in
-              let line = Bytes.create length in
-              seek_in ic offset;
-              really_input ic line 0 length;
-              write_fully fd (Bytes.unsafe_to_string line))
-            keys;
-          Unix.fsync fd));
+  let moved =
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+        let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            write_fully fd header_line;
+            let at = ref (String.length header_line) in
+            let moved =
+              List.map
+                (fun (key, offset, length) ->
+                  let line = Bytes.create length in
+                  seek_in ic offset;
+                  really_input ic line 0 length;
+                  write_fully fd (Bytes.unsafe_to_string line);
+                  let extent = (key, !at, length) in
+                  at := !at + length;
+                  extent)
+                extents
+            in
+            Unix.fsync fd;
+            moved))
+  in
   Unix.rename tmp path;
   (* Persist the rename itself (the directory entry); best-effort — some
      filesystems refuse fsync on a directory fd. *)
-  match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
+  (match Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 with
   | dirfd ->
       (try Unix.fsync dirfd with Unix.Unix_error _ -> ());
       Unix.close dirfd
-  | exception Unix.Unix_error _ -> ()
+  | exception Unix.Unix_error _ -> ());
+  moved
 
 (* Two passes: the scan finds each key's newest line, then those lines
    are copied from their extents in first-seen key order, so the output
@@ -312,5 +327,14 @@ let compact path =
         | Corrupt | Torn -> (order, duplicates, corrupt + 1))
       ([], 0, 0)
   in
-  if dropped_duplicates > 0 || dropped_corrupt > 0 then rewrite path newest (List.rev order);
-  { kept = Hashtbl.length newest; dropped_duplicates; dropped_corrupt }
+  let extents =
+    List.rev_map
+      (fun key ->
+        let offset, length = Hashtbl.find newest key in
+        (key, offset, length))
+      order
+  in
+  let extents =
+    if dropped_duplicates > 0 || dropped_corrupt > 0 then rewrite path extents else extents
+  in
+  { kept = Hashtbl.length newest; dropped_duplicates; dropped_corrupt; extents }

@@ -158,6 +158,10 @@ type compaction = {
   dropped_corrupt : int;
       (** malformed / digest-mismatched / unmarshallable lines, and a torn
           tail *)
+  extents : (string * int * int) list;
+      (** each kept line's key, byte offset and length (its newline
+          included) in the file as compaction leaves it, in first-seen key
+          order: an index of the journal from the one scan *)
 }
 
 val compact : string -> compaction

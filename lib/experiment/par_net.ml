@@ -9,14 +9,21 @@
      draw depends only on that link's own send sequence.
    - Every partition replays the full per-node RNG split sequence, so a
      router's jitter stream is a function of (seed, node) alone.
+   - Every simulator pops same-instant events in (argument, channel)
+     order, and every post argument names its event: a delivery its
+     directed link, a flush or reuse timer its (link, prefix), a wheel
+     bucket its (bucket, router), an op its row in the op table. No
+     argument holds anything the layout decides, such as a delivery's
+     in-flight row (see Network). So each partition runs its events in
+     the order the one-partition run gives them, whatever the link jitter.
    - Every scheduled operation is a row of one op table, posted by its
-     index. Workload operations (originate, withdraw) are routed to the
-     owning partition. Administrative ones (link fail/restore,
-     crash/restart) are broadcast: each partition executes them against
-     its own replica of link/router state and signals only its own
-     routers; the union equals the single-domain behaviour, and the
-     per-partition surplus executions are subtracted from the reported
-     event count.
+     index: of two ops at one instant, the one scheduled first pops first.
+     Workload operations (originate, withdraw) are routed to the owning
+     partition. Administrative ones (link fail/restore, crash/restart) are
+     broadcast: each partition executes them against its own replica of
+     link/router state and signals only its own routers; the union equals
+     the single-domain behaviour, and the per-partition surplus executions
+     are subtracted from the reported event count.
    - With several partitions, observation order is canonicalised by
      {!Recorder} at every barrier. With one there is nothing to merge: the
      sole network's hooks are the bus, and observers see events in
@@ -24,12 +31,7 @@
      at one timestamp — common, since tick-mode reuse wheels fire on a
      shared unjittered grid and a crash signals every neighbour at once —
      so {!Collector} keeps nothing that depends on that order, and the
-     transcript sorts each instant by owner itself.
-
-   Deliveries are assumed never to tie: two messages reaching one router
-   at the exact same timestamp are excluded almost surely by
-   [link_jitter > 0] (the default); with zero jitter, their order may
-   depend on the partition count. *)
+     transcript sorts each instant by owner itself. *)
 
 module Sim = Rfd_engine.Sim
 module Partition = Rfd_engine.Partition

@@ -11,12 +11,14 @@
     partitions, observations are canonicalised by {!Recorder} into one
     replay bus.
 
-    Execution is bit-identical for any partition count, 1 included:
-    transport draws come from per-directed-link RNG streams, so they do not
-    depend on how sends interleave across partitions. Determinism
-    additionally requires [link_jitter > 0] (the default): with zero
-    jitter, distinct deliveries can collide on the exact same timestamp and
-    their relative order may then depend on the partition count. *)
+    Execution is bit-identical for any partition count, 1 included, at any
+    link jitter, zero included: transport draws come from
+    per-directed-link RNG streams, so they do not depend on how sends
+    interleave across partitions, and every simulator breaks a
+    same-instant tie by what the events are ({!Rfd_engine.Sim.post}): a
+    delivery by its directed link, a timer by its session and prefix or
+    its wheel bucket and router, an operation by its row in the op
+    table. *)
 
 type t
 
@@ -59,14 +61,16 @@ val bus : t -> Rfd_bgp.Hooks.t
     sequence).
 
     The two orders differ only among different routers' events at one
-    timestamp. Such ties are routine: tick-mode reuse wheels fire on a
-    shared, unjittered grid, and a router crash signals all its neighbours
-    at once. They never change the simulation (routers interact only
-    through links with positive delay). {!Collector} is insensitive to
-    their order and {!Recorder.transcript} sorts each instant by owner, so
-    results and transcripts agree for every partition count. Any other
-    observer that prints events one by one sees ties in execution order at
-    one partition. *)
+    timestamp: execution order breaks such a tie by the events' post
+    arguments ({!Rfd_engine.Sim.post}), not by router. Such ties are
+    routine: tick-mode reuse wheels fire on a shared, unjittered grid, a
+    router crash signals all its neighbours at once, and without link
+    jitter deliveries share instants. They never change the simulation
+    (routers interact only through links with positive delay).
+    {!Collector} is insensitive to their order and {!Recorder.transcript}
+    sorts each instant by owner, so results and transcripts agree for
+    every partition count. Any other observer that prints events one by
+    one sees ties in execution order at one partition. *)
 
 val partitions : t -> int
 val graph : t -> Rfd_topology.Graph.t

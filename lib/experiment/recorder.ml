@@ -4,8 +4,9 @@
    partitions' buffers are merged, sorted by the total key
    (time, owner router, per-owner sequence) and replayed into a single
    observer bus. The key is partition-invariant: an owner's events execute
-   in the same relative order under any partitioning (that is the epoch
-   engine's guarantee), so its per-owner sequence numbers are too, and
+   in the same relative order under any partitioning (the epoch engine
+   and the simulator's (time, tag) order guarantee that, at any link
+   jitter), so its per-owner sequence numbers are too, and
    cross-owner ties at equal times are broken by the owner id. Observers
    attached to the bus therefore see one deterministic stream regardless
    of the partition count. *)

@@ -268,8 +268,8 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
     | last :: _ -> flap_start +. last.Pulse.at
   in
   (* The workload trace shares the flap phase's time origin; its events are
-     scheduled after the pulse train's, so simultaneous events pop in the
-     same (pulse first) order. *)
+     scheduled after the pulse train's, so they take later op-table rows
+     and a pulse and a trace event at one instant pop pulse first. *)
   let final_announcement =
     match workload with
     | None -> final_announcement

@@ -14,7 +14,6 @@ type config = {
   cache : int;
   io_timeout : float;
   drain_grace : float option;
-  compact_on_start : bool;
   shard_id : int;  (* this daemon's slot in the fleet's socket order *)
   shard_count : int;  (* 1 = unsharded, admission never refuses *)
   accept_any : bool;  (* serve keys other shards own (failover target) *)
@@ -31,7 +30,6 @@ let default_config ~socket_path ~journal_path =
     cache = 1024;
     io_timeout = 10.;
     drain_grace = None;
-    compact_on_start = true;
     shard_id = 0;
     shard_count = 1;
     accept_any = false;
@@ -88,7 +86,6 @@ type t = {
   mutable next_cid : int;
   stats : stats;  (* guarded by [mu] *)
   memo : (int * Scenario.topology, Rfd_topology.Graph.t) Hashtbl.t;
-  compaction : Journal.compaction option;
   started : float;
   mutable executor : unit Domain.t option;
   mutable draining : bool;
@@ -203,11 +200,6 @@ let create cfg =
   if cfg.retries < 0 then invalid_arg "Server.create: retries must be >= 0";
   Shard.validate_admission ~shard_id:cfg.shard_id ~shard_count:cfg.shard_count;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let compaction =
-    if cfg.compact_on_start && Sys.file_exists cfg.journal_path then
-      Some (Journal.compact cfg.journal_path)
-    else None
-  in
   let store = Store.open_ ~cache:cfg.cache cfg.journal_path in
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -254,7 +246,6 @@ let create cfg =
           wrong_shard = 0;
         };
       memo = Hashtbl.create 8;
-      compaction;
       started = Unix.gettimeofday ();
       executor = None;
       draining = false;
@@ -292,7 +283,7 @@ let stats_json t =
           t.pending_count ))
   in
   let compaction_fields =
-    match t.compaction with
+    match Store.compaction t.store with
     | None -> []
     | Some c ->
         [

@@ -49,8 +49,6 @@ type config = {
       (** seconds a connection may sit mid-request or mid-response *)
   drain_grace : float option;
       (** graceful-drain time limit; [None] = wait for the work *)
-  compact_on_start : bool;
-      (** run {!Rfd_experiment.Journal.compact} before opening the store *)
   shard_id : int;  (** this daemon's index in the fleet's socket list *)
   shard_count : int;  (** fleet size; [1] = unsharded, admission off *)
   accept_any : bool;
@@ -60,15 +58,16 @@ type config = {
 val default_config : socket_path:string -> journal_path:string -> config
 (** Paper-scale defaults: default worker count, 300 s deadline, 1 retry,
     64 pending, 1024 resident, 10 s I/O timeout, no drain grace,
-    compaction on, unsharded (shard 0 of 1). *)
+    unsharded (shard 0 of 1). *)
 
 type t
 
 val create : config -> t
-(** Compact (optionally) and open the journal, bind and listen on the
-    socket (unlinking a stale one), spawn the executor domain, and
-    ignore [SIGPIPE] for the process. Raises on an unusable socket path
-    or a file that is not an [rfd-journal/5] journal. *)
+(** Open the journal ({!Store.open_}: compact and index it in one scan),
+    bind and listen on the socket (unlinking a stale one), spawn the
+    executor domain, and ignore [SIGPIPE] for the process. Raises on an
+    unusable socket path or a file that is not an [rfd-journal/5]
+    journal. *)
 
 val request_stop : t -> unit
 (** Escalate the stop level: first call starts a graceful drain, second

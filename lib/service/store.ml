@@ -66,6 +66,7 @@ end
 type t = {
   journal : Journal.writer;
   index : (string, int * int) Hashtbl.t;  (* key -> (offset, line bytes) *)
+  compaction : Journal.compaction option;  (* its counts; the extents are [index] *)
   lru : Lru.t;
   mutable disk_reads : int;
   mutex : Mutex.t;
@@ -75,22 +76,31 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* [Journal.create] first: it refuses a foreign file untouched and repairs
-   a torn header or tail, so the index is built over whole lines only. *)
+(* One scan: [Journal.compact] refuses a foreign file untouched, checks
+   every line, drops corrupt and superseded ones and a torn tail, and
+   hands back the kept lines' extents, which become the index. It runs
+   before [Journal.create], which must not hold the file open while it is
+   rewritten; all [create] can still repair is a torn header, which holds
+   no line. *)
 let open_ ?(cache = 1024) path =
   if cache < 0 then invalid_arg "Store.open_: cache must be >= 0";
+  let compaction = if Sys.file_exists path then Some (Journal.compact path) else None in
   let journal = Journal.create path in
   let index = Hashtbl.create 256 in
-  (try
-     Journal.fold path
-       (fun () ~offset ~length -> function
-         | Journal.Entry (key, _) -> Hashtbl.replace index key (offset, length)
-         | Journal.Corrupt | Journal.Torn -> ())
-       ()
-   with e ->
-     Journal.close journal;
-     raise e);
-  { journal; index; lru = Lru.create cache; disk_reads = 0; mutex = Mutex.create () }
+  Option.iter
+    (fun c ->
+      List.iter
+        (fun (key, offset, length) -> Hashtbl.replace index key (offset, length))
+        c.Journal.extents)
+    compaction;
+  {
+    journal;
+    index;
+    compaction = Option.map (fun c -> { c with Journal.extents = [] }) compaction;
+    lru = Lru.create cache;
+    disk_reads = 0;
+    mutex = Mutex.create ();
+  }
 
 let find t key =
   with_lock t (fun () ->
@@ -119,6 +129,7 @@ let put t ~key outcome =
       Hashtbl.replace t.index key (offset, Journal.size t.journal - offset);
       Lru.add t.lru key outcome)
 
+let compaction t = t.compaction
 let entries t = with_lock t (fun () -> Hashtbl.length t.index)
 let resident t = with_lock t (fun () -> Lru.size t.lru)
 let disk_reads t = with_lock t (fun () -> t.disk_reads)

@@ -11,7 +11,8 @@
     journal's one recovery rule ({!Rfd_experiment.Journal}): a strict
     prefix of the header line is an empty journal, an unterminated last
     line is a torn tail, corrupt lines are skipped and the newest line
-    per key wins.
+    per key wins. Opening compacts the journal and indexes it in the same
+    scan.
 
     Memory stays bounded: only an LRU of at most [cache] decoded outcomes
     is resident. Everything else is re-read on demand from its byte
@@ -25,14 +26,20 @@
 type t
 
 val open_ : ?cache:int -> string -> t
-(** Open the journal at the given path with
-    {!Rfd_experiment.Journal.create} — which creates it if absent,
-    rewrites a torn header and truncates a torn tail, so appends start
-    on a clean boundary — then index it with one
-    {!Rfd_experiment.Journal.fold}. [cache] bounds the resident decoded
-    outcomes (default 1024; 0 disables residency entirely). Raises
-    [Failure], leaving the file as it was, when the recovery rule refuses
-    its first line. *)
+(** Compact the journal at the given path, if it exists, with
+    {!Rfd_experiment.Journal.compact} — which drops corrupt and
+    superseded lines and a torn tail, and leaves a journal with none of
+    them as it is, inode and bytes — and index it from that one scan;
+    then open it with {!Rfd_experiment.Journal.create}, which creates it
+    if absent and rewrites a torn header, so appends start on a clean
+    boundary. [cache] bounds the resident decoded outcomes (default 1024;
+    0 disables residency entirely). Raises [Failure], leaving the file as
+    it was, when the recovery rule refuses its first line. Must not run
+    while another writer holds the journal open. *)
+
+val compaction : t -> Rfd_experiment.Journal.compaction option
+(** The counts of the compaction {!open_} ran ([extents] is empty: the
+    index holds them), or [None] when the journal did not exist yet. *)
 
 val find : t -> string -> Rfd_experiment.Journal.outcome option
 (** LRU first, then the journal by stored offset. A disk line whose

@@ -1,5 +1,5 @@
 (* The simulator's event queue, driven through posts: a binary heap over
-   (time, scheduling order) whose entries are three unboxed columns. *)
+   (time, tag) whose entries are two unboxed columns. *)
 
 module Sim = Rfd_engine.Sim
 
@@ -41,10 +41,11 @@ let test_ordering () =
     (List.map fst (drain sim log))
 
 let test_duplicates () =
-  (* Equal times pop in posting order. *)
+  (* Equal times pop in argument order; here each argument is its post's
+     index. *)
   let sim, ch, log = make () in
   post_all sim ch [ 4; 4; 1; 4; 1 ];
-  Alcotest.(check (list (pair (float 0.) int))) "dups kept, FIFO"
+  Alcotest.(check (list (pair (float 0.) int))) "dups kept, by argument"
     [ (1., 2); (1., 4); (4., 0); (4., 1); (4., 3) ]
     (drain sim log)
 
@@ -95,7 +96,7 @@ let test_retract () =
   Sim.retract sim ch 5;
   Alcotest.(check int) "pending" 2 (Sim.pending sim);
   Alcotest.(check int) "dead" 1 (Sim.dead_count sim);
-  Alcotest.(check (list (pair (float 0.) int))) "the later post of 5 runs"
+  Alcotest.(check (list (pair (float 0.) int))) "the other post of 5 runs"
     [ (2., 6); (3., 5) ] (drain sim log);
   Alcotest.(check int) "executed" 2 (Sim.events_executed sim);
   Alcotest.(check int) "by channel" 2 (Sim.channel_events sim ch);
@@ -116,10 +117,11 @@ let test_retract () =
 type op = Post of int * int | Retract of int | Step
 
 (* Random posts (few distinct arguments, so they repeat), retractions and
-   steps, checked against a list model in which a retraction removes the
-   argument's earliest live post. Dense retraction forces compactions. As
-   {!Sim.retract} requires, an argument is never posted earlier than one of
-   its retracted posts. *)
+   steps, checked against a list model kept in (time, argument) order — the
+   heap's (time, tag) order on one channel — in which a retraction removes
+   the argument's earliest live post. Dense retraction forces compactions.
+   As {!Sim.retract} requires, an argument is never posted earlier than one
+   of its retracted posts. *)
 let prop_retract_model =
   let op =
     QCheck.Gen.(
@@ -134,12 +136,12 @@ let prop_retract_model =
     QCheck.(make Gen.(list_size (100 -- 400) op))
     (fun ops ->
       let sim, ch, log = make () in
-      let model = ref [] (* (time, seq, arg), ascending *) and seq = ref 0 in
+      let model = ref [] (* (time, arg), ascending *) in
       let floor = Array.make 6 0. (* by argument: latest retracted time *) in
       let expected = ref [] in
       let pop_model () =
         match !model with
-        | (time, _, arg) :: rest ->
+        | (time, arg) :: rest ->
             model := rest;
             expected := (time, arg) :: !expected
         | [] -> ()
@@ -149,17 +151,12 @@ let prop_retract_model =
           | Post (dt, arg) ->
               let time = Float.max floor.(arg) (Sim.now sim +. float_of_int dt) in
               Sim.post sim ch ~time arg;
-              model :=
-                List.merge
-                  (fun (t, s, _) (t', s', _) -> compare (t, s) (t', s'))
-                  !model
-                  [ (time, !seq, arg) ];
-              incr seq
+              model := List.merge compare !model [ (time, arg) ]
           | Retract arg ->
-              if List.exists (fun (_, _, a) -> a = arg) !model then begin
+              if List.exists (fun (_, a) -> a = arg) !model then begin
                 Sim.retract sim ch arg;
                 let rec remove = function
-                  | ((time, _, a) as e) :: rest ->
+                  | ((time, a) as e) :: rest ->
                       if a = arg then begin
                         floor.(arg) <- Float.max floor.(arg) time;
                         rest

@@ -368,6 +368,32 @@ let prop_wire_round_trip =
       Network.in_flight net = 0
       && Array.for_all2 (List.equal Update.equal) sent delivered)
 
+(* At 3e7 s, 1 ns is under half an ulp (3.7 ns), so a floor of "1 ns
+   after the link's last delivery" rounds back to that delivery's time.
+   A withdrawal and a re-announcement that leave router 0 in one instant
+   must still reach router 1 at strictly increasing times, in the order
+   they were sent. *)
+let test_fifo_floor_is_strict () =
+  let net = make (Builders.line 2) in
+  Par_net.originate net ~node:0 p0;
+  Fixture.run net;
+  let at = 3e7 in
+  Alcotest.(check bool) "1 ns rounds away at this time" true (at +. 0.01 +. 1e-9 = at +. 0.01);
+  let arrivals = ref [] in
+  (Par_net.bus net).Hooks.on_deliver <-
+    (fun ~time ~src ~dst update ->
+      if src = 0 && dst = 1 then arrivals := (time, Update.is_withdrawal update) :: !arrivals);
+  Par_net.schedule_withdraw net ~at ~node:0 p0;
+  Par_net.schedule_originate net ~at ~node:0 p0;
+  Fixture.run net;
+  match List.rev !arrivals with
+  | [ (t_withdraw, true); (t_announce, false) ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "delivery times increase (%.17g, %.17g)" t_withdraw t_announce)
+        true (t_withdraw < t_announce);
+      Alcotest.(check int) "router 1 holds the route" 2 (Par_net.reachable_count net p0)
+  | _ -> Alcotest.fail "expected the withdrawal, then the announcement"
+
 let suite =
   [
     Alcotest.test_case "line propagation" `Quick test_line_propagation;
@@ -384,6 +410,8 @@ let suite =
     Alcotest.test_case "sender-side loop avoidance" `Quick test_sender_side_loop_avoidance;
     Alcotest.test_case "converged fixpoint check" `Quick test_converged_detects_fixpoint;
     Alcotest.test_case "delivered updates are released" `Quick test_delivered_updates_released;
+    Alcotest.test_case "same-instant sends arrive strictly in order" `Quick
+      test_fifo_floor_is_strict;
     Alcotest.test_case "deliver_remote: refused message leaves nothing" `Quick
       test_deliver_remote_refusal_leaves_nothing;
     QCheck_alcotest.to_alcotest prop_wire_round_trip;

@@ -8,17 +8,14 @@ module Runner = Rfd_experiment.Runner
 module Par_net = Rfd_experiment.Par_net
 module Collector = Rfd_experiment.Collector
 module Injector = Rfd_experiment.Injector
+module Recorder = Rfd_experiment.Recorder
 module Sim = Rfd_engine.Sim
 open Rfd_bgp
 
 let small_mesh = Scenario.Mesh { rows = 3; cols = 3 }
 
-(* link_jitter must stay > 0: the determinism contract relies on distinct
-   deliveries never colliding on the exact same timestamp. *)
-let fast_config ?(damping = true) ?(seed = 42) () =
-  let base =
-    { Config.default with Config.mrai = 1.; link_delay = 0.01; link_jitter = 0.01; seed }
-  in
+let fast_config ?(damping = true) ?(seed = 42) ?(mrai = 1.) ?(link_jitter = 0.01) () =
+  let base = { Config.default with Config.mrai; link_delay = 0.01; link_jitter; seed } in
   if damping then Config.with_damping Rfd_damping.Params.cisco base else base
 
 let base_scenario ?faults ?(mechanism = Scenario.Origin_updates) ?(seed = 42) () =
@@ -347,14 +344,55 @@ let test_hand_driven_invariant () =
       Alcotest.(check int) (label "corrected events") events1 events)
     [ 2; 3 ]
 
-(* Random scenarios: any connected topology, seed, damping mode and pulse
-   count must stay partition-invariant. *)
+(* A delivery and a broadcast operation that touch one router at one
+   instant. Router 0 sends on directed link 0 (0 -> 1, the one whose slot
+   is 0) while eight messages to it are in flight, so the message takes a
+   different in-flight row at one partition (row 8) than where router 1
+   has a partition of its own (row 0); the link fails at the instant the
+   message arrives. Whether it is delivered first must not depend on the
+   row, so every partition count sees the same arrivals. *)
+let delivery_meets_op ~partitions =
+  let n = 10 in
+  let star = (0, 1) :: List.init (n - 2) (fun k -> (0, k + 2)) in
+  let config = { Config.default with Config.mrai = 0.; link_delay = 0.5; link_jitter = 0. } in
+  let net = Par_net.create ~config ~partitions (Rfd_topology.Graph.of_edges ~num_nodes:n star) in
+  Fun.protect ~finally:(fun () -> Par_net.shutdown net) @@ fun () ->
+  let arrivals = ref [] in
+  (Par_net.bus net).Hooks.on_deliver <-
+    (fun ~time ~src ~dst _ -> if src = 0 && dst = 1 then arrivals := time :: !arrivals);
+  Par_net.advance_all net ~time:10.;
+  for node = 2 to n - 1 do
+    Par_net.originate net ~node (Prefix.v node)
+  done;
+  let at = 10.25 in
+  Par_net.schedule_originate net ~at ~node:0 (Prefix.v 0);
+  Par_net.schedule_fail_link net ~at:(at +. config.Config.link_delay) 0 1;
+  ignore (Par_net.drive net);
+  (!arrivals, Par_net.sim_events net)
+
+let test_delivery_meets_op () =
+  let arrivals, events = delivery_meets_op ~partitions:1 in
+  List.iter
+    (fun partitions ->
+      let arrivals', events' = delivery_meets_op ~partitions in
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "arrivals on 0 -> 1, P=1 vs %d" partitions)
+        arrivals arrivals';
+      Alcotest.(check int) (Printf.sprintf "events, P=1 vs %d" partitions) events events')
+    [ 2; 10 ]
+
+(* Random scenarios: any connected topology, seed, damping mode, pulse
+   count, link jitter and MRAI must stay partition-invariant. Two draws
+   in five have no link jitter and three in seven no MRAI, so same-instant
+   deliveries and timers are common. *)
 let prop_random_identity =
   let gen = QCheck.(triple (int_range 0 10_000) (int_range 1 3) (int_range 2 4)) in
   QCheck.Test.make ~name:"random scenario: partitions=1 vs N digests equal" ~count:12 gen
     (fun (seed, pulses, partitions) ->
       let damping = seed mod 2 = 0 in
-      let config = fast_config ~damping ~seed () in
+      let link_jitter = if seed mod 5 < 2 then 0. else 0.01 in
+      let mrai = if seed mod 7 < 3 then 0. else 1. in
+      let config = fast_config ~damping ~seed ~mrai ~link_jitter () in
       let config =
         if seed mod 3 = 0 then { config with Config.reuse_mode = Config.Tick 15. } else config
       in
@@ -367,6 +405,51 @@ let prop_random_identity =
       let d1, _, _ = digest_at ~partitions:1 scenario in
       let dn, _, _ = digest_at ~partitions scenario in
       d1 = dn)
+
+(* Without link jitter, a router's updates and timers routinely share an
+   instant with other routers' and with each other. Each of these six runs
+   gives one digest and one transcript at P = 1 to 4, because the
+   simulator breaks a same-instant tie by what the events are. *)
+let test_zero_jitter_identity () =
+  let run scenario partitions =
+    let transcript = ref (fun () -> []) and delivered = ref [] in
+    let on_bus bus =
+      transcript := Recorder.transcript ~limit:max_int bus;
+      let previous = bus.Hooks.on_deliver in
+      bus.Hooks.on_deliver <-
+        (fun ~time ~src ~dst update ->
+          delivered := time :: !delivered;
+          previous ~time ~src ~dst update)
+    in
+    let result, _ = Runner.run_partitioned ~on_bus ~partitions scenario in
+    (Runner.result_digest result, !transcript (), !delivered)
+  in
+  List.iter
+    (fun (label, topology) ->
+      List.iter
+        (fun mrai ->
+          let config = fast_config ~mrai ~link_jitter:0. () in
+          let scenario = Scenario.with_pulses (Scenario.make ~name:"par-0" ~config topology) 2 in
+          let label = Printf.sprintf "%s, MRAI %g" label mrai in
+          let d1, t1, delivered = run scenario 1 in
+          Alcotest.(check bool) (label ^ ": deliveries share instants") true
+            (List.length (List.sort_uniq Float.compare delivered) < List.length delivered);
+          List.iter
+            (fun partitions ->
+              let dn, tn, _ = run scenario partitions in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: digest P=1 vs %d" label partitions)
+                d1 dn;
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: transcript P=1 vs %d" label partitions)
+                t1 tn)
+            [ 2; 3; 4 ])
+        [ 0.; 1. ])
+    [
+      ("mesh 4x4", Scenario.Mesh { rows = 4; cols = 4 });
+      ("mesh 6x6", Scenario.Mesh { rows = 6; cols = 6 });
+      ("internet 200", Scenario.Internet { nodes = 200; m = 2 });
+    ]
 
 (* Every executed event has one kind, so the per-kind counts sum to the
    corrected event count at any partition count, and each kind is itself
@@ -410,6 +493,9 @@ let suite =
     Alcotest.test_case "digest: router crash/restart" `Quick test_digest_identity_crash;
     Alcotest.test_case "digest: tick-wheel reuse ties" `Quick test_digest_identity_tick;
     Alcotest.test_case "digest: budget-exceeded runs" `Quick test_digest_identity_budget;
+    Alcotest.test_case "digest and transcript: zero link jitter" `Quick
+      test_zero_jitter_identity;
+    Alcotest.test_case "delivery and broadcast op at one instant" `Quick test_delivery_meets_op;
     Alcotest.test_case "par_stats shape" `Quick test_par_stats;
     Alcotest.test_case "event kinds sum to sim_events" `Quick test_event_kinds;
     Alcotest.test_case "partitions clamp to node count" `Quick test_partitions_clamped;

@@ -76,6 +76,24 @@ let test_bin_last () =
   Alcotest.check fpair "gauge in bin 1" (5., 3.) bins.(1);
   Alcotest.check fpair "gauge holds" (10., 3.) bins.(2)
 
+(* [75.89 /. (75.89 /. 37.)] is 37.000000000000007: rounding up would
+   give a 38th bin starting one ulp below [t1]. A sample in the sliver
+   between the 37th bin's end and [t1] still counts, in the last bin. *)
+let test_bin_count_rounding () =
+  let t1 = 75.89 in
+  let width = t1 /. 37. in
+  let below = Float.pred t1 in
+  let ts = mk [ (1., 1.); (75., 2.); (below, 4.) ] in
+  let sums = Ts.bin_sum ts ~width ~t0:0. ~t1 in
+  Alcotest.(check int) "bin_sum: 37 bins" 37 (Array.length sums);
+  Alcotest.(check (float 0.)) "first bin" 1. (snd sums.(0));
+  Alcotest.(check (float 0.)) "last bin" 6. (snd sums.(36));
+  Alcotest.(check int) "bin_times: 37 bins" 37
+    (Array.length (Ts.bin_times [| 1.; below |] ~width ~t0:0. ~t1));
+  let levels = Ts.bin_last ts ~width ~t0:0. ~t1 in
+  Alcotest.(check int) "bin_last: 37 bins" 37 (Array.length levels);
+  Alcotest.(check (float 0.)) "last level" 4. (snd levels.(36))
+
 let test_bin_validation () =
   let ts = mk [ (0., 1.) ] in
   Alcotest.check_raises "bad width" (Invalid_argument "Timeseries: bin width must be positive")
@@ -220,6 +238,7 @@ let suite =
     Alcotest.test_case "bin_sum" `Quick test_bin_sum;
     Alcotest.test_case "bin_sum range filter" `Quick test_bin_sum_excludes_outside;
     Alcotest.test_case "bin_last gauge" `Quick test_bin_last;
+    Alcotest.test_case "bin count ignores a rounding excess" `Quick test_bin_count_rounding;
     Alcotest.test_case "bin validation" `Quick test_bin_validation;
     Alcotest.test_case "iter and fold" `Quick test_iter_fold;
     Alcotest.test_case "csv output" `Quick test_csv;
