@@ -56,3 +56,18 @@ let layers_to_json (k : Rfd.Network.event_counts) =
       ("wheel", Json.Int k.Rfd.Network.wheels);
       ("op", Json.Int k.Rfd.Network.ops);
     ]
+
+(* Words a run allocated on the minor heap and promoted out of it, read
+   with [Gc.quick_stat] around the run. Unlike wall time they repeat for a
+   given build, to within tens of words in millions. *)
+type alloc = { minor_words : int; promoted_words : int }
+
+let measure_alloc f =
+  let g0 = Gc.quick_stat () in
+  let x = f () in
+  let g1 = Gc.quick_stat () in
+  ( x,
+    {
+      minor_words = int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words);
+      promoted_words = int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words);
+    } )

@@ -31,8 +31,8 @@ type point = {
   sim_events : int;
   events_per_sec : float;
   message_count : int;
-  routes_interned : int;
   paths_interned : int;
+  alloc : Host.alloc;  (** words the run allocated and promoted *)
   peak_rss_kb : int;
   per_partition_events : int list;  (** raw executed events, per partition *)
   layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
@@ -56,7 +56,9 @@ let run_point (opts : Context.opts) ~partitions n =
   in
   let edges = ref 0 in
   let observe net = edges := Rfd.Graph.num_edges (Rfd.Network.graph net) in
-  let result, stats = Runner.run_partitioned ~observe ~partitions scenario in
+  let (result, stats), alloc =
+    Host.measure_alloc (fun () -> Runner.run_partitioned ~observe ~partitions scenario)
+  in
   let wall = result.Runner.wall_seconds in
   {
     nodes = n;
@@ -67,8 +69,8 @@ let run_point (opts : Context.opts) ~partitions n =
     events_per_sec =
       (if wall > 0. then float_of_int result.Runner.sim_events /. wall else 0.);
     message_count = result.Runner.message_count;
-    routes_interned = stats.Runner.routes_interned_total;
     paths_interned = stats.Runner.paths_interned_total;
+    alloc;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
     per_partition_events = Array.to_list stats.Runner.per_partition_events;
     layers = stats.Runner.events_by_kind;
@@ -84,8 +86,9 @@ let point_to_json p =
       ("sim_events", Json.Int p.sim_events);
       ("events_per_sec", Json.Float p.events_per_sec);
       ("messages", Json.Int p.message_count);
-      ("routes_interned", Json.Int p.routes_interned);
       ("paths_interned", Json.Int p.paths_interned);
+      ("minor_words", Json.Int p.alloc.Host.minor_words);
+      ("promoted_words", Json.Int p.alloc.Host.promoted_words);
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
       ( "per_partition_events",
         Json.List (List.map (fun e -> Json.Int e) p.per_partition_events) );
@@ -118,15 +121,15 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
     (if partitions > 1 then Printf.sprintf " (%d partitions)" partitions else "");
   (* stdout mirrors the CSV/JSON columns — paths_interned included (it used
      to be silently dropped from the table while both files carried it). *)
-  Printf.printf "%8s %8s %10s %12s %12s %10s %10s %10s %12s\n" "nodes" "edges" "wall(s)"
-    "sim events" "events/s" "messages" "routes" "paths" "peakRSS(MB)";
+  Printf.printf "%8s %8s %10s %12s %12s %10s %10s %12s %12s %12s\n" "nodes" "edges" "wall(s)"
+    "sim events" "events/s" "messages" "paths" "minor words" "promoted" "peakRSS(MB)";
   let points =
     List.map
       (fun n ->
         let p = run_point opts ~partitions n in
-        Printf.printf "%8d %8d %10.2f %12d %12.0f %10d %10d %10d %12.1f\n%!" p.nodes
+        Printf.printf "%8d %8d %10.2f %12d %12.0f %10d %10d %12d %12d %12.1f\n%!" p.nodes
           p.num_edges p.wall_seconds p.sim_events p.events_per_sec p.message_count
-          p.routes_interned p.paths_interned
+          p.paths_interned p.alloc.Host.minor_words p.alloc.Host.promoted_words
           (float_of_int p.peak_rss_kb /. 1024.);
         p)
       sizes
@@ -141,8 +144,9 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
         "sim_events";
         "events_per_sec";
         "messages";
-        "routes_interned";
         "paths_interned";
+        "minor_words";
+        "promoted_words";
         "peak_rss_kb";
       ]
     ~rows:
@@ -156,8 +160,9 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
              string_of_int p.sim_events;
              Printf.sprintf "%.1f" p.events_per_sec;
              string_of_int p.message_count;
-             string_of_int p.routes_interned;
              string_of_int p.paths_interned;
+             string_of_int p.alloc.Host.minor_words;
+             string_of_int p.alloc.Host.promoted_words;
              string_of_int p.peak_rss_kb;
            ])
          points);

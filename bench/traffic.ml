@@ -32,6 +32,7 @@ type point = {
   sim_events : int;
   events_per_sec : float;
   message_count : int;
+  alloc : Host.alloc;  (** words the run allocated and promoted *)
   peak_rss_kb : int;
   layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
 }
@@ -53,7 +54,9 @@ let run_point (opts : Context.opts) (background, flappers) =
         (Scenario.Flappers { count = flappers; flaps; mean_gap; alpha; seed = 1 })
       (Scenario.Mesh { rows = 3; cols = 3 })
   in
-  let result, stats = Runner.run_partitioned ~partitions:1 scenario in
+  let (result, stats), alloc =
+    Host.measure_alloc (fun () -> Runner.run_partitioned ~partitions:1 scenario)
+  in
   let wall = result.Runner.wall_seconds in
   {
     background;
@@ -64,6 +67,7 @@ let run_point (opts : Context.opts) (background, flappers) =
     events_per_sec =
       (if wall > 0. then float_of_int result.Runner.sim_events /. wall else 0.);
     message_count = result.Runner.message_count;
+    alloc;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
     layers = stats.Runner.events_by_kind;
   }
@@ -79,6 +83,8 @@ let point_to_json p =
       ("sim_events", Json.Int p.sim_events);
       ("events_per_sec", Json.Float p.events_per_sec);
       ("messages", Json.Int p.message_count);
+      ("minor_words", Json.Int p.alloc.Host.minor_words);
+      ("promoted_words", Json.Int p.alloc.Host.promoted_words);
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
       ("layers", Host.layers_to_json p.layers);
     ]
@@ -100,15 +106,17 @@ let run (ctx : Context.t) =
   print_newline ();
   print_endline
     "== traffic: multi-origin flap workload on a loaded 3x3 mesh ==";
-  Printf.printf "%10s %9s %13s %10s %12s %12s %10s %12s\n" "background" "flappers"
-    "prefixes/rtr" "wall(s)" "sim events" "events/s" "messages" "peakRSS(MB)";
+  Printf.printf "%10s %9s %13s %10s %12s %12s %10s %12s %12s %12s\n" "background" "flappers"
+    "prefixes/rtr" "wall(s)" "sim events" "events/s" "messages" "minor words" "promoted"
+    "peakRSS(MB)";
   let points =
     List.map
       (fun spec ->
         let p = run_point opts spec in
-        Printf.printf "%10d %9d %13d %10.2f %12d %12.0f %10d %12.1f\n%!" p.background
-          p.flappers p.prefixes_per_router p.wall_seconds p.sim_events p.events_per_sec
-          p.message_count
+        Printf.printf "%10d %9d %13d %10.2f %12d %12.0f %10d %12d %12d %12.1f\n%!"
+          p.background p.flappers p.prefixes_per_router p.wall_seconds p.sim_events
+          p.events_per_sec p.message_count p.alloc.Host.minor_words
+          p.alloc.Host.promoted_words
           (float_of_int p.peak_rss_kb /. 1024.);
         p)
       points_spec
@@ -123,6 +131,8 @@ let run (ctx : Context.t) =
         "sim_events";
         "events_per_sec";
         "messages";
+        "minor_words";
+        "promoted_words";
         "peak_rss_kb";
       ]
     ~rows:
@@ -136,6 +146,8 @@ let run (ctx : Context.t) =
              string_of_int p.sim_events;
              Printf.sprintf "%.1f" p.events_per_sec;
              string_of_int p.message_count;
+             string_of_int p.alloc.Host.minor_words;
+             string_of_int p.alloc.Host.promoted_words;
              string_of_int p.peak_rss_kb;
            ])
          points);

@@ -9,12 +9,15 @@
     is no separate list: a path shares its whole spine with its tail.
 
     Paths are hash-consed when built through a {!table} (one table per
-    {!Network}): a node is keyed by (tail, head ASN) with the tail compared
-    physically, so structurally equal paths become one shared value,
-    {!equal} decides in O(1) via physical equality on the hot path, {!hash}
-    is a precomputed O(1) read, and RIB entries across peers and routers
-    share storage instead of duplicating path spines. {!compare} keeps the
-    seed-era lexicographic list order bit-for-bit (with an O(1) equal-case
+    {!Network}, its only intern table): a node is keyed by (tail, head ASN)
+    with the tail compared physically, so structurally equal paths become
+    one shared value, {!equal} decides in O(1) via physical equality on
+    the hot path, and {!hash} is a precomputed O(1) read. Routers key
+    their RIB columns by prefix id and store the interned path itself, so
+    a RIB entry is one pointer into the table, shared across peers,
+    routers and prefixes; a route is built from it only where an update
+    enters or leaves a router. {!compare} keeps the seed-era
+    lexicographic list order bit-for-bit (with an O(1) equal-case
     short-circuit), so decision-process tie-breaks are unchanged. *)
 
 type t

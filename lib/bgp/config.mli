@@ -37,7 +37,10 @@ type t = {
   mrai_per_peer : bool;
       (** rate-limit announcements per peer (one shared deadline for every
           prefix, how most implementations behave) instead of per
-          (peer, prefix) (RFC 4271's conceptual model; the default) *)
+          (peer, prefix) (RFC 4271's conceptual model; the default). When
+          a session's deadline passes, every update parked behind it is
+          sent at that instant, and the next interval starts; a prefix is
+          still never announced twice on a session within an interval *)
   withdrawal_rate_limiting : bool;
       (** subject withdrawals to the MRAI too (off by default, as in most
           implementations) *)

@@ -5,11 +5,12 @@ module Column = Rfd_engine.Column
 
 (* The in-flight table: one row per message on the wire, network-wide,
    in five columns that share one chunk spine. A row holds a link to
-   another row, the sender-side link epoch, the announced route
-   ([withdrawn] for a withdrawal), the sender's shared root-cause option
-   and a code: bit 0 set for a withdrawal, and above it a withdrawal's
-   prefix id or an announcement's rel-pref code. A message in flight owns
-   no heap block: it costs five table words and two heap words.
+   another row, the sender-side link epoch, the announced route's
+   interned path (the empty path for a withdrawal), the sender's shared
+   root-cause option and a code: bit 0 set for a withdrawal, bits 1-2 an
+   announcement's rel-pref code, and above them the prefix id. A message
+   in flight owns no heap block: it costs five table words and two heap
+   words.
 
    A delivery event is a post of the directed slot alone on the network's
    delivery channel, so same-instant deliveries run in slot order and
@@ -22,11 +23,11 @@ module Column = Rfd_engine.Column
    chunk doubles from 256 rows up to [Column.chunk_cells]; later chunks
    are never copied. Free rows are chained through [w_link] and hold
    [None], so a delivered root cause is released at once; a free row's
-   route is interned, so it keeps nothing alive. *)
+   path is interned, so it keeps nothing alive. *)
 type rows = {
   w_link : int array; (* next row in the slot's ring; next free row when free *)
   w_epoch : int array;
-  w_route : Route.t array;
+  w_path : As_path.t array;
   w_rc : Root_cause.t option array;
   w_code : int array;
 }
@@ -37,14 +38,11 @@ type wire = {
   w_last : int array; (* by slot: its newest row in flight, -1 when none *)
 }
 
-(* A withdrawal's route cell; never interned or delivered. *)
-let withdrawn = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
-
 let make_rows n =
   {
     w_link = Array.make n (-1);
     w_epoch = Array.make n 0;
-    w_route = Array.make n withdrawn;
+    w_path = Array.make n As_path.empty;
     w_rc = Array.make n None;
     w_code = Array.make n 0;
   }
@@ -52,7 +50,7 @@ let make_rows n =
 let blit_rows a i b j n =
   Array.blit a.w_link i b.w_link j n;
   Array.blit a.w_epoch i b.w_epoch j n;
-  Array.blit a.w_route i b.w_route j n;
+  Array.blit a.w_path i b.w_path j n;
   Array.blit a.w_rc i b.w_rc j n;
   Array.blit a.w_code i b.w_code j n
 
@@ -110,7 +108,7 @@ type t = {
   graph : Graph.t;
   config : Config.t;
   hooks : Hooks.t;
-  table : Route.table; (* shared intern table for every router's routes *)
+  paths : As_path.table; (* the one intern table: every router's paths *)
   routers : Router.t option array; (* None = owned by another partition *)
   owned : bool array;
   emit : remote -> unit; (* cross-partition outbox *)
@@ -212,7 +210,7 @@ let deliver t slot =
   let row = lc.w_link.(lj) in
   let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
   if row = last then w.w_last.(slot) <- -1 else lc.w_link.(lj) <- c.w_link.(j);
-  let epoch = c.w_epoch.(j) and route = c.w_route.(j) in
+  let epoch = c.w_epoch.(j) and path = c.w_path.(j) in
   let rc = c.w_rc.(j) and code = c.w_code.(j) in
   c.w_link.(j) <- w.w_free;
   c.w_rc.(j) <- None;
@@ -221,9 +219,12 @@ let deliver t slot =
   let eid = slot lsr 1 in
   let src = slot_src t slot and dst = slot_dst t slot in
   if operational t eid src dst && t.epoch.(eid) = epoch then begin
+    let prefix = Prefix.v (code lsr 3) in
     let update =
-      if code land 1 = 1 then Update.Withdraw { prefix = Prefix.v (code lsr 1); rc }
-      else Update.Announce { route; rc; rel_pref = rel_pref_of_code (code lsr 1) }
+      if code land 1 = 1 then Update.Withdraw { prefix; rc }
+      else
+        let rel_pref = rel_pref_of_code ((code lsr 1) land 3) in
+        Update.Announce { route = Route.make ~prefix ~path; rc; rel_pref }
     in
     t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
     match t.routers.(dst) with
@@ -252,14 +253,14 @@ let put_on_wire t ~at ~slot ~epoch update =
   w.w_last.(slot) <- row;
   c.w_epoch.(j) <- epoch;
   (match update with
-  | Update.Announce { route; rc; rel_pref } ->
-      c.w_route.(j) <- route;
+  | Update.Announce { route = { Route.prefix; path }; rc; rel_pref } ->
+      c.w_path.(j) <- path;
       c.w_rc.(j) <- rc;
-      c.w_code.(j) <- rel_pref_code rel_pref lsl 1
+      c.w_code.(j) <- (Prefix.to_int prefix lsl 3) lor (rel_pref_code rel_pref lsl 1)
   | Update.Withdraw { prefix; rc } ->
-      c.w_route.(j) <- withdrawn;
+      c.w_path.(j) <- As_path.empty;
       c.w_rc.(j) <- rc;
-      c.w_code.(j) <- (Prefix.to_int prefix lsl 1) lor 1);
+      c.w_code.(j) <- (Prefix.to_int prefix lsl 3) lor 1);
   t.in_flight <- t.in_flight + 1
 
 let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < p
@@ -362,10 +363,11 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
       | Some params -> Some params
       | None -> config.Config.damping
   in
-  (* One intern table per network: ids are assigned in deterministic
-     simulation order, so Marshal-based digests of anything referencing
-     interned routes stay reproducible run to run. *)
-  let table = Route.create_table ~size:(max 256 n) () in
+  (* One intern table per network, for AS paths (routes are not
+     interned): ids are assigned in deterministic simulation order, so
+     Marshal-based digests of anything referencing interned paths stay
+     reproducible run to run. *)
+  let paths = As_path.create_table ~size:(max 256 n) () in
   let m = Graph.num_edges graph in
   if m > 0 && (2 * m) - 1 > Sim.max_arg lsr Router.prefix_bits then
     invalid_arg
@@ -381,7 +383,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         graph;
         config;
         hooks;
-        table;
+        paths;
         routers = Array.make n None;
         owned;
         emit;
@@ -428,7 +430,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
     if owned.(node) then
       t.routers.(node) <-
         Some
-          (Router.create ~table ~sim ~id:node ~policy ~config ~damping:(params_at node) ~rng
+          (Router.create ~paths ~sim ~id:node ~policy ~config ~damping:(params_at node) ~rng
              ~hooks ~ports ())
   done;
   Array.iteri
@@ -445,7 +447,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
 let sim t = t.sim
 let graph t = t.graph
 let hooks t = t.hooks
-let route_table t = t.table
+let route_table t = t.paths
 
 let check_node t node =
   if node < 0 || node >= Array.length t.routers then

@@ -12,14 +12,16 @@
 
     Messages on the wire are rows of one network-wide in-flight table,
     five columns on one {!Rfd_engine.Column.Chunks} spine with a free
-    list: a link to the next row, the sender-side link epoch, the route,
-    the sender's root-cause option, and one int for the kind, the
-    rel-pref and a withdrawal's prefix id. A directed link's rows in
-    flight form a ring in send order. Sending copies an update's fields
-    into a row and keeps no pointer to the update; each delivery is a
+    list: a link to the next row, the sender-side link epoch, the
+    announced route's interned path, the sender's root-cause option, and
+    one int for the kind, the rel-pref and the prefix id. A directed
+    link's rows in flight form a ring in send order. Sending copies an
+    update's fields into a row and keeps no pointer to the update or its
+    route; each delivery is a
     {!Rfd_engine.Sim.post} of the directed link's slot (below) to one
     delivery function, shared by local sends and {!deliver_remote}, which
-    takes the slot's oldest row and rebuilds the update. The simulator
+    takes the slot's oldest row and rebuilds the update (and an
+    announcement's route). The simulator
     breaks same-instant ties by post argument, so a delivery's place at
     its instant depends on its link alone, at every partition count,
     never on its row. A message in flight costs seven words (five in its
@@ -93,10 +95,12 @@ val hooks : t -> Hooks.t
 (** Shared by every router; assign fields to observe the run. *)
 
 val route_table : t -> Route.table
-(** The intern table shared by every router in this network: all routes and
-    AS paths built during the run are hash-consed here, in deterministic
-    simulation order. Exposed for introspection (table sizes, leak checks in
-    tests); mutating it directly is never necessary. *)
+(** The network's one intern table, shared by every router: the AS paths
+    built during the run are hash-consed here, in deterministic simulation
+    order ({!Route.table} is {!As_path.table}; routes are not interned, so
+    {!Route.table_size} reads 0 and {!As_path.table_size} counts the
+    paths). Exposed for introspection (table sizes, leak checks in tests);
+    mutating it directly is never necessary. *)
 
 val router : t -> int -> Router.t
 (** Raises [Invalid_argument] on an out-of-range or unowned node. *)

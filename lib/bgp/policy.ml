@@ -2,8 +2,8 @@ module Relations = Rfd_topology.Relations
 
 type t = {
   name : string;
-  import_preference : me:int -> from_peer:int -> route:Route.t -> int;
-  export_allowed : me:int -> learned_from:int option -> to_peer:int -> route:Route.t -> bool;
+  import_preference : me:int -> from_peer:int -> path:As_path.t -> int;
+  export_allowed : me:int -> learned_from:int option -> to_peer:int -> path:As_path.t -> bool;
 }
 
 let name t = t.name
@@ -13,8 +13,8 @@ let export_allowed t = t.export_allowed
 let announce_all =
   {
     name = "announce-all";
-    import_preference = (fun ~me:_ ~from_peer:_ ~route:_ -> 0);
-    export_allowed = (fun ~me:_ ~learned_from:_ ~to_peer:_ ~route:_ -> true);
+    import_preference = (fun ~me:_ ~from_peer:_ ~path:_ -> 0);
+    export_allowed = (fun ~me:_ ~learned_from:_ ~to_peer:_ ~path:_ -> true);
   }
 
 let no_valley relations =
@@ -22,13 +22,13 @@ let no_valley relations =
   {
     name = "no-valley";
     import_preference =
-      (fun ~me ~from_peer ~route:_ ->
+      (fun ~me ~from_peer ~path:_ ->
         match side me from_peer with
         | Relations.Customer -> 100
         | Relations.Peer -> 90
         | Relations.Provider -> 80);
     export_allowed =
-      (fun ~me ~learned_from ~to_peer ~route:_ ->
+      (fun ~me ~learned_from ~to_peer ~path:_ ->
         match learned_from with
         | None -> true (* own prefixes go to everyone *)
         | Some src -> (

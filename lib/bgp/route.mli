@@ -1,15 +1,17 @@
 (** A route: a destination prefix plus path attributes.
 
-    The next hop is implicit — a route stored in a RIB-In belongs to the
+    The next hop is implicit — a route received in a RIB-In belongs to the
     peer it was received from. Attribute equality ({!equal}) is what the
     damping code uses to distinguish duplicate announcements from
     attribute changes.
 
-    Like {!As_path}, routes are interned per network: routers build
-    advertisements through {!prepend_interned} / {!make_interned} on the
-    network's shared {!table}, so the same route stored in many RIB-In /
-    RIB-Out / Loc-RIB tables is one shared record and {!equal} hits its
-    O(1) physical-equality fast path. *)
+    A route is a short-lived value: routers keep no [Route.t]. Their RIB
+    columns are indexed by prefix id and hold interned {!As_path.t}s, and
+    a route is built where an update enters or leaves a router (the
+    update on the wire, {!Router.best} and the other inspection
+    functions). Paths from one network's table compare physically, so
+    {!equal} on two routes of one network costs a prefix compare and a
+    pointer compare. *)
 
 type t = { prefix : Prefix.t; path : As_path.t }
 
@@ -20,31 +22,25 @@ val path_length : t -> int
 
 val prepend : int -> t -> t
 (** Prepend an AS to the path, keeping the prefix. Plain (uninterned)
-    construction; routers use {!prepend_interned}. *)
+    construction; routers extend interned paths with
+    {!As_path.prepend_interned}. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
-(** {1 Interning} *)
+(** {1 The network's intern table}
 
-type table
-(** A per-network intern table for routes and their paths: one
-    open-addressing array of routes (linear probing, a power-of-two
-    capacity at most half full) keyed by (prefix, path), beside an
-    {!As_path.table}. The path is interned in the same table first, so the
-    key compares it physically, and a lookup hit allocates nothing. *)
+    Routes are not interned. What a network interns is its paths, in one
+    {!As_path.table}; [table] names that table for callers that read its
+    size through this module. *)
 
-val create_table : ?size:int -> unit -> table
+type table = As_path.table
+(** A network's path intern table ({!Network.route_table}). *)
+
 val path_table : table -> As_path.table
-
-val make_interned : table -> prefix:Prefix.t -> path:As_path.t -> t
-(** The table's shared record for this (prefix, path); the path is interned
-    too, whatever table (if any) it came from. *)
-
-val prepend_interned : table -> int -> t -> t
-(** {!prepend} through the table: the extended path and the resulting route
-    are both interned. *)
+(** The table itself. *)
 
 val table_size : table -> int
-(** Number of distinct routes interned so far. *)
+(** Routes interned in the table: always 0, since no route is interned.
+    Its paths are counted by {!As_path.table_size}. *)

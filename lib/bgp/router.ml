@@ -4,7 +4,7 @@ module Damper = Rfd_damping.Damper
 module History = Rfd_damping.History
 module Reuse_index = Rfd_damping.Reuse_index
 
-type desired = D_announce of Route.t | D_withdraw
+type desired = D_announce of As_path.t | D_withdraw
 
 (* An MRAI-parked update. Allocated when a prefix first parks and dropped
    once neither it nor its flush timer is outstanding, so only the
@@ -29,9 +29,10 @@ let f_reuse = 4 (* a reuse timer (or wheel bucket) is outstanding *)
 let f_queued = 8 (* an update is parked behind the MRAI *)
 let f_armed = 16 (* a flush timer is armed *)
 
-(* Column sentinel. It is never interned or sent, so it is only matched
-   by physical equality. *)
-let no_route = Route.make ~prefix:(Prefix.v 0) ~path:As_path.empty
+(* The route columns' "none". It is a one-hop path, never interned or
+   sent, so it is only matched by physical equality; the empty path
+   cannot serve, since it is a self-originated best route's. *)
+let no_path = As_path.prepend (-1) As_path.empty
 let no_parked = { desired = D_withdraw; rc = None }
 
 (* A flush or reuse post's argument is the session's directed link and the
@@ -67,8 +68,9 @@ type wheel = {
    capacity is a plain widen. The slot columns are empty until a slot is
    first needed; from then on the sessions are fixed, since a new rank
    would move every slot. A read past capacity reads as absent. No slot
-   owns a heap block: routes and root causes are shared values, absence is
-   a sentinel, and penalties live in float arrays. *)
+   owns a heap block: paths and root causes are shared values, absence is
+   a sentinel, and penalties live in float arrays. A slot's prefix is its
+   index, so the route columns hold the route's interned path alone. *)
 type t = {
   sim : Sim.t;
   id : int;
@@ -79,7 +81,7 @@ type t = {
   hooks : Hooks.t;
   ports : ports;
   rng : Rng.t;
-  table : Route.table; (* per-network intern table, shared across routers *)
+  paths : As_path.table; (* the network's path intern table, shared across routers *)
   (* Session columns, by rank. They double while sessions are added and
      are trimmed to [degree] when the slot columns are first sized. *)
   mutable degree : int;
@@ -93,9 +95,9 @@ type t = {
   (* Slot columns: [capacity * degree] slots. *)
   mutable capacity : int; (* prefix ids with a slot; 0 until first use *)
   mutable flags : Bytes.t; (* [f_*] bits per slot *)
-  mutable received : Route.t array; (* RIB-In; [no_route] = withdrawn or never received *)
+  mutable received : As_path.t array; (* RIB-In; [no_path] = withdrawn or never received *)
   mutable last_rc : Root_cause.t option array; (* root cause of the last update, as received *)
-  mutable advertised : Route.t array; (* RIB-Out; [no_route] = withdrawn or never sent *)
+  mutable advertised : As_path.t array; (* RIB-Out; [no_path] = withdrawn or never sent *)
   mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
   mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
   mutable wheel_slot : int array;
@@ -103,7 +105,7 @@ type t = {
   penalties : Damper.slots option; (* Some iff this router damps, under its one setting *)
   (* Loc-RIB and origination, router-level columns indexed by prefix id. *)
   mutable originated : Bytes.t; (* 1 = originated here; its length is the capacity *)
-  mutable best_route : Route.t array; (* [no_route] = no best route *)
+  mutable best_route : As_path.t array; (* [no_path] = no best route *)
   mutable best_from : int array; (* learned-from peer, [from_self] when originated *)
   mutable rc_seq : int;
   (* Reuse-timer accounting, the cost centre the tick wheel optimises:
@@ -117,7 +119,7 @@ type t = {
 
 let from_self = -1
 
-let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
+let create ?paths ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Router.create: " ^ msg));
@@ -150,7 +152,7 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
     hooks;
     ports;
     rng;
-    table = (match table with Some tbl -> tbl | None -> Route.create_table ());
+    paths = (match paths with Some tbl -> tbl | None -> As_path.create_table ());
     degree = 0;
     peer_id = [||];
     link = [||];
@@ -172,7 +174,7 @@ let create ?table ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
         (fun params -> Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:0)
         damping;
     originated = Bytes.make hint '\000';
-    best_route = Array.make hint no_route;
+    best_route = Array.make hint no_path;
     best_from = Array.make hint from_self;
     rc_seq = 0;
     timer_events = 0;
@@ -225,9 +227,9 @@ let reserve t i =
     in
     let n = cap * d in
     t.flags <- resize_bytes t.flags n;
-    t.received <- resize t.received n no_route;
+    t.received <- resize t.received n no_path;
     t.last_rc <- resize t.last_rc n None;
-    t.advertised <- resize t.advertised n no_route;
+    t.advertised <- resize t.advertised n no_path;
     t.deadline <- resize_floats t.deadline n;
     t.parked <- resize t.parked n no_parked;
     if t.wheel <> None then t.wheel_slot <- resize t.wheel_slot n 0;
@@ -244,8 +246,8 @@ let has t k i flag =
 (* Only called on addressable slots. *)
 let set_flag t s flag = Bytes.set_uint8 t.flags s (Bytes.get_uint8 t.flags s lor flag)
 let clear_flag t s flag = Bytes.set_uint8 t.flags s (Bytes.get_uint8 t.flags s land lnot flag)
-let received t k i = if i < t.capacity then t.received.(slot t k i) else no_route
-let advertised t k i = if i < t.capacity then t.advertised.(slot t k i) else no_route
+let received t k i = if i < t.capacity then t.received.(slot t k i) else no_path
+let advertised t k i = if i < t.capacity then t.advertised.(slot t k i) else no_path
 let deadline t k i = if i < t.capacity then Float.Array.get t.deadline (slot t k i) else 0.
 let is_up t k = Bytes.get_uint8 t.up k <> 0
 
@@ -257,12 +259,12 @@ let loc_reserve t i =
   if i >= cap then begin
     let cap' = max (i + 1) (cap * 2) in
     t.originated <- resize_bytes t.originated cap';
-    t.best_route <- resize t.best_route cap' no_route;
+    t.best_route <- resize t.best_route cap' no_path;
     t.best_from <- resize t.best_from cap' from_self
   end
 
 let is_originated t i = i < loc_capacity t && Bytes.get_uint8 t.originated i <> 0
-let best_route t i = if i < loc_capacity t then t.best_route.(i) else no_route
+let best_route t i = if i < loc_capacity t then t.best_route.(i) else no_path
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -358,8 +360,6 @@ let fresh_link_rc t ~peer ~status =
 (* ------------------------------------------------------------------ *)
 (* Decision process                                                    *)
 
-let self_route t prefix = Route.make_interned t.table ~prefix ~path:As_path.empty
-
 (* (preference, path length, peer id) — bigger pref wins, then shorter
    path, then lower peer id. Ascending rank iteration makes the id
    tie-break implicit via strict improvement. *)
@@ -374,15 +374,15 @@ let best_session t i =
   if i < t.capacity then begin
     let base = slot t 0 i in
     for k = 0 to t.degree - 1 do
-      let route = t.received.(base + k) in
+      let path = t.received.(base + k) in
       if
-        route != no_route
+        path != no_path
         && is_up t k
         && Bytes.get_uint8 t.flags (base + k) land f_suppressed = 0
       then begin
         let peer = t.peer_id.(k) in
-        let pref = Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~route in
-        let len = Route.path_length route in
+        let pref = Policy.import_preference t.policy ~me:t.id ~from_peer:peer ~path in
+        let len = As_path.length path in
         if
           !best = no_rank
           || better_candidate ~pref_a:pref ~len_a:len ~peer_a:peer ~pref_b:!best_pref
@@ -422,44 +422,44 @@ let drop_pending t k prefix action =
 
 let send_now t k prefix desired rc =
   let now = Sim.now t.sim in
-  drop_pending t k prefix Hooks.Mrai_superseded;
   let i = Prefix.to_int prefix in
   match desired with
   | D_withdraw ->
-      if i < t.capacity then t.advertised.(slot t k i) <- no_route;
+      if i < t.capacity then t.advertised.(slot t k i) <- no_path;
       dispatch t k (Update.withdraw ?rc prefix)
       (* withdrawals do not restart the MRAI *)
-  | D_announce route ->
+  | D_announce path ->
       let prev = advertised t k i in
       (* Constant options: an announcement boxes none. *)
       let rel_pref =
-        if prev == no_route then None
+        if prev == no_path then None
         else
-          let c = Int.compare (Route.path_length route) (Route.path_length prev) in
+          let c = Int.compare (As_path.length path) (As_path.length prev) in
           if c < 0 then Some Update.Better
           else if c > 0 then Some Update.Worse
           else Some Update.Same_pref
       in
       reserve t i;
       let s = slot t k i in
-      t.advertised.(s) <- route;
-      dispatch t k (Update.announce ?rc ?rel_pref route);
+      t.advertised.(s) <- path;
+      dispatch t k (Update.announce ?rc ?rel_pref (Route.make ~prefix ~path));
       if t.config.Config.mrai > 0. then begin
         let deadline = now +. Float.Array.get t.mrai_interval k in
+        Float.Array.set t.deadline s deadline;
         if t.config.Config.mrai_per_peer then Float.Array.set t.peer_deadline k deadline
-        else Float.Array.set t.deadline s deadline
       end
 
 (* [emit] reconciles the desired advertisement for (peer, prefix) with what
    was last sent, honouring the MRAI. Returns 1 when a message was sent or
-   queued, 0 when the peer is already up to date. *)
-let emit t k prefix desired rc =
+   queued, 0 when the peer is already up to date. [flushed] when a flush
+   releases a parked update. *)
+let emit ?(flushed = false) t k prefix desired rc =
   let i = Prefix.to_int prefix in
   let sent = advertised t k i in
   let same =
     match desired with
-    | D_withdraw -> sent == no_route
-    | D_announce r -> sent != no_route && Route.equal r sent
+    | D_withdraw -> sent == no_path
+    | D_announce p -> sent != no_path && As_path.equal p sent
   in
   if same then begin
     (* A pending older update is superseded by "nothing to do". *)
@@ -468,8 +468,18 @@ let emit t k prefix desired rc =
   end
   else begin
     let now = Sim.now t.sim in
+    (* Every announcement sets its prefix's deadline, in both modes. In
+       per-peer mode the session's deadline gates every send but a
+       flush's: the flushes of the updates parked behind a deadline all
+       fall due when it passes, and each sends, although the first has
+       moved the session's deadline on. A flush is held back only by its
+       own prefix's deadline, which is in the future when the prefix was
+       announced at this instant before the flush ran: no prefix is
+       announced twice within an interval. *)
     let deadline =
-      if t.config.Config.mrai_per_peer then Float.Array.get t.peer_deadline k else deadline t k i
+      let own = deadline t k i in
+      if (not t.config.Config.mrai_per_peer) || (flushed && now >= own) then own
+      else Float.Array.get t.peer_deadline k
     in
     let rate_limited =
       match desired with
@@ -477,6 +487,9 @@ let emit t k prefix desired rc =
       | D_announce _ -> true
     in
     if t.config.Config.mrai = 0. || (not rate_limited) || now >= deadline then begin
+      (* A parked update leaves the queue: sent by its flush, or replaced
+         by this send. *)
+      drop_pending t k prefix (if flushed then Hooks.Mrai_sent else Hooks.Mrai_superseded);
       send_now t k prefix desired rc;
       1
     end
@@ -507,17 +520,17 @@ let flush t k prefix =
   let p = t.parked.(s) in
   unpark t s f_armed;
   mrai_hook t k prefix Hooks.Flush_fired;
-  if is_up t k && has t k i f_queued then begin
-    unpark t s f_queued;
-    mrai_hook t k prefix Hooks.Mrai_sent;
-    ignore (emit t k prefix p.desired p.rc)
-  end
+  (* The update stays queued until [emit] sends it or parks it again, for
+     the next deadline. *)
+  if is_up t k && has t k i f_queued then ignore (emit ~flushed:true t k prefix p.desired p.rc)
 
-let export t ~learned_from ~to_peer route =
+(* [path] is the best route's; what the peer gets is interned with this
+   router prepended, whatever table the received path came from. *)
+let export t ~learned_from ~to_peer path =
   if
-    Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer ~route
-    && not (As_path.contains (Route.path route) to_peer)
-  then D_announce (Route.prepend_interned t.table t.id route)
+    Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer ~path
+    && not (As_path.contains path to_peer)
+  then D_announce (As_path.prepend_interned t.paths t.id path)
   else D_withdraw
 
 let learned_from t i =
@@ -528,31 +541,31 @@ let learned_from t i =
    every peer. Returns the number of updates sent or queued. *)
 let decision t prefix ~trigger_rc =
   let i = Prefix.to_int prefix in
-  let route, from =
-    if is_originated t i then (self_route t prefix, from_self)
+  let path, from =
+    if is_originated t i then (As_path.empty, from_self)
     else
       let k = best_session t i in
-      if k = no_rank then (no_route, from_self) else (t.received.(slot t k i), t.peer_id.(k))
+      if k = no_rank then (no_path, from_self) else (t.received.(slot t k i), t.peer_id.(k))
   in
   let old = best_route t i in
   let unchanged =
-    if old == no_route then route == no_route
-    else route != no_route && t.best_from.(i) = from && Route.equal old route
+    if old == no_path then path == no_path
+    else path != no_path && t.best_from.(i) = from && As_path.equal old path
   in
   if unchanged then 0
   else begin
     loc_reserve t i;
-    t.best_route.(i) <- route;
+    t.best_route.(i) <- path;
     t.best_from.(i) <- from;
-    let reachable = route != no_route in
+    let reachable = path != no_path in
     t.hooks.Hooks.on_best_change ~time:(Sim.now t.sim) ~router:t.id ~prefix
-      ~best:(if reachable then Some route else None);
+      ~best:(if reachable then Some (Route.make ~prefix ~path) else None);
     let learned_from = learned_from t i in
     let emitted = ref 0 in
     for k = 0 to t.degree - 1 do
       if is_up t k then begin
         let desired =
-          if reachable then export t ~learned_from ~to_peer:t.peer_id.(k) route else D_withdraw
+          if reachable then export t ~learned_from ~to_peer:t.peer_id.(k) path else D_withdraw
         in
         emitted := !emitted + emit t k prefix desired trigger_rc
       end
@@ -770,33 +783,32 @@ let damping_event t ~rc ~local =
 
 let handle_withdraw t k prefix ~rc ~count =
   let i = Prefix.to_int prefix in
-  if received t k i != no_route then begin
+  if received t k i != no_path then begin
     let s = slot t k i in
-    t.received.(s) <- no_route;
+    t.received.(s) <- no_path;
     t.last_rc.(s) <- rc;
     apply_damping t k prefix (damping_event t ~rc ~local:Damper.Withdrawal) ~count;
     ignore (decision t prefix ~trigger_rc:rc)
   end
 (* else a spurious withdrawal: no state change, no penalty (RFC 2439). *)
 
-let handle_announce t k route ~rc ~rel_pref ~count =
-  let prefix = Route.prefix route in
+let handle_announce t k prefix path ~rc ~rel_pref ~count =
   let i = Prefix.to_int prefix in
   if not (has t k i f_exists) then begin
     (* First announcement: the entry is created, nothing is charged. *)
     reserve t i;
     let s = slot t k i in
     set_flag t s f_exists;
-    t.received.(s) <- route;
+    t.received.(s) <- path;
     t.last_rc.(s) <- rc;
     ignore (decision t prefix ~trigger_rc:rc)
   end
   else begin
     let s = slot t k i in
     let prev = t.received.(s) in
-    if prev == no_route || not (Route.equal prev route) then begin
-      let event = if prev == no_route then Damper.Reannouncement else Damper.Attribute_change in
-      t.received.(s) <- route;
+    if prev == no_path || not (As_path.equal prev path) then begin
+      let event = if prev == no_path then Damper.Reannouncement else Damper.Attribute_change in
+      t.received.(s) <- path;
       t.last_rc.(s) <- rc;
       let count =
         count
@@ -821,11 +833,11 @@ let receive t ~from_peer update =
     let count = rc_filter t k rc in
     match update with
     | Update.Withdraw { prefix; rc } -> handle_withdraw t k prefix ~rc ~count
-    | Update.Announce { route; rc; rel_pref } ->
-        if As_path.contains (Route.path route) t.id then
+    | Update.Announce { route = { Route.prefix; path }; rc; rel_pref } ->
+        if As_path.contains path t.id then
           (* Receiver-side loop detection: treat as withdrawal. *)
-          handle_withdraw t k (Route.prefix route) ~rc ~count
-        else handle_announce t k route ~rc ~rel_pref ~count
+          handle_withdraw t k prefix ~rc ~count
+        else handle_announce t k prefix path ~rc ~rel_pref ~count
   end
 
 (* ------------------------------------------------------------------ *)
@@ -877,19 +889,19 @@ let peer_down t ~peer =
     done;
     for i = 0 to cap - 1 do
       let s = slot t k i in
-      t.advertised.(s) <- no_route;
+      t.advertised.(s) <- no_path;
       Float.Array.set t.deadline s 0.
     done;
     Float.Array.set t.peer_deadline k 0.;
     let rc = Some (fresh_link_rc t ~peer ~status:Root_cause.Link_down) in
     let affected = ref [] in
     for i = cap - 1 downto 0 do
-      if t.received.(slot t k i) != no_route then affected := i :: !affected
+      if t.received.(slot t k i) != no_path then affected := i :: !affected
     done;
     List.iter
       (fun i ->
         let s = slot t k i in
-        t.received.(s) <- no_route;
+        t.received.(s) <- no_path;
         t.last_rc.(s) <- rc;
         apply_damping t k (Prefix.v i) Damper.Withdrawal ~count:true;
         ignore (decision t (Prefix.v i) ~trigger_rc:rc))
@@ -904,11 +916,11 @@ let peer_up t ~peer =
     (* Re-advertise the full table to the restored session, in ascending
        prefix order. *)
     for i = 0 to loc_capacity t - 1 do
-      let route = t.best_route.(i) in
-      if route != no_route then
+      let path = t.best_route.(i) in
+      if path != no_path then
         ignore
           (emit t k (Prefix.v i)
-             (export t ~learned_from:(learned_from t i) ~to_peer:peer route)
+             (export t ~learned_from:(learned_from t i) ~to_peer:peer path)
              rc)
     done
   end
@@ -916,19 +928,18 @@ let peer_up t ~peer =
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
 
-let best t prefix =
-  let route = best_route t (Prefix.to_int prefix) in
-  if route == no_route then None else Some route
+(* A stored path as the route it stands for, built on demand. *)
+let route_of prefix path = if path == no_path then None else Some (Route.make ~prefix ~path)
+
+let best t prefix = route_of prefix (best_route t (Prefix.to_int prefix))
 
 let session_up t ~peer = is_up t (rank t peer)
 
 let best_peer t prefix =
   let i = Prefix.to_int prefix in
-  if best_route t i == no_route then None else learned_from t i
+  if best_route t i == no_path then None else learned_from t i
 
-let rib_in_route t ~peer prefix =
-  let route = received t (rank t peer) (Prefix.to_int prefix) in
-  if route == no_route then None else Some route
+let rib_in_route t ~peer prefix = route_of prefix (received t (rank t peer) (Prefix.to_int prefix))
 
 let is_suppressed t ~peer prefix = has t (rank t peer) (Prefix.to_int prefix) f_suppressed
 
@@ -964,7 +975,7 @@ let known_prefixes t =
     for k = 0 to t.degree - 1 do
       if has t k i f_exists then entry := true
     done;
-    !entry || best_route t i != no_route || is_originated t i
+    !entry || best_route t i != no_path || is_originated t i
   in
   let acc = ref [] in
   for i = max t.capacity (loc_capacity t) - 1 downto 0 do
@@ -974,10 +985,10 @@ let known_prefixes t =
 
 let recompute_best t prefix =
   let i = Prefix.to_int prefix in
-  if is_originated t i then Some (self_route t prefix)
+  if is_originated t i then route_of prefix As_path.empty
   else
     let k = best_session t i in
-    if k = no_rank then None else Some t.received.(slot t k i)
+    if k = no_rank then None else route_of prefix t.received.(slot t k i)
 
 (* ------------------------------------------------------------------ *)
 (* Convergence-oracle introspection                                    *)

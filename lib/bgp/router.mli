@@ -24,8 +24,8 @@
     slot columns, prefix-major: with [d] sessions, session [k]'s slot for
     prefix id [i] is [i * d + k]. The slot columns are a flags byte
     (entry exists, suppressed, reuse timer pending, update parked, flush
-    armed), the received and advertised routes, the last root cause, the
-    MRAI deadline, the MRAI queue, the [Tick] wheel bucket and, only where
+    armed), the received and advertised routes' AS paths, the last root
+    cause, the MRAI deadline, the MRAI queue, the [Tick] wheel bucket and, only where
     the router damps, the penalty value and time as unboxed floats (one
     {!Rfd_damping.Damper.slots}). They are empty until a slot is first
     written, then start at {!Config.prefix_table_hint} prefixes and double
@@ -33,12 +33,23 @@
     The Loc-RIB and the originated prefixes are router-level columns
     indexed by prefix id.
 
+    No column holds a {!Route.t}. A slot's prefix is its index, so a
+    route column (RIB-In, RIB-Out, Loc-RIB, a parked update) holds the
+    route's {!As_path.t}, interned in the network's path table (a path
+    received from another partition stays interned in that partition's
+    table, and {!As_path.equal} compares it structurally). A route is
+    built where an update leaves the router, and on demand by {!best},
+    {!rib_in_route}, {!recompute_best} and the best-change hook.
+
     Protocol behaviour implemented here:
     - decision process: import preference (policy), then shortest AS path,
       then lowest peer id; self-originated routes always win;
     - sender-side AS-loop avoidance and receiver-side loop detection;
     - MRAI rate limiting of announcements (per peer and prefix, jittered),
-      with withdrawals exempt unless configured otherwise;
+      with withdrawals exempt unless configured otherwise; under
+      {!Config.t.mrai_per_peer} every update parked behind a session's
+      deadline is sent when it passes, and no prefix is announced twice
+      on a session within an interval in either mode;
     - RFC 2439 route flap damping per RIB-In entry, with reuse timers
       posted to the simulator;
     - RCN filtering and propagation (Section 6 of the paper) and the
@@ -83,7 +94,7 @@ val wheel_due : t -> int -> unit
 (** Fire the [Tick]-mode wheel bucket of a post's argument. *)
 
 val create :
-  ?table:Route.table ->
+  ?paths:As_path.table ->
   sim:Rfd_engine.Sim.t ->
   id:int ->
   policy:Policy.t ->
@@ -97,9 +108,9 @@ val create :
 (** [damping] is this router's effective parameter set ([None] = damping
     not deployed here) — {!Network} resolves it from the config's global
     preset, per-router overrides and deployment policy. [rng] is consumed
-    for MRAI jitter; hand each router a split stream. [table] is the route
-    intern table all advertisements are built through; {!Network} passes
-    one shared table to every router so identical routes are physically
+    for MRAI jitter; hand each router a split stream. [paths] is the
+    intern table every advertised path is built through; {!Network} passes
+    its one table to every router, so identical paths are physically
     shared network-wide (a private table is created when omitted). *)
 
 val id : t -> int

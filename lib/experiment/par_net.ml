@@ -265,10 +265,5 @@ let reuse_timer_events t =
 let peak_reuse_timers t =
   Array.fold_left (fun acc net -> acc + Network.peak_reuse_timers net) 0 t.nets
 
-let routes_interned t =
-  Array.fold_left (fun acc net -> acc + Route.table_size (Network.route_table net)) 0 t.nets
-
 let paths_interned t =
-  Array.fold_left
-    (fun acc net -> acc + As_path.table_size (Route.path_table (Network.route_table net)))
-    0 t.nets
+  Array.fold_left (fun acc net -> acc + As_path.table_size (Network.route_table net)) 0 t.nets

@@ -184,8 +184,6 @@ val reachable_count : t -> Rfd_bgp.Prefix.t -> int
 val reuse_timer_events : t -> int
 val peak_reuse_timers : t -> int
 
-val routes_interned : t -> int
-(** Summed per-partition interning-table sizes (each partition interns its
-    own routers' routes). *)
-
 val paths_interned : t -> int
+(** Summed per-partition path intern table sizes (each partition interns
+    its own routers' paths; routes are not interned). *)

@@ -168,7 +168,6 @@ type par_stats = {
   epochs : int;
   per_partition_events : int array;
   events_by_kind : Network.event_counts;
-  routes_interned_total : int;
   paths_interned_total : int;
 }
 
@@ -349,7 +348,6 @@ let run_partitioned ?(budget = no_budget) ?observe ?on_bus ~partitions scenario 
       epochs = Par_net.epochs par;
       per_partition_events = Par_net.per_partition_events par;
       events_by_kind = Par_net.event_counts par;
-      routes_interned_total = Par_net.routes_interned par;
       paths_interned_total = Par_net.paths_interned par;
     }
   in

@@ -176,8 +176,7 @@ type par_stats = {
           flushes, reuse timers, wheel buckets and ops (scheduled workload
           and administrative operations), summing to [sim_events] at every
           partition count *)
-  routes_interned_total : int;  (** summed per-partition interning tables *)
-  paths_interned_total : int;
+  paths_interned_total : int;  (** summed per-partition path intern tables *)
 }
 
 val run_partitioned :

@@ -36,43 +36,71 @@ let topology_nodes = function
   | Internet { nodes; _ } -> nodes
   | Custom g -> Rfd_topology.Graph.num_nodes g
 
+(* A router sizes its dense RIB columns by the largest prefix id it sees,
+   so prefix ids are capped at 2^20, a full Internet table's worth: above
+   the daemon's largest admissible id (200,000 background prefixes plus
+   10,000 flappers), and far below 2^31, the prefix field of a timer key. *)
+let max_prefix_id = 1 lsl 20
+
+let prefix_cap_problem ~background_prefixes workload =
+  let over what = Some (Printf.sprintf "%s exceeds the prefix id cap %d" what max_prefix_id) in
+  if background_prefixes > max_prefix_id then
+    over (Printf.sprintf "background prefix %d" background_prefixes)
+  else
+    match workload with
+    | Pulses_only -> None
+    | Flappers { count; _ } when count > max_prefix_id - background_prefixes ->
+        over
+          (Printf.sprintf "the last of %d flapper prefixes above %d background prefixes" count
+             background_prefixes)
+    | Flappers _ -> None
+    | Replay trace ->
+        let largest = Trace.max_prefix trace in
+        if largest > max_prefix_id then over (Printf.sprintf "replay trace prefix %d" largest)
+        else None
+
 (* Eager construction-time checks: these mistakes used to surface late (as a
    generic [Invalid_argument] deep in the runner) or not at all (an
    out-of-range isp silently clamped by graph lookups). Failing in [make]
    points at the call site that wrote the bad value. *)
-(* Workload checks shared by [check_make] (raising) and [validate]
-   (result-returning). *)
+(* Workload and prefix-range checks shared by [check_make] (raising) and
+   [validate] (result-returning). *)
 let workload_problem ~background_prefixes workload topology =
-  match workload with
-  | Pulses_only -> None
-  | Flappers { count; flaps; mean_gap; alpha; seed = _ } ->
-      if count < 0 then Some (Printf.sprintf "flapper count must be non-negative (got %d)" count)
-      else if flaps < 1 then
-        Some (Printf.sprintf "flaps per flapper must be positive (got %d)" flaps)
-      else if (not (Float.is_finite mean_gap)) || mean_gap <= 0. then
-        Some (Printf.sprintf "flapper mean_gap must be positive and finite (got %g)" mean_gap)
-      else if (not (Float.is_finite alpha)) || alpha <= 0. then
-        Some (Printf.sprintf "flapper alpha must be positive and finite (got %g)" alpha)
-      else None
-  | Replay trace -> (
-      match Trace.validate trace with
-      | Error e -> Some ("replay " ^ e)
-      | Ok () ->
-          let n = topology_nodes topology in
-          let worst = Trace.max_origin trace in
-          if worst >= n then
-            Some
-              (Printf.sprintf "replay trace origin %d is out of range for a %d-node topology"
-                 worst n)
-          else begin
-            let floor = background_prefixes + 1 in
-            List.find_opt (fun (e : Trace.event) -> e.Trace.prefix < floor) trace
-            |> Option.map (fun (e : Trace.event) ->
-                   Printf.sprintf
-                     "replay trace prefix %d collides with the background range 1..%d \
-                      (use prefixes >= %d)"
-                     e.Trace.prefix background_prefixes floor)
-          end)
+  let problem =
+    match workload with
+    | Pulses_only -> None
+    | Flappers { count; flaps; mean_gap; alpha; seed = _ } ->
+        if count < 0 then Some (Printf.sprintf "flapper count must be non-negative (got %d)" count)
+        else if flaps < 1 then
+          Some (Printf.sprintf "flaps per flapper must be positive (got %d)" flaps)
+        else if (not (Float.is_finite mean_gap)) || mean_gap <= 0. then
+          Some (Printf.sprintf "flapper mean_gap must be positive and finite (got %g)" mean_gap)
+        else if (not (Float.is_finite alpha)) || alpha <= 0. then
+          Some (Printf.sprintf "flapper alpha must be positive and finite (got %g)" alpha)
+        else None
+    | Replay trace -> (
+        match Trace.validate trace with
+        | Error e -> Some ("replay " ^ e)
+        | Ok () ->
+            let n = topology_nodes topology in
+            let worst = Trace.max_origin trace in
+            if worst >= n then
+              Some
+                (Printf.sprintf "replay trace origin %d is out of range for a %d-node topology"
+                   worst n)
+            else begin
+              let floor = background_prefixes + 1 in
+              List.find_opt (fun (e : Trace.event) -> e.Trace.prefix < floor) trace
+              |> Option.map (fun (e : Trace.event) ->
+                     Printf.sprintf
+                       "replay trace prefix %d collides with the background range 1..%d \
+                        (use prefixes >= %d)"
+                       e.Trace.prefix background_prefixes floor)
+            end)
+  in
+  match problem with
+  | Some _ -> problem
+  | None -> prefix_cap_problem ~background_prefixes workload
 
 let check_make ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~workload
     topology =

@@ -107,9 +107,18 @@ val make :
     [Internet] with [m < 1 || m >= nodes], an empty custom graph), or an
     invalid [workload] (bad flapper parameters; a replay trace that fails
     {!Trace.validate}, references an out-of-range origin, or collides with
-    the background prefix range). Config/pattern/fault problems are still
+    the background prefix range), or a largest prefix id (the background
+    count, the last flapper prefix or the trace's largest) above
+    {!max_prefix_id}. Config/pattern/fault problems are still
     reported by {!validate} (and by {!Runner.run}), so records built by
     hand or via [{ s with ... }] updates are checked too. *)
+
+val max_prefix_id : int
+(** [2{^20}]: the largest prefix id a scenario may name. A router keeps a
+    dense RIB slot for every id up to the largest it sees, so a larger id
+    is refused (the message says "exceeds the prefix id cap 1048576")
+    before any network is built. It is above the daemon's largest
+    admissible id, and below [2{^31}], the prefix field of a timer key. *)
 
 val with_pulses : t -> int -> t
 val paper_mesh : topology

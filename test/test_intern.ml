@@ -1,7 +1,8 @@
 (* The interning layer: list-reference equivalence for AS paths, physical
-   sharing of interned routes, digest determinism (intern ids must be a
-   pure function of the run), and intern-table behaviour under session
-   churn (no id leaks, no collisions). *)
+   sharing of interned paths between routes, digest determinism (intern
+   ids must be a pure function of the run), and intern-table behaviour
+   under session churn (no id leaks, no collisions). Routes are not
+   interned; a network's one intern table holds its paths. *)
 
 open Rfd_bgp
 module Rng = Rfd_engine.Rng
@@ -63,57 +64,43 @@ let prop_cross_table =
       && List.for_all (fun x -> As_path.contains q x = List.mem x l) (List.init 52 Fun.id)
       && As_path.origin q = Some (List.nth l (List.length l - 1)))
 
-(* Enough distinct paths and routes that both open-addressing tables
-   resize several times: each is found again, as the same value with the
-   same id, and the counts do not move. *)
+(* Enough distinct paths that the open-addressing table resizes several
+   times: each is found again, as the same value with the same id, and
+   the count does not move. *)
 let test_tables_resize () =
-  let tbl = Route.create_table () in
   let paths = As_path.create_table () in
   let n = 12_000 in
   let asns j = [ j / 1000; (j / 10) mod 100; j mod 10 ] in
-  let build j =
-    let path = As_path.intern paths (As_path.of_list (asns j)) in
-    let route =
-      Route.make_interned tbl ~prefix:(Prefix.v (j mod 7)) ~path:(As_path.of_list (asns j))
-    in
-    (path, route)
-  in
+  let build j = As_path.intern paths (As_path.of_list (asns j)) in
   let first = Array.init n build in
-  let path_count = As_path.table_size paths and route_count = Route.table_size tbl in
-  Alcotest.(check int) "every route interned once" n route_count;
+  let path_count = As_path.table_size paths in
   Alcotest.(check bool) "paths and their suffixes interned" true (path_count >= n);
   let ids = Hashtbl.create n in
   Array.iteri
-    (fun j (path, route) ->
-      let path', route' = build j in
-      if not (path == path' && route == route') then
-        Alcotest.failf "entry %d not found again" j;
+    (fun j path ->
+      let path' = build j in
+      if not (path == path') then Alcotest.failf "entry %d not found again" j;
       Alcotest.(check int) "same path id" (As_path.intern_id path) (As_path.intern_id path');
-      Alcotest.(check bool) "route's path is its table's" true
-        (As_path.mem (Route.path_table tbl) (Route.path route));
+      Alcotest.(check bool) "path is its table's" true (As_path.mem paths path);
       Alcotest.(check (list int)) "path reads back" (asns j) (As_path.to_list path);
       Hashtbl.replace ids (As_path.intern_id path) ())
     first;
   Alcotest.(check int) "distinct ids" n (Hashtbl.length ids);
-  Alcotest.(check int) "path count unchanged" path_count (As_path.table_size paths);
-  Alcotest.(check int) "route count unchanged" route_count (Route.table_size tbl)
+  Alcotest.(check int) "path count unchanged" path_count (As_path.table_size paths)
 
-(* The hot path of every advertisement: a hit in either table, by
+(* The hot path of every advertisement: a hit in the path table, by
    prepend or by intern, allocates nothing. *)
 let test_hit_allocates_nothing () =
-  let tbl = Route.create_table () in
-  let route = Route.make_interned tbl ~prefix:p0 ~path:(As_path.of_list [ 4; 3; 2; 1 ]) in
-  let extended = Route.prepend_interned tbl 5 route in
-  let path = Route.path extended in
-  let paths = Route.path_table tbl in
+  let paths = As_path.create_table () in
+  let tail = As_path.intern paths (As_path.of_list [ 4; 3; 2; 1 ]) in
+  let path = As_path.prepend_interned paths 5 tail in
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    ignore (Sys.opaque_identity (Route.prepend_interned tbl 5 route));
-    ignore (Sys.opaque_identity (As_path.prepend_interned paths 5 (Route.path route)));
+    ignore (Sys.opaque_identity (As_path.prepend_interned paths 5 tail));
     ignore (Sys.opaque_identity (As_path.intern paths path))
   done;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 30,000 hits" words) true
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 20,000 hits" words) true
     (words < 100.)
 
 let test_intern_idempotent () =
@@ -133,19 +120,25 @@ let test_intern_idempotent () =
   (* every suffix was interned along the way: 3 paths, not counting empty *)
   Alcotest.(check int) "table counts distinct non-empty paths" 4 (As_path.table_size tbl)
 
-let test_route_interning () =
-  let tbl = Route.create_table () in
-  let r1 = Route.make_interned tbl ~prefix:p0 ~path:(As_path.of_list [ 1; 2 ]) in
+(* Routes are built on demand around interned paths: two builds of one
+   (prefix, path) are equal and share the path, and a route for another
+   prefix shares its spine too. *)
+let test_routes_share_paths () =
+  let tbl = As_path.create_table () in
+  let path = As_path.intern tbl (As_path.of_list [ 1; 2 ]) in
+  let r1 = Route.make ~prefix:p0 ~path in
   let r2 =
-    Route.prepend_interned tbl 1 (Route.make_interned tbl ~prefix:p0 ~path:(As_path.of_list [ 2 ]))
+    Route.make ~prefix:p0 ~path:(As_path.prepend_interned tbl 1 (As_path.of_list [ 2 ]))
   in
-  Alcotest.(check bool) "same (prefix, path) is one shared record" true (r1 == r2);
+  Alcotest.(check bool) "same (prefix, path) routes are equal" true (Route.equal r1 r2);
   Alcotest.(check bool) "paths shared too" true (Route.path r1 == Route.path r2);
-  let other = Route.make_interned tbl ~prefix:(Prefix.v 1) ~path:(As_path.of_list [ 1; 2 ]) in
-  Alcotest.(check bool) "different prefix, different record" true (not (r1 == other));
+  let other =
+    Route.make ~prefix:(Prefix.v 1) ~path:(As_path.intern tbl (As_path.of_list [ 1; 2 ]))
+  in
+  Alcotest.(check bool) "different prefix, different route" false (Route.equal r1 other);
   Alcotest.(check bool) "but the path spine is still shared" true
     (Route.path r1 == Route.path other);
-  Alcotest.(check int) "distinct routes counted once each" 3 (Route.table_size tbl)
+  Alcotest.(check int) "no route is interned" 0 (Route.table_size tbl)
 
 (* ------------------------------------------------------------------ *)
 (* Digest determinism: intern ids are assigned in simulation order, so
@@ -180,7 +173,7 @@ let prop_digest_deterministic =
 (* ------------------------------------------------------------------ *)
 (* Session churn: repeating an identical fail/restore + crash/restart
    episode must not keep allocating intern ids (the path universe is
-   fixed), and every route resident in any RIB stays a value of the
+   fixed), and every path resident in any RIB stays a value of the
    network's shared table.                                              *)
 
 let run_churn_episode net =
@@ -191,7 +184,6 @@ let run_churn_episode net =
   Par_net.schedule_restart net ~at:(t0 +. 120.) 2;
   Fixture.run net
 
-let table_sizes net = (Par_net.routes_interned net, Par_net.paths_interned net)
 
 let assert_ribs_interned net =
   for node = 0 to Rfd_topology.Graph.num_nodes (Par_net.graph net) - 1 do
@@ -223,16 +215,15 @@ let test_churn_no_leak () =
   Par_net.originate net ~node:0 p0;
   Fixture.run net;
   run_churn_episode net;
-  let routes1, paths1 = table_sizes net in
-  Alcotest.(check bool) "churn observed some paths" true (routes1 > 0 && paths1 > 0);
+  let paths1 = Par_net.paths_interned net in
+  Alcotest.(check bool) "churn observed some paths" true (paths1 > 0);
   run_churn_episode net;
-  let routes2, paths2 = table_sizes net in
+  let paths2 = Par_net.paths_interned net in
   run_churn_episode net;
-  let routes3, paths3 = table_sizes net in
+  let paths3 = Par_net.paths_interned net in
   (* The first episode may discover exploration paths the initial
-     convergence never produced; after that the route universe is closed,
+     convergence never produced; after that the path universe is closed,
      so identical episodes must not allocate new ids. *)
-  Alcotest.(check int) "route ids stable under repeated churn" routes2 routes3;
   Alcotest.(check int) "path ids stable under repeated churn" paths2 paths3;
   assert_ribs_interned net
 
@@ -253,10 +244,9 @@ let test_restart_reuses_ids () =
     done
   in
   cycle ();
-  let routes1, paths1 = table_sizes net in
+  let paths1 = Par_net.paths_interned net in
   cycle ();
-  let routes2, paths2 = table_sizes net in
-  Alcotest.(check int) "routes stable across restart cycles" routes1 routes2;
+  let paths2 = Par_net.paths_interned net in
   Alcotest.(check int) "paths stable across restart cycles" paths1 paths2;
   Alcotest.(check bool) "network converged" true (Par_net.converged net p0);
   assert_ribs_interned net
@@ -268,7 +258,7 @@ let suite =
     Alcotest.test_case "intern idempotent, ids unique" `Quick test_intern_idempotent;
     Alcotest.test_case "tables resize, entries found again" `Quick test_tables_resize;
     Alcotest.test_case "a hit allocates nothing" `Quick test_hit_allocates_nothing;
-    Alcotest.test_case "route interning shares storage" `Quick test_route_interning;
+    Alcotest.test_case "routes share interned paths" `Quick test_routes_share_paths;
     QCheck_alcotest.to_alcotest prop_digest_deterministic;
     Alcotest.test_case "churn leaks no intern ids" `Quick test_churn_no_leak;
     Alcotest.test_case "restart reuses intern ids" `Quick test_restart_reuses_ids;

@@ -157,8 +157,53 @@ let test_par_stats () =
   let raw = Array.fold_left ( + ) 0 sn.Runner.per_partition_events in
   Alcotest.(check bool) "raw events cover corrected count" true (raw >= rn.Runner.sim_events);
   Alcotest.(check bool) "epochs counted" true (sn.Runner.epochs > 0);
-  Alcotest.(check bool) "interning totals positive" true
-    (sn.Runner.routes_interned_total > 0 && sn.Runner.paths_interned_total > 0)
+  Alcotest.(check bool) "path interning total positive" true (sn.Runner.paths_interned_total > 0)
+
+(* Result digests do not cover RIB contents, and at P > 1 a RIB-In slot
+   can hold a path interned in another partition's table: every router's
+   Loc-RIB and RIB-In, read back as routes, must still be the same at every
+   partition count at the end of a many-prefix run. *)
+let test_ribs_partition_invariant () =
+  let background = 12 and flappers = 6 in
+  let scenario =
+    Scenario.make ~name:"par-ribs" ~config:(fast_config ()) ~pulses:2
+      ~background_prefixes:background
+      ~workload:
+        (Scenario.Flappers { count = flappers; flaps = 2; mean_gap = 5.; alpha = 1.5; seed = 3 })
+      small_mesh
+  in
+  let ribs partitions =
+    let nets = ref [] in
+    let result, _ =
+      Runner.run_partitioned ~observe:(fun net -> nets := net :: !nets) ~partitions scenario
+    in
+    let owner node =
+      List.find_map
+        (fun net ->
+          match Network.router net node with
+          | r -> Some r
+          | exception Invalid_argument _ -> None)
+        !nets
+      |> Option.get
+    in
+    let show =
+      Option.map (fun r -> (Prefix.to_int (Route.prefix r), As_path.to_list (Route.path r)))
+    in
+    List.init result.Runner.num_nodes (fun node ->
+        let r = owner node in
+        List.init (background + flappers + 1) (fun i ->
+            let prefix = Prefix.v i in
+            let rib_in peer = show (Router.rib_in_route r ~peer prefix) in
+            (show (Router.best r prefix), List.map rib_in (Router.peer_ids r))))
+  in
+  let reference = ribs 1 in
+  Alcotest.(check bool) "every router holds routes" true
+    (List.for_all (List.exists (fun (best, _) -> best <> None)) reference);
+  List.iter
+    (fun partitions ->
+      if ribs partitions <> reference then
+        Alcotest.failf "RIBs at P = %d differ from P = 1" partitions)
+    [ 2; 4 ]
 
 let test_partitions_clamped () =
   (* More partitions than nodes degrades to one partition per node. *)
@@ -499,6 +544,7 @@ let suite =
     Alcotest.test_case "par_stats shape" `Quick test_par_stats;
     Alcotest.test_case "event kinds sum to sim_events" `Quick test_event_kinds;
     Alcotest.test_case "partitions clamp to node count" `Quick test_partitions_clamped;
+    Alcotest.test_case "RIBs equal at P = 1, 2 and 4" `Quick test_ribs_partition_invariant;
     Alcotest.test_case "observe per net, observers on bus" `Quick test_observe_and_bus;
     Alcotest.test_case "one partition: network hooks are the bus" `Quick
       test_single_partition_hooks_are_the_bus;

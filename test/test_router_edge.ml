@@ -230,8 +230,10 @@ let test_facade_conveniences () =
 
 let test_per_peer_mrai_paces_across_prefixes () =
   (* In per-peer mode, announcements for different prefixes to the same
-     peer share one MRAI clock: after a simultaneous change to both
-     prefixes, the second announcement waits a full interval. *)
+     peer share one MRAI clock: p1's flush at t = 10 restarts it, so after
+     a simultaneous change to both prefixes at t = 10.61 both wait for
+     t = 20 and leave together, though p0 was last announced at t = 0.
+     Per prefix, each waits only for its own deadline (t = 10). *)
   let run per_peer =
     let config =
       { fast with Config.mrai = 10.; mrai_per_peer = per_peer; mrai_jitter = (1.0, 1.0) }
@@ -256,12 +258,116 @@ let test_per_peer_mrai_paces_across_prefixes () =
     List.sort Float.compare !announce_times
   in
   (match run true with
-  | a :: b :: _ -> Alcotest.(check bool) "paced >= interval apart" true (b -. a >= 9.99)
+  | [ a; b ] ->
+      Alcotest.(check bool) "both wait for the shared deadline" true (a >= 20.);
+      Alcotest.(check bool) "and leave together" true (b -. a < 1e-6)
   | _ -> Alcotest.fail "expected two announcements");
   match run false with
-  | a :: b :: _ ->
-      Alcotest.(check bool) "per-prefix mode does not pace across prefixes" true (b -. a < 9.99)
+  | [ a; b ] ->
+      Alcotest.(check bool) "per-prefix mode does not pace across prefixes" true
+        (a < 11. && b < 11.)
   | _ -> Alcotest.fail "expected two announcements"
+
+(* Every announcement sent and delivered, as (src, dst, prefix id, time),
+   newest first. *)
+let record_announcements net =
+  let sent = ref [] and delivered = ref [] in
+  let bus = Par_net.bus net in
+  let keep log ~time ~src ~dst = function
+    | Update.Announce { route; _ } ->
+        log := (src, dst, Prefix.to_int (Route.prefix route), time) :: !log
+    | Update.Withdraw _ -> ()
+  in
+  bus.Hooks.on_send <- keep sent;
+  bus.Hooks.on_deliver <- keep delivered;
+  (sent, delivered)
+
+let per_peer_line () =
+  let config =
+    {
+      Config.default with
+      Config.mrai = 10.;
+      mrai_jitter = (1., 1.);
+      link_jitter = 0.;
+      mrai_per_peer = true;
+    }
+  in
+  make ~config (Builders.line 3)
+
+(* Times of the announcements of [prefix] from [src] to [dst] in [log],
+   in order. *)
+let times log ~src ~dst prefix =
+  List.filter_map
+    (fun (s, d, p, time) -> if s = src && d = dst && p = prefix then Some time else None)
+    (List.rev !log)
+
+let test_per_peer_flush_releases_batch () =
+  (* Router 0 originates prefixes 1 and 2 at t = 0 (2 waits for the
+     per-peer deadline at t = 10), withdraws both at t = 1 and re-announces
+     both at t = 2, so both are parked behind that deadline. Both leave at
+     t = 10 and reach router 1 at t = 10.05; each later flush due at that
+     instant used to find the deadline moved on by the first send and wait
+     until t = 20. Router 1 forwards prefix 1 at once, which starts its own
+     per-peer interval, so prefix 2, arriving 1 ns later, waits for it. *)
+  let net = per_peer_line () in
+  let p1 = Prefix.v 1 and p2 = Prefix.v 2 in
+  let sent, delivered = record_announcements net in
+  List.iter
+    (fun (at, op) -> List.iter (fun p -> op net ~at ~node:0 p) [ p1; p2 ])
+    [
+      (0., Par_net.schedule_originate);
+      (1., Par_net.schedule_withdraw);
+      (2., Par_net.schedule_originate);
+    ];
+  Fixture.run net;
+  let close = Alcotest.(list (float 1e-6)) in
+  Alcotest.(check close) "router 0 announces prefix 1" [ 0.; 10. ] (times sent ~src:0 ~dst:1 1);
+  Alcotest.(check close) "and prefix 2 with it at t = 10" [ 10. ] (times sent ~src:0 ~dst:1 2);
+  Alcotest.(check close) "both reach router 1 at t = 10.05" [ 10.05; 10.05 ]
+    (times delivered ~src:0 ~dst:1 1 @ times delivered ~src:0 ~dst:1 2
+    |> List.filter (fun time -> time > 2.));
+  Alcotest.(check close) "router 1 forwards prefix 1 at once" [ 0.05; 10.05 ]
+    (times sent ~src:1 ~dst:2 1);
+  Alcotest.(check close) "and prefix 2 after its own interval" [ 20.05 ]
+    (times sent ~src:1 ~dst:2 2)
+
+let test_per_peer_flush_not_early () =
+  (* A flush armed before a same-instant send must not fire early. Router
+     1's re-announcement of prefix 1 to router 0 is parked behind the
+     per-peer deadline at t = 10. Operations at t = 10 run before that
+     flush (an operation's tag is its op-table row; the flush's is the
+     session's directed link, here 1, times 2^31 plus the prefix): they
+     withdraw the prefix, announce it (sent at once, as the deadline has
+     passed, and the session's deadline moves to t = 20), withdraw it and
+     announce it again, which parks behind the still-armed flush. The
+     flush must keep it parked until t = 20, not announce the prefix a
+     second time at t = 10, and must not report it sent. *)
+  let net = per_peer_line () in
+  let p1 = Prefix.v 1 in
+  let sent, _ = record_announcements net in
+  let at_ten = ref [] in
+  (Par_net.bus net).Hooks.on_mrai <-
+    (fun ~time ~router ~peer ~prefix action ->
+      if time = 10. && router = 1 && peer = 0 && Prefix.equal prefix p1 then
+        at_ten := Hooks.mrai_action_to_string action :: !at_ten);
+  List.iter
+    (fun (at, op) -> op net ~at ~node:1 p1)
+    [
+      (0., Par_net.schedule_originate);
+      (1., Par_net.schedule_withdraw);
+      (2., Par_net.schedule_originate);
+      (10., Par_net.schedule_withdraw);
+      (10., Par_net.schedule_originate);
+      (10., Par_net.schedule_withdraw);
+      (10., Par_net.schedule_originate);
+    ];
+  Fixture.run net;
+  Alcotest.(check (list (float 1e-9))) "announcements one interval apart" [ 0.; 10.; 20. ]
+    (times sent ~src:1 ~dst:0 1);
+  Alcotest.(check (list string)) "the flush re-arms without reporting a send"
+    (List.map Hooks.mrai_action_to_string
+       Hooks.[ Mrai_superseded; Mrai_queued; Flush_fired; Flush_armed ])
+    (List.rev !at_ten)
 
 let test_in_flight_messages_dropped_on_failure () =
   (* Fail a link while an update is in flight on it: the update must not be
@@ -294,6 +400,9 @@ let suite =
     Alcotest.test_case "connect after slots refused" `Quick test_connect_after_slots;
     Alcotest.test_case "facade conveniences" `Quick test_facade_conveniences;
     Alcotest.test_case "per-peer MRAI pacing" `Quick test_per_peer_mrai_paces_across_prefixes;
+    Alcotest.test_case "per-peer flush releases the batch" `Quick
+      test_per_peer_flush_releases_batch;
+    Alcotest.test_case "per-peer flush never fires early" `Quick test_per_peer_flush_not_early;
     Alcotest.test_case "in-flight drop on failure" `Quick
       test_in_flight_messages_dropped_on_failure;
   ]

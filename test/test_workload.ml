@@ -133,6 +133,44 @@ let test_validate_checks_hand_built_workloads () =
     "valid workload passes validate" (Ok ())
     (Scenario.validate (scenario_with flappers_workload))
 
+(* A router keeps a dense RIB slot per prefix id up to the largest it
+   sees, so a trace naming prefix 4,000,000,000 used to run out of memory
+   building the first router's columns. Every source of prefix ids is held
+   to one cap, before any network is built. *)
+let test_prefix_id_cap () =
+  let trace =
+    match Trace.of_string "rfd-trace/1\n1 4000000000 withdraw 4\n2 4000000000 announce 4\n" with
+    | Ok trace -> trace
+    | Error e -> Alcotest.failf "trace refused: %s" e
+  in
+  let cap = Scenario.max_prefix_id in
+  let refused what = Printf.sprintf "%s exceeds the prefix id cap %d" what cap in
+  Alcotest.(check int) "the cap is 2^20" 1_048_576 cap;
+  Alcotest.check_raises "make refuses the trace"
+    (Invalid_argument ("Scenario.make: " ^ refused "replay trace prefix 4000000000"))
+    (fun () -> ignore (scenario_with (Scenario.Replay trace)));
+  (* The CLI swaps a replay workload into a built scenario, so [validate]
+     is what refuses it there. *)
+  let hand_built workload =
+    { (scenario_with Scenario.Pulses_only) with Scenario.workload = workload }
+  in
+  Alcotest.(check (result unit string)) "validate refuses the trace"
+    (Error (refused "replay trace prefix 4000000000"))
+    (Scenario.validate (hand_built (Scenario.Replay trace)));
+  let with_background n workload =
+    { (hand_built workload) with Scenario.background_prefixes = n }
+  in
+  Alcotest.(check (result unit string)) "background prefixes up to the cap pass" (Ok ())
+    (Scenario.validate (with_background cap Scenario.Pulses_only));
+  Alcotest.(check (result unit string)) "one more is refused"
+    (Error (refused (Printf.sprintf "background prefix %d" (cap + 1))))
+    (Scenario.validate (with_background (cap + 1) Scenario.Pulses_only));
+  Alcotest.(check (result unit string)) "so is a flapper past it"
+    (Error
+       (refused
+          (Printf.sprintf "the last of 8 flapper prefixes above %d background prefixes" (cap - 7))))
+    (Scenario.validate (with_background (cap - 7) flappers_workload))
+
 let suite =
   [
     Alcotest.test_case "replay of expanded flappers is the same run" `Quick
@@ -145,4 +183,5 @@ let suite =
       test_make_rejects_bad_workloads;
     Alcotest.test_case "validate checks hand-built workloads" `Quick
       test_validate_checks_hand_built_workloads;
+    Alcotest.test_case "prefix ids are capped" `Quick test_prefix_id_cap;
   ]
