@@ -424,24 +424,23 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
   (* Every partition replays the full master split sequence — one split per
      node, in node order — and builds only its owned routers, so a router's
      RNG stream is a function of (seed, node id) alone, not of the
-     partitioning. *)
+     partitioning. A router is built with all its sessions: its graph
+     neighbours in ascending order, each over the directed link from it,
+     which is the order its MRAI jitter is drawn in. *)
   for node = 0 to n - 1 do
     let rng = Rng.split master in
-    if owned.(node) then
+    if owned.(node) then begin
+      let sessions =
+        Array.map2
+          (fun peer eid -> (peer, directed_slot eid ~src:node ~dst:peer))
+          (Graph.neighbors graph node) (Graph.incident_edge_ids graph node)
+      in
       t.routers.(node) <-
         Some
-          (Router.create ~paths ~sim ~id:node ~policy ~config ~damping:(params_at node) ~rng
-             ~hooks ~ports ())
+          (Router.create ~sim ~id:node ~sessions ~paths ~policy ~config
+             ~damping:(params_at node) ~rng ~hooks ~ports)
+    end
   done;
-  Array.iteri
-    (fun eid (u, v) ->
-      (match t.routers.(u) with
-      | Some r -> Router.connect r ~peer:v ~link:(directed_slot eid ~src:u ~dst:v)
-      | None -> ());
-      match t.routers.(v) with
-      | Some r -> Router.connect r ~peer:u ~link:(directed_slot eid ~src:v ~dst:u)
-      | None -> ())
-    (Graph.edges graph);
   t
 
 let sim t = t.sim
@@ -573,9 +572,6 @@ let event_counts t =
 
 let fold_routers t ~init ~f =
   Array.fold_left (fun acc r -> match r with Some r -> f acc r | None -> acc) init t.routers
-
-let reuse_timer_events t =
-  fold_routers t ~init:0 ~f:(fun acc r -> acc + Router.reuse_timer_events r)
 
 let peak_reuse_timers t =
   fold_routers t ~init:0 ~f:(fun acc r -> acc + Router.peak_reuse_timers r)

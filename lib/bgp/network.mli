@@ -189,10 +189,6 @@ type event_counts = {
 val event_counts : t -> event_counts
 (** This shard's simulator, by channel. *)
 
-val reuse_timer_events : t -> int
-(** Total {!Router.reuse_timer_events} across routers — simulator events
-    spent on reuse scheduling. *)
-
 val peak_reuse_timers : t -> int
 (** Sum of every router's {!Router.peak_reuse_timers}. Per-router peaks
     need not coincide in time, so this is an upper bound on the network's

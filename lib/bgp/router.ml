@@ -61,16 +61,15 @@ type wheel = {
 }
 
 (* A session is a rank: the router's sessions ranked by ascending peer id,
-   and every per-session value is a column of that length. Per-prefix
-   session state is one set of router-level slot columns, laid out
-   prefix-major: session [k]'s slot for prefix id [i] is [i * degree + k],
-   so the decision process scans one contiguous run and growing past the
-   capacity is a plain widen. The slot columns are empty until a slot is
-   first needed; from then on the sessions are fixed, since a new rank
-   would move every slot. A read past capacity reads as absent. No slot
-   owns a heap block: paths and root causes are shared values, absence is
-   a sentinel, and penalties live in float arrays. A slot's prefix is its
-   index, so the route columns hold the route's interned path alone. *)
+   and every per-session value is a column of that length, fixed when the
+   router is created. Per-prefix session state is one set of router-level
+   slot columns, laid out prefix-major: session [k]'s slot for prefix id
+   [i] is [i * degree + k], so the decision process scans one contiguous
+   run and growing past the capacity is a plain widen. A read past
+   capacity reads as absent. No slot owns a heap block: paths and root
+   causes are shared values, absence is a sentinel, and penalties live in
+   float arrays. A slot's prefix is its index, so the route columns hold
+   the route's interned path alone. *)
 type t = {
   sim : Sim.t;
   id : int;
@@ -80,20 +79,18 @@ type t = {
   wheel : wheel option; (* Some iff damping is on and reuse_mode is Tick *)
   hooks : Hooks.t;
   ports : ports;
-  rng : Rng.t;
   paths : As_path.table; (* the network's path intern table, shared across routers *)
-  (* Session columns, by rank. They double while sessions are added and
-     are trimmed to [degree] when the slot columns are first sized. *)
-  mutable degree : int;
-  mutable peer_id : int array;
-  mutable link : int array; (* the directed link to the peer: transport and timer key *)
-  mutable mrai_interval : Float.Array.t; (* jittered once per session *)
-  mutable peer_deadline : Float.Array.t; (* shared MRAI deadline in per-peer mode *)
-  mutable up : Bytes.t;
-  mutable rcn_history : Root_cause.t History.t array;
+  (* Session columns, by rank. *)
+  degree : int;
+  peer_id : int array;
+  link : int array; (* the directed link to the peer: transport and timer key *)
+  mrai_interval : Float.Array.t; (* jittered once per session *)
+  peer_deadline : Float.Array.t; (* shared MRAI deadline in per-peer mode *)
+  up : Bytes.t;
+  rcn_history : Root_cause.t History.t array;
       (* empty unless this router damps in RCN mode, the only consumer *)
   (* Slot columns: [capacity * degree] slots. *)
-  mutable capacity : int; (* prefix ids with a slot; 0 until first use *)
+  mutable capacity : int; (* prefix ids with a slot *)
   mutable flags : Bytes.t; (* [f_*] bits per slot *)
   mutable received : As_path.t array; (* RIB-In; [no_path] = withdrawn or never received *)
   mutable last_rc : Root_cause.t option array; (* root cause of the last update, as received *)
@@ -108,18 +105,33 @@ type t = {
   mutable best_route : As_path.t array; (* [no_path] = no best route *)
   mutable best_from : int array; (* learned-from peer, [from_self] when originated *)
   mutable rc_seq : int;
-  (* Reuse-timer accounting, the cost centre the tick wheel optimises:
-     simulator events spent on reuse scheduling (fired per-entry timers in
-     Exact mode, fired wheel slots in Tick mode) and how many such events
-     sit in the simulator heap at once. *)
-  mutable timer_events : int;
+  (* Reuse-timer heap residency, the cost centre the tick wheel optimises:
+     how many reuse posts (per-entry timers in Exact mode, occupied wheel
+     buckets in Tick mode) sit in the simulator heap now and at most. *)
   mutable timer_live : int;
   mutable timer_peak : int;
 }
 
 let from_self = -1
 
-let create ?paths ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
+(* Each session's link must fit a timer post beside the prefix bits, and
+   peers ascend without repeats, so a session's rank is its index. *)
+let check_sessions ~id sessions =
+  let prev = ref (-1) in
+  Array.iter
+    (fun (peer, link) ->
+      if peer = id then invalid_arg "Router.create: cannot peer with self";
+      if peer < 0 then invalid_arg (Printf.sprintf "Router.create: negative peer id %d" peer);
+      if link < 0 || link > Sim.max_arg lsr prefix_bits then
+        invalid_arg (Printf.sprintf "Router.create: link %d outside the timer key range" link);
+      if peer = !prev then invalid_arg (Printf.sprintf "Router.create: duplicate peer %d" peer);
+      if peer < !prev then
+        invalid_arg
+          (Printf.sprintf "Router.create: peer %d after peer %d: sessions must ascend" peer !prev);
+      prev := peer)
+    sessions
+
+let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Router.create: " ^ msg));
@@ -129,6 +141,7 @@ let create ?paths ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
       | Ok () -> ()
       | Error msg -> invalid_arg ("Router.create: damping params: " ^ msg))
   | None -> ());
+  check_sessions ~id sessions;
   let wheel =
     match (damping, config.Config.reuse_mode) with
     | Some params, Config.Tick tick ->
@@ -141,7 +154,14 @@ let create ?paths ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
           }
     | Some _, Config.Exact | None, _ -> None
   in
+  let degree = Array.length sessions in
+  (* One MRAI jitter draw per session, in rank order. *)
+  let lo, hi = config.Config.mrai_jitter in
+  let mrai_interval =
+    Float.Array.init degree (fun _ -> config.Config.mrai *. Rng.uniform rng ~lo ~hi)
+  in
   let hint = config.Config.prefix_table_hint in
+  let n = hint * degree in
   {
     sim;
     id;
@@ -151,33 +171,34 @@ let create ?paths ~sim ~id ~policy ~config ~damping ~rng ~hooks ~ports () =
     wheel;
     hooks;
     ports;
-    rng;
-    paths = (match paths with Some tbl -> tbl | None -> As_path.create_table ());
-    degree = 0;
-    peer_id = [||];
-    link = [||];
-    mrai_interval = Float.Array.create 0;
-    peer_deadline = Float.Array.create 0;
-    up = Bytes.empty;
-    rcn_history = [||];
-    capacity = 0;
-    flags = Bytes.empty;
-    received = [||];
-    last_rc = [||];
-    advertised = [||];
-    deadline = Float.Array.create 0;
-    parked = [||];
-    wheel_slot = [||];
+    paths;
+    degree;
+    peer_id = Array.map fst sessions;
+    link = Array.map snd sessions;
+    mrai_interval;
+    peer_deadline = Float.Array.make degree 0.;
+    up = Bytes.make degree '\001';
+    rcn_history =
+      (if config.Config.damping_mode = Config.Rcn && damping <> None then
+         Array.init degree (fun _ -> History.create ~capacity:config.Config.rcn_history ())
+       else [||]);
+    capacity = hint;
+    flags = Bytes.make n '\000';
+    received = Array.make n no_path;
+    last_rc = Array.make n None;
+    advertised = Array.make n no_path;
+    deadline = Float.Array.make n 0.;
+    parked = Array.make n no_parked;
+    wheel_slot = (if wheel <> None then Array.make n 0 else [||]);
     penalties =
       (* One decay cache per router. *)
       Option.map
-        (fun params -> Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:0)
+        (fun params -> Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:n)
         damping;
     originated = Bytes.make hint '\000';
     best_route = Array.make hint no_path;
     best_from = Array.make hint from_self;
     rc_seq = 0;
-    timer_events = 0;
     timer_live = 0;
     timer_peak = 0;
   }
@@ -206,26 +227,12 @@ let resize_bytes column n =
   fresh
 
 (* Make prefix id [i] addressable in every session: the slot columns grow
-   together, to at least double their prefix capacity, from
-   [Config.prefix_table_hint] on first use. Prefix-major order makes that
-   a widen: existing slots keep their index. *)
+   together, to at least double their prefix capacity. Prefix-major order
+   makes that a widen: existing slots keep their index. *)
 let reserve t i =
   if i >= t.capacity then begin
-    let d = t.degree in
-    if t.capacity = 0 && Array.length t.peer_id > d then begin
-      t.peer_id <- resize t.peer_id d 0;
-      t.link <- resize t.link d 0;
-      t.mrai_interval <- resize_floats t.mrai_interval d;
-      t.peer_deadline <- resize_floats t.peer_deadline d;
-      t.up <- resize_bytes t.up d;
-      if Array.length t.rcn_history > 0 then
-        t.rcn_history <- Array.sub t.rcn_history 0 d
-    end;
-    let cap =
-      if t.capacity = 0 then max (i + 1) t.config.Config.prefix_table_hint
-      else max (i + 1) (t.capacity * 2)
-    in
-    let n = cap * d in
+    let cap = max (i + 1) (t.capacity * 2) in
+    let n = cap * t.degree in
     t.flags <- resize_bytes t.flags n;
     t.received <- resize t.received n no_path;
     t.last_rc <- resize t.last_rc n None;
@@ -286,63 +293,7 @@ let rank t peer =
   if k = no_rank then invalid_arg (Printf.sprintf "Router %d: unknown peer %d" t.id peer);
   k
 
-(* Open rank [pos] in a session column of [n] used entries, doubling it
-   when full. *)
-let insert_at column n pos fill =
-  let column = if n < Array.length column then column else resize column (max 1 (2 * n)) fill in
-  Array.blit column pos column (pos + 1) (n - pos);
-  column
-
-let insert_float_at column n pos =
-  let column =
-    if n < Float.Array.length column then column else resize_floats column (max 1 (2 * n))
-  in
-  Float.Array.blit column pos column (pos + 1) (n - pos);
-  column
-
-let insert_byte_at column n pos =
-  let column = if n < Bytes.length column then column else resize_bytes column (max 1 (2 * n)) in
-  Bytes.blit column pos column (pos + 1) (n - pos);
-  column
-
-let connect t ~peer ~link =
-  if peer = t.id then invalid_arg "Router.connect: cannot peer with self";
-  if peer < 0 then invalid_arg (Printf.sprintf "Router.connect: negative peer id %d" peer);
-  if link < 0 || link > Sim.max_arg lsr prefix_bits then
-    invalid_arg (Printf.sprintf "Router.connect: link %d outside the timer key range" link);
-  if find_rank t peer <> no_rank then
-    invalid_arg (Printf.sprintf "Router.connect: duplicate peer %d" peer);
-  if t.capacity > 0 then
-    invalid_arg
-      (Printf.sprintf "Router.connect: router %d already holds RIB slots for its sessions" t.id);
-  let lo, hi = t.config.Config.mrai_jitter in
-  let interval = t.config.Config.mrai *. Rng.uniform t.rng ~lo ~hi in
-  let n = t.degree in
-  (* The rank of the new session: sessions are usually added in ascending
-     peer order, which appends. *)
-  let pos = ref n in
-  while !pos > 0 && t.peer_id.(!pos - 1) > peer do
-    decr pos
-  done;
-  let pos = !pos in
-  t.peer_id <- insert_at t.peer_id n pos 0;
-  t.peer_id.(pos) <- peer;
-  t.link <- insert_at t.link n pos 0;
-  t.link.(pos) <- link;
-  t.mrai_interval <- insert_float_at t.mrai_interval n pos;
-  Float.Array.set t.mrai_interval pos interval;
-  t.peer_deadline <- insert_float_at t.peer_deadline n pos;
-  Float.Array.set t.peer_deadline pos 0.;
-  t.up <- insert_byte_at t.up n pos;
-  Bytes.set_uint8 t.up pos 1;
-  if t.config.Config.damping_mode = Config.Rcn && t.damping <> None then begin
-    let history = History.create ~capacity:t.config.Config.rcn_history () in
-    t.rcn_history <- insert_at t.rcn_history n pos history;
-    t.rcn_history.(pos) <- history
-  end;
-  t.degree <- n + 1
-
-let peer_ids t = List.init t.degree (fun k -> t.peer_id.(k))
+let peer_ids t = Array.to_list t.peer_id
 
 let session_key t k i =
   if i > prefix_mask then
@@ -580,9 +531,7 @@ let timer_armed t =
   t.timer_live <- t.timer_live + 1;
   if t.timer_live > t.timer_peak then t.timer_peak <- t.timer_live
 
-let timer_fired t =
-  t.timer_events <- t.timer_events + 1;
-  t.timer_live <- t.timer_live - 1
+let timer_fired t = t.timer_live <- t.timer_live - 1
 
 (* A suppressed slot's timer came due: release it if its penalty has
    decayed, else report when to check again. *)
@@ -950,7 +899,6 @@ let penalty t ~peer prefix =
   | Some pen when has t k i f_exists -> Damper.slot_penalty pen (slot t k i) ~now:(Sim.now t.sim)
   | Some _ | None -> 0.
 
-let reuse_timer_events t = t.timer_events
 let peak_reuse_timers t = t.timer_peak
 
 (* Slots with [flag] set: session [k]'s, or every session's when [k] is

@@ -20,18 +20,17 @@
     State layout: sessions are ranked by ascending peer id, and each
     per-session value (peer id, link, MRAI interval, shared per-peer MRAI
     deadline, up flag, RCN history where the router damps in RCN mode) is
-    a column of that length. Per-prefix state is one set of router-level
-    slot columns, prefix-major: with [d] sessions, session [k]'s slot for
-    prefix id [i] is [i * d + k]. The slot columns are a flags byte
-    (entry exists, suppressed, reuse timer pending, update parked, flush
-    armed), the received and advertised routes' AS paths, the last root
-    cause, the MRAI deadline, the MRAI queue, the [Tick] wheel bucket and, only where
-    the router damps, the penalty value and time as unboxed floats (one
-    {!Rfd_damping.Damper.slots}). They are empty until a slot is first
-    written, then start at {!Config.prefix_table_hint} prefixes and double
-    together; a slot owns no heap block, and a session owns no record.
-    The Loc-RIB and the originated prefixes are router-level columns
-    indexed by prefix id.
+    a column of that length, fixed by {!create}. Per-prefix state is one
+    set of router-level slot columns, prefix-major: with [d] sessions,
+    session [k]'s slot for prefix id [i] is [i * d + k]. The slot columns
+    are a flags byte (entry exists, suppressed, reuse timer pending, update
+    parked, flush armed), the received and advertised routes' AS paths, the
+    last root cause, the MRAI deadline, the MRAI queue, the [Tick] wheel
+    bucket and, only where the router damps, the penalty value and time as
+    unboxed floats (one {!Rfd_damping.Damper.slots}). They start at
+    {!Config.prefix_table_hint} prefixes and double together; a slot owns
+    no heap block, and a session owns no record. The Loc-RIB and the
+    originated prefixes are router-level columns indexed by prefix id.
 
     No column holds a {!Route.t}. A slot's prefix is its index, so a
     route column (RIB-In, RIB-Out, Loc-RIB, a parked update) holds the
@@ -94,39 +93,44 @@ val wheel_due : t -> int -> unit
 (** Fire the [Tick]-mode wheel bucket of a post's argument. *)
 
 val create :
-  ?paths:As_path.table ->
   sim:Rfd_engine.Sim.t ->
   id:int ->
+  sessions:(int * int) array ->
+  paths:As_path.table ->
   policy:Policy.t ->
   config:Config.t ->
   damping:Rfd_damping.Params.t option ->
   rng:Rfd_engine.Rng.t ->
   hooks:Hooks.t ->
   ports:ports ->
-  unit ->
   t
-(** [damping] is this router's effective parameter set ([None] = damping
+(** A router with all its sessions. [sessions] holds one (peer id,
+    directed link) pair per session, in ascending peer order (the order
+    {!Rfd_topology.Graph.neighbors} gives, with the links over
+    {!Rfd_topology.Graph.incident_edge_ids}); a session's rank is its
+    index, and updates to the peer go to [ports.transmit link]. A session
+    stores the link's int and nothing else of the transport. The sessions
+    are fixed for the router's life, and its slot columns start at
+    {!Config.prefix_table_hint} prefixes.
+
+    [damping] is this router's effective parameter set ([None] = damping
     not deployed here) — {!Network} resolves it from the config's global
-    preset, per-router overrides and deployment policy. [rng] is consumed
-    for MRAI jitter; hand each router a split stream. [paths] is the
-    intern table every advertised path is built through; {!Network} passes
-    its one table to every router, so identical paths are physically
-    shared network-wide (a private table is created when omitted). *)
+    preset, per-router overrides and deployment policy. [rng] gives each
+    session its MRAI jitter, one draw per session in rank order, and
+    nothing else; hand each router a split stream. [paths] is the intern
+    table every advertised path is built through; {!Network} passes its
+    one table to every router, so identical paths are physically shared
+    network-wide.
+
+    Raises [Invalid_argument] with a [Router.create:] message on an
+    invalid config or damping parameter set, and on a session to itself,
+    a negative peer id, a peer repeated or out of ascending order, or a
+    link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
 
 val id : t -> int
 
 val damping_params : t -> Rfd_damping.Params.t option
 (** Effective damping parameters at this router. *)
-
-val connect : t -> peer:int -> link:int -> unit
-(** Register a peering session over the directed link [link] (this router
-    to [peer]); updates to the peer go to [ports.transmit link]. The
-    session stores the int and nothing else of the transport, and draws
-    its MRAI jitter from the router's stream. Sessions are set up before
-    the router holds any RIB state: a new session would move every slot,
-    so [connect] raises [Invalid_argument] once the router holds slots,
-    as it does on duplicate peers, self-peering, a negative peer id, or a
-    link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
 
 val peer_ids : t -> int list
 (** Ascending. *)
@@ -178,11 +182,6 @@ val penalty : t -> peer:int -> Prefix.t -> float
 
 val suppressed_count : t -> int
 (** Number of currently suppressed RIB-In entries across peers/prefixes. *)
-
-val reuse_timer_events : t -> int
-(** Simulator events this router has spent on reuse scheduling so far:
-    fired per-entry reuse timers in [Config.Exact] mode (including [`Not_yet]
-    re-checks), fired wheel slots in [Config.Tick] mode. *)
 
 val peak_reuse_timers : t -> int
 (** High-water mark of this router's reuse-scheduling events resident in

@@ -3,7 +3,6 @@ type 'a outcome =
   | Crashed of { attempts : int; error : string }
   | Timed_out of { attempts : int; deadline : float }
   | Cancelled
-  | Shed of { capacity : int }
 
 exception Crash_worker of string
 
@@ -157,12 +156,9 @@ let spawn_slot st slot f =
     | exception _ -> None)
 
 let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
-    ?(poll_interval = 0.05) ?(should_stop = fun () -> false) ?max_queue
-    ?on_outcome ~key f xs =
+    ?(poll_interval = 0.05) ?(should_stop = fun () -> false) ?on_outcome
+    ~key f xs =
   if retries < 0 then invalid_arg "Supervisor.supervise: retries must be >= 0";
-  (match max_queue with
-  | Some m when m < 0 -> invalid_arg "Supervisor.supervise: max_queue must be >= 0"
-  | Some _ | None -> ());
   (match deadline with
   | Some d when Float.is_nan d || d <= 0. ->
       invalid_arg "Supervisor.supervise: deadline must be positive"
@@ -193,20 +189,9 @@ let supervise ?jobs ?deadline ?(retries = 0) ?(backoff_base = 0.05)
           backoff_base;
         }
       in
-      (* Admission control: only the first [max_queue] inputs are queued at
-         all; the rest are shed immediately with a structured outcome (the
-         monitor's first report pass delivers them to [on_outcome]), so an
-         overloaded caller learns "never attempted" rather than a generic
-         failure. Admission-only: retries of admitted jobs always requeue. *)
-      let admit = match max_queue with None -> n | Some m -> min m n in
-      Array.iteri
-        (fun index _ ->
-          if index < admit then Queue.add { index; attempt = 1 } st.queue
-          else begin
-            st.results.(index) <- Some (Shed { capacity = admit });
-            st.outstanding <- st.outstanding - 1
-          end)
-        inputs;
+      for index = 0 to n - 1 do
+        Queue.add { index; attempt = 1 } st.queue
+      done;
       let jobs =
         min n (match jobs with None -> default_jobs () | Some j -> max 1 j)
       in

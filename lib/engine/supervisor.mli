@@ -45,12 +45,6 @@ type 'a outcome =
       (** every allowed attempt overran [deadline] wall-clock seconds *)
   | Cancelled
       (** the job was still queued when [should_stop] turned true *)
-  | Shed of { capacity : int }
-      (** rejected at admission: the batch already held [capacity] queued
-          jobs ([max_queue]) when this input's turn came, so it was never
-          attempted. Distinct from {!Crashed}/{!Timed_out} — the serving
-          layer maps it to an explicit [overloaded] response rather than a
-          "died mid-run" error *)
 
 exception Crash_worker of string
 (** A job raising this does not merely fail the attempt — it kills its
@@ -74,7 +68,6 @@ val supervise :
   ?backoff_base:float ->
   ?poll_interval:float ->
   ?should_stop:(unit -> bool) ->
-  ?max_queue:int ->
   ?on_outcome:('a -> 'b outcome -> unit) ->
   key:('a -> string) ->
   ('a -> 'b) ->
@@ -97,11 +90,8 @@ val supervise :
     a batch is collected soon after its last job ends. [should_stop] is
     polled on every pass.
 
-    [max_queue] (default: unbounded) is an admission bound: only the
-    first [max_queue] inputs are queued, the rest receive {!Shed}
-    immediately (delivered through [on_outcome] on the monitor's first
-    pass, before any admitted job need finish). The bound applies to
-    admission only — retries of admitted jobs always requeue.
+    Every input is queued; bounding a batch is the caller's admission
+    decision, made before it calls.
 
     [on_outcome] is invoked in the calling domain, outside any lock, once
     per job as its terminal outcome lands (completion order, not input

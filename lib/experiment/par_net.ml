@@ -260,7 +260,8 @@ let reachable_count t prefix =
   Array.fold_left (fun acc net -> acc + Network.reachable_count net prefix) 0 t.nets
 
 let reuse_timer_events t =
-  Array.fold_left (fun acc net -> acc + Network.reuse_timer_events net) 0 t.nets
+  let c = event_counts t in
+  c.Network.reuses + c.Network.wheels
 
 let peak_reuse_timers t =
   Array.fold_left (fun acc net -> acc + Network.peak_reuse_timers net) 0 t.nets

@@ -182,6 +182,10 @@ val reachable_count : t -> Rfd_bgp.Prefix.t -> int
 (** Routers with a best route to the prefix (including the originator). *)
 
 val reuse_timer_events : t -> int
+(** Simulator events spent on reuse scheduling: the [reuses] plus the
+    [wheels] of {!event_counts} (fired [Exact] timers, [`Not_yet]
+    re-checks included, or fired [Tick] wheel buckets). *)
+
 val peak_reuse_timers : t -> int
 
 val paths_interned : t -> int

@@ -96,7 +96,7 @@ type result = {
           words *)
   reuse_timer_events : int;
       (** simulator events spent on reuse scheduling
-          ({!Rfd_bgp.Network.reuse_timer_events}) — the cost centre the
+          ({!Par_net.reuse_timer_events}) — the cost centre the
           tick-wheel reuse mode collapses *)
   peak_reuse_timers : int;
       (** summed per-router peaks of heap-resident reuse-scheduling events

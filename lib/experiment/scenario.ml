@@ -59,12 +59,7 @@ let prefix_cap_problem ~background_prefixes workload =
         if largest > max_prefix_id then over (Printf.sprintf "replay trace prefix %d" largest)
         else None
 
-(* Eager construction-time checks: these mistakes used to surface late (as a
-   generic [Invalid_argument] deep in the runner) or not at all (an
-   out-of-range isp silently clamped by graph lookups). Failing in [make]
-   points at the call site that wrote the bad value. *)
-(* Workload and prefix-range checks shared by [check_make] (raising) and
-   [validate] (result-returning). *)
+(* Workload and prefix-range checks. *)
 let workload_problem ~background_prefixes workload topology =
   let problem =
     match workload with
@@ -102,43 +97,48 @@ let workload_problem ~background_prefixes workload topology =
   | Some _ -> problem
   | None -> prefix_cap_problem ~background_prefixes workload
 
-let check_make ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~workload
+(* The checks [make] runs, in its order, worded with the offending value;
+   the first problem, if any. Failing in [make] points at the call site
+   that wrote the bad value, and [validate] runs the same checks first, so
+   a record built by hand is refused in the same words. *)
+let argument_problem ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~workload
     topology =
-  let fail fmt = Format.kasprintf invalid_arg ("Scenario.make: " ^^ fmt) in
-  if pulses < 0 then fail "pulses must be non-negative (got %d)" pulses;
-  if background_prefixes < 0 then
-    fail "background_prefixes must be non-negative (got %d)" background_prefixes;
-  if (not (Float.is_finite flap_interval)) || flap_interval <= 0. then
-    fail "flap_interval must be positive and finite (got %g)" flap_interval;
-  if (not (Float.is_finite settle_gap)) || settle_gap <= 0. then
-    fail "settle_gap must be positive and finite (got %g)" settle_gap;
-  (* Topology-shape checks mirror [validate]: [make] used to accept shapes
-     that [validate] rejects, so the error only surfaced deep in the
-     runner, far from the call site that wrote the bad value. *)
-  (match topology with
-  | Mesh { rows; cols } when rows < 3 || cols < 3 ->
-      fail "mesh needs rows, cols >= 3 (got %dx%d)" rows cols
-  | Internet { nodes; m } when m < 1 || m >= nodes ->
-      fail "internet needs 1 <= m < nodes (got nodes=%d m=%d)" nodes m
-  | Custom g when Rfd_topology.Graph.num_nodes g = 0 -> fail "custom graph is empty"
-  | Mesh _ | Internet _ | Custom _ -> ());
-  (match workload_problem ~background_prefixes workload topology with
-  | Some e -> fail "%s" e
-  | None -> ());
-  match isp with
-  | `Random -> ()
-  | `Node node ->
-      let n = topology_nodes topology in
-      if node < 0 || node >= n then
-        fail "isp node %d is out of range for a %d-node topology (want 0..%d)" node n
-          (n - 1)
+  let problem fmt = Printf.ksprintf Option.some fmt in
+  if pulses < 0 then problem "pulses must be non-negative (got %d)" pulses
+  else if background_prefixes < 0 then
+    problem "background_prefixes must be non-negative (got %d)" background_prefixes
+  else if (not (Float.is_finite flap_interval)) || flap_interval <= 0. then
+    problem "flap_interval must be positive and finite (got %g)" flap_interval
+  else if (not (Float.is_finite settle_gap)) || settle_gap <= 0. then
+    problem "settle_gap must be positive and finite (got %g)" settle_gap
+  else
+    match topology with
+    | Mesh { rows; cols } when rows < 3 || cols < 3 ->
+        problem "mesh needs rows, cols >= 3 (got %dx%d)" rows cols
+    | Internet { nodes; m } when m < 1 || m >= nodes ->
+        problem "internet needs 1 <= m < nodes (got nodes=%d m=%d)" nodes m
+    | Custom g when Rfd_topology.Graph.num_nodes g = 0 -> problem "custom graph is empty"
+    | Mesh _ | Internet _ | Custom _ -> (
+        match workload_problem ~background_prefixes workload topology with
+        | Some _ as e -> e
+        | None -> (
+            let n = topology_nodes topology in
+            match isp with
+            | `Node node when node < 0 || node >= n ->
+                problem "isp node %d is out of range for a %d-node topology (want 0..%d)" node n
+                  (n - 1)
+            | `Node _ | `Random -> None))
 
 let make ?(name = "scenario") ?(policy = Announce_all) ?(config = Rfd_bgp.Config.default)
     ?(isp = `Node 0) ?(pulses = 1) ?(flap_interval = 60.) ?pattern
     ?(mechanism = Origin_updates) ?(background_prefixes = 0) ?(probe = No_probe)
     ?(settle_gap = 10.) ?faults ?(workload = Pulses_only) topology =
-  check_make ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~workload
-    topology;
+  (match
+     argument_problem ~pulses ~flap_interval ~background_prefixes ~settle_gap ~isp ~workload
+       topology
+   with
+  | Some e -> invalid_arg ("Scenario.make: " ^ e)
+  | None -> ());
   {
     name;
     topology;
@@ -232,59 +232,34 @@ let horizon_problem t =
           | None -> None
           | Some plan -> stuck t "last fault event" (Rfd_faults.Fault_plan.last_time plan)))
 
+let pattern_problem = function
+  | None -> None
+  | Some pattern -> (
+      match Pulse.events pattern with
+      | (_ : Pulse.event list) -> None
+      | exception Invalid_argument msg -> Some msg)
+
 let validate t =
-  if t.pulses < 0 then Error "pulses must be non-negative"
-  else if t.background_prefixes < 0 then Error "background_prefixes must be non-negative"
-  else if (not (Float.is_finite t.flap_interval)) || t.flap_interval <= 0. then
-    Error "flap_interval must be positive and finite"
-  else if (not (Float.is_finite t.settle_gap)) || t.settle_gap <= 0. then
-    Error "settle_gap must be positive and finite"
-  else begin
-    match t.topology with
-    | Mesh { rows; cols } when rows < 3 || cols < 3 -> Error "mesh needs rows, cols >= 3"
-    | Internet { nodes; m } when m < 1 || m >= nodes -> Error "internet needs 1 <= m < nodes"
-    | Custom g when Rfd_topology.Graph.num_nodes g = 0 -> Error "custom graph is empty"
-    | Mesh _ | Internet _ | Custom _ -> (
+  match
+    match
+      argument_problem ~pulses:t.pulses ~flap_interval:t.flap_interval
+        ~background_prefixes:t.background_prefixes ~settle_gap:t.settle_gap ~isp:t.isp
+        ~workload:t.workload t.topology
+    with
+    | Some _ as problem -> problem
+    | None -> (
         match Rfd_bgp.Config.validate t.config with
-        | Error e -> Error ("config: " ^ e)
+        | Error e -> Some ("config: " ^ e)
         | Ok () -> (
-            match t.isp with
-            | `Node node when node < 0 || node >= topology_nodes t.topology ->
-                Error
-                  (Printf.sprintf "isp node %d is out of range for a %d-node topology"
-                     node (topology_nodes t.topology))
-            | `Node _ | `Random -> (
-                match
-                  match t.pattern with
-                  | None -> Ok ()
-                  | Some pattern -> (
-                      match Pulse.events pattern with
-                      | (_ : Pulse.event list) -> Ok ()
-                      | exception Invalid_argument msg -> Error msg)
-                with
-                | Error _ as e -> e
-                | Ok () -> (
-                    let faults_ok =
-                      match t.faults with
-                      | None -> Ok ()
-                      | Some plan -> (
-                          match Rfd_faults.Fault_plan.validate plan with
-                          | Error e -> Error ("faults: " ^ e)
-                          | Ok () -> Ok ())
-                    in
-                    match faults_ok with
-                    | Error _ as e -> e
-                    | Ok () -> (
-                        match
-                          workload_problem ~background_prefixes:t.background_prefixes
-                            t.workload t.topology
-                        with
-                        | Some e -> Error e
-                        | None -> (
-                            match horizon_problem t with
-                            | Some e -> Error e
-                            | None -> Ok ()))))))
-  end
+            match pattern_problem t.pattern with
+            | Some _ as problem -> problem
+            | None -> (
+                match Option.map Rfd_faults.Fault_plan.validate t.faults with
+                | Some (Error e) -> Some ("faults: " ^ e)
+                | Some (Ok ()) | None -> horizon_problem t)))
+  with
+  | Some e -> Error e
+  | None -> Ok ()
 
 let pp_topology ppf = function
   | Mesh { rows; cols } -> Format.fprintf ppf "mesh %dx%d" rows cols

@@ -131,8 +131,9 @@ val paper_internet_208 : topology
 (** [Internet {nodes = 208; m = 2}] — the Section 7 policy experiment. *)
 
 val validate : t -> (unit, string) result
-(** Every check {!make} makes, plus the config, pulse pattern, fault plan
-    and workload checks a record built by hand needs. It also refuses a
+(** Every check {!make} makes, first and in its words (without the
+    [Scenario.make:] prefix), then the config, pulse pattern and fault
+    plan checks a record built by hand needs. It also refuses a
     flap-phase event the lockstep engine could never pass: the settle gap
     plus the last offset of the pulse pattern, of the replayed or
     generated flapper trace, or of the fault plan, when adding the link

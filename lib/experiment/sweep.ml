@@ -87,8 +87,7 @@ let execute ?jobs ?budget plan =
        | Supervisor.Completed { value = Ok result; _ } -> result
        | Supervisor.Completed { value = Error (e, bt); _ } ->
            Printexc.raise_with_backtrace e bt
-       | Supervisor.Crashed _ | Supervisor.Timed_out _ | Supervisor.Cancelled
-       | Supervisor.Shed _ ->
+       | Supervisor.Crashed _ | Supervisor.Timed_out _ | Supervisor.Cancelled ->
            assert false)
 
 let point_of_result job result =
@@ -128,15 +127,14 @@ let default_supervision =
     should_stop = (fun () -> false);
   }
 
-(* A supervisor outcome as the journal records it. A cancelled or shed job
-   has no terminal outcome — a resumed sweep must run it — so it is
-   [None]. (Sweeps pass no [max_queue], so shed cannot occur here.) *)
+(* A supervisor outcome as the journal records it. A cancelled job has no
+   terminal outcome — a resumed sweep must run it — so it is [None]. *)
 let terminal = function
   | Supervisor.Completed { value; _ } -> Some (Journal.Result value)
   | Supervisor.Crashed { error; _ } -> Some (Journal.Crashed error)
   | Supervisor.Timed_out { attempts; deadline } ->
       Some (Journal.Timed_out { attempts; deadline })
-  | Supervisor.Cancelled | Supervisor.Shed _ -> None
+  | Supervisor.Cancelled -> None
 
 (* The one place outcomes become points and failures: a crashed job
    carries its exception text, a budget-exceeded run its partial result,

@@ -53,7 +53,7 @@ type conn = {
   mutable closing : bool;  (* close once flushed and not waiting *)
 }
 
-type completion = Stored | Cancelled_job | Shed_job
+type completion = Stored | Cancelled_job
 
 type stats = {
   mutable hits : int;
@@ -79,7 +79,7 @@ type t = {
   cond : Condition.t;  (* signals the executor: pending work or drain *)
   pending : (string * Scenario.t) Queue.t;
   pending_state : (string, [ `Queued | `Running ]) Hashtbl.t;
-  mutable pending_count : int;  (* queued + running; the admission gauge *)
+      (* queued + running; its size is the admission gauge *)
   waiters : (string, int list ref) Hashtbl.t;  (* key -> waiting conn ids *)
   completed : (string * completion) Queue.t;  (* executor -> main *)
   conns : (int, conn) Hashtbl.t;  (* main domain only *)
@@ -129,7 +129,6 @@ let record_outcome t key outcome =
         Store.put t.store ~key (Journal.Timed_out { attempts; deadline });
         `Stored (attempts - 1)
     | Supervisor.Cancelled -> `Cancelled
-    | Supervisor.Shed _ -> `Shed
   in
   with_mu t (fun () ->
       (match completion with
@@ -138,12 +137,8 @@ let record_outcome t key outcome =
           Queue.add (key, Stored) t.completed
       | `Cancelled ->
           t.stats.cancelled <- t.stats.cancelled + 1;
-          Queue.add (key, Cancelled_job) t.completed
-      | `Shed ->
-          t.stats.sheds <- t.stats.sheds + 1;
-          Queue.add (key, Shed_job) t.completed);
-      Hashtbl.remove t.pending_state key;
-      t.pending_count <- t.pending_count - 1);
+          Queue.add (key, Cancelled_job) t.completed);
+      Hashtbl.remove t.pending_state key);
   wake t
 
 let executor_loop t =
@@ -170,7 +165,6 @@ let executor_loop t =
            cooperative cancellation, nothing simulated for nobody. *)
         Hashtbl.remove t.pending_state key;
         Hashtbl.remove t.waiters key;
-        t.pending_count <- t.pending_count - 1;
         t.stats.cancelled <- t.stats.cancelled + 1
       end
     done;
@@ -181,7 +175,6 @@ let executor_loop t =
       ignore
         (Supervisor.supervise ?jobs:t.cfg.jobs ?deadline:t.cfg.deadline
            ~retries:t.cfg.retries ~poll_interval:0.02
-           ~max_queue:t.cfg.max_pending
            ~should_stop:(fun () -> Atomic.get t.stop_level >= 2)
            ~on_outcome:(fun (key, _) outcome -> record_outcome t key outcome)
            ~key:fst
@@ -228,7 +221,6 @@ let create cfg =
       cond = Condition.create ();
       pending = Queue.create ();
       pending_state = Hashtbl.create 64;
-      pending_count = 0;
       waiters = Hashtbl.create 64;
       completed = Queue.create ();
       conns = Hashtbl.create 32;
@@ -280,7 +272,7 @@ let stats_json t =
           s.retries_done,
           s.cancelled,
           s.wrong_shard,
-          t.pending_count ))
+          Hashtbl.length t.pending_state ))
   in
   let compaction_fields =
     match Store.compaction t.store with
@@ -402,7 +394,8 @@ let handle_query t conn spec =
                   t.stats.coalesced <- t.stats.coalesced + 1;
                   `Wait
                 end
-                else if t.pending_count >= t.cfg.max_pending then begin
+                else if Hashtbl.length t.pending_state >= t.cfg.max_pending
+                then begin
                   t.stats.sheds <- t.stats.sheds + 1;
                   `Shed
                 end
@@ -410,7 +403,6 @@ let handle_query t conn spec =
                   Queue.add (key, resolved) t.pending;
                   Hashtbl.replace t.pending_state key `Queued;
                   Hashtbl.replace t.waiters key (ref [ conn.cid ]);
-                  t.pending_count <- t.pending_count + 1;
                   t.stats.misses <- t.stats.misses + 1;
                   Condition.broadcast t.cond;
                   `Wait
@@ -498,9 +490,6 @@ let deliver_completed t =
         | Cancelled_job ->
             refused ~key Protocol.Shutting_down
               "run cancelled by server shutdown"
-        | Shed_job ->
-            refused ~key Protocol.Overloaded
-              "shed by the supervisor at admission; retry with backoff"
       in
       List.iter
         (fun cid ->

@@ -15,10 +15,8 @@
 
     - {b Bounded admission}: at most [max_pending] jobs may be queued or
       running. A miss beyond that is refused with an explicit
-      [overloaded] response — the daemon never buffers unboundedly. The
-      same bound is handed to the supervisor as [max_queue], so even a
-      bug in the daemon's own accounting degrades to a {!
-      Rfd_engine.Supervisor.Shed} outcome, not an unbounded queue.
+      [overloaded] response before it is queued — the daemon never
+      buffers unboundedly, and this is its one admission gate.
     - {b Request coalescing}: concurrent queries for one key share a
       single run; every waiter gets the same (byte-identical) body.
     - {b Slow-client immunity}: per-connection I/O deadlines ([io_timeout])

@@ -451,6 +451,27 @@ let prop_random_identity =
       let dn, _, _ = digest_at ~partitions scenario in
       d1 = dn)
 
+(* A router is built with its sessions: on any graph and at any partition
+   count, every owned router's peers are its node's graph neighbours, in
+   ascending order. The origin stub is attached the way the runner
+   attaches it, as the highest node id, linked to the isp. *)
+let prop_sessions_are_neighbours =
+  let gen =
+    QCheck.(quad (int_range 0 10_000) (int_range 10 60) (int_range 1 3) (int_range 1 4))
+  in
+  QCheck.Test.make ~name:"every router's sessions are its node's neighbours" ~count:20 gen
+    (fun (seed, nodes, m, partitions) ->
+      let module Graph = Rfd_topology.Graph in
+      let rng = Rfd_engine.Rng.create seed in
+      let base = Rfd_topology.Random_graphs.barabasi_albert rng ~n:nodes ~m in
+      let isp = Rfd_engine.Rng.int rng nodes in
+      let graph = Graph.add_edges (Graph.add_nodes base 1) [ (isp, nodes) ] in
+      let net = Par_net.create ~config:(fast_config ~seed ()) ~partitions graph in
+      List.for_all
+        (fun node ->
+          Router.peer_ids (Par_net.router net node) = Array.to_list (Graph.neighbors graph node))
+        (List.init (nodes + 1) Fun.id))
+
 (* Without link jitter, a router's updates and timers routinely share an
    instant with other routers' and with each other. Each of these six runs
    gives one digest and one transcript at P = 1 to 4, because the
@@ -555,4 +576,5 @@ let suite =
     Alcotest.test_case "hand-driven Par_net is partition-invariant" `Quick
       test_hand_driven_invariant;
     QCheck_alcotest.to_alcotest prop_random_identity;
+    QCheck_alcotest.to_alcotest prop_sessions_are_neighbours;
   ]

@@ -131,7 +131,7 @@ let test_rib_accessors () =
     (Option.map Route.path_length (Router.best r1 p0))
     (Option.map Route.path_length (Router.recompute_best r1 p0))
 
-let test_connect_validation () =
+let test_create_validation () =
   let sim = Sim.create () in
   let idle = Sim.channel sim (fun _ _ -> ()) in
   let ports =
@@ -143,18 +143,74 @@ let test_connect_validation () =
       node_bits = 1;
     }
   in
-  let r =
-    Router.create ~sim ~id:0 ~policy:Policy.announce_all ~config:fast ~damping:None
-      ~rng:(Rfd_engine.Rng.create 1) ~hooks:(Hooks.create ()) ~ports ()
+  let create sessions =
+    Router.create ~sim ~id:0 ~sessions ~paths:(As_path.create_table ())
+      ~policy:Policy.announce_all ~config:fast ~damping:None ~rng:(Rfd_engine.Rng.create 1)
+      ~hooks:(Hooks.create ()) ~ports
   in
-  Alcotest.check_raises "self peer" (Invalid_argument "Router.connect: cannot peer with self")
-    (fun () -> Router.connect r ~peer:0 ~link:0);
-  Router.connect r ~peer:1 ~link:0;
-  Alcotest.check_raises "duplicate peer" (Invalid_argument "Router.connect: duplicate peer 1")
-    (fun () -> Router.connect r ~peer:1 ~link:2);
-  Alcotest.check_raises "link beyond the timer key range"
-    (Invalid_argument "Router.connect: link 8388608 outside the timer key range") (fun () ->
-      Router.connect r ~peer:2 ~link:(1 lsl 23))
+  let refused name msg sessions =
+    Alcotest.check_raises name (Invalid_argument ("Router.create: " ^ msg)) (fun () ->
+        ignore (create sessions))
+  in
+  refused "self peer" "cannot peer with self" [| (0, 0) |];
+  refused "negative peer" "negative peer id -1" [| (-1, 0) |];
+  refused "repeated peer" "duplicate peer 1" [| (1, 0); (1, 2) |];
+  refused "descending peers" "peer 1 after peer 2: sessions must ascend" [| (2, 0); (1, 2) |];
+  refused "link beyond the timer key range" "link 8388608 outside the timer key range"
+    [| (1, 0); (2, 1 lsl 23) |];
+  let r = create [| (1, 0); (2, 5); (4, 3) |] in
+  Alcotest.(check (list int)) "sessions in rank order" [ 1; 2; 4 ] (Router.peer_ids r);
+  Alcotest.(check bool) "sessions start up" true (Router.session_up r ~peer:4);
+  Alcotest.(check (list int)) "no sessions" [] (Router.peer_ids (create [||]))
+
+(* [create] gives each session one MRAI jitter draw from the router's
+   stream, in rank order. A lone router announces a prefix at time 0,
+   withdraws it and announces it again: each re-announcement waits for
+   its session's interval, so each flush fires at exactly that draw. *)
+let test_create_jitter_in_rank_order () =
+  let config = { fast with Config.mrai = 30. } in
+  let sessions = [| (1, 10); (2, 11); (4, 12) |] in
+  let peer_of_link link = fst (Array.get sessions (link - 10)) in
+  let sim = Sim.create () in
+  let router = ref None in
+  let flush_on =
+    Sim.channel sim (fun _ key ->
+        Router.flush_due (Option.get !router) ~peer:(peer_of_link (Router.session_link key)) key)
+  in
+  let idle = Sim.channel sim (fun _ _ -> ()) in
+  let hooks = Hooks.create () in
+  let fired = ref [] in
+  hooks.Hooks.on_mrai <-
+    (fun ~time ~router:_ ~peer ~prefix:_ action ->
+      if action = Hooks.Flush_fired then fired := (peer, time) :: !fired);
+  let r =
+    Router.create ~sim ~id:0 ~sessions ~paths:(As_path.create_table ())
+      ~policy:Policy.announce_all ~config ~damping:None ~rng:(Rfd_engine.Rng.create 7) ~hooks
+      ~ports:
+        {
+          Router.transmit = (fun _ _ -> ());
+          flush_on;
+          reuse_on = idle;
+          wheel_on = idle;
+          node_bits = 3;
+        }
+  in
+  router := Some r;
+  Router.originate r p0;
+  Router.withdraw_prefix r p0;
+  Router.originate r p0;
+  Sim.run sim;
+  let draws = Rfd_engine.Rng.create 7 in
+  let lo, hi = config.Config.mrai_jitter in
+  let expected =
+    Array.to_list
+      (Array.map
+         (fun (peer, _) -> (peer, config.Config.mrai *. Rfd_engine.Rng.uniform draws ~lo ~hi))
+         sessions)
+  in
+  Alcotest.(check (list (pair int (float 0.))))
+    "each flush at its session's draw" expected
+    (List.sort compare !fired)
 
 (* Sessions are ranks of one router's slot columns: taking down the
    middle rank must touch only its own slots. Router 1 peers with 0, 2
@@ -201,19 +257,6 @@ let test_peer_down_middle_rank () =
   Alcotest.(check bool) "rank 1's routes withdrawn" true
     (List.for_all (fun p -> Router.rib_in_route r1 ~peer:2 p = None) [ p0; p1; p2 ]);
   Alcotest.(check bool) "rank 1's withdrawals charged" true (Router.penalty r1 ~peer:2 p2 > 0.)
-
-(* Once a router holds RIB slots its sessions are fixed: a new session
-   would move every slot, so it is refused. *)
-let test_connect_after_slots () =
-  let net = make (Builders.line 2) in
-  Par_net.originate net ~node:0 p0;
-  Fixture.run net;
-  let r1 = Par_net.router net 1 in
-  Alcotest.check_raises "connect refused"
-    (Invalid_argument "Router.connect: router 1 already holds RIB slots for its sessions")
-    (fun () -> Router.connect r1 ~peer:5 ~link:7);
-  Alcotest.(check (list int)) "sessions unchanged" [ 0 ] (Router.peer_ids r1);
-  Alcotest.(check bool) "route kept" true (Router.rib_in_route r1 ~peer:0 p0 <> None)
 
 let test_facade_conveniences () =
   Alcotest.(check bool) "version non-empty" true (String.length Rfd.version > 0);
@@ -395,9 +438,10 @@ let suite =
     Alcotest.test_case "loop-detected announce" `Quick
       test_loop_detected_announce_treated_as_withdraw;
     Alcotest.test_case "rib accessors" `Quick test_rib_accessors;
-    Alcotest.test_case "connect validation" `Quick test_connect_validation;
+    Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "create draws MRAI jitter in rank order" `Quick
+      test_create_jitter_in_rank_order;
     Alcotest.test_case "peer down on the middle rank" `Quick test_peer_down_middle_rank;
-    Alcotest.test_case "connect after slots refused" `Quick test_connect_after_slots;
     Alcotest.test_case "facade conveniences" `Quick test_facade_conveniences;
     Alcotest.test_case "per-peer MRAI pacing" `Quick test_per_peer_mrai_paces_across_prefixes;
     Alcotest.test_case "per-peer flush releases the batch" `Quick

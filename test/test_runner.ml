@@ -36,7 +36,7 @@ let test_scenario_validation () =
   let good = Scenario.make small_mesh in
   Alcotest.(check bool) "default valid" true (Scenario.validate good = Ok ());
   Alcotest.check_raises "runner surfaces validation"
-    (Invalid_argument "Runner.run: pulses must be non-negative") (fun () ->
+    (Invalid_argument "Runner.run: pulses must be non-negative (got -1)") (fun () ->
       ignore (Runner.run (hand_made (fun s -> { s with Scenario.pulses = -1 }))))
 
 (* Each flap-phase source is held to the lockstep engine's advance test:
@@ -143,6 +143,52 @@ let test_scenario_make_rejects_eagerly () =
   ignore (Scenario.make ~isp:(`Node 8) ~pulses:0 ~background_prefixes:0 small_mesh);
   ignore (Scenario.make (Scenario.Internet { nodes = 4; m = 3 }))
 
+(* [make] and [validate] share their argument checks: a bad value passed
+   to [make] and the same value written into a record by hand are refused
+   in the same words. *)
+let test_make_and_validate_agree () =
+  let good = Scenario.make small_mesh in
+  let flappers count =
+    Scenario.Flappers { count; flaps = 1; mean_gap = 5.; alpha = 1.5; seed = 0 }
+  in
+  let agree name made hand_made =
+    let from_make =
+      match made () with
+      | (_ : Scenario.t) -> Alcotest.fail (name ^ ": make accepted it")
+      | exception Invalid_argument msg -> msg
+    in
+    Alcotest.(check (result unit string))
+      name
+      (Error (String.sub from_make 15 (String.length from_make - 15)))
+      (Scenario.validate hand_made);
+    Alcotest.(check string) (name ^ ": make's prefix") "Scenario.make: "
+      (String.sub from_make 0 15)
+  in
+  agree "negative pulses"
+    (fun () -> Scenario.make ~pulses:(-1) small_mesh)
+    { good with Scenario.pulses = -1 };
+  agree "negative background prefixes"
+    (fun () -> Scenario.make ~background_prefixes:(-3) small_mesh)
+    { good with Scenario.background_prefixes = -3 };
+  agree "infinite flap interval"
+    (fun () -> Scenario.make ~flap_interval:infinity small_mesh)
+    { good with Scenario.flap_interval = infinity };
+  agree "NaN settle gap"
+    (fun () -> Scenario.make ~settle_gap:Float.nan small_mesh)
+    { good with Scenario.settle_gap = Float.nan };
+  agree "isp beyond topology"
+    (fun () -> Scenario.make ~isp:(`Node 9) small_mesh)
+    { good with Scenario.isp = `Node 9 };
+  agree "tiny mesh"
+    (fun () -> Scenario.make (Scenario.Mesh { rows = 2; cols = 2 }))
+    { good with Scenario.topology = Scenario.Mesh { rows = 2; cols = 2 } };
+  agree "internet with m >= nodes"
+    (fun () -> Scenario.make (Scenario.Internet { nodes = 4; m = 4 }))
+    { good with Scenario.topology = Scenario.Internet { nodes = 4; m = 4 } };
+  agree "negative flapper count"
+    (fun () -> Scenario.make ~workload:(flappers (-1)) small_mesh)
+    { good with Scenario.workload = flappers (-1) }
+
 let test_run_no_damping () =
   let scenario = Scenario.make ~name:"plain" ~config:(fast ~damping:false ()) small_mesh in
   let r = Runner.run scenario in
@@ -188,6 +234,28 @@ let test_determinism () =
   Alcotest.(check int) "same messages" a.Runner.message_count b.Runner.message_count;
   Alcotest.(check (float 1e-9)) "same convergence" a.Runner.convergence_time
     b.Runner.convergence_time
+
+(* [reuse_timer_events] is read from the simulator's reuse and wheel
+   channels. These counts were pinned when each router still counted its
+   own timers; both ways agree at P = 1 and 2 in every damping and reuse
+   mode. *)
+let test_reuse_timer_events_pinned () =
+  let mesh = Scenario.Mesh { rows = 4; cols = 4 } in
+  List.iter
+    (fun (label, config, expected) ->
+      let scenario = Scenario.make ~config ~pulses:3 mesh in
+      Alcotest.(check int) (label ^ " at P=1") expected
+        (Runner.run scenario).Runner.reuse_timer_events;
+      Alcotest.(check int) (label ^ " at P=2") expected
+        (fst (Runner.run_partitioned ~partitions:2 scenario)).Runner.reuse_timer_events)
+    [
+      ("exact", fast (), 101);
+      ( "tick 15 s",
+        { (fast ()) with Config.reuse_mode = Config.Tick 15. },
+        47 );
+      ("rcn", fast ~mode:Config.Rcn (), 55);
+      ("selective", fast ~mode:Config.Selective (), 102);
+    ]
 
 let test_seed_changes_run () =
   let config = fast () in
@@ -580,6 +648,8 @@ let suite =
     Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
     Alcotest.test_case "scenario make rejects eagerly" `Quick
       test_scenario_make_rejects_eagerly;
+    Alcotest.test_case "make and validate word a problem alike" `Quick
+      test_make_and_validate_agree;
     Alcotest.test_case "validate: pulses that cannot advance" `Quick
       test_validate_pulse_horizon;
     Alcotest.test_case "validate: replay that cannot advance" `Quick
@@ -594,6 +664,8 @@ let suite =
       test_run_with_damping_extends_convergence;
     Alcotest.test_case "zero pulses" `Quick test_run_zero_pulses;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "reuse timer events pinned per mode" `Quick
+      test_reuse_timer_events_pinned;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_run;
     Alcotest.test_case "collector consistency" `Quick test_collector_series_consistency;
     QCheck_alcotest.to_alcotest prop_reuse_columns_match_list_model;

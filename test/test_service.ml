@@ -674,6 +674,52 @@ let test_e2e_shed_when_full () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "drained cleanly" true (stop () = Server.Drained)
 
+(* The admission gate counts the jobs pending now: a finished miss frees
+   its place, so misses sent one after another are never shed under a
+   one-job cap. *)
+let test_e2e_finished_miss_frees_its_place () =
+  with_server ~max_pending:1 @@ fun ~socket ~journal:_ ~cfg:_ ~stop ->
+  List.iter
+    (fun seed ->
+      let cached, _ = query_body socket (small_spec ~seed ()) in
+      Alcotest.(check bool) (Printf.sprintf "seed %d is a miss" seed) false cached)
+    [ 11; 12; 13 ];
+  let client = Client.connect ~timeout:10. ~retry_for:5. socket in
+  Fun.protect ~finally:(fun () -> Client.close client) (fun () ->
+      match Client.stats client with
+      | Ok stats ->
+          List.iter
+            (fun (name, value) ->
+              Alcotest.(check bool) (Printf.sprintf "%s = %d" name value) true
+                (json_contains_int stats name value))
+            [ ("misses", 3); ("sheds", 0); ("pending", 0) ]
+      | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "drained cleanly" true (stop () = Server.Drained)
+
+(* Only a miss is shed: a daemon that admits no job at all still answers
+   what its journal holds. *)
+let test_e2e_full_queue_serves_hits () =
+  with_server @@ fun ~socket ~journal:_ ~cfg ~stop ->
+  let spec = small_spec ~seed:7 () in
+  let _, body = query_body socket spec in
+  Alcotest.(check bool) "first daemon drained" true (stop () = Server.Drained);
+  let t = Server.create { cfg with Server.max_pending = 0 } in
+  let d = Domain.spawn (fun () -> Server.serve t) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop t;
+      ignore (Domain.join d))
+  @@ fun () ->
+  let cached, replayed = query_body socket spec in
+  Alcotest.(check bool) "journalled key is a hit" true cached;
+  Alcotest.(check string) "hit body byte-identical" body replayed;
+  let client = Client.connect ~timeout:10. ~retry_for:5. socket in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  match Client.query ~attempts:1 client (small_spec ~seed:8 ()) with
+  | Ok (Protocol.Refused { code = Protocol.Overloaded; _ }) -> ()
+  | Ok _ -> Alcotest.fail "expected the new key to be shed"
+  | Error e -> Alcotest.fail e
+
 let test_e2e_invalid_and_ping () =
   with_server @@ fun ~socket ~journal:_ ~cfg:_ ~stop ->
   let client = Client.connect ~timeout:10. ~retry_for:5. socket in
@@ -932,6 +978,10 @@ let suite =
       test_e2e_restart_keeps_clean_journal;
     Alcotest.test_case "e2e: sheds when the queue is full" `Quick
       test_e2e_shed_when_full;
+    Alcotest.test_case "e2e: a finished miss frees its place" `Quick
+      test_e2e_finished_miss_frees_its_place;
+    Alcotest.test_case "e2e: a full queue still serves hits" `Quick
+      test_e2e_full_queue_serves_hits;
     Alcotest.test_case "e2e: invalid queries and raw garbage" `Quick
       test_e2e_invalid_and_ping;
     Alcotest.test_case "e2e: non-finite numbers refused, nothing journalled" `Quick

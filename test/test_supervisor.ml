@@ -10,7 +10,6 @@ let show_outcome show = function
   | Supervisor.Timed_out { attempts; deadline } ->
       Printf.sprintf "timeout@%d/%g" attempts deadline
   | Supervisor.Cancelled -> "cancelled"
-  | Supervisor.Shed { capacity } -> Printf.sprintf "shed/%d" capacity
 
 let shows show outcomes = List.map (show_outcome show) outcomes
 
@@ -194,69 +193,6 @@ let test_backoff_delay_deterministic () =
   Alcotest.(check bool) "different keys, different jitter" true
     (Supervisor.backoff_delay ~key:"job-b" ~attempt:3 ~base:0.05 <> d1)
 
-let test_max_queue_sheds_excess () =
-  (* Only the first two inputs are admitted; the rest come back Shed, in
-     input order, without ever running. *)
-  let ran = Atomic.make 0 in
-  let f x =
-    Atomic.incr ran;
-    x * 10
-  in
-  let outcomes =
-    Supervisor.supervise ~jobs:2 ~poll_interval:0.01 ~max_queue:2
-      ~key:string_of_int f [ 1; 2; 3; 4 ]
-  in
-  Alcotest.(check (list string))
-    "first max_queue admitted, rest shed"
-    [ "ok:10@1"; "ok:20@1"; "shed/2"; "shed/2" ]
-    (shows string_of_int outcomes);
-  Alcotest.(check int) "shed jobs never ran" 2 (Atomic.get ran)
-
-let test_max_queue_zero_sheds_everything () =
-  let outcomes =
-    Supervisor.supervise ~jobs:1 ~poll_interval:0.01 ~max_queue:0
-      ~key:string_of_int
-      (fun _ -> Alcotest.fail "max_queue=0 must not run anything")
-      [ 1; 2 ]
-  in
-  Alcotest.(check (list string)) "all shed" [ "shed/0"; "shed/0" ]
-    (shows string_of_int outcomes)
-
-let test_shed_reported_before_admitted_finish () =
-  (* The admitted job blocks on a gate the shed job's on_outcome opens:
-     this only terminates if Shed is delivered while the admitted job is
-     still running — i.e. at admission, not at batch completion. *)
-  let gate = Atomic.make false in
-  let outcomes =
-    Supervisor.supervise ~jobs:1 ~poll_interval:0.01 ~max_queue:1
-      ~on_outcome:(fun _ o ->
-        match o with Supervisor.Shed _ -> Atomic.set gate true | _ -> ())
-      ~key:string_of_int
-      (fun x ->
-        if x = 1 then
-          while not (Atomic.get gate) do Domain.cpu_relax () done;
-        x)
-      [ 1; 2 ]
-  in
-  Alcotest.(check (list string)) "admitted ran, excess shed early"
-    [ "ok:1@1"; "shed/1" ]
-    (shows string_of_int outcomes)
-
-let test_max_queue_admits_retries () =
-  (* The bound is admission-only: an admitted job's retry requeues even
-     though the queue was "full" at admission time. *)
-  let tries = Atomic.make 0 in
-  let outcomes =
-    Supervisor.supervise ~jobs:1 ~poll_interval:0.01 ~max_queue:1 ~retries:1
-      ~backoff_base:0.001 ~key:string_of_int
-      (fun x ->
-        if Atomic.fetch_and_add tries 1 = 0 then failwith "flaky" else x)
-      [ 5; 6 ]
-  in
-  Alcotest.(check (list string)) "retry allowed, excess shed"
-    [ "ok:5@2"; "shed/1" ]
-    (shows string_of_int outcomes)
-
 let test_invalid_arguments () =
   let expect name f =
     match f () with
@@ -270,9 +206,7 @@ let test_invalid_arguments () =
   expect "zero backoff_base" (fun () ->
       Supervisor.supervise ~backoff_base:0. ~key:string_of_int Fun.id [ 1 ]);
   expect "zero poll_interval" (fun () ->
-      Supervisor.supervise ~poll_interval:0. ~key:string_of_int Fun.id [ 1 ]);
-  expect "negative max_queue" (fun () ->
-      Supervisor.supervise ~max_queue:(-1) ~key:string_of_int Fun.id [ 1 ])
+      Supervisor.supervise ~poll_interval:0. ~key:string_of_int Fun.id [ 1 ])
 
 let suite =
   [
@@ -288,12 +222,6 @@ let suite =
     Alcotest.test_case "cancellation drains the queue" `Quick test_cancellation_drains_queue;
     Alcotest.test_case "on_outcome fires once per job" `Quick
       test_on_outcome_reports_each_job_once;
-    Alcotest.test_case "max_queue sheds excess" `Quick test_max_queue_sheds_excess;
-    Alcotest.test_case "max_queue 0 sheds everything" `Quick
-      test_max_queue_zero_sheds_everything;
-    Alcotest.test_case "shed delivered at admission" `Quick
-      test_shed_reported_before_admitted_finish;
-    Alcotest.test_case "max_queue admits retries" `Quick test_max_queue_admits_retries;
     Alcotest.test_case "backoff delay deterministic" `Quick test_backoff_delay_deterministic;
     Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_arguments;
   ]

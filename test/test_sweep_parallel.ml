@@ -91,7 +91,7 @@ let test_plan_keeps_invalid_scenarios () =
       Alcotest.(check bool) "topology left symbolic" true
         (j.Sweep.job_scenario.Scenario.topology = Scenario.Mesh { rows = 2; cols = 2 });
       Alcotest.check_raises "runner still reports validation"
-        (Invalid_argument "Runner.run: mesh needs rows, cols >= 3") (fun () ->
+        (Invalid_argument "Runner.run: mesh needs rows, cols >= 3 (got 2x2)") (fun () ->
           ignore (Sweep.execute jobs))
   | _ -> Alcotest.fail "one job expected"
 
@@ -190,7 +190,7 @@ let test_run_failures_per_slot () =
   match s1 with
   | [ (1, _); (2, _) ], [ (-1, msg) ] ->
       Alcotest.(check string) "the failure is the printed exception"
-        (Printexc.to_string (Invalid_argument "Runner.run: pulses must be non-negative"))
+        (Printexc.to_string (Invalid_argument "Runner.run: pulses must be non-negative (got -1)"))
         msg
   | _ -> Alcotest.fail "expected clean points 1 and 2 and one failure at -1"
 

@@ -144,7 +144,7 @@ let test_first_failure_by_input_order () =
     (fun jobs ->
       Alcotest.check_raises
         (Printf.sprintf "jobs=%d: the earlier invalid job's exception" jobs)
-        (Invalid_argument "Runner.run: mesh needs rows, cols >= 3")
+        (Invalid_argument "Runner.run: mesh needs rows, cols >= 3 (got 2x2)")
         (fun () -> ignore (Sweep.execute ~jobs plan)))
     [ 1; 4 ]
 
