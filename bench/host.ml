@@ -57,17 +57,20 @@ let layers_to_json (k : Rfd.Network.event_counts) =
       ("op", Json.Int k.Rfd.Network.ops);
     ]
 
-(* Words a run allocated on the minor heap and promoted out of it, read
-   with [Gc.quick_stat] around the run. Unlike wall time they repeat for a
-   given build, to within tens of words in millions. *)
+(* Words a run allocated on the minor heap and promoted out of it. Minor
+   words come from [Gc.minor_words], which counts every allocation up to
+   the call; [Gc.quick_stat]'s count stops at the domain's last minor
+   collection, so it moves when allocation moves in time. Promotion
+   happens only at a minor collection, so [Gc.quick_stat] counts it
+   exactly. Unlike wall time both repeat for a given build, to within
+   tens of words in millions. *)
 type alloc = { minor_words : int; promoted_words : int }
 
 let measure_alloc f =
-  let g0 = Gc.quick_stat () in
+  (* The minor count brackets the run alone, not [quick_stat]'s record. *)
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let m0 = Gc.minor_words () in
   let x = f () in
-  let g1 = Gc.quick_stat () in
-  ( x,
-    {
-      minor_words = int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words);
-      promoted_words = int_of_float (g1.Gc.promoted_words -. g0.Gc.promoted_words);
-    } )
+  let m1 = Gc.minor_words () in
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  (x, { minor_words = int_of_float (m1 -. m0); promoted_words = int_of_float (p1 -. p0) })

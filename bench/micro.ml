@@ -26,10 +26,18 @@ let sim_churn () =
   done;
   Rfd.Sim.run sim
 
+(* One slot of a penalty table, charged 500 times; its owner keeps the
+   suppressed flag, as a router does. *)
 let damper_churn () =
-  let d = Rfd.Damper.create Params.cisco in
+  let slots = Rfd.Damper.slots (Rfd.Damper.setting Params.cisco) ~capacity:1 in
+  let suppressed = ref false in
   for i = 1 to 500 do
-    ignore (Rfd.Damper.record d ~now:(float_of_int i) Rfd.Damper.Attribute_change)
+    match
+      Rfd.Damper.slot_record slots 0 ~now:(float_of_int i) ~suppressed:!suppressed
+        Rfd.Damper.Attribute_change
+    with
+    | `Suppressed -> suppressed := true
+    | `Ok -> ()
   done
 
 let graph_build () = ignore (Rfd.Builders.mesh ~rows:10 ~cols:10)

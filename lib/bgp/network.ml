@@ -363,6 +363,26 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
       | Some params -> Some params
       | None -> config.Config.damping
   in
+  (* One damping value per distinct parameter set, shared by the routers
+     that damp with it. In Tick mode it carries the set's reuse index, a
+     pure function of (params, tick), so sharing it is bit-identical. *)
+  let shared = Hashtbl.create 1 in
+  let damping_at node =
+    match params_at node with
+    | None -> None
+    | Some params -> (
+        match Hashtbl.find_opt shared params with
+        | Some damping -> damping
+        | None ->
+            let index =
+              match config.Config.reuse_mode with
+              | Config.Exact -> None
+              | Config.Tick tick -> Some (Rfd_damping.Reuse_index.create ~tick params)
+            in
+            let damping = Some (params, index) in
+            Hashtbl.add shared params damping;
+            damping)
+  in
   (* One intern table per network, for AS paths (routes are not
      interned): ids are assigned in deterministic simulation order, so
      Marshal-based digests of anything referencing interned paths stay
@@ -438,7 +458,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
       t.routers.(node) <-
         Some
           (Router.create ~sim ~id:node ~sessions ~paths ~policy ~config
-             ~damping:(params_at node) ~rng ~hooks ~ports)
+             ~damping:(damping_at node) ~rng ~hooks ~ports)
     end
   done;
   t

@@ -75,8 +75,9 @@ type t = {
   id : int;
   policy : Policy.t;
   config : Config.t;
-  damping : Rfd_damping.Params.t option;
-  wheel : wheel option; (* Some iff damping is on and reuse_mode is Tick *)
+  damping : (Rfd_damping.Params.t * Reuse_index.t option) option;
+      (* as given: the network shares one per parameter set *)
+  wheel : wheel option; (* Some iff this router damps in Tick mode *)
   hooks : Hooks.t;
   ports : ports;
   paths : As_path.table; (* the network's path intern table, shared across routers *)
@@ -132,27 +133,18 @@ let check_sessions ~id sessions =
     sessions
 
 let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports =
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Router.create: " ^ msg));
-  (match damping with
-  | Some params -> (
-      match Rfd_damping.Params.validate params with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("Router.create: damping params: " ^ msg))
-  | None -> ());
   check_sessions ~id sessions;
   let wheel =
-    match (damping, config.Config.reuse_mode) with
-    | Some params, Config.Tick tick ->
+    match damping with
+    | Some (params, Some index) ->
         Some
           {
-            w_index = Reuse_index.create ~tick params;
-            w_tick = tick;
+            w_index = index;
+            w_tick = Reuse_index.tick index;
             w_lambda = Rfd_damping.Params.lambda params;
             w_slots = Hashtbl.create 16;
           }
-    | Some _, Config.Exact | None, _ -> None
+    | Some (_, None) | None -> None
   in
   let degree = Array.length sessions in
   (* One MRAI jitter draw per session, in rank order. *)
@@ -193,7 +185,8 @@ let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports
     penalties =
       (* One decay cache per router. *)
       Option.map
-        (fun params -> Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:n)
+        (fun (params, _) ->
+          Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:n)
         damping;
     originated = Bytes.make hint '\000';
     best_route = Array.make hint no_path;
@@ -204,7 +197,7 @@ let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports
   }
 
 let id t = t.id
-let damping_params t = t.damping
+let damping_params t = Option.map fst t.damping
 
 (* ------------------------------------------------------------------ *)
 (* Columns                                                             *)

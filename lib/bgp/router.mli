@@ -99,7 +99,7 @@ val create :
   paths:As_path.table ->
   policy:Policy.t ->
   config:Config.t ->
-  damping:Rfd_damping.Params.t option ->
+  damping:(Rfd_damping.Params.t * Rfd_damping.Reuse_index.t option) option ->
   rng:Rfd_engine.Rng.t ->
   hooks:Hooks.t ->
   ports:ports ->
@@ -114,18 +114,24 @@ val create :
     {!Config.prefix_table_hint} prefixes.
 
     [damping] is this router's effective parameter set ([None] = damping
-    not deployed here) — {!Network} resolves it from the config's global
-    preset, per-router overrides and deployment policy. [rng] gives each
+    not deployed here) and, in [Tick] mode, the reuse index for it: the
+    router keeps a reuse wheel iff it is given an index, whose tick is
+    the wheel's. {!Network} resolves the parameter set from the config's
+    global preset, per-router overrides and deployment policy, and builds
+    one index per distinct parameter set. [rng] gives each
     session its MRAI jitter, one draw per session in rank order, and
     nothing else; hand each router a split stream. [paths] is the intern
     table every advertised path is built through; {!Network} passes its
     one table to every router, so identical paths are physically shared
     network-wide.
 
-    Raises [Invalid_argument] with a [Router.create:] message on an
-    invalid config or damping parameter set, and on a session to itself,
-    a negative peer id, a peer repeated or out of ascending order, or a
-    link outside [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
+    The config and the damping parameters are taken as checked: its
+    only library caller, {!Network.create}, validates the whole config
+    first, and {!Rfd_damping.Damper.setting} refuses invalid parameters
+    with a [Damper.setting:] message. Raises [Invalid_argument] with a
+    [Router.create:] message on a session to itself, a negative peer id,
+    a peer repeated or out of ascending order, or a link outside
+    [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
 
 val id : t -> int
 
@@ -178,7 +184,9 @@ val best_peer : t -> Prefix.t -> int option
 val rib_in_route : t -> peer:int -> Prefix.t -> Route.t option
 val is_suppressed : t -> peer:int -> Prefix.t -> bool
 val penalty : t -> peer:int -> Prefix.t -> float
-(** 0. when the entry has no damping state. *)
+(** The entry's penalty decayed to now, 0. when it has no damping state.
+    A pure read, like every inspection here: reading it mid-run leaves
+    the run unchanged. *)
 
 val suppressed_count : t -> int
 (** Number of currently suppressed RIB-In entries across peers/prefixes. *)

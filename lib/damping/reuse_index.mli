@@ -7,8 +7,10 @@
     library can reproduce router-grade quantisation (and so tests can show
     the quantised delay brackets the exact one).
 
-    The simulator's {!Damper} uses exact reuse times; this is the faithful
-    deployment-style alternative. *)
+    The simulator's default ([Exact]) reuse times are exact; this is the
+    faithful deployment-style alternative, which a router's [Tick]-mode
+    reuse wheel consults. An index is a pure function of its parameters
+    and tick, so one index serves every router that damps with them. *)
 
 type t
 

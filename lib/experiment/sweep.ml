@@ -35,13 +35,12 @@ let default_pulses = List.init 10 (fun i -> i + 1)
 (* Pre-build the topology a job's run would construct, so the jobs of a
    sweep that share a (topology, seed) pair reuse one graph instead of
    rebuilding it per point. Runner.run builds its graph with the same
-   Scenario.build_graph, so the substitution is bit-identical. Invalid
-   scenarios are left untouched so Runner.run reports their validation
-   error unchanged. *)
+   Scenario.build_graph, so the substitution is bit-identical. The caller
+   has checked the scenario. *)
 let materialize ?(memo = Hashtbl.create 1) (scenario : Scenario.t) =
-  match (Scenario.validate scenario, scenario.Scenario.topology) with
-  | Error _, _ | Ok (), Scenario.Custom _ -> scenario
-  | Ok (), topology ->
+  match scenario.Scenario.topology with
+  | Scenario.Custom _ -> scenario
+  | topology ->
       let key = (scenario.Scenario.config.Rfd_bgp.Config.seed, topology) in
       let graph =
         match Hashtbl.find_opt memo key with
@@ -60,10 +59,14 @@ let plan ?(pulses = default_pulses) ?seeds base =
     | Some seeds -> seeds
     | None -> [ base.Scenario.config.Rfd_bgp.Config.seed ]
   in
+  (* No check reads the config seed, so the base is checked once for
+     every seed. An invalid base keeps its symbolic topology, and
+     Runner.run reports the problem. *)
+  let resolve = match Scenario.validate base with Ok () -> materialize ~memo | Error _ -> Fun.id in
   List.concat_map
     (fun seed ->
       let config = { base.Scenario.config with Rfd_bgp.Config.seed } in
-      let scenario = materialize ~memo { base with Scenario.config } in
+      let scenario = resolve { base with Scenario.config } in
       List.map
         (fun n ->
           { job_scenario = Scenario.with_pulses scenario n; job_seed = seed; job_pulses = n })

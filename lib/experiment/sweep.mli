@@ -68,11 +68,12 @@ val materialize :
   ?memo:(int * Scenario.topology, Rfd_topology.Graph.t) Hashtbl.t ->
   Scenario.t ->
   Scenario.t
-(** Resolve a valid scenario's [Mesh]/[Internet] topology into the
-    [Custom] graph {!Rfd_experiment.Runner.run} would build for it (both
-    build it with {!Scenario.build_graph}, so the substitution is
-    bit-identical). [Custom] topologies and invalid
-    scenarios pass through untouched. [memo], keyed by
+(** Resolve a scenario's [Mesh]/[Internet] topology into the [Custom]
+    graph {!Rfd_experiment.Runner.run} would build for it (both build it
+    with {!Scenario.build_graph}, so the substitution is bit-identical).
+    [Custom] topologies pass through untouched. The scenario must have
+    passed {!Scenario.validate}: nothing is checked again here, and a
+    topology its builder refuses raises from the builder. [memo], keyed by
     [(config seed, topology)], lets repeated callers — the jobs of one
     sweep, or a long-lived {!Rfd_service} daemon — share one graph
     instead of rebuilding it per request. This resolved form is what
@@ -83,8 +84,12 @@ val plan : ?pulses:int list -> ?seeds:int list -> Scenario.t -> job list
 (** Describe a sweep as pure jobs, seed-major ([pulses] jobs per seed, in
     order). Default pulse counts: [1 .. 10] (the paper's x axis); default
     seeds: the base scenario's own config seed. The base scenario's
-    [pulses] field is ignored. Mesh and Internet topologies are built once
-    per (topology, seed) by {!materialize} and shared by reference. *)
+    [pulses] field is ignored. The base is checked with
+    {!Scenario.validate} once, since no check reads the seed. A valid
+    base's Mesh and Internet topologies are built once per (topology,
+    seed) by {!materialize} and shared by reference; an invalid base's
+    jobs keep the symbolic topology, and {!Runner.run} reports the
+    problem. *)
 
 val execute : ?jobs:int -> ?budget:Runner.budget -> job list -> Runner.result list
 (** Run every job on [jobs] worker domains (default

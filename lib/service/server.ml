@@ -78,8 +78,8 @@ type t = {
   mu : Mutex.t;
   cond : Condition.t;  (* signals the executor: pending work or drain *)
   pending : (string * Scenario.t) Queue.t;
-  pending_state : (string, [ `Queued | `Running ]) Hashtbl.t;
-      (* queued + running; its size is the admission gauge *)
+  pending_keys : (string, unit) Hashtbl.t;
+      (* the key set of queued and running jobs; its size is the admission gauge *)
   waiters : (string, int list ref) Hashtbl.t;  (* key -> waiting conn ids *)
   completed : (string * completion) Queue.t;  (* executor -> main *)
   conns : (int, conn) Hashtbl.t;  (* main domain only *)
@@ -138,7 +138,7 @@ let record_outcome t key outcome =
       | `Cancelled ->
           t.stats.cancelled <- t.stats.cancelled + 1;
           Queue.add (key, Cancelled_job) t.completed);
-      Hashtbl.remove t.pending_state key);
+      Hashtbl.remove t.pending_keys key);
   wake t
 
 let executor_loop t =
@@ -156,14 +156,11 @@ let executor_loop t =
         | Some ids -> !ids <> []
         | None -> false
       in
-      if live then begin
-        Hashtbl.replace t.pending_state key `Running;
-        batch := (key, scenario) :: !batch
-      end
+      if live then batch := (key, scenario) :: !batch
       else begin
         (* Every waiter disconnected while the job was queued: skip it —
            cooperative cancellation, nothing simulated for nobody. *)
-        Hashtbl.remove t.pending_state key;
+        Hashtbl.remove t.pending_keys key;
         Hashtbl.remove t.waiters key;
         t.stats.cancelled <- t.stats.cancelled + 1
       end
@@ -220,7 +217,7 @@ let create cfg =
       mu = Mutex.create ();
       cond = Condition.create ();
       pending = Queue.create ();
-      pending_state = Hashtbl.create 64;
+      pending_keys = Hashtbl.create 64;
       waiters = Hashtbl.create 64;
       completed = Queue.create ();
       conns = Hashtbl.create 32;
@@ -272,7 +269,7 @@ let stats_json t =
           s.retries_done,
           s.cancelled,
           s.wrong_shard,
-          Hashtbl.length t.pending_state ))
+          Hashtbl.length t.pending_keys ))
   in
   let compaction_fields =
     match Store.compaction t.store with
@@ -381,7 +378,7 @@ let handle_query t conn spec =
                 `Hit outcome
             | None ->
                 if Atomic.get t.stop_level >= 1 then `Draining
-                else if Hashtbl.mem t.pending_state key then begin
+                else if Hashtbl.mem t.pending_keys key then begin
                   let ids =
                     match Hashtbl.find_opt t.waiters key with
                     | Some ids -> ids
@@ -394,14 +391,14 @@ let handle_query t conn spec =
                   t.stats.coalesced <- t.stats.coalesced + 1;
                   `Wait
                 end
-                else if Hashtbl.length t.pending_state >= t.cfg.max_pending
+                else if Hashtbl.length t.pending_keys >= t.cfg.max_pending
                 then begin
                   t.stats.sheds <- t.stats.sheds + 1;
                   `Shed
                 end
                 else begin
                   Queue.add (key, resolved) t.pending;
-                  Hashtbl.replace t.pending_state key `Queued;
+                  Hashtbl.replace t.pending_keys key ();
                   Hashtbl.replace t.waiters key (ref [ conn.cid ]);
                   t.stats.misses <- t.stats.misses + 1;
                   Condition.broadcast t.cond;
@@ -590,7 +587,7 @@ let begin_drain t =
 let work_remains t =
   with_mu t (fun () ->
       (not (Queue.is_empty t.pending))
-      || Hashtbl.length t.pending_state > 0
+      || Hashtbl.length t.pending_keys > 0
       || not (Queue.is_empty t.completed))
 
 let conn_snapshot t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []

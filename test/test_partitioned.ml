@@ -472,6 +472,47 @@ let prop_sessions_are_neighbours =
           Router.peer_ids (Par_net.router net node) = Array.to_list (Graph.neighbors graph node))
         (List.init (nodes + 1) Fun.id))
 
+(* Inspection never changes a run. At every delivery in the flap phase a
+   tap reads the receiver's penalty, suppression flag and RIB-In route
+   for the update's prefix, and the timer activity, on every session; the
+   run must digest like one that reads nothing. Random small meshes and
+   BA graphs, in every damping mode, with Exact and Tick reuse. *)
+let prop_inspection_is_pure =
+  let gen = QCheck.(quad (int_range 0 10_000) bool (int_range 0 2) bool) in
+  QCheck.Test.make ~name:"inspecting routers mid-run leaves the digest unchanged" ~count:12 gen
+    (fun (seed, mesh, mode, tick) ->
+      let base = { Config.default with Config.mrai = 1.; link_delay = 0.01; link_jitter = 0.01; seed } in
+      let config =
+        Config.with_damping
+          ~mode:[| Config.Plain; Config.Rcn; Config.Selective |].(mode)
+          ~reuse:(if tick then Config.Tick 15. else Config.Exact)
+          Rfd_damping.Params.cisco base
+      in
+      let topology =
+        if mesh then Scenario.Mesh { rows = 3 + (seed mod 3); cols = 3 + (seed / 3 mod 3) }
+        else Scenario.Internet { nodes = 10 + (seed mod 30); m = 1 + (seed mod 3) }
+      in
+      let scenario =
+        Scenario.with_pulses (Scenario.make ~name:"inspect" ~config topology) (2 + (seed mod 3))
+      in
+      let inspect net =
+        let hooks = Network.hooks net in
+        let previous = hooks.Hooks.on_deliver in
+        hooks.Hooks.on_deliver <-
+          (fun ~time ~src ~dst update ->
+            let r = Network.router net dst and prefix = Update.prefix update in
+            List.iter
+              (fun peer ->
+                ignore (Router.penalty r ~peer prefix);
+                ignore (Router.is_suppressed r ~peer prefix);
+                ignore (Router.rib_in_route r ~peer prefix);
+                ignore (Router.peer_activity r ~peer))
+              (Router.peer_ids r);
+            previous ~time ~src ~dst update)
+      in
+      Runner.result_digest (Runner.run scenario)
+      = Runner.result_digest (Runner.run ~observe:inspect scenario))
+
 (* Without link jitter, a router's updates and timers routinely share an
    instant with other routers' and with each other. Each of these six runs
    gives one digest and one transcript at P = 1 to 4, because the
@@ -577,4 +618,5 @@ let suite =
       test_hand_driven_invariant;
     QCheck_alcotest.to_alcotest prop_random_identity;
     QCheck_alcotest.to_alcotest prop_sessions_are_neighbours;
+    QCheck_alcotest.to_alcotest prop_inspection_is_pure;
   ]
