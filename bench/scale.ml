@@ -34,6 +34,7 @@ type point = {
   paths_interned : int;
   alloc : Host.alloc;  (** words the run allocated and promoted *)
   peak_rss_kb : int;
+  peak_heap : int;  (** the simulator heap's peak entries, summed over partitions *)
   per_partition_events : int list;  (** raw executed events, per partition *)
   layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
 }
@@ -72,6 +73,7 @@ let run_point (opts : Context.opts) ~partitions n =
     paths_interned = stats.Runner.paths_interned_total;
     alloc;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
+    peak_heap = result.Runner.peak_heap;
     per_partition_events = Array.to_list stats.Runner.per_partition_events;
     layers = stats.Runner.events_by_kind;
   }
@@ -90,6 +92,7 @@ let point_to_json p =
       ("minor_words", Json.Int p.alloc.Host.minor_words);
       ("promoted_words", Json.Int p.alloc.Host.promoted_words);
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
+      ("peak_heap", Json.Int p.peak_heap);
       ( "per_partition_events",
         Json.List (List.map (fun e -> Json.Int e) p.per_partition_events) );
       ("layers", Host.layers_to_json p.layers);
@@ -121,16 +124,18 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
     (if partitions > 1 then Printf.sprintf " (%d partitions)" partitions else "");
   (* stdout mirrors the CSV/JSON columns — paths_interned included (it used
      to be silently dropped from the table while both files carried it). *)
-  Printf.printf "%8s %8s %10s %12s %12s %10s %10s %12s %12s %12s\n" "nodes" "edges" "wall(s)"
-    "sim events" "events/s" "messages" "paths" "minor words" "promoted" "peakRSS(MB)";
+  Printf.printf "%8s %8s %10s %12s %12s %10s %10s %12s %12s %12s %10s\n" "nodes" "edges"
+    "wall(s)" "sim events" "events/s" "messages" "paths" "minor words" "promoted" "peakRSS(MB)"
+    "peak heap";
   let points =
     List.map
       (fun n ->
         let p = run_point opts ~partitions n in
-        Printf.printf "%8d %8d %10.2f %12d %12.0f %10d %10d %12d %12d %12.1f\n%!" p.nodes
+        Printf.printf "%8d %8d %10.2f %12d %12.0f %10d %10d %12d %12d %12.1f %10d\n%!" p.nodes
           p.num_edges p.wall_seconds p.sim_events p.events_per_sec p.message_count
           p.paths_interned p.alloc.Host.minor_words p.alloc.Host.promoted_words
-          (float_of_int p.peak_rss_kb /. 1024.);
+          (float_of_int p.peak_rss_kb /. 1024.)
+          p.peak_heap;
         p)
       sizes
   in
@@ -148,6 +153,7 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
         "minor_words";
         "promoted_words";
         "peak_rss_kb";
+        "peak_heap";
       ]
     ~rows:
       (List.map
@@ -164,6 +170,7 @@ let run ?sizes ?(partitions = 1) (ctx : Context.t) =
              string_of_int p.alloc.Host.minor_words;
              string_of_int p.alloc.Host.promoted_words;
              string_of_int p.peak_rss_kb;
+             string_of_int p.peak_heap;
            ])
          points);
   points

@@ -34,6 +34,7 @@ type point = {
   message_count : int;
   alloc : Host.alloc;  (** words the run allocated and promoted *)
   peak_rss_kb : int;
+  peak_heap : int;  (** the simulator heap's peak entries, summed over partitions *)
   layers : Rfd.Network.event_counts;  (** [sim_events] by kind *)
 }
 
@@ -69,6 +70,7 @@ let run_point (opts : Context.opts) (background, flappers) =
     message_count = result.Runner.message_count;
     alloc;
     peak_rss_kb = Rfd.Procfs.peak_rss_kb ();
+    peak_heap = result.Runner.peak_heap;
     layers = stats.Runner.events_by_kind;
   }
 
@@ -86,6 +88,7 @@ let point_to_json p =
       ("minor_words", Json.Int p.alloc.Host.minor_words);
       ("promoted_words", Json.Int p.alloc.Host.promoted_words);
       ("peak_rss_kb", Json.Int p.peak_rss_kb);
+      ("peak_heap", Json.Int p.peak_heap);
       ("layers", Host.layers_to_json p.layers);
     ]
 
@@ -106,18 +109,19 @@ let run (ctx : Context.t) =
   print_newline ();
   print_endline
     "== traffic: multi-origin flap workload on a loaded 3x3 mesh ==";
-  Printf.printf "%10s %9s %13s %10s %12s %12s %10s %12s %12s %12s\n" "background" "flappers"
-    "prefixes/rtr" "wall(s)" "sim events" "events/s" "messages" "minor words" "promoted"
-    "peakRSS(MB)";
+  Printf.printf "%10s %9s %13s %10s %12s %12s %10s %12s %12s %12s %10s\n" "background"
+    "flappers" "prefixes/rtr" "wall(s)" "sim events" "events/s" "messages" "minor words"
+    "promoted" "peakRSS(MB)" "peak heap";
   let points =
     List.map
       (fun spec ->
         let p = run_point opts spec in
-        Printf.printf "%10d %9d %13d %10.2f %12d %12.0f %10d %12d %12d %12.1f\n%!"
+        Printf.printf "%10d %9d %13d %10.2f %12d %12.0f %10d %12d %12d %12.1f %10d\n%!"
           p.background p.flappers p.prefixes_per_router p.wall_seconds p.sim_events
           p.events_per_sec p.message_count p.alloc.Host.minor_words
           p.alloc.Host.promoted_words
-          (float_of_int p.peak_rss_kb /. 1024.);
+          (float_of_int p.peak_rss_kb /. 1024.)
+          p.peak_heap;
         p)
       points_spec
   in
@@ -134,6 +138,7 @@ let run (ctx : Context.t) =
         "minor_words";
         "promoted_words";
         "peak_rss_kb";
+        "peak_heap";
       ]
     ~rows:
       (List.map
@@ -149,6 +154,7 @@ let run (ctx : Context.t) =
              string_of_int p.alloc.Host.minor_words;
              string_of_int p.alloc.Host.promoted_words;
              string_of_int p.peak_rss_kb;
+             string_of_int p.peak_heap;
            ])
          points);
   points

@@ -5,31 +5,35 @@ module Column = Rfd_engine.Column
 
 (* The in-flight table: one row per message on the wire, network-wide,
    in five columns that share one chunk spine. A row holds a link to
-   another row, the sender-side link epoch, the announced route's
-   interned path (the empty path for a withdrawal), the sender's shared
-   root-cause option and a code: bit 0 set for a withdrawal, bits 1-2 an
-   announcement's rel-pref code, and above them the prefix id. A message
-   in flight owns no heap block: it costs five table words and two heap
+   another row, the announced route's interned path (the empty path for a
+   withdrawal), the sender's shared root-cause option, a code and the
+   delivery time. The code holds the kind in bit 0 (set for a
+   withdrawal), an announcement's rel-pref code in bits 1-2, the void bit
+   in bit 3 (set when the link went down while the row was in flight, so
+   [deliver] drops it) and the prefix id above them. A message in flight
+   owns no heap block and no heap entry of its own: it costs five table
    words.
 
-   A delivery event is a post of the directed slot alone on the network's
-   delivery channel, so same-instant deliveries run in slot order and
-   compare with other events by what they are, never by the row, which
-   depends on the partition layout. The rows in flight on a slot form a
-   ring in send order: [w_last] holds the slot's newest row, and each row
-   links to the next newer one, the newest to the oldest. Deliveries on a
-   slot pop in send order (the FIFO floor in [send_copy] gives them
-   increasing times), so [deliver] takes the ring's oldest row. The first
-   chunk doubles from 256 rows up to [Column.chunk_cells]; later chunks
-   are never copied. Free rows are chained through [w_link] and hold
-   [None], so a delivered root cause is released at once; a free row's
-   path is interned, so it keeps nothing alive. *)
+   The rows in flight on a directed slot form a ring in send order:
+   [w_last] holds the slot's newest row, and each row links to the next
+   newer one, the newest to the oldest. The FIFO floor in [send_copy]
+   gives a slot's rows strictly increasing times, so only the oldest can
+   be the next to arrive: a slot with rows in flight has exactly one
+   pending delivery, a post of the slot alone on the network's delivery
+   channel, at its oldest row's time. [deliver] takes that row and posts
+   the next one's time from its column. Same-instant deliveries run in
+   slot order and compare with other events by what they are, never by
+   the row, which depends on the partition layout. The first chunk
+   doubles from 256 rows up to [Column.chunk_cells]; later chunks are
+   never copied. Free rows are chained through [w_link] and hold [None],
+   so a delivered root cause is released at once; a free row's path is
+   interned, so it keeps nothing alive. *)
 type rows = {
   w_link : int array; (* next row in the slot's ring; next free row when free *)
-  w_epoch : int array;
   w_path : As_path.t array;
   w_rc : Root_cause.t option array;
   w_code : int array;
+  w_time : Float.Array.t; (* delivery time *)
 }
 
 type wire = {
@@ -41,18 +45,25 @@ type wire = {
 let make_rows n =
   {
     w_link = Array.make n (-1);
-    w_epoch = Array.make n 0;
     w_path = Array.make n As_path.empty;
     w_rc = Array.make n None;
     w_code = Array.make n 0;
+    w_time = Float.Array.make n 0.;
   }
 
 let blit_rows a i b j n =
   Array.blit a.w_link i b.w_link j n;
-  Array.blit a.w_epoch i b.w_epoch j n;
   Array.blit a.w_path i b.w_path j n;
   Array.blit a.w_rc i b.w_rc j n;
-  Array.blit a.w_code i b.w_code j n
+  Array.blit a.w_code i b.w_code j n;
+  Float.Array.blit a.w_time i b.w_time j n
+
+(* The code word's fields. A router sends only prefix ids it has slots
+   for, and slot columns are arrays (under [Sys.max_array_length], 2^54
+   cells), so an id shifted past the four flag bits fits an int. *)
+let withdrawal_bit = 1
+let void_bit = 8
+let prefix_shift = 4
 
 (* A row's offset in its chunk. *)
 let cell_mask = Column.chunk_cells - 1
@@ -115,14 +126,14 @@ type t = {
   routers_up : bool array; (* false while crashed *)
   damping_deployed : bool array;
   up : Bytes.t; (* by edge id: administratively up (not failed by fail_link) *)
-  epoch : int array; (* by edge id: bumped on failure to void in-flight messages *)
+  epoch : int array; (* by edge id: bumped at each down transition *)
   floor : Float.Array.t; (* by slot: last delivery time, the FIFO floor *)
   loss : Float.Array.t; (* by slot: fault-injected per-message loss probability *)
   duplication : Float.Array.t; (* by slot: fault-injected duplication probability *)
   delay_streams : Rng.column; (* by slot: jitter draws *)
   mutable fault_streams : Rng.column; (* by slot; empty until set_degradation *)
   wire : wire;
-  deliver_on : Sim.channel; (* posts a [wire] row to [deliver] *)
+  deliver_on : Sim.channel; (* posts a slot whose oldest row is due to [deliver] *)
   flush_on : Sim.channel;
   reuse_on : Sim.channel;
   wheel_on : Sim.channel;
@@ -160,8 +171,27 @@ let peer_down_at t node ~peer =
 let peer_up_at t node ~peer =
   match t.routers.(node) with Some r -> Router.peer_up r ~peer | None -> ()
 
+(* Mark every row in flight on [slot] void. *)
+let void_slot w slot =
+  let last = w.w_last.(slot) in
+  if last >= 0 then begin
+    let row = ref last and more = ref true in
+    while !more do
+      let c = Column.Chunks.chunk w.w_rows !row and j = !row land cell_mask in
+      c.w_code.(j) <- c.w_code.(j) lor void_bit;
+      row := c.w_link.(j);
+      more := !row <> last
+    done
+  end
+
+(* The epoch changes here and only here, and the rows in flight on the
+   link's two slots are voided with it, before either endpoint reacts: a
+   message its routers send on the link from now on is not void, as it
+   carries the new epoch. *)
 let down_transition t eid u v =
   t.epoch.(eid) <- t.epoch.(eid) + 1;
+  void_slot t.wire (2 * eid);
+  void_slot t.wire ((2 * eid) + 1);
   peer_down_at t u ~peer:v;
   peer_down_at t v ~peer:u
 
@@ -200,28 +230,33 @@ let delay_salt = 0x2d35_8dcc
 let fault_salt = 0x7fa9_1e55
 
 (* Every message on the wire, local or drained from another partition,
-   arrives through here. The epoch guard drops it when its link failed (or
-   an endpoint crashed) while it was in flight; an update is rebuilt only
-   for a message that arrives. *)
+   arrives through here. A void row is dropped: its link failed (or an
+   endpoint crashed) while it was in flight. An update is rebuilt only for
+   a message that arrives. *)
 let deliver t slot =
   let w = t.wire in
   let last = w.w_last.(slot) in
   let lc = Column.Chunks.chunk w.w_rows last and lj = last land cell_mask in
   let row = lc.w_link.(lj) in
   let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
-  if row = last then w.w_last.(slot) <- -1 else lc.w_link.(lj) <- c.w_link.(j);
-  let epoch = c.w_epoch.(j) and path = c.w_path.(j) in
-  let rc = c.w_rc.(j) and code = c.w_code.(j) in
+  if row = last then w.w_last.(slot) <- -1
+  else begin
+    let next = c.w_link.(j) in
+    lc.w_link.(lj) <- next;
+    let nc = Column.Chunks.chunk w.w_rows next in
+    Sim.post_cell t.sim t.deliver_on nc.w_time (next land cell_mask) slot
+  end;
+  let path = c.w_path.(j) and rc = c.w_rc.(j) and code = c.w_code.(j) in
   c.w_link.(j) <- w.w_free;
   c.w_rc.(j) <- None;
   w.w_free <- row;
   t.in_flight <- t.in_flight - 1;
   let eid = slot lsr 1 in
   let src = slot_src t slot and dst = slot_dst t slot in
-  if operational t eid src dst && t.epoch.(eid) = epoch then begin
-    let prefix = Prefix.v (code lsr 3) in
+  if code land void_bit = 0 && operational t eid src dst then begin
+    let prefix = Prefix.v (code lsr prefix_shift) in
     let update =
-      if code land 1 = 1 then Update.Withdraw { prefix; rc }
+      if code land withdrawal_bit <> 0 then Update.Withdraw { prefix; rc }
       else
         let rel_pref = rel_pref_of_code ((code lsr 1) land 3) in
         Update.Announce { route = Route.make ~prefix ~path; rc; rel_pref }
@@ -232,18 +267,26 @@ let deliver t slot =
     | None -> assert false
   end
 
-(* The post comes first, so a delivery time the simulator refuses leaves
-   the table and the in-flight count untouched. The row keeps the
-   update's fields, not the update, and becomes its slot's newest. *)
-let put_on_wire t ~at ~slot ~epoch update =
+(* The row becomes its slot's newest and is posted only when it is the
+   slot's one row. A time the simulator refuses, or one not after the
+   newest row's (which is no earlier than the clock), is refused before
+   anything changes. The row keeps the update's fields, not the update. *)
+let put_on_wire t ~at ~slot ~void update =
   let w = t.wire in
+  let last = w.w_last.(slot) in
+  if last < 0 then Sim.post t.sim t.deliver_on ~time:at slot
+  else begin
+    let newest = Float.Array.get (Column.Chunks.chunk w.w_rows last).w_time (last land cell_mask) in
+    if not (at > newest) then
+      invalid_arg
+        (Printf.sprintf "Network: delivery at %.17g on slot %d is not after its newest row's %.17g"
+           at slot newest)
+  end;
   (* With the free list empty, a new row is its end. *)
   if w.w_free < 0 then w.w_free <- Column.Chunks.add ~make:make_rows ~blit:blit_rows w.w_rows;
   let row = w.w_free in
-  Sim.post t.sim t.deliver_on ~time:at slot;
   let c = Column.Chunks.chunk w.w_rows row and j = row land cell_mask in
   w.w_free <- c.w_link.(j);
-  let last = w.w_last.(slot) in
   if last < 0 then c.w_link.(j) <- row
   else begin
     let lc = Column.Chunks.chunk w.w_rows last and lj = last land cell_mask in
@@ -251,23 +294,25 @@ let put_on_wire t ~at ~slot ~epoch update =
     lc.w_link.(lj) <- row
   end;
   w.w_last.(slot) <- row;
-  c.w_epoch.(j) <- epoch;
+  Float.Array.set c.w_time j at;
   (match update with
   | Update.Announce { route = { Route.prefix; path }; rc; rel_pref } ->
       c.w_path.(j) <- path;
       c.w_rc.(j) <- rc;
-      c.w_code.(j) <- (Prefix.to_int prefix lsl 3) lor (rel_pref_code rel_pref lsl 1)
+      c.w_code.(j) <- (Prefix.to_int prefix lsl prefix_shift) lor (rel_pref_code rel_pref lsl 1)
   | Update.Withdraw { prefix; rc } ->
       c.w_path.(j) <- As_path.empty;
       c.w_rc.(j) <- rc;
-      c.w_code.(j) <- (Prefix.to_int prefix lsl 3) lor 1);
+      c.w_code.(j) <- (Prefix.to_int prefix lsl prefix_shift) lor withdrawal_bit);
+  if void then c.w_code.(j) <- c.w_code.(j) lor void_bit;
   t.in_flight <- t.in_flight + 1
 
 let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < p
 
-(* One copy on directed link [slot]: sample a delay, keep per-direction
-   FIFO order, and stamp the sender-side epoch so a failure while in flight
-   drops it. The floor is strict: a copy lands at least 1 ns after the
+(* One copy on directed link [slot]: sample a delay and keep
+   per-direction FIFO order. A copy to another partition carries the
+   sender-side epoch, so a failure while it waits in the outbox voids it
+   at the drain. The floor is strict: a copy lands at least 1 ns after the
    link's last one, or one ulp after it where adding 1 ns rounds back
    (from 2^24 s, about 194 days, on), so no two deliveries on a link share
    an instant. When the destination belongs to another partition the
@@ -287,17 +332,16 @@ let send_copy t slot ~src ~dst update =
     let floor = Float.Array.get t.floor slot in
     let at = Float.max (Sim.now t.sim +. delay) (Float.max (floor +. 1e-9) (Float.succ floor)) in
     Float.Array.set t.floor slot at;
-    let eid = slot lsr 1 in
-    let epoch = t.epoch.(eid) in
-    if t.owned.(dst) then put_on_wire t ~at ~slot ~epoch update
+    if t.owned.(dst) then put_on_wire t ~at ~slot ~void:false update
     else
+      let eid = slot lsr 1 in
       t.emit
         {
           remote_eid = eid;
           remote_src = src;
           remote_dst = dst;
           remote_at = at;
-          remote_epoch = epoch;
+          remote_epoch = t.epoch.(eid);
           remote_update = update;
         }
   end
@@ -488,9 +532,13 @@ let withdraw t ~node prefix = Router.withdraw_prefix (router t node) prefix
 
 (* Cross-partition delivery: put a message drained from another
    partition's outbox on this partition's wire at a barrier. The timestamp
-   was fixed (FIFO floor included) on the sending side; the epoch guard in
-   [deliver] re-checks against this partition's replica of the link state,
-   which has executed exactly the same administrative transitions. *)
+   was fixed (FIFO floor included) on the sending side. A barrier drains
+   only after every partition has run up to its horizon
+   ([Par_sim.lockstep]), so this partition's replica of the link state has
+   executed the same administrative transitions as the sender's, up to
+   the barrier: an epoch that moved since the send means the link went
+   down in between, so the row starts void, and a later down transition
+   voids it as it does a local row. *)
 let deliver_remote t { remote_eid = eid; remote_src = src; remote_dst = dst;
                        remote_at = at; remote_epoch = epoch; remote_update = update } =
   (match t.routers.(dst) with
@@ -498,7 +546,7 @@ let deliver_remote t { remote_eid = eid; remote_src = src; remote_dst = dst;
   | None ->
       invalid_arg
         (Printf.sprintf "Network.deliver_remote: node %d owned by another partition" dst));
-  put_on_wire t ~at ~slot:(directed_slot eid ~src ~dst) ~epoch update
+  put_on_wire t ~at ~slot:(directed_slot eid ~src ~dst) ~void:(epoch <> t.epoch.(eid)) update
 
 let is_up t eid = Bytes.get t.up eid <> '\000'
 

@@ -12,26 +12,29 @@
 
     Messages on the wire are rows of one network-wide in-flight table,
     five columns on one {!Rfd_engine.Column.Chunks} spine with a free
-    list: a link to the next row, the sender-side link epoch, the
-    announced route's interned path, the sender's root-cause option, and
-    one int for the kind, the rel-pref and the prefix id. A directed
-    link's rows in flight form a ring in send order. Sending copies an
-    update's fields into a row and keeps no pointer to the update or its
-    route; each delivery is a
-    {!Rfd_engine.Sim.post} of the directed link's slot (below) to one
-    delivery function, shared by local sends and {!deliver_remote}, which
-    takes the slot's oldest row and rebuilds the update (and an
-    announcement's route). The simulator
+    list: a link to the next row, the announced route's interned path,
+    the sender's root-cause option, one int for the kind, the rel-pref,
+    a void bit and the prefix id, and the delivery time. A directed
+    link's rows in flight form a ring in send order, and their times
+    strictly increase, so only the oldest can arrive next: the
+    simulator holds one pending delivery per directed link with rows in
+    flight, a {!Rfd_engine.Sim.post} of the link's slot (below) at its
+    oldest row's time. One delivery function, shared by local sends and
+    {!deliver_remote}, takes that row, posts the next one's time
+    ({!Rfd_engine.Sim.post_cell}) and rebuilds the update (and an
+    announcement's route). Sending copies an update's fields into a row
+    and keeps no pointer to the update or its route. The simulator
     breaks same-instant ties by post argument, so a delivery's place at
     its instant depends on its link alone, at every partition count,
-    never on its row. A message in flight costs seven words (five in its
-    row, two in its heap entry), owns no heap block and builds no
-    closure, and its row drops the root cause as soon as it is delivered.
-    So {!Hooks.t.on_deliver} sees an update equal ({!Update.equal}) to
-    the one {!Hooks.t.on_send} saw, but not the same block.
+    never on its row. A message in flight costs five row words, owns no
+    heap block and no heap entry of its own, and builds no closure, and
+    its row drops the root cause as soon as it is delivered. So
+    {!Hooks.t.on_deliver} sees an update equal ({!Update.equal}) to the
+    one {!Hooks.t.on_send} saw, but not the same block.
 
     Link state is held in columns: per link its administrative state and
-    epoch, and per directed link — at slot [2*eid + dir], [dir = 0] from
+    epoch (bumped at each down transition, which voids the rows in
+    flight on both its directed links), and per directed link — at slot [2*eid + dir], [dir = 0] from
     the lower node id — its newest row in flight, its FIFO floor, loss
     and duplication as unboxed floats, and its delay and fault streams as
     8-byte {!Rfd_engine.Rng.column} states. Every router sends through one
@@ -84,14 +87,19 @@ val create :
 
 val deliver_remote : t -> remote -> unit
 (** Put a message drained from another partition's outbox on this
-    partition's wire, as a row of the in-flight table. The epoch
-    guard re-checks the link against this partition's replica at delivery
-    time, so messages voided by a link failure are dropped exactly as in
-    the single-domain run. Raises [Invalid_argument] when the destination
-    is not owned here, or (from the simulator) when the delivery time lies
-    in this partition's past — which cannot happen when the exchange obeys
-    the epoch protocol's lookahead. A refused message leaves nothing in
-    flight. *)
+    partition's wire, as a row of the in-flight table. The row is void
+    when [remote_epoch] differs from this partition's replica of the
+    link's epoch at the drain: the link went down after the send. A down
+    transition after the drain voids it as it does a local row, and a
+    void row is dropped at delivery, so messages voided by a link
+    failure are dropped exactly as in the single-domain run. Raises
+    [Invalid_argument] when the destination is not owned here, when the
+    link has rows in flight and the delivery time is not after its
+    newest one's (NaN included), or (from the simulator) when the link
+    has none and the delivery time lies in this partition's past or is
+    NaN. Neither can happen when the exchange obeys the epoch protocol's
+    lookahead and drains each link's messages in send order. A refused
+    message leaves nothing in flight. *)
 
 val sim : t -> Rfd_engine.Sim.t
 val graph : t -> Rfd_topology.Graph.t

@@ -196,7 +196,9 @@ let compact t =
 let maybe_compact t =
   if t.size >= compact_threshold && 2 * t.dead > t.size then compact t
 
-let check_time name t time =
+(* Inlined, so that a time read from a float array is never boxed to
+   be checked. *)
+let[@inline] check_time name t time =
   if Float.is_nan time then invalid_arg (name ^ ": NaN time");
   if time < t.clock then invalid_arg (name ^ ": time in the past")
 
@@ -208,12 +210,15 @@ let channel t f =
   t.executed <- Array.append t.executed [| 0 |];
   n
 
-let post t ch ~time arg =
-  check_time "Sim.post" t time;
+let[@inline] checked_post name t ch time arg =
+  check_time name t time;
   if arg < 0 || arg > max_arg then
-    invalid_arg (Printf.sprintf "Sim.post: argument %d outside [0, %d]" arg max_arg);
-  if ch < 0 || ch >= Array.length t.handlers then invalid_arg "Sim.post: unknown channel";
+    invalid_arg (Printf.sprintf "%s: argument %d outside [0, %d]" name arg max_arg);
+  if ch < 0 || ch >= Array.length t.handlers then invalid_arg (name ^ ": unknown channel");
   push t time ((arg lsl channel_bits) lor ch)
+
+let post t ch ~time arg = checked_post "Sim.post" t ch time arg
+let post_cell t ch times i arg = checked_post "Sim.post_cell" t ch (Float.Array.get times i) arg
 
 (* The post's heap entry stays until it surfaces or a compaction drops it. *)
 let retract t ch arg =

@@ -48,6 +48,13 @@ val post : t -> channel -> time:float -> int -> unit
     registered. A channel means something only to the simulator that
     issued it. *)
 
+val post_cell : t -> channel -> Float.Array.t -> int -> int -> unit
+(** [post_cell sim ch times i arg] is [post sim ch ~time:(Float.Array.get
+    times i) arg], with the time read in place: a caller that keeps its
+    times in an unboxed column posts one without boxing it, even where
+    calls across modules are not inlined. Raises like {!post}, and
+    [Invalid_argument] when [i] is outside [times]. *)
+
 val retract : t -> channel -> int -> unit
 (** [retract sim ch arg] cancels the earliest pending post of [arg] on
     [ch] in time: it never runs, and it leaves {!pending} at once and

@@ -91,9 +91,9 @@ type result = {
   peak_heap : int;
       (** high-water mark of the simulator's event queue over the whole
           run ({!Rfd_engine.Sim.max_heap_size}): pending events — timers,
-          messages on the wire, workload and administrative events — plus
-          cancelled ones not yet dropped or compacted, each three heap
-          words *)
+          one delivery per directed link with messages on the wire,
+          workload and administrative events — plus cancelled ones not
+          yet dropped or compacted, each two heap words *)
   reuse_timer_events : int;
       (** simulator events spent on reuse scheduling
           ({!Par_net.reuse_timer_events}) — the cost centre the

@@ -207,7 +207,8 @@ let pareto_xmin ~alpha ~mean_gap =
   if alpha > 1. then mean_gap *. (alpha -. 1.) /. alpha else mean_gap
 
 (* [Rng.pareto] draws [u] in [\[2^-53, 1\]], so no gap exceeds
-   [xmin * 2^(53/alpha)], or the 1 ms a degenerate draw is bumped to. The
+   [xmin * 2^(53/alpha)], or the 1 ms a degenerate draw is bumped to (one
+   ulp where 1 ms rounds away, far below that largest gap by then). The
    small factor covers rounding in the pow and in the running sum. *)
 let flappers_horizon ~flaps ~mean_gap ~alpha =
   let largest = Float.max 1e-3 (pareto_xmin ~alpha ~mean_gap *. Float.exp2 (53. /. alpha)) in
@@ -232,10 +233,13 @@ let flappers ~seed ~nodes ~count ~flaps ~mean_gap ~alpha ~first_prefix : t =
         let rng = Rng.split master in
         let prefix = first_prefix + i in
         let now = ref 0. in
+        (* A gap that rounds away is bumped to 1 ms, or one ulp where the
+           1 ms rounds away too (past about 9e12 s), so a prefix's times
+           strictly increase. *)
         let step () =
           let prev = !now in
           now := prev +. Rng.pareto rng ~alpha ~xmin;
-          if !now <= prev then now := prev +. 1e-3;
+          if !now <= prev then now := Float.max (prev +. 1e-3) (Float.succ prev);
           !now
         in
         List.concat

@@ -4,6 +4,7 @@
 
 open Rfd_bgp
 module Sim = Rfd_engine.Sim
+module Column = Rfd_engine.Column
 module Par_net = Rfd_experiment.Par_net
 module Builders = Rfd_topology.Builders
 module Graph = Rfd_topology.Graph
@@ -242,12 +243,18 @@ let test_delivered_updates_released () =
      root. *)
   Alcotest.(check int) "network still live" 0 (Network.in_flight (Fixture.shard net))
 
+(* A refused message changes nothing: one in the past of an idle link,
+   and one not after the link's newest row, which it would have to
+   follow. *)
 let test_deliver_remote_refusal_leaves_nothing () =
   let sim = Sim.create () in
   let graph = Builders.line 2 in
   let net =
     Network.create ~ownership:(Array.make 2 true, ignore) ~config:fast_config sim graph
   in
+  let arrivals = ref [] in
+  (Network.hooks net).Hooks.on_deliver <-
+    (fun ~time ~src:_ ~dst:_ _ -> arrivals := time :: !arrivals);
   Sim.post sim (Sim.channel sim (fun _ _ -> ())) ~time:5. 0;
   Sim.run sim;
   let update = Update.withdraw p0 in
@@ -261,8 +268,36 @@ let test_deliver_remote_refusal_leaves_nothing () =
   Alcotest.(check int) "nothing in flight" 0 (Network.in_flight net);
   Network.deliver_remote net (remote 6.);
   Alcotest.(check int) "accepted delivery in flight" 1 (Network.in_flight net);
+  List.iter
+    (fun at ->
+      match Network.deliver_remote net (remote at) with
+      | () -> Alcotest.failf "delivery at %g accepted behind one at 6" at
+      | exception Invalid_argument _ ->
+          Alcotest.(check int) (Printf.sprintf "refused %g leaves one in flight" at) 1
+            (Network.in_flight net))
+    [ 6.; 5.5; Float.nan ];
+  Network.deliver_remote net (remote 7.);
+  Alcotest.(check int) "queued behind it" 2 (Network.in_flight net);
+  Alcotest.(check int) "one heap entry" 1 (Sim.heap_size sim);
   Sim.run sim;
-  Alcotest.(check int) "delivered" 0 (Network.in_flight net)
+  Alcotest.(check int) "delivered" 0 (Network.in_flight net);
+  Alcotest.(check (list (float 0.))) "in order" [ 6.; 7. ] (List.rev !arrivals)
+
+(* A slot's rows after its oldest wait in the ring, not in the event
+   heap: a burst of 1,000 updates on one link holds one heap entry. *)
+let test_burst_holds_one_heap_entry () =
+  let net = make (Builders.line 2) in
+  for p = 0 to 999 do
+    Par_net.originate net ~node:0 (Prefix.v p)
+  done;
+  let shard = Fixture.shard net in
+  Alcotest.(check int) "in flight" 1000 (Network.in_flight shard);
+  Alcotest.(check int) "one heap entry" 1 (Sim.heap_size (Fixture.sim net));
+  Fixture.run net;
+  Alcotest.(check int) "all delivered" 0 (Network.in_flight shard);
+  Alcotest.(check int) "peak heap" 1 (Sim.max_heap_size (Fixture.sim net));
+  Alcotest.(check int) "the last prefix reached router 1" 2
+    (Par_net.reachable_count net (Prefix.v 999))
 
 (* ------------------------------------------------------------------ *)
 (* Wire round trip                                                     *)
@@ -304,29 +339,66 @@ let gen_update =
   in
   oneof [ announce; map2 (fun p rc -> Update.Withdraw { prefix = Prefix.v p; rc }) withdrawn rc ]
 
-(* Batches of (link, update), a batch now and then long enough to fill
-   the first 8,192-row chunk and spill into the next. *)
+(* What the round trip does at one step of a batch: put an update on a
+   link's wire (with the link's current epoch, or a stale one), or fail
+   or restore a link. *)
+type wire_step = Send of int * bool * Update.t | Fail of int | Restore of int
+
+let pp_wire_step ppf = function
+  | Send (l, stale, u) ->
+      Format.fprintf ppf "%d%s:%a" l (if stale then " stale" else "") Update.pp u
+  | Fail l -> Format.fprintf ppf "fail %d" l
+  | Restore l -> Format.fprintf ppf "restore %d" l
+
+(* Batches of steps, each flagged long or not. A long batch starts with
+   more sends than the first chunk of the in-flight table has rows, so
+   its rings span two chunks, and ends like a short one, so a link can
+   fail with rows in flight in both. *)
 let gen_batches =
   QCheck.Gen.(
-    list_size (int_range 1 3)
-      (list_size (frequency [ (6, int_bound 300); (1, int_range 8190 8300) ])
-         (pair (int_bound 2) gen_update)))
+    let send =
+      map3
+        (fun l stale u -> Send (l, stale, u))
+        (int_bound 2)
+        (map (fun n -> n = 0) (int_bound 7))
+        gen_update
+    in
+    let step =
+      frequency
+        [
+          (40, send);
+          (1, map (fun l -> Fail l) (int_bound 2));
+          (1, map (fun l -> Restore l) (int_bound 2));
+        ]
+    in
+    let short = list_size (int_bound 300) step in
+    let long =
+      map2
+        (fun sends tail -> (true, sends @ tail))
+        (list_size (int_range (Column.chunk_cells + 1) (Column.chunk_cells + 100)) send)
+        short
+    in
+    list_size (int_range 1 3) (frequency [ (6, map (fun steps -> (false, steps)) short); (1, long) ]))
 
 (* On the line 0-1-2-3 only routers 1 and 3 are owned here, so whatever
    they send in reply goes to the outbox and every local delivery is one
    the test put on the wire: on links 0->1, 2->1 and 2->3, both directions
-   of a slot. Each batch is put on the wire at once, at strictly rising
-   times, and delivered before the next, whose rows come off the free
-   list. *)
+   of a slot, each on an edge of its own. Each batch is put on the wire
+   at once, at strictly rising times, and delivered before the next, whose
+   rows come off the free list. Every send puts a row on the wire: one on
+   a link that is down was sent before it went down, so its epoch is
+   stale. Failing a link voids its rows in flight, and a stale epoch
+   voids a row as it is put on the wire; a void row is dropped, and every
+   other row arrives at the time it was sent for. *)
 let prop_wire_round_trip =
   QCheck.Test.make ~count:30 ~name:"the wire delivers each update equal by value, FIFO per link"
     (QCheck.make
        ~print:(fun batches ->
          String.concat " | "
            (List.map
-              (fun batch ->
-                String.concat "; "
-                  (List.map (fun (l, u) -> Format.asprintf "%d:%a" l Update.pp u) batch))
+              (fun (long, batch) ->
+                (if long then "long: " else "")
+                ^ String.concat "; " (List.map (Format.asprintf "%a" pp_wire_step) batch))
               batches))
        gen_batches)
     (fun batches ->
@@ -337,36 +409,72 @@ let prop_wire_round_trip =
           sim graph
       in
       let links = [| (0, 1); (2, 1); (2, 3) |] in
-      let sent = Array.make 3 [] and delivered = Array.make 3 [] in
+      let eid l = Option.get (Graph.edge_id graph (fst links.(l)) (snd links.(l))) in
+      let epoch = Array.make 3 0 in
+      (* By link, newest first: this batch's rows on the wire, each with
+         its time and void flag; the (time, update) pairs that must arrive;
+         those that did. *)
+      let in_flight = Array.make 3 [] and expected = Array.make 3 [] in
+      let delivered = Array.make 3 [] in
       let link_of src dst =
         let rec find l = if links.(l) = (src, dst) then l else find (l + 1) in
         find 0
       in
       (Network.hooks net).Hooks.on_deliver <-
-        (fun ~time:_ ~src ~dst u ->
+        (fun ~time ~src ~dst u ->
           let l = link_of src dst in
-          delivered.(l) <- u :: delivered.(l));
-      List.iter
-        (fun batch ->
+          delivered.(l) <- (time, u) :: delivered.(l));
+      List.for_all
+        (fun (long, batch) ->
           let now = Sim.now sim in
+          let sends = ref 0 in
           List.iteri
-            (fun j (l, update) ->
-              let src, dst = links.(l) in
-              sent.(l) <- update :: sent.(l);
-              Network.deliver_remote net
-                {
-                  Network.remote_eid = Option.get (Graph.edge_id graph src dst);
-                  remote_src = src;
-                  remote_dst = dst;
-                  remote_at = now +. 1. +. (float_of_int j *. 1e-3);
-                  remote_epoch = 0;
-                  remote_update = update;
-                })
+            (fun j step ->
+              match step with
+              | Send (l, stale, update) ->
+                  let src, dst = links.(l) in
+                  let stale = stale || not (Network.link_up net src dst) in
+                  let at = now +. 1. +. (float_of_int j *. 1e-3) in
+                  in_flight.(l) <- (at, update, ref stale) :: in_flight.(l);
+                  incr sends;
+                  Network.deliver_remote net
+                    {
+                      Network.remote_eid = eid l;
+                      remote_src = src;
+                      remote_dst = dst;
+                      remote_at = at;
+                      remote_epoch = (if stale then epoch.(l) - 1 else epoch.(l));
+                      remote_update = update;
+                    }
+              | Fail l ->
+                  let src, dst = links.(l) in
+                  if Network.link_up net src dst then begin
+                    epoch.(l) <- epoch.(l) + 1;
+                    List.iter (fun (_, _, void) -> void := true) in_flight.(l)
+                  end;
+                  Network.fail_link net src dst
+              | Restore l ->
+                  let src, dst = links.(l) in
+                  Network.restore_link net src dst)
             batch;
-          Sim.run sim)
-        batches;
-      Network.in_flight net = 0
-      && Array.for_all2 (List.equal Update.equal) sent delivered)
+          (* Every send is a row in flight, so a long batch's rows fill
+             more than the first chunk. *)
+          let peak = Network.in_flight net in
+          Array.iteri
+            (fun l rows ->
+              List.iter
+                (fun (at, update, void) ->
+                  if not !void then expected.(l) <- (at, update) :: expected.(l))
+                (List.rev rows);
+              in_flight.(l) <- [])
+            in_flight;
+          Sim.run sim;
+          peak = !sends && ((not long) || peak > Column.chunk_cells))
+        batches
+      && Network.in_flight net = 0
+      && Array.for_all2
+           (List.equal (fun (a, u) (b, v) -> Float.equal a b && Update.equal u v))
+           expected delivered)
 
 (* At 3e7 s, 1 ns is under half an ulp (3.7 ns), so a floor of "1 ns
    after the link's last delivery" rounds back to that delivery's time.
@@ -414,5 +522,7 @@ let suite =
       test_fifo_floor_is_strict;
     Alcotest.test_case "deliver_remote: refused message leaves nothing" `Quick
       test_deliver_remote_refusal_leaves_nothing;
+    Alcotest.test_case "a burst on one link holds one heap entry" `Quick
+      test_burst_holds_one_heap_entry;
     QCheck_alcotest.to_alcotest prop_wire_round_trip;
   ]

@@ -138,6 +138,20 @@ let test_flappers_rejects_bad_params () =
   check_raises "reserved prefix" "Trace.flappers: first_prefix must be >= 1"
     (gen ~first_prefix:0)
 
+(* A heavy tail (alpha near 0.2) takes a prefix's events past 9e12 s,
+   where a degenerate gap's 1 ms bump rounds away too: the bump must
+   still move the time forward, or two events of one prefix tie and the
+   trace is refused. The shrunk case of a failure of the property below. *)
+let test_flappers_far_times_increase () =
+  let t =
+    Trace.flappers ~seed:4788 ~nodes:9 ~count:14 ~flaps:3 ~mean_gap:43.5249091627
+      ~alpha:0.234805752908 ~first_prefix:3
+  in
+  Alcotest.(check bool) "events reach past 9e12 s" true (Trace.last_time t > 9e12);
+  Alcotest.(check (result unit string)) "valid" (Ok ()) (Trace.validate t);
+  Alcotest.(check bool) "round-trips through the text form" true
+    (Trace.of_string (Trace.to_string t) = Ok t)
+
 let prop_generated_traces_round_trip =
   QCheck.Test.make ~count:50 ~name:"flapper traces round-trip through the text form"
     QCheck.(
@@ -168,6 +182,8 @@ let suite =
     Alcotest.test_case "flapper generator shape" `Quick test_flappers_shape;
     Alcotest.test_case "flapper generator rejects bad parameters" `Quick
       test_flappers_rejects_bad_params;
+    Alcotest.test_case "flapper times increase past 9e12 s" `Quick
+      test_flappers_far_times_increase;
     QCheck_alcotest.to_alcotest prop_generated_traces_round_trip;
     QCheck_alcotest.to_alcotest prop_junk_never_crashes;
   ]
