@@ -121,7 +121,6 @@ type t = {
   hooks : Hooks.t;
   paths : As_path.table; (* the one intern table: every router's paths *)
   routers : Router.t option array; (* None = owned by another partition *)
-  owned : bool array;
   emit : remote -> unit; (* cross-partition outbox *)
   routers_up : bool array; (* false while crashed *)
   damping_deployed : bool array;
@@ -332,18 +331,19 @@ let send_copy t slot ~src ~dst update =
     let floor = Float.Array.get t.floor slot in
     let at = Float.max (Sim.now t.sim +. delay) (Float.max (floor +. 1e-9) (Float.succ floor)) in
     Float.Array.set t.floor slot at;
-    if t.owned.(dst) then put_on_wire t ~at ~slot ~void:false update
-    else
-      let eid = slot lsr 1 in
-      t.emit
-        {
-          remote_eid = eid;
-          remote_src = src;
-          remote_dst = dst;
-          remote_at = at;
-          remote_epoch = t.epoch.(eid);
-          remote_update = update;
-        }
+    match t.routers.(dst) with
+    | Some _ -> put_on_wire t ~at ~slot ~void:false update
+    | None ->
+        let eid = slot lsr 1 in
+        t.emit
+          {
+            remote_eid = eid;
+            remote_src = src;
+            remote_dst = dst;
+            remote_at = at;
+            remote_epoch = t.epoch.(eid);
+            remote_update = update;
+          }
   end
 
 (* The transport, one function for every directed link: a message sent on
@@ -392,7 +392,6 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
   let n = Graph.num_nodes graph in
   if Array.length owned <> n then
     invalid_arg "Network.create: ownership array length must equal num_nodes";
-  let owned = Array.copy owned in
   let master = Rng.create config.Config.seed in
   let deploy_rng = Rng.split master in
   (* The second split is reserved (nothing draws from it), so every
@@ -408,8 +407,9 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
       | None -> config.Config.damping
   in
   (* One damping value per distinct parameter set, shared by the routers
-     that damp with it. In Tick mode it carries the set's reuse index, a
-     pure function of (params, tick), so sharing it is bit-identical. *)
+     that damp with it: the set's validated setting and, in Tick mode, its
+     reuse index. Both are pure functions of the parameters (and the
+     tick), so sharing them is bit-identical. *)
   let shared = Hashtbl.create 1 in
   let damping_at node =
     match params_at node with
@@ -423,7 +423,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
               | Config.Exact -> None
               | Config.Tick tick -> Some (Rfd_damping.Reuse_index.create ~tick params)
             in
-            let damping = Some (params, index) in
+            let damping = Some (Rfd_damping.Damper.setting params, index) in
             Hashtbl.add shared params damping;
             damping)
   in
@@ -449,7 +449,6 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         hooks;
         paths;
         routers = Array.make n None;
-        owned;
         emit;
         routers_up = Array.make n true;
         damping_deployed;

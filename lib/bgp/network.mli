@@ -69,10 +69,13 @@ val create :
     timestamped — to [outbox] instead of the local event queue. [policy]
     defaults to {!Policy.announce_all}; pass [Policy.no_valley relations]
     for valley-free routing. Damping deployment follows [config]. The
-    config is validated here, once for every router. In [Tick] reuse
-    mode the network builds one {!Rfd_damping.Reuse_index} per distinct
-    damping parameter set and hands it to every router that damps with
-    those parameters; each partition's network builds its own.
+    config is validated here, once for every router. Per distinct
+    damping parameter set the network builds one
+    {!Rfd_damping.Damper.setting} (so the parameters are validated once,
+    not once per router) and, in [Tick] reuse mode, one
+    {!Rfd_damping.Reuse_index}, and hands both to every router that
+    damps with those parameters; each partition's network builds its
+    own.
 
     Transport randomness is per directed link: delay jitter and
     loss/duplication draws depend only on each link's own send sequence,

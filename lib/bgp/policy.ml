@@ -7,8 +7,16 @@ type t = {
 }
 
 let name t = t.name
-let import_preference t = t.import_preference
-let export_allowed t = t.export_allowed
+
+(* Both take every argument, so a caller in another module applies the
+   stored closure at its own arity. Returning the closure alone would make
+   each call a generic application (under [-opaque] the caller cannot see
+   the arity), which builds a partial-application closure per remaining
+   argument. *)
+let import_preference t ~me ~from_peer ~path = t.import_preference ~me ~from_peer ~path
+
+let export_allowed t ~me ~learned_from ~to_peer ~path =
+  t.export_allowed ~me ~learned_from ~to_peer ~path
 
 let announce_all =
   {

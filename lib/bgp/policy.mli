@@ -17,7 +17,12 @@
 
     Both callbacks see a candidate's AS path, not a route: a router's RIB
     columns hold interned paths, indexed by prefix id, and the built-in
-    policies ignore the path. *)
+    policies ignore the path.
+
+    Both must be deterministic functions of their arguments. A router
+    does not store the update it parks behind an MRAI deadline: when the
+    flush fires it calls [export_allowed] again, with the same
+    arguments, and sends what it answers now. *)
 
 type t
 
@@ -42,4 +47,5 @@ val custom :
   import_preference:(me:int -> from_peer:int -> path:As_path.t -> int) ->
   export_allowed:(me:int -> learned_from:int option -> to_peer:int -> path:As_path.t -> bool) ->
   t
-(** Escape hatch for experiments with bespoke policies. *)
+(** Escape hatch for experiments with bespoke policies. Both callbacks
+    must be deterministic functions of their arguments (see above). *)

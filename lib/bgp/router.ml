@@ -4,16 +4,6 @@ module Damper = Rfd_damping.Damper
 module History = Rfd_damping.History
 module Reuse_index = Rfd_damping.Reuse_index
 
-type desired = D_announce of As_path.t | D_withdraw
-
-(* An MRAI-parked update. Allocated when a prefix first parks and dropped
-   once neither it nor its flush timer is outstanding, so only the
-   prefixes currently behind an MRAI deadline pay for one. *)
-type parked = {
-  mutable desired : desired; (* meaningful while [f_queued] *)
-  mutable rc : Root_cause.t option;
-}
-
 type ports = {
   transmit : int -> Update.t -> unit;
   flush_on : Sim.channel;
@@ -29,11 +19,11 @@ let f_reuse = 4 (* a reuse timer (or wheel bucket) is outstanding *)
 let f_queued = 8 (* an update is parked behind the MRAI *)
 let f_armed = 16 (* a flush timer is armed *)
 
-(* The route columns' "none". It is a one-hop path, never interned or
-   sent, so it is only matched by physical equality; the empty path
-   cannot serve, since it is a self-originated best route's. *)
+(* The route columns' "none", and [export]'s withdrawal. It is a one-hop
+   path, never interned or sent, so it is only matched by physical
+   equality; the empty path cannot serve, since it is a self-originated
+   best route's. *)
 let no_path = As_path.prepend (-1) As_path.empty
-let no_parked = { desired = D_withdraw; rc = None }
 
 (* A flush or reuse post's argument is the session's directed link and the
    prefix id, so the network can hand it to the link's source router; a
@@ -69,13 +59,14 @@ type wheel = {
    capacity reads as absent. No slot owns a heap block: paths and root
    causes are shared values, absence is a sentinel, and penalties live in
    float arrays. A slot's prefix is its index, so the route columns hold
-   the route's interned path alone. *)
+   the route's interned path alone. A parked update is its flag and its
+   root cause: what it announces is derived when its flush fires. *)
 type t = {
   sim : Sim.t;
   id : int;
   policy : Policy.t;
   config : Config.t;
-  damping : (Rfd_damping.Params.t * Reuse_index.t option) option;
+  damping : (Damper.setting * Reuse_index.t option) option;
       (* as given: the network shares one per parameter set *)
   wheel : wheel option; (* Some iff this router damps in Tick mode *)
   hooks : Hooks.t;
@@ -91,18 +82,19 @@ type t = {
   rcn_history : Root_cause.t History.t array;
       (* empty unless this router damps in RCN mode, the only consumer *)
   (* Slot columns: [capacity * degree] slots. *)
-  mutable capacity : int; (* prefix ids with a slot *)
+  mutable capacity : int; (* prefix ids with a slot and a Loc-RIB entry *)
   mutable flags : Bytes.t; (* [f_*] bits per slot *)
   mutable received : As_path.t array; (* RIB-In; [no_path] = withdrawn or never received *)
   mutable last_rc : Root_cause.t option array; (* root cause of the last update, as received *)
   mutable advertised : As_path.t array; (* RIB-Out; [no_path] = withdrawn or never sent *)
   mutable deadline : Float.Array.t; (* per-prefix MRAI deadline; 0. = none *)
-  mutable parked : parked array; (* [no_parked] unless [f_queued] or [f_armed] *)
+  mutable parked_rc : Root_cause.t option array;
+      (* a parked update's root cause; [None] unless [f_queued] *)
   mutable wheel_slot : int array;
       (* reuse-wheel bucket holding a slot while [f_reuse]; empty unless Tick mode *)
-  penalties : Damper.slots option; (* Some iff this router damps, under its one setting *)
-  (* Loc-RIB and origination, router-level columns indexed by prefix id. *)
-  mutable originated : Bytes.t; (* 1 = originated here; its length is the capacity *)
+  penalties : Damper.slots option; (* Some iff this router damps, under the network's setting *)
+  (* Loc-RIB and origination: [capacity] entries, indexed by prefix id. *)
+  mutable originated : Bytes.t; (* 1 = originated here *)
   mutable best_route : As_path.t array; (* [no_path] = no best route *)
   mutable best_from : int array; (* learned-from peer, [from_self] when originated *)
   mutable rc_seq : int;
@@ -136,12 +128,12 @@ let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports
   check_sessions ~id sessions;
   let wheel =
     match damping with
-    | Some (params, Some index) ->
+    | Some (setting, Some index) ->
         Some
           {
             w_index = index;
             w_tick = Reuse_index.tick index;
-            w_lambda = Rfd_damping.Params.lambda params;
+            w_lambda = Rfd_damping.Params.lambda (Damper.params setting);
             w_slots = Hashtbl.create 16;
           }
     | Some (_, None) | None -> None
@@ -180,14 +172,9 @@ let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports
     last_rc = Array.make n None;
     advertised = Array.make n no_path;
     deadline = Float.Array.make n 0.;
-    parked = Array.make n no_parked;
+    parked_rc = Array.make n None;
     wheel_slot = (if wheel <> None then Array.make n 0 else [||]);
-    penalties =
-      (* One decay cache per router. *)
-      Option.map
-        (fun (params, _) ->
-          Damper.slots (Damper.setting ~cache:(Damper.cache ()) params) ~capacity:n)
-        damping;
+    penalties = Option.map (fun (setting, _) -> Damper.slots setting ~capacity:n) damping;
     originated = Bytes.make hint '\000';
     best_route = Array.make hint no_path;
     best_from = Array.make hint from_self;
@@ -197,7 +184,7 @@ let create ~sim ~id ~sessions ~paths ~policy ~config ~damping ~rng ~hooks ~ports
   }
 
 let id t = t.id
-let damping_params t = Option.map fst t.damping
+let damping_params t = Option.map (fun (setting, _) -> Damper.params setting) t.damping
 
 (* ------------------------------------------------------------------ *)
 (* Columns                                                             *)
@@ -219,9 +206,10 @@ let resize_bytes column n =
   Bytes.blit column 0 fresh 0 (min n (Bytes.length column));
   fresh
 
-(* Make prefix id [i] addressable in every session: the slot columns grow
-   together, to at least double their prefix capacity. Prefix-major order
-   makes that a widen: existing slots keep their index. *)
+(* Make prefix id [i] addressable in every session and in the Loc-RIB:
+   the slot and router-level columns grow together, to at least double
+   their prefix capacity. Prefix-major order makes that a widen: existing
+   slots keep their index. *)
 let reserve t i =
   if i >= t.capacity then begin
     let cap = max (i + 1) (t.capacity * 2) in
@@ -231,9 +219,12 @@ let reserve t i =
     t.last_rc <- resize t.last_rc n None;
     t.advertised <- resize t.advertised n no_path;
     t.deadline <- resize_floats t.deadline n;
-    t.parked <- resize t.parked n no_parked;
+    t.parked_rc <- resize t.parked_rc n None;
     if t.wheel <> None then t.wheel_slot <- resize t.wheel_slot n 0;
     (match t.penalties with Some pen -> Damper.grow pen n | None -> ());
+    t.originated <- resize_bytes t.originated cap;
+    t.best_route <- resize t.best_route cap no_path;
+    t.best_from <- resize t.best_from cap from_self;
     t.capacity <- cap
   end
 
@@ -250,21 +241,8 @@ let received t k i = if i < t.capacity then t.received.(slot t k i) else no_path
 let advertised t k i = if i < t.capacity then t.advertised.(slot t k i) else no_path
 let deadline t k i = if i < t.capacity then Float.Array.get t.deadline (slot t k i) else 0.
 let is_up t k = Bytes.get_uint8 t.up k <> 0
-
-(* The same for the router's own columns. *)
-let loc_capacity t = Bytes.length t.originated
-
-let loc_reserve t i =
-  let cap = loc_capacity t in
-  if i >= cap then begin
-    let cap' = max (i + 1) (cap * 2) in
-    t.originated <- resize_bytes t.originated cap';
-    t.best_route <- resize t.best_route cap' no_path;
-    t.best_from <- resize t.best_from cap' from_self
-  end
-
-let is_originated t i = i < loc_capacity t && Bytes.get_uint8 t.originated i <> 0
-let best_route t i = if i < loc_capacity t then t.best_route.(i) else no_path
+let is_originated t i = i < t.capacity && Bytes.get_uint8 t.originated i <> 0
+let best_route t i = if i < t.capacity then t.best_route.(i) else no_path
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -351,59 +329,56 @@ let dispatch t k msg =
 let mrai_hook t k prefix action =
   t.hooks.Hooks.on_mrai ~time:(Sim.now t.sim) ~router:t.id ~peer:t.peer_id.(k) ~prefix action
 
-(* Clear [flag] (f_queued or f_armed) on slot [s]; the parked record goes
-   once neither is left. *)
-let unpark t s flag =
-  clear_flag t s flag;
-  if Bytes.get_uint8 t.flags s land (f_queued lor f_armed) = 0 then t.parked.(s) <- no_parked
-
 let drop_pending t k prefix action =
   let i = Prefix.to_int prefix in
   if has t k i f_queued then begin
-    unpark t (slot t k i) f_queued;
+    let s = slot t k i in
+    clear_flag t s f_queued;
+    t.parked_rc.(s) <- None;
     mrai_hook t k prefix action
   end
 
-let send_now t k prefix desired rc =
+(* Send [path] to session [k] now: an announcement, or a withdrawal when
+   [path] is [no_path]. *)
+let send_now t k prefix path rc =
   let now = Sim.now t.sim in
   let i = Prefix.to_int prefix in
-  match desired with
-  | D_withdraw ->
-      if i < t.capacity then t.advertised.(slot t k i) <- no_path;
-      dispatch t k (Update.withdraw ?rc prefix)
-      (* withdrawals do not restart the MRAI *)
-  | D_announce path ->
-      let prev = advertised t k i in
-      (* Constant options: an announcement boxes none. *)
-      let rel_pref =
-        if prev == no_path then None
-        else
-          let c = Int.compare (As_path.length path) (As_path.length prev) in
-          if c < 0 then Some Update.Better
-          else if c > 0 then Some Update.Worse
-          else Some Update.Same_pref
-      in
-      reserve t i;
-      let s = slot t k i in
-      t.advertised.(s) <- path;
-      dispatch t k (Update.announce ?rc ?rel_pref (Route.make ~prefix ~path));
-      if t.config.Config.mrai > 0. then begin
-        let deadline = now +. Float.Array.get t.mrai_interval k in
-        Float.Array.set t.deadline s deadline;
-        if t.config.Config.mrai_per_peer then Float.Array.set t.peer_deadline k deadline
-      end
+  if path == no_path then begin
+    if i < t.capacity then t.advertised.(slot t k i) <- no_path;
+    dispatch t k (Update.withdraw ?rc prefix)
+    (* withdrawals do not restart the MRAI *)
+  end
+  else begin
+    let prev = advertised t k i in
+    (* Constant options: an announcement boxes none. *)
+    let rel_pref =
+      if prev == no_path then None
+      else
+        let c = Int.compare (As_path.length path) (As_path.length prev) in
+        if c < 0 then Some Update.Better
+        else if c > 0 then Some Update.Worse
+        else Some Update.Same_pref
+    in
+    reserve t i;
+    let s = slot t k i in
+    t.advertised.(s) <- path;
+    dispatch t k (Update.announce ?rc ?rel_pref (Route.make ~prefix ~path));
+    if t.config.Config.mrai > 0. then begin
+      let deadline = now +. Float.Array.get t.mrai_interval k in
+      Float.Array.set t.deadline s deadline;
+      if t.config.Config.mrai_per_peer then Float.Array.set t.peer_deadline k deadline
+    end
+  end
 
-(* [emit] reconciles the desired advertisement for (peer, prefix) with what
-   was last sent, honouring the MRAI. Returns 1 when a message was sent or
-   queued, 0 when the peer is already up to date. [flushed] when a flush
-   releases a parked update. *)
-let emit ?(flushed = false) t k prefix desired rc =
+(* [emit] reconciles the advertisement [export] gives for (peer, prefix),
+   [no_path] for a withdrawal, with what was last sent, honouring the
+   MRAI. Returns 1 when a message was sent or queued, 0 when the peer is
+   already up to date. [flushed] when a flush releases a parked update. *)
+let emit ?(flushed = false) t k prefix path rc =
   let i = Prefix.to_int prefix in
   let sent = advertised t k i in
   let same =
-    match desired with
-    | D_withdraw -> sent == no_path
-    | D_announce p -> sent != no_path && As_path.equal p sent
+    if path == no_path then sent == no_path else sent != no_path && As_path.equal path sent
   in
   if same then begin
     (* A pending older update is superseded by "nothing to do". *)
@@ -425,28 +400,21 @@ let emit ?(flushed = false) t k prefix desired rc =
       if (not t.config.Config.mrai_per_peer) || (flushed && now >= own) then own
       else Float.Array.get t.peer_deadline k
     in
-    let rate_limited =
-      match desired with
-      | D_withdraw -> t.config.Config.withdrawal_rate_limiting
-      | D_announce _ -> true
-    in
+    let rate_limited = path != no_path || t.config.Config.withdrawal_rate_limiting in
     if t.config.Config.mrai = 0. || (not rate_limited) || now >= deadline then begin
       (* A parked update leaves the queue: sent by its flush, or replaced
          by this send. *)
       drop_pending t k prefix (if flushed then Hooks.Mrai_sent else Hooks.Mrai_superseded);
-      send_now t k prefix desired rc;
+      send_now t k prefix path rc;
       1
     end
     else begin
+      (* Park the update: its flag and root cause. What it announces is
+         derived again when its flush fires. *)
       reserve t i;
       let s = slot t k i in
       let fresh = not (has t k i f_queued) in
-      let p = t.parked.(s) in
-      if p == no_parked then t.parked.(s) <- { desired; rc }
-      else begin
-        p.desired <- desired;
-        p.rc <- rc
-      end;
+      t.parked_rc.(s) <- rc;
       set_flag t s f_queued;
       if fresh then mrai_hook t k prefix Hooks.Mrai_queued;
       if not (has t k i f_armed) then begin
@@ -458,28 +426,38 @@ let emit ?(flushed = false) t k prefix desired rc =
     end
   end
 
-let flush t k prefix =
-  let i = Prefix.to_int prefix in
-  let s = slot t k i in
-  let p = t.parked.(s) in
-  unpark t s f_armed;
-  mrai_hook t k prefix Hooks.Flush_fired;
-  (* The update stays queued until [emit] sends it or parks it again, for
-     the next deadline. *)
-  if is_up t k && has t k i f_queued then ignore (emit ~flushed:true t k prefix p.desired p.rc)
-
 (* [path] is the best route's; what the peer gets is interned with this
-   router prepended, whatever table the received path came from. *)
+   router prepended, whatever table the received path came from, or
+   [no_path] for a withdrawal. *)
 let export t ~learned_from ~to_peer path =
   if
     Policy.export_allowed t.policy ~me:t.id ~learned_from ~to_peer ~path
     && not (As_path.contains path to_peer)
-  then D_announce (As_path.prepend_interned t.paths t.id path)
-  else D_withdraw
+  then As_path.prepend_interned t.paths t.id path
+  else no_path
 
 let learned_from t i =
   let from = t.best_from.(i) in
   if from = from_self then None else Some from
+
+(* What [decision] exports to session [k] for prefix id [i] now. *)
+let desired t k i =
+  let path = best_route t i in
+  if path == no_path then no_path
+  else export t ~learned_from:(learned_from t i) ~to_peer:t.peer_id.(k) path
+
+(* A parked update leaves with what the Loc-RIB exports now. That is what
+   was parked: every best-path change re-emits to every up session, which
+   replaces or drops the parked update, and [peer_down] drops them all.
+   The update stays queued until [emit] sends it or parks it again, for
+   the next deadline. *)
+let flush t k prefix =
+  let i = Prefix.to_int prefix in
+  let s = slot t k i in
+  clear_flag t s f_armed;
+  mrai_hook t k prefix Hooks.Flush_fired;
+  if is_up t k && has t k i f_queued then
+    ignore (emit ~flushed:true t k prefix (desired t k i) t.parked_rc.(s))
 
 (* Run the decision process for [prefix]; on a best-path change, reconcile
    every peer. Returns the number of updates sent or queued. *)
@@ -498,7 +476,8 @@ let decision t prefix ~trigger_rc =
   in
   if unchanged then 0
   else begin
-    loc_reserve t i;
+    (* [i] is within the capacity: a best route, old or new, comes from a
+       slot or an originated prefix, and both reserved [i]. *)
     t.best_route.(i) <- path;
     t.best_from.(i) <- from;
     let reachable = path != no_path in
@@ -508,10 +487,10 @@ let decision t prefix ~trigger_rc =
     let emitted = ref 0 in
     for k = 0 to t.degree - 1 do
       if is_up t k then begin
-        let desired =
-          if reachable then export t ~learned_from ~to_peer:t.peer_id.(k) path else D_withdraw
+        let out =
+          if reachable then export t ~learned_from ~to_peer:t.peer_id.(k) path else no_path
         in
-        emitted := !emitted + emit t k prefix desired trigger_rc
+        emitted := !emitted + emit t k prefix out trigger_rc
       end
     done;
     !emitted
@@ -790,7 +769,7 @@ let originates t prefix = is_originated t (Prefix.to_int prefix)
 let originate t prefix =
   if not (originates t prefix) then begin
     let i = Prefix.to_int prefix in
-    loc_reserve t i;
+    reserve t i;
     Bytes.set_uint8 t.originated i 1;
     let rc = fresh_rc t ~status:Root_cause.Link_up in
     ignore (decision t prefix ~trigger_rc:(Some rc))
@@ -825,7 +804,7 @@ let peer_down t ~peer =
     for i = 0 to cap - 1 do
       if has t k i f_armed then begin
         Sim.retract t.sim t.ports.flush_on (session_key t k i);
-        unpark t (slot t k i) f_armed;
+        clear_flag t (slot t k i) f_armed;
         mrai_hook t k (Prefix.v i) Hooks.Flush_cancelled
       end
     done;
@@ -857,13 +836,8 @@ let peer_up t ~peer =
     let rc = Some (fresh_link_rc t ~peer ~status:Root_cause.Link_up) in
     (* Re-advertise the full table to the restored session, in ascending
        prefix order. *)
-    for i = 0 to loc_capacity t - 1 do
-      let path = t.best_route.(i) in
-      if path != no_path then
-        ignore
-          (emit t k (Prefix.v i)
-             (export t ~learned_from:(learned_from t i) ~to_peer:peer path)
-             rc)
+    for i = 0 to t.capacity - 1 do
+      if t.best_route.(i) != no_path then ignore (emit t k (Prefix.v i) (desired t k i) rc)
     done
   end
 
@@ -919,7 +893,7 @@ let known_prefixes t =
     !entry || best_route t i != no_path || is_originated t i
   in
   let acc = ref [] in
-  for i = max t.capacity (loc_capacity t) - 1 downto 0 do
+  for i = t.capacity - 1 downto 0 do
     if known i then acc := Prefix.v i :: !acc
   done;
   !acc

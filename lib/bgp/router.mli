@@ -25,16 +25,24 @@
     session [k]'s slot for prefix id [i] is [i * d + k]. The slot columns
     are a flags byte (entry exists, suppressed, reuse timer pending, update
     parked, flush armed), the received and advertised routes' AS paths, the
-    last root cause, the MRAI deadline, the MRAI queue, the [Tick] wheel
-    bucket and, only where the router damps, the penalty value and time as
-    unboxed floats (one {!Rfd_damping.Damper.slots}). They start at
-    {!Config.prefix_table_hint} prefixes and double together; a slot owns
-    no heap block, and a session owns no record. The Loc-RIB and the
-    originated prefixes are router-level columns indexed by prefix id.
+    last root cause received, the MRAI deadline, a parked update's root
+    cause, the [Tick] wheel bucket and, only where the router damps, the
+    penalty value and time as unboxed floats (one
+    {!Rfd_damping.Damper.slots}). The Loc-RIB and the originated prefixes
+    are router-level columns indexed by prefix id, with the same prefix
+    capacity. Every column starts at {!Config.prefix_table_hint} prefixes,
+    and they double together; a slot owns no heap block, and a session
+    owns no record.
+
+    A parked update is its flag and its root cause. When its flush fires,
+    the router sends what the decision process exports to that session
+    now, which is what was parked: every best-path change re-emits to
+    every up session, replacing or dropping the parked update, and
+    {!peer_down} drops every parked update of the session.
 
     No column holds a {!Route.t}. A slot's prefix is its index, so a
-    route column (RIB-In, RIB-Out, Loc-RIB, a parked update) holds the
-    route's {!As_path.t}, interned in the network's path table (a path
+    route column (RIB-In, RIB-Out, Loc-RIB) holds the route's
+    {!As_path.t}, interned in the network's path table (a path
     received from another partition stays interned in that partition's
     table, and {!As_path.equal} compares it structurally). A route is
     built where an update leaves the router, and on demand by {!best},
@@ -83,7 +91,10 @@ val wheel_router : node_bits:int -> int -> int
     [node_bits]. *)
 
 val flush_due : t -> peer:int -> int -> unit
-(** Run the MRAI flush of a post's argument on the session to [peer]. *)
+(** Run the MRAI flush of a post's argument on the session to [peer]: a
+    parked update leaves as the session's current export of the prefix
+    (an announcement of the best path with this router prepended, or a
+    withdrawal), with the root cause it was parked with. *)
 
 val reuse_due : t -> peer:int -> int -> unit
 (** Run the [Exact]-mode reuse timer of a post's argument on the session
@@ -99,7 +110,7 @@ val create :
   paths:As_path.table ->
   policy:Policy.t ->
   config:Config.t ->
-  damping:(Rfd_damping.Params.t * Rfd_damping.Reuse_index.t option) option ->
+  damping:(Rfd_damping.Damper.setting * Rfd_damping.Reuse_index.t option) option ->
   rng:Rfd_engine.Rng.t ->
   hooks:Hooks.t ->
   ports:ports ->
@@ -113,22 +124,23 @@ val create :
     are fixed for the router's life, and its slot columns start at
     {!Config.prefix_table_hint} prefixes.
 
-    [damping] is this router's effective parameter set ([None] = damping
-    not deployed here) and, in [Tick] mode, the reuse index for it: the
-    router keeps a reuse wheel iff it is given an index, whose tick is
-    the wheel's. {!Network} resolves the parameter set from the config's
-    global preset, per-router overrides and deployment policy, and builds
-    one index per distinct parameter set. [rng] gives each
+    [damping] is the setting of this router's effective parameter set
+    ([None] = damping not deployed here) and, in [Tick] mode, the reuse
+    index for it: the router keeps a reuse wheel iff it is given an
+    index, whose tick is the wheel's. {!Network} resolves the parameter
+    set from the config's global preset, per-router overrides and
+    deployment policy, and builds one setting and one index per distinct
+    parameter set; a router builds neither. [rng] gives each
     session its MRAI jitter, one draw per session in rank order, and
     nothing else; hand each router a split stream. [paths] is the intern
     table every advertised path is built through; {!Network} passes its
     one table to every router, so identical paths are physically shared
     network-wide.
 
-    The config and the damping parameters are taken as checked: its
-    only library caller, {!Network.create}, validates the whole config
-    first, and {!Rfd_damping.Damper.setting} refuses invalid parameters
-    with a [Damper.setting:] message. Raises [Invalid_argument] with a
+    The config and the damping setting are taken as checked: its only
+    library caller, {!Network.create}, validates the whole config first,
+    and {!Rfd_damping.Damper.setting} refused invalid parameters when
+    the setting was built. Raises [Invalid_argument] with a
     [Router.create:] message on a session to itself, a negative peer id,
     a peer repeated or out of ascending order, or a link outside
     [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)

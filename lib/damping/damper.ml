@@ -1,33 +1,21 @@
 type event = Withdrawal | Reannouncement | Attribute_change
 
-(* One-slot memo for decay factors. Within a simulation step many entries
-   settle over the same [dt] (a session flap withdraws a whole table at one
-   instant; a flap train touches entries in lockstep), so the owner shares
-   one cache across its slots and each repeated [dt] costs a float
-   compare instead of an [exp]. The factor is the bit-identical result of
-   the same [exp] call, so cached and uncached runs are indistinguishable. *)
-type cache = {
-  mutable c_lambda : float;
-  mutable c_dt : float;
-  mutable c_factor : float;
-}
-
-let cache () = { c_lambda = Float.nan; c_dt = Float.nan; c_factor = 1. }
-
-(* What every slot of one owner shares: the parameters and the constants
-   derived from them, computed once instead of per entry. *)
+(* What every slot under one parameter set shares, whichever owner holds
+   it: the parameters and the constants derived from them, computed once
+   instead of per entry. Immutable, so owners can share one value. *)
 type setting = {
   params : Params.t;
   lambda : float; (* decay rate *)
   ceiling : float; (* Params.max_penalty *)
-  cache : cache option;
 }
 
-let setting ?cache params =
+let setting params =
   (match Params.validate params with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Damper.setting: " ^ msg));
-  { params; lambda = Params.lambda params; ceiling = Params.max_penalty params; cache }
+  { params; lambda = Params.lambda params; ceiling = Params.max_penalty params }
+
+let params st = st.params
 
 (* Penalty columns: slot [i]'s penalty is [value.(i)] as of time [at.(i)].
    A fresh slot holds zero as of time zero. *)
@@ -51,24 +39,13 @@ let grow s capacity =
     s.at <- widen s.at capacity
   end
 
-let decay_factor st ~dt =
-  match st.cache with
-  | Some c when c.c_lambda = st.lambda && c.c_dt = dt -> c.c_factor
-  | Some c ->
-      let f = exp (-.st.lambda *. dt) in
-      c.c_lambda <- st.lambda;
-      c.c_dt <- dt;
-      c.c_factor <- f;
-      f
-  | None -> exp (-.st.lambda *. dt)
-
 (* Inlined, as [settle] is, so the float stays unboxed in this module's
    callers. *)
 let[@inline] slot_penalty s i ~now =
   let at = Float.Array.get s.at i in
   if now < at -. 1e-9 then invalid_arg "Damper: clock moved backwards";
   let value = Float.Array.get s.value i in
-  if now > at then value *. decay_factor s.setting ~dt:(now -. at) else value
+  if now > at then value *. exp (-.s.setting.lambda *. (now -. at)) else value
 
 (* Fold the decay since the last touch into the slot's value, and return
    it. A later decay then starts from this value, so every engine call

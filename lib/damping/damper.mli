@@ -2,9 +2,9 @@
 
     A penalty is stored lazily, as a value plus the time it was last
     touched. Every charge, reuse-time query and reuse attempt first folds
-    in the exponential decay since then ("settles"); {!slot_penalty}
-    computes the decayed value without storing it, so reading a penalty
-    never changes a run.
+    in the exponential decay since then ("settles"), with a plain [exp]
+    and nothing memoised; {!slot_penalty} computes the decayed value
+    without storing it, so reading a penalty never changes a run.
 
     The state is {e penalty columns}: a {!slots} table keeps slot [i]'s
     value and time in two unboxed float arrays, so a router holds the
@@ -22,25 +22,19 @@ type event =
   | Reannouncement  (** announcement of a previously withdrawn route *)
   | Attribute_change  (** announcement changing the route's attributes *)
 
-type cache
-(** One-slot decay-factor memo shareable across slots and settings with
-    identical parameters (e.g. every RIB-In entry of one router). Entries
-    touched at the same instants settle over the same [dt]; the cache turns
-    those repeated [exp] calls into a float compare. Results are
-    bit-identical with or without a cache. *)
-
-val cache : unit -> cache
-
 type setting
 (** A parameter set with its derived constants (decay rate, penalty
-    ceiling) and an optional decay cache: what every slot of one owner
-    shares. *)
+    ceiling): what every slot of one owner shares. A setting holds no
+    mutable state, so one value serves every owner that damps with the
+    same parameters: a network builds one per distinct parameter set
+    and hands it to each router that damps with it. *)
 
-val setting : ?cache:cache -> Params.t -> setting
+val setting : Params.t -> setting
 (** Raises [Invalid_argument] with a [Damper.setting:] message when the
-    parameters fail {!Params.validate}. [cache], when given, must only be
-    shared among settings with an equal half-life (the memo is keyed on
-    the decay rate, so a mismatch is safe but useless). *)
+    parameters fail {!Params.validate}. *)
+
+val params : setting -> Params.t
+(** The parameters a setting was built from. *)
 
 type slots
 (** Penalty columns: per slot, a value and the time it was last settled.

@@ -14,8 +14,9 @@ type slot = { table : Damper.slots; index : int; mutable suppressed : bool }
 
 let slot_of table index = { table; index; suppressed = false }
 
-(* A fresh one-slot table. *)
-let fresh ?cache params = slot_of (Damper.slots (Damper.setting ?cache params) ~capacity:1) 0
+(* A fresh one-slot table, under [setting] or a setting of its own. *)
+let fresh_in setting = slot_of (Damper.slots setting ~capacity:1) 0
+let fresh params = fresh_in (Damper.setting params)
 
 let penalty s ~now = Damper.slot_penalty s.table s.index ~now
 let reuse_time s ~now = Damper.slot_reuse_time s.table s.index ~now
@@ -36,7 +37,10 @@ let event_of = function
   | _ -> Damper.Attribute_change
 
 let test_initial () =
-  let table = Damper.slots (Damper.setting Params.cisco) ~capacity:4 in
+  let setting = Damper.setting Params.cisco in
+  Alcotest.(check bool) "a setting keeps its parameters" true
+    (Damper.params setting = Params.cisco);
+  let table = Damper.slots setting ~capacity:4 in
   for i = 0 to 3 do
     Alcotest.(check (float 0.)) "zero penalty" 0. (Damper.slot_penalty table i ~now:0.)
   done;
@@ -187,30 +191,26 @@ let prop_reading_is_pure =
           && same_bits (penalty quiet ~now) (penalty read ~now))
         steps)
 
-let prop_shared_cache_is_bit_identical =
-  (* The decay-factor memo must be pure memoization. Replaying an
-     arbitrary schedule of charges and reuse attempts through slots of
-     one-slot tables (uncached, and two siblings sharing a memo, like
-     sibling RIB-In entries) and through slots of multi-slot tables (two
-     sharing a memo, one without) gives bit-identical penalties,
-     transitions and reuse answers at every step. The multi-slot tables
-     grow halfway through the schedule, as a router's columns do. *)
-  QCheck.Test.make ~name:"shared decay cache is bit-identical across slots and tables"
+let prop_shared_setting_is_bit_identical =
+  (* One setting serves every slot that damps with its parameters, as a
+     network shares one per parameter set among its routers. Replaying
+     an arbitrary schedule of charges and reuse attempts through a slot
+     with a setting of its own, through two one-slot tables sharing one
+     setting (like two routers), and through slots of multi-slot tables
+     (two slots of a table under that shared setting, one of a table
+     with its own) gives bit-identical penalties, transitions and reuse
+     answers at every step. The multi-slot tables grow halfway through
+     the schedule, as a router's columns do. *)
+  QCheck.Test.make ~name:"a shared setting is bit-identical across slots and tables"
     ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (triple (float_range 0. 2000.) (int_bound 2) bool))
     (fun steps ->
       let plain = fresh Params.cisco in
-      let cache = Damper.cache () in
-      let shared = Damper.slots (Damper.setting ~cache:(Damper.cache ()) Params.cisco) ~capacity:6 in
+      let setting = Damper.setting Params.cisco in
+      let shared = Damper.slots setting ~capacity:6 in
       let lone = Damper.slots (Damper.setting Params.cisco) ~capacity:6 in
       let others =
-        [
-          fresh ~cache Params.cisco;
-          fresh ~cache Params.cisco;
-          slot_of shared 5;
-          slot_of shared 2;
-          slot_of lone 5;
-        ]
+        [ fresh_in setting; fresh_in setting; slot_of shared 5; slot_of shared 2; slot_of lone 5 ]
       in
       let halfway = List.length steps / 2 in
       let now = ref 0. in
@@ -266,5 +266,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_penalty_never_exceeds_cap;
     QCheck_alcotest.to_alcotest prop_suppression_implies_cutoff_crossed;
     QCheck_alcotest.to_alcotest prop_reading_is_pure;
-    QCheck_alcotest.to_alcotest prop_shared_cache_is_bit_identical;
+    QCheck_alcotest.to_alcotest prop_shared_setting_is_bit_identical;
   ]

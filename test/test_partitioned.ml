@@ -513,6 +513,64 @@ let prop_inspection_is_pure =
       Runner.result_digest (Runner.run scenario)
       = Runner.result_digest (Runner.run ~observe:inspect scenario))
 
+(* Every update a router sends is its Loc-RIB's export at that instant
+   ({!Fixture.tap_exports}), checked in each partition's own hooks
+   through [observe], chained to what the run installed there. Random
+   meshes and BA graphs, with random link flaps, a router crash, loss and
+   duplication, background prefixes and Pareto flappers, without damping
+   or in each damping mode, with Exact or Tick reuse, at P = 1 to 4. *)
+let prop_sends_are_exports =
+  let gen = QCheck.(quad (int_range 0 10_000) (int_range 0 3) (int_range 1 4) bool) in
+  QCheck.Test.make ~name:"every update sent is the sender's export at that instant" ~count:12
+    gen (fun (seed, mode, partitions, tick) ->
+      let module Plan = Rfd_faults.Fault_plan in
+      let mrai = if seed mod 4 = 0 then 0. else 1. in
+      let link_jitter = if seed mod 5 < 2 then 0. else 0.01 in
+      let base = fast_config ~damping:false ~seed ~mrai ~link_jitter () in
+      let config =
+        if mode = 0 then base
+        else
+          Config.with_damping
+            ~mode:[| Config.Plain; Config.Rcn; Config.Selective |].(mode - 1)
+            ~reuse:(if tick then Config.Tick 15. else Config.Exact)
+            Rfd_damping.Params.cisco base
+      in
+      let topology =
+        if seed mod 2 = 0 then
+          Scenario.Mesh { rows = 3 + (seed / 2 mod 2); cols = 3 + (seed / 4 mod 2) }
+        else Scenario.Internet { nodes = 10 + (seed mod 20); m = 1 + (seed / 2 mod 2) }
+      in
+      let faults =
+        Plan.make ~name:"exports" ~seed
+          ~degradation:{ Plan.loss = 0.05; duplication = 0.05 }
+          ~random_flaps:
+            { Plan.cycles = 2 + (seed mod 3); window = 40.; down_mean = 5.; candidates = [] }
+          ~router_events:
+            [
+              { Plan.at = 10.; node = 1; action = `Crash };
+              { Plan.at = 25.; node = 1; action = `Restart };
+            ]
+          ()
+      in
+      let scenario =
+        Scenario.make ~name:"exports" ~config ~pulses:(1 + (seed mod 3)) ~faults
+          ~background_prefixes:(seed mod 6)
+          ~workload:
+            (Scenario.Flappers
+               { count = 1 + (seed mod 4); flaps = 2; mean_gap = 5.; alpha = 1.5; seed })
+          topology
+      in
+      let taps = ref [] in
+      let observe net =
+        taps := Fixture.tap_exports ~router:(Network.router net) (Network.hooks net) :: !taps
+      in
+      ignore (Runner.run_partitioned ~observe ~partitions scenario);
+      match List.concat_map (fun stale -> stale ()) !taps with
+      | [] -> true
+      | stale ->
+          QCheck.Test.fail_reportf "sends that are not the sender's export:@.%s"
+            (String.concat "\n" stale))
+
 (* Without link jitter, a router's updates and timers routinely share an
    instant with other routers' and with each other. Each of these six runs
    gives one digest and one transcript at P = 1 to 4, because the
@@ -619,4 +677,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_identity;
     QCheck_alcotest.to_alcotest prop_sessions_are_neighbours;
     QCheck_alcotest.to_alcotest prop_inspection_is_pure;
+    QCheck_alcotest.to_alcotest prop_sends_are_exports;
   ]

@@ -90,6 +90,36 @@ let test_custom_preference_sees_paths () =
   check "a path through AS 2 preferred" (Some [ 4; 2; 0 ], Some 4) (through 2);
   check "a path through AS 1 preferred" (Some [ 1; 0 ], Some 1) (through 1)
 
+(* Calling an accessor from another module allocates nothing: each takes
+   every argument and applies the stored closure at its own arity, where
+   a returned closure would be a generic application that builds a
+   partial-application closure per remaining argument. Ten thousand calls
+   of each allocate what an empty measurement does. *)
+let test_accessors_allocate_nothing () =
+  let p = Policy.announce_all and calls = 10_000 in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let total = ref 0 in
+  let import =
+    words (fun () ->
+        for me = 1 to calls do
+          total := !total + Policy.import_preference p ~me ~from_peer:0 ~path
+        done)
+  in
+  let export =
+    words (fun () ->
+        for me = 1 to calls do
+          if Policy.export_allowed p ~me ~learned_from:(Some 0) ~to_peer:2 ~path then incr total
+        done)
+  in
+  Alcotest.(check int) "every export allowed" calls !total;
+  Alcotest.(check (float 0.)) "import_preference allocates nothing" idle import;
+  Alcotest.(check (float 0.)) "export_allowed allocates nothing" idle export
+
 (* Property: under no-valley export rules, any propagation path that the
    policy permits hop by hop is valley-free. *)
 let prop_no_valley_paths_are_valley_free =
@@ -128,5 +158,6 @@ let suite =
     Alcotest.test_case "custom policy" `Quick test_custom;
     Alcotest.test_case "custom preference scores each path" `Quick
       test_custom_preference_sees_paths;
+    Alcotest.test_case "accessors allocate nothing" `Quick test_accessors_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_no_valley_paths_are_valley_free;
   ]

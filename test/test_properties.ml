@@ -17,6 +17,7 @@ type outcome = {
   nodes : int;
   fixpoint : bool;
   still_suppressed : int;
+  stale_sends : string list; (* sends that were not the sender's export *)
 }
 
 (* Build a random connected topology, run a random flap train to full
@@ -44,6 +45,7 @@ let run_random ~seed ~pulses ~damping ~mode =
   h.Hooks.on_deliver <- (fun ~time:_ ~src:_ ~dst:_ _ -> incr delivered);
   h.Hooks.on_suppress <- (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ -> incr suppressions);
   h.Hooks.on_reuse <- (fun ~time:_ ~router:_ ~peer:_ ~prefix:_ ~noisy:_ -> incr reuses);
+  let stale_sends = Fixture.tap_exports ~router:(Par_net.router net) h in
   let origin = Rng.int rng n in
   Par_net.originate net ~node:origin p0;
   Fixture.run net;
@@ -68,13 +70,20 @@ let run_random ~seed ~pulses ~damping ~mode =
     nodes = n;
     fixpoint = Par_net.converged net p0;
     still_suppressed = !still_suppressed;
+    stale_sends = stale_sends ();
   }
 
 let seed_pulses = QCheck.(pair (int_range 0 100_000) (int_range 0 6))
 
+(* Besides [check], every update a router sent was its Loc-RIB's export
+   at that instant ({!Fixture.tap_exports}). *)
 let prop name ~damping ~mode check =
   QCheck.Test.make ~name ~count:60 seed_pulses (fun (seed, pulses) ->
-      check (run_random ~seed ~pulses ~damping ~mode))
+      let o = run_random ~seed ~pulses ~damping ~mode in
+      if o.stale_sends <> [] then
+        QCheck.Test.fail_reportf "sends that are not the sender's export:@.%s"
+          (String.concat "\n" o.stale_sends);
+      check o)
 
 let prop_no_damping_full_reachability =
   prop "no damping: every run ends reachable, converged, conserved" ~damping:false
