@@ -28,7 +28,9 @@ type t = {
 }
 
 let create ?(probe_pairs = []) () =
-  let probes = Hashtbl.create (max 1 (List.length probe_pairs)) in
+  (* Unrandomized: results marshal this table, seed included, so a
+     randomized one (OCAMLRUNPARAM=R) would change every digest. *)
+  let probes = Hashtbl.create ~random:false (max 1 (List.length probe_pairs)) in
   List.iter
     (fun (router, peer) ->
       Hashtbl.replace probes (router, peer) (Timeseries.create ()))

@@ -66,9 +66,7 @@ let pick_isp scenario rng graph =
    For no-valley policy it is labelled a customer of the isp (a stub AS). *)
 let attach_origin graph isp =
   let origin = Graph.num_nodes graph in
-  let graph = Graph.add_nodes graph 1 in
-  let graph = Graph.add_edges graph [ (isp, origin) ] in
-  (graph, origin)
+  (Graph.add_edges ~nodes:1 graph [ (isp, origin) ], origin)
 
 let relations_for scenario graph ~origin ~isp =
   match scenario.Scenario.policy with

@@ -33,15 +33,21 @@ type t = {
 let default_pulses = List.init 10 (fun i -> i + 1)
 
 (* Pre-build the topology a job's run would construct, so the jobs of a
-   sweep that share a (topology, seed) pair reuse one graph instead of
-   rebuilding it per point. Runner.run builds its graph with the same
-   Scenario.build_graph, so the substitution is bit-identical. The caller
-   has checked the scenario. *)
+   sweep that share a graph reuse it instead of rebuilding it per point.
+   Runner.run builds its graph with the same Scenario.build_graph, so the
+   substitution is bit-identical. A mesh reads no seed, so it is keyed by
+   its shape alone (seed 0); a BA graph by (seed, shape). The caller has
+   checked the scenario. *)
 let materialize ?(memo = Hashtbl.create 1) (scenario : Scenario.t) =
   match scenario.Scenario.topology with
   | Scenario.Custom _ -> scenario
   | topology ->
-      let key = (scenario.Scenario.config.Rfd_bgp.Config.seed, topology) in
+      let seed =
+        match topology with
+        | Scenario.Mesh _ -> 0
+        | _ -> scenario.Scenario.config.Rfd_bgp.Config.seed
+      in
+      let key = (seed, topology) in
       let graph =
         match Hashtbl.find_opt memo key with
         | Some graph -> graph

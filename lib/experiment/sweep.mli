@@ -58,8 +58,9 @@ type t = {
 type job = {
   job_scenario : Scenario.t;
       (** resolved scenario: seed substituted, pulse count set, topology
-          materialized as [Scenario.Custom] (shared between the jobs of one
-          (topology, seed) pair instead of rebuilt per point) *)
+          materialized as [Scenario.Custom] (shared between the jobs that
+          read the same graph instead of rebuilt per point: every job of
+          a mesh, the jobs of one seed of a BA graph) *)
   job_seed : int;  (** the RNG seed in [job_scenario]'s config *)
   job_pulses : int;
 }
@@ -73,10 +74,12 @@ val materialize :
     with {!Scenario.build_graph}, so the substitution is bit-identical).
     [Custom] topologies pass through untouched. The scenario must have
     passed {!Scenario.validate}: nothing is checked again here, and a
-    topology its builder refuses raises from the builder. [memo], keyed by
-    [(config seed, topology)], lets repeated callers — the jobs of one
-    sweep, or a long-lived {!Rfd_service} daemon — share one graph
-    instead of rebuilding it per request. This resolved form is what
+    topology its builder refuses raises from the builder. [memo] lets
+    repeated callers — the jobs of one sweep, or a long-lived
+    {!Rfd_service} daemon — share one graph instead of rebuilding it per
+    request. A mesh reads no seed, so it is built once per shape and
+    keyed [(0, topology)]; a BA graph is built once per (shape, seed)
+    and keyed [(config seed, topology)]. This resolved form is what
     {!job_key} / {!Journal.job_key} hash, so two parties that materialize
     the same base scenario derive the same cache key. *)
 
@@ -86,8 +89,8 @@ val plan : ?pulses:int list -> ?seeds:int list -> Scenario.t -> job list
     seeds: the base scenario's own config seed. The base scenario's
     [pulses] field is ignored. The base is checked with
     {!Scenario.validate} once, since no check reads the seed. A valid
-    base's Mesh and Internet topologies are built once per (topology,
-    seed) by {!materialize} and shared by reference; an invalid base's
+    base's topology is built by {!materialize} and shared by reference:
+    a mesh once for all seeds, a BA graph once per seed. An invalid base's
     jobs keep the symbolic topology, and {!Runner.run} reports the
     problem. *)
 

@@ -259,8 +259,9 @@ let resolve_spec ~memo spec =
   | Error _ as e -> e
   | Ok scenario ->
       (* The memo shares one materialized graph across requests for the
-         same (seed, topology); reset it occasionally so a scan of
-         distinct topologies cannot grow it without bound. *)
+         same mesh shape, or the same BA shape and seed; reset it
+         occasionally so a scan of distinct topologies cannot grow it
+         without bound. *)
       if Hashtbl.length memo > 64 then Hashtbl.reset memo;
       let resolved = Sweep.materialize ~memo scenario in
       Ok (resolved, Journal.job_key resolved ~seed:spec.seed ~pulses:spec.pulses)

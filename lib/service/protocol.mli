@@ -112,7 +112,9 @@ val resolve_spec :
 (** The daemon's keying path: {!scenario_of_spec}, then
     {!Rfd_experiment.Sweep.materialize} through [memo] (emptied once it
     holds more than 64 graphs), then {!Rfd_experiment.Journal.job_key}.
-    Returns the resolved scenario and its key. *)
+    The memo holds one graph per mesh shape, whatever the seed, and one
+    per (shape, seed) of a BA topology. Returns the resolved scenario and
+    its key. *)
 
 (** {1 Requests} *)
 

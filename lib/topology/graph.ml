@@ -5,28 +5,71 @@ type t = {
   edge_list : (int * int) array; (* u < v, sorted; the index is the edge id *)
 }
 
-let normalize_edge num_nodes (u, v) =
+let check_edge num_nodes u v =
   if u = v then invalid_arg (Printf.sprintf "Graph: self-loop at node %d" u);
   if u < 0 || u >= num_nodes || v < 0 || v >= num_nodes then
-    invalid_arg (Printf.sprintf "Graph: edge (%d,%d) out of range [0,%d)" u v num_nodes);
-  if u < v then (u, v) else (v, u)
+    invalid_arg (Printf.sprintf "Graph: edge (%d,%d) out of range [0,%d)" u v num_nodes)
 
-let of_edges ~num_nodes edges =
+(* [count.(k + 1)] holds node [k]'s count of edge endpoints; running totals
+   turn [count.(k)] into the first slot of node [k]'s bucket. *)
+let prefix_sums count =
+  for k = 1 to Array.length count - 1 do
+    count.(k) <- count.(k) + count.(k - 1)
+  done
+
+let of_edge_arrays ~num_nodes us vs =
   if num_nodes < 0 then invalid_arg "Graph.of_edges: negative node count";
-  let normalized = List.map (normalize_edge num_nodes) edges in
-  let dedup =
-    List.sort_uniq (fun (a, b) (c, d) ->
-        let cmp = Int.compare a c in
-        if cmp <> 0 then cmp else Int.compare b d)
-      normalized
-  in
-  let edge_list = Array.of_list dedup in
+  let len = Array.length us in
+  if Array.length vs <> len then
+    invalid_arg "Graph.of_edge_arrays: endpoint arrays differ in length";
+  (* Normalize each edge to [us.(i) < vs.(i)] and count both endpoints. *)
+  let lower = Array.make (num_nodes + 1) 0 and upper = Array.make (num_nodes + 1) 0 in
+  for i = 0 to len - 1 do
+    let u = us.(i) and v = vs.(i) in
+    check_edge num_nodes u v;
+    let lo = if u < v then u else v and hi = if u < v then v else u in
+    us.(i) <- lo;
+    vs.(i) <- hi;
+    lower.(lo + 1) <- lower.(lo + 1) + 1;
+    upper.(hi + 1) <- upper.(hi + 1) + 1
+  done;
+  prefix_sums lower;
+  prefix_sums upper;
+  (* Two counting passes sort the edges by (lower, upper): group the lower
+     endpoints by upper endpoint, then walk the upper endpoints in
+     ascending order, dealing each edge into its lower endpoint's bucket,
+     so every bucket comes out ascending. *)
+  let by_upper = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let hi = vs.(i) in
+    by_upper.(upper.(hi)) <- us.(i);
+    upper.(hi) <- upper.(hi) + 1
+  done;
+  let start = ref 0 in
+  for hi = 0 to num_nodes - 1 do
+    for j = !start to upper.(hi) - 1 do
+      let lo = by_upper.(j) in
+      let slot = lower.(lo) in
+      us.(slot) <- lo;
+      vs.(slot) <- hi;
+      lower.(lo) <- slot + 1
+    done;
+    start := upper.(hi)
+  done;
+  (* Drop duplicates, now adjacent, in place, and count degrees. *)
+  let num_edges = ref 0 in
   let degree = Array.make num_nodes 0 in
-  Array.iter
-    (fun (u, v) ->
+  for i = 0 to len - 1 do
+    let e = !num_edges and u = us.(i) and v = vs.(i) in
+    if e = 0 || u <> us.(e - 1) || v <> vs.(e - 1) then begin
+      us.(e) <- u;
+      vs.(e) <- v;
       degree.(u) <- degree.(u) + 1;
-      degree.(v) <- degree.(v) + 1)
-    edge_list;
+      degree.(v) <- degree.(v) + 1;
+      num_edges := e + 1
+    end
+  done;
+  let edge_list = Array.init !num_edges (fun eid -> (us.(eid), vs.(eid))) in
   let adjacency = Array.init num_nodes (fun i -> Array.make degree.(i) 0) in
   let adj_eids = Array.init num_nodes (fun i -> Array.make degree.(i) 0) in
   let fill = Array.make num_nodes 0 in
@@ -34,16 +77,37 @@ let of_edges ~num_nodes edges =
      arrive before the larger-endpoint ones and each group ascends: every
      adjacency row comes out sorted without a separate sort, and the edge-id
      row stays aligned with it. *)
-  Array.iteri
-    (fun eid (u, v) ->
-      adjacency.(u).(fill.(u)) <- v;
-      adj_eids.(u).(fill.(u)) <- eid;
-      fill.(u) <- fill.(u) + 1;
-      adjacency.(v).(fill.(v)) <- u;
-      adj_eids.(v).(fill.(v)) <- eid;
-      fill.(v) <- fill.(v) + 1)
-    edge_list;
+  for eid = 0 to !num_edges - 1 do
+    let u = us.(eid) and v = vs.(eid) in
+    adjacency.(u).(fill.(u)) <- v;
+    adj_eids.(u).(fill.(u)) <- eid;
+    fill.(u) <- fill.(u) + 1;
+    adjacency.(v).(fill.(v)) <- u;
+    adj_eids.(v).(fill.(v)) <- eid;
+    fill.(v) <- fill.(v) + 1
+  done;
   { num_nodes; adjacency; adj_eids; edge_list }
+
+(* Endpoint arrays of the edges in [kept], then those in [extra]. *)
+let endpoint_arrays kept extra =
+  let n = Array.length kept in
+  let len = n + List.length extra in
+  let us = Array.make len 0 and vs = Array.make len 0 in
+  Array.iteri
+    (fun i (u, v) ->
+      us.(i) <- u;
+      vs.(i) <- v)
+    kept;
+  List.iteri
+    (fun i (u, v) ->
+      us.(n + i) <- u;
+      vs.(n + i) <- v)
+    extra;
+  (us, vs)
+
+let of_edges ~num_nodes edges =
+  let us, vs = endpoint_arrays [||] edges in
+  of_edge_arrays ~num_nodes us vs
 
 let num_nodes t = t.num_nodes
 let num_edges t = Array.length t.edge_list
@@ -102,12 +166,14 @@ let edges t = t.edge_list
 let fold_edges t ~init ~f =
   Array.fold_left (fun acc (u, v) -> f acc u v) init t.edge_list
 
-let add_edges t extra =
-  of_edges ~num_nodes:t.num_nodes (Array.to_list t.edge_list @ extra)
+let add_edges ?(nodes = 0) t extra =
+  if nodes < 0 then invalid_arg "Graph.add_edges: negative node count";
+  let us, vs = endpoint_arrays t.edge_list extra in
+  of_edge_arrays ~num_nodes:(t.num_nodes + nodes) us vs
 
 let add_nodes t k =
   if k < 0 then invalid_arg "Graph.add_nodes: negative count";
-  of_edges ~num_nodes:(t.num_nodes + k) (Array.to_list t.edge_list)
+  add_edges ~nodes:k t []
 
 let bfs_distances t source =
   check_node t source;

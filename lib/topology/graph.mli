@@ -6,10 +6,17 @@
 
 type t
 
+val of_edge_arrays : num_nodes:int -> int array -> int array -> t
+(** [of_edge_arrays ~num_nodes us vs] builds the graph whose edges are
+    [(us.(i), vs.(i))]. Self-loops and out-of-range endpoints raise
+    [Invalid_argument] for the first such edge in input order; duplicate
+    edges (in either orientation) are collapsed. It takes ownership of
+    [us] and [vs]: it sorts them in place, so the caller must not read
+    them afterwards. O(num_nodes + edges): two counting passes over node
+    ids sort the edges, with no comparison sort and no list. *)
+
 val of_edges : num_nodes:int -> (int * int) list -> t
-(** [of_edges ~num_nodes edges] builds a graph. Self-loops raise
-    [Invalid_argument]; duplicate edges (in either orientation) are
-    collapsed; endpoints must be in range. *)
+(** {!of_edge_arrays} over a list of edges. *)
 
 val num_nodes : t -> int
 val num_edges : t -> int
@@ -47,8 +54,9 @@ val edges : t -> (int * int) array
 
 val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
-val add_edges : t -> (int * int) list -> t
-(** Graph with additional edges (same node count). *)
+val add_edges : ?nodes:int -> t -> (int * int) list -> t
+(** Graph with additional edges, built in one pass. [nodes] (default 0)
+    isolated nodes are appended first, so the new edges may name them. *)
 
 val add_nodes : t -> int -> t
 (** [add_nodes g k] has [k] extra isolated nodes appended. *)

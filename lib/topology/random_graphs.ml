@@ -13,57 +13,89 @@ let erdos_renyi rng ~n ~p =
 
 let barabasi_albert rng ~n ~m =
   if m < 1 || m >= n then invalid_arg "Random_graphs.barabasi_albert: need 1 <= m < n";
-  let edges = ref [] in
-  (* Seed with an m-node clique (a single node when m = 1). *)
+  let num_edges = (m * (m - 1) / 2) + (m * (n - m)) in
+  let us = Array.make num_edges 0 and vs = Array.make num_edges 0 in
+  let edges = ref 0 in
+  let add u v =
+    us.(!edges) <- u;
+    vs.(!edges) <- v;
+    incr edges
+  in
+  (* [buf.(0 .. len-1)] lists one entry per edge endpoint, so uniform
+     sampling from it is degree-proportional sampling; it is allocated at
+     its final size, so each growth step is an O(m) append. The seed is an
+     m-node clique whose edges enter the buffer in creation order, or the
+     single entry [0] when m = 1. *)
+  let buf = Array.make ((2 * num_edges) + 1) 0 in
+  let len = ref 0 in
+  let push entry =
+    buf.(!len) <- entry;
+    incr len
+  in
   for u = 0 to m - 1 do
     for v = u + 1 to m - 1 do
-      edges := (u, v) :: !edges
+      add u v;
+      push u;
+      push v
     done
   done;
-  (* [buf.(0 .. len-1)] lists one entry per edge endpoint, so uniform
-     sampling from it is degree-proportional sampling. The buffer is
-     preallocated at its exact final size (every node past the seed clique
-     contributes 2*m endpoints), so each growth step is an O(m) append
-     rather than the O(len) copy of rebuilding the array — that copy made
-     graph generation quadratic and dominated setup beyond a few thousand
-     nodes. Sampling via [buf.(Rng.int rng !len)] consumes the RNG exactly
-     as [Rng.pick] on an array of length [len] does, so generated graphs
-     are bit-identical to the historical implementation. *)
-  let targets = ref [] in
-  List.iter (fun (u, v) -> targets := u :: v :: !targets) !edges;
-  if m = 1 then targets := [ 0 ];
-  let init = Array.of_list !targets in
-  let init_len = Array.length init in
-  let buf = Array.make (max 1 (init_len + (2 * m * (n - m)))) 0 in
-  Array.blit init 0 buf 0 init_len;
-  let len = ref init_len in
+  if m = 1 then push 0;
+  (* The order in which a node's picks enter the buffer steers every later
+     draw, so it is fixed by the picks alone, never by OCAMLRUNPARAM: by
+     descending bucket [Hashtbl.hash pick land (buckets - 1)], and in pick
+     order within a bucket. That is the order an unrandomized
+     [Hashtbl.create m] of picks used to iterate, reversed, so the graphs
+     (and the job keys that marshal them) stay as they were. *)
+  let buckets =
+    let rec above b = if b >= m then b else above (2 * b) in
+    above 16
+  in
+  let rank pick = buckets - 1 - (Hashtbl.hash pick land (buckets - 1)) in
+  (* [picks.(0 .. chosen-1)] are [node]'s picks so far, and
+     [mark.(x) = node] once [x] is among them. *)
+  let mark = Array.make n (-1) and picks = Array.make m 0 and chosen = ref 0 in
+  let choose node pick =
+    if pick <> node && mark.(pick) <> node then begin
+      mark.(pick) <- node;
+      picks.(!chosen) <- pick;
+      incr chosen
+    end
+  in
+  let count = Array.make (buckets + 1) 0 in
   for node = m to n - 1 do
-    let chosen = Hashtbl.create m in
+    chosen := 0;
     let attempts = ref 0 in
-    while Hashtbl.length chosen < m && !attempts < 10_000 do
+    while !chosen < m && !attempts < 10_000 do
       incr attempts;
-      let pick = if !len = 0 then Rng.int rng node else buf.(Rng.int rng !len) in
-      if pick <> node && not (Hashtbl.mem chosen pick) then Hashtbl.replace chosen pick ()
+      choose node buf.(Rng.int rng !len)
     done;
     (* Extremely unlikely fallback: fill deterministically. *)
     let next = ref 0 in
-    while Hashtbl.length chosen < m do
-      if !next <> node && not (Hashtbl.mem chosen !next) then Hashtbl.replace chosen !next ();
+    while !chosen < m do
+      choose node !next;
       incr next
     done;
-    let new_entries = ref [] in
-    Hashtbl.iter
-      (fun existing () ->
-        edges := (node, existing) :: !edges;
-        new_entries := node :: existing :: !new_entries)
-      chosen;
-    List.iter
-      (fun entry ->
-        buf.(!len) <- entry;
-        incr len)
-      !new_entries
+    (* A stable counting sort by rank deals the picks into the buffer. *)
+    Array.fill count 0 (buckets + 1) 0;
+    for i = 0 to m - 1 do
+      let k = rank picks.(i) + 1 in
+      count.(k) <- count.(k) + 1
+    done;
+    for k = 1 to buckets do
+      count.(k) <- count.(k) + count.(k - 1)
+    done;
+    for i = 0 to m - 1 do
+      let pick = picks.(i) in
+      let k = rank pick in
+      let slot = !len + (2 * count.(k)) in
+      count.(k) <- count.(k) + 1;
+      buf.(slot) <- node;
+      buf.(slot + 1) <- pick;
+      add node pick
+    done;
+    len := !len + (2 * m)
   done;
-  Graph.of_edges ~num_nodes:n !edges
+  Graph.of_edge_arrays ~num_nodes:n us vs
 
 let components g =
   let n = Graph.num_nodes g in

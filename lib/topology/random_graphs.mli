@@ -14,7 +14,10 @@ val barabasi_albert : Rfd_engine.Rng.t -> n:int -> m:int -> Graph.t
 (** Preferential attachment: start from an [m]-clique and attach each new
     node to [m] distinct existing nodes chosen with probability
     proportional to current degree. Requires [1 <= m < n]. The result is
-    connected and has a power-law degree tail. *)
+    connected and has a power-law degree tail. The draw order is fixed:
+    the graph depends on the RNG state alone, never on hash-table
+    randomization ([OCAMLRUNPARAM=R]). O(n·m) time; at m = 2 it
+    allocates about 2.4 times the finished graph's words. *)
 
 val connected_erdos_renyi : Rfd_engine.Rng.t -> n:int -> p:float -> Graph.t
 (** {!erdos_renyi} with any disconnected component patched into the

@@ -79,6 +79,15 @@ let paper_mesh_is_100_nodes () =
   Alcotest.(check int) "100 nodes" 100 (Graph.num_nodes g);
   Alcotest.(check int) "200 links" 200 (Graph.num_edges g)
 
+(* MD5 of [Marshal.to_string g []], as [Journal.job_key] marshals a
+   materialized mesh: job keys stay valid only while these bytes do. *)
+let test_mesh_bytes_pinned () =
+  let md5 g = Digest.to_hex (Digest.string (Marshal.to_string g [])) in
+  Alcotest.(check string) "mesh 3x3" "752b4e8f77890fe81d26908049efa268"
+    (md5 (Builders.mesh ~rows:3 ~cols:3));
+  Alcotest.(check string) "mesh 10x10" "1e38fe7863fdea433218c1f88634b61d"
+    (md5 (Builders.mesh ~rows:10 ~cols:10))
+
 let suite =
   [
     Alcotest.test_case "line" `Quick test_line;
@@ -92,4 +101,5 @@ let suite =
     Alcotest.test_case "binary tree" `Quick test_binary_tree;
     Alcotest.test_case "grid coordinate indexing" `Quick test_node_of_grid_coord;
     Alcotest.test_case "paper mesh has 100 nodes / 200 links" `Quick paper_mesh_is_100_nodes;
+    Alcotest.test_case "meshes marshal to pinned bytes" `Quick test_mesh_bytes_pinned;
   ]

@@ -180,6 +180,86 @@ let prop_bfs_triangle_inequality =
             && (dist.(u) >= 0) = (dist.(v) >= 0))
       end)
 
+(* The list-and-sort construction [Graph.of_edges] used before edges were
+   sorted by counting passes, kept as the reference. [reference] has
+   [Graph.t]'s layout, so equal values marshal to equal bytes. *)
+type reference = {
+  num_nodes : int;
+  adjacency : int array array;
+  adj_eids : int array array;
+  edge_list : (int * int) array;
+}
+
+let reference_of_edges ~num_nodes edges =
+  let normalize (u, v) =
+    if u = v then invalid_arg (Printf.sprintf "Graph: self-loop at node %d" u);
+    if u < 0 || u >= num_nodes || v < 0 || v >= num_nodes then
+      invalid_arg (Printf.sprintf "Graph: edge (%d,%d) out of range [0,%d)" u v num_nodes);
+    if u < v then (u, v) else (v, u)
+  in
+  let edge_list = Array.of_list (List.sort_uniq compare (List.map normalize edges)) in
+  let degree = Array.make num_nodes 0 in
+  Array.iter
+    (fun (u, v) ->
+      degree.(u) <- degree.(u) + 1;
+      degree.(v) <- degree.(v) + 1)
+    edge_list;
+  let adjacency = Array.init num_nodes (fun i -> Array.make degree.(i) 0) in
+  let adj_eids = Array.init num_nodes (fun i -> Array.make degree.(i) 0) in
+  let fill = Array.make num_nodes 0 in
+  Array.iteri
+    (fun eid (u, v) ->
+      adjacency.(u).(fill.(u)) <- v;
+      adj_eids.(u).(fill.(u)) <- eid;
+      fill.(u) <- fill.(u) + 1;
+      adjacency.(v).(fill.(v)) <- u;
+      adj_eids.(v).(fill.(v)) <- eid;
+      fill.(v) <- fill.(v) + 1)
+    edge_list;
+  { num_nodes; adjacency; adj_eids; edge_list }
+
+(* Up to 50 nodes (some isolated), edges in both orientations, some
+   repeated flipped, and now and then a self-loop or an out-of-range
+   endpoint, all shuffled. *)
+let edge_list_gen =
+  QCheck.Gen.(
+    let* n = 0 -- 50 in
+    let* edges =
+      if n < 2 then return []
+      else
+        list_size (0 -- (2 * n))
+          (let* u = 0 -- (n - 1) in
+           let* d = 1 -- (n - 1) in
+           return (u, (u + d) mod n))
+    in
+    let* repeats =
+      if edges = [] then return [] else list_size (0 -- 5) (oneofl edges >|= fun (u, v) -> (v, u))
+    in
+    let bad_edge =
+      oneof
+        ((if n > 0 then [ (0 -- (n - 1) >|= fun u -> (u, u)) ] else [])
+        @ [ pair (0 -- (n + 2)) (n -- (n + 2)); pair (-3 -- -1) (0 -- (n + 2)) ])
+    in
+    let* bad = frequency [ (3, return []); (1, list_size (1 -- 2) bad_edge) ] in
+    let* edges = shuffle_l (edges @ repeats @ bad) in
+    return (n, edges))
+
+let print_edge_list (n, edges) =
+  Printf.sprintf "n=%d [%s]" n
+    (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"of_edges marshals like the list-and-sort reference" ~count:500
+    (QCheck.make ~print:print_edge_list edge_list_gen)
+    (fun (num_nodes, edges) ->
+      let outcome build =
+        match build () with
+        | bytes -> Ok bytes
+        | exception Invalid_argument msg -> Error msg
+      in
+      outcome (fun () -> Marshal.to_string (Graph.of_edges ~num_nodes edges) [])
+      = outcome (fun () -> Marshal.to_string (reference_of_edges ~num_nodes edges) []))
+
 let suite =
   [
     Alcotest.test_case "construction" `Quick test_construction;
@@ -200,4 +280,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_degree_sum;
     QCheck_alcotest.to_alcotest prop_neighbors_consistent_with_has_edge;
     QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

@@ -72,6 +72,58 @@ let test_random_spanning_no_extra () =
   let g = RG.random_spanning_connected (Rng.create 29) ~n:10 ~extra_edges:0 in
   Alcotest.(check int) "tree" 9 (Graph.num_edges g)
 
+(* MD5 of [Marshal.to_string g []], sharing on, as [Journal.job_key]
+   marshals a materialized graph: a job key, and with it every journal
+   entry, stays valid only while these bytes do. Drawn as
+   [Scenario.build_graph] draws them; [attached] is the graph after
+   [Runner]'s origin stub, [(0, n)] on a new node [n]. *)
+let ba_pins =
+  [
+    (300, 1, 1, "373b951749b239779004659f521479ad", "5d7f90d6abc27bc94e954ed0e73cc511");
+    (300, 1, 42, "5cbb42f3346357241c9bbebc5b773b84", "0de44be7f6628a3b323611d6fb5db563");
+    (300, 2, 1, "e13fb52a654cf14062bf48baeb290c48", "0d1fe1fb5c4598605e4804c13a2a8321");
+    (300, 2, 42, "885522819bb4a6445e5ab4debc2f248e", "a7b2569ee9db6c486361b88062f036b7");
+    (300, 3, 1, "8f7e735c923bb26055e145a4fdb7892e", "4dd0f39cad9e9675daa6f15d03c626ce");
+    (300, 3, 42, "4cdd003fd4013606b01534d1ee0fe474", "fde6b185eba815743e092fc3a7bb992d");
+    (10_000, 1, 1, "6192a33c7cfbb6f878273ad64672fa94", "21a6b6c4a17534b88ed30062bc3ab0a2");
+    (10_000, 1, 42, "0e506521ce3aa344d440239baed832d3", "643bc1904a6212a0d0180b76d819234a");
+    (10_000, 2, 1, "06060dffb4ad84526ece18926a55e795", "8012ed463407c21595d8d651201dd5fa");
+    (10_000, 2, 42, "ec7dc676f3d2875d436f7b8a77a8b2c3", "cb92c0286ffdd50daf03ebec5d257153");
+    (10_000, 3, 1, "c2067a27a0fcf120775cd392770ae503", "f2230c5172edbbc05545c6cd04fb7978");
+    (10_000, 3, 42, "47a634315375bf4a7b1cbf6f4c4af215", "34e4ddb25d088eb2dfe8c5b62ac3899d");
+  ]
+
+let marshal_md5 g = Digest.to_hex (Digest.string (Marshal.to_string g []))
+
+let test_barabasi_albert_bytes_pinned () =
+  List.iter
+    (fun (n, m, seed, graph_md5, attached_md5) ->
+      let name = Printf.sprintf "BA n=%d m=%d seed=%d" n m seed in
+      let g = RG.barabasi_albert (Rng.split (Rng.create seed)) ~n ~m in
+      Alcotest.(check string) name graph_md5 (marshal_md5 g);
+      Alcotest.(check string) (name ^ " + stub") attached_md5
+        (marshal_md5 (Graph.add_edges (Graph.add_nodes g 1) [ (0, n) ]));
+      Alcotest.(check string) (name ^ " + stub in one rebuild") attached_md5
+        (marshal_md5 (Graph.add_edges ~nodes:1 g [ (0, n) ])))
+    ba_pins
+
+(* Words allocated since the last call: minor + major - promoted. OCaml
+   5.1's counters lag until a minor collection, hence the [Gc.minor]. *)
+let allocated_words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_barabasi_albert_allocation () =
+  let before = allocated_words () in
+  let g = RG.barabasi_albert (Rng.split (Rng.create 1)) ~n:10_000 ~m:2 in
+  let allocated = allocated_words () -. before in
+  let graph_words = Obj.reachable_words (Obj.repr g) in
+  if allocated > 4. *. float_of_int graph_words then
+    Alcotest.failf "BA 10k allocated %.0f words, %.2fx the graph's %d" allocated
+      (allocated /. float_of_int graph_words)
+      graph_words
+
 let prop_ba_always_connected =
   QCheck.Test.make ~name:"BA graphs always connected" ~count:50
     QCheck.(pair (int_range 0 10_000) (int_range 5 60))
@@ -98,6 +150,9 @@ let suite =
     Alcotest.test_case "BA determinism" `Quick test_barabasi_albert_determinism;
     Alcotest.test_case "BA validation" `Quick test_barabasi_albert_validation;
     Alcotest.test_case "BA m=1 is a tree" `Quick test_barabasi_albert_m1_is_tree;
+    Alcotest.test_case "BA graphs marshal to pinned bytes" `Quick test_barabasi_albert_bytes_pinned;
+    Alcotest.test_case "BA set-up allocates near the graph's size" `Quick
+      test_barabasi_albert_allocation;
     Alcotest.test_case "spanning + extra edges" `Quick test_random_spanning_connected;
     Alcotest.test_case "spanning tree only" `Quick test_random_spanning_no_extra;
     QCheck_alcotest.to_alcotest prop_ba_always_connected;

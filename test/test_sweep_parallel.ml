@@ -40,22 +40,47 @@ let test_plan_shape () =
         j.Sweep.job_scenario.Scenario.pulses)
     jobs
 
+let job_graph j =
+  match j.Sweep.job_scenario.Scenario.topology with
+  | Scenario.Custom g -> g
+  | _ -> Alcotest.fail "expected materialized Custom topology"
+
 let test_plan_materializes_topology () =
   let jobs = Sweep.plan ~pulses:[ 1; 2; 3 ] (base_scenario ()) in
-  let graphs =
-    List.map
-      (fun j ->
-        match j.Sweep.job_scenario.Scenario.topology with
-        | Scenario.Custom g -> g
-        | _ -> Alcotest.fail "expected materialized Custom topology")
-      jobs
-  in
-  match graphs with
+  match List.map job_graph jobs with
   | g :: rest ->
       List.iter
         (fun g' -> Alcotest.(check bool) "one shared graph per seed" true (g == g'))
         rest
   | [] -> Alcotest.fail "no jobs planned"
+
+(* A mesh reads no seed, so one plan builds it once for every seed; a BA
+   graph is drawn per seed. Either way each job's key is the key of the
+   same job planned alone, from a fresh memo. *)
+let test_plan_builds_mesh_once () =
+  let seeds = [ 3; 4; 5 ] in
+  let check_plan topology ~shared =
+    let base = Scenario.make ~name:"memo" ~config:(fast_config ()) topology in
+    let jobs = Sweep.plan ~pulses:[ 1; 2 ] ~seeds base in
+    let alone =
+      List.concat_map (fun seed -> Sweep.plan ~pulses:[ 1; 2 ] ~seeds:[ seed ] base) seeds
+    in
+    Alcotest.(check (list string))
+      (Scenario.topology_summary topology ^ ": keys as if planned one seed at a time")
+      (List.map Sweep.job_key alone) (List.map Sweep.job_key jobs);
+    let first = job_graph (List.hd jobs) in
+    List.iter
+      (fun j ->
+        let same_seed = j.Sweep.job_seed = (List.hd jobs).Sweep.job_seed in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: seed %d shares the first seed's graph"
+             (Scenario.topology_summary topology) j.Sweep.job_seed)
+          (shared || same_seed)
+          (job_graph j == first))
+      jobs
+  in
+  check_plan small_mesh ~shared:true;
+  check_plan (Scenario.Internet { nodes = 30; m = 2 }) ~shared:false
 
 (* [rfd-sim topo]/[metrics] print the graph [materialize] resolves, so it
    must be the graph a run of the unresolved scenario simulates: the run's
@@ -280,6 +305,7 @@ let suite =
   [
     Alcotest.test_case "plan shape" `Quick test_plan_shape;
     Alcotest.test_case "plan materializes topology" `Quick test_plan_materializes_topology;
+    Alcotest.test_case "plan builds a mesh once for all seeds" `Quick test_plan_builds_mesh_once;
     Alcotest.test_case "materialize is the simulated graph" `Quick
       test_materialize_is_simulated_graph;
     Alcotest.test_case "invalid scenarios untouched" `Quick test_plan_keeps_invalid_scenarios;
