@@ -29,11 +29,12 @@ let sim_churn () =
 (* One slot of a penalty table, charged 500 times; its owner keeps the
    suppressed flag, as a router does. *)
 let damper_churn () =
-  let slots = Rfd.Damper.slots (Rfd.Damper.setting Params.cisco) ~capacity:1 in
+  let setting = Rfd.Damper.setting Params.cisco in
+  let slots = Rfd.Damper.slots ~capacity:1 in
   let suppressed = ref false in
   for i = 1 to 500 do
     match
-      Rfd.Damper.slot_record slots 0 ~now:(float_of_int i) ~suppressed:!suppressed
+      Rfd.Damper.slot_record setting slots 0 ~now:(float_of_int i) ~suppressed:!suppressed
         Rfd.Damper.Attribute_change
     with
     | `Suppressed -> suppressed := true

@@ -99,6 +99,15 @@ type event_counts = {
   ops : int;
 }
 
+(* Fault injection's columns, by directed slot: loss and duplication
+   probabilities and the streams they are drawn from. A network has them
+   from its first [set_degradation] on. *)
+type faults = {
+  loss : Float.Array.t;
+  duplication : Float.Array.t;
+  fault_streams : Rng.column;
+}
+
 (* Link state is columns indexed by the graph's stable edge ids: [up] and
    [epoch] per undirected link, and the transport state per directed link
    at slot [2*eid + dir], with [dir = 0] for the min->max direction — the
@@ -120,17 +129,17 @@ type t = {
   config : Config.t;
   hooks : Hooks.t;
   paths : As_path.table; (* the one intern table: every router's paths *)
-  routers : Router.t option array; (* None = owned by another partition *)
+  mutable routers : Router.t array;
+      (* by node, views of one arena, set once by [create]; a node another
+         partition owns holds the arena's vacant view *)
   emit : remote -> unit; (* cross-partition outbox *)
-  routers_up : bool array; (* false while crashed *)
-  damping_deployed : bool array;
+  routers_up : Bytes.t; (* by node: 0 while crashed *)
+  damping_deployed : Bytes.t; (* by node *)
   up : Bytes.t; (* by edge id: administratively up (not failed by fail_link) *)
   epoch : int array; (* by edge id: bumped at each down transition *)
   floor : Float.Array.t; (* by slot: last delivery time, the FIFO floor *)
-  loss : Float.Array.t; (* by slot: fault-injected per-message loss probability *)
-  duplication : Float.Array.t; (* by slot: fault-injected duplication probability *)
   delay_streams : Rng.column; (* by slot: jitter draws *)
-  mutable fault_streams : Rng.column; (* by slot; empty until set_degradation *)
+  mutable faults : faults option; (* None until the first set_degradation *)
   wire : wire;
   deliver_on : Sim.channel; (* posts a slot whose oldest row is due to [deliver] *)
   flush_on : Sim.channel;
@@ -159,16 +168,16 @@ let slot_dst t slot =
 (* A link carries traffic only when it is administratively up and neither
    endpoint router is crashed. All up/down session transitions below are in
    terms of this predicate, so link faults and router crashes compose. *)
-let operational t eid u v = Bytes.get t.up eid <> '\000' && t.routers_up.(u) && t.routers_up.(v)
+let router_up t node = Bytes.get_uint8 t.routers_up node <> 0
+let operational t eid u v = Bytes.get t.up eid <> '\000' && router_up t u && router_up t v
+
+let owns t node = Router.id t.routers.(node) = node
 
 (* Session transitions touch only locally-owned routers; under partitioning
    every administrative event is replicated to all partitions, so the union
    of the local effects equals the single-domain behaviour. *)
-let peer_down_at t node ~peer =
-  match t.routers.(node) with Some r -> Router.peer_down r ~peer | None -> ()
-
-let peer_up_at t node ~peer =
-  match t.routers.(node) with Some r -> Router.peer_up r ~peer | None -> ()
+let peer_down_at t node ~peer = if owns t node then Router.peer_down t.routers.(node) ~peer
+let peer_up_at t node ~peer = if owns t node then Router.peer_up t.routers.(node) ~peer
 
 (* Mark every row in flight on [slot] void. *)
 let void_slot w slot =
@@ -199,23 +208,23 @@ let up_transition t u v =
   peer_up_at t v ~peer:u
 
 let deployment_flags config rng n =
-  let flags = Array.make n false in
+  let flags = Bytes.make n '\000' in
   (match config.Config.damping with
   | None -> ()
   | Some _ -> (
       match config.Config.deployment with
-      | Config.Everywhere -> Array.fill flags 0 n true
+      | Config.Everywhere -> Bytes.fill flags 0 n '\001'
       | Config.Nowhere -> ()
       | Config.Fraction f ->
           for i = 0 to n - 1 do
-            flags.(i) <- Rng.float rng 1.0 < f
+            if Rng.float rng 1.0 < f then Bytes.set_uint8 flags i 1
           done
       | Config.Only nodes ->
           List.iter
             (fun node ->
               if node < 0 || node >= n then
                 invalid_arg (Printf.sprintf "Network: deployment node %d out of range" node);
-              flags.(node) <- true)
+              Bytes.set_uint8 flags node 1)
             nodes));
   flags
 
@@ -261,9 +270,7 @@ let deliver t slot =
         Update.Announce { route = Route.make ~prefix ~path; rc; rel_pref }
     in
     t.hooks.Hooks.on_deliver ~time:(Sim.now t.sim) ~src ~dst update;
-    match t.routers.(dst) with
-    | Some r -> Router.receive r ~from_peer:src update
-    | None -> assert false
+    Router.receive t.routers.(dst) ~from_peer:src update
   end
 
 (* The row becomes its slot's newest and is posted only when it is the
@@ -306,7 +313,18 @@ let put_on_wire t ~at ~slot ~void update =
   if void then c.w_code.(j) <- c.w_code.(j) lor void_bit;
   t.in_flight <- t.in_flight + 1
 
-let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < p
+let fault_draw f slot p = p > 0. && Rng.column_float f.fault_streams slot 1.0 < p
+
+(* A network that was never degraded reads no probability. *)
+let lost t slot =
+  match t.faults with
+  | Some f -> fault_draw f slot (Float.Array.get f.loss slot)
+  | None -> false
+
+let duplicated t slot =
+  match t.faults with
+  | Some f -> fault_draw f slot (Float.Array.get f.duplication slot)
+  | None -> false
 
 (* One copy on directed link [slot]: sample a delay and keep
    per-direction FIFO order. A copy to another partition carries the
@@ -320,7 +338,7 @@ let fault_draw t slot p = p > 0. && Rng.column_float t.fault_streams slot 1.0 < 
    exactly the lookahead the epoch engine runs with, so it can wait for the
    barrier. *)
 let send_copy t slot ~src ~dst update =
-  if fault_draw t slot (Float.Array.get t.loss slot) then
+  if lost t slot then
     t.hooks.Hooks.on_drop ~time:(Sim.now t.sim) ~src ~dst update
   else begin
     let jitter = t.config.Config.link_jitter in
@@ -331,19 +349,19 @@ let send_copy t slot ~src ~dst update =
     let floor = Float.Array.get t.floor slot in
     let at = Float.max (Sim.now t.sim +. delay) (Float.max (floor +. 1e-9) (Float.succ floor)) in
     Float.Array.set t.floor slot at;
-    match t.routers.(dst) with
-    | Some _ -> put_on_wire t ~at ~slot ~void:false update
-    | None ->
-        let eid = slot lsr 1 in
-        t.emit
-          {
-            remote_eid = eid;
-            remote_src = src;
-            remote_dst = dst;
-            remote_at = at;
-            remote_epoch = t.epoch.(eid);
-            remote_update = update;
-          }
+    if owns t dst then put_on_wire t ~at ~slot ~void:false update
+    else begin
+      let eid = slot lsr 1 in
+      t.emit
+        {
+          remote_eid = eid;
+          remote_src = src;
+          remote_dst = dst;
+          remote_at = at;
+          remote_epoch = t.epoch.(eid);
+          remote_update = update;
+        }
+    end
   end
 
 (* The transport, one function for every directed link: a message sent on
@@ -360,7 +378,7 @@ let transmit t slot update =
   let src = slot_src t slot and dst = slot_dst t slot in
   if operational t (slot lsr 1) src dst then begin
     send_copy t slot ~src ~dst update;
-    if fault_draw t slot (Float.Array.get t.duplication slot) then begin
+    if duplicated t slot then begin
       t.hooks.Hooks.on_duplicate ~time:(Sim.now t.sim) ~src ~dst update;
       send_copy t slot ~src ~dst update
     end
@@ -370,14 +388,10 @@ let transmit t slot update =
    source router owns the timer. *)
 let session_timer t fire key =
   let slot = Router.session_link key in
-  match t.routers.(slot_src t slot) with
-  | Some r -> fire r ~peer:(slot_dst t slot) key
-  | None -> assert false
+  fire t.routers.(slot_src t slot) ~peer:(slot_dst t slot) key
 
 let wheel_timer t ~node_bits key =
-  match t.routers.(Router.wheel_router ~node_bits key) with
-  | Some r -> Router.wheel_due r key
-  | None -> assert false
+  Router.wheel_due t.routers.(Router.wheel_router ~node_bits key) key
 
 (* Bits that hold a router id in a wheel post's argument. *)
 let id_bits n =
@@ -399,8 +413,9 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
   ignore (Rng.split master);
   let hooks = Hooks.create () in
   let damping_deployed = deployment_flags config deploy_rng n in
+  let deployed node = Bytes.get_uint8 damping_deployed node <> 0 in
   let params_at node =
-    if not damping_deployed.(node) then None
+    if not (deployed node) then None
     else
       match List.assoc_opt node config.Config.damping_overrides with
       | Some params -> Some params
@@ -448,17 +463,15 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
         config;
         hooks;
         paths;
-        routers = Array.make n None;
+        routers = [||];
         emit;
-        routers_up = Array.make n true;
+        routers_up = Bytes.make n '\001';
         damping_deployed;
         up = Bytes.make m '\001';
         epoch = Array.make m 0;
         floor = Float.Array.make (2 * m) 0.;
-        loss = Float.Array.make (2 * m) 0.;
-        duplication = Float.Array.make (2 * m) 0.;
         delay_streams = streams config ~salt:delay_salt (2 * m);
-        fault_streams = Rng.column 0 ~seed:Fun.id;
+        faults = None;
         wire =
           {
             w_rows = Column.Chunks.create ~first:256 ~make:make_rows;
@@ -484,10 +497,26 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
       node_bits;
     }
   in
+  (* The arena's extent: the owned routers, their sessions, and the
+     sessions of those that damp. *)
+  let rows = ref 0 and sessions = ref 0 and damped = ref 0 in
+  for node = 0 to n - 1 do
+    if owned.(node) then begin
+      let degree = Graph.degree graph node in
+      incr rows;
+      sessions := !sessions + degree;
+      if deployed node then damped := !damped + degree
+    end
+  done;
+  let arena =
+    Router.arena ~sim ~paths ~policy ~config ~hooks ~ports ~routers:!rows ~sessions:!sessions
+      ~damped:!damped
+  in
+  t.routers <- Array.make n (Router.vacant arena);
   (* Every partition replays the full master split sequence — one split per
-     node, in node order — and builds only its owned routers, so a router's
-     RNG stream is a function of (seed, node id) alone, not of the
-     partitioning. A router is built with all its sessions: its graph
+     node, in node order — and lays out only its owned routers, so a
+     router's RNG stream is a function of (seed, node id) alone, not of the
+     partitioning. A router is laid out with all its sessions: its graph
      neighbours in ascending order, each over the directed link from it,
      which is the order its MRAI jitter is drawn in. *)
   for node = 0 to n - 1 do
@@ -498,10 +527,7 @@ let create ?policy ~ownership:(owned, emit) ~config sim graph =
           (fun peer eid -> (peer, directed_slot eid ~src:node ~dst:peer))
           (Graph.neighbors graph node) (Graph.incident_edge_ids graph node)
       in
-      t.routers.(node) <-
-        Some
-          (Router.create ~sim ~id:node ~sessions ~paths ~policy ~config
-             ~damping:(damping_at node) ~rng ~hooks ~ports)
+      t.routers.(node) <- Router.create arena ~id:node ~sessions ~damping:(damping_at node) ~rng
     end
   done;
   t
@@ -518,13 +544,12 @@ let check_node t node =
 let router t node =
   if node < 0 || node >= Array.length t.routers then
     invalid_arg (Printf.sprintf "Network.router: node %d out of range" node);
-  match t.routers.(node) with
-  | Some r -> r
-  | None ->
-      invalid_arg (Printf.sprintf "Network.router: node %d owned by another partition" node)
+  if not (owns t node) then
+    invalid_arg (Printf.sprintf "Network.router: node %d owned by another partition" node);
+  t.routers.(node)
 
 let num_routers t = Array.length t.routers
-let damping_at t node = t.damping_deployed.(node)
+let damping_at t node = Bytes.get_uint8 t.damping_deployed node <> 0
 
 let originate t ~node prefix = Router.originate (router t node) prefix
 let withdraw t ~node prefix = Router.withdraw_prefix (router t node) prefix
@@ -540,11 +565,8 @@ let withdraw t ~node prefix = Router.withdraw_prefix (router t node) prefix
    voids it as it does a local row. *)
 let deliver_remote t { remote_eid = eid; remote_src = src; remote_dst = dst;
                        remote_at = at; remote_epoch = epoch; remote_update = update } =
-  (match t.routers.(dst) with
-  | Some _ -> ()
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Network.deliver_remote: node %d owned by another partition" dst));
+  if not (owns t dst) then
+    invalid_arg (Printf.sprintf "Network.deliver_remote: node %d owned by another partition" dst);
   put_on_wire t ~at ~slot:(directed_slot eid ~src ~dst) ~void:(epoch <> t.epoch.(eid)) update
 
 let is_up t eid = Bytes.get t.up eid <> '\000'
@@ -574,11 +596,11 @@ let link_operational t u v = operational t (edge_id_exn t u v) u v
 
 let router_is_up t node =
   check_node t node;
-  t.routers_up.(node)
+  router_up t node
 
 let crash_router t node =
   check_node t node;
-  if t.routers_up.(node) then begin
+  if router_up t node then begin
     (* Tear down every operational incident session (both endpoints observe
        peer_down, exactly as for a link failure), then mark the router dead
        so nothing is delivered to or sent from it until restart. *)
@@ -587,13 +609,13 @@ let crash_router t node =
         let eid = edge_id_exn t node peer in
         if operational t eid node peer then down_transition t eid node peer)
       (Graph.neighbors t.graph node);
-    t.routers_up.(node) <- false
+    Bytes.set_uint8 t.routers_up node 0
   end
 
 let restart_router t node =
   check_node t node;
-  if not t.routers_up.(node) then begin
-    t.routers_up.(node) <- true;
+  if not (router_up t node) then begin
+    Bytes.set_uint8 t.routers_up node 1;
     (* Sessions whose link is administratively up and whose other endpoint
        is alive come back with full-table re-advertisement. *)
     Array.iter
@@ -611,21 +633,36 @@ let check_probability name p =
       (Printf.sprintf "Network.set_degradation: %s probability %g outside [0, 1]" name p)
 
 (* Fault draws happen only on degraded links, so a run that never
-   degrades one never seeds the fault streams. Each is a pure function of
-   (seed, slot), so seeding them all at the first degradation draws
-   exactly what streams seeded at creation would. *)
+   degrades one never builds the fault columns. Each stream is a pure
+   function of (seed, slot), so seeding them all at the first degradation
+   draws exactly what streams seeded at creation would. *)
 let set_degradation t ~src ~dst ~loss ~duplication =
   check_probability "loss" loss;
   check_probability "duplication" duplication;
   let slot = slot_exn t ~src ~dst in
-  if Rng.column_length t.fault_streams = 0 then
-    t.fault_streams <- streams t.config ~salt:fault_salt (Float.Array.length t.loss);
-  Float.Array.set t.loss slot loss;
-  Float.Array.set t.duplication slot duplication
+  let f =
+    match t.faults with
+    | Some f -> f
+    | None ->
+        let slots = Array.length t.wire.w_last in
+        let f =
+          {
+            loss = Float.Array.make slots 0.;
+            duplication = Float.Array.make slots 0.;
+            fault_streams = streams t.config ~salt:fault_salt slots;
+          }
+        in
+        t.faults <- Some f;
+        f
+  in
+  Float.Array.set f.loss slot loss;
+  Float.Array.set f.duplication slot duplication
 
 let degradation t ~src ~dst =
   let slot = slot_exn t ~src ~dst in
-  (Float.Array.get t.loss slot, Float.Array.get t.duplication slot)
+  match t.faults with
+  | Some f -> (Float.Array.get f.loss slot, Float.Array.get f.duplication slot)
+  | None -> (0., 0.)
 
 let in_flight t = t.in_flight
 
@@ -638,7 +675,9 @@ let event_counts t =
   { deliveries; flushes; reuses; wheels; ops }
 
 let fold_routers t ~init ~f =
-  Array.fold_left (fun acc r -> match r with Some r -> f acc r | None -> acc) init t.routers
+  let acc = ref init in
+  Array.iteri (fun node r -> if owns t node then acc := f !acc r) t.routers;
+  !acc
 
 let peak_reuse_timers t =
   fold_routers t ~init:0 ~f:(fun acc r -> acc + Router.peak_reuse_timers r)
@@ -649,15 +688,13 @@ let activity t =
     ~f:(fun acc r -> Oracle.add acc (Router.activity r))
 
 let rib_fixpoint t prefix =
-  Array.for_all
-    (function
-      | None -> true
-      | Some r -> (
-          match (Router.best r prefix, Router.recompute_best r prefix) with
-          | None, None -> true
-          | Some a, Some b -> Route.equal a b
-          | Some _, None | None, Some _ -> false))
-    t.routers
+  fold_routers t ~init:true ~f:(fun fixed r ->
+      fixed
+      &&
+      match (Router.best r prefix, Router.recompute_best r prefix) with
+      | None, None -> true
+      | Some a, Some b -> Route.equal a b
+      | Some _, None | None, Some _ -> false)
 
 let reachable_count t prefix =
   fold_routers t ~init:0 ~f:(fun acc r -> if Router.best r prefix <> None then acc + 1 else acc)

@@ -34,12 +34,14 @@
 
     Link state is held in columns: per link its administrative state and
     epoch (bumped at each down transition, which voids the rows in
-    flight on both its directed links), and per directed link — at slot [2*eid + dir], [dir = 0] from
-    the lower node id — its newest row in flight, its FIFO floor, loss
-    and duplication as unboxed floats, and its delay and fault streams as
-    8-byte {!Rfd_engine.Rng.column} states. Every router sends through one
-    transport function keyed by that slot, so a session owns no transport
-    closure, record or stream. The network also registers the channels its
+    flight on both its directed links), and per directed link — at slot
+    [2*eid + dir], [dir = 0] from the lower node id — its newest row in
+    flight, its FIFO floor as an unboxed float, and its delay stream as
+    an 8-byte {!Rfd_engine.Rng.column} state; loss and duplication
+    probabilities and their fault streams exist from the first
+    {!set_degradation} on. Every router sends through one transport
+    function keyed by that slot, so a session owns no transport closure,
+    record or stream. The network also registers the channels its
     routers' timers post on ({!Router.ports}) and hands each post back to
     the owning router. *)
 
@@ -76,6 +78,15 @@ val create :
     {!Rfd_damping.Reuse_index}, and hands both to every router that
     damps with those parameters; each partition's network builds its
     own.
+
+    Every owned router is laid out here, once, in node order, as a row
+    of one {!Router.arena}: network-wide session, slot and Loc-RIB
+    columns sized to the owned routers, their sessions and the sessions
+    of those that damp, so no router owns an array. A fresh network at
+    table hint 2 holds about 27 words per directed session besides its
+    graph with damping everywhere, and about 23 without damping (a
+    1,000-node Barabási–Albert graph). The fault columns are not among
+    them: {!set_degradation} builds them at its first call.
 
     Transport randomness is per directed link: delay jitter and
     loss/duplication draws depend only on each link's own send sequence,
@@ -171,15 +182,16 @@ val set_degradation : t -> src:int -> dst:int -> loss:float -> duplication:float
     duplicated with probability [duplication], and every copy is then lost
     with probability [loss]. Surviving copies still obey the per-direction
     FIFO no-reorder guarantee. Sampling uses a dedicated seed-derived
-    stream per directed link (the fault column, seeded for every link at
-    the first call), so a given [(config.seed, degradation)] is fully
-    deterministic and zero probabilities leave the run bit-identical to a
-    fault-free one.
+    stream per directed link (the fault columns, built and seeded for
+    every link at the first call), so a given [(config.seed,
+    degradation)] is fully deterministic and zero probabilities leave the
+    run bit-identical to a fault-free one.
     Raises [Invalid_argument] on probabilities outside [0, 1] or when the
     nodes are not adjacent. *)
 
 val degradation : t -> src:int -> dst:int -> float * float
-(** Current [(loss, duplication)] of the directed link. *)
+(** Current [(loss, duplication)] of the directed link; [(0., 0.)] on a
+    link that was never degraded. *)
 
 (** {1 Per-shard sums}
 

@@ -17,22 +17,32 @@
     {!Rfd_engine.Sim.retract}ed: it never runs and counts in no event
     total.
 
-    State layout: sessions are ranked by ascending peer id, and each
-    per-session value (peer id, link, MRAI interval, shared per-peer MRAI
-    deadline, up flag, RCN history where the router damps in RCN mode) is
-    a column of that length, fixed by {!create}. Per-prefix state is one
-    set of router-level slot columns, prefix-major: with [d] sessions,
-    session [k]'s slot for prefix id [i] is [i * d + k]. The slot columns
-    are a flags byte (entry exists, suppressed, reuse timer pending, update
-    parked, flush armed), the received and advertised routes' AS paths, the
-    last root cause received, the MRAI deadline, a parked update's root
-    cause, the [Tick] wheel bucket and, only where the router damps, the
-    penalty value and time as unboxed floats (one
-    {!Rfd_damping.Damper.slots}). The Loc-RIB and the originated prefixes
-    are router-level columns indexed by prefix id, with the same prefix
-    capacity. Every column starts at {!Config.prefix_table_hint} prefixes,
-    and they double together; a slot owns no heap block, and a session
-    owns no record.
+    State layout: a router owns no array. Every router of a network is
+    a view of one {!arena}, a set of network-wide columns that
+    {!Network.create} lays out once, router by router in node order: the
+    view is the arena, the router's id, its row, the base and count of
+    its sessions, and its damping setting. Sessions are ranked by
+    ascending peer id, and router [r]'s session [k] is cell [base r + k]
+    of the session columns (peer id, link, MRAI interval, shared per-peer
+    MRAI deadline, up flag). Per-prefix session state is the slot
+    columns, prefix-major over all [S] sessions of the arena: session
+    [k]'s slot for prefix id [i] is [i * S + base r + k], so a decision
+    scans one contiguous run. The slot columns are a flags byte (entry
+    exists, suppressed, reuse timer pending, update parked, flush armed),
+    the received and advertised routes' AS paths, the last root cause
+    received, the MRAI deadline and a parked update's root cause. The
+    penalty value and time (one {!Rfd_damping.Damper.slots}, unboxed
+    floats), the [Tick] wheel bucket and, in RCN mode, the root-cause
+    histories exist only for the [D] sessions of routers that damp, laid
+    out the same way from a second base. The Loc-RIB and the originated
+    prefixes are indexed by (prefix, router row), and per-router counters
+    (root-cause sequence, reuse timers resident) by row. Every column
+    starts at {!Config.prefix_table_hint} prefixes, and the arena has one
+    prefix capacity: a prefix id past it widens every column once, and
+    every cell keeps its index. Nothing a router does depends on the
+    capacity. A slot owns no heap block, and a session owns no record;
+    the handles every router shares (simulator, hooks, policy, config,
+    {!ports}, path table) are held once, by the arena.
 
     A parked update is its flag and its root cause. When its flush fires,
     the router sends what the decision process exports to that session
@@ -63,6 +73,10 @@
       selective-damping baseline, per {!Config.damping_mode}. *)
 
 type t
+(** A router: a view of its place in an {!arena}. *)
+
+type arena
+(** The network-wide columns that hold every router's state. *)
 
 type ports = {
   transmit : int -> Update.t -> unit;
@@ -103,26 +117,41 @@ val reuse_due : t -> peer:int -> int -> unit
 val wheel_due : t -> int -> unit
 (** Fire the [Tick]-mode wheel bucket of a post's argument. *)
 
-val create :
+val arena :
   sim:Rfd_engine.Sim.t ->
-  id:int ->
-  sessions:(int * int) array ->
   paths:As_path.table ->
   policy:Policy.t ->
   config:Config.t ->
-  damping:(Rfd_damping.Damper.setting * Rfd_damping.Reuse_index.t option) option ->
-  rng:Rfd_engine.Rng.t ->
   hooks:Hooks.t ->
   ports:ports ->
+  routers:int ->
+  sessions:int ->
+  damped:int ->
+  arena
+(** Columns for [routers] routers with [sessions] sessions in all,
+    [damped] of them at routers that damp, each slot column at
+    {!Config.prefix_table_hint} prefixes; {!create} lays the routers out
+    in it. [Nowhere] deployment needs no penalty cells, and [Fraction] or
+    [Only] deployment only those of the routers that damp. [paths] is the
+    intern table every advertised path is built through; {!Network}
+    passes its one table, so identical paths are physically shared
+    network-wide. The config is taken as checked: its only library
+    caller, {!Network.create}, validates it first. *)
+
+val create :
+  arena ->
+  id:int ->
+  sessions:(int * int) array ->
+  damping:(Rfd_damping.Damper.setting * Rfd_damping.Reuse_index.t option) option ->
+  rng:Rfd_engine.Rng.t ->
   t
-(** A router with all its sessions. [sessions] holds one (peer id,
-    directed link) pair per session, in ascending peer order (the order
-    {!Rfd_topology.Graph.neighbors} gives, with the links over
-    {!Rfd_topology.Graph.incident_edge_ids}); a session's rank is its
-    index, and updates to the peer go to [ports.transmit link]. A session
-    stores the link's int and nothing else of the transport. The sessions
-    are fixed for the router's life, and its slot columns start at
-    {!Config.prefix_table_hint} prefixes.
+(** Lay out a router with all its sessions in the arena's next row.
+    [sessions] holds one (peer id, directed link) pair per session, in
+    ascending peer order (the order {!Rfd_topology.Graph.neighbors}
+    gives, with the links over {!Rfd_topology.Graph.incident_edge_ids});
+    a session's rank is its index, and updates to the peer go to
+    [ports.transmit link]. A session stores the link's int and nothing
+    else of the transport. The sessions are fixed for the router's life.
 
     [damping] is the setting of this router's effective parameter set
     ([None] = damping not deployed here) and, in [Tick] mode, the reuse
@@ -130,22 +159,25 @@ val create :
     index, whose tick is the wheel's. {!Network} resolves the parameter
     set from the config's global preset, per-router overrides and
     deployment policy, and builds one setting and one index per distinct
-    parameter set; a router builds neither. [rng] gives each
-    session its MRAI jitter, one draw per session in rank order, and
-    nothing else; hand each router a split stream. [paths] is the intern
-    table every advertised path is built through; {!Network} passes its
-    one table to every router, so identical paths are physically shared
-    network-wide.
+    parameter set; a router builds neither. [rng] gives each session its
+    MRAI jitter, one draw per session in rank order, and nothing else;
+    hand each router a split stream.
 
-    The config and the damping setting are taken as checked: its only
-    library caller, {!Network.create}, validates the whole config first,
-    and {!Rfd_damping.Damper.setting} refused invalid parameters when
-    the setting was built. Raises [Invalid_argument] with a
-    [Router.create:] message on a session to itself, a negative peer id,
-    a peer repeated or out of ascending order, or a link outside
-    [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]]. *)
+    The damping setting is taken as checked:
+    {!Rfd_damping.Damper.setting} refused invalid parameters when it was
+    built. Raises [Invalid_argument] with a [Router.create:] message on a
+    session to itself, a negative peer id, a peer repeated or out of
+    ascending order, a link outside
+    [\[0, Rfd_engine.Sim.max_arg / 2{^31}\]], a reuse index under an
+    [Exact]-mode config, or when the arena has no room left for the
+    router's row, sessions or damped sessions. *)
+
+val vacant : arena -> t
+(** A view of no router, for a node another partition owns: its {!id}
+    is [-1], and nothing else may be asked of it. *)
 
 val id : t -> int
+(** The router's node id; [-1] for {!vacant}. *)
 
 val damping_params : t -> Rfd_damping.Params.t option
 (** Effective damping parameters at this router. *)

@@ -16,17 +16,15 @@ let setting params =
   { params; lambda = Params.lambda params; ceiling = Params.max_penalty params }
 
 let params st = st.params
+let lambda st = st.lambda
 
 (* Penalty columns: slot [i]'s penalty is [value.(i)] as of time [at.(i)].
-   A fresh slot holds zero as of time zero. *)
-type slots = {
-  setting : setting;
-  mutable value : Float.Array.t;
-  mutable at : Float.Array.t;
-}
+   A fresh slot holds zero as of time zero. The columns know no setting:
+   slots under different settings share them, and each call names the
+   slot's. *)
+type slots = { mutable value : Float.Array.t; mutable at : Float.Array.t }
 
-let slots setting ~capacity =
-  { setting; value = Float.Array.make capacity 0.; at = Float.Array.make capacity 0. }
+let slots ~capacity = { value = Float.Array.make capacity 0.; at = Float.Array.make capacity 0. }
 
 let widen column capacity =
   let fresh = Float.Array.make capacity 0. in
@@ -41,17 +39,17 @@ let grow s capacity =
 
 (* Inlined, as [settle] is, so the float stays unboxed in this module's
    callers. *)
-let[@inline] slot_penalty s i ~now =
+let[@inline] slot_penalty st s i ~now =
   let at = Float.Array.get s.at i in
   if now < at -. 1e-9 then invalid_arg "Damper: clock moved backwards";
   let value = Float.Array.get s.value i in
-  if now > at then value *. exp (-.s.setting.lambda *. (now -. at)) else value
+  if now > at then value *. exp (-.st.lambda *. (now -. at)) else value
 
 (* Fold the decay since the last touch into the slot's value, and return
    it. A later decay then starts from this value, so every engine call
    that settles is part of the run's arithmetic. *)
-let[@inline] settle s i ~now =
-  let value = slot_penalty s i ~now in
+let[@inline] settle st s i ~now =
+  let value = slot_penalty st s i ~now in
   if now > Float.Array.get s.at i then begin
     Float.Array.set s.value i value;
     Float.Array.set s.at i now
@@ -63,17 +61,16 @@ let increment params = function
   | Reannouncement -> params.Params.reannouncement_penalty
   | Attribute_change -> params.Params.attribute_change_penalty
 
-let slot_record s i ~now ~suppressed event =
-  let st = s.setting in
-  let value = Float.min (settle s i ~now +. increment st.params event) st.ceiling in
+let slot_record st s i ~now ~suppressed event =
+  let value = Float.min (settle st s i ~now +. increment st.params event) st.ceiling in
   Float.Array.set s.value i value;
   if (not suppressed) && value > st.params.Params.cutoff then `Suppressed else `Ok
 
-let slot_reuse_time s i ~now =
-  now +. Params.reuse_delay s.setting.params ~penalty:(settle s i ~now)
+let slot_reuse_time st s i ~now =
+  now +. Params.reuse_delay st.params ~penalty:(settle st s i ~now)
 
-let slot_try_reuse s i ~now =
-  let value = settle s i ~now in
-  let params = s.setting.params in
+let slot_try_reuse st s i ~now =
+  let value = settle st s i ~now in
+  let params = st.params in
   if value <= params.Params.reuse then `Reused
   else `Not_yet (now +. Params.reuse_delay params ~penalty:value)

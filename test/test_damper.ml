@@ -8,26 +8,34 @@ let transition_t =
     | `Ok -> Format.pp_print_string ppf "ok"
     | `Suppressed -> Format.pp_print_string ppf "suppressed")
 
-(* Slot [index] of a penalty table, with the suppressed flag its owner
-   keeps, as a router keeps it in its flags byte. *)
-type slot = { table : Damper.slots; index : int; mutable suppressed : bool }
+(* Slot [index] of a penalty table under its owner's setting, with the
+   suppressed flag the owner keeps, as a router keeps it in its flags
+   byte. *)
+type slot = {
+  setting : Damper.setting;
+  table : Damper.slots;
+  index : int;
+  mutable suppressed : bool;
+}
 
-let slot_of table index = { table; index; suppressed = false }
+let slot_of setting table index = { setting; table; index; suppressed = false }
 
 (* A fresh one-slot table, under [setting] or a setting of its own. *)
-let fresh_in setting = slot_of (Damper.slots setting ~capacity:1) 0
+let fresh_in setting = slot_of setting (Damper.slots ~capacity:1) 0
 let fresh params = fresh_in (Damper.setting params)
 
-let penalty s ~now = Damper.slot_penalty s.table s.index ~now
-let reuse_time s ~now = Damper.slot_reuse_time s.table s.index ~now
+let penalty s ~now = Damper.slot_penalty s.setting s.table s.index ~now
+let reuse_time s ~now = Damper.slot_reuse_time s.setting s.table s.index ~now
 
 let record s ~now event =
-  let transition = Damper.slot_record s.table s.index ~now ~suppressed:s.suppressed event in
+  let transition =
+    Damper.slot_record s.setting s.table s.index ~now ~suppressed:s.suppressed event
+  in
   if transition = `Suppressed then s.suppressed <- true;
   transition
 
 let try_reuse s ~now =
-  let answer = Damper.slot_try_reuse s.table s.index ~now in
+  let answer = Damper.slot_try_reuse s.setting s.table s.index ~now in
   if answer = `Reused then s.suppressed <- false;
   answer
 
@@ -40,13 +48,15 @@ let test_initial () =
   let setting = Damper.setting Params.cisco in
   Alcotest.(check bool) "a setting keeps its parameters" true
     (Damper.params setting = Params.cisco);
-  let table = Damper.slots setting ~capacity:4 in
+  Alcotest.(check (float 0.)) "a setting keeps its decay rate"
+    (Params.lambda Params.cisco) (Damper.lambda setting);
+  let table = Damper.slots ~capacity:4 in
   for i = 0 to 3 do
-    Alcotest.(check (float 0.)) "zero penalty" 0. (Damper.slot_penalty table i ~now:0.)
+    Alcotest.(check (float 0.)) "zero penalty" 0. (Damper.slot_penalty setting table i ~now:0.)
   done;
   Damper.grow table 8;
   Alcotest.(check (float 0.)) "a grown slot starts at zero" 0.
-    (Damper.slot_penalty table 7 ~now:100.)
+    (Damper.slot_penalty setting table 7 ~now:100.)
 
 let test_invalid_params_rejected () =
   let bad = { Params.cisco with Params.cutoff = 1. } in
@@ -200,17 +210,24 @@ let prop_shared_setting_is_bit_identical =
      (two slots of a table under that shared setting, one of a table
      with its own) gives bit-identical penalties, transitions and reuse
      answers at every step. The multi-slot tables grow halfway through
-     the schedule, as a router's columns do. *)
+     the schedule, as a network's penalty columns do. *)
   QCheck.Test.make ~name:"a shared setting is bit-identical across slots and tables"
     ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (triple (float_range 0. 2000.) (int_bound 2) bool))
     (fun steps ->
       let plain = fresh Params.cisco in
       let setting = Damper.setting Params.cisco in
-      let shared = Damper.slots setting ~capacity:6 in
-      let lone = Damper.slots (Damper.setting Params.cisco) ~capacity:6 in
+      let shared = Damper.slots ~capacity:6 in
+      let lone_setting = Damper.setting Params.cisco in
+      let lone = Damper.slots ~capacity:6 in
       let others =
-        [ fresh_in setting; fresh_in setting; slot_of shared 5; slot_of shared 2; slot_of lone 5 ]
+        [
+          fresh_in setting;
+          fresh_in setting;
+          slot_of setting shared 5;
+          slot_of setting shared 2;
+          slot_of lone_setting lone 5;
+        ]
       in
       let halfway = List.length steps / 2 in
       let now = ref 0. in
@@ -247,8 +264,8 @@ let prop_shared_setting_is_bit_identical =
                  && s.suppressed = plain.suppressed)
                others
           (* slots never charged stay at zero *)
-          && Damper.slot_penalty shared 0 ~now = 0.
-          && Damper.slot_penalty lone 3 ~now = 0.)
+          && Damper.slot_penalty setting shared 0 ~now = 0.
+          && Damper.slot_penalty lone_setting lone 3 ~now = 0.)
         (List.mapi (fun step s -> (step, s)) steps))
 
 let suite =

@@ -502,6 +502,42 @@ let test_fifo_floor_is_strict () =
       Alcotest.(check int) "router 1 holds the route" 2 (Par_net.reachable_count net p0)
   | _ -> Alcotest.fail "expected the withdrawal, then the announcement"
 
+(* Every router is a view of its network's arena, so a fresh network's
+   words grow with its sessions, not with per-router blocks. A BA graph of
+   1,000 nodes at table hint 2 holds at most 32 words per directed
+   session besides its graph with Cisco damping everywhere, and at most
+   28 without damping: a layout in which each router owns its columns
+   holds about 41 and 35. The fault columns (loss, duplication and their
+   streams, a word per directed session each) appear at the first
+   degradation, not before. *)
+let test_no_router_owns_an_array () =
+  let n = 1000 in
+  let graph = Rfd_topology.Random_graphs.barabasi_albert (Rfd_engine.Rng.create 1) ~n ~m:2 in
+  let sessions = 2 * Graph.num_edges graph in
+  let words net = Obj.reachable_words (Obj.repr net) - Obj.reachable_words (Obj.repr graph) in
+  let fresh config =
+    Network.create ~ownership:(Array.make n true, ignore) ~config (Sim.create ()) graph
+  in
+  let base = { Config.default with Config.prefix_table_hint = 2 } in
+  let within label net bound =
+    let held = words net in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d words for %d sessions, at most %d each" label held sessions bound)
+      true
+      (held <= bound * sessions);
+    held
+  in
+  let cisco = Config.with_damping Rfd_damping.Params.cisco base in
+  ignore (within "Cisco damping everywhere" (fresh cisco) 32);
+  let net = fresh base in
+  let before = within "no damping" net 28 in
+  Network.set_degradation net ~src:0 ~dst:1 ~loss:0. ~duplication:0.;
+  let added = words net - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "the first degradation adds the fault columns (%d words)" added)
+    true
+    (added >= 3 * sessions)
+
 let suite =
   [
     Alcotest.test_case "line propagation" `Quick test_line_propagation;
@@ -524,5 +560,6 @@ let suite =
       test_deliver_remote_refusal_leaves_nothing;
     Alcotest.test_case "a burst on one link holds one heap entry" `Quick
       test_burst_holds_one_heap_entry;
+    Alcotest.test_case "no router owns an array" `Quick test_no_router_owns_an_array;
     QCheck_alcotest.to_alcotest prop_wire_round_trip;
   ]

@@ -144,9 +144,12 @@ let test_create_validation () =
     }
   in
   let create sessions =
-    Router.create ~sim ~id:0 ~sessions ~paths:(As_path.create_table ())
-      ~policy:Policy.announce_all ~config:fast ~damping:None ~rng:(Rfd_engine.Rng.create 1)
-      ~hooks:(Hooks.create ()) ~ports
+    let arena =
+      Router.arena ~sim ~paths:(As_path.create_table ()) ~policy:Policy.announce_all
+        ~config:fast ~hooks:(Hooks.create ()) ~ports ~routers:1
+        ~sessions:(Array.length sessions) ~damped:0
+    in
+    Router.create arena ~id:0 ~sessions ~damping:None ~rng:(Rfd_engine.Rng.create 1)
   in
   let refused name msg sessions =
     Alcotest.check_raises name (Invalid_argument ("Router.create: " ^ msg)) (fun () ->
@@ -158,6 +161,28 @@ let test_create_validation () =
   refused "descending peers" "peer 1 after peer 2: sessions must ascend" [| (2, 0); (1, 2) |];
   refused "link beyond the timer key range" "link 8388608 outside the timer key range"
     [| (1, 0); (2, 1 lsl 23) |];
+  let arena ~config ~damped =
+    Router.arena ~sim ~paths:(As_path.create_table ()) ~policy:Policy.announce_all ~config
+      ~hooks:(Hooks.create ()) ~ports ~routers:1 ~sessions:1 ~damped
+  in
+  let cisco = Rfd_damping.Params.cisco in
+  let damping = Some (Rfd_damping.Damper.setting cisco, None) in
+  let place ?(damping = damping) a =
+    ignore (Router.create a ~id:0 ~sessions:[| (1, 0) |] ~damping ~rng:(Rfd_engine.Rng.create 1))
+  in
+  Alcotest.check_raises "no damped sessions left"
+    (Invalid_argument "Router.create: no room left in the arena for router 0") (fun () ->
+      place (arena ~config:fast ~damped:0));
+  Alcotest.check_raises "no row left"
+    (Invalid_argument "Router.create: no room left in the arena for router 0") (fun () ->
+      let a = arena ~config:fast ~damped:1 in
+      place a;
+      place a);
+  Alcotest.check_raises "a reuse index under an Exact config"
+    (Invalid_argument "Router.create: a reuse index needs a Tick-mode config") (fun () ->
+      let index = Rfd_damping.Reuse_index.create ~tick:15. cisco in
+      place ~damping:(Some (Rfd_damping.Damper.setting cisco, Some index))
+        (arena ~config:fast ~damped:1));
   let r = create [| (1, 0); (2, 5); (4, 3) |] in
   Alcotest.(check (list int)) "sessions in rank order" [ 1; 2; 4 ] (Router.peer_ids r);
   Alcotest.(check bool) "sessions start up" true (Router.session_up r ~peer:4);
@@ -183,9 +208,8 @@ let test_create_jitter_in_rank_order () =
   hooks.Hooks.on_mrai <-
     (fun ~time ~router:_ ~peer ~prefix:_ action ->
       if action = Hooks.Flush_fired then fired := (peer, time) :: !fired);
-  let r =
-    Router.create ~sim ~id:0 ~sessions ~paths:(As_path.create_table ())
-      ~policy:Policy.announce_all ~config ~damping:None ~rng:(Rfd_engine.Rng.create 7) ~hooks
+  let arena =
+    Router.arena ~sim ~paths:(As_path.create_table ()) ~policy:Policy.announce_all ~config ~hooks
       ~ports:
         {
           Router.transmit = (fun _ _ -> ());
@@ -194,7 +218,9 @@ let test_create_jitter_in_rank_order () =
           wheel_on = idle;
           node_bits = 3;
         }
+      ~routers:1 ~sessions:(Array.length sessions) ~damped:0
   in
+  let r = Router.create arena ~id:0 ~sessions ~damping:None ~rng:(Rfd_engine.Rng.create 7) in
   router := Some r;
   Router.originate r p0;
   Router.withdraw_prefix r p0;
